@@ -180,6 +180,7 @@ def run_chaos_once(schedule: FaultSchedule, seed: int, cfg: CampaignConfig,
             registry=obs.registry if obs is not None else None,
             tracer=obs.tracer if obs is not None else None,
             history=recorder,
+            profiler=obs.profiler if obs is not None else None,
             locality=obs.locality if obs is not None else None)
     if cfg.placement and (obs is None or not obs.locality):
         # The controller is blind without telemetry: layer a per-run
@@ -189,6 +190,7 @@ def run_chaos_once(schedule: FaultSchedule, seed: int, cfg: CampaignConfig,
             registry=obs.registry if obs is not None else None,
             tracer=obs.tracer if obs is not None else None,
             history=obs.history if obs is not None else None,
+            profiler=obs.profiler if obs is not None else None,
             locality=LocalityRecorder())
     cluster = _build_cluster(cfg, seed, obs)
     engine = ChaosEngine(cluster)

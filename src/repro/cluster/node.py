@@ -51,7 +51,11 @@ class Node:
         from ..net.reliable import ReliableTransport  # local import: avoid cycle
 
         self.transport = ReliableTransport(sim, network, node_id, params.net, self._dispatch)
-        self._handlers: Dict[str, Tuple[HandlerFn, CostFn]] = {}
+        #: kind -> (handler, extra worker-CPU cost, service-span name).
+        self._handlers: Dict[str, Tuple[HandlerFn, CostFn, str]] = {}
+        #: Worker CPU every message costs at either end (send or receive).
+        self._msg_cpu_us = (params.net.msg_cpu_us
+                            + params.net.reliable_overhead_us)
         self.alive = True
         #: Current membership epoch as known by this node.
         self.epoch = 1
@@ -109,11 +113,10 @@ class Node:
         every protocol threading contexts by hand."""
         if not self.alive:
             return
-        net = self.params.net
-        self.pool.charge(net.msg_cpu_us + net.reliable_overhead_us)
+        self.pool.charge(self._msg_cpu_us)
         if ctx is None:
             ctx = self._handler_ctx
-        self.transport.send(dst, kind, payload, size_bytes, ctx=ctx)
+        self.transport.send(dst, kind, payload, size_bytes, ctx)
 
     def _fence(self, msg: Message) -> bool:
         """Reject traffic from a stale incarnation of ``msg.src``.
@@ -167,13 +170,12 @@ class Node:
             raise KeyError(f"node {self.node_id}: no handler for {msg.kind!r}")
         fn, cost, span_name = entry
         extra = cost(msg.payload) if callable(cost) else cost
-        net = self.params.net
         tracer = self.obs.tracer
-        traced = tracer and msg.trace_id is not None
+        traced = msg.trace_id is not None and tracer.enabled
         # queue_delay() feeds only the service span's queue/service split;
         # read it (before charge() moves the pool) only when traced.
         queue_us = self.pool.queue_delay() if traced else 0.0
-        ready_at = self.pool.charge(net.msg_cpu_us + net.reliable_overhead_us + extra)
+        ready_at = self.pool.charge(self._msg_cpu_us + extra)
         span = None
         if traced:
             # Service span: [arrival, handler-done] on the worker-pool
@@ -185,7 +187,7 @@ class Node:
                                 queue_us=queue_us,
                                 service_us=ready_at - self.sim.now - queue_us,
                                 flow=msg.flow_id)
-        self.sim.call_at(ready_at, self._run_handler, fn, msg, span)
+        self.sim.post_at(ready_at, self._run_handler, fn, msg, span)
 
     def _run_handler(self, fn: HandlerFn, msg: Message, span=None) -> None:
         if not self.alive:
@@ -197,11 +199,12 @@ class Node:
         elif msg.trace_id is not None:
             self._handler_ctx = (msg.trace_id, msg.parent_span)
         prof = self.obs.profiler
-        t0 = _perf_ns() if prof else 0
+        timed = prof.enabled
+        t0 = _perf_ns() if timed else 0
         try:
             fn(msg)
         finally:
-            if prof:
+            if timed:
                 # Per-message-kind host time: the fine-grained view inside
                 # the kernel profiler's `cluster` subsystem bucket.
                 prof.handler(msg.kind, _perf_ns() - t0)

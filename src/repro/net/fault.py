@@ -42,7 +42,7 @@ class FaultInjector:
 
     def __init__(self, params: FaultParams, rng: Optional[random.Random] = None,
                  registry=None):
-        self.params = params
+        self.params = params  # also sets self.active
         self.rng = rng or random.Random(0)
         self._c_dropped = registry.counter("faults.dropped") if registry else None
         self._c_duplicated = registry.counter("faults.duplicated") if registry else None
@@ -52,9 +52,16 @@ class FaultInjector:
         self.reordered = 0
 
     @property
-    def active(self) -> bool:
-        p = self.params
-        return p.loss_prob > 0 or p.duplicate_prob > 0 or p.reorder_max_us > 0
+    def params(self) -> FaultParams:
+        return self._params
+
+    @params.setter
+    def params(self, p: FaultParams) -> None:
+        self._params = p
+        #: Whether any fault can fire under the current (frozen) params;
+        #: worked out once per swap, read by the network on every message.
+        self.active = (p.loss_prob > 0 or p.duplicate_prob > 0
+                       or p.reorder_max_us > 0)
 
     def decide(self) -> FaultDecision:
         if not self.active:

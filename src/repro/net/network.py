@@ -19,7 +19,6 @@ counted in the cluster's :class:`~repro.obs.MetricsRegistry` under
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Callable, Dict, Optional, Set, Tuple
 
 from ..obs import Observability, TID_NET
@@ -31,6 +30,16 @@ from .message import Message, NodeId
 __all__ = ["Network"]
 
 DeliverFn = Callable[[Message], None]
+
+
+class _Link:
+    """Traffic accounted to one directed (src, dst) link."""
+
+    __slots__ = ("bytes", "msgs")
+
+    def __init__(self) -> None:
+        self.bytes = 0
+        self.msgs = 0
 
 
 class Network:
@@ -50,8 +59,7 @@ class Network:
         #: Per-directed-link latency multiplier (>1 = degraded link).
         self._degraded: Dict[Tuple[NodeId, NodeId], float] = {}
         # --------- accounting
-        self.bytes_sent: Dict[Tuple[NodeId, NodeId], int] = defaultdict(int)
-        self.msgs_sent: Dict[Tuple[NodeId, NodeId], int] = defaultdict(int)
+        self._links: Dict[Tuple[NodeId, NodeId], _Link] = {}
         self.total_bytes = 0
         self.total_msgs = 0
         registry = self.obs.registry
@@ -117,87 +125,100 @@ class Network:
         latency.  Sending from/to a down node or across a partition
         silently drops — exactly what crash-stop + lossy links look like to
         the layers above."""
+        src = msg.src
+        dst = msg.dst
+        link_key = (src, dst)
         tracer = self.obs.tracer
-        if msg.src in self._down or msg.dst in self._down:
+        traced = tracer.enabled
+        if self._down and (src in self._down or dst in self._down):
             self._c_dropped_down.inc()
             return
-        if (msg.src, msg.dst) in self._partitioned:
+        if self._partitioned and link_key in self._partitioned:
             self._c_dropped_partition.inc()
-            if tracer:
-                tracer.instant("net.drop", pid=msg.src, tid=TID_NET,
-                               cat="net", dst=msg.dst, kind=msg.kind,
+            if traced:
+                tracer.instant("net.drop", pid=src, tid=TID_NET,
+                               cat="net", dst=dst, kind=msg.kind,
                                why="partition")
             return
         wire_bytes = self.params.header_bytes + msg.size_bytes
-        self.bytes_sent[(msg.src, msg.dst)] += wire_bytes
-        self.msgs_sent[(msg.src, msg.dst)] += 1
+        link = self._links.get(link_key)
+        if link is None:
+            link = self._links[link_key] = _Link()
+        link.bytes += wire_bytes
+        link.msgs += 1
         self.total_bytes += wire_bytes
         self.total_msgs += 1
-        self._c_sent.inc()
+        self._c_sent.value += 1  # not inc(): a Python frame per message
         prof = self.obs.profiler
-        if prof:
+        if prof.enabled:
             prof.message(msg.kind)
 
-        copies = 1
+        duplicates = 0
         extra_delay = 0.0
-        if self.faults is not None and self.faults.active:
-            decision = self.faults.decide()
+        faults = self.faults
+        if faults is not None and faults.active:
+            decision = faults.decide()
             if decision.drop:
                 self._c_dropped_fault.inc()
-                if tracer:
-                    tracer.instant("net.drop", pid=msg.src, tid=TID_NET,
-                                   cat="net", dst=msg.dst, kind=msg.kind,
+                if traced:
+                    tracer.instant("net.drop", pid=src, tid=TID_NET,
+                                   cat="net", dst=dst, kind=msg.kind,
                                    why="loss")
                 return
             if decision.duplicates:
                 self._c_duplicated.inc(decision.duplicates)
             if decision.extra_delay_us > 0:
                 self._c_delayed.inc()
-            copies += decision.duplicates
+            duplicates = decision.duplicates
             extra_delay = decision.extra_delay_us
 
-        if tracer:
+        if traced:
             if msg.flow_id is not None:
-                tracer.instant("net.send", pid=msg.src, tid=TID_NET,
+                tracer.instant("net.send", pid=src, tid=TID_NET,
                                cat="net", ctx=(msg.trace_id, msg.parent_span),
-                               dst=msg.dst, kind=msg.kind,
+                               dst=dst, kind=msg.kind,
                                size=msg.size_bytes, flow=msg.flow_id)
             else:
-                tracer.instant("net.send", pid=msg.src, tid=TID_NET,
-                               cat="net", dst=msg.dst, kind=msg.kind,
+                tracer.instant("net.send", pid=src, tid=TID_NET,
+                               cat="net", dst=dst, kind=msg.kind,
                                size=msg.size_bytes)
-        base = self.latency(msg.size_bytes) + extra_delay
-        factor = self._degraded.get((msg.src, msg.dst))
-        if factor is not None:
-            base *= factor
-        for i in range(copies):
+        delay = self.latency(msg.size_bytes) + extra_delay
+        if self._degraded:
+            factor = self._degraded.get(link_key)
+            if factor is not None:
+                delay *= factor
+        for i in range(duplicates + 1):
             # Duplicates trail the original slightly.
-            self.sim.call_after(base + i * 0.5, self._deliver, msg)
+            self.sim.post_after(delay + i * 0.5, self._deliver, msg)
 
     def _deliver(self, msg: Message) -> None:
-        if msg.dst in self._down:
+        dst = msg.dst
+        if self._down and dst in self._down:
             self._c_dropped_down.inc()
             return
-        endpoint = self._endpoints.get(msg.dst)
+        endpoint = self._endpoints.get(dst)
         if endpoint is not None:
-            self._c_delivered.inc()
+            self._c_delivered.value += 1
             tracer = self.obs.tracer
-            if tracer:
+            if tracer.enabled:
                 if msg.flow_id is not None:
-                    tracer.instant("net.deliver", pid=msg.dst, tid=TID_NET,
+                    tracer.instant("net.deliver", pid=dst, tid=TID_NET,
                                    cat="net",
                                    ctx=(msg.trace_id, msg.parent_span),
                                    src=msg.src, kind=msg.kind,
                                    flow=msg.flow_id)
                 else:
-                    tracer.instant("net.deliver", pid=msg.dst, tid=TID_NET,
+                    tracer.instant("net.deliver", pid=dst, tid=TID_NET,
                                    cat="net", src=msg.src, kind=msg.kind)
             endpoint(msg)
 
     # ---------------------------------------------------------- accounting
 
     def bytes_between(self, a: NodeId, b: NodeId) -> int:
-        return self.bytes_sent[(a, b)] + self.bytes_sent[(b, a)]
+        """Wire bytes sent over the (a, b) pair, both directions."""
+        links = self._links
+        return sum(links[key].bytes for key in ((a, b), (b, a))
+                   if key in links)
 
     @property
     def msgs_dropped(self) -> int:

@@ -134,24 +134,25 @@ class ReliableTransport:
         original context and flow id."""
         if self.stopped:
             return
-        if dst == self.node_id:
-            # Loopback: deliver immediately without touching the wire.
-            msg = Message(self.node_id, dst, kind, payload, size_bytes)
-            msg.inc = self.incarnation
-            self._stamp_ctx(msg, ctx)
-            self.sim.call_soon(self.deliver, msg)
-            return
-        chan = self._send_chan(dst)
         msg = Message(self.node_id, dst, kind, payload, size_bytes)
         msg.inc = self.incarnation
-        self._stamp_ctx(msg, ctx)
+        if ctx is not None:
+            self._stamp_ctx(msg, ctx)
+        if dst == self.node_id:
+            # Loopback: deliver immediately without touching the wire.
+            self.sim.post_soon(self.deliver, msg)
+            return
+        chan = self._send.get(dst)
+        if chan is None:
+            chan = self._send[dst] = _SendChannel()
         if self.peer_inc_fn is not None:
             msg.dst_inc = self.peer_inc_fn(dst)
-        msg.seq = chan.next_seq
-        chan.next_seq += 1
-        chan.unacked[msg.seq] = msg
+        msg.seq = seq = chan.next_seq
+        chan.next_seq = seq + 1
+        chan.unacked[seq] = msg
         self.network.send(msg)
-        self._arm_retransmit(dst, chan)
+        if chan.timer is None:
+            self._arm_retransmit(dst, chan)
         # Piggyback our cumulative ack for dst's channel on this data
         # message, suppressing the standalone delayed ack.
         rchan = self._recv.get(dst)
@@ -162,20 +163,11 @@ class ReliableTransport:
                 rchan.ack_timer = None
 
     def _stamp_ctx(self, msg: Message, ctx) -> None:
-        if ctx is None:
-            return
         tracer = self.obs.tracer
         if not tracer:
             return
         msg.trace_id, msg.parent_span = ctx
         msg.flow_id = tracer.next_flow()
-
-    def _send_chan(self, dst: NodeId) -> _SendChannel:
-        chan = self._send.get(dst)
-        if chan is None:
-            chan = _SendChannel()
-            self._send[dst] = chan
-        return chan
 
     def _arm_retransmit(self, dst: NodeId, chan: _SendChannel) -> None:
         if chan.timer is None and chan.unacked:
@@ -235,37 +227,34 @@ class ReliableTransport:
             return
         if self.fence_fn is not None and self.fence_fn(msg):
             return
+        src = msg.src
         if msg.ack is not None:
-            self._on_ack(msg.src, msg.ack)
+            self._on_ack(src, msg.ack)
         if msg.kind == ACK_KIND:
-            self._on_ack(msg.src, msg.payload)
+            self._on_ack(src, msg.payload)
             return
-        chan = self._recv_chan(msg.src)
         seq = msg.seq
+        chan = self._recv.get(src)
+        if chan is None:
+            chan = self._recv[src] = _RecvChannel()
         if seq is None:
             self.deliver(msg)
             return
-        if seq < chan.expected or seq in chan.buffer:
-            # Duplicate (original ack was lost or injector duplicated).
-            self._schedule_ack(msg.src, chan)
-            return
-        chan.buffer[seq] = msg
-        while chan.expected in chan.buffer:
-            ready = chan.buffer.pop(chan.expected)
-            chan.expected += 1
-            self.deliver(ready)
-        self._schedule_ack(msg.src, chan)
-
-    def _recv_chan(self, src: NodeId) -> _RecvChannel:
-        chan = self._recv.get(src)
-        if chan is None:
-            chan = _RecvChannel()
-            self._recv[src] = chan
-        return chan
-
-    def _schedule_ack(self, src: NodeId, chan: _RecvChannel) -> None:
+        if seq == chan.expected and not chan.buffer:
+            # In order, nothing waiting behind a gap: straight through.
+            chan.expected = seq + 1
+            self.deliver(msg)
+        elif seq >= chan.expected and seq not in chan.buffer:
+            chan.buffer[seq] = msg
+            while chan.expected in chan.buffer:
+                ready = chan.buffer.pop(chan.expected)
+                chan.expected += 1
+                self.deliver(ready)
+        # Anything else is a duplicate (the original ack was lost or the
+        # injector duplicated): re-ack so the sender can advance.
         if chan.ack_timer is None:
-            chan.ack_timer = self.sim.call_after(_ACK_DELAY_US, self._flush_ack, src)
+            chan.ack_timer = self.sim.call_after(_ACK_DELAY_US,
+                                                 self._flush_ack, src)
 
     def _flush_ack(self, src: NodeId) -> None:
         chan = self._recv.get(src)
@@ -283,14 +272,22 @@ class ReliableTransport:
         chan = self._send.get(src)
         if chan is None:
             return
-        for seq in [s for s in chan.unacked if s < cumulative]:
-            del chan.unacked[seq]
+        # Sequence numbers are handed out in order and acks are cumulative,
+        # so everything acked sits at the front of the (insertion-ordered)
+        # window: pop from there, stop at the first survivor.
+        unacked = chan.unacked
+        while unacked:
+            seq = next(iter(unacked))
+            if seq >= cumulative:
+                break
+            del unacked[seq]
         chan.retries = 0
         chan.probing = False  # the peer is reachable again
         if chan.timer is not None:
             chan.timer.cancel()
             chan.timer = None
-        self._arm_retransmit(src, chan)
+        if unacked:
+            self._arm_retransmit(src, chan)
 
     # ----------------------------------------------------------- lifecycle
 

@@ -15,7 +15,9 @@ of its seed and parameters.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop as _heappop, heappush as _heappush
+from math import inf as _INF
+from sys import maxsize as _NO_BUDGET
 from time import perf_counter_ns as _perf_ns
 from typing import Any, Callable, List, Optional, Tuple
 
@@ -29,17 +31,20 @@ class SimulationError(RuntimeError):
 class EventHandle:
     """A cancellable reference to a scheduled event."""
 
-    __slots__ = ("time", "fn", "args", "cancelled")
+    __slots__ = ("cancelled",)
 
-    def __init__(self, time: float, fn: Callable[..., Any], args: Tuple[Any, ...]):
-        self.time = time
-        self.fn = fn
-        self.args = args
+    def __init__(self) -> None:
         self.cancelled = False
 
     def cancel(self) -> None:
         """Mark the event so the kernel skips it; O(1), lazily removed."""
         self.cancelled = True
+
+
+#: One heap entry: ``(time, seq, fn, args, handle)``.  ``seq`` is unique, so
+#: comparisons never reach ``fn``; ``handle`` is None for posted events.
+_Entry = Tuple[float, int, Callable[..., Any], Tuple[Any, ...],
+               Optional[EventHandle]]
 
 
 class Simulator:
@@ -50,15 +55,24 @@ class Simulator:
         sim = Simulator()
         sim.call_after(10.0, handler, arg)
         sim.run(until=1_000_000)   # one simulated second
+
+    Two families of scheduling calls share one heap and one tie-break
+    order: ``call_at``/``call_after``/``call_soon`` return an
+    :class:`EventHandle` so the event can be cancelled (timers);
+    ``post_at``/``post_after``/``post_soon`` are fire-and-forget — no handle
+    is allocated — for the hops nobody ever cancels (message delivery,
+    handler dispatch, process resumption).
     """
 
     def __init__(self) -> None:
-        self._now: float = 0.0
-        self._heap: List[Tuple[float, int, EventHandle]] = []
+        #: Current simulated time in microseconds.  Read-only for everyone
+        #: but the run loop (a plain attribute: it is read on every hot path).
+        self.now: float = 0.0
+        self._heap: List[_Entry] = []
         self._seq: int = 0
         self._events_executed: int = 0
         self._cancelled_skipped: int = 0
-        self._stats_hook: Optional[Callable[["Simulator"], None]] = None
+        self._stats_hook: Optional[Callable[[dict], None]] = None
         self._stats_every: int = 0
         self._stats_countdown: int = 0
         #: Host profiler (``repro.obs.profile.HostProfiler``) or None.
@@ -67,11 +81,6 @@ class Simulator:
         self._profiler = None
 
     # ------------------------------------------------------------------ time
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in microseconds."""
-        return self._now
 
     @property
     def events_executed(self) -> int:
@@ -88,14 +97,14 @@ class Simulator:
     def stats(self) -> dict:
         """Event-loop statistics: clock, events fired, heap backlog."""
         return {
-            "now_us": self._now,
+            "now_us": self.now,
             "events_executed": self._events_executed,
             "pending_events": len(self._heap),
         }
 
-    def set_stats_hook(self, fn: Optional[Callable[["Simulator"], None]],
+    def set_stats_hook(self, fn: Optional[Callable[[dict], None]],
                        every_events: int = 10_000) -> None:
-        """Invoke ``fn(self)`` every ``every_events`` executed events.
+        """Invoke ``fn(self.stats())`` every ``every_events`` executed events.
 
         The observability layer uses this to refresh event-loop gauges.
         The hook must not schedule simulator events (it runs between
@@ -126,53 +135,90 @@ class Simulator:
 
     def call_at(self, time: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` at absolute simulated ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at t={time} before now={self._now}"
+                f"cannot schedule at t={time} before now={self.now}"
             )
-        handle = EventHandle(time, fn, args)
-        self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, handle))
+        handle = EventHandle()
+        self._seq = seq = self._seq + 1
+        _heappush(self._heap, (time, seq, fn, args, handle))
         return handle
 
     def call_after(self, delay: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` after ``delay`` microseconds."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        return self.call_at(self._now + delay, fn, *args)
+        time = self.now + delay
+        handle = EventHandle()
+        self._seq = seq = self._seq + 1
+        _heappush(self._heap, (time, seq, fn, args, handle))
+        return handle
 
     def call_soon(self, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` at the current time (after pending events)."""
-        return self.call_at(self._now, fn, *args)
+        time = self.now
+        handle = EventHandle()
+        self._seq = seq = self._seq + 1
+        _heappush(self._heap, (time, seq, fn, args, handle))
+        return handle
+
+    def post_at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
+        """:meth:`call_at` without a handle: the event cannot be cancelled."""
+        if time < self.now:
+            raise SimulationError(
+                f"cannot schedule at t={time} before now={self.now}"
+            )
+        self._seq = seq = self._seq + 1
+        _heappush(self._heap, (time, seq, fn, args, None))
+
+    def post_after(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
+        """:meth:`call_after` without a handle."""
+        if delay < 0:
+            raise SimulationError(f"negative delay {delay}")
+        self._seq = seq = self._seq + 1
+        _heappush(self._heap, (self.now + delay, seq, fn, args, None))
+
+    def post_soon(self, fn: Callable[..., Any], *args: Any) -> None:
+        """:meth:`call_soon` without a handle."""
+        self._seq = seq = self._seq + 1
+        _heappush(self._heap, (self.now, seq, fn, args, None))
 
     # -------------------------------------------------------------- execution
 
-    def step(self) -> bool:
-        """Execute the next event.  Returns False when the heap is empty."""
+    def _dispatch(self, until: float, budget: int) -> int:
+        """Fire events in ``(time, scheduling order)`` while the next one is
+        due by ``until`` and fewer than ``budget`` have fired; returns how
+        many fired.  The one dispatch body behind :meth:`run` and
+        :meth:`step`."""
+        heap = self._heap
         prof = self._profiler
-        while self._heap:
-            time, _seq, handle = heapq.heappop(self._heap)
-            if handle.cancelled:
+        fired = 0
+        while heap and fired < budget:
+            if heap[0][0] > until:
+                break
+            time, _seq, fn, args, handle = _heappop(heap)
+            if handle is not None and handle.cancelled:
                 self._cancelled_skipped += 1
                 continue
-            self._now = time
+            self.now = time
             self._events_executed += 1
-            if prof is not None:
-                t0 = _perf_ns()
-                handle.fn(*handle.args)
-                prof.event(handle.fn, _perf_ns() - t0)
+            fired += 1
+            if prof is None:
+                fn(*args)
             else:
-                handle.fn(*handle.args)
+                t0 = _perf_ns()
+                fn(*args)
+                prof.event(fn, _perf_ns() - t0)
             if self._stats_hook is not None:
-                self._tick_stats()
-            return True
-        return False
+                self._stats_countdown -= 1
+                if self._stats_countdown <= 0:
+                    self._stats_countdown = self._stats_every
+                    self._stats_hook(self.stats())
+        return fired
 
-    def _tick_stats(self) -> None:
-        self._stats_countdown -= 1
-        if self._stats_countdown <= 0:
-            self._stats_countdown = self._stats_every
-            self._stats_hook(self.stats())
+    def step(self) -> bool:
+        """Execute the next event.  Returns False when the heap is empty."""
+        return self._dispatch(_INF, 1) == 1
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run events until the heap drains, ``until`` is reached, or
@@ -182,36 +228,18 @@ class Simulator:
         even if the last event fires earlier, so rate computations based on
         ``sim.now`` are exact.
         """
-        budget = max_events if max_events is not None else -1
-        heap = self._heap
-        prof = self._profiler
-        while heap:
-            time, _seq, handle = heap[0]
-            if until is not None and time > until:
-                break
-            heapq.heappop(heap)
-            if handle.cancelled:
-                self._cancelled_skipped += 1
-                continue
-            self._now = time
-            self._events_executed += 1
-            if prof is not None:
-                t0 = _perf_ns()
-                handle.fn(*handle.args)
-                prof.event(handle.fn, _perf_ns() - t0)
-            else:
-                handle.fn(*handle.args)
-            if self._stats_hook is not None:
-                self._tick_stats()
-            if budget > 0:
-                budget -= 1
-                if budget == 0:
-                    return
-        if until is not None and self._now < until:
-            self._now = until
+        budget = _NO_BUDGET if max_events is None else max_events
+        if until is None:
+            self._dispatch(_INF, budget)
+        elif self._dispatch(until, budget) < budget and self.now < until:
+            self.now = until
 
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next non-cancelled event, or None."""
-        while self._heap and self._heap[0][2].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0][0] if self._heap else None
+        heap = self._heap
+        while heap:
+            handle = heap[0][4]
+            if handle is None or not handle.cancelled:
+                return heap[0][0]
+            _heappop(heap)
+        return None

@@ -67,14 +67,14 @@ class Future:
 
     def add_done_callback(self, fn: Callable[["Future"], None]) -> None:
         if self.done():
-            self.sim.call_soon(fn, self)
+            self.sim.post_soon(fn, self)
         else:
             self._callbacks.append(fn)
 
     def _fire(self) -> None:
         callbacks, self._callbacks = self._callbacks, []
         for fn in callbacks:
-            self.sim.call_soon(fn, self)
+            self.sim.post_soon(fn, self)
 
     # Allow ``yield from future`` inside process generators.
     def __iter__(self):
@@ -93,7 +93,7 @@ class Process(Future):
         super().__init__(sim)
         self.gen = gen
         self.name = name
-        sim.call_soon(self._step, None, None)
+        sim.post_soon(self._step, None, None)
 
     def _step(self, send_value: Any, exc: Optional[BaseException]) -> None:
         if self.done():  # interrupted / killed
@@ -119,9 +119,9 @@ class Process(Future):
 
     def _handle_yield(self, yielded: Any) -> None:
         if yielded is None:
-            self.sim.call_soon(self._step, None, None)
+            self.sim.post_soon(self._step, None, None)
         elif isinstance(yielded, (int, float)):
-            self.sim.call_after(float(yielded), self._step, None, None)
+            self.sim.post_after(float(yielded), self._step, None, None)
         elif isinstance(yielded, Future):
             yielded.add_done_callback(self._on_future)
         else:

@@ -55,7 +55,7 @@ class CpuServer:
         self._free_at = end
         self.busy_time += cost
         fut = Future(self.sim)
-        self.sim.call_at(end, fut.set_result, None)
+        self.sim.post_at(end, fut.set_result, None)
         return fut
 
     def charge(self, cost: float) -> float:
@@ -100,13 +100,24 @@ class CpuPool:
     def execute(self, cost: float) -> Future:
         """Charge ``cost`` to the earliest-free worker; future at finish."""
         fut = Future(self.sim)
-        end = self._assign(cost)
-        self.sim.call_at(end, fut.set_result, None)
+        self.sim.post_at(self.charge(cost), fut.set_result, None)
         return fut
 
     def charge(self, cost: float) -> float:
-        """Charge without a future; returns the finish time."""
-        return self._assign(cost)
+        """Charge ``cost`` to the earliest-free worker without a future;
+        returns the finish time."""
+        if cost < 0:
+            raise ValueError(f"negative cost {cost}")
+        cost *= self.speed_factor
+        free = self._free_heap
+        now = self.sim.now
+        earliest = free[0]
+        end = (earliest if earliest > now else now) + cost
+        # The earliest-free worker takes the job: one sift swaps its horizon
+        # for the new one (the same horizons as a pop followed by a push).
+        heapq.heapreplace(free, end)
+        self.busy_time += cost
+        return end
 
     def queue_delay(self) -> float:
         """How long a job arriving *now* would wait before any worker frees.
@@ -116,17 +127,6 @@ class CpuPool:
         handler's latency into queue wait vs. service time.
         """
         return max(0.0, self._free_heap[0] - self.sim.now)
-
-    def _assign(self, cost: float) -> float:
-        if cost < 0:
-            raise ValueError(f"negative cost {cost}")
-        cost *= self.speed_factor
-        earliest = heapq.heappop(self._free_heap)
-        start = max(self.sim.now, earliest)
-        end = start + cost
-        heapq.heappush(self._free_heap, end)
-        self.busy_time += cost
-        return end
 
 
 class DiskDevice:

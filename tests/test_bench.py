@@ -2,6 +2,10 @@
 baseline comparison, and the ``repro bench`` CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -153,6 +157,34 @@ def test_outcome_digest_ignores_event_count():
     c = ScenarioOutcome(11, 2, 1000, 500.0, {"x": 1})
     assert a.digest() == b.digest()
     assert a.digest() != c.digest()
+
+
+# ----------------------------------------- determinism across hash seeds
+
+REPO = Path(__file__).resolve().parent.parent
+_DIGEST_SNIPPET = (
+    "import sys; from repro.bench import get_scenario; "
+    "from repro.obs import Observability; "
+    "print(get_scenario(sys.argv[1]).run(1, 1.0, Observability()).digest())")
+
+
+@pytest.mark.parametrize("name", ["smallbank", "chaos2"])
+def test_digest_is_independent_of_hash_seed(name):
+    """A run is a pure function of (seed, parameters): the committed
+    digest must come out under any string-hash randomisation, each in a
+    fresh interpreter."""
+    committed = json.loads((REPO / f"BENCH_{name}.json").read_text())
+    children = {
+        hash_seed: subprocess.Popen(
+            [sys.executable, "-c", _DIGEST_SNIPPET, name],
+            stdout=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src"),
+                 "PYTHONHASHSEED": hash_seed})
+        for hash_seed in ("0", "1", "random")}
+    for hash_seed, child in children.items():
+        out, _ = child.communicate(timeout=300)
+        assert child.returncode == 0, hash_seed
+        assert out.strip() == committed["sim"]["digest"], hash_seed
 
 
 # ------------------------------------------------------------------ compare

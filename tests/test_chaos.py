@@ -178,6 +178,26 @@ def test_single_run_is_deterministic():
     assert "crash" in " ".join(r1.timeline)
 
 
+@pytest.mark.parametrize("layers", [dict(check_history=True),
+                                    dict(placement=True)],
+                         ids=["check_history", "placement"])
+def test_profiler_survives_the_per_run_observability_rebuild(layers):
+    """``run_chaos_once`` layers a per-run history (or locality) recorder
+    over the caller's Observability; the caller's host profiler must still
+    be the one the kernel, the nodes and the network report to."""
+    from repro.obs import HostProfiler, Observability
+    cfg = _small_cfg(duration_us=6_000.0, quiesce_us=12_000.0, **layers)
+    sched = generate_schedule(cfg.num_nodes, cfg.duration_us, seed=101,
+                              difficulty=1)
+    profiler = HostProfiler()
+    report = run_chaos_once(sched, seed=0, cfg=cfg,
+                            obs=Observability(profiler=profiler))
+    assert report.ok, report.audit.problems()
+    assert profiler.events_profiled > 0
+    assert sum(profiler.handler_events.values()) > 0
+    assert sum(profiler.message_counts.values()) > 0
+
+
 def test_small_campaign_passes_all_audits():
     result = run_campaign(_small_cfg())
     assert len(result.runs) == 4

@@ -1,8 +1,10 @@
 """Simulation kernel: scheduling, ordering, cancellation, clock."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.sim.kernel import SimulationError, Simulator
+from repro.sim.kernel import EventHandle, SimulationError, Simulator
 
 
 def test_clock_starts_at_zero():
@@ -91,7 +93,11 @@ def test_run_max_events_budget():
     seen = []
     for i in range(10):
         sim.call_after(float(i + 1), seen.append, i)
+    sim.run(max_events=0)
+    assert seen == [] and sim.events_executed == 0 and sim.now == 0.0
     sim.run(max_events=3)
+    assert seen == [0, 1, 2]
+    sim.run(until=100.0, max_events=0)
     assert seen == [0, 1, 2]
 
 
@@ -153,3 +159,103 @@ def test_exception_in_handler_propagates():
     sim.call_after(1.0, boom)
     with pytest.raises(ValueError):
         sim.run()
+
+
+def test_posted_events_share_the_order_and_return_no_handle():
+    sim = Simulator()
+    seen = []
+    assert sim.post_after(5.0, seen.append, "a") is None
+    sim.call_after(5.0, seen.append, "b")
+    assert sim.post_at(5.0, seen.append, "c") is None
+    sim.call_at(5.0, seen.append, "d")
+    sim.call_after(1.0, lambda: (sim.post_soon(seen.append, "soon"),
+                                 seen.append("first")))
+    sim.run()
+    assert seen == ["first", "soon", "a", "b", "c", "d"]
+    assert sim.heap_pushes == 6 and sim.events_executed == 6
+
+
+def test_posted_events_reject_the_past():
+    sim = Simulator()
+    sim.run(until=10.0)
+    with pytest.raises(SimulationError):
+        sim.post_at(5.0, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.post_after(-1.0, lambda: None)
+
+
+# Delays repeat so that ties on the timestamp are common.
+_DELAYS = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.5])
+_OP = st.one_of(
+    st.tuples(st.sampled_from(["call_at", "post_at", "call_after",
+                               "post_after"]), _DELAYS),
+    st.tuples(st.sampled_from(["call_soon", "post_soon"]), st.just(0.0)),
+    st.tuples(st.just("cancel"), st.integers(0, 50)),
+)
+#: Each top-level op carries the ops its event issues when it fires, so
+#: schedules, ``*_soon`` at the current time and cancels also happen mid-run.
+_PROGRAM = st.lists(st.tuples(_OP, st.lists(_OP, max_size=4)), max_size=25)
+
+
+@given(program=_PROGRAM, stepwise=st.booleans())
+def test_any_interleaving_fires_in_time_then_scheduling_order(program,
+                                                             stepwise):
+    sim = Simulator()
+    scheduled = []  # one record per push, in scheduling order
+    handles = []    # (index into scheduled, handle) of the cancellable ones
+    fired = []      # (sim.now, index into scheduled)
+
+    def fire(index, children):
+        fired.append((sim.now, index))
+        scheduled[index]["fired"] = True
+        for op in children:
+            apply(op, ())
+
+    def apply(op, children):
+        name, arg = op
+        if name == "cancel":
+            if handles:
+                index, handle = handles[arg % len(handles)]
+                handle.cancel()
+                if not scheduled[index]["fired"]:
+                    scheduled[index]["cancelled"] = True
+            return
+        index = len(scheduled)
+        when = sim.now + arg
+        scheduled.append({"time": when, "fired": False, "cancelled": False})
+        schedule = getattr(sim, name)
+        if name.endswith("_at"):
+            handle = schedule(when, fire, index, children)
+        elif name.endswith("_after"):
+            handle = schedule(arg, fire, index, children)
+        else:
+            handle = schedule(fire, index, children)
+        if name.startswith("call_"):
+            assert isinstance(handle, EventHandle)
+            handles.append((index, handle))
+        else:
+            assert handle is None
+
+    for op, children in program:
+        apply(op, children)
+
+    if stepwise:
+        while True:
+            pending = [event["time"] for event in scheduled
+                       if not (event["fired"] or event["cancelled"])]
+            assert sim.peek_time() == (min(pending) if pending else None)
+            if not pending:
+                break
+            assert sim.step() is True
+        assert sim.step() is False
+    else:
+        sim.run()
+
+    live = [i for i, event in enumerate(scheduled) if not event["cancelled"]]
+    assert sorted(index for _now, index in fired) == live
+    assert all(now == scheduled[index]["time"] for now, index in fired)
+    assert fired == sorted(fired)  # (time, scheduling order)
+    assert sim.events_executed == len(fired)
+    assert sim.heap_pushes == len(scheduled)
+    if not stepwise:  # peek_time() discards cancelled heads uncounted
+        assert sim.cancelled_skipped == len(scheduled) - len(live)
