@@ -103,25 +103,33 @@ _SB = dict(nodes=3, accounts_per_node=400, remote_frac=0.1,
            duration_us=8_000.0, threads=2)
 
 
-def _run_smallbank(seed: int, scale: float, obs: Observability) -> ScenarioOutcome:
-    from ..workloads.smallbank import SmallbankWorkload
+def _steady_state(cfg: Dict[str, Any], wl, init_value: int, seed: int,
+                  scale: float, obs: Observability) -> ScenarioOutcome:
+    """Load ``wl``'s catalog on a fresh cluster and drive it closed-loop
+    for the scenario's (scaled) duration."""
     from ..workloads.base import run_zeus_workload
 
-    params = SimParams().scaled_threads(app=_SB["threads"], worker=2)
-    wl = SmallbankWorkload(_SB["nodes"],
-                           accounts_per_node=_scaled(_SB["accounts_per_node"],
-                                                     scale, lo=50),
-                           remote_frac=_SB["remote_frac"], seed=7)
-    cluster = ZeusCluster(_SB["nodes"], params=params, catalog=wl.catalog,
+    params = SimParams().scaled_threads(app=cfg["threads"], worker=2)
+    cluster = ZeusCluster(cfg["nodes"], params=params, catalog=wl.catalog,
                           seed=seed, obs=obs)
-    cluster.load(init_value=100)
+    cluster.load(init_value=init_value)
     stats = run_zeus_workload(cluster, wl.spec_for,
-                              duration_us=_SB["duration_us"] * scale,
-                              threads=_SB["threads"], seed=seed)
+                              duration_us=cfg["duration_us"] * scale,
+                              threads=cfg["threads"], seed=seed)
     return ScenarioOutcome(stats.committed, stats.aborted_txns,
                            cluster.sim.events_executed, cluster.sim.now,
                            extra={"retries": stats.retries,
                                   "ownership_requests": stats.ownership_requests})
+
+
+def _run_smallbank(seed: int, scale: float, obs: Observability) -> ScenarioOutcome:
+    from ..workloads.smallbank import SmallbankWorkload
+
+    wl = SmallbankWorkload(_SB["nodes"],
+                           accounts_per_node=_scaled(_SB["accounts_per_node"],
+                                                     scale, lo=50),
+                           remote_frac=_SB["remote_frac"], seed=7)
+    return _steady_state(_SB, wl, 100, seed, scale, obs)
 
 
 # -------------------------------------------------------------------- tatp
@@ -132,23 +140,12 @@ _TATP = dict(nodes=3, subscribers_per_node=600, remote_frac=0.05,
 
 def _run_tatp(seed: int, scale: float, obs: Observability) -> ScenarioOutcome:
     from ..workloads.tatp import TatpWorkload
-    from ..workloads.base import run_zeus_workload
 
-    params = SimParams().scaled_threads(app=_TATP["threads"], worker=2)
     wl = TatpWorkload(_TATP["nodes"],
                       subscribers_per_node=_scaled(
                           _TATP["subscribers_per_node"], scale, lo=50),
                       remote_frac=_TATP["remote_frac"], seed=11)
-    cluster = ZeusCluster(_TATP["nodes"], params=params, catalog=wl.catalog,
-                          seed=seed, obs=obs)
-    cluster.load(init_value=0)
-    stats = run_zeus_workload(cluster, wl.spec_for,
-                              duration_us=_TATP["duration_us"] * scale,
-                              threads=_TATP["threads"], seed=seed)
-    return ScenarioOutcome(stats.committed, stats.aborted_txns,
-                           cluster.sim.events_executed, cluster.sim.now,
-                           extra={"retries": stats.retries,
-                                  "ownership_requests": stats.ownership_requests})
+    return _steady_state(_TATP, wl, 0, seed, scale, obs)
 
 
 # --------------------------------------------------- voter + migration churn
@@ -202,28 +199,40 @@ _CHAOS = dict(nodes=4, objects=8, duration_us=12_000.0, quiesce_us=12_000.0,
               difficulty=2, schedule_seed=104, threads=2)
 
 
-def _run_chaos2(seed: int, scale: float, obs: Observability) -> ScenarioOutcome:
+def _chaos_cell(spec: Dict[str, Any], schedule_for, seed: int, scale: float,
+                obs: Observability, **mode) -> ScenarioOutcome:
+    """One audited campaign cell at ``spec``'s sizes under the schedule
+    ``schedule_for(cfg)``; ``mode`` carries the elastic switches."""
     from ..chaos.campaign import CampaignConfig, run_chaos_once
-    from ..chaos.generator import generate_schedule
 
-    cfg = CampaignConfig(num_nodes=_CHAOS["nodes"],
-                         num_objects=_CHAOS["objects"],
-                         duration_us=_CHAOS["duration_us"] * scale,
-                         quiesce_us=_CHAOS["quiesce_us"] * scale,
-                         app_threads=_CHAOS["threads"],
-                         difficulty=_CHAOS["difficulty"])
-    schedule = generate_schedule(cfg.num_nodes, cfg.duration_us,
-                                 seed=_CHAOS["schedule_seed"],
-                                 difficulty=cfg.difficulty)
-    report = run_chaos_once(schedule, seed, cfg, obs=obs)
+    cfg = CampaignConfig(num_nodes=spec["nodes"],
+                         num_objects=spec["objects"],
+                         duration_us=spec["duration_us"] * scale,
+                         quiesce_us=spec["quiesce_us"] * scale,
+                         app_threads=spec["threads"],
+                         difficulty=spec["difficulty"],
+                         schedule_seed_base=spec["schedule_seed"], **mode)
+    report = run_chaos_once(schedule_for(cfg), seed, cfg, obs=obs)
+    extra = {"audit_ok": report.ok,
+             "schedule": report.schedule_signature,
+             "timeline_events": len(report.timeline),
+             "run_digest": hashlib.sha256(
+                 report.digest().encode()).hexdigest()[:16]}
+    if cfg.elastic:
+        for name in ("objects_moved", "drains_completed"):
+            extra[name] = obs.registry.counter_total(f"rebalance.{name}")
     return ScenarioOutcome(report.committed, report.aborted,
                            report.events_executed,
-                           cfg.duration_us + cfg.quiesce_us,
-                           extra={"audit_ok": report.ok,
-                                  "schedule": report.schedule_signature,
-                                  "timeline_events": len(report.timeline),
-                                  "run_digest": hashlib.sha256(
-                                      report.digest().encode()).hexdigest()[:16]})
+                           cfg.duration_us + cfg.quiesce_us, extra=extra)
+
+
+def _run_chaos2(seed: int, scale: float, obs: Observability) -> ScenarioOutcome:
+    from ..chaos.generator import generate_schedule
+
+    # Not campaign cell 0: that one forces a crash (a different rng draw).
+    return _chaos_cell(_CHAOS, lambda cfg: generate_schedule(
+        cfg.num_nodes, cfg.duration_us, seed=cfg.schedule_seed_base,
+        difficulty=cfg.difficulty), seed, scale, obs)
 
 
 # ------------------------------------------------- elastic reconfiguration
@@ -234,34 +243,11 @@ _ELASTIC = dict(nodes=4, objects=8, duration_us=14_000.0,
 
 
 def _run_elastic(seed: int, scale: float, obs: Observability) -> ScenarioOutcome:
-    from ..chaos.campaign import CampaignConfig, run_chaos_once
-    from ..chaos.generator import generate_elastic_schedule
+    from ..chaos.campaign import campaign_schedule
 
-    cfg = CampaignConfig(num_nodes=_ELASTIC["nodes"],
-                         num_objects=_ELASTIC["objects"],
-                         duration_us=_ELASTIC["duration_us"] * scale,
-                         quiesce_us=_ELASTIC["quiesce_us"] * scale,
-                         app_threads=_ELASTIC["threads"],
-                         difficulty=_ELASTIC["difficulty"],
-                         elastic=True, elastic_add=_ELASTIC["add"])
-    schedule = generate_elastic_schedule(cfg.num_nodes, cfg.duration_us,
-                                         seed=_ELASTIC["schedule_seed"],
-                                         difficulty=cfg.difficulty,
-                                         add_count=cfg.elastic_add)
-    report = run_chaos_once(schedule, seed, cfg, obs=obs)
-    registry = obs.registry
-    return ScenarioOutcome(report.committed, report.aborted,
-                           report.events_executed,
-                           cfg.duration_us + cfg.quiesce_us,
-                           extra={"audit_ok": report.ok,
-                                  "schedule": report.schedule_signature,
-                                  "timeline_events": len(report.timeline),
-                                  "objects_moved": registry.counter_total(
-                                      "rebalance.objects_moved"),
-                                  "drains_completed": registry.counter_total(
-                                      "rebalance.drains_completed"),
-                                  "run_digest": hashlib.sha256(
-                                      report.digest().encode()).hexdigest()[:16]})
+    return _chaos_cell(_ELASTIC, lambda cfg: campaign_schedule(cfg, 0),
+                       seed, scale, obs,
+                       elastic=True, elastic_add=_ELASTIC["add"])
 
 
 SCENARIOS: Dict[str, Scenario] = {

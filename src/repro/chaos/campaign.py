@@ -22,13 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
-from ..harness.zeus_cluster import ZeusCluster
-from ..obs import HistoryRecorder, MetricsRegistry, Observability
-from ..sim.params import DiskParams, FaultParams, SimParams
-from ..store.catalog import Catalog
-from ..verify.audit import AuditReport, CommitLedger, audit_run
-from ..workloads.base import (RunStats, TxnSpec, run_zeus_workload,
-                              spawn_zeus_workers)
+from ..harness.rig import Rig, counter_catalog
+from ..obs import (HistoryRecorder, LocalityRecorder, MetricsRegistry,
+                   Observability)
+from ..sim.params import DiskParams, FaultParams
+from ..verify.audit import AuditReport
+from ..workloads.base import run_zeus_workload
 from .engine import ChaosEngine
 from .generator import generate_elastic_schedule, generate_schedule
 from .schedule import FaultSchedule
@@ -94,8 +93,6 @@ class RunReport:
     aborted: int
     #: Injected-fault record, in simulated-time order.
     timeline: List[str]
-    #: Network-level fault counters for the run.
-    net_faults: dict
     audit: AuditReport
     #: Simulator events executed over the whole run (a deterministic
     #: cost/size measure; the bench harness reports it per cell).
@@ -149,106 +146,48 @@ class CampaignResult:
         return "\n".join(lines)
 
 
-def _build_cluster(cfg: CampaignConfig, seed: int,
-                   obs: Optional[Observability]) -> ZeusCluster:
-    catalog = Catalog(cfg.num_nodes,
-                      replication_degree=min(3, cfg.num_nodes))
-    catalog.add_table("counter", 64)
-    for i in range(cfg.num_objects):
-        catalog.create_object("counter", i, owner=i % cfg.num_nodes)
-    params = SimParams(
-        faults=cfg.faults_baseline,
-        lease_us=cfg.lease_us,
-        heartbeat_us=cfg.heartbeat_us,
-        disk=cfg.disk,
-    ).scaled_threads(app=cfg.app_threads, worker=cfg.app_threads)
-    cluster = ZeusCluster(cfg.num_nodes, params=params, catalog=catalog,
-                          seed=seed, obs=obs)
-    cluster.load(init_value=0)
-    return cluster
-
-
 def run_chaos_once(schedule: FaultSchedule, seed: int, cfg: CampaignConfig,
                    obs: Optional[Observability] = None) -> RunReport:
     """Execute one audited run of ``schedule`` under run-seed ``seed``."""
+    obs = obs or Observability()
     recorder: Optional[HistoryRecorder] = None
     if cfg.check_history:
         # Per-run recorder layered over the (possibly shared) campaign
         # registry/tracer: histories must not leak across runs.
         recorder = HistoryRecorder()
-        obs = Observability(
-            registry=obs.registry if obs is not None else None,
-            tracer=obs.tracer if obs is not None else None,
-            history=recorder,
-            profiler=obs.profiler if obs is not None else None,
-            locality=obs.locality if obs is not None else None)
-    if cfg.placement and (obs is None or not obs.locality):
+        obs = obs.replace(history=recorder)
+    if cfg.placement and not obs.locality:
         # The controller is blind without telemetry: layer a per-run
         # locality recorder the same way check_history layers histories.
-        from ..obs import LocalityRecorder
-        obs = Observability(
-            registry=obs.registry if obs is not None else None,
-            tracer=obs.tracer if obs is not None else None,
-            history=obs.history if obs is not None else None,
-            profiler=obs.profiler if obs is not None else None,
-            locality=LocalityRecorder())
-    cluster = _build_cluster(cfg, seed, obs)
-    engine = ChaosEngine(cluster)
-    engine.install(schedule)
+        obs = obs.replace(locality=LocalityRecorder())
+    rig = Rig(counter_catalog(cfg.num_nodes, cfg.num_objects), seed, obs,
+              threads=cfg.app_threads, faults=cfg.faults_baseline,
+              disk=cfg.disk, lease_us=cfg.lease_us,
+              heartbeat_us=cfg.heartbeat_us)
+    cluster = rig.cluster
+    ChaosEngine(cluster).install(schedule)
     cluster.start_membership()
-    controller = None
     if cfg.placement:
-        controller = cluster.placement
-        controller.start()
+        cluster.placement.start()
 
-    ledger = CommitLedger()
-    num_objects = cfg.num_objects
-    read_frac = cfg.read_frac
-
-    def spec_fn(node_id: int, thread: int, rng) -> TxnSpec:
-        k = rng.randrange(1, 3)
-        oids = rng.sample(range(num_objects), k)
-        if read_frac > 0 and rng.random() < read_frac:
-            return TxnSpec(read_set=oids, read_only=True, exec_us=0.3)
-        return TxnSpec(write_set=oids, exec_us=0.3)
-
-    def on_commit(node_id: int, spec: TxnSpec, _result) -> None:
-        if not spec.read_only:
-            ledger.record(node_id, spec.write_set)
-
-    stats = RunStats()
+    # No LB: every worker draws one or two counters uniformly.
+    spec_fn = rig.routed_spec(0.0, cfg.read_frac)
     stop_at = cluster.sim.now + cfg.duration_us
-    if schedule.has_elastic:
-        # Joiners carry application load too: spawn a fresh worker set on
-        # each admitted node, feeding the shared stats/ledger, stopping at
-        # the same wall-clock as the original wave.
-        def _on_added(new_ids):
-            spawn_zeus_workers(cluster, spec_fn, stats, stop_at=stop_at,
-                               measure_from=0.0, threads=cfg.app_threads,
-                               node_ids=new_ids, seed=seed + 7777,
-                               on_commit=on_commit)
-
-        cluster.on_nodes_added(_on_added)
-
-    run_zeus_workload(cluster, spec_fn, duration_us=cfg.duration_us,
-                      threads=cfg.app_threads, seed=seed,
-                      on_commit=on_commit, stats=stats)
+    rig.start(spec_fn, stop_at)
+    cluster.run(until=stop_at)
     if schedule.has_power_loss:
         # The first wave died with the power loss; drive a second wave of
         # traffic against the cold-started cluster (the reformed view and
         # the reconcile pass are long settled by now — the restart lands
         # well before ``duration_us``).
-        wave2 = run_zeus_workload(cluster, spec_fn,
-                                  duration_us=cfg.restart_wave_us,
-                                  threads=cfg.app_threads, seed=seed + 9999,
-                                  on_commit=on_commit)
-        stats.committed += wave2.committed
-        stats.aborted_txns += wave2.aborted_txns
-    if controller is not None:
+        run_zeus_workload(cluster, spec_fn, duration_us=cfg.restart_wave_us,
+                          threads=cfg.app_threads, seed=seed + 9999,
+                          on_commit=rig.on_commit, stats=rig.stats)
+    if cfg.placement:
         # Stop actuating before convergence: the reconfig audit's balance
         # clause judges the post-converge spread, which must not be
         # re-skewed by a placement move issued after leveling.
-        controller.stop()
+        cluster.placement.stop()
     # Drain: retransmissions, probes across healed partitions, failure
     # detection, commit replay, arb-replay AND the tail of in-flight
     # application transactions all finish in this window.  This runs
@@ -258,16 +197,9 @@ def run_chaos_once(schedule: FaultSchedule, seed: int, cfg: CampaignConfig,
     # rebalancer already declared.
     cluster.run(until=cluster.sim.now + cfg.quiesce_us)
     if schedule.has_elastic:
-        # Let the rebalancer finish before the audit: converge() resolves
-        # once ownership is balanced across the final membership and every
-        # requested drain has retired its node.  Bounded — a run that
-        # cannot converge falls through to the audit and fails there.
-        done = cluster.rebalancer.converge()
-        deadline = cluster.sim.now + 4 * cfg.quiesce_us
-        while not done.done() and cluster.sim.now < deadline:
-            cluster.run(until=min(cluster.sim.now + 2_000.0, deadline))
+        rig.converge(4 * cfg.quiesce_us)
 
-    audit = audit_run(cluster, ledger, initial_value=0, history=recorder)
+    audit = rig.audit(history=recorder)
     failures = cluster.failures
     timeline = [f"crash(t={t:.0f},n{n})" for t, n in failures.crashed]
     timeline += [f"recover(t={t:.0f},n{n})" for t, n in failures.recovered]
@@ -285,22 +217,13 @@ def run_chaos_once(schedule: FaultSchedule, seed: int, cfg: CampaignConfig,
     if schedule.has_fault_window:
         timeline.append("loss_burst")
 
-    net_faults = {
-        "dropped": cluster.faults.dropped,
-        "duplicated": cluster.faults.duplicated,
-        "reordered": cluster.faults.reordered,
-        "retransmits": sum(h.node.transport.retransmissions
-                           for h in cluster.handles),
-        "gave_up": sum(h.node.transport.gave_up for h in cluster.handles),
-    }
     return RunReport(
         schedule_name=schedule.name,
         schedule_signature=schedule.signature(),
         seed=seed,
-        committed=ledger.committed,
-        aborted=stats.aborted_txns,
+        committed=rig.ledger.committed,
+        aborted=rig.stats.aborted_txns,
         timeline=timeline,
-        net_faults=net_faults,
         audit=audit,
         events_executed=cluster.sim.events_executed,
     )

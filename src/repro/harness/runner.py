@@ -110,28 +110,26 @@ def _cmd_chaos(args) -> int:
             print(campaign_schedule(cfg, i).describe())
         return 0
 
-    if args.trace:
-        # Trace the first grid cell (fault instants included) on the side.
+    if args.trace or args.locality_out:
+        # Re-run the first grid cell on the side with the requested
+        # instruments (fault instants land in the trace; seed-pure, so it
+        # reproduces the campaign's own cell exactly).
         schedule = campaign_schedule(cfg, 0)
-        obs = Observability(tracer=Tracer())
+        obs = Observability(
+            tracer=Tracer() if args.trace else None,
+            locality=LocalityRecorder() if args.locality_out else None)
         run_chaos_once(schedule, cfg.seeds[0], cfg, obs=obs)
-        write_chrome_trace(obs.tracer, args.trace)
-        print(f"wrote Chrome trace of {schedule.name} seed {cfg.seeds[0]}: "
-              f"{args.trace}")
-
-    if args.locality_out:
-        # Record the first grid cell's locality telemetry on the side
-        # (seed-pure, so it reproduces the campaign's own cell exactly).
-        schedule = campaign_schedule(cfg, 0)
-        loc = LocalityRecorder()
-        run_chaos_once(schedule, cfg.seeds[0], cfg,
-                       obs=Observability(locality=loc))
-        _write_locality_json(loc, args.locality_out)
-        rep = loc.report()
-        print(f"wrote locality telemetry of {schedule.name} seed "
-              f"{cfg.seeds[0]}: {args.locality_out} (remote fraction "
-              f"{rep['totals']['remote_fraction']:.1%}, "
-              f"{rep['migrations']['handovers']} handovers)")
+        cell = f"{schedule.name} seed {cfg.seeds[0]}"
+        if args.trace:
+            write_chrome_trace(obs.tracer, args.trace)
+            print(f"wrote Chrome trace of {cell}: {args.trace}")
+        if args.locality_out:
+            _write_locality_json(obs.locality, args.locality_out)
+            rep = obs.locality.report()
+            print(f"wrote locality telemetry of {cell}: "
+                  f"{args.locality_out} (remote fraction "
+                  f"{rep['totals']['remote_fraction']:.1%}, "
+                  f"{rep['migrations']['handovers']} handovers)")
 
     def progress(report) -> None:
         verdict = "ok" if report.ok else "FAILED"
@@ -154,9 +152,10 @@ def _cmd_chaos(args) -> int:
     return 0 if result.ok else 1
 
 
-class _ElasticRig:
+def _start_routed_rig(args, obs, wal: bool = False):
     """The LB-routed locality workload shared by ``repro elastic`` and
-    ``repro heatmap``.
+    ``repro heatmap``: workers run until ``steady + after``, the cluster
+    scales out by ``add`` nodes at ``steady``.  Returns the rig.
 
     The paper's request path: the LB pins each key to a serving node and
     workers access the keys routed to *their* node (plus a small remote
@@ -166,133 +165,21 @@ class _ElasticRig:
     object ids themselves, which keeps LB routing and the locality
     recorder's per-object telemetry on one key space.
     """
+    from ..sim.params import DiskParams
+    from .rig import Rig, counter_catalog
 
-    def __init__(self, args, obs, wal: bool = False):
-        from ..hermes.protocol import HermesReplica
-        from ..lb import LoadBalancer
-        from ..sim.params import DiskParams, SimParams
-        from ..store.catalog import Catalog
-        from ..verify.audit import CommitLedger
-        from ..workloads.base import RunStats
-        from .zeus_cluster import ZeusCluster
-
-        self.num_nodes = args.nodes
-        self.num_objects = args.objects
-        self.threads = args.threads
-        self.remote = args.remote
-        self.seed = args.seed
-        catalog = Catalog(args.nodes, replication_degree=min(3, args.nodes))
-        catalog.add_table("counter", 64)
-        for i in range(args.objects):
-            catalog.create_object("counter", i, owner=i % args.nodes)
-        params = SimParams(
-            lease_us=1_500.0, heartbeat_us=150.0,
-            disk=DiskParams(enabled=wal),
-        ).scaled_threads(app=args.threads, worker=args.threads)
-        self.cluster = ZeusCluster(args.nodes, params=params, catalog=catalog,
-                                   seed=args.seed, obs=obs)
-        self.cluster.load(init_value=0)
-        self.cluster.start_membership()
-        self.ledger = CommitLedger()
-        replicas = [HermesReplica(self.cluster.nodes[n], (0, 1, 2))
-                    for n in range(3)]
-        self.lb = LoadBalancer(replicas, num_nodes=args.nodes,
-                               rng=self.cluster.rng.stream("lb"))
-        for i in range(args.objects):
-            self.lb.repin(i, i % args.nodes)  # match the initial owners
-        self.keys_of: dict = {}
-        # The repins above are Hermes-replicated writes: they only
-        # validate a few simulated microseconds into the run, so a t=0
-        # routing snapshot would see an empty table and every worker
-        # would fall back to uniform-random keys.  Poll until the pins
-        # have settled, then snapshot.
-        self.cluster.sim.call_at(50.0, self._settle_routing)
-        self._watch_joiners: frozenset = frozenset()
-        self.stats = RunStats()
-
-    def _settle_routing(self) -> None:
-        """Snapshot routing, re-polling while any pin is still in flight
-        (``lookup`` returns ``None`` until its replicated write VALs)."""
-        self._refresh_routing()
-        if None in self.keys_of:
-            self.cluster.sim.call_after(50.0, self._settle_routing)
-
-    def _refresh_routing(self) -> None:
-        self.keys_of.clear()
-        for i in range(self.num_objects):
-            self.keys_of.setdefault(self.lb.lookup(i), []).append(i)
-
-    def spec_fn(self, node_id: int, thread: int, rng):
-        from ..workloads.base import TxnSpec
-
-        local = self.keys_of.get(node_id)
-        if local and rng.random() >= self.remote:
-            oids = [rng.choice(local)]
-            if len(local) > 1 and rng.random() < 0.5:
-                other = rng.choice(local)
-                if other != oids[0]:
-                    oids.append(other)
-        else:
-            oids = rng.sample(range(self.num_objects), rng.randrange(1, 3))
-        if rng.random() < 0.2:
-            return TxnSpec(read_set=oids, read_only=True, exec_us=0.3)
-        return TxnSpec(write_set=oids, exec_us=0.3)
-
-    def on_commit(self, node_id: int, spec, _result) -> None:
-        if node_id in self._watch_joiners:
-            # First commit served by a joiner: the churn era (remote
-            # txns while ownership chases the re-pinned keys) starts
-            # here, well after add_nodes itself (quarantine + join
-            # barrier + first leases all have to clear first).
-            self._watch_joiners = frozenset()
-            loc = self.cluster.obs.locality
-            if loc:
-                loc.mark("joiners_serving", self.cluster.sim.now,
-                         node=node_id)
-        if not spec.read_only:
-            self.ledger.record(node_id, spec.write_set)
-
-    def start(self, stop_at: float) -> None:
-        from ..workloads.base import spawn_zeus_workers
-
-        spawn_zeus_workers(self.cluster, self.spec_fn, self.stats,
-                           stop_at=stop_at, measure_from=0.0,
-                           threads=self.threads,
-                           node_ids=list(range(self.num_nodes)),
-                           seed=self.seed, on_commit=self.on_commit)
-
-    def schedule_scale_out(self, add: int, at: float,
-                           stop_at: float) -> None:
-        from ..workloads.base import spawn_zeus_workers
-
-        def _on_added(new_ids) -> None:
-            self.lb.grow(new_ids, keys=range(self.num_objects))
-            self._settle_routing()  # re-pins VAL asynchronously too
-            self._watch_joiners = frozenset(new_ids)
-            spawn_zeus_workers(self.cluster, self.spec_fn, self.stats,
-                               stop_at=stop_at, measure_from=0.0,
-                               threads=self.threads, node_ids=new_ids,
-                               seed=self.seed + 7777,
-                               on_commit=self.on_commit)
-
-        self.cluster.on_nodes_added(_on_added)
-        self.cluster.sim.call_at(at, self.cluster.add_nodes, add)
-
-    def settle(self, quiesce_us: float, converge: bool = True):
-        """Post-run settling shared by the rig's CLIs: let the rebalancer
-        converge (bounded at four quiesce windows — a run that cannot
-        converge falls through to the audit and fails there), then drain
-        in-flight work for one quiesce window.  Returns the converge
-        future (``None`` when ``converge`` is off)."""
-        cluster = self.cluster
-        done = None
-        if converge:
-            done = cluster.rebalancer.converge()
-            deadline = cluster.sim.now + 4 * quiesce_us
-            while not done.done() and cluster.sim.now < deadline:
-                cluster.run(until=min(cluster.sim.now + 2_000.0, deadline))
-        cluster.run(until=cluster.sim.now + quiesce_us)
-        return done
+    rig = Rig(counter_catalog(args.nodes, args.objects), args.seed, obs,
+              threads=args.threads, disk=DiskParams(enabled=wal))
+    rig.cluster.start_membership()
+    try:
+        # Pins match the initial owners.
+        rig.add_lb((i, i % args.nodes) for i in range(args.objects))
+    except ValueError as err:
+        args.error(str(err))  # the subparser's error(): usage + exit 2
+    rig.start(rig.routed_spec(args.remote), args.steady + args.after)
+    if args.add > 0:
+        rig.cluster.sim.call_at(args.steady, rig.cluster.add_nodes, args.add)
+    return rig
 
 
 def _locality_fall(loc, add_at: float, stop_at: float):
@@ -341,17 +228,13 @@ def _cmd_elastic(args) -> int:
     the recorder's JSON report (see ``repro heatmap``).
     """
     from ..obs import LocalityRecorder, Observability, write_metrics
-    from ..verify.audit import audit_run
 
     loc = LocalityRecorder() if args.locality_out else None
     obs = Observability(locality=loc)
-    rig = _ElasticRig(args, obs, wal=args.wal)
-    cluster, stats, ledger = rig.cluster, rig.stats, rig.ledger
-
+    rig = _start_routed_rig(args, obs, wal=args.wal)
+    cluster, stats = rig.cluster, rig.stats
     add_at = args.steady
     stop_at = add_at + args.after
-    rig.start(stop_at)
-    rig.schedule_scale_out(args.add, add_at, stop_at)
 
     window = args.window
     samples = []  # (window_end_us, committed_in_window)
@@ -377,7 +260,7 @@ def _cmd_elastic(args) -> int:
 
     # Settle: let the rebalancer converge, drain in-flight work, audit.
     done = rig.settle(args.quiesce)
-    audit = audit_run(cluster, ledger, initial_value=0)
+    audit = rig.audit()
 
     reg = obs.registry
     tps = lambda c: c / (window / 1e6)  # noqa: E731
@@ -430,7 +313,7 @@ def _cmd_check(args) -> int:
     and one difficulty-2 chaos schedule (crash → recover) with the
     history audit on.  Exit 0 only if every recorded history checks out.
     """
-    from ..chaos import CampaignConfig, generate_schedule, run_chaos_once
+    from ..chaos import CampaignConfig, campaign_schedule, run_chaos_once
     from ..verify import ExplorerConfig, explore
 
     ok = True
@@ -447,9 +330,7 @@ def _cmd_check(args) -> int:
         ok = False
 
     cfg = CampaignConfig(difficulty=2, seeds=(0,), check_history=True)
-    schedule = generate_schedule(
-        cfg.num_nodes, cfg.duration_us, seed=cfg.schedule_seed_base,
-        difficulty=cfg.difficulty, require_crash=True)
+    schedule = campaign_schedule(cfg, 0)  # cell 0 always crashes a node
     report = run_chaos_once(schedule, cfg.seeds[0], cfg)
     print(f"chaos history   : {schedule.name} seed {cfg.seeds[0]}: "
           f"{report.committed} committed  "
@@ -536,14 +417,10 @@ def _cmd_heatmap(args) -> int:
 
     loc = LocalityRecorder()
     obs = Observability(locality=loc)
-    rig = _ElasticRig(args, obs)
+    rig = _start_routed_rig(args, obs)
     cluster = rig.cluster
-
     add_at = args.steady
     stop_at = add_at + args.after
-    rig.start(stop_at)
-    if args.add > 0:
-        rig.schedule_scale_out(args.add, add_at, stop_at)
     cluster.run(until=stop_at)
     rig.settle(args.quiesce, converge=args.add > 0)
 
@@ -677,30 +554,35 @@ def _cmd_place(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_smallbank(args) -> int:
-    from ..baselines import FASST, BaselineCluster
+def _smallbank_zeus(args, obs, accounts: int, threads: int, duration: float,
+                    cluster_seed: int = 0, seed: int = 1):
+    """Build, load and drive one Zeus cluster under the SmallBank mix
+    (``repro smallbank``/``trace``/``analyze``); returns its run stats.
+    The seed defaults are ZeusCluster's and run_zeus_workload's own."""
     from ..sim.params import SimParams
-    from ..workloads import (
-        SmallbankWorkload,
-        run_baseline_workload,
-        run_zeus_workload,
-    )
+    from ..workloads import SmallbankWorkload, run_zeus_workload
     from .zeus_cluster import ZeusCluster
 
-    duration = 6_000.0
-    params = SimParams().scaled_threads(app=4, worker=4)
+    params = SimParams().scaled_threads(app=threads, worker=threads)
+    wl = SmallbankWorkload(args.nodes, accounts_per_node=accounts,
+                           remote_frac=args.remote)
+    cluster = ZeusCluster(args.nodes, params=params, catalog=wl.catalog,
+                          seed=cluster_seed, obs=obs)
+    cluster.load(init_value=1_000)
+    return run_zeus_workload(cluster, wl.spec_for, duration_us=duration,
+                             threads=threads, seed=seed)
 
+
+def _cmd_smallbank(args) -> int:
+    from ..baselines import FASST, BaselineCluster
     from ..obs import Observability, Tracer, write_chrome_trace, write_metrics
+    from ..sim.params import SimParams
+    from ..workloads import SmallbankWorkload, run_baseline_workload
 
+    duration = 6_000.0
     traced = bool(args.trace or args.analyze or args.flow)
     obs = Observability(tracer=Tracer() if traced else None)
-    wl = SmallbankWorkload(args.nodes, accounts_per_node=1_500,
-                           remote_frac=args.remote)
-    zeus = ZeusCluster(args.nodes, params=params, catalog=wl.catalog,
-                       obs=obs)
-    zeus.load(init_value=1_000)
-    zstats = run_zeus_workload(zeus, wl.spec_for, duration_us=duration,
-                               threads=4)
+    zstats = _smallbank_zeus(args, obs, 1_500, 4, duration)
     if args.trace:
         write_chrome_trace(obs.tracer, args.trace)
         print(f"wrote Chrome trace: {args.trace} "
@@ -721,8 +603,9 @@ def _cmd_smallbank(args) -> int:
 
     wl_b = SmallbankWorkload(args.nodes, accounts_per_node=1_500,
                              remote_frac=args.remote, track_migration=False)
-    base = BaselineCluster(args.nodes, FASST, params=params,
-                           catalog=wl_b.catalog)
+    base = BaselineCluster(
+        args.nodes, FASST, catalog=wl_b.catalog,
+        params=SimParams().scaled_threads(app=4, worker=4))
     base.load(1_000)
     bstats = run_baseline_workload(base, wl_b.spec_for, duration_us=duration,
                                    threads=4)
@@ -747,20 +630,10 @@ def _cmd_trace(args) -> int:
         write_metrics,
         write_trace_jsonl,
     )
-    from ..sim.params import SimParams
-    from ..workloads import SmallbankWorkload, run_zeus_workload
-    from .zeus_cluster import ZeusCluster
 
-    params = SimParams().scaled_threads(app=2, worker=2)
     obs = Observability(tracer=Tracer())
-    wl = SmallbankWorkload(args.nodes, accounts_per_node=200,
-                           remote_frac=args.remote)
-    cluster = ZeusCluster(args.nodes, params=params, catalog=wl.catalog,
-                          seed=args.seed, obs=obs)
-    cluster.load(init_value=1_000)
-    stats = run_zeus_workload(cluster, wl.spec_for,
-                              duration_us=args.duration, threads=2,
-                              seed=args.seed)
+    stats = _smallbank_zeus(args, obs, 200, 2, args.duration,
+                            cluster_seed=args.seed, seed=args.seed)
 
     write_chrome_trace(obs.tracer, args.out)
     print(f"ran {stats.committed} txns over {args.duration:.0f} us "
@@ -792,20 +665,10 @@ def _cmd_analyze(args) -> int:
         print(f"analyzing {args.jsonl} ({len(source)} records)")
     else:
         from ..obs import Observability, Tracer
-        from ..sim.params import SimParams
-        from ..workloads import SmallbankWorkload, run_zeus_workload
-        from .zeus_cluster import ZeusCluster
 
-        params = SimParams().scaled_threads(app=2, worker=2)
         obs = Observability(tracer=Tracer())
-        wl = SmallbankWorkload(args.nodes, accounts_per_node=200,
-                               remote_frac=args.remote)
-        cluster = ZeusCluster(args.nodes, params=params, catalog=wl.catalog,
-                              seed=args.seed, obs=obs)
-        cluster.load(init_value=1_000)
-        stats = run_zeus_workload(cluster, wl.spec_for,
-                                  duration_us=args.duration, threads=2,
-                                  seed=args.seed)
+        stats = _smallbank_zeus(args, obs, 200, 2, args.duration,
+                                cluster_seed=args.seed, seed=args.seed)
         print(f"traced inline run: {stats.committed} txns over "
               f"{args.duration:.0f} us ({args.nodes} nodes, "
               f"seed {args.seed})")
@@ -965,42 +828,8 @@ def _args_chaos(p: argparse.ArgumentParser) -> None:
                         "dump its JSON report (see `repro heatmap`)")
 
 
-def _args_elastic(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--nodes", type=int, default=4,
-                   help="base cluster size (default %(default)s)")
-    p.add_argument("--add", type=int, default=2,
-                   help="nodes to add mid-run (default %(default)s)")
-    p.add_argument("--objects", type=int, default=48,
-                   help="counter objects (default %(default)s)")
-    p.add_argument("--threads", type=int, default=2,
-                   help="app threads per node (default %(default)s)")
-    p.add_argument("--remote", type=float, default=0.05,
-                   help="fraction of transactions touching keys routed to "
-                        "other nodes (default %(default)s)")
-    p.add_argument("--steady", type=float, default=20_000.0,
-                   help="steady-state window before the add, in us "
-                        "(default %(default)s)")
-    p.add_argument("--after", type=float, default=40_000.0,
-                   help="measured window after the add, in us "
-                        "(default %(default)s)")
-    p.add_argument("--window", type=float, default=2_000.0,
-                   help="throughput sampling window in us "
-                        "(default %(default)s)")
-    p.add_argument("--quiesce", type=float, default=30_000.0,
-                   help="drain window before the audit (default %(default)s)")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--wal", action="store_true",
-                   help="enable the per-node write-ahead log + snapshots")
-    p.add_argument("--metrics-out", metavar="FILE", default=None,
-                   help="dump the metrics snapshot (rebalance.* included) "
-                        "as JSON")
-    p.add_argument("--locality-out", metavar="FILE", default=None,
-                   dest="locality_out",
-                   help="record locality telemetry during the run and dump "
-                        "the recorder's JSON report (see `repro heatmap`)")
-
-
-def _args_heatmap(p: argparse.ArgumentParser) -> None:
+def _args_routed(p: argparse.ArgumentParser) -> None:
+    """The flags ``repro elastic`` and ``repro heatmap`` share (one rig)."""
     p.add_argument("--nodes", type=int, default=4,
                    help="base cluster size (default %(default)s)")
     p.add_argument("--add", type=int, default=2,
@@ -1020,15 +849,35 @@ def _args_heatmap(p: argparse.ArgumentParser) -> None:
                    help="measured window after the add, in us "
                         "(default %(default)s)")
     p.add_argument("--quiesce", type=float, default=30_000.0,
-                   help="drain window after traffic stops "
+                   help="drain window after traffic stops, before the "
+                        "audit (default %(default)s)")
+    p.add_argument("--seed", type=int, default=1)
+
+
+def _args_elastic(p: argparse.ArgumentParser) -> None:
+    _args_routed(p)
+    p.add_argument("--window", type=float, default=2_000.0,
+                   help="throughput sampling window in us "
                         "(default %(default)s)")
+    p.add_argument("--wal", action="store_true",
+                   help="enable the per-node write-ahead log + snapshots")
+    p.add_argument("--metrics-out", metavar="FILE", default=None,
+                   help="dump the metrics snapshot (rebalance.* included) "
+                        "as JSON")
+    p.add_argument("--locality-out", metavar="FILE", default=None,
+                   dest="locality_out",
+                   help="record locality telemetry during the run and dump "
+                        "the recorder's JSON report (see `repro heatmap`)")
+
+
+def _args_heatmap(p: argparse.ArgumentParser) -> None:
+    _args_routed(p)
     p.add_argument("--groups", type=int, default=8,
                    help="object groups across the heatmap "
                         "(default %(default)s)")
     p.add_argument("--top", type=int, default=10,
                    help="rows in the hot-key/migration tables "
                         "(default %(default)s)")
-    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", metavar="FILE", default=None,
                    help="write the full report as deterministic JSON "
                         "(placement-controller input)")
@@ -1165,6 +1014,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     handlers = {}
     for name, help_line, setup, handler in COMMANDS:
         p = sub.add_parser(name, help=help_line)
+        p.set_defaults(error=p.error)
         if setup is not None:
             setup(p)
         handlers[name] = handler

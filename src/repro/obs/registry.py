@@ -329,3 +329,11 @@ class Observability:
         self.history = history if history is not None else NULL_HISTORY
         self.profiler = profiler if profiler is not None else NULL_PROFILER
         self.locality = locality if locality is not None else NULL_LOCALITY
+
+    def replace(self, **instruments) -> "Observability":
+        """A copy with the named instruments swapped and the rest shared —
+        how a per-run recorder is layered over a campaign-wide registry,
+        tracer and profiler without leaking across runs."""
+        fields = {name: getattr(self, name) for name in self.__slots__}
+        fields.update(instruments)
+        return Observability(**fields)

@@ -45,14 +45,11 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from ..harness.zeus_cluster import ZeusCluster
-from ..hermes.protocol import HermesReplica
-from ..lb import LoadBalancer
+from ..harness.rig import Rig, counter_catalog
 from ..obs import HistoryRecorder, LocalityRecorder, Observability
-from ..sim.params import SimParams
 from ..store.catalog import Catalog
-from ..verify.audit import AuditReport, CommitLedger, audit_run
-from ..workloads.base import RunStats, TxnSpec, spawn_zeus_workers
+from ..verify.audit import AuditReport
+from ..workloads.base import TxnSpec
 from .controller import PlacementController
 from .policy import PlacementPolicy
 
@@ -61,59 +58,38 @@ __all__ = ["DIFF_WORKLOADS", "DiffOutcome", "run_pair", "run_differential"]
 #: Differential workload names, in reporting order.
 DIFF_WORKLOADS = ("smallbank", "tpcc", "venmo", "mobility")
 
-#: Workloads whose gate demands an adaptive locality win.
-MUST_WIN = frozenset({"venmo", "mobility"})
-
 
 # --------------------------------------------------------------------------
 # workload rigs
 # --------------------------------------------------------------------------
 
 
-class _DiffRig:
+class _DiffRig(Rig):
     """One seeded cluster + workload, built identically for both modes.
 
-    Subclasses define the catalog, the access pattern, initial LB pins,
-    and the policy/controller tuning the adaptive run uses.  Nothing here
-    may depend on whether a controller is attached — the pairing is only
-    honest if the two runs differ by exactly that."""
+    Subclasses define the catalog, the access pattern, initial LB pins
+    (none = no LB), and the policy/controller tuning the adaptive run
+    uses.  Nothing here may depend on whether a controller is attached —
+    the pairing is only honest if the two runs differ by exactly that."""
 
     name = "?"
     must_win = False
     nodes = 4
-    threads = 2
     duration_us = 14_000.0
     quiesce_us = 8_000.0
     #: Fraction of the run warmed up before the remote-fraction window
     #: opens (covers lease warmup and, adaptively, convergence).
     measure_frac = 0.4
-    use_lb = True
+    #: Non-default :class:`PlacementPolicy` / controller arguments.
+    policy_tuning: Dict[str, Any] = {}
+    controller_tuning: Dict[str, Any] = {}
 
     def __init__(self, seed: int, obs: Observability):
-        self.seed = seed
-        catalog = self.catalog()
-        params = SimParams(lease_us=1_500.0, heartbeat_us=150.0)
-        params = params.scaled_threads(app=self.threads, worker=self.threads)
-        self.cluster = ZeusCluster(self.nodes, params=params,
-                                   catalog=catalog, seed=seed, obs=obs)
-        self.cluster.load(init_value=0)
+        super().__init__(self.catalog(), seed, obs)
         self.cluster.start_membership()
-        self.num_objects = self.cluster.catalog.num_objects
-        self.ledger = CommitLedger()
-        self.stats = RunStats()
-        self.stop_at = 0.0
-        self.lb: Optional[LoadBalancer] = None
-        self.keys_of: Dict[Optional[int], List[int]] = {}
-        if self.use_lb:
-            replicas = [HermesReplica(self.cluster.nodes[n], (0, 1, 2))
-                        for n in range(3)]
-            self.lb = LoadBalancer(replicas, num_nodes=self.nodes,
-                                   rng=self.cluster.rng.stream("lb"))
-            for oid, pin in self.initial_pins():
-                self.lb.repin(oid, pin)
-            # Pins are replicated writes: they VAL a few simulated us in,
-            # so poll the routing snapshot until none read back None.
-            self.cluster.sim.call_at(50.0, self._settle_routing)
+        pins = self.initial_pins()
+        if pins:
+            self.add_lb(pins)
 
     # ---- per-workload surface
 
@@ -129,48 +105,28 @@ class _DiffRig:
     @classmethod
     def policy(cls) -> PlacementPolicy:
         """A fresh policy instance (also used for the offline replay)."""
-        return PlacementPolicy()
+        return PlacementPolicy(**cls.policy_tuning)
 
-    def controller_kwargs(self) -> Dict[str, Any]:
-        return {}
-
-    def schedule_events(self, stop_at: float) -> None:
+    def schedule_events(self) -> None:
         """Hook for rigs with scripted events (mobility handovers)."""
 
     # ---- shared machinery
-
-    def _settle_routing(self) -> None:
-        self._refresh_routing()
-        if None in self.keys_of:
-            self.cluster.sim.call_after(50.0, self._settle_routing)
-
-    def _refresh_routing(self) -> None:
-        self.keys_of.clear()
-        for oid, _pin in self.initial_pins():
-            self.keys_of.setdefault(self.lb.lookup(oid), []).append(oid)
 
     def _refresh_loop(self) -> None:
         """Keep the routing snapshot fresh while the run lasts (the
         adaptive controller re-pins mid-run; the static run performs the
         same refreshes so the two simulations stay comparable)."""
-        self._refresh_routing()
-        if self.cluster.sim.now < self.stop_at:
+        self.refresh_routing()
+        if self.cluster.sim.now < self.duration_us:
             self.cluster.sim.call_after(250.0, self._refresh_loop)
 
-    def on_commit(self, node_id: int, spec, _result) -> None:
-        if not spec.read_only:
-            self.ledger.record(node_id, spec.write_set)
-
-    def start(self, stop_at: float) -> None:
-        self.stop_at = stop_at
-        if self.use_lb:
+    def run(self) -> None:
+        """Drive the workload for ``duration_us``."""
+        if self.lb is not None:
             self.cluster.sim.call_at(300.0, self._refresh_loop)
-        self.schedule_events(stop_at)
-        spawn_zeus_workers(self.cluster, self.spec_fn, self.stats,
-                           stop_at=stop_at, measure_from=0.0,
-                           threads=self.threads,
-                           node_ids=list(range(self.nodes)),
-                           seed=self.seed, on_commit=self.on_commit)
+        self.schedule_events()
+        self.start(self.spec_fn, self.duration_us)
+        self.cluster.run(until=self.duration_us)
 
 
 class _SmallbankRig(_DiffRig):
@@ -180,18 +136,13 @@ class _SmallbankRig(_DiffRig):
 
     name = "smallbank"
     nodes = 3
-    use_lb = False
     accounts_per_node = 40
     hot = 4
     remote_frac = 0.05
 
     def catalog(self) -> Catalog:
-        catalog = Catalog(self.nodes, replication_degree=min(3, self.nodes))
-        catalog.add_table("counter", 64)
-        for i in range(self.nodes * self.accounts_per_node):
-            catalog.create_object("counter", i,
-                                  owner=i // self.accounts_per_node)
-        return catalog
+        return counter_catalog(self.nodes, self.nodes * self.accounts_per_node,
+                               lambda i: i // self.accounts_per_node)
 
     def _local_pick(self, node: int, rng) -> int:
         base = node * self.accounts_per_node
@@ -226,27 +177,17 @@ class _TpccRig(_DiffRig):
 
     name = "tpcc"
     nodes = 3
-    use_lb = False
     districts = 10
     items = 60
     remote_wh_frac = 0.15
 
     def catalog(self) -> Catalog:
-        catalog = Catalog(self.nodes, replication_degree=min(3, self.nodes))
-        catalog.add_table("counter", 64)
-        oid = 0
-        for n in range(self.nodes):  # warehouse rows: oid == node
-            catalog.create_object("counter", oid, owner=n)
-            oid += 1
-        for n in range(self.nodes):
-            for _d in range(self.districts):
-                catalog.create_object("counter", oid, owner=n)
-                oid += 1
-        self.item_base = oid
-        for i in range(self.items):
-            catalog.create_object("counter", oid, owner=i % self.nodes)
-            oid += 1
-        return catalog
+        owners = list(range(self.nodes))  # warehouse rows: oid == node
+        owners += [n for n in range(self.nodes)
+                   for _d in range(self.districts)]
+        self.item_base = len(owners)
+        owners += [i % self.nodes for i in range(self.items)]
+        return counter_catalog(self.nodes, len(owners), owners.__getitem__)
 
     def _district(self, wh: int, rng) -> int:
         return self.nodes + wh * self.districts + rng.randrange(
@@ -290,14 +231,9 @@ class _VenmoRig(_DiffRig):
     def catalog(self) -> Catalog:
         self.users = self.clusters * self.cluster_size
         self.celeb_base = self.users
-        catalog = Catalog(self.nodes, replication_degree=min(3, self.nodes))
-        catalog.add_table("counter", 64)
-        for u in range(self.users):
-            catalog.create_object("counter", u, owner=u % self.nodes)
-        for i in range(self.celebrities):
-            catalog.create_object("counter", self.celeb_base + i,
-                                  owner=i % self.nodes)
-        return catalog
+        # Celebrity i starts where user i does: round-robin by own index.
+        return counter_catalog(self.nodes, self.users + self.celebrities,
+                               lambda i: i % self.users % self.nodes)
 
     def initial_pins(self):
         # Sharded by user id — each cluster's consecutive ids land
@@ -351,26 +287,17 @@ class _MobilityRig(_DiffRig):
     #: of transactions per user — the per-handover remote cost stays
     #: visible instead of being diluted by closed-loop saturation.
     idle_frac = 0.8
+    policy_tuning = {"repin_follow_us": 2_500.0}
+    # Wake often enough to catch a re-pin within the handover gap.
+    controller_tuning = {"period_us": 300.0}
 
     def catalog(self) -> Catalog:
-        catalog = Catalog(self.nodes, replication_degree=min(3, self.nodes))
-        catalog.add_table("counter", 64)
-        for u in range(self.users):
-            catalog.create_object("counter", u, owner=u % self.nodes)
-        return catalog
+        return counter_catalog(self.nodes, self.users)
 
     def initial_pins(self):
         return [(u, u % self.nodes) for u in range(self.users)]
 
-    @classmethod
-    def policy(cls) -> PlacementPolicy:
-        return PlacementPolicy(repin_follow_us=2_500.0)
-
-    def controller_kwargs(self) -> Dict[str, Any]:
-        # Wake often enough to catch a re-pin within the handover gap.
-        return {"period_us": 300.0}
-
-    def schedule_events(self, stop_at: float) -> None:
+    def schedule_events(self) -> None:
         self.home = {u: u % self.nodes for u in range(self.users)}
         self.resume_at = {u: 0.0 for u in range(self.users)}
         for u in range(self.users):
@@ -379,7 +306,7 @@ class _MobilityRig(_DiffRig):
 
     def _handover(self, u: int) -> None:
         now = self.cluster.sim.now
-        if now >= self.stop_at:
+        if now >= self.duration_us:
             return
         nxt = (self.home[u] + 1) % self.nodes
         self.home[u] = nxt
@@ -414,16 +341,12 @@ _RIGS = {rig.name: rig
 class _RunResult:
     remote: Optional[float]
     committed: int
-    aborted: int
     audit: AuditReport
-    handovers: int
-    paid_back: int
-    decision_log: str = ""
-    decisions: Optional[List[Dict[str, Any]]] = None
-    actuations: int = 0
-    migrations: int = 0
-    repins: int = 0
-    degree_sets: int = 0
+    decision_log: str
+    decisions: Optional[List[Dict[str, Any]]]
+    migrations: int
+    repins: int
+    degree_sets: int
 
 
 def _run_one(name: str, seed: int, adaptive: bool,
@@ -439,39 +362,27 @@ def _run_one(name: str, seed: int, adaptive: bool,
     if adaptive:
         controller = PlacementController(cluster, lb=rig.lb,
                                          policy=rig.policy(),
-                                         **rig.controller_kwargs())
+                                         **rig.controller_tuning)
         controller.start()
 
-    stop_at = rig.duration_us
-    rig.start(stop_at)
-    cluster.run(until=stop_at)
+    rig.run()
     if controller is not None:
         controller.stop()
-    cluster.run(until=cluster.sim.now + rig.quiesce_us)
+    rig.settle(rig.quiesce_us, converge=False)
 
-    audit = audit_run(cluster, rig.ledger, initial_value=0, history=history)
-    measure_from = rig.measure_frac * rig.duration_us
-    mig = loc.migration_summary()
-    result = _RunResult(
-        remote=loc.remote_fraction(measure_from, stop_at),
+    # placement.* counters exist once a controller ran; static reads zero.
+    count = obs.registry.counter_total
+    return _RunResult(
+        remote=loc.remote_fraction(rig.measure_frac * rig.duration_us,
+                                   rig.duration_us),
         committed=rig.ledger.committed,
-        aborted=rig.stats.aborted_txns,
-        audit=audit,
-        handovers=mig["handovers"],
-        paid_back=mig["paid_back"],
+        audit=rig.audit(history=history),
+        decision_log=controller.decision_log_json() if controller else "",
+        decisions=controller.decisions if controller else None,
+        migrations=int(count("placement.objects_moved")),
+        repins=int(count("placement.repins")),
+        degree_sets=int(count("placement.degree_sets")),
     )
-    if controller is not None:
-        registry = obs.registry
-        result.decision_log = controller.decision_log_json()
-        result.decisions = controller.decisions
-        result.actuations = int(
-            registry.counter_total("placement.actuations"))
-        result.migrations = int(
-            registry.counter_total("placement.objects_moved"))
-        result.repins = int(registry.counter_total("placement.repins"))
-        result.degree_sets = int(
-            registry.counter_total("placement.degree_sets"))
-    return result
 
 
 def _replay_ok(name: str, decisions: List[Dict[str, Any]]) -> bool:
@@ -500,13 +411,9 @@ class DiffOutcome:
     adaptive_committed: int
     static_audit: AuditReport
     adaptive_audit: AuditReport
-    actuations: int
     migrations: int
     repins: int
     degree_sets: int
-    handovers_static: int
-    handovers_adaptive: int
-    paid_back: int
     #: sha256 of the adaptive run's canonical decision-log JSON.
     decision_digest: str
     #: Second same-seed adaptive run produced a byte-identical log.
@@ -583,13 +490,9 @@ def run_pair(name: str, seed: int = 1, check_history: bool = False,
         adaptive_committed=adaptive.committed,
         static_audit=static.audit,
         adaptive_audit=adaptive.audit,
-        actuations=adaptive.actuations,
         migrations=adaptive.migrations,
         repins=adaptive.repins,
         degree_sets=adaptive.degree_sets,
-        handovers_static=static.handovers,
-        handovers_adaptive=adaptive.handovers,
-        paid_back=adaptive.paid_back,
         decision_digest=digest,
         deterministic=deterministic,
         replay_ok=_replay_ok(name, adaptive.decisions or []),

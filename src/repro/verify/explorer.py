@@ -16,14 +16,15 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..harness.zeus_cluster import ZeusCluster
+from ..chaos.schedule import CrashEvent
+from ..harness.rig import Rig, counter_catalog
 from ..obs import HistoryRecorder, Observability
-from ..sim.params import FaultParams, SimParams
-from ..store.catalog import Catalog
+from ..sim.params import FaultParams
 from .history import check_history
 from .invariants import check_invariants, check_quiescent
 
-__all__ = ["ExplorerConfig", "ExplorationResult", "explore"]
+__all__ = ["ExplorerConfig", "ExplorationResult", "explore", "seed_crash",
+           "spawn_writers"]
 
 
 @dataclass
@@ -69,50 +70,47 @@ class ExplorationResult:
         ])
 
 
-def _build(seed: int, cfg: ExplorerConfig,
-           obs: Optional[Observability] = None) -> ZeusCluster:
-    catalog = Catalog(cfg.num_nodes, replication_degree=min(3, cfg.num_nodes))
-    catalog.add_table("obj", 64)
-    for i in range(cfg.num_objects):
-        catalog.create_object("obj", i, owner=i % cfg.num_nodes)
-    params = SimParams(
-        faults=cfg.faults,
-        lease_us=1_500.0,
-        heartbeat_us=150.0,
-    ).scaled_threads(app=2, worker=2)
-    cluster = ZeusCluster(cfg.num_nodes, params=params, catalog=catalog,
-                          seed=seed, obs=obs)
-    cluster.load(init_value=0)
-    return cluster
-
-
-def _history(cluster: ZeusCluster, seed: int, cfg: ExplorerConfig,
-             result: ExplorationResult) -> None:
-    rng = random.Random(seed * 7919 + 13)
+def spawn_writers(rig, txns_per_node: int) -> None:
+    """The explorer/shrinker load: two app threads per node, each running
+    ``txns_per_node`` one-or-two-object write transactions with random
+    think time, all drawn from an RNG keyed by (seed, node, thread)."""
+    cluster = rig.cluster
     num_objects = cluster.catalog.num_objects
-    committed = [0]
 
     def app(node_id: int, thread: int):
         api = cluster.handles[node_id].api
-        arng = random.Random((seed, node_id, thread).__repr__())
-        for _ in range(cfg.txns_per_node):
+        arng = random.Random((rig.seed, node_id, thread).__repr__())
+        for _ in range(txns_per_node):
             k = arng.randrange(1, 3)
-            write_set = arng.sample(range(num_objects), k)
+            write_set = arng.sample(range(num_objects), min(k, num_objects))
             r = yield from api.execute_write(thread, write_set)
             if r.committed:
-                committed[0] += 1
+                rig.stats.committed += 1
             yield arng.random() * 10.0
 
-    for node_id in range(cfg.num_nodes):
+    for node_id in range(rig.num_nodes):
         for thread in range(2):
             cluster.spawn_app(node_id, thread, app(node_id, thread))
 
-    cluster.start_membership()
-    crash_at: Optional[float] = None
+
+def seed_crash(seed: int, cfg: ExplorerConfig) -> Optional[CrashEvent]:
+    """The crash history ``seed`` draws, if any — a pure function of its
+    arguments, so a ``ReproRecipe`` can replay the history."""
+    rng = random.Random(seed * 7919 + 13)
     if rng.random() < cfg.crash_prob:
         victim = rng.randrange(cfg.num_nodes)
-        crash_at = 20.0 + rng.random() * 400.0
-        cluster.crash(victim, at=crash_at)
+        return CrashEvent(20.0 + rng.random() * 400.0, victim)
+    return None
+
+
+def _history(rig, seed: int, cfg: ExplorerConfig,
+             result: ExplorationResult) -> None:
+    cluster = rig.cluster
+    spawn_writers(rig, cfg.txns_per_node)
+    cluster.start_membership()
+    crash = seed_crash(seed, cfg)
+    if crash is not None:
+        cluster.crash(crash.node, at=crash.at_us)
         result.histories_with_crash += 1
 
     now = 0.0
@@ -134,7 +132,7 @@ def _history(cluster: ZeusCluster, seed: int, cfg: ExplorerConfig,
     hard = [p for p in problems if "stuck" in p or "unvalidated" in p]
     if hard:
         result.nonquiescent.append(f"seed {seed}: {hard[:3]}")
-    result.committed_total += committed[0]
+    result.committed_total += rig.stats.committed
 
 
 def explore(seeds: int = 20,
@@ -145,8 +143,9 @@ def explore(seeds: int = 20,
     for seed in range(seeds):
         recorder = HistoryRecorder() if cfg.check_history else None
         obs = Observability(history=recorder) if recorder else None
-        cluster = _build(seed, cfg, obs=obs)
-        _history(cluster, seed, cfg, result)
+        rig = Rig(counter_catalog(cfg.num_nodes, cfg.num_objects), seed, obs,
+                  faults=cfg.faults)
+        _history(rig, seed, cfg, result)
         result.seeds_run += 1
         if recorder is not None:
             check = check_history(recorder)

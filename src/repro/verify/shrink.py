@@ -22,11 +22,11 @@ from typing import List, Optional, Tuple
 
 from ..chaos.engine import ChaosEngine
 from ..chaos.schedule import ChaosEventType, FaultSchedule
-from ..harness.zeus_cluster import ZeusCluster
+from ..harness.rig import Rig, counter_catalog
 from ..obs import HistoryRecorder, Observability
-from ..sim.params import FaultParams, SimParams
-from ..store.catalog import Catalog
+from ..sim.params import FaultParams
 from ..txn import transaction as _txn_mod
+from .explorer import spawn_writers
 from .history import HistoryCheckResult, check_history
 
 __all__ = ["ReproRecipe", "ShrinkResult", "run_recipe", "shrink"]
@@ -73,38 +73,13 @@ def run_recipe(recipe: ReproRecipe) -> HistoryCheckResult:
     schedule = FaultSchedule(recipe.events, name="repro")
     schedule.validate(num_nodes=recipe.num_nodes)
 
-    catalog = Catalog(recipe.num_nodes,
-                      replication_degree=min(3, recipe.num_nodes))
-    catalog.add_table("obj", 64)
-    for i in range(recipe.num_objects):
-        catalog.create_object("obj", i, owner=i % recipe.num_nodes)
-    params = SimParams(
-        faults=recipe.faults,
-        lease_us=1_500.0,
-        heartbeat_us=150.0,
-    ).scaled_threads(app=2, worker=2)
     recorder = HistoryRecorder()
-    cluster = ZeusCluster(recipe.num_nodes, params=params, catalog=catalog,
-                          seed=recipe.seed, obs=Observability(history=recorder))
-    cluster.load(init_value=0)
+    rig = Rig(counter_catalog(recipe.num_nodes, recipe.num_objects),
+              recipe.seed, Observability(history=recorder),
+              faults=recipe.faults)
+    cluster = rig.cluster
     ChaosEngine(cluster).install(schedule)
-
-    import random as _random
-
-    num_objects = recipe.num_objects
-
-    def app(node_id: int, thread: int):
-        api = cluster.handles[node_id].api
-        arng = _random.Random((recipe.seed, node_id, thread).__repr__())
-        for _ in range(recipe.txns_per_node):
-            k = arng.randrange(1, 3)
-            write_set = arng.sample(range(num_objects), min(k, num_objects))
-            yield from api.execute_write(thread, write_set)
-            yield arng.random() * 10.0
-
-    for node_id in range(recipe.num_nodes):
-        for thread in range(2):
-            cluster.spawn_app(node_id, thread, app(node_id, thread))
+    spawn_writers(rig, recipe.txns_per_node)
     cluster.start_membership()
 
     saved_bump = _txn_mod.VERSION_BUMP

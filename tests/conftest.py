@@ -2,18 +2,15 @@
 
 import pytest
 
+from repro.harness.rig import counter_catalog
 from repro.harness.zeus_cluster import ZeusCluster
 from repro.sim.params import SimParams
-from repro.store.catalog import Catalog
 
 
 def make_catalog(num_nodes=3, objects=10, degree=3, size=64, spread=True):
-    catalog = Catalog(num_nodes, replication_degree=degree)
-    catalog.add_table("t", size)
-    for i in range(objects):
-        owner = i % num_nodes if spread else 0
-        catalog.create_object("t", i, owner=owner)
-    return catalog
+    return counter_catalog(num_nodes, objects,
+                           None if spread else (lambda i: 0),
+                           table="t", size=size, degree=degree)
 
 
 def make_cluster(num_nodes=3, objects=10, degree=3, size=64, spread=True,
@@ -44,3 +41,19 @@ def cluster3():
 @pytest.fixture
 def cluster6():
     return make_cluster(6, objects=20)
+
+
+@pytest.fixture(scope="session")
+def place_outcome():
+    """Memoized ``run_pair(name, seed=1)``: the differential gates and the
+    golden pins judge the same four paired runs instead of re-running them."""
+    from repro.placement import run_pair
+
+    cache = {}
+
+    def outcome(name):
+        if name not in cache:
+            cache[name] = run_pair(name, seed=1)
+        return cache[name]
+
+    return outcome

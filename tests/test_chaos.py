@@ -16,7 +16,7 @@ from repro.chaos import (
     run_campaign,
     run_chaos_once,
 )
-from repro.chaos.campaign import _build_cluster
+from repro.harness.rig import Rig, counter_catalog
 from repro.sim.params import FaultParams
 from repro.verify.audit import (
     CommitLedger,
@@ -223,18 +223,15 @@ def test_unhealed_partition_fails_liveness_audit():
 
 def test_exactly_once_audit_detects_ledger_mismatch():
     cfg = _small_cfg()
-    cluster = _build_cluster(cfg, seed=0, obs=None)
+    rig = Rig(counter_catalog(cfg.num_nodes, cfg.num_objects), seed=0)
+    cluster, ledger = rig.cluster, rig.ledger
     cluster.start_membership()
-    ledger = CommitLedger()
 
     def spec_fn(node_id, thread, rng):
         return TxnSpec(write_set=[rng.randrange(cfg.num_objects)], exec_us=0.3)
 
-    def on_commit(node_id, spec, _result):
-        ledger.record(node_id, spec.write_set)
-
     run_zeus_workload(cluster, spec_fn, duration_us=5_000.0,
-                      threads=1, seed=0, on_commit=on_commit)
+                      threads=1, seed=0, on_commit=rig.on_commit)
     cluster.run(until=30_000.0)
     assert audit_exactly_once(cluster, ledger) == []
     # A commit the datastore never applied shows up as a deficit...

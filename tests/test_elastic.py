@@ -25,11 +25,11 @@ from repro.chaos import (
     generate_schedule,
     run_chaos_once,
 )
-from repro.chaos.campaign import _build_cluster
 from repro.chaos.schedule import ClusterRestartEvent
+from repro.harness.rig import Rig, counter_catalog
 from repro.obs import Observability, build_timelines
-from repro.verify.audit import CommitLedger, audit_reconfig, audit_run
-from repro.workloads.base import RunStats, TxnSpec, spawn_zeus_workers
+from repro.verify.audit import audit_reconfig
+from repro.workloads.base import TxnSpec, spawn_zeus_workers
 
 
 def _cfg(**overrides):
@@ -46,28 +46,24 @@ def _spec_fn(num_objects):
     return spec
 
 
-def _run_with_workers(cluster, cfg, stop_at, setup, seed=1):
+def _rig(cfg, seed, obs=None):
+    """The campaign's cluster for ``cfg`` (all rig-level defaults)."""
+    return Rig(counter_catalog(cfg.num_nodes, cfg.num_objects), seed, obs)
+
+
+def _run_with_workers(rig, cfg, stop_at, setup, seed=1):
     """Drive the counter workload on every base node while ``setup``
-    schedules the reconfiguration, then converge + quiesce + audit."""
-    ledger = CommitLedger()
-    spec = _spec_fn(cfg.num_objects)
-
-    def on_commit(node_id, s, _result):
-        ledger.record(node_id, s.write_set)
-
-    stats = RunStats()
-    spawn_zeus_workers(cluster, spec, stats, stop_at=stop_at,
-                       measure_from=0.0, threads=2,
+    schedules the reconfiguration, then converge + quiesce."""
+    cluster = rig.cluster
+    spawn_zeus_workers(cluster, _spec_fn(cfg.num_objects), rig.stats,
+                       stop_at=stop_at, measure_from=0.0, threads=2,
                        node_ids=list(range(cfg.num_nodes)), seed=seed,
-                       on_commit=on_commit)
-    setup(spec, stats, on_commit)
+                       on_commit=rig.on_commit)
+    setup()
     cluster.run(until=stop_at)
-    done = cluster.rebalancer.converge()
-    deadline = cluster.sim.now + 80_000.0
-    while not done.done() and cluster.sim.now < deadline:
-        cluster.run(until=cluster.sim.now + 2_000.0)
+    done = rig.converge(80_000.0)
     cluster.run(until=cluster.sim.now + cfg.quiesce_us)
-    return ledger, stats, done
+    return done
 
 
 # ======================================================================
@@ -78,19 +74,20 @@ def _run_with_workers(cluster, cfg, stop_at, setup, seed=1):
 def test_add_nodes_under_load_balances_and_audits_clean():
     cfg = _cfg()
     obs = Observability()
-    cluster = _build_cluster(cfg, seed=0, obs=obs)
+    rig = _rig(cfg, seed=0, obs=obs)
+    cluster = rig.cluster
     cluster.start_membership()
     joined = []
 
-    def setup(spec, stats, on_commit):
+    def setup():
         cluster.on_nodes_added(lambda ids: joined.extend(ids))
         cluster.sim.call_at(5_000.0, cluster.add_nodes, 2)
 
-    ledger, stats, done = _run_with_workers(cluster, cfg, 20_000.0, setup)
+    done = _run_with_workers(rig, cfg, 20_000.0, setup)
     assert joined == [4, 5]
     assert done.done()
-    assert stats.committed > 0
-    audit = audit_run(cluster, ledger, initial_value=0)
+    assert rig.stats.committed > 0
+    audit = rig.audit()
     assert audit.ok, audit.problems()
     assert obs.registry.counter_total("rebalance.objects_moved") > 0
 
@@ -98,15 +95,16 @@ def test_add_nodes_under_load_balances_and_audits_clean():
 def test_drain_with_inflight_acquisitions_retires_node():
     cfg = _cfg()
     obs = Observability()
-    cluster = _build_cluster(cfg, seed=1, obs=obs)
+    rig = _rig(cfg, seed=1, obs=obs)
+    cluster = rig.cluster
     cluster.start_membership()
 
-    def setup(spec, stats, on_commit):
+    def setup():
         # Workers on node 3 have acquisitions in flight when the drain
         # begins; they must wind down, not wedge the drain.
         cluster.drain(3, at=4_000.0)
 
-    ledger, stats, done = _run_with_workers(cluster, cfg, 20_000.0, setup)
+    done = _run_with_workers(rig, cfg, 20_000.0, setup)
     assert done.done()
     assert 3 in cluster.retired
     assert not cluster.nodes[3].alive
@@ -115,14 +113,14 @@ def test_drain_with_inflight_acquisitions_retires_node():
         if rep is not None:
             assert 3 not in rep.all_nodes()
             assert rep.owner != 3
-    audit = audit_run(cluster, ledger, initial_value=0)
+    audit = rig.audit()
     assert audit.ok, audit.problems()
     assert obs.registry.counter_total("rebalance.drains_completed") == 1
 
 
 def test_drain_of_directory_host_is_rejected():
     cfg = _cfg()
-    cluster = _build_cluster(cfg, seed=0, obs=None)
+    cluster = _rig(cfg, seed=0).cluster
     with pytest.raises(ValueError, match="placement is frozen"):
         cluster.drain(0)
 
@@ -240,7 +238,7 @@ def test_schedule_config_moves_recover_window():
 
 def test_audit_reconfig_silent_without_reconfiguration():
     cfg = CampaignConfig()
-    cluster = _build_cluster(cfg, seed=0, obs=None)
+    cluster = _rig(cfg, seed=0).cluster
     cluster.start_membership()
     cluster.run(until=2_000.0)
     assert audit_reconfig(cluster) == []
@@ -248,7 +246,7 @@ def test_audit_reconfig_silent_without_reconfiguration():
 
 def test_audit_reconfig_flags_missing_convergence():
     cfg = CampaignConfig()
-    cluster = _build_cluster(cfg, seed=0, obs=None)
+    cluster = _rig(cfg, seed=0).cluster
     cluster.start_membership()
     cluster.sim.call_at(1_000.0,
                         lambda: cluster.add_nodes(1, rebalance=False))

@@ -15,6 +15,7 @@ from repro.obs.history import (
 from repro.sim.kernel import Simulator
 from repro.sim.process import Future
 from repro.verify import ExplorerConfig, explore
+from repro.verify.explorer import seed_crash
 from repro.verify.history import check_history
 from repro.verify.shrink import ReproRecipe, run_recipe, shrink
 
@@ -234,6 +235,23 @@ def test_shrink_refuses_passing_run():
                          txns_per_node=8, horizon_us=60_000.0)
     with pytest.raises(ValueError):
         shrink(recipe, run_recipe(recipe))
+
+
+def test_shrinker_replays_what_the_explorer_ran():
+    """A recipe built from an explorer seed — same cluster, faults, load
+    and crash — reproduces that seed's history verdict via run_recipe."""
+    cfg = ExplorerConfig(txns_per_node=6)
+    swept = explore(seeds=5, cfg=cfg)
+    crashes = [seed_crash(seed, cfg) for seed in range(5)]
+    assert any(crashes) and not all(crashes)  # both kinds of history
+    for seed, crash in enumerate(crashes):
+        recipe = ReproRecipe(seed=seed, num_nodes=cfg.num_nodes,
+                             num_objects=cfg.num_objects,
+                             txns_per_node=cfg.txns_per_node,
+                             events=(crash,) if crash else (),
+                             faults=cfg.faults, horizon_us=cfg.horizon_us)
+        assert (f"seed {seed}: {run_recipe(recipe).digest()}"
+                == swept.history_digests[seed])
 
 
 # ------------------------------------------------------- seed determinism

@@ -8,12 +8,12 @@ outcome, recorder on or off), bounded memory under adversarial key
 streams, and seed-pure byte-identical JSON reports.
 """
 
-import argparse
 import json
 
 import pytest
 
-from repro.harness.runner import _ElasticRig, _args_heatmap, main
+from repro.harness.rig import Rig, counter_catalog
+from repro.harness.runner import main
 from repro.obs import (
     NULL_LOCALITY,
     LocalityRecorder,
@@ -245,20 +245,21 @@ def test_observability_defaults_to_null_locality():
 # Recorder on == recorder off (outcome identity) on a live cluster
 
 
-def _rig_args(**overrides):
-    p = argparse.ArgumentParser()
-    _args_heatmap(p)
-    args = p.parse_args([])
-    args.nodes, args.add, args.objects, args.threads = 3, 0, 24, 2
-    args.seed = 5
-    for k, v in overrides.items():
-        setattr(args, k, v)
-    return args
+NODES, OBJECTS = 3, 24
 
 
-def _run_rig(obs, stop_at=6_000.0, **overrides):
-    rig = _ElasticRig(_rig_args(**overrides), obs)
-    rig.start(stop_at)
+def _routed_rig(obs):
+    """The ``repro heatmap`` workload at test size: every object pinned to
+    its initial owner, workers drawing from the keys routed to them."""
+    rig = Rig(counter_catalog(NODES, OBJECTS), seed=5, obs=obs)
+    rig.cluster.start_membership()
+    rig.add_lb((i, i % NODES) for i in range(OBJECTS))
+    return rig, rig.routed_spec(0.05)
+
+
+def _run_rig(obs, stop_at=6_000.0):
+    rig, spec_fn = _routed_rig(obs)
+    rig.start(spec_fn, stop_at)
     rig.cluster.run(until=stop_at + 3_000.0)
     return rig
 
@@ -288,7 +289,7 @@ def test_lb_repins_counted():
     loc = LocalityRecorder()
     rig = _run_rig(Observability(locality=loc))
     reg = rig.cluster.obs.registry
-    assert reg.counter_total("lb.repins") >= rig.num_objects
+    assert reg.counter_total("lb.repins") >= OBJECTS
     assert loc.route_repins == reg.counter_total("lb.repins")
 
 
@@ -316,15 +317,12 @@ def test_lb_routing_feeds_recorder_and_metrics():
 
 def test_scale_out_marks_and_payback():
     loc = LocalityRecorder()
-    rig = _ElasticRig(_rig_args(add=1), Observability(locality=loc))
+    rig, spec_fn = _routed_rig(Observability(locality=loc))
     stop_at = 18_000.0
-    rig.start(stop_at)
-    rig.schedule_scale_out(1, 6_000.0, stop_at)
+    rig.start(spec_fn, stop_at)
+    rig.cluster.sim.call_at(6_000.0, rig.cluster.add_nodes, 1)
     rig.cluster.run(until=stop_at)
-    done = rig.cluster.rebalancer.converge()
-    deadline = rig.cluster.sim.now + 30_000.0
-    while not done.done() and rig.cluster.sim.now < deadline:
-        rig.cluster.run(until=rig.cluster.sim.now + 2_000.0)
+    rig.converge(30_000.0)
     assert loc.marks("add_nodes")
     assert loc.marks("joiners_serving")
     assert loc.marks("converged")
@@ -335,6 +333,18 @@ def test_scale_out_marks_and_payback():
 
 # ---------------------------------------------------------------------------
 # CLI
+
+
+@pytest.mark.parametrize("argv", [["heatmap", "--nodes", "2", "--add", "0"],
+                                  ["elastic", "--nodes", "2"]],
+                         ids=["heatmap", "elastic"])
+def test_lb_routed_clis_reject_fewer_than_three_nodes(argv, capsys):
+    # The LB's routing table lives on three Hermes replicas; the rig
+    # says so once instead of an IndexError out of the replica list.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "LB routing needs >= 3 nodes" in capsys.readouterr().err
 
 
 def test_heatmap_cli_byte_identical_json(tmp_path, capsys):

@@ -17,8 +17,11 @@ Four concerns, each with its own section:
   serializability history checker) green; and the ping-pong guard is
   load-bearing: removing it via the test hook makes the migration
   ledger's ping-pong detections rise, restoring it drops them to zero.
-* **Settle hoist** — ``repro elastic`` and ``repro heatmap`` share
-  ``_ElasticRig.settle``; both CLIs still gate green on the same seed.
+
+
+The ``place_outcome`` fixture (``tests/conftest.py``) memoizes
+``run_pair(name, seed=1)`` so these gates and the golden pins in
+``tests/test_rig_golden.py`` judge the same four paired runs.
 """
 
 import copy
@@ -30,8 +33,8 @@ from hypothesis import strategies as st
 
 from repro.chaos import CampaignConfig, generate_schedule, run_campaign
 from repro.chaos.campaign import run_chaos_once
+from repro.harness.rig import Rig, counter_catalog
 from repro.harness.runner import main
-from repro.harness.zeus_cluster import ZeusCluster
 from repro.obs import LocalityRecorder, Observability
 from repro.placement import (
     DIFF_WORKLOADS,
@@ -39,10 +42,8 @@ from repro.placement import (
     PlacementPolicy,
     run_pair,
 )
-from repro.sim.params import DiskParams, SimParams
-from repro.store.catalog import Catalog
-from repro.verify.audit import CommitLedger, audit_run
-from repro.workloads.base import RunStats, TxnSpec, spawn_zeus_workers
+from repro.sim.params import DiskParams
+from repro.workloads.base import TxnSpec
 
 # ======================================================================
 # Differential gates (static vs adaptive, same seed)
@@ -50,13 +51,13 @@ from repro.workloads.base import RunStats, TxnSpec, spawn_zeus_workers
 
 
 @pytest.fixture(scope="module")
-def mobility_outcome():
-    return run_pair("mobility", seed=1)
+def mobility_outcome(place_outcome):
+    return place_outcome("mobility")
 
 
 @pytest.fixture(scope="module")
-def venmo_outcome():
-    return run_pair("venmo", seed=1)
+def venmo_outcome(place_outcome):
+    return place_outcome("venmo")
 
 
 def test_mobility_adaptive_beats_static(mobility_outcome):
@@ -84,8 +85,8 @@ def test_venmo_consolidation_beats_static(venmo_outcome):
 
 
 @pytest.mark.parametrize("name", ["smallbank", "tpcc"])
-def test_uniform_workloads_make_no_claim(name):
-    out = run_pair(name, seed=1, verify_determinism=False)
+def test_uniform_workloads_make_no_claim(name, place_outcome):
+    out = place_outcome(name)
     assert out.static_audit.ok and out.adaptive_audit.ok
     assert not out.must_win
     # Placement is already right (smallbank) or the remoteness is
@@ -291,18 +292,11 @@ def _run_contested_object(guard: bool):
     policy migrates at most once per cooldown window; with the guard
     removed the controller chases the dominance signal every cycle and
     the object ping-pongs between the writer and the reader."""
-    catalog = Catalog(2, replication_degree=2)
-    catalog.add_table("counter", 64)
-    for i in range(2):
-        catalog.create_object("counter", i, owner=0)
-    params = SimParams(lease_us=1_500.0, heartbeat_us=150.0)
-    params = params.scaled_threads(app=1, worker=1)
     loc = LocalityRecorder()
-    cluster = ZeusCluster(2, params=params, catalog=catalog, seed=7,
-                          obs=Observability(locality=loc))
-    cluster.load(init_value=0)
+    rig = Rig(counter_catalog(2, 2, lambda i: 0), seed=7,
+              obs=Observability(locality=loc), threads=1)
+    cluster = rig.cluster
     cluster.start_membership()
-    ledger = CommitLedger()
 
     # Same knobs both ways: the arms differ only in the guard flag.
     policy = PlacementPolicy(pingpong_guard=guard, cooldown_us=12_000.0)
@@ -319,17 +313,11 @@ def _run_contested_object(guard: bool):
             return None
         return TxnSpec(read_set=[0], read_only=True, exec_us=0.3)
 
-    def on_commit(node_id, spec, _result):
-        if not spec.read_only:
-            ledger.record(node_id, spec.write_set)
-
-    spawn_zeus_workers(cluster, spec_fn, RunStats(), stop_at=22_000.0,
-                       measure_from=0.0, threads=1, node_ids=[0, 1],
-                       seed=7, on_commit=on_commit)
+    rig.start(spec_fn, 22_000.0)
     cluster.run(until=22_000.0)
     controller.stop()
-    cluster.run(until=cluster.sim.now + 6_000.0)
-    audit = audit_run(cluster, ledger, initial_value=0)
+    rig.settle(6_000.0, converge=False)
+    audit = rig.audit()
     assert audit.ok, list(audit.problems())
     return loc.migration_summary()
 
@@ -343,26 +331,6 @@ def test_removing_pingpong_guard_thrashes_ownership():
     # ...and restoring it silences the detector completely (safety never
     # depended on the guard — both arms already passed the audits).
     assert guarded["ping_pong_objects"] == 0
-
-
-# ======================================================================
-# Settle hoist: `repro elastic` and `repro heatmap` share _ElasticRig
-# ======================================================================
-
-_RIG_ARGS = ["--nodes", "4", "--add", "2", "--objects", "32",
-             "--steady", "10000", "--after", "20000",
-             "--quiesce", "10000", "--seed", "1"]
-
-
-def test_elastic_and_heatmap_gate_identically_on_same_seed(capsys):
-    # Both CLIs run the same rig + hoisted settle loop on the same seed
-    # and must reach the same verdict through their own gates.
-    assert main(["elastic"] + _RIG_ARGS) == 0
-    out = capsys.readouterr().out
-    assert "converged=True" in out
-    assert main(["heatmap"] + _RIG_ARGS) == 0
-    out = capsys.readouterr().out
-    assert "access heatmap" in out
 
 
 def test_workload_names_exported():
