@@ -174,7 +174,7 @@ class CommitManager:
         span = None
         tracer = self.tracer
         while len(pipe.slots) >= self.max_pipeline_depth:
-            if span is None and tracer:
+            if span is None and tracer.enabled:
                 span = tracer.begin("commit_wait_room", pid=self.node_id,
                                     tid=thread, cat="commit", ctx=ctx,
                                     depth=len(pipe.slots))
@@ -202,13 +202,18 @@ class CommitManager:
         still at hand); callers that skip it get a pre-image-free REDO
         logged here.
         """
-        pipe = self._coord.setdefault(thread, _CoordPipeline())
+        pipe = self._coord.get(thread)
+        if pipe is None:
+            pipe = self._coord[thread] = _CoordPipeline()
         slot_no = pipe.next_slot
         pipe.next_slot += 1
-        pipeline_id: PipelineId = (self.node_id, thread)
-        live = self.node.live_nodes
-        follower_set = tuple(sorted(f for f in followers
-                                    if f != self.node_id and f in live))
+        node_id = self.node_id
+        pipeline_id: PipelineId = (node_id, thread)
+        follower_set: Tuple[NodeId, ...] = ()
+        if followers:
+            live = self.node.live_nodes
+            follower_set = tuple(sorted([f for f in followers
+                                         if f != node_id and f in live]))
 
         prev_done = pipe.validated_upto >= slot_no - 1
         inv = RInv(pipeline_id, slot_no, self.node.epoch, follower_set,
@@ -229,7 +234,7 @@ class CommitManager:
             self._pending_by_oid[oid] = self._pending_by_oid.get(oid, 0) + 1
         self.counters.inc("submitted")
         tracer = self.tracer
-        if tracer:
+        if tracer.enabled:
             # RInv broadcast starts here; the span closes when all RACKs
             # are in and the slot validates (RVAL broadcast).
             slot.span = tracer.begin("commit_replicate", pid=self.node_id,
@@ -293,7 +298,10 @@ class CommitManager:
             pipe.validated_upto = nxt
             del pipe.slots[nxt]
             self._validate_local(slot)
-            recipients = set(slot.inv.followers) | slot.extras
+            recipients = slot.inv.followers
+            if slot.extras or len(recipients) > 1:
+                # Set order, not tuple order: it fixes the R-VAL send order.
+                recipients = set(recipients) | slot.extras
             for f in recipients:
                 self._queue_val(f, pipeline_id, nxt, cumulative=True)
             self._latency.record(self.sim.now - slot.submitted_at)
@@ -447,7 +455,7 @@ class CommitManager:
         fpipe.settled = max(fpipe.settled, inv.slot)
         self.counters.inc("applied")
         tracer = self.tracer
-        if tracer:
+        if tracer.enabled:
             tracer.instant("commit.apply", pid=self.node_id,
                            tid=TID_REPLICATION, cat="commit",
                            pipeline=list(inv.pipeline), slot=inv.slot,
@@ -478,7 +486,7 @@ class CommitManager:
         val: RVal = msg.payload
         if val.epoch != self.node.epoch:
             return
-        if self.tracer:
+        if self.tracer.enabled:
             self.tracer.instant("commit.val", pid=self.node_id,
                                 tid=TID_REPLICATION, cat="commit",
                                 entries=len(val.entries))

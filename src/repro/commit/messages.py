@@ -39,7 +39,7 @@ Update = Tuple[ObjectId, int, Any, int]
 
 class RInv:
     __slots__ = ("pipeline", "slot", "epoch", "followers", "updates",
-                 "prev_val", "replay")
+                 "prev_val", "replay", "data_bytes", "size")
 
     def __init__(self, pipeline: PipelineId, slot: int, epoch: int,
                  followers: Tuple[NodeId, ...], updates: List[Update],
@@ -51,15 +51,16 @@ class RInv:
         self.updates = updates
         self.prev_val = prev_val
         self.replay = replay
-
-    @property
-    def size(self) -> int:
-        data = sum(u[3] for u in self.updates)
-        return (5 + len(self.followers) + 2 * len(self.updates)) * _META + data
-
-    @property
-    def data_bytes(self) -> int:
-        return sum(u[3] for u in self.updates)
+        # Followers and updates never change once the slot is built (a
+        # view change re-stamps only the epoch), so both sizes are summed
+        # here once, not on every follower send and every apply.
+        data = 0
+        for update in updates:
+            data += update[3]
+        #: Payload bytes of the updated objects.
+        self.data_bytes = data
+        #: Wire size: metadata words plus the payload.
+        self.size = (5 + len(followers) + 2 * len(updates)) * _META + data
 
 
 class RAck:

@@ -2,7 +2,8 @@
 
 A *process* is a Python generator driven by the simulator.  Yield values:
 
-* ``float | int`` — sleep that many simulated microseconds;
+* ``float | int`` — sleep that many simulated microseconds (a negative or
+  non-finite sleep raises :class:`ValueError` inside the generator);
 * :class:`Future` (including another :class:`Process`) — suspend until it
   completes, receiving its result (or raising its exception);
 * ``None`` — reschedule immediately (yield the scheduler).
@@ -15,6 +16,7 @@ to run legacy applications unchanged, and we get to model it literally.
 
 from __future__ import annotations
 
+from math import inf as _INF
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from .kernel import Simulator
@@ -54,10 +56,11 @@ class Future:
         return self._exc
 
     def set_result(self, value: Any = None) -> None:
-        if self.done():
+        if self._value is not _UNSET or self._exc is not None:
             raise RuntimeError("future already completed")
         self._value = value
-        self._fire()
+        if self._callbacks:
+            self._fire()
 
     def set_exception(self, exc: BaseException) -> None:
         if self.done():
@@ -96,13 +99,13 @@ class Process(Future):
         sim.post_soon(self._step, None, None)
 
     def _step(self, send_value: Any, exc: Optional[BaseException]) -> None:
-        if self.done():  # interrupted / killed
-            return
+        if self._value is not _UNSET or self._exc is not None:
+            return  # interrupted / killed
         try:
-            if exc is not None:
-                yielded = self.gen.throw(exc)
-            else:
+            if exc is None:
                 yielded = self.gen.send(send_value)
+            else:
+                yielded = self.gen.throw(exc)
         except StopIteration as stop:
             self.set_result(stop.value)
             return
@@ -115,17 +118,27 @@ class Process(Future):
             if not had_observers:
                 raise
             return
-        self._handle_yield(yielded)
-
-    def _handle_yield(self, yielded: Any) -> None:
-        if yielded is None:
-            self.sim.post_soon(self._step, None, None)
-        elif isinstance(yielded, (int, float)):
-            self.sim.post_after(float(yielded), self._step, None, None)
-        elif isinstance(yielded, Future):
-            yielded.add_done_callback(self._on_future)
+        # A float sleep — a CPU charge — is what a process yields nearly
+        # every time, so it goes straight through to the kernel.
+        if yielded.__class__ is not float:
+            if yielded is None:
+                self.sim.post_soon(self._step, None, None)
+                return
+            if isinstance(yielded, Future):
+                yielded.add_done_callback(self._on_future)
+                return
+            if not isinstance(yielded, (int, float)):
+                self._step(None, TypeError(
+                    f"process {self.name!r} yielded {yielded!r}"))
+                return
+            yielded = float(yielded)
+        if 0.0 <= yielded < _INF:
+            self.sim.post_after(yielded, self._step, None, None)
         else:
-            self._step(None, TypeError(f"process {self.name!r} yielded {yielded!r}"))
+            # Negative, NaN or infinite: the process's own bug, so it is
+            # raised where the process can see it, not in the kernel loop.
+            self._step(None, ValueError(
+                f"process {self.name!r} yielded a sleep of {yielded!r}"))
 
     def _on_future(self, fut: Future) -> None:
         err = fut.exception()

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..net.message import NodeId
+from ..sim.rng import hash_str
 from .meta import ReplicaSet
 
 __all__ = ["Catalog", "TableSpec", "ObjectId"]
@@ -116,8 +117,6 @@ class Catalog:
         return tuple(range(first, first + count))
 
     def _hash_place(self, table: str, key: object) -> NodeId:
-        from ..sim.rng import hash_str
-
         return hash_str(f"{table}:{key}") % self.num_nodes
 
     # -------------------------------------------------------------- lookup
@@ -159,8 +158,6 @@ class Catalog:
         """
         if self.directory_mode == "single" or self._dir_base <= 3:
             return self.directory_nodes()
-        from ..sim.rng import hash_str
-
         ranked = sorted(range(self._dir_base),
                         key=lambda n: hash_str(f"dir:{oid}:{n}"))
         return tuple(sorted(ranked[:3]))

@@ -63,6 +63,10 @@ class ObjectStore:
     def __init__(self, node_id: NodeId):
         self.node_id = node_id
         self._objects: Dict[ObjectId, StoredObject] = {}
+        #: ``get(oid)`` -> the replica or None.  The dict's own bound method:
+        #: every protocol looks objects up per message and per transaction,
+        #: and a wrapper would be one Python frame per lookup.
+        self.get = self._objects.get
 
     def create(self, oid: ObjectId, data: Any,
                replicas: ReplicaSet, o_ts: Ots = Ots(0, 0)) -> StoredObject:
@@ -71,9 +75,6 @@ class ObjectStore:
         obj = StoredObject(oid, data, replicas, o_ts)
         self._objects[oid] = obj
         return obj
-
-    def get(self, oid: ObjectId) -> Optional[StoredObject]:
-        return self._objects.get(oid)
 
     def require(self, oid: ObjectId) -> StoredObject:
         obj = self._objects.get(oid)

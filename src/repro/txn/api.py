@@ -1,9 +1,11 @@
 """High-level transaction API: retry loops, back-off, result accounting.
 
 Workload drivers call :meth:`ZeusAPI.execute_write` /
-:meth:`ZeusAPI.execute_read` with declarative read/write sets; applications
-that need interactivity use :meth:`tr_create` / :meth:`tr_r_create` and the
-``Transaction`` object directly (the paper's API shape).
+:meth:`ZeusAPI.execute_read` with declarative read/write sets — both are
+:meth:`ZeusAPI.execute`, one generator frame per logical transaction;
+applications that need interactivity use :meth:`tr_create` /
+:meth:`tr_r_create` and the ``Transaction`` object directly (the paper's
+API shape).
 
 Retry policy (Section 6.2, "Deadlocks"): an aborted attempt — ownership
 denied, local lock conflict, read validation failure — is retried after an
@@ -19,33 +21,38 @@ from typing import Any, Callable, Optional, Sequence
 from ..commit.manager import CommitManager
 from ..ownership.manager import OwnershipManager
 from ..store.catalog import Catalog, ObjectId
+from ..store.meta import OState, TState
 from . import transaction as _txn_mod
 from .errors import AbortReason, TxnAborted
 from .transaction import ReadOnlyTransaction, Transaction
 
 __all__ = ["ZeusAPI", "TxnResult"]
 
+_O_VALID, _O_INVALID = OState.VALID, OState.INVALID
+_T_VALID, _T_WRITE = TState.VALID, TState.WRITE
+
 #: compute(oid, old_value) -> new_value; default is a version-ish bump.
 ComputeFn = Callable[[ObjectId, Any], Any]
 
 
 def _default_compute(oid: ObjectId, old: Any) -> Any:
-    return (old or 0) + 1 if isinstance(old, (int, float)) or old is None else old
+    return (((old or 0) + 1)
+            if isinstance(old, (int, float)) or old is None else old)
 
 
 class TxnResult:
-    """Outcome of one logical transaction (including its retries)."""
+    """Outcome of one logical transaction (including its retries).
 
-    __slots__ = ("committed", "aborts", "ownership_requests",
-                 "acquired_objects", "latency_us", "abort_reason")
+    The fields are class-level defaults, not an ``__init__``: one result is
+    made per transaction, and most keep every default but two.
+    """
 
-    def __init__(self) -> None:
-        self.committed = False
-        self.aborts = 0
-        self.ownership_requests = 0
-        self.acquired_objects = 0
-        self.latency_us = 0.0
-        self.abort_reason: Optional[str] = None
+    committed = False
+    aborts = 0
+    ownership_requests = 0
+    acquired_objects = 0
+    latency_us = 0.0
+    abort_reason: Optional[str] = None
 
 
 class ZeusAPI:
@@ -56,6 +63,8 @@ class ZeusAPI:
                  rng: Optional[random.Random] = None,
                  max_retries: int = 100):
         self.node = node
+        self.sim = node.sim
+        self.node_id = node.node_id
         self.store = store
         self.catalog = catalog
         self.ownership = ownership
@@ -63,7 +72,14 @@ class ZeusAPI:
         self.params = node.params
         self.rng = rng or random.Random(node.node_id)
         self.max_retries = max_retries
-        self.tracer = node.obs.tracer
+        # Each instrument, or None for its disabled sentinel; a run without
+        # instruments pays one attribute test per transaction.
+        obs = node.obs
+        self._tracer = obs.tracer if obs.tracer.enabled else None
+        self._history = obs.history if obs.history.enabled else None
+        self._locality = obs.locality if obs.locality.enabled else None
+        self._instrumented = (obs.tracer.enabled or obs.history.enabled
+                              or obs.locality.enabled)
 
     # ------------------------------------------------------ paper-shaped API
 
@@ -85,308 +101,238 @@ class ZeusAPI:
                       compute: Optional[ComputeFn] = None):
         """Generator: run one write transaction to commit (with retries).
 
-        Returns a :class:`TxnResult`.  Fully-local conflict-free
-        transactions — the common case Zeus is built around — take a fast
-        path that batches all CPU charges into a single simulator event;
-        anything needing ownership acquisition, or hitting a conflict,
-        falls back to the general interactive path with back-off.
+        Returns a :class:`TxnResult`; see :meth:`execute`.
         """
-        result = TxnResult()
-        start = self.node.sim.now
-        compute = compute or _default_compute
-        tracer = self.tracer
-        hist = self.node.obs.history
-        hop = (hist.begin(self.node.node_id, thread, "write", start)
-               if hist else None)
-        loc = self.node.obs.locality
-        lop = loc.begin(self.node.node_id, thread, start) if loc else None
-        # Each logical transaction roots a fresh trace; everything it
-        # causes — acquires, remote arbitration, replication — links back.
-        tspan = (tracer.begin("txn", pid=self.node.node_id, tid=thread,
-                              cat="txn", ctx=(tracer.new_trace(), None),
-                              kind="write") if tracer else None)
-        tctx = tspan.ctx if tspan is not None else None
-        committed = yield from self._fast_write(thread, write_set, read_set,
-                                                exec_us, compute, result,
-                                                ctx=tctx, hop=hop)
-        if committed:
-            result.committed = True
-            result.latency_us = self.node.sim.now - start
-            if hist:
-                hist.respond(hop, True, self.node.sim.now)
-            if loc:
-                loc.commit_txn(lop, write_set, read_set, True,
-                               self.node.sim.now)
-            if tspan is not None:
-                tracer.end(tspan, committed=True, fast=True)
-            return result
-        backoff = self.params.own_backoff_us
-        for _attempt in range(self.max_retries):
-            txn = self.tr_create(thread)
-            txn.ctx = tctx
-            txn.hop = hop
-            txn.lop = lop
-            espan = (tracer.begin("execute", pid=self.node.node_id,
-                                  tid=thread, cat="txn", ctx=tctx,
-                                  attempt=_attempt)
-                     if tracer else None)
-            try:
-                yield self.params.txn_setup_us
-                for oid in write_set:
-                    old = yield from txn.open_write(oid)
-                    txn.write(oid, compute(oid, old))
-                for oid in read_set:
-                    yield from txn.open_read(oid)
-                if exec_us > 0:
-                    yield exec_us
-                yield from txn.commit()
-                result.committed = True
-                if espan is not None:
-                    tracer.end(espan, committed=True)
-                break
-            except TxnAborted as abort:
-                result.aborts += 1
-                result.abort_reason = abort.reason
-                if espan is not None:
-                    tracer.end(espan, committed=False, abort=abort.reason)
-                yield backoff * (0.5 + self.rng.random())
-                backoff = min(backoff * 2, self.params.own_backoff_max_us)
-            finally:
-                result.ownership_requests += txn.stats.ownership_requests
-                result.acquired_objects += txn.stats.acquired_objects
-        else:
-            result.abort_reason = AbortReason.RETRIES_EXHAUSTED
-        result.latency_us = self.node.sim.now - start
-        if hist:
-            hist.respond(hop, result.committed, self.node.sim.now)
-        if loc:
-            loc.commit_txn(lop, write_set, read_set, result.committed,
-                           self.node.sim.now)
-        if tspan is not None:
-            tracer.end(tspan, committed=result.committed,
-                       aborts=result.aborts)
-        return result
+        return self.execute(thread, write_set, read_set, exec_us, compute)
 
     def execute_read(self, thread: int, read_set: Sequence[ObjectId],
                      exec_us: float = 0.0):
         """Generator: run one read-only transaction to commit (retries).
 
-        Returns a :class:`TxnResult` whose ``values`` of the final attempt
-        are exposed via the returned transaction buffer when needed.
+        Returns a :class:`TxnResult`; see :meth:`execute`.
         """
+        return self.execute(thread, (), read_set, exec_us, read_only=True)
+
+    def execute(self, thread: int, write_set: Sequence[ObjectId],
+                read_set: Sequence[ObjectId], exec_us: float = 0.0,
+                compute: Optional[ComputeFn] = None,
+                read_only: bool = False):
+        """Generator: one logical transaction, start to :class:`TxnResult`.
+
+        Fully-local conflict-free transactions — the common case Zeus is
+        built around — take the *fast lane*: a pre-check, one simulator
+        event carrying every CPU charge, and a post-validation, all in
+        this frame.  It is semantically identical to the interactive path
+        (same locks, same read validation, same reliable-commit hand-off;
+        for read-only transactions Section 5.3's buffer-then-verify) and
+        leaves no side effect beyond an abort count when it gives up.
+        Anything it cannot serve — ownership acquisition, a lock wait,
+        pipeline back-pressure, an invalidated object — falls back to the
+        interactive ``Transaction`` with randomized exponential back-off.
+        """
+        sim = self.sim
+        node_id = self.node_id
+        compute = compute or _default_compute
         result = TxnResult()
-        start = self.node.sim.now
-        tracer = self.tracer
-        hist = self.node.obs.history
-        hop = (hist.begin(self.node.node_id, thread, "read", start)
-               if hist else None)
-        loc = self.node.obs.locality
-        lop = loc.begin(self.node.node_id, thread, start) if loc else None
-        tspan = (tracer.begin("txn", pid=self.node.node_id, tid=thread,
-                              cat="txn", ctx=(tracer.new_trace(), None),
-                              kind="read") if tracer else None)
-        tctx = tspan.ctx if tspan is not None else None
-        committed = yield from self._fast_read(read_set, exec_us, result,
-                                               hop=hop)
-        if committed:
-            result.committed = True
-            result.latency_us = self.node.sim.now - start
-            if hist:
-                hist.respond(hop, True, self.node.sim.now)
-            if loc:
-                loc.commit_txn(lop, (), read_set, True, self.node.sim.now)
-            if tspan is not None:
-                tracer.end(tspan, committed=True, fast=True)
-            return result
-        backoff = self.params.own_backoff_us
-        for _attempt in range(self.max_retries):
-            txn = self.tr_r_create(thread)
-            txn.ctx = tctx
-            txn.hop = hop
-            txn.lop = lop
-            espan = (tracer.begin("execute", pid=self.node.node_id,
-                                  tid=thread, cat="txn", ctx=tctx,
-                                  attempt=_attempt)
-                     if tracer else None)
-            try:
-                yield self.params.txn_setup_us
-                for oid in read_set:
-                    yield from txn.open_read(oid)
-                if exec_us > 0:
-                    yield exec_us
-                yield from txn.commit()
-                result.committed = True
-                if espan is not None:
-                    tracer.end(espan, committed=True)
-                break
-            except TxnAborted as abort:
-                result.aborts += 1
-                result.abort_reason = abort.reason
-                if espan is not None:
-                    tracer.end(espan, committed=False, abort=abort.reason)
-                yield backoff * (0.5 + self.rng.random())
-                backoff = min(backoff * 2, self.params.own_backoff_max_us)
-            finally:
-                result.ownership_requests += txn.stats.ownership_requests
-                result.acquired_objects += txn.stats.acquired_objects
+        start = sim.now
+        hist = loc = tracer = hop = lop = tspan = tctx = None
+        if self._instrumented:
+            hist, loc, tracer = self._history, self._locality, self._tracer
+            if hist is not None:
+                hop = hist.begin(node_id, thread,
+                                 "read" if read_only else "write", start)
+            if loc is not None:
+                lop = loc.begin(node_id, thread, start)
+            if tracer is not None:
+                # Each logical transaction roots a fresh trace; everything
+                # it causes — acquires, remote arbitration, replication —
+                # links back.
+                tspan = tracer.begin("txn", pid=node_id, tid=thread,
+                                     cat="txn",
+                                     ctx=(tracer.new_trace(), None),
+                                     kind="read" if read_only else "write")
+                tctx = tspan.ctx
+
+        # ------------------------------------------------------- fast lane
+        p = self.params
+        get = self.store.get
+        fast = True
+        if read_only:
+            # Buffer versions, sleep the combined CPU cost, re-verify.
+            write_set = ()
+            snapshot = []
+            for oid in read_set:
+                obj = get(oid)
+                if obj is None or obj.t_state != _T_VALID:
+                    fast = False
+                    break
+                snapshot.append((obj, obj.t_version))
+            if fast:
+                yield (p.txn_setup_us + len(snapshot) * p.open_read_us
+                       + exec_us + p.local_commit_us)
+                for obj, ver in snapshot:
+                    if obj.t_state != _T_VALID or obj.t_version != ver:
+                        fast = False
+                        result.aborts += 1
+                        break
+                if fast and hop is not None:
+                    for obj, ver in snapshot:
+                        hist.read(hop, obj.oid, ver, start)
+                    hist.mark_durable(hop)
         else:
-            result.abort_reason = AbortReason.RETRIES_EXHAUSTED
-        result.latency_us = self.node.sim.now - start
-        if hist:
-            hist.respond(hop, result.committed, self.node.sim.now)
-        if loc:
-            loc.commit_txn(lop, (), read_set, result.committed,
-                           self.node.sim.now)
-        if tspan is not None:
-            tracer.end(tspan, committed=result.committed,
-                       aborts=result.aborts)
-        return result
+            me = (node_id, thread)
+            cm = self.commit_mgr
+            writes = []
+            for oid in write_set:
+                obj = get(oid)
+                if (obj is None or obj.o_state != _O_VALID
+                        or obj.o_replicas is None
+                        or obj.o_replicas.owner != node_id
+                        or (obj.locked_by is not None
+                            and obj.locked_by != me)):
+                    fast = False
+                    break
+                writes.append(obj)
+            reads = []        # reader-level: validate by version at commit
+            owner_reads = []  # owner-level: lock like the interactive path
+            if fast:
+                for oid in read_set:
+                    obj = get(oid)
+                    if obj is None or obj.o_state == _O_INVALID:
+                        fast = False
+                        break
+                    if (obj.o_replicas is not None
+                            and obj.o_replicas.owner == node_id):
+                        if obj.locked_by is not None and obj.locked_by != me:
+                            fast = False
+                            break
+                        owner_reads.append(obj)
+                    elif obj.t_state != _T_VALID:
+                        fast = False
+                        break
+                    else:
+                        reads.append((obj, obj.t_version))
+            if (fast and writes
+                    and cm.pipeline_depth(thread) >= cm.max_pipeline_depth):
+                fast = False
+            if fast:
+                size_of = self.catalog.size_of
+                sizes = []
+                cost = p.txn_setup_us + exec_us + p.local_commit_us
+                per_write_us = p.open_write_us + p.local_commit_per_obj_us
+                for obj in writes:
+                    obj.locked_by = me
+                    size = size_of(obj.oid)
+                    sizes.append(size)
+                    cost += per_write_us + size * p.copy_us_per_byte
+                for obj in owner_reads:
+                    obj.locked_by = me
+                cost += (len(reads) + len(owner_reads)) * p.open_read_us
+                yield cost
 
-    # ------------------------------------------------------------ fast paths
+                for obj, ver in reads:
+                    if obj.t_state != _T_VALID or obj.t_version != ver:
+                        fast = False
+                        result.aborts += 1
+                        break
+                if not fast:
+                    for obj in writes + owner_reads:
+                        if obj.locked_by == me:
+                            obj.locked_by = None
+                else:
+                    dur = self.node.durability
+                    install_at = sim.now
+                    bump = _txn_mod.VERSION_BUMP
+                    updates = []
+                    pre = []
+                    followers = set()
+                    for obj, size in zip(writes, sizes):
+                        oid = obj.oid
+                        if dur is not None:
+                            pre.append((oid, obj.t_version, obj.t_data))
+                        obj.t_data = data = compute(oid, obj.t_data)
+                        obj.t_version = ver = obj.t_version + bump
+                        obj.t_state = _T_WRITE
+                        updates.append((oid, ver, data, size))
+                        followers.update(obj.o_replicas.readers)
+                        obj.locked_by = None
+                        if hop is not None:
+                            hist.write(hop, oid, ver, install_at)
+                    for obj in owner_reads:
+                        if obj.locked_by == me:
+                            obj.locked_by = None
+                        if hop is not None:
+                            # Locked since before the snapshot, so the
+                            # version is stable across the batched event.
+                            hist.read(hop, obj.oid, obj.t_version, start)
+                    if hop is not None:
+                        for obj, ver in reads:
+                            hist.read(hop, obj.oid, ver, start)
+                    if updates:
+                        wal_key = (dur.log_redo_coord(thread, updates, pre)
+                                   if dur is not None else None)
+                        fut = cm.submit(thread, updates, followers, ctx=tctx,
+                                        wal_key=wal_key)
+                        if hop is not None:
+                            hist.attach_durability(hop, fut)
+                            hist.attach_persistence(hop, cm.last_persist)
+                    elif hop is not None:
+                        hist.mark_durable(hop)
 
-    def _fast_read(self, read_set, exec_us: float, result: TxnResult,
-                   hop=None):
-        """Generator: read-only fast path (Section 5.3) in one event.
-
-        Buffers versions, sleeps the combined CPU cost, then re-verifies —
-        identical to :class:`ReadOnlyTransaction` with the per-read yields
-        coalesced.  Falls back (False) when any object is missing here or
-        currently invalidated.
-        """
-        from ..store.meta import TState
-
-        store = self.store
-        snapshot = []
-        snapshot_at = self.node.sim.now
-        for oid in read_set:
-            obj = store.get(oid)
-            if obj is None or obj.t_state != TState.VALID:
-                return False
-            snapshot.append((obj, obj.t_version))
-        p = self.params
-        yield (p.txn_setup_us + len(snapshot) * p.open_read_us
-               + exec_us + p.local_commit_us)
-        if not all(obj.t_state == TState.VALID and obj.t_version == ver
-                   for obj, ver in snapshot):
-            result.aborts += 1
-            return False
-        if hop is not None:
-            hist = self.node.obs.history
-            for obj, ver in snapshot:
-                hist.read(hop, obj.oid, ver, snapshot_at)
-            hist.mark_durable(hop)
-        return True
-
-    def _fast_write(self, thread: int, write_set, read_set, exec_us: float,
-                    compute: ComputeFn, result: TxnResult, ctx=None,
-                    hop=None):
-        """Generator: the all-local conflict-free write fast path.
-
-        Semantically identical to the interactive path — same locks, same
-        read validation, same reliable-commit hand-off — but with every CPU
-        charge folded into one simulator event.  Returns False (without
-        side effects beyond an abort count) whenever the transaction needs
-        anything the fast path cannot give it: ownership acquisition, a
-        lock wait, or pipeline back-pressure.
-        """
-        from ..store.meta import OState, TState
-
-        me = (self.node.node_id, thread)
-        store = self.store
-        node_id = self.node.node_id
-        writes = []
-        for oid in write_set:
-            obj = store.get(oid)
-            if (obj is None or obj.o_state != OState.VALID
-                    or obj.o_replicas is None
-                    or obj.o_replicas.owner != node_id
-                    or (obj.locked_by is not None and obj.locked_by != me)):
-                return False
-            writes.append(obj)
-        reads = []       # reader-level: validate by version at commit
-        owner_reads = [] # owner-level: lock like the interactive path does
-        for oid in read_set:
-            obj = store.get(oid)
-            if obj is None or obj.o_state == OState.INVALID:
-                return False
-            if obj.o_replicas is not None and obj.o_replicas.owner == node_id:
-                if obj.locked_by is not None and obj.locked_by != me:
-                    return False
-                owner_reads.append(obj)
-            elif obj.t_state != TState.VALID:
-                return False
+        # ----------------------------------------- interactive path, retries
+        if fast:
+            result.committed = True
+        else:
+            backoff = p.own_backoff_us
+            for attempt in range(self.max_retries):
+                txn = (self.tr_r_create(thread) if read_only
+                       else self.tr_create(thread))
+                txn.ctx = tctx
+                txn.hop = hop
+                txn.lop = lop
+                espan = (tracer.begin("execute", pid=node_id, tid=thread,
+                                      cat="txn", ctx=tctx, attempt=attempt)
+                         if tracer is not None else None)
+                try:
+                    yield p.txn_setup_us
+                    for oid in write_set:
+                        old = yield from txn.open_write(oid)
+                        txn.write(oid, compute(oid, old))
+                    for oid in read_set:
+                        yield from txn.open_read(oid)
+                    if exec_us > 0:
+                        yield exec_us
+                    yield from txn.commit()
+                    result.committed = True
+                    if espan is not None:
+                        tracer.end(espan, committed=True)
+                    break
+                except TxnAborted as abort:
+                    result.aborts += 1
+                    result.abort_reason = abort.reason
+                    if espan is not None:
+                        tracer.end(espan, committed=False, abort=abort.reason)
+                    yield backoff * (0.5 + self.rng.random())
+                    backoff = min(backoff * 2, p.own_backoff_max_us)
+                finally:
+                    result.ownership_requests += txn.stats.ownership_requests
+                    result.acquired_objects += txn.stats.acquired_objects
             else:
-                reads.append((obj, obj.t_version))
-        cm = self.commit_mgr
-        if writes and cm.pipeline_depth(thread) >= cm.max_pipeline_depth:
-            return False
+                result.abort_reason = AbortReason.RETRIES_EXHAUSTED
 
-        for obj in writes:
-            obj.locked_by = me
-        for obj in owner_reads:
-            obj.locked_by = me
-
-        p = self.params
-        catalog = self.catalog
-        cost = p.txn_setup_us + exec_us + p.local_commit_us
-        for obj in writes:
-            cost += (p.open_write_us + p.local_commit_per_obj_us
-                     + catalog.size_of(obj.oid) * p.copy_us_per_byte)
-        cost += (len(reads) + len(owner_reads)) * p.open_read_us
-        snapshot_at = self.node.sim.now
-        yield cost
-
-        ok = all(obj.t_state == TState.VALID and obj.t_version == ver
-                 for obj, ver in reads)
-        if not ok:
-            for obj in writes:
-                if obj.locked_by == me:
-                    obj.locked_by = None
-            for obj in owner_reads:
-                if obj.locked_by == me:
-                    obj.locked_by = None
-            result.aborts += 1
-            return False
-
-        hist = self.node.obs.history if hop is not None else None
-        dur = self.node.durability
-        install_at = self.node.sim.now
-        updates = []
-        pre = []
-        followers = set()
-        for obj in writes:
-            if dur is not None:
-                pre.append((obj.oid, obj.t_version, obj.t_data))
-            obj.t_data = compute(obj.oid, obj.t_data)
-            obj.t_version += _txn_mod.VERSION_BUMP
-            obj.t_state = TState.WRITE
-            updates.append((obj.oid, obj.t_version, obj.t_data,
-                            catalog.size_of(obj.oid)))
-            followers.update(obj.o_replicas.readers)
-            obj.locked_by = None
-            if hist:
-                hist.write(hop, obj.oid, obj.t_version, install_at)
-        for obj in owner_reads:
-            if obj.locked_by == me:
-                obj.locked_by = None
-            if hist:
-                # Locked since before the snapshot, so the version is
-                # stable across the batched CPU event.
-                hist.read(hop, obj.oid, obj.t_version, snapshot_at)
-        if hist:
-            for obj, ver in reads:
-                hist.read(hop, obj.oid, ver, snapshot_at)
-        if updates:
-            wal_key = (dur.log_redo_coord(thread, updates, pre)
-                       if dur is not None else None)
-            fut = cm.submit(thread, updates, followers, ctx=ctx,
-                            wal_key=wal_key)
-            if hist:
-                hist.attach_durability(hop, fut)
-                hist.attach_persistence(hop, cm.last_persist)
-        elif hist:
-            hist.mark_durable(hop)
-        return True
+        now = sim.now
+        result.latency_us = now - start
+        if hop is not None:
+            hist.respond(hop, result.committed, now)
+        if lop is not None:
+            loc.commit_txn(lop, write_set, read_set, result.committed, now)
+        if tspan is not None:
+            if fast:
+                tracer.end(tspan, committed=True, fast=True)
+            else:
+                tracer.end(tspan, committed=result.committed,
+                           aborts=result.aborts)
+        return result
 
     # --------------------------------------------------------- direct reads
 

@@ -14,15 +14,17 @@ evaluated system").
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Iterable, Optional, Sequence
+from bisect import bisect
+from itertools import accumulate
+from typing import Any, Callable, Dict, Iterable, Optional, Sequence
 
 from ..baselines.cluster import BaselineCluster
 from ..harness.metrics import ThroughputMeter
 from ..harness.zeus_cluster import ZeusCluster
 from ..store.catalog import ObjectId
 
-__all__ = ["TxnSpec", "RunStats", "run_zeus_workload", "spawn_zeus_workers",
-           "run_baseline_workload"]
+__all__ = ["TxnSpec", "MixTable", "RunStats", "run_zeus_workload",
+           "spawn_zeus_workers", "run_baseline_workload"]
 
 
 class TxnSpec:
@@ -39,6 +41,33 @@ class TxnSpec:
         self.exec_us = exec_us
         self.read_only = read_only
         self.tag = tag
+
+
+class MixTable:
+    """A weighted draw whose cumulative table is built once.
+
+    ``pick(rng)`` is ``rng.choices(population, weights=weights)[0]`` —
+    the same single ``rng.random()`` draw through the same bisection, so
+    it returns the same element and leaves ``rng`` in the same state —
+    without re-accumulating the weights on every call.
+    """
+
+    __slots__ = ("population", "_cum", "_total", "_hi")
+
+    def __init__(self, population: Sequence[Any], weights: Sequence[float]):
+        self.population = tuple(population)
+        self._cum = list(accumulate(weights))
+        self._hi = len(self._cum) - 1
+        self._total = self._cum[-1] + 0.0 if self._cum else 0.0
+        # What ``choices`` itself refuses.
+        if (len(self._cum) != len(self.population)
+                or not 0.0 < self._total < float("inf")):
+            raise ValueError("need one weight per element and a positive, "
+                             "finite total")
+
+    def pick(self, rng: random.Random) -> Any:
+        return self.population[bisect(self._cum, rng.random() * self._total,
+                                      0, self._hi)]
 
 
 #: spec_fn(node_id, thread, rng) -> TxnSpec | None (None = this thread idles
@@ -77,33 +106,32 @@ def spawn_zeus_workers(cluster: ZeusCluster, spec_fn: SpecFn,
     node must wind down its application load, not keep generating it.
     """
     sim = cluster.sim
-    is_draining = getattr(cluster, "is_draining", lambda _nid: False)
+    is_draining = cluster.is_draining
 
     def worker(node_id: int, thread: int):
-        api = cluster.handles[node_id].api
+        execute = cluster.handles[node_id].api.execute
+        node = cluster.nodes[node_id]
         rng = cluster.rng.stream(f"wl.{seed}.{node_id}.{thread}")
-        while (sim.now < stop_at and cluster.nodes[node_id].alive
-               and not is_draining(node_id)):
+        while sim.now < stop_at and node.alive and not is_draining(node_id):
             spec = spec_fn(node_id, thread, rng)
             if spec is None:
                 yield 5.0  # nothing routed here right now
                 continue
-            if spec.read_only:
-                result = yield from api.execute_read(thread, spec.read_set,
-                                                     spec.exec_us)
-            else:
-                result = yield from api.execute_write(thread, spec.write_set,
-                                                      spec.read_set,
-                                                      spec.exec_us)
+            # The transaction runs in one frame under this one: the worker
+            # delegates straight to the API's ``execute`` generator.
+            result = yield from execute(thread, spec.write_set, spec.read_set,
+                                        spec.exec_us, None, spec.read_only)
             if result.committed:
-                if sim.now >= measure_from:
+                now = sim.now
+                if now >= measure_from:
                     stats.committed += 1
-                    stats.meter.record(sim.now)
+                    stats.meter.record(now)
                     stats.retries += result.aborts
                     stats.ownership_requests += result.ownership_requests
                     stats.objects_acquired += result.acquired_objects
-                    if spec.tag:
-                        stats.per_tag[spec.tag] = stats.per_tag.get(spec.tag, 0) + 1
+                    tag = spec.tag
+                    if tag:
+                        stats.per_tag[tag] = stats.per_tag.get(tag, 0) + 1
                 if on_commit is not None:
                     on_commit(node_id, spec, result)
             else:

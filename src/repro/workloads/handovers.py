@@ -152,8 +152,8 @@ class HandoverWorkload:
         station = self.user_station[user]
         tag = "service_request" if rng.random() < 0.5 else "release"
         return TxnSpec(
-            write_set=[self.ue_oids[user], self.session_oids[user],
-                       self.bearer_oids[user], self.enb_oids[station]],
+            write_set=(self.ue_oids[user], self.session_oids[user],
+                       self.bearer_oids[user], self.enb_oids[station]),
             exec_us=_EXEC_US, tag=tag)
 
     def _handover_start(self, node: int,
@@ -180,10 +180,10 @@ class HandoverWorkload:
         # by the transaction executing *on its own node*, so eNB contexts
         # never migrate and only the UE context + its session/bearer move).
         end_spec = TxnSpec(
-            write_set=[self.ue_oids[user], self.session_oids[user],
-                       self.bearer_oids[user], self.enb_oids[new_station]],
+            write_set=(self.ue_oids[user], self.session_oids[user],
+                       self.bearer_oids[user], self.enb_oids[new_station]),
             exec_us=_EXEC_US, tag="handover_end")
         self.pending_end[new_node].append(end_spec)
         return TxnSpec(
-            write_set=[self.ue_oids[user], self.enb_oids[old_station]],
+            write_set=(self.ue_oids[user], self.enb_oids[old_station]),
             exec_us=_EXEC_US, tag="handover_start")

@@ -20,7 +20,7 @@ import random
 from typing import List, Optional
 
 from ..store.catalog import Catalog
-from .base import TxnSpec
+from .base import MixTable, TxnSpec
 
 __all__ = ["SmallbankWorkload", "SMALLBANK_MIX"]
 
@@ -73,10 +73,13 @@ class SmallbankWorkload:
         for acct, node in enumerate(self.home):
             self.by_node[node].append(acct)
         self._hot_count = max(1, int(self.accounts * self.hot_frac))
+        #: Accounts per node's shard, and the hot ones among them.
+        self._per_node = max(1, self.accounts // num_nodes)
+        self._hot_per_node = max(1, int(self._per_node * hot_frac))
 
-        self._mix_tags = [m[0] for m in SMALLBANK_MIX]
-        self._mix_weights = [m[1] for m in SMALLBANK_MIX]
-        self._read_only = {m[0]: m[2] for m in SMALLBANK_MIX}
+        #: Draws ``(tag, read_only)`` by the mix weights.
+        self._mix = MixTable([(m[0], m[2]) for m in SMALLBANK_MIX],
+                             [m[1] for m in SMALLBANK_MIX])
 
     # ------------------------------------------------------------ selection
 
@@ -85,8 +88,7 @@ class SmallbankWorkload:
         """An account homed at ``node`` (local) or elsewhere (remote),
         honouring the per-node hotspot skew (FaSST's setup: each node's
         shard has its own hot set)."""
-        per_node = max(1, self.accounts // self.num_nodes)
-        hot_per_node = max(1, int(per_node * self.hot_frac))
+        per_node, hot_per_node = self._per_node, self._hot_per_node
         for _ in range(8):
             if local or self.num_nodes == 1:
                 target = node
@@ -131,8 +133,7 @@ class SmallbankWorkload:
     # ------------------------------------------------------------ generator
 
     def spec_for(self, node: int, thread: int, rng: random.Random) -> Optional[TxnSpec]:
-        tag = rng.choices(self._mix_tags, weights=self._mix_weights)[0]
-        read_only = self._read_only[tag]
+        tag, read_only = self._mix.pick(rng)
         # Locality-shift semantics (see TatpWorkload.spec_for): under
         # static sharding shifted accounts' reads stay remote too.
         shifted = self.num_nodes > 1 and rng.random() < self.remote_frac
@@ -152,22 +153,22 @@ class SmallbankWorkload:
 
         chk, sav = self.checking, self.savings
         if tag == "balance":
-            spec = TxnSpec(read_set=[chk[a], sav[a]], exec_us=_EXEC_US,
+            spec = TxnSpec(read_set=(chk[a], sav[a]), exec_us=_EXEC_US,
                            read_only=True, tag=tag)
         elif tag == "deposit_checking":
-            spec = TxnSpec(write_set=[chk[a]], exec_us=_EXEC_US, tag=tag)
+            spec = TxnSpec(write_set=(chk[a],), exec_us=_EXEC_US, tag=tag)
         elif tag == "transact_savings":
-            spec = TxnSpec(write_set=[sav[a]], exec_us=_EXEC_US, tag=tag)
+            spec = TxnSpec(write_set=(sav[a],), exec_us=_EXEC_US, tag=tag)
         elif tag == "write_check":
-            spec = TxnSpec(write_set=[chk[a]], read_set=[sav[a]],
+            spec = TxnSpec(write_set=(chk[a],), read_set=(sav[a],),
                            exec_us=_EXEC_US, tag=tag)
         elif tag == "amalgamate":
             b = involved[1]
-            spec = TxnSpec(write_set=[chk[a], sav[a], chk[b]],
+            spec = TxnSpec(write_set=(chk[a], sav[a], chk[b]),
                            exec_us=_EXEC_US, tag=tag)
         else:  # send_payment
             b = involved[1]
-            spec = TxnSpec(write_set=[chk[a], chk[b]], exec_us=_EXEC_US, tag=tag)
+            spec = TxnSpec(write_set=(chk[a], chk[b]), exec_us=_EXEC_US, tag=tag)
 
         if self.track_migration and not read_only:
             for acct in involved:

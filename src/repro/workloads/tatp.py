@@ -19,7 +19,7 @@ import random
 from typing import List, Optional
 
 from ..store.catalog import Catalog
-from .base import TxnSpec
+from .base import MixTable, TxnSpec
 
 __all__ = ["TatpWorkload", "TATP_MIX"]
 
@@ -63,9 +63,9 @@ class TatpWorkload:
                 self.oids[i].append(
                     self.catalog.create_object(row, sub, owner=node))
 
-        self._tags = [m[0] for m in TATP_MIX]
-        self._weights = [m[1] for m in TATP_MIX]
-        self._read_only = {m[0]: m[2] for m in TATP_MIX}
+        #: Draws ``(tag, read_only)`` by the mix weights.
+        self._mix = MixTable([(m[0], m[2]) for m in TATP_MIX],
+                             [m[1] for m in TATP_MIX])
 
     def _pick_subscriber(self, node: int, rng: random.Random,
                          local: bool) -> int:
@@ -86,8 +86,7 @@ class TatpWorkload:
 
     def spec_for(self, node: int, thread: int,
                  rng: random.Random) -> Optional[TxnSpec]:
-        tag = rng.choices(self._tags, weights=self._weights)[0]
-        read_only = self._read_only[tag]
+        tag, read_only = self._mix.pick(rng)
         # The sweep models a *locality shift*: a fraction of subscribers is
         # now being served from a different node than the sharding put
         # them on.  Under Zeus the first write migrates the subscriber and
@@ -97,29 +96,29 @@ class TatpWorkload:
         shifted = self.num_nodes > 1 and rng.random() < self.remote_frac
         remote = shifted and (not read_only or not self.track_migration)
         sub = self._pick_subscriber(node, rng, local=not remote)
-        sub_oid = self.oids[0][sub]
-        ai_oid = self.oids[1][sub]
-        sf_oid = self.oids[2][sub]
-        cf_oid = self.oids[3][sub]
+        sub_oids, ai_oids, sf_oids, cf_oids = self.oids
 
         if tag == "get_subscriber_data":
-            spec = TxnSpec(read_set=[sub_oid], exec_us=_EXEC_US,
+            spec = TxnSpec(read_set=(sub_oids[sub],), exec_us=_EXEC_US,
                            read_only=True, tag=tag)
         elif tag == "get_new_destination":
-            spec = TxnSpec(read_set=[sf_oid, cf_oid], exec_us=_EXEC_US,
-                           read_only=True, tag=tag)
+            spec = TxnSpec(read_set=(sf_oids[sub], cf_oids[sub]),
+                           exec_us=_EXEC_US, read_only=True, tag=tag)
         elif tag == "get_access_data":
-            spec = TxnSpec(read_set=[ai_oid], exec_us=_EXEC_US,
+            spec = TxnSpec(read_set=(ai_oids[sub],), exec_us=_EXEC_US,
                            read_only=True, tag=tag)
         elif tag == "update_subscriber_data":
-            spec = TxnSpec(write_set=[sub_oid, sf_oid], exec_us=_EXEC_US, tag=tag)
+            spec = TxnSpec(write_set=(sub_oids[sub], sf_oids[sub]),
+                           exec_us=_EXEC_US, tag=tag)
         elif tag == "update_location":
-            spec = TxnSpec(write_set=[sub_oid], exec_us=_EXEC_US, tag=tag)
+            spec = TxnSpec(write_set=(sub_oids[sub],), exec_us=_EXEC_US,
+                           tag=tag)
         elif tag == "insert_call_forwarding":
-            spec = TxnSpec(write_set=[cf_oid], read_set=[sf_oid],
+            spec = TxnSpec(write_set=(cf_oids[sub],), read_set=(sf_oids[sub],),
                            exec_us=_EXEC_US, tag=tag)
         else:  # delete_call_forwarding
-            spec = TxnSpec(write_set=[cf_oid], exec_us=_EXEC_US, tag=tag)
+            spec = TxnSpec(write_set=(cf_oids[sub],), exec_us=_EXEC_US,
+                           tag=tag)
 
         if self.track_migration and not read_only and self.home[sub] != node:
             self.home[sub] = node

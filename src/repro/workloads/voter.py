@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence
 
 from ..harness.zeus_cluster import ZeusCluster
 from ..store.catalog import Catalog
-from .base import TxnSpec
+from .base import MixTable, TxnSpec
 
 __all__ = ["VoterWorkload", "migrate_objects"]
 
@@ -57,7 +57,9 @@ class VoterWorkload:
         ]
 
         # Zipf-ish popularity; voter i prefers a fixed contestant.
-        weights = [1.0 / (c + 1) ** zipf_s for c in range(contestants)]
+        popularity = MixTable(range(contestants),
+                              [1.0 / (c + 1) ** zipf_s
+                               for c in range(contestants)])
         self.voter_choice: List[int] = []
         self.history_oids: List[int] = []
         hot_assigned = 0
@@ -66,7 +68,7 @@ class VoterWorkload:
                 choice = 0
                 hot_assigned += 1
             else:
-                choice = rng.choices(range(contestants), weights=weights)[0]
+                choice = popularity.pick(rng)
             self.voter_choice.append(choice)
             # History rows start colocated with the preferred contestant
             # (the LB routed this voter's first call there).
@@ -96,8 +98,8 @@ class VoterWorkload:
                 pool.pop()
                 continue
             return TxnSpec(
-                write_set=[self.contestant_oids[contestant],
-                           self.history_oids[voter]],
+                write_set=(self.contestant_oids[contestant],
+                           self.history_oids[voter]),
                 exec_us=_EXEC_US, tag="vote")
         return None
 

@@ -268,3 +268,70 @@ def test_invalid_yield_type_errors():
     Process(sim, proc())
     with pytest.raises(TypeError):
         sim.run()
+
+
+# ------------------------------------------------- bad sleeps (negative, NaN)
+
+BAD_SLEEPS = [-1.0, -3, float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("bad", BAD_SLEEPS, ids=repr)
+def test_bad_sleep_raises_inside_the_generator(bad):
+    sim = Simulator()
+    seen = []
+
+    def proc():
+        yield 2.0
+        try:
+            yield bad
+        except ValueError as err:
+            seen.append((sim.now, str(err)))
+        yield 3.0
+        return sim.now
+
+    p = Process(sim, proc(), name="sleeper")
+    sim.run()
+    # Caught where it was made, at the time it was made; the process goes on.
+    assert p.result() == 5.0
+    assert len(seen) == 1 and seen[0][0] == 2.0
+    assert "sleeper" in seen[0][1] and repr(float(bad)) in seen[0][1]
+
+
+@pytest.mark.parametrize("bad", BAD_SLEEPS, ids=repr)
+def test_uncaught_bad_sleep_fails_the_process_and_reaches_its_awaiter(bad):
+    sim = Simulator()
+    ticks = []
+
+    def child():
+        yield 1.0
+        yield bad
+
+    def parent():
+        try:
+            yield Process(sim, child())
+        except ValueError:
+            return ("child failed", sim.now)
+
+    def bystander():
+        for _ in range(4):
+            yield 1.0
+            ticks.append(sim.now)
+
+    awaiting = Process(sim, parent())
+    Process(sim, bystander())
+    sim.run()  # nothing escapes the kernel loop
+    assert awaiting.result() == ("child failed", 1.0)
+    assert ticks == [1.0, 2.0, 3.0, 4.0]  # other processes keep running
+    assert sim.now == 4.0  # and no NaN/inf timestamp reached the heap
+
+
+def test_unobserved_bad_sleep_fails_fast_like_any_process_error():
+    sim = Simulator()
+
+    def proc():
+        yield -1.0
+
+    p = Process(sim, proc())
+    with pytest.raises(ValueError):
+        sim.run()
+    assert p.done() and isinstance(p.exception(), ValueError)

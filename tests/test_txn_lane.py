@@ -1,0 +1,138 @@
+"""The transaction lane's frame budget: a host cost that no machine moves.
+
+``sys.setprofile`` sees one ``call`` event per Python frame entered (a
+generator resumption is one) and one ``c_call`` per builtin.  Over a
+fixed-seed window both counts are pure functions of the code, so the budget
+below is exact everywhere — a change that puts a frame back on the local
+transaction fails here, not in a noisy host number.  ``python
+tests/test_txn_lane.py`` prints the census (DESIGN.md §5 quotes it).
+"""
+
+import dis
+import sys
+from inspect import CO_GENERATOR
+
+import pytest
+
+from repro.harness.zeus_cluster import ZeusCluster
+from repro.sim.params import SimParams
+from repro.workloads.base import RunStats, run_zeus_workload
+from repro.workloads.smallbank import SmallbankWorkload
+from repro.workloads.tatp import TatpWorkload
+
+#: Python frames per committed transaction the lane may cost.  The commit
+#: before the lane (8c4f344) measured 33.7 and 168.0 on these windows, this
+#: one 17.2 and 123.3.
+BUDGET = {"tatp": 18.0, "smallbank": 150.0}
+
+
+def build(name: str):
+    """(cluster, spec_fn, window_us) of a small fixed-seed run."""
+    params = SimParams().scaled_threads(app=2, worker=2)
+    if name == "tatp":
+        wl = TatpWorkload(1, subscribers_per_node=2_000, seed=11)
+        nodes, window_us = 1, 4_000.0
+    else:
+        wl = SmallbankWorkload(3, accounts_per_node=1_000, remote_frac=0.0,
+                               seed=7)
+        nodes, window_us = 3, 1_500.0
+    cluster = ZeusCluster(nodes, params=params, catalog=wl.catalog, seed=1)
+    cluster.load(init_value=100)
+    return cluster, wl.spec_for, window_us
+
+
+def census(name: str) -> dict:
+    """Frames and builtin calls per committed transaction of one window."""
+    cluster, spec_fn, window_us = build(name)
+    stats = RunStats()
+    latencies = []
+
+    def on_commit(node_id, spec, result):
+        latencies.append(result.latency_us)
+
+    counts = {"call": 0, "c_call": 0}
+
+    def profile(_frame, event, _arg):
+        if event in counts:
+            counts[event] += 1
+
+    sys.setprofile(profile)
+    try:
+        run_zeus_workload(cluster, spec_fn, window_us, threads=2, seed=1,
+                          on_commit=on_commit, stats=stats)
+    finally:
+        sys.setprofile(None)
+    assert stats.committed == len(latencies) > 1_000
+    assert stats.aborted_txns == 0
+    return {"committed": stats.committed,
+            "frames_per_txn": counts["call"] / stats.committed,
+            "c_calls_per_txn": counts["c_call"] / stats.committed,
+            "events_per_txn": cluster.sim.events_executed / stats.committed}
+
+
+def anatomy(write: bool, txns: int = 2_000) -> dict:
+    """Per-transaction host anatomy of one local read or write, driven the
+    way ``perf/micro.py`` drives it (``yield from api.execute_*`` in a loop
+    on a 1-node cluster; the driver's own resumption is in the numbers)."""
+    cluster, _spec_fn, _window = build("tatp")
+    api = cluster.handles[0].api
+    done = []
+
+    def app():
+        for i in range(txns):
+            oids = (i % 64,)
+            if write:
+                result = yield from api.execute_write(0, oids, (), 0.3)
+            else:
+                result = yield from api.execute_read(0, oids, 0.3)
+            done.append(result.committed)
+
+    counts = dict.fromkeys(("frames", "c_calls", "resumptions", "generators"),
+                           0)
+    finished = dis.opmap["RETURN_VALUE"]
+
+    def profile(frame, event, _arg):
+        code = frame.f_code
+        if event == "call":
+            counts["frames"] += 1
+            counts["resumptions"] += bool(code.co_flags & CO_GENERATOR)
+        elif event == "c_call":
+            counts["c_calls"] += 1
+        elif (event == "return" and code.co_flags & CO_GENERATOR
+              and code.co_code[frame.f_lasti] == finished):
+            counts["generators"] += 1  # ran to its end: one object made
+
+    cluster.spawn_app(0, 0, app())
+    sys.setprofile(profile)
+    try:
+        cluster.sim.run()
+    finally:
+        sys.setprofile(None)
+    assert len(done) == txns and all(done)
+    return {key: round(value / txns, 2) for key, value in counts.items()}
+
+
+def test_a_local_transaction_is_one_generator_resumed_twice():
+    for write in (False, True):
+        got = anatomy(write)
+        # ``execute`` is made once, entered once and resumed once after its
+        # single ``yield cost``; the third resumption is the driver's own.
+        assert got["generators"] == 1.0 and got["resumptions"] == 3.0, got
+
+
+@pytest.mark.parametrize("name", sorted(BUDGET))
+def test_python_frames_per_committed_txn_stay_in_budget(name):
+    got = census(name)
+    assert got["frames_per_txn"] <= BUDGET[name], got
+
+
+def test_census_is_deterministic():
+    assert census("tatp") == census("tatp")
+
+
+if __name__ == "__main__":
+    for _name in sorted(BUDGET):
+        print(_name, {key: round(value, 2)
+                      for key, value in census(_name).items()})
+    print("local read ", anatomy(False))
+    print("local write", anatomy(True))

@@ -1,0 +1,168 @@
+"""Golden transaction lane: worker loop -> execute -> commit hand-off.
+
+A 1-node TATP run (the pure fast path) and a 3-node Smallbank run with a
+20 % remote fraction (fast path, fall-back, ownership NACK and back-off,
+fast-path validation failure) must reproduce, transaction for transaction,
+what the commit *before* the transaction fast lane produced — with the
+instruments off and with tracer, history and locality recorders attached.
+Pinned: each worker's spec stream, each committed transaction's
+``(latency_us, aborts, ownership_requests, acquired_objects, committed)``,
+the kernel's event/push/cancel counts, every replica's final state and,
+instrumented, the trace, the history and the locality report.  The golden
+file was recorded from that parent commit (8c4f344) with::
+
+    PYTHONPATH=src python tests/test_txn_lane_golden.py --record
+
+and must only ever be re-recorded by a change that means to alter the model.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.harness.zeus_cluster import ZeusCluster
+from repro.obs import (HistoryRecorder, LocalityRecorder, Observability,
+                       Tracer)
+from repro.sim.params import SimParams
+from repro.workloads.base import RunStats, run_zeus_workload
+from repro.workloads.smallbank import SmallbankWorkload
+from repro.workloads.tatp import TatpWorkload
+
+GOLDEN = Path(__file__).with_name("golden_txn_lane.json")
+RUNS = ("tatp", "smallbank")
+DRAIN_US = 5_000.0
+
+
+def sha(items) -> str:
+    digest = hashlib.sha256()
+    for item in items:
+        digest.update(repr(item).encode())
+        digest.update(b"\n")
+    return digest.hexdigest()[:20]
+
+
+def span_row(span):
+    return (span.name, span.cat, span.pid, span.tid, span.start_us,
+            span.end_us, sorted((span.args or {}).items()), span.trace_id,
+            span.span_id, span.parent_id)
+
+
+def lane(name: str, instrumented: bool) -> dict:
+    """Run one window; returns the JSON-able record compared to the golden."""
+    instruments = {}
+    if instrumented:
+        instruments = {"tracer": Tracer(), "history": HistoryRecorder(),
+                       "locality": LocalityRecorder()}
+    obs = Observability(**instruments)
+    if name == "tatp":
+        wl = TatpWorkload(1, subscribers_per_node=1_500, seed=11)
+        nodes, window_us = 1, 1_200.0
+    else:
+        wl = SmallbankWorkload(3, accounts_per_node=400, remote_frac=0.2,
+                               seed=7)
+        nodes, window_us = 3, 4_000.0
+    cluster = ZeusCluster(nodes,
+                          params=SimParams().scaled_threads(app=2, worker=2),
+                          catalog=wl.catalog, seed=5, obs=obs)
+    cluster.load(init_value=100)
+
+    specs, results, issued_by = {}, {}, {}
+
+    def spec_fn(node_id, thread, rng):
+        spec = wl.spec_for(node_id, thread, rng)
+        worker = f"n{node_id}.t{thread}"
+        specs.setdefault(worker, []).append(
+            spec and (spec.write_set, spec.read_set, spec.exec_us,
+                      spec.read_only, spec.tag))
+        issued_by[id(spec)] = worker
+        return spec
+
+    def on_commit(node_id, spec, result):
+        results.setdefault(issued_by[id(spec)], []).append(
+            (result.latency_us, result.aborts, result.ownership_requests,
+             result.acquired_objects, result.committed))
+
+    stats = RunStats()
+    run_zeus_workload(cluster, spec_fn, window_us, threads=2, seed=3,
+                      on_commit=on_commit, stats=stats)
+    cluster.run(until=cluster.sim.now + DRAIN_US)
+
+    sim = cluster.sim
+    record = {
+        "specs": {worker: sha(rows) for worker, rows in sorted(specs.items())},
+        "results": {worker: sha(rows)
+                    for worker, rows in sorted(results.items())},
+        "committed": stats.committed,
+        "failed": stats.aborted_txns,
+        "aborts": stats.retries,
+        "ownership_requests": stats.ownership_requests,
+        "acquired_objects": stats.objects_acquired,
+        "events": sim.events_executed,
+        "heap_pushes": sim.heap_pushes,
+        "cancelled": sim.cancelled_skipped,
+        "end": repr(sim.now),
+        "store": sha((handle.node.node_id, obj.oid, obj.t_version, obj.t_data,
+                      int(obj.t_state), int(obj.o_state), obj.o_ts,
+                      obj.o_replicas, obj.locked_by)
+                     for handle in cluster.handles
+                     for obj in sorted(handle.store, key=lambda o: o.oid)),
+    }
+    if instrumented:
+        tracer, history = obs.tracer, obs.history
+        txns = tracer.spans_named("txn")
+        failed_attempts = sum(1 for span in tracer.spans_named("execute")
+                              if not span.args["committed"])
+        record["instrumented"] = {
+            "trace": sha(map(span_row, tracer.spans + tracer.instants)),
+            "history": sha(tuple(getattr(op, slot) for slot in op.__slots__)
+                           for op in history.ops),
+            "locality": hashlib.sha256(json.dumps(
+                obs.locality.report(), sort_keys=True).encode()
+            ).hexdigest()[:20],
+            "fast_txns": sum(1 for span in txns if span.args.get("fast")),
+            "fallback_txns": sum(1 for span in txns
+                                 if not span.args.get("fast")),
+            # An abort no ``execute`` attempt accounts for was counted by
+            # the fast path: its post-sleep validation failed.
+            "fast_validation_failures": sum(
+                span.args.get("aborts", 0) for span in txns) - failed_attempts,
+        }
+    return record
+
+
+#: What the recorders add to a run: their own completion callbacks are
+#: kernel events, so these three differ between the modes — and nothing else.
+KERNEL_COUNTS = ("events", "heap_pushes", "cancelled")
+
+
+@pytest.mark.parametrize("mode", ["plain", "obs"])
+@pytest.mark.parametrize("name", RUNS)
+def test_txn_lane_matches_parent_golden(name, mode):
+    assert lane(name, mode == "obs") == json.loads(GOLDEN.read_text())[name][mode]
+
+
+def test_golden_smallbank_takes_every_branch_of_the_lane():
+    want = json.loads(GOLDEN.read_text())["smallbank"]
+    assert want["plain"]["aborts"] > 0               # NACK / conflict, back-off
+    assert want["plain"]["ownership_requests"] > 0   # ownership acquisition
+    assert want["plain"]["failed"] == 0
+    seen = want["obs"]["instrumented"]
+    assert seen["fast_txns"] > 0 and seen["fallback_txns"] > 0
+    assert seen["fast_validation_failures"] > 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: test_txn_lane_golden.py --record")
+    golden = {}
+    for _name in RUNS:
+        golden[_name] = {"plain": lane(_name, False), "obs": lane(_name, True)}
+        # The instruments see the lane but may never move it.
+        moved = [key for key, value in golden[_name]["plain"].items()
+                 if golden[_name]["obs"][key] != value]
+        assert set(moved) <= set(KERNEL_COUNTS), moved
+    GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")
+    print(f"wrote {GOLDEN}")
