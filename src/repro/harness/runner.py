@@ -17,8 +17,11 @@ the dispatch table cannot drift from the parser:
 * ``python -m repro smallbank [--remote F]``— one Zeus-vs-baseline point
 * ``python -m repro trace [--out F]``       — capture a Chrome trace
 * ``python -m repro analyze [--jsonl F]``   — critical-path latency breakdown
-* ``python -m repro bench [--scenario S]``  — perf trajectory (BENCH_*.json)
 * ``python -m repro list``                  — the benchmark catalog
+
+Every gated command computes its gates in the library — as ``(gate,
+problem)`` lists, the shape of ``AuditReport.problems()`` — and ends in
+the one :func:`_verdict` footer, whose exit code carries them.
 """
 
 from __future__ import annotations
@@ -28,6 +31,15 @@ import sys
 from typing import List, Optional
 
 __all__ = ["main"]
+
+
+def _verdict(problems) -> int:
+    """The footer of every gated command: each failed ``(gate, problem)``,
+    then the verdict line.  Returns the exit code."""
+    for gate, problem in problems:
+        print(f"  FAILED [{gate}]: {problem}")
+    print("verdict         :", "FAILED" if problems else "OK")
+    return 1 if problems else 0
 
 
 def _cmd_quickstart(_args) -> int:
@@ -45,30 +57,21 @@ def _cmd_quickstart(_args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from ..verify import (
-        ExplorerConfig,
-        check_commit_model,
-        check_ownership_model,
-        explore,
-    )
+    from ..verify import (ExplorerConfig, check_commit_model,
+                          check_ownership_model, explore)
 
-    ownership = check_ownership_model()
-    print(f"ownership model : {ownership}")
-    commit = check_commit_model()
-    print(f"commit model    : {commit}")
+    models = (("ownership model", check_ownership_model()),
+              ("commit model", check_commit_model()))
+    for name, result in models:
+        print(f"{name:<15} : {result}")
     swept = explore(seeds=args.seeds,
                     cfg=ExplorerConfig(txns_per_node=args.txns))
     print(f"explorer        : {swept.seeds_run} histories "
           f"({swept.histories_with_crash} with crashes), "
           f"{swept.committed_total} txns committed")
-    for violation in swept.violations:
-        print(f"  VIOLATION: {violation}")
-    for issue in swept.nonquiescent:
-        print(f"  NON-QUIESCENT: {issue}")
-    ok = (ownership.ok and commit.ok and not swept.violations
-          and not swept.nonquiescent)
-    print("verdict         :", "OK" if ok else "FAILED")
-    return 0 if ok else 1
+    return _verdict([(name, result.violation)
+                     for name, result in models if not result.ok]
+                    + swept.problems())
 
 
 def _cmd_chaos(args) -> int:
@@ -148,8 +151,7 @@ def _cmd_chaos(args) -> int:
         print(f"wrote campaign metrics: {args.metrics_out}")
     if args.trace_out:
         _dump_worst_chaos_trace(cfg, result, args.trace_out)
-    print("verdict         :", "OK" if result.ok else "FAILED")
-    return 0 if result.ok else 1
+    return _verdict(result.problems())
 
 
 def _start_routed_rig(args, obs, wal: bool = False):
@@ -182,30 +184,6 @@ def _start_routed_rig(args, obs, wal: bool = False):
     return rig
 
 
-def _locality_fall(loc, add_at: float, stop_at: float):
-    """Remote fraction over the post-scale-out churn era vs the settled
-    tail.  The churn era starts at the joiners' first served commit (the
-    rig's ``joiners_serving`` mark — quarantine and the join barrier keep
-    them dark for a while after ``add_nodes``); each window spans a third
-    of the remaining run.  The churn figure is the *peak* timeline bin of
-    that era: a trimmed replica's readers re-acquire on their next
-    read-only transaction, which keeps the settled tail within noise of
-    the churn-era mean, but the handover storm right after the joiners
-    start serving still peaks well above the settled fraction.  Returns
-    ``(serving_at, churn_peak, settled)``."""
-    serving = next((at for _label, at, _info in loc.marks("joiners_serving")
-                    if add_at <= at < stop_at), add_at)
-    span = (stop_at - serving) / 3.0
-    churn = None
-    for t, local, remote in loc.remote_fraction_timeline():
-        if serving <= t < serving + span and (local + remote) >= 50:
-            frac = remote / (local + remote)
-            churn = frac if churn is None else max(churn, frac)
-    if churn is None:  # too few txns per bin: fall back to the era mean
-        churn = loc.remote_fraction(serving, serving + span)
-    return (serving, churn, loc.remote_fraction(stop_at - span, stop_at))
-
-
 def _write_locality_json(recorder, path: str) -> None:
     """Dump a recorder's report as deterministic (sorted, seed-pure
     byte-identical) JSON — the placement-controller input format."""
@@ -228,7 +206,13 @@ def _cmd_elastic(args) -> int:
     the recorder's JSON report (see ``repro heatmap``).
     """
     from ..obs import LocalityRecorder, Observability, write_metrics
+    from .gates import (locality_fall, pct, recovery_problems,
+                        throughput_recovery)
 
+    if not 0 < args.window <= args.steady / 2:
+        # Steady state is the mean of the windows ending in the back half
+        # of the pre-add era: a longer window leaves that half empty.
+        args.error("--window must be positive and at most --steady / 2")
     loc = LocalityRecorder() if args.locality_out else None
     obs = Observability(locality=loc)
     rig = _start_routed_rig(args, obs, wal=args.wal)
@@ -236,38 +220,27 @@ def _cmd_elastic(args) -> int:
     add_at = args.steady
     stop_at = add_at + args.after
 
-    window = args.window
     samples = []  # (window_end_us, committed_in_window)
     last = 0
     t = 0.0
     while t < stop_at:
-        t = min(t + window, stop_at)
+        t = min(t + args.window, stop_at)
         cluster.run(until=t)
         samples.append((t, stats.committed - last))
         last = stats.committed
-
-    # Steady state = mean of the back half of the pre-scale-out windows
-    # (the front half is cache/lease warmup).
-    pre = [c for end, c in samples if add_at / 2 < end <= add_at]
-    steady = sum(pre) / max(1, len(pre))
-    recovered_at = None
-    for end, c in samples:
-        if end > add_at and c >= 0.9 * steady:
-            recovered_at = end
-            break
-    tail = [c for end, c in samples[-3:]]
-    final = sum(tail) / max(1, len(tail))
+    steady, pre_windows, recovered_at, final = throughput_recovery(
+        samples, add_at)
 
     # Settle: let the rebalancer converge, drain in-flight work, audit.
     done = rig.settle(args.quiesce)
     audit = rig.audit()
 
     reg = obs.registry
-    tps = lambda c: c / (window / 1e6)  # noqa: E731
+    tps = lambda c: c / (args.window / 1e6)  # noqa: E731
     print(f"elastic scale-out: {args.nodes} -> {args.nodes + args.add} "
           f"nodes at t={add_at:.0f}us ({stats.committed} txns committed)")
     print(f"  steady state : {tps(steady):>12,.0f} tps "
-          f"(mean of {len(pre)} windows before the add)")
+          f"(mean of {pre_windows} windows before the add)")
     if recovered_at is not None:
         print(f"  recovered    : t={recovered_at:.0f}us "
               f"(+{recovered_at - add_at:.0f}us after the add, first "
@@ -276,34 +249,29 @@ def _cmd_elastic(args) -> int:
         print("  recovered    : NEVER (no post-add window reached 90% "
               "of steady)")
     print(f"  final        : {tps(final):>12,.0f} tps "
-          f"({final / steady:.0%} of steady, last 3 windows)")
+          f"({final / (steady or 1):.0%} of steady, last 3 windows)")
     print(f"  rebalancer   : "
           f"{reg.counter_total('rebalance.objects_moved')} objects moved, "
           f"{reg.counter_total('rebalance.bytes')} bytes, "
           f"{reg.counter_total('rebalance.inflight_aborts')} in-flight "
           f"aborts, converged={done.done()}")
-    for audit_name, problem in audit.problems():
-        print(f"  AUDIT [{audit_name}]: {problem}")
     if args.metrics_out:
         write_metrics(reg, args.metrics_out)
         print(f"  wrote metrics: {args.metrics_out}")
     if loc:
-        serving, churn, settled = _locality_fall(loc, add_at, stop_at)
+        serving, churn, settled = locality_fall(loc, add_at, stop_at)
         mig = loc.migration_summary()
-        print(f"  locality     : remote fraction {_pct(churn)} in the "
+        print(f"  locality     : remote fraction {pct(churn)} in the "
               f"churn era (joiners serving at t={serving:.0f}us) -> "
-              f"{_pct(settled)} once settled; {mig['handovers']} "
+              f"{pct(settled)} once settled; {mig['handovers']} "
               f"handovers, {mig['paid_back']} paid back")
         _write_locality_json(loc, args.locality_out)
         print(f"  wrote locality telemetry: {args.locality_out}")
-    ok = (audit.ok and done.done() and recovered_at is not None
-          and final >= 0.9 * steady)
-    print("verdict      :", "OK" if ok else "FAILED")
-    return 0 if ok else 1
-
-
-def _pct(frac) -> str:
-    return "n/a" if frac is None else f"{frac:.1%}"
+    problems = audit.problems() + recovery_problems(steady, recovered_at,
+                                                    final)
+    if not done.done():
+        problems.append(("rebalance", "did not converge after the scale-out"))
+    return _verdict(problems)
 
 
 def _cmd_check(args) -> int:
@@ -313,10 +281,9 @@ def _cmd_check(args) -> int:
     and one difficulty-2 chaos schedule (crash → recover) with the
     history audit on.  Exit 0 only if every recorded history checks out.
     """
-    from ..chaos import CampaignConfig, campaign_schedule, run_chaos_once
+    from ..chaos import CampaignConfig, run_campaign
     from ..verify import ExplorerConfig, explore
 
-    ok = True
     swept = explore(seeds=args.seeds,
                     cfg=ExplorerConfig(txns_per_node=args.txns,
                                        check_history=True))
@@ -325,22 +292,16 @@ def _cmd_check(args) -> int:
           f"{swept.committed_total} txns committed")
     for line in swept.history_digests:
         print(f"  {line}")
-    for violation in swept.history_violations:
-        print(f"  HISTORY VIOLATION: {violation}")
-        ok = False
 
-    cfg = CampaignConfig(difficulty=2, seeds=(0,), check_history=True)
-    schedule = campaign_schedule(cfg, 0)  # cell 0 always crashes a node
-    report = run_chaos_once(schedule, cfg.seeds[0], cfg)
-    print(f"chaos history   : {schedule.name} seed {cfg.seeds[0]}: "
+    # A one-cell campaign: schedule 0 always crashes a node and difficulty
+    # 2 pairs the crash with a recovery, so a rejoin must have run too.
+    result = run_campaign(CampaignConfig(
+        difficulty=2, num_schedules=1, seeds=(0,), check_history=True))
+    report = result.runs[0]
+    print(f"chaos history   : {report.schedule_name} seed {report.seed}: "
           f"{report.committed} committed  "
           f"[{', '.join(report.timeline)}]")
-    for audit_name, problem in report.audit.problems():
-        print(f"  AUDIT [{audit_name}]: {problem}")
-        ok = False
-
-    print("verdict         :", "OK" if ok else "FAILED")
-    return 0 if ok else 1
+    return _verdict(swept.problems() + result.problems())
 
 
 def _dump_worst_chaos_trace(cfg, result, path: str) -> None:
@@ -351,16 +312,13 @@ def _dump_worst_chaos_trace(cfg, result, path: str) -> None:
     reproduces the original cell exactly — the trace is a faithful
     post-mortem of the run the campaign actually audited.
     """
-    from ..chaos import campaign_schedule, run_chaos_once
+    from ..chaos import run_chaos_once
     from ..obs import Observability, Tracer, write_trace_jsonl
 
     worst = max(
         result.runs,
         key=lambda r: (0 if r.ok else 1, len(r.audit.problems()), r.aborted))
-    schedules = {}
-    for i in range(cfg.num_schedules):
-        schedule = campaign_schedule(cfg, i)
-        schedules[schedule.name] = schedule
+    schedules = {schedule.name: schedule for schedule in result.schedules}
     obs = Observability(tracer=Tracer())
     run_chaos_once(schedules[worst.schedule_name], worst.seed, cfg, obs=obs)
     write_trace_jsonl(obs.tracer, path)
@@ -414,6 +372,7 @@ def _cmd_heatmap(args) -> int:
     migration to have paid for itself.
     """
     from ..obs import LocalityRecorder, Observability
+    from .gates import locality_fall, locality_problems, pct
 
     loc = LocalityRecorder()
     obs = Observability(locality=loc)
@@ -457,7 +416,7 @@ def _cmd_heatmap(args) -> int:
         note = "".join(f"  <- {label}" for label, at in sorted(
             marks.items(), key=lambda kv: kv[1]) if t <= at < t + span)
         print(f"    {t:>9.0f}-{min(t + span, stop_at):<9.0f}us  "
-              f"{_pct(frac):>6}{note}")
+              f"{pct(frac):>6}{note}")
         t += span
 
     skew = report["skew"]
@@ -491,23 +450,17 @@ def _cmd_heatmap(args) -> int:
         _write_locality_json(loc, args.out)
         print(f"\n  wrote locality report: {args.out}")
 
-    ok = bool(report["hot_keys"])
-    if not ok:
-        print("\n  FAILED: hot-key table is empty (no accesses recorded)")
-    if args.add > 0:
-        serving, churn, settled = _locality_fall(loc, add_at, stop_at)
-        fell = churn is not None and settled is not None and settled < churn
-        print(f"\n  scale-out    : remote fraction {_pct(churn)} while "
+    fall = locality_fall(loc, add_at, stop_at) if args.add > 0 else None
+    problems = locality_problems(report, fall)
+    if fall is not None:
+        serving, churn, settled = fall
+        fell = "remote_fraction" not in dict(problems)
+        print(f"\n  scale-out    : remote fraction {pct(churn)} while "
               f"ownership chases the re-pinned keys (joiners serving at "
-              f"t={serving:.0f}us) -> {_pct(settled)} once settled "
+              f"t={serving:.0f}us) -> {pct(settled)} once settled "
               f"({'fell' if fell else 'DID NOT FALL'})")
-        if not fell:
-            ok = False
-        if mig["paid_back"] < 1:
-            print("  FAILED: no migration payback computed")
-            ok = False
-    print("\nverdict      :", "OK" if ok else "FAILED")
-    return 0 if ok else 1
+    print()
+    return _verdict(problems)
 
 
 def _cmd_place(args) -> int:
@@ -531,27 +484,18 @@ def _cmd_place(args) -> int:
           + (", history checker on" if args.check_history else ""))
     print(f"{'workload':<10} {'static':>7}    {'adaptive':>6}  "
           f"{'claim':<9} {'gate':<14} actuations")
-    ok = True
+    problems = []
     for name in names:
         out = run_pair(name, seed=args.seed,
                        check_history=args.check_history,
                        verify_determinism=not args.no_redetermine)
         print(out.row())
-        for audit_name, problem in out.static_audit.problems():
-            print(f"    STATIC AUDIT [{audit_name}]: {problem}")
-        for audit_name, problem in out.adaptive_audit.problems():
-            print(f"    ADAPTIVE AUDIT [{audit_name}]: {problem}")
-        if not out.deterministic:
-            print("    FAILED: decision log differs between same-seed runs")
-        if not out.replay_ok:
-            print("    FAILED: offline policy replay diverged from the "
-                  "live decision log")
         print(f"    committed {out.static_committed} -> "
               f"{out.adaptive_committed}; decision log sha256 "
               f"{out.decision_digest[:16]}")
-        ok = ok and out.ok
-    print("verdict      :", "OK" if ok else "FAILED")
-    return 0 if ok else 1
+        problems += [(f"{name}: {gate}", problem)
+                     for gate, problem in out.problems()]
+    return _verdict(problems)
 
 
 def _smallbank_zeus(args, obs, accounts: int, threads: int, duration: float,
@@ -690,57 +634,6 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    """Run the standard perf scenarios; write/compare BENCH_*.json."""
-    from ..bench import SCENARIOS, bench_scenario, compare_against, write_bench
-
-    if args.list:
-        print("Bench scenarios (fixed-seed perf-trajectory cells):")
-        for name in sorted(SCENARIOS):
-            print(f"  {name:<16} {SCENARIOS[name].description}")
-        return 0
-
-    names = args.scenario if args.scenario else sorted(SCENARIOS)
-    failed = False
-    for name in names:
-        if name not in SCENARIOS:
-            known = ", ".join(sorted(SCENARIOS))
-            print(f"unknown scenario {name!r} (known: {known})")
-            return 2
-        doc = bench_scenario(name, seed=args.seed, scale=args.scale,
-                             measure_overhead=not args.no_overhead)
-        host, sim = doc["host"], doc["sim"]
-        print(f"{name}: {sim['committed']} committed / {sim['aborted']} "
-              f"aborted, {sim['events_executed']} events in "
-              f"{host['wall_s']:.2f}s "
-              f"({host['events_per_sec']:,.0f} events/s, "
-              f"{host['txns_per_sec']:,.0f} txns/s, "
-              f"peak RSS {host['peak_rss_kb']:,} KiB) "
-              f"digest {sim['digest']}")
-        if "obs_overhead" in doc:
-            oo = doc["obs_overhead"]
-            match = "outcomes identical" if oo["digest_match"] else \
-                "OUTCOME DIGESTS DIVERGED"
-            print(f"  obs overhead: {oo['plain_wall_s']:.2f}s plain -> "
-                  f"{oo['obs_wall_s']:.2f}s with tracing+history "
-                  f"(+{oo['delta_pct']:.0f}%) -> "
-                  f"{oo['locality_wall_s']:.2f}s with +locality "
-                  f"(+{oo['locality_delta_pct']:.0f}%), {match}")
-        if not args.dry_run:
-            path = write_bench(doc, out_dir=args.out_dir)
-            print(f"  wrote {path}")
-        if args.against:
-            result = compare_against(args.against, doc,
-                                     threshold=args.threshold)
-            if result is None:
-                print(f"  no baseline for {name!r} in {args.against!r} "
-                      f"(new scenario, nothing to regress)")
-            else:
-                print(result.table())
-                failed = failed or not result.ok
-    return 1 if failed else 0
-
-
 def _cmd_list(_args) -> int:
     table = [
         ("T2", "benchmarks/test_table2_benchmarks.py", "benchmark summary"),
@@ -768,15 +661,24 @@ def _cmd_list(_args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that size a run: zero would run nothing
+    (and pass vacuously) or divide by zero further in."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _args_verify(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seeds", type=int, default=20)
-    p.add_argument("--txns", type=int, default=15)
+    p.add_argument("--seeds", type=_positive_int, default=20)
+    p.add_argument("--txns", type=_positive_int, default=15)
 
 
 def _args_chaos(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--schedules", type=int, default=3,
+    p.add_argument("--schedules", type=_positive_int, default=3,
                    help="generated schedules (default %(default)s)")
-    p.add_argument("--seeds", type=int, default=3,
+    p.add_argument("--seeds", type=_positive_int, default=3,
                    help="run seeds per schedule (default %(default)s)")
     p.add_argument("--difficulty", type=int, default=3, choices=(1, 2, 3),
                    help="scenario severity (default %(default)s)")
@@ -872,10 +774,10 @@ def _args_elastic(p: argparse.ArgumentParser) -> None:
 
 def _args_heatmap(p: argparse.ArgumentParser) -> None:
     _args_routed(p)
-    p.add_argument("--groups", type=int, default=8,
+    p.add_argument("--groups", type=_positive_int, default=8,
                    help="object groups across the heatmap "
                         "(default %(default)s)")
-    p.add_argument("--top", type=int, default=10,
+    p.add_argument("--top", type=_positive_int, default=10,
                    help="rows in the hot-key/migration tables "
                         "(default %(default)s)")
     p.add_argument("--out", metavar="FILE", default=None,
@@ -900,9 +802,9 @@ def _args_place(p: argparse.ArgumentParser) -> None:
 
 
 def _args_check(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seeds", type=int, default=5,
+    p.add_argument("--seeds", type=_positive_int, default=5,
                    help="explorer histories to check (default %(default)s)")
-    p.add_argument("--txns", type=int, default=15,
+    p.add_argument("--txns", type=_positive_int, default=15,
                    help="transactions per node per history "
                         "(default %(default)s)")
 
@@ -951,32 +853,6 @@ def _args_analyze(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=1)
 
 
-def _args_bench(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scenario", action="append", metavar="NAME",
-                   help="scenario to bench (repeatable; default: all)")
-    p.add_argument("--seed", type=int, default=1,
-                   help="run seed (default %(default)s)")
-    p.add_argument("--scale", type=float, default=1.0,
-                   help="proportional scenario size (default %(default)s; "
-                        "committed BENCH files always use 1.0)")
-    p.add_argument("--out-dir", metavar="DIR", default=None,
-                   help="directory for BENCH_*.json (default: cwd)")
-    p.add_argument("--against", metavar="FILE|GIT-REF", default=None,
-                   help="compare against a baseline BENCH file or the "
-                        "committed one at a git ref; exit non-zero on "
-                        "regression past --threshold")
-    p.add_argument("--threshold", type=float, default=0.5,
-                   help="tolerated fractional throughput drop "
-                        "(default %(default)s = fail below 50%% of baseline)")
-    p.add_argument("--no-overhead", action="store_true",
-                   help="skip the obs-overhead runs (faster, no "
-                        "obs_overhead section)")
-    p.add_argument("--dry-run", action="store_true",
-                   help="run + print + compare but do not write BENCH files")
-    p.add_argument("--list", action="store_true",
-                   help="list the registered scenarios and exit")
-
-
 #: The single source of truth for subcommands: (name, help, argument
 #: setup, handler).  ``--help``, parser construction, and dispatch all
 #: derive from this table.
@@ -1000,8 +876,6 @@ COMMANDS = [
      _args_trace, _cmd_trace),
     ("analyze", "critical-path latency attribution per txn segment",
      _args_analyze, _cmd_analyze),
-    ("bench", "perf-trajectory scenarios -> BENCH_*.json (+ compare)",
-     _args_bench, _cmd_bench),
     ("list", "experiment catalog", None, _cmd_list),
 ]
 

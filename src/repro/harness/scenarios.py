@@ -1,0 +1,177 @@
+"""The five pinned scenario cells: fixed-seed runs whose outcome digests
+are committed in ``tests/golden_scenario_digests.json``.
+
+Each scenario is a named, deterministic simulation run sized so the whole
+set finishes in seconds: a Smallbank steady state, a TATP read-heavy
+steady state, a Voter run with a mid-run contestant migration
+(ownership-protocol churn), one chaos campaign cell (difficulty-2 fault
+schedule + audits) and one elastic cell (scale-out + drain under chaos).
+A scenario's :class:`ScenarioOutcome` — committed/aborted transactions,
+final simulated clock, scenario-specific extras — is a pure function of
+the seed: the same on any machine and interpreter, with or without
+instruments attached.  Host-side cost is the business of ``perf/``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List
+
+from ..obs import Observability
+from ..sim.params import SimParams
+from .zeus_cluster import ZeusCluster
+
+__all__ = ["ScenarioOutcome", "SCENARIOS"]
+
+
+@dataclass
+class ScenarioOutcome:
+    """Deterministic results of one scenario run."""
+
+    committed: int
+    aborted: int
+    events_executed: int
+    sim_now_us: float
+    #: Scenario-specific deterministic fields (migrated objects, audit
+    #: verdicts, ...) folded into the digest.
+    extra: Dict[str, Any] = field(default_factory=dict)
+
+    def digest(self) -> str:
+        """sha256 over the canonical JSON of the deterministic *outcome*
+        fields: same seed ⇒ same digest, on any machine, profiled or not,
+        observability on or off.
+
+        ``events_executed`` is deliberately excluded: history recording
+        legitimately schedules extra bookkeeping events (durability-future
+        callbacks via ``sim.call_soon``) that never touch model state, so
+        the event count measures cost, not outcome.
+        """
+        payload = {
+            "committed": self.committed,
+            "aborted": self.aborted,
+            "sim_now_us": self.sim_now_us,
+            "extra": self.extra,
+        }
+        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+RunFn = Callable[[int, Observability], ScenarioOutcome]
+
+
+def _steady_state(wl, init_value: int, seed: int,
+                  obs: Observability) -> ScenarioOutcome:
+    """Load ``wl``'s catalog on a fresh 3-node cluster and drive it
+    closed-loop for 8 ms with two threads per node."""
+    from ..workloads.base import run_zeus_workload
+
+    params = SimParams().scaled_threads(app=2, worker=2)
+    cluster = ZeusCluster(3, params=params, catalog=wl.catalog, seed=seed,
+                          obs=obs)
+    cluster.load(init_value=init_value)
+    stats = run_zeus_workload(cluster, wl.spec_for, duration_us=8_000.0,
+                              threads=2, seed=seed)
+    return ScenarioOutcome(stats.committed, stats.aborted_txns,
+                           cluster.sim.events_executed, cluster.sim.now,
+                           extra={"retries": stats.retries,
+                                  "ownership_requests": stats.ownership_requests})
+
+
+def _run_smallbank(seed: int, obs: Observability) -> ScenarioOutcome:
+    from ..workloads.smallbank import SmallbankWorkload
+
+    wl = SmallbankWorkload(3, accounts_per_node=400, remote_frac=0.1, seed=7)
+    return _steady_state(wl, 100, seed, obs)
+
+
+def _run_tatp(seed: int, obs: Observability) -> ScenarioOutcome:
+    from ..workloads.tatp import TatpWorkload
+
+    wl = TatpWorkload(3, subscribers_per_node=600, remote_frac=0.05, seed=11)
+    return _steady_state(wl, 0, seed, obs)
+
+
+def _run_voter_migration(seed: int, obs: Observability) -> ScenarioOutcome:
+    from ..workloads.base import run_zeus_workload
+    from ..workloads.voter import VoterWorkload, migrate_objects
+
+    nodes, duration = 3, 9_000.0
+    params = SimParams().scaled_threads(app=2, worker=2)
+    wl = VoterWorkload(nodes, voters=1_500, contestants=12, seed=17)
+    cluster = ZeusCluster(nodes, params=params, catalog=wl.catalog,
+                          seed=seed, obs=obs)
+    cluster.load(init_value=0)
+
+    migrated: List[int] = []
+    progress: List[float] = []
+
+    def churn():
+        # Mid-run the LB re-pins the most popular contestant (0) to another
+        # node; its row plus every follower's history row must migrate
+        # while votes keep flowing — the Figure 10/11 shape.
+        yield duration * 0.33
+        target = 1 % nodes
+        oids = wl.move_contestant(0, target)
+        migrated.extend(oids)
+        migrate_objects(cluster, target, oids, threads=6, progress=progress)
+
+    cluster.spawn_app(0, 0, churn(), name="churn")
+    stats = run_zeus_workload(cluster, wl.spec_for, duration_us=duration,
+                              threads=2, seed=seed)
+    # Drain the migration tail past the vote window.
+    cluster.run(until=duration + 6_000.0)
+    return ScenarioOutcome(stats.committed, stats.aborted_txns,
+                           cluster.sim.events_executed, cluster.sim.now,
+                           extra={"objects_to_migrate": len(migrated),
+                                  "objects_migrated": len(progress)})
+
+
+def _chaos_cell(cfg, schedule, seed: int,
+                obs: Observability) -> ScenarioOutcome:
+    """One audited campaign cell of ``cfg`` under ``schedule``."""
+    from ..chaos.campaign import run_chaos_once
+
+    report = run_chaos_once(schedule, seed, cfg, obs=obs)
+    extra = {"audit_ok": report.ok,
+             "schedule": report.schedule_signature,
+             "timeline_events": len(report.timeline),
+             "run_digest": hashlib.sha256(
+                 report.digest().encode()).hexdigest()[:16]}
+    if cfg.elastic:
+        for name in ("objects_moved", "drains_completed"):
+            extra[name] = obs.registry.counter_total(f"rebalance.{name}")
+    return ScenarioOutcome(report.committed, report.aborted,
+                           report.events_executed,
+                           cfg.duration_us + cfg.quiesce_us, extra=extra)
+
+
+def _run_chaos2(seed: int, obs: Observability) -> ScenarioOutcome:
+    from ..chaos.campaign import CampaignConfig
+    from ..chaos.generator import generate_schedule
+
+    cfg = CampaignConfig(duration_us=12_000.0, quiesce_us=12_000.0,
+                         difficulty=2, schedule_seed_base=104)
+    # Not campaign cell 0: that one forces a crash (a different rng draw).
+    return _chaos_cell(cfg, generate_schedule(
+        cfg.num_nodes, cfg.duration_us, seed=cfg.schedule_seed_base,
+        difficulty=cfg.difficulty), seed, obs)
+
+
+def _run_elastic(seed: int, obs: Observability) -> ScenarioOutcome:
+    from ..chaos.campaign import CampaignConfig, campaign_schedule
+
+    cfg = CampaignConfig(duration_us=14_000.0, quiesce_us=14_000.0,
+                         difficulty=3, elastic=True, elastic_add=2)
+    return _chaos_cell(cfg, campaign_schedule(cfg, 0), seed, obs)
+
+
+#: name -> ``run(seed, obs)``; the golden test iterates this.
+SCENARIOS: Dict[str, RunFn] = {
+    "smallbank": _run_smallbank,
+    "tatp": _run_tatp,
+    "voter_migration": _run_voter_migration,
+    "chaos2": _run_chaos2,
+    "elastic": _run_elastic,
+}

@@ -3,10 +3,9 @@
 Everything else under ``obs/`` measures the simulated system in simulated
 time.  This module measures the simulator itself in **wall-clock** time —
 host CPU nanoseconds per subsystem and per message/handler kind, event and
-heap-op counts, events/sec and txns/sec rates, and peak RSS — so the
-repo's perf trajectory (``python -m repro bench``, the committed
-``BENCH_*.json`` files) can attribute every speedup or regression to the
-layer that caused it.
+heap-op counts, and peak RSS — so the benchmark of record (``perf/``,
+whose ``LayerRecorder`` subclasses :class:`HostProfiler`) can attribute
+every speedup or regression to the layer that caused it.
 
 A :class:`HostProfiler` follows the same falsy-sentinel contract as
 :data:`~repro.obs.trace.NULL_TRACER` / :data:`~repro.obs.history.NULL_HISTORY`:
@@ -29,8 +28,7 @@ Attribution model
   ``app``: that is where workload/transaction generator code actually
   burns host CPU.  The gap between the profiled window's wall time and
   the sum of event callback time is the event loop's own cost — heap
-  pops, cancellation checks, dispatch — reported as ``kernel.dispatch``
-  residual.
+  pops, cancellation checks, dispatch.
 * **Per handler kind** — :class:`~repro.cluster.node.Node` times each
   protocol-message handler body and reports it under the message kind
   (``own.req``, ``rc.inv``, …); a finer-grained view *inside* the
@@ -44,7 +42,7 @@ from __future__ import annotations
 
 import sys
 import time
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
 try:  # pragma: no cover - resource is POSIX-only
     import resource as _resource
@@ -96,8 +94,8 @@ class HostProfiler:
     enabled = True
 
     def __init__(self) -> None:
-        #: callback function object -> (subsystem, qualified label)
-        self._fn_cache: Dict[Any, Tuple[str, str]] = {}
+        #: callback function object -> subsystem
+        self._fn_cache: Dict[Any, str] = {}
         self.subsys_ns: Dict[str, int] = {}
         self.subsys_events: Dict[str, int] = {}
         self.handler_ns: Dict[str, int] = {}
@@ -129,13 +127,10 @@ class HostProfiler:
         """Attribute ``ns`` host-nanoseconds to the subsystem owning ``fn``
         (called by the kernel for every executed event)."""
         key = getattr(fn, "__func__", fn)
-        cached = self._fn_cache.get(key)
-        if cached is None:
-            module = getattr(key, "__module__", "") or ""
-            label = getattr(key, "__qualname__", repr(key))
-            cached = (_subsystem_of(module), label)
-            self._fn_cache[key] = cached
-        subsys = cached[0]
+        subsys = self._fn_cache.get(key)
+        if subsys is None:
+            subsys = _subsystem_of(getattr(key, "__module__", "") or "")
+            self._fn_cache[key] = subsys
         self.subsys_ns[subsys] = self.subsys_ns.get(subsys, 0) + ns
         self.subsys_events[subsys] = self.subsys_events.get(subsys, 0) + 1
         self.events_profiled += 1
@@ -153,50 +148,6 @@ class HostProfiler:
         """Bump a named host-side counter (heap ops, retransmit scans...)."""
         self.counts[name] = self.counts.get(name, 0) + n
 
-    # --------------------------------------------------------------- queries
-
-    @property
-    def wall_s(self) -> float:
-        return self.wall_ns / 1e9
-
-    def rates(self, events: int, txns: int) -> Dict[str, float]:
-        """Events/sec + txns/sec over the profiled wall window."""
-        wall = self.wall_s
-        return {
-            "events_per_sec": events / wall if wall > 0 else 0.0,
-            "txns_per_sec": txns / wall if wall > 0 else 0.0,
-        }
-
-    def report(self) -> Dict[str, Any]:
-        """JSON-able breakdown, deterministically ordered.
-
-        ``kernel.dispatch_residual_ns`` is the profiled wall time not
-        attributed to any event callback: heap pops, cancellation
-        checks, and the dispatch loop itself.
-        """
-        handler_total = sum(self.subsys_ns.values())
-        residual = max(0, self.wall_ns - handler_total)
-        subsystems = {
-            name: {"ns": self.subsys_ns[name],
-                   "events": self.subsys_events.get(name, 0)}
-            for name in sorted(self.subsys_ns)
-        }
-        handlers = {
-            kind: {"ns": self.handler_ns[kind],
-                   "events": self.handler_events.get(kind, 0)}
-            for kind in sorted(self.handler_ns)
-        }
-        return {
-            "wall_s": self.wall_s,
-            "events_profiled": self.events_profiled,
-            "subsystems": subsystems,
-            "handlers": handlers,
-            "messages": dict(sorted(self.message_counts.items())),
-            "counts": dict(sorted(self.counts.items())),
-            "kernel": {"dispatch_residual_ns": residual},
-            "peak_rss_kb": peak_rss_kb(),
-        }
-
 
 class NullHostProfiler:
     """The zero-overhead disabled profiler: falsy, records nothing."""
@@ -207,12 +158,6 @@ class NullHostProfiler:
 
     def __bool__(self) -> bool:
         return False
-
-    def start(self) -> None:
-        pass
-
-    def stop(self) -> None:
-        pass
 
     def event(self, fn, ns: int) -> None:
         pass

@@ -22,9 +22,8 @@ replication-degree adaptation, and LB re-pins.
 """
 
 from .controller import PlacementController
-from .differential import (DIFF_WORKLOADS, DiffOutcome, run_differential,
-                           run_pair)
+from .differential import DIFF_WORKLOADS, DiffOutcome, run_pair
 from .policy import PlacementPolicy
 
 __all__ = ["PlacementPolicy", "PlacementController", "DIFF_WORKLOADS",
-           "DiffOutcome", "run_differential", "run_pair"]
+           "DiffOutcome", "run_pair"]

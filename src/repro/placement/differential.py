@@ -43,7 +43,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..harness.rig import Rig, counter_catalog
 from ..obs import HistoryRecorder, LocalityRecorder, Observability
@@ -53,7 +53,7 @@ from ..workloads.base import TxnSpec
 from .controller import PlacementController
 from .policy import PlacementPolicy
 
-__all__ = ["DIFF_WORKLOADS", "DiffOutcome", "run_pair", "run_differential"]
+__all__ = ["DIFF_WORKLOADS", "DiffOutcome", "run_pair"]
 
 #: Differential workload names, in reporting order.
 DIFF_WORKLOADS = ("smallbank", "tpcc", "venmo", "mobility")
@@ -441,15 +441,33 @@ class DiffOutcome:
 
     @property
     def ok(self) -> bool:
-        if not (self.static_audit.ok and self.adaptive_audit.ok):
-            return False
-        if not (self.deterministic and self.replay_ok):
-            return False
+        return not self.problems()
+
+    def problems(self) -> List[Tuple[str, str]]:
+        """Every failed gate of the pair as ``(gate, problem)``."""
+        out = [(f"static audit: {name}", p)
+               for name, p in self.static_audit.problems()]
+        out += [(f"adaptive audit: {name}", p)
+                for name, p in self.adaptive_audit.problems()]
+        if not self.deterministic:
+            out.append(("determinism",
+                        "decision log differs between same-seed runs"))
+        if not self.replay_ok:
+            out.append(("replay", "offline policy replay diverged from the "
+                                  "live decision log"))
+        static, adaptive = self.static_remote, self.adaptive_remote
         if self.must_win:
-            return self.claimed
-        if self.static_remote is None or self.adaptive_remote is None:
-            return self.static_remote is None and self.adaptive_remote is None
-        return self.adaptive_remote <= self.static_remote + self.tolerance
+            if not self.claimed:
+                out.append(("claim", "adaptive placement did not cut the "
+                                     "remote fraction by a fifth"))
+        elif static is None or adaptive is None:
+            if static is not None or adaptive is not None:
+                out.append(("claim", "only one of the runs measured a remote "
+                                     "fraction"))
+        elif adaptive > static + self.tolerance:
+            out.append(("claim", f"adaptive remote fraction {adaptive:.1%} "
+                                 f"exceeds static {static:.1%} past tolerance"))
+        return out
 
     def row(self) -> str:
         pct = (lambda f: "   n/a" if f is None else f"{f:6.1%}")
@@ -497,12 +515,3 @@ def run_pair(name: str, seed: int = 1, check_history: bool = False,
         deterministic=deterministic,
         replay_ok=_replay_ok(name, adaptive.decisions or []),
     )
-
-
-def run_differential(workloads=DIFF_WORKLOADS, seed: int = 1,
-                     check_history: bool = False,
-                     verify_determinism: bool = True) -> List[DiffOutcome]:
-    """The full differential: one :class:`DiffOutcome` per workload."""
-    return [run_pair(name, seed=seed, check_history=check_history,
-                     verify_determinism=verify_determinism)
-            for name in workloads]

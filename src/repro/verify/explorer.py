@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..chaos.schedule import CrashEvent
 from ..harness.rig import Rig, counter_catalog
@@ -55,6 +55,12 @@ class ExplorationResult:
     history_violations: List[str] = field(default_factory=list)
     #: Per-seed history fingerprints (determinism regression surface).
     history_digests: List[str] = field(default_factory=list)
+
+    def problems(self) -> List[Tuple[str, str]]:
+        """Every finding as ``(gate, problem)``; empty means clean."""
+        return ([("violation", v) for v in self.violations]
+                + [("nonquiescent", n) for n in self.nonquiescent]
+                + [("history", h) for h in self.history_violations])
 
     def digest(self) -> str:
         """Stable fingerprint of the whole exploration (same-seed runs

@@ -201,7 +201,7 @@ def test_profiler_survives_the_per_run_observability_rebuild(layers):
 def test_small_campaign_passes_all_audits():
     result = run_campaign(_small_cfg())
     assert len(result.runs) == 4
-    assert result.ok, result.summary()
+    assert result.ok, result.problems()
     # The first schedule is forced to crash a node, so every campaign
     # exercises failure detection + recovery.
     assert any("crash" in e for r in result.runs for e in r.timeline)

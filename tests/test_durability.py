@@ -253,7 +253,7 @@ def _power_loss_cfg(policy, seeds=(0, 1, 2)):
 def test_power_loss_campaign_audits_clean(policy):
     cfg = _power_loss_cfg(policy)
     result = run_campaign(cfg)
-    assert result.ok, result.summary()
+    assert result.ok, result.problems()
     for run in result.runs:
         assert any(e.startswith("power_loss") for e in run.timeline)
         assert any(e.startswith("cold_restart") for e in run.timeline)

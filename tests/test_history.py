@@ -198,15 +198,9 @@ def test_chaos_crash_recover_history_strictly_serializable():
 # ------------------------------------------------- broken commit + shrinker
 
 
-BROKEN_EVENTS = (CrashEvent(3000.0, 1), RecoverEvent(15000.0, 1),
-                 SlowdownEvent(500.0, 2, 3.0, 4000.0),
-                 SlowdownEvent(8000.0, 0, 2.0, 9000.0))
-
-
-def broken_recipe():
-    return ReproRecipe(seed=1, num_nodes=3, num_objects=4, txns_per_node=8,
-                       events=BROKEN_EVENTS, horizon_us=60_000.0,
-                       broken_commit=True)
+CRASH_RECOVER = (CrashEvent(3000.0, 1), RecoverEvent(15000.0, 1))
+SLOWDOWNS = (SlowdownEvent(500.0, 2, 3.0, 4000.0),
+             SlowdownEvent(8000.0, 0, 2.0, 9000.0))
 
 
 def test_healthy_recipe_passes():
@@ -215,8 +209,14 @@ def test_healthy_recipe_passes():
     assert result.ok
 
 
-def test_broken_commit_caught_and_shrunk_to_half_or_less():
-    recipe = broken_recipe()
+@pytest.mark.parametrize("events", [CRASH_RECOVER, CRASH_RECOVER + SLOWDOWNS],
+                         ids=["crash-recover", "crash-recover-slowdowns"])
+def test_broken_commit_caught_and_shrunk_to_half_or_less(events):
+    """The checker must *catch* a broken commit path and shrink the failing
+    run to a minimal repro (CI's check-smoke job runs this test by name)."""
+    recipe = ReproRecipe(seed=1, num_nodes=3, num_objects=4, txns_per_node=8,
+                         events=events, horizon_us=60_000.0,
+                         broken_commit=True)
     result = run_recipe(recipe)
     assert not result.ok
     assert any(v.category == "lost-update" for v in result.violations)
@@ -225,6 +225,7 @@ def test_broken_commit_caught_and_shrunk_to_half_or_less():
     assert sr.events_after <= sr.events_before // 2
     assert sr.minimized.txns_per_node <= recipe.txns_per_node
     assert not sr.minimized_result.ok
+    assert "shrunk" in sr.describe()
     # The minimal recipe reproduces deterministically: re-running it
     # yields a byte-identical verdict.
     assert run_recipe(sr.minimized).digest() == sr.minimized_result.digest()

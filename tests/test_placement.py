@@ -261,7 +261,7 @@ def test_chaos_campaign_with_controller_live(mode):
                          duration_us=12_000.0, quiesce_us=12_000.0,
                          restart_wave_us=6_000.0)
     result = run_campaign(_chaos_cfg(**overrides))
-    assert result.ok, result.summary()
+    assert result.ok, result.problems()
     # The controller actually ran (it is a raw sim process, so crashes
     # and power loss do not kill it — it waits the faults out).
     assert result.registry.counter_total("placement.cycles") > 0

@@ -1,4 +1,4 @@
-"""Golden pins for the rig's consumers that no ``BENCH_*.json`` digest covers.
+"""Golden pins for the rig's consumers that no scenario digest covers.
 
 ``repro heatmap`` / ``repro elastic`` (the LB-routed scale-out), the four
 ``repro place`` differentials and the explorer must reproduce, byte for byte,
