@@ -2,54 +2,48 @@
 
 The paper specifies the ownership and reliable-commit protocols in TLA+
 and model-checks them under crash-stop failures, message reordering and
-duplication.  Here:
+duplication.  Here the implementation itself is what gets checked:
 
-* the two abstract models are checked **exhaustively** by the explicit-
-  state checker (every interleaving/duplication of the small adversarial
-  configurations), and
-* the real implementation runs under the randomized schedule explorer
-  with loss/duplication/reordering and crash-stop faults, checking the
-  same invariants during and after every history.
+* the real ownership and commit managers are explored **exhaustively** by
+  the explicit-state checker (every interleaving of deliveries, timers,
+  one crash and its view change on the small adversarial scenarios of
+  ``repro.verify.exhaustive``), and
+* the full stack runs under the randomized schedule explorer with
+  loss/duplication/reordering and crash-stop faults, checking the same
+  invariants during and after every history.
 """
 
 from repro.harness.tables import format_table, save_result
-from repro.verify import (
-    ExplorerConfig,
-    check_commit_model,
-    check_ownership_model,
-    explore,
-)
+from repro.verify import SCENARIOS, ExplorerConfig, check_protocol, explore
 
 
-def test_verification_models_and_explorer(once):
+def test_verification_exhaustive_and_explorer(once):
     def experiment():
-        ownership = check_ownership_model()
-        commit = check_commit_model()
+        checked = {name: check_protocol(scenario)
+                   for name, scenario in SCENARIOS.items()}
         swept = explore(seeds=12, cfg=ExplorerConfig(txns_per_node=12))
-        return ownership, commit, swept
+        return checked, swept
 
-    ownership, commit, swept = once(experiment)
+    checked, swept = once(experiment)
     print()
     print(format_table(
-        ["model", "states", "transitions", "result"],
-        [("ownership arbitration", ownership.states_explored,
-          ownership.transitions,
-          "OK" if ownership.ok else ownership.violation),
-         ("pipelined commit + crash", commit.states_explored,
-          commit.transitions, "OK" if commit.ok else commit.violation)],
-        title="Exhaustive model checking (paper: TLA+/TLC)"))
+        ["scenario", "states", "transitions", "result"],
+        [(name, result.states_explored, result.transitions,
+          "OK" if result.ok else result.violation)
+         for name, result in checked.items()],
+        title="Exhaustive check of the real managers (paper: TLA+/TLC)"))
     print(f"implementation explorer: {swept.seeds_run} histories, "
           f"{swept.histories_with_crash} with crashes, "
           f"{swept.committed_total} txns, "
           f"{len(swept.violations)} violations")
     save_result("verification", {
-        "ownership_states": ownership.states_explored,
-        "commit_states": commit.states_explored,
+        "states": {name: result.states_explored
+                   for name, result in checked.items()},
         "explorer_histories": swept.seeds_run,
         "explorer_violations": swept.violations,
     })
 
-    assert ownership.ok and not ownership.truncated
-    assert commit.ok and not commit.truncated
+    for name, result in checked.items():
+        assert result.ok and not result.truncated, (name, result)
     assert not swept.violations, swept.violations
     assert not swept.nonquiescent, swept.nonquiescent

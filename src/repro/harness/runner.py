@@ -57,20 +57,20 @@ def _cmd_quickstart(_args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from ..verify import (ExplorerConfig, check_commit_model,
-                          check_ownership_model, explore)
+    from ..verify import SCENARIOS, ExplorerConfig, check_protocol, explore
 
-    models = (("ownership model", check_ownership_model()),
-              ("commit model", check_commit_model()))
-    for name, result in models:
+    checked = [(name, check_protocol(scenario))
+               for name, scenario in SCENARIOS.items()]
+    for name, result in checked:
         print(f"{name:<15} : {result}")
     swept = explore(seeds=args.seeds,
                     cfg=ExplorerConfig(txns_per_node=args.txns))
     print(f"explorer        : {swept.seeds_run} histories "
           f"({swept.histories_with_crash} with crashes), "
           f"{swept.committed_total} txns committed")
-    return _verdict([(name, result.violation)
-                     for name, result in models if not result.ok]
+    return _verdict([(name, result.violation or "truncated")
+                     for name, result in checked
+                     if not result.ok or result.truncated]
                     + swept.problems())
 
 

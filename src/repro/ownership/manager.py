@@ -140,8 +140,6 @@ class OwnershipManager(LifecycleMixin):
         #: Set by the wiring layer; used for the owner-busy check and
         #: recovery sequencing.
         self.commit_mgr = None
-        #: Policy: which reader to trim after a non-replica acquisition.
-        self.trim_policy: str = "old_owner"
         #: Nodes being drained (set cluster-wide by the rebalancer): when a
         #: post-acquisition trim must discard a reader, prefer one of
         #: these, so every ownership move during a drain doubles as the
@@ -419,10 +417,7 @@ class OwnershipManager(LifecycleMixin):
     def _apply_locally(self, oid: ObjectId, req_type: ReqType, o_ts: Ots,
                        new_replicas: ReplicaSet, data: Any,
                        data_version: Optional[int]) -> None:
-        live = self.node.live_nodes
-        stripped = new_replicas
-        for nid in new_replicas.all_nodes() - live:
-            stripped = stripped.without(nid)
+        stripped = new_replicas.restricted_to(self.node.live_nodes)
         obj = self.store.get(oid)
         if req_type == ReqType.ACQUIRE_OWNER:
             if obj is None:
@@ -476,18 +471,7 @@ class OwnershipManager(LifecycleMixin):
         if not readers:
             return None
         draining = [r for r in readers if r in self.trim_preferred]
-        if draining:
-            return draining[0]
-        if self.trim_policy == "old_owner":
-            # The reader the access pattern just moved *away* from is the
-            # least likely to be useful; it is the highest-o_ts reader, but
-            # we do not track that per reader, so take the most recently
-            # demoted one — the one absent from the initial placement is a
-            # heuristic; fall back to the last reader.
-            return readers[-1]
-        if self.trim_policy == "lowest_id":
-            return readers[0]
-        return readers[-1]
+        return draining[0] if draining else readers[-1]
 
     # ----------------------------------------------------------- NACK path
 
@@ -786,10 +770,7 @@ class OwnershipManager(LifecycleMixin):
     def _apply_arbitration(self, inv: OwnInv) -> None:
         oid = inv.oid
         self._pending_arb.pop(oid, None)
-        live = self.node.live_nodes
-        replicas = inv.new_replicas
-        for nid in replicas.all_nodes() - live:
-            replicas = replicas.without(nid)
+        replicas = inv.new_replicas.restricted_to(self.node.live_nodes)
 
         entry = self.directory.get(oid) if self.directory is not None else None
         if (entry is None and self.directory is not None
@@ -854,10 +835,7 @@ class OwnershipManager(LifecycleMixin):
         if cur is None or cur.o_ts != abort.o_ts:
             return
         self._pending_arb.pop(abort.oid, None)
-        live = self.node.live_nodes
-        prev = cur.prev_replicas
-        for nid in prev.all_nodes() - live:
-            prev = prev.without(nid)
+        prev = cur.prev_replicas.restricted_to(self.node.live_nodes)
         entry = self.directory.get(abort.oid) if self.directory is not None else None
         if (entry is None and self.directory is not None
                 and self.node_id in self._dir_nodes_for(abort.oid)):
@@ -916,9 +894,7 @@ class OwnershipManager(LifecycleMixin):
         oid, o_ts, replicas = msg.payload
         if self.node_id not in self._dir_nodes_for(oid):
             return
-        live = self.node.live_nodes
-        for nid in replicas.all_nodes() - live:
-            replicas = replicas.without(nid)
+        replicas = replicas.restricted_to(self.node.live_nodes)
         entry = self.directory.get(oid)
         if entry is None:
             entry = self.directory.create(oid, replicas, o_ts)
@@ -965,11 +941,7 @@ class OwnershipManager(LifecycleMixin):
             self.directory.strip_dead(live)
         for obj in self.store:
             if obj.o_replicas is not None and obj.o_replicas.owner == self.node_id:
-                dead = obj.o_replicas.all_nodes() - live
-                replicas = obj.o_replicas
-                for nid in dead:
-                    replicas = replicas.without(nid)
-                obj.o_replicas = replicas
+                obj.o_replicas = obj.o_replicas.restricted_to(live)
 
     def broadcast_recovered(self, epoch: int) -> None:
         """Called by the commit manager once this node has drained all

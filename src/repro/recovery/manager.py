@@ -277,8 +277,7 @@ class RecoveryManager:
         self.counters.inc("transfer_bytes", len(entries) * _ENTRY_BYTES)
         live = self.node.live_nodes
         for oid, o_ts, replicas in entries:
-            for nid in replicas.all_nodes() - live:
-                replicas = replicas.without(nid)
+            replicas = replicas.restricted_to(live)
             known = self._entries.get(oid)
             if known is None or o_ts > known[0]:
                 self._entries[oid] = (o_ts, replicas)

@@ -4,13 +4,12 @@
 about each object.  This directory is replicated across three nodes for
 reliability" (Section 4).  Each directory node holds a
 :class:`DirectoryTable`: per-object ownership state, timestamp, and replica
-set, plus the transient arbitration context needed to replay a pending
-request after a failure (the stored INV is what makes arb-replay possible).
+set.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from ..net.message import NodeId
 from .catalog import ObjectId
@@ -22,15 +21,12 @@ __all__ = ["DirEntry", "DirectoryTable"]
 class DirEntry:
     """Ownership metadata for one object at one directory node."""
 
-    __slots__ = ("o_state", "o_ts", "replicas", "pending")
+    __slots__ = ("o_state", "o_ts", "replicas")
 
     def __init__(self, replicas: ReplicaSet, o_ts: Ots = Ots(0, 0)):
         self.o_state = OState.VALID
         self.o_ts = o_ts
         self.replicas = replicas
-        #: The INV payload of the in-flight request (for arb-replay), plus
-        #: the pre-arbitration metadata needed to revert on abort.
-        self.pending: Optional[Any] = None
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"DirEntry({self.o_state.name} {self.o_ts} {self.replicas})"
@@ -78,15 +74,10 @@ class DirectoryTable:
         """
         changed = 0
         for entry in self._entries.values():
-            replicas = entry.replicas
-            if replicas is None:
+            if entry.replicas is None:
                 continue
-            nodes = replicas.all_nodes()
-            dead = nodes - live
-            if not dead:
-                continue
-            for nid in dead:
-                replicas = replicas.without(nid)
-            entry.replicas = replicas
-            changed += 1
+            replicas = entry.replicas.restricted_to(live)
+            if replicas is not entry.replicas:
+                entry.replicas = replicas
+                changed += 1
         return changed

@@ -104,5 +104,13 @@ class ReplicaSet(NamedTuple):
         readers = tuple(r for r in self.readers if r != node_id)
         return ReplicaSet(owner, readers)
 
+    def restricted_to(self, live: FrozenSet[NodeId]) -> "ReplicaSet":
+        """Replica set with every non-``live`` node stripped (``self`` when
+        nothing is dead)."""
+        replicas = self
+        for node_id in self.all_nodes() - live:
+            replicas = replicas.without(node_id)
+        return replicas
+
     def size(self) -> int:
         return len(self.readers) + (1 if self.owner is not None else 0)

@@ -499,7 +499,6 @@ class DurabilityManager:
                     entry.o_ts = r.o_ts
                     entry.replicas = r.replicas
                 entry.o_state = OState.VALID
-                entry.pending = None
                 stats.own_applied += 1
             elif r.kind == EPOCH:
                 stats.epoch = max(stats.epoch, r.epoch)

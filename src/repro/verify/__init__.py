@@ -1,5 +1,5 @@
-"""Protocol verification: invariants, audits, explorer, abstract models,
-history checking, and counterexample minimization."""
+"""Protocol verification: invariants, audits, the exhaustive and the
+randomized explorer, history checking, and counterexample minimization."""
 
 from .audit import (
     AuditReport,
@@ -12,14 +12,7 @@ from .audit import (
     audit_safety,
 )
 from .checker import CheckResult, bfs_check
-from .commit_model import check_commit_model
-from .conformance import (
-    ReplayResult,
-    TraceEvent,
-    final_model_owner,
-    record_ownership_trace,
-    replay_trace,
-)
+from .exhaustive import SCENARIOS, Scenario, check_protocol
 from .explorer import ExplorationResult, ExplorerConfig, explore
 from .history import (
     HistoryCheckResult,
@@ -34,14 +27,14 @@ from .invariants import (
     check_quiescent,
     quiescence_problems,
 )
-from .ownership_model import check_ownership_model
 from .shrink import ReproRecipe, ShrinkResult, run_recipe, shrink
 
 __all__ = [
     "bfs_check",
     "CheckResult",
-    "check_ownership_model",
-    "check_commit_model",
+    "check_protocol",
+    "Scenario",
+    "SCENARIOS",
     "check_invariants",
     "check_quiescent",
     "quiescence_problems",
@@ -66,9 +59,4 @@ __all__ = [
     "ShrinkResult",
     "run_recipe",
     "shrink",
-    "TraceEvent",
-    "ReplayResult",
-    "record_ownership_trace",
-    "replay_trace",
-    "final_model_owner",
 ]

@@ -1,11 +1,11 @@
-"""A small explicit-state model checker (breadth-first).
+"""A small explicit-state checker (breadth-first).
 
 The paper verifies its protocols with TLA+/TLC; this is the same
-methodology in ~100 lines: exhaustively enumerate every reachable state of
-an abstract protocol model under arbitrary message delivery orders (the
-message pool is grow-only, so every delivery can happen at any later time
-and any number of times — subsuming reordering and duplication), checking
-state invariants everywhere and reporting a minimal counterexample trace.
+methodology in ~100 lines: exhaustively enumerate every state reachable
+through a successor function, checking state invariants everywhere and
+reporting a minimal counterexample trace.  States and actions are the
+caller's: :mod:`repro.verify.exhaustive` supplies those of the real
+protocol managers (deliveries, timers, a crash, a view change).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class CheckResult:
 def bfs_check(initial_states: Iterable[State], actions: ActionsFn,
               invariants: List[Invariant],
               max_states: int = 500_000) -> CheckResult:
-    """Exhaustive BFS over the model's state graph.
+    """Exhaustive BFS over a state graph.
 
     ``actions(state)`` yields ``(label, next_state)`` pairs; invariants are
     evaluated on every newly discovered state.  On violation the result

@@ -1,13 +1,12 @@
-"""Randomized schedule exploration over the real implementation.
+"""Randomized schedule exploration over the full stack.
 
-The TLA+ models check the *abstract* protocols exhaustively on small
-configurations (see :mod:`repro.verify.ownership_model` /
-:mod:`repro.verify.commit_model`).  This explorer attacks the *actual*
-implementation instead: it runs many short cluster histories under
+:mod:`repro.verify.exhaustive` enumerates *every* interleaving, but only
+of the two protocol managers on one-object scenarios.  This explorer
+trades exhaustiveness for reach: it runs many short histories of the
+whole cluster (transport, membership, recovery, transactions) under
 randomized message jitter, reordering, duplication, contention, and
-crash-stop faults, and evaluates the paper's invariants during and after
-each history.  Between the two, both the protocol design and its
-implementation are covered.
+crash-stop faults, and evaluates the same invariants during and after
+each history.
 """
 
 from __future__ import annotations

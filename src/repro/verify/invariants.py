@@ -10,11 +10,12 @@ Section 8 lists the key invariants verified in TLA+:
 
 These checkers evaluate the same properties over a running
 :class:`~repro.harness.zeus_cluster.ZeusCluster` — at any instant for the
-state-machine invariants, at quiescence for convergence.  The randomized
+state-machine invariants, at quiescence for convergence — or anything
+shaped like one (``.catalog``, and ``.handles`` with ``node.alive``,
+``store``, ``directory``, ``ownership``, ``commit``).  The randomized
 explorer (:mod:`repro.verify.explorer`) calls them across thousands of
-interleavings; the abstract models (:mod:`repro.verify.ownership_model`,
-:mod:`repro.verify.commit_model`) check them exhaustively on small
-configurations.
+interleavings, the exhaustive one (:mod:`repro.verify.exhaustive`) in
+every reachable state of the real managers on small scenarios.
 """
 
 from __future__ import annotations

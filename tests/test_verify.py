@@ -1,18 +1,25 @@
-"""Verification layer: checker, abstract models, invariants, explorer."""
+"""Verification layer: checker, exhaustive explorer, invariants, explorer."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from repro.commit.manager import CommitManager
+from repro.ownership.manager import OwnershipManager
 from repro.verify import (
+    SCENARIOS,
     ExplorerConfig,
     InvariantViolation,
     bfs_check,
-    check_commit_model,
     check_invariants,
-    check_ownership_model,
+    check_protocol,
     check_quiescent,
     explore,
 )
-from repro.store.meta import OState, ReplicaSet
+from repro.store.meta import OState, ReplicaSet, TState
 from tests.conftest import make_cluster, run_app
 
 
@@ -58,33 +65,88 @@ def test_bfs_checks_initial_states():
     assert result.trace == []
 
 
-# --------------------------------------------------------- abstract models
+# ------------------------------------------- exhaustive, over the real code
+
+#: (states, transitions) of every ``repro verify`` scenario.  A protocol
+#: edit that changes what is reachable changes these: say why in the PR.
+REACHABLE = {
+    "ownership": (1256, 3571),
+    "ownership+dup": (908, 8377),
+    "ownership+crash": (6226, 15156),
+    "ownership+write": (10372, 40233),
+    "commit+crash": (67824, 230899),
+}
 
 
-def test_ownership_model_exhaustive_ok():
-    result = check_ownership_model()
-    assert result.ok
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_real_managers_hold_every_invariant_exhaustively(name):
+    result = check_protocol(SCENARIOS[name])
+    assert result.ok, (result.violation, result.trace)
     assert not result.truncated
-    assert result.states_explored > 1_000
+    assert (result.states_explored, result.transitions) == REACHABLE[name]
 
 
-def test_commit_model_exhaustive_ok():
-    result = check_commit_model()
-    assert result.ok
-    assert not result.truncated
-    assert result.states_explored > 10_000
+def test_reachable_counts_do_not_depend_on_the_hash_seed():
+    """Every set that enters a state key is sorted, so a fresh interpreter
+    reaches the same states under any string-hash randomisation."""
+    names = [name for name in SCENARIOS if name != "commit+crash"]
+    snippet = ("import sys; from repro.verify import SCENARIOS, "
+               "check_protocol\nfor name in sys.argv[1:]:\n"
+               "    r = check_protocol(SCENARIOS[name])\n"
+               "    print(name, r.states_explored, r.transitions)")
+    want = "".join(f"{name} {REACHABLE[name][0]} {REACHABLE[name][1]}\n"
+                   for name in names)
+    src = Path(__file__).resolve().parent.parent / "src"
+    children = [subprocess.Popen(
+        [sys.executable, "-c", snippet, *names], stdout=subprocess.PIPE,
+        text=True, env={**os.environ, "PYTHONPATH": str(src),
+                        "PYTHONHASHSEED": hash_seed})
+        for hash_seed in ("0", "1", "random")]
+    try:
+        for child in children:
+            out, _ = child.communicate(timeout=120)
+            assert child.returncode == 0
+            assert out == want
+    finally:
+        for child in children:
+            child.kill()
+            child.wait()
 
 
-def test_ownership_model_catches_broken_invariant():
-    """Sanity: the checker does fail when given an impossible invariant."""
-    from repro.verify import ownership_model as om
+def test_seeded_ownership_bug_is_caught_with_a_shortest_trace(monkeypatch):
+    """A VAL applied without matching its ``o_ts`` to the pending
+    arbitration: harmless over exactly-once channels, two owners as soon
+    as a VAL may be delivered twice."""
+    def on_val(self, msg):
+        pending = self._pending_arb.get(msg.payload.oid)
+        if pending is not None:
+            self._apply_arbitration(pending)
 
-    result = bfs_check([om.initial_state()], om.actions,
-                       [("no-grants", lambda s: all(
-                           not (isinstance(r[0], tuple) and r[0][0] == "granted")
-                           for r in s[1]))],
-                       max_states=100_000)
-    assert not result.ok  # a grant is reachable, so this must trip
+    monkeypatch.setattr(OwnershipManager, "_on_val", on_val)
+    assert check_protocol(SCENARIOS["ownership"]).ok
+    result = check_protocol(SCENARIOS["ownership+dup"])
+    assert result.violation == "object 0 has multiple owners: [1, 2]"
+    assert len(result.trace) == 11
+    assert result.trace[-1] == result.trace[-3] == "deliver 1->2 own.val"
+
+
+def test_seeded_commit_bug_is_caught_with_a_shortest_trace(monkeypatch):
+    """An R-VAL that validates whatever version the replica holds by now,
+    not the version it was sent for, exposes the second pipelined write
+    before the other follower has it."""
+    on_rval = CommitManager._on_rval
+
+    def on_any_version(self, msg):
+        on_rval(self, msg)
+        for obj in self.store:
+            obj.t_state = TState.VALID
+
+    monkeypatch.setattr(CommitManager, "_on_rval", on_any_version)
+    result = check_protocol(SCENARIOS["commit+crash"])
+    assert result.violation.startswith("replication: v2 was exposed")
+    assert len(result.trace) == 11
+    assert result.trace[:2] == ["n0 write", "n0 write"]
+    assert result.trace[-1] == "deliver 0->1 rc.val"
 
 
 # --------------------------------------------------------------- invariants
