@@ -8,20 +8,22 @@ duplication.  Here the implementation itself is what gets checked:
   the explicit-state checker (every interleaving of deliveries, timers,
   one crash and its view change on the small adversarial scenarios of
   ``repro.verify.exhaustive``), and
-* the full stack runs under the randomized schedule explorer with
-  loss/duplication/reordering and crash-stop faults, checking the same
-  invariants during and after every history.
+* the full stack runs a randomized sweep of audited fault cells
+  (``repro.chaos.explore``: constant loss/duplication/reordering plus a
+  seeded crash-stop draw), checking the same invariants every 200 us
+  mid-flight and every audit, the history check included, after the drain.
 """
 
+from repro.chaos import explore
 from repro.harness.tables import format_table, save_result
-from repro.verify import SCENARIOS, ExplorerConfig, check_protocol, explore
+from repro.verify import SCENARIOS, check_protocol
 
 
 def test_verification_exhaustive_and_explorer(once):
     def experiment():
         checked = {name: check_protocol(scenario)
                    for name, scenario in SCENARIOS.items()}
-        swept = explore(seeds=12, cfg=ExplorerConfig(txns_per_node=12))
+        swept = explore(seeds=12)
         return checked, swept
 
     checked, swept = once(experiment)
@@ -32,18 +34,14 @@ def test_verification_exhaustive_and_explorer(once):
           "OK" if result.ok else result.violation)
          for name, result in checked.items()],
         title="Exhaustive check of the real managers (paper: TLA+/TLC)"))
-    print(f"implementation explorer: {swept.seeds_run} histories, "
-          f"{swept.histories_with_crash} with crashes, "
-          f"{swept.committed_total} txns, "
-          f"{len(swept.violations)} violations")
+    print(f"implementation sweep — {swept.summary()}")
     save_result("verification", {
         "states": {name: result.states_explored
                    for name, result in checked.items()},
-        "explorer_histories": swept.seeds_run,
-        "explorer_violations": swept.violations,
+        "explorer_histories": len(swept.runs),
+        "explorer_violations": swept.problems(),
     })
 
     for name, result in checked.items():
         assert result.ok and not result.truncated, (name, result)
-    assert not swept.violations, swept.violations
-    assert not swept.nonquiescent, swept.nonquiescent
+    assert swept.ok, swept.problems()

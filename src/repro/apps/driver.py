@@ -70,9 +70,6 @@ class OpenLoopSource:
     def stop(self) -> None:
         self._stopped = True
 
-    def set_rate(self, rate_tps: float) -> None:
-        self.rate_tps = rate_tps
-
     def set_queues(self, queues: List[RequestQueue]) -> None:
         self.queues = queues
 

@@ -1,72 +1,115 @@
-"""Chaos campaigns: workload × schedule × seed grids with post-run audits.
+"""The one fault cell and its judge; campaigns and sweeps are grids of it.
 
-One campaign run:
+A :class:`Recipe` is everything one fault-injected, audited run is a pure
+function of; :func:`run_cell` is the only way this package runs one:
 
-1. builds a fresh cluster (counter objects spread across nodes, membership
-   heartbeats on, a clean fault baseline);
-2. installs a generated :class:`FaultSchedule` via :class:`ChaosEngine`;
-3. drives a closed-loop counter-increment workload while the schedule
-   fires;
-4. drains the run well past the last fault, then audits safety,
-   exactly-once application, epoch agreement, and liveness
-   (:func:`repro.verify.audit.audit_run`).
+1. build a fresh :class:`~repro.harness.rig.Rig` (counter objects spread
+   across nodes, the recipe's fault baseline, disk tier, lease);
+2. install the recipe's events via :class:`ChaosEngine`, start membership;
+3. drive the rig's closed-loop counter load for the window while the
+   schedule fires (and a second wave after a power loss) — optionally
+   stopping every ``check_every_us`` to check the any-time invariants;
+4. drain well past the last fault, wait out a rebalance, then run every
+   audit (:func:`repro.verify.audit.audit_run`, plus the history check
+   when the recipe asks for it).
 
-Everything — workload, jitter, fault timeline — derives from the (schedule
-seed, run seed) pair, so a run's :meth:`RunReport.digest` is reproducible
-bit-for-bit: the campaign's determinism is itself auditable (and audited,
-in the test suite).
+The verdict is the ``(gate, problem)`` list of the report's
+:class:`~repro.verify.audit.AuditReport`, and its :meth:`RunReport.digest`
+is reproducible bit-for-bit from the recipe.  :func:`run_campaign` (a
+schedule x seed grid), :func:`explore` (a randomized sweep: lossy baseline,
+a seeded crash draw) and :func:`repro.verify.shrink.shrink` (delta-debug a
+failing cell) all run recipes through it and nothing else.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Tuple
 
 from ..harness.rig import Rig, counter_catalog
 from ..obs import (HistoryRecorder, LocalityRecorder, MetricsRegistry,
                    Observability)
 from ..sim.params import DiskParams, FaultParams
-from ..verify.audit import AuditReport
-from ..workloads.base import run_zeus_workload
+from ..workloads.base import spawn_zeus_workers
 from .engine import ChaosEngine
-from .generator import generate_elastic_schedule, generate_schedule
-from .schedule import FaultSchedule
+from .generator import (generate_elastic_schedule, generate_schedule,
+                        generate_sweep_schedule)
+from .schedule import ChaosEventType, FaultSchedule
 
-__all__ = ["CampaignConfig", "RunReport", "CampaignResult",
-           "campaign_schedule", "run_chaos_once", "run_campaign"]
+if TYPE_CHECKING:  # ``repro.verify`` imports this module (the shrinker)
+    from ..verify.audit import AuditReport
+
+__all__ = ["Recipe", "RunReport", "CampaignConfig", "CampaignResult",
+           "SWEEP_CELL", "campaign_schedule", "run_cell", "run_campaign",
+           "explore"]
 
 
-@dataclass
-class CampaignConfig:
+@dataclass(frozen=True)
+class Recipe:
+    """One cell: a frozen, committable description that reproduces its
+    run — and so its verdict — byte for byte."""
+
+    seed: int = 0
+    events: Tuple[ChaosEventType, ...] = ()
+    #: Label of the schedule ``events`` came from (reports only).
+    name: str = "recipe"
     num_nodes: int = 4
     num_objects: int = 8
-    #: Workload window (schedules place all faults inside it).
+    #: Workload window (generated schedules place all faults inside it).
     duration_us: float = 30_000.0
     #: Extra drain time after the workload stops, before the audit.
     quiesce_us: float = 30_000.0
     app_threads: int = 2
     #: Fraction of transactions that are read-only.
     read_frac: float = 0.2
+    #: Network fault baseline (constant outside fault-window events).
+    faults: FaultParams = field(default_factory=FaultParams)
+    #: Durable-storage-tier parameters for each node (fsync policy etc.).
+    disk: DiskParams = field(default_factory=DiskParams)
+    lease_us: float = 1_500.0
+    heartbeat_us: float = 150.0
+    #: Run with the adaptive placement controller live (a per-run locality
+    #: recorder is attached to feed it).  The controller is stopped before
+    #: the final convergence + quiesce, so the audits judge a state it no
+    #: longer perturbs.
+    placement: bool = False
+    #: Record the transaction history and audit it for strict
+    #: serializability (``repro chaos --check-history``).
+    check_history: bool = False
+
+    @property
+    def schedule(self) -> FaultSchedule:
+        return FaultSchedule(self.events, name=self.name)
+
+    def of(self, schedule: FaultSchedule, seed: int) -> "Recipe":
+        """This cell under ``schedule`` and run-seed ``seed``."""
+        return replace(self, seed=seed, events=schedule.events,
+                       name=schedule.name)
+
+    def describe(self) -> str:
+        return (f"recipe: seed={self.seed} nodes={self.num_nodes} "
+                f"objects={self.num_objects} window={self.duration_us:.0f}us "
+                f"quiesce={self.quiesce_us:.0f}us\n"
+                + self.schedule.describe())
+
+
+@dataclass
+class CampaignConfig:
+    """A schedule x seed grid of one cell shape."""
+
+    #: The cell every grid slot runs (its seed and events are the slot's).
+    cell: Recipe = field(default_factory=Recipe)
     num_schedules: int = 3
     seeds: Tuple[int, ...] = (0, 1, 2)
-    #: Scenario severity (1..3); 3 stacks loss + partition + slowdown.
+    #: Scenario severity (0..3); 0 is fault-free, 3 stacks loss +
+    #: partition + slowdown.
     difficulty: int = 3
     #: First schedule-seed; schedule i uses ``schedule_seed_base + i``.
     schedule_seed_base: int = 100
-    lease_us: float = 1_500.0
-    heartbeat_us: float = 150.0
-    faults_baseline: FaultParams = field(default_factory=FaultParams)
-    #: Record each run's transaction history and audit it for strict
-    #: serializability (``repro chaos --check-history``).
-    check_history: bool = False
     #: Power-loss mode: every schedule powers off the whole cluster
     #: mid-run and cold-starts it; a second workload wave runs after the
-    #: restart.  Requires ``disk.enabled`` for anything to survive.
+    #: restart.  Requires ``cell.disk.enabled`` for anything to survive.
     power_loss: bool = False
-    #: Durable-storage-tier parameters for each node (fsync policy etc.).
-    disk: DiskParams = field(default_factory=DiskParams)
-    #: Post-restart workload window (power-loss mode only).
-    restart_wave_us: float = 15_000.0
     #: Elastic mode: every schedule scales the cluster out mid-run (the
     #: background rebalancer migrates ownership toward the joiners under
     #: live traffic) and then either gracefully drains a base node or —
@@ -75,38 +118,39 @@ class CampaignConfig:
     elastic: bool = False
     #: How many nodes each elastic schedule adds.
     elastic_add: int = 2
-    #: Run every cell with the adaptive placement controller live (a
-    #: per-run locality recorder is attached to feed it).  The controller
-    #: is stopped before the final convergence + quiesce, so the audits
-    #: judge a state it no longer perturbs.
-    placement: bool = False
 
 
 @dataclass
 class RunReport:
-    """Outcome of one (schedule, seed) cell."""
+    """Outcome of one cell."""
 
-    schedule_name: str
-    schedule_signature: str
-    seed: int
+    recipe: Recipe
     committed: int
     aborted: int
     #: Injected-fault record, in simulated-time order.
     timeline: List[str]
-    audit: AuditReport
+    audit: "AuditReport"
     #: Simulator events executed over the whole run (a deterministic
     #: cost/size measure).
     events_executed: int = 0
+
+    @property
+    def schedule_name(self) -> str:
+        return self.recipe.name
+
+    @property
+    def seed(self) -> int:
+        return self.recipe.seed
 
     @property
     def ok(self) -> bool:
         return self.audit.ok
 
     def digest(self) -> str:
-        """A stable fingerprint: same seeds ⇒ byte-identical digest."""
+        """A stable fingerprint: same recipe ⇒ byte-identical digest."""
         audits = ";".join(f"{name}:{problem}"
                           for name, problem in self.audit.problems())
-        return (f"{self.schedule_signature}|seed={self.seed}"
+        return (f"{self.recipe.schedule.signature()}|seed={self.seed}"
                 f"|committed={self.committed}|aborted={self.aborted}"
                 f"|timeline={','.join(self.timeline)}"
                 f"|audit={'OK' if self.audit.ok else audits}")
@@ -128,10 +172,10 @@ _EXERCISED = (
 
 @dataclass
 class CampaignResult:
+    """The cells of one campaign or sweep and the registry they share."""
+
     runs: List[RunReport] = field(default_factory=list)
     registry: MetricsRegistry = field(default_factory=MetricsRegistry)
-    #: The grid's schedules, in cell order (one per schedule index).
-    schedules: List[FaultSchedule] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -139,17 +183,22 @@ class CampaignResult:
 
     def problems(self) -> List[Tuple[str, str]]:
         """Every failed gate as ``(gate, problem)``: each cell's audit
-        problems, then — derived from the grid's schedules — every fault
+        problems, then — derived from the cells' schedules — every fault
         path that was scheduled but never actually exercised."""
         if not self.runs:
             return [("campaign", "no runs")]
         out = [(f"{run.schedule_name} seed {run.seed}: {name}", problem)
                for run in self.runs for name, problem in run.audit.problems()]
+        schedules = [run.recipe.schedule for run in self.runs]
         for prop, counter, problem in _EXERCISED:
-            if (any(getattr(s, prop) for s in self.schedules)
+            if (any(getattr(s, prop) for s in schedules)
                     and self.registry.counter_total(counter) == 0):
                 out.append(("exercised", f"{problem} ({counter} == 0)"))
         return out
+
+    @property
+    def committed(self) -> int:
+        return sum(run.committed for run in self.runs)
 
     @property
     def coverage(self) -> set:
@@ -163,50 +212,72 @@ class CampaignResult:
     def summary(self) -> str:
         total = len(self.runs)
         failed = sum(not r.ok for r in self.runs)
-        committed = sum(r.committed for r in self.runs)
         return (f"chaos campaign: {total} runs, {total - failed} passed, "
-                f"{failed} failed; {committed} txns committed\n"
+                f"{failed} failed; {self.committed} txns committed\n"
                 f"fault coverage: {', '.join(sorted(self.coverage)) or 'none'}")
 
 
-def run_chaos_once(schedule: FaultSchedule, seed: int, cfg: CampaignConfig,
-                   obs: Optional[Observability] = None) -> RunReport:
-    """Execute one audited run of ``schedule`` under run-seed ``seed``."""
+def run_cell(recipe: Recipe, obs: Optional[Observability] = None,
+             check_every_us: Optional[float] = None) -> RunReport:
+    """Execute and audit one cell.
+
+    With ``check_every_us`` the clock is stepped and the any-time
+    invariants are checked after every step; the first violation is
+    reported under the ``safety`` gate as ``@t=...`` and the run still
+    drains and audits.  Raises ``ValueError`` if ``recipe.events`` is not
+    a well-formed schedule (e.g. a recovery whose crash was pruned)."""
+    schedule = recipe.schedule
     obs = obs or Observability()
     recorder: Optional[HistoryRecorder] = None
-    if cfg.check_history:
+    if recipe.check_history:
         # Per-run recorder layered over the (possibly shared) campaign
         # registry/tracer: histories must not leak across runs.
         recorder = HistoryRecorder()
         obs = obs.replace(history=recorder)
-    if cfg.placement and not obs.locality:
+    if recipe.placement and not obs.locality:
         # The controller is blind without telemetry: layer a per-run
         # locality recorder the same way check_history layers histories.
         obs = obs.replace(locality=LocalityRecorder())
-    rig = Rig(counter_catalog(cfg.num_nodes, cfg.num_objects), seed, obs,
-              threads=cfg.app_threads, faults=cfg.faults_baseline,
-              disk=cfg.disk, lease_us=cfg.lease_us,
-              heartbeat_us=cfg.heartbeat_us)
+    rig = Rig(counter_catalog(recipe.num_nodes, recipe.num_objects),
+              recipe.seed, obs, threads=recipe.app_threads,
+              faults=recipe.faults, disk=recipe.disk,
+              lease_us=recipe.lease_us, heartbeat_us=recipe.heartbeat_us)
     cluster = rig.cluster
     ChaosEngine(cluster).install(schedule)
     cluster.start_membership()
-    if cfg.placement:
+    if recipe.placement:
         cluster.placement.start()
 
+    from ..verify.invariants import check_invariants
+    midflight: List[str] = []
+
+    def advance(until: float) -> None:
+        while check_every_us and not midflight and cluster.sim.now < until:
+            cluster.run(until=min(cluster.sim.now + check_every_us, until))
+            try:
+                check_invariants(cluster)
+            except AssertionError as err:
+                midflight.append(f"@t={cluster.sim.now:.0f}: {err}")
+        cluster.run(until=until)
+
     # No LB: every worker draws one or two counters uniformly.
-    spec_fn = rig.routed_spec(0.0, cfg.read_frac)
-    stop_at = cluster.sim.now + cfg.duration_us
+    spec_fn = rig.routed_spec(0.0, recipe.read_frac)
+    stop_at = cluster.sim.now + recipe.duration_us
     rig.start(spec_fn, stop_at)
-    cluster.run(until=stop_at)
+    advance(stop_at)
     if schedule.has_power_loss:
         # The first wave died with the power loss; drive a second wave of
-        # traffic against the cold-started cluster (the reformed view and
-        # the reconcile pass are long settled by now — the restart lands
-        # well before ``duration_us``).
-        run_zeus_workload(cluster, spec_fn, duration_us=cfg.restart_wave_us,
-                          threads=cfg.app_threads, seed=seed + 9999,
-                          on_commit=rig.on_commit, stats=rig.stats)
-    if cfg.placement:
+        # traffic, half a window long, against the cold-started cluster
+        # (the reformed view and the reconcile pass are long settled by
+        # now — the restart lands well before ``duration_us``).
+        stop_at += recipe.duration_us / 2
+        spawn_zeus_workers(cluster, spec_fn, rig.stats, stop_at=stop_at,
+                           measure_from=cluster.sim.now,
+                           threads=recipe.app_threads,
+                           node_ids=list(range(len(cluster.handles))),
+                           seed=recipe.seed + 9999, on_commit=rig.on_commit)
+        advance(stop_at)
+    if recipe.placement:
         # Stop actuating before convergence: the reconfig audit's balance
         # clause judges the post-converge spread, which must not be
         # re-skewed by a placement move issued after leveling.
@@ -218,11 +289,12 @@ def run_chaos_once(schedule: FaultSchedule, seed: int, cfg: CampaignConfig,
     # attempts holds no pending request, slips past the rebalancer's
     # quiet check, and its next acquisition would re-skew a balance the
     # rebalancer already declared.
-    cluster.run(until=cluster.sim.now + cfg.quiesce_us)
+    advance(cluster.sim.now + recipe.quiesce_us)
     if schedule.has_elastic:
-        rig.converge(4 * cfg.quiesce_us)
+        rig.converge(4 * recipe.quiesce_us)
 
     audit = rig.audit(history=recorder)
+    audit.safety[:0] = midflight
     failures = cluster.failures
     timeline = [f"crash(t={t:.0f},n{n})" for t, n in failures.crashed]
     timeline += [f"recover(t={t:.0f},n{n})" for t, n in failures.recovered]
@@ -241,9 +313,7 @@ def run_chaos_once(schedule: FaultSchedule, seed: int, cfg: CampaignConfig,
         timeline.append("loss_burst")
 
     return RunReport(
-        schedule_name=schedule.name,
-        schedule_signature=schedule.signature(),
-        seed=seed,
+        recipe=recipe,
         committed=rig.ledger.committed,
         aborted=rig.stats.aborted_txns,
         timeline=timeline,
@@ -259,24 +329,25 @@ def campaign_schedule(cfg: CampaignConfig, index: int) -> FaultSchedule:
     """The schedule grid cell ``index`` of a campaign under ``cfg``.
 
     The single source of truth for which timeline each grid slot gets —
-    :func:`run_campaign`, ``--show-schedules``, and the worst-cell trace
-    re-run all derive schedules from here, so they can never disagree.
+    :func:`run_campaign` and ``--show-schedules`` both derive schedules
+    from here, so they can never disagree.
     """
+    cell = cfg.cell
     if cfg.elastic:
         # Alternate the two exits from a rebalance so one campaign covers
         # both: drain schedules retire a base node; power-loss schedules
         # (odd cells, durable tier on) kill the cluster mid-migration and
         # cold-start it.
-        power = cfg.power_loss or (cfg.disk.enabled and index % 2 == 1)
+        power = cfg.power_loss or (cell.disk.enabled and index % 2 == 1)
         return generate_elastic_schedule(
-            cfg.num_nodes, cfg.duration_us,
+            cell.num_nodes, cell.duration_us,
             seed=cfg.schedule_seed_base + index,
             difficulty=cfg.difficulty,
             add_count=cfg.elastic_add,
             power_loss=power,
         )
     return generate_schedule(
-        cfg.num_nodes, cfg.duration_us,
+        cell.num_nodes, cell.duration_us,
         seed=cfg.schedule_seed_base + index,
         difficulty=cfg.difficulty,
         # The first schedule always crashes a node so every campaign
@@ -286,10 +357,9 @@ def campaign_schedule(cfg: CampaignConfig, index: int) -> FaultSchedule:
     )
 
 
-def run_campaign(cfg: Optional[CampaignConfig] = None,
-                 progress: Optional[ProgressFn] = None) -> CampaignResult:
-    """Run the full schedule × seed grid and aggregate the audits."""
-    cfg = cfg or CampaignConfig()
+def _run_cells(recipes: Iterable[Recipe],
+               progress: Optional[ProgressFn] = None,
+               check_every_us: Optional[float] = None) -> CampaignResult:
     result = CampaignResult()
     registry = result.registry
     # Every run's cluster reports into the campaign registry, so the
@@ -302,19 +372,47 @@ def run_campaign(cfg: Optional[CampaignConfig] = None,
     c_problems = registry.counter("chaos.audit_problems")
     c_committed = registry.counter("chaos.committed")
 
-    for i in range(cfg.num_schedules):
-        schedule = campaign_schedule(cfg, i)
-        result.schedules.append(schedule)
-        for seed in cfg.seeds:
-            report = run_chaos_once(schedule, seed, cfg, obs)
-            result.runs.append(report)
-            c_runs.inc()
-            c_committed.inc(report.committed)
-            if report.ok:
-                c_ok.inc()
-            else:
-                c_failed.inc()
-                c_problems.inc(len(report.audit.problems()))
-            if progress is not None:
-                progress(report)
+    for recipe in recipes:
+        report = run_cell(recipe, obs, check_every_us)
+        result.runs.append(report)
+        c_runs.inc()
+        c_committed.inc(report.committed)
+        if report.ok:
+            c_ok.inc()
+        else:
+            c_failed.inc()
+            c_problems.inc(len(report.audit.problems()))
+        if progress is not None:
+            progress(report)
     return result
+
+
+def run_campaign(cfg: Optional[CampaignConfig] = None,
+                 progress: Optional[ProgressFn] = None) -> CampaignResult:
+    """Run the full schedule × seed grid and aggregate the audits."""
+    cfg = cfg or CampaignConfig()
+    return _run_cells((cfg.cell.of(schedule, seed)
+                       for schedule in (campaign_schedule(cfg, i)
+                                        for i in range(cfg.num_schedules))
+                       for seed in cfg.seeds), progress)
+
+
+#: The randomized sweep's cell: a short window under constant loss,
+#: duplication and reordering, history audit on.
+SWEEP_CELL = Recipe(
+    num_objects=6, duration_us=5_000.0, quiesce_us=10_000.0,
+    faults=FaultParams(loss_prob=0.02, duplicate_prob=0.02,
+                       reorder_max_us=6.0),
+    check_history=True)
+
+
+def explore(seeds: int = 20) -> CampaignResult:
+    """The randomized sweep: :data:`SWEEP_CELL` under run-seeds
+    ``0..seeds-1``, each with its own crash draw
+    (:func:`generate_sweep_schedule` — about half the seeds stay crash-free
+    and are audited with strict exactly-once equality), the any-time
+    invariants checked every 200 us mid-flight."""
+    return _run_cells(
+        (SWEEP_CELL.of(generate_sweep_schedule(SWEEP_CELL.num_nodes, seed),
+                       seed) for seed in range(seeds)),
+        check_every_us=200.0)

@@ -5,9 +5,10 @@
 difficulty, cluster shape) always yields the same timeline — the property
 the campaign runner's determinism audit depends on.
 
-The **difficulty** knob (1..3) scales how many adversities stack up and
+The **difficulty** knob (0..3) scales how many adversities stack up and
 how severe each is:
 
+* difficulty 0 — none: the empty schedule (the fault-free control cell);
 * difficulty 1 — one adversity (a burst-loss window, a healing partition,
   *or* a gray slowdown);
 * difficulty 2 — two of them, possibly plus a crash;
@@ -22,8 +23,7 @@ lease) and the recovery protocols to finish before the audit runs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..sim.params import FaultParams
 from .schedule import (
@@ -39,23 +39,8 @@ from .schedule import (
     SlowdownEvent,
 )
 
-__all__ = ["ScheduleConfig", "generate_schedule", "generate_elastic_schedule"]
-
-
-@dataclass(frozen=True)
-class ScheduleConfig:
-    """Tunable shape knobs for :func:`generate_schedule`.
-
-    The defaults reproduce the generator's historical behaviour exactly —
-    a schedule generated with ``ScheduleConfig()`` is byte-identical to
-    one generated without a config for every (seed, difficulty, shape).
-    """
-
-    #: Fraction-of-horizon window the paired recovery is drawn from.
-    recover_window: Tuple[float, float] = (0.72, 0.85)
-    #: Whether a difficulty>=2 crash gets a paired recovery at all
-    #: (``allow_recovery=False`` at call time still wins).
-    pair_recovery: bool = True
+__all__ = ["generate_schedule", "generate_elastic_schedule",
+           "generate_sweep_schedule"]
 
 
 def _split(rng: random.Random, nodes: List[int]):
@@ -72,8 +57,7 @@ def generate_schedule(num_nodes: int, horizon_us: float, seed: int,
                       require_crash: bool = False,
                       allow_recovery: bool = True,
                       power_loss: bool = False,
-                      name: Optional[str] = None,
-                      config: Optional[ScheduleConfig] = None) -> FaultSchedule:
+                      name: Optional[str] = None) -> FaultSchedule:
     """Produce a validated, deterministic schedule for one run.
 
     ``power_loss=True`` switches to the durability scenario: a single
@@ -83,9 +67,10 @@ def generate_schedule(num_nodes: int, horizon_us: float, seed: int,
     a clean network for the post-restart audits to be meaningful (and
     deterministic); crash/recover pairs are skipped entirely because the
     restart revives every node anyway."""
-    if not 1 <= difficulty <= 3:
-        raise ValueError(f"difficulty must be 1..3, got {difficulty}")
-    config = config if config is not None else ScheduleConfig()
+    if not 0 <= difficulty <= 3:
+        raise ValueError(f"difficulty must be 0..3, got {difficulty}")
+    if difficulty == 0:
+        return FaultSchedule([], name=name or f"gen-s{seed}-d0")
     rng = random.Random(f"chaos-schedule/{seed}/{difficulty}/{num_nodes}")
     nodes = list(range(num_nodes))
     events: List[ChaosEventType] = []
@@ -158,15 +143,14 @@ def generate_schedule(num_nodes: int, horizon_us: float, seed: int,
         victim = rng.choice(nodes)
         events.append(CrashEvent(at_us=horizon_us * rng.uniform(0.10, 0.40),
                                  node=victim))
-        if difficulty >= 2 and allow_recovery and config.pair_recovery:
+        if difficulty >= 2 and allow_recovery:
             # Crash→recover pair: the node reboots after every partition
             # has healed (by 70%), exercising re-admission, state transfer
             # and degree repair in the remaining tail + quiesce window.
             # Drawn *after* the crash draw so difficulty-1 streams (and
             # crash placement at any difficulty) are unchanged per seed.
-            lo, hi = config.recover_window
             events.append(RecoverEvent(
-                at_us=horizon_us * rng.uniform(lo, hi), node=victim))
+                at_us=horizon_us * rng.uniform(0.72, 0.85), node=victim))
 
     schedule = FaultSchedule(events, name=name or f"gen-s{seed}-d{difficulty}")
     schedule.validate(num_nodes, horizon_us)
@@ -177,9 +161,7 @@ def generate_elastic_schedule(num_nodes: int, horizon_us: float, seed: int,
                               difficulty: int = 2,
                               add_count: int = 2,
                               power_loss: bool = False,
-                              name: Optional[str] = None,
-                              config: Optional[ScheduleConfig] = None,
-                              ) -> FaultSchedule:
+                              name: Optional[str] = None) -> FaultSchedule:
     """A reconfiguration-under-fire timeline: scale-out, then adversity.
 
     Every schedule begins with an :class:`AddNodesEvent` in the first
@@ -205,7 +187,6 @@ def generate_elastic_schedule(num_nodes: int, horizon_us: float, seed: int,
     if num_nodes < 4:
         raise ValueError("elastic schedules need >= 4 base nodes (3 frozen "
                          "directory hosts + a drainable node)")
-    config = config if config is not None else ScheduleConfig()
     rng = random.Random(
         f"chaos-schedule/{seed}/{difficulty}/{num_nodes}/elastic")
     events: List[ChaosEventType] = []
@@ -230,9 +211,8 @@ def generate_elastic_schedule(num_nodes: int, horizon_us: float, seed: int,
         if not power_loss:
             # With a power loss the cold restart revives the joiner; a
             # paired RecoverEvent after it would be invalid.
-            lo, hi = config.recover_window
             events.append(RecoverEvent(
-                at_us=horizon_us * rng.uniform(lo, hi), node=joiner))
+                at_us=horizon_us * rng.uniform(0.72, 0.85), node=joiner))
 
     if power_loss:
         # Power loss mid-rebalance instead of a drain: the whole cluster
@@ -258,3 +238,15 @@ def generate_elastic_schedule(num_nodes: int, horizon_us: float, seed: int,
         events, name=name or f"elastic-{mode}-s{seed}-d{difficulty}")
     schedule.validate(num_nodes, horizon_us)
     return schedule
+
+
+def generate_sweep_schedule(num_nodes: int, seed: int) -> FaultSchedule:
+    """The randomized sweep's draw for ``seed``: with probability one half
+    a single crash-stop of a random node 20-420 us into the run, else
+    nothing — so every sweep also audits strict fault-free cells."""
+    rng = random.Random(seed * 7919 + 13)
+    events: List[ChaosEventType] = []
+    if rng.random() < 0.5:
+        victim = rng.randrange(num_nodes)
+        events.append(CrashEvent(20.0 + rng.random() * 400.0, victim))
+    return FaultSchedule(events, name="sweep")

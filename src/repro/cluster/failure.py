@@ -79,9 +79,6 @@ class FailureInjector:
         """Crash ``node`` at absolute simulated time ``time_us``."""
         self.sim.call_at(time_us, self._crash, node)
 
-    def crash_after(self, node: Node, delay_us: float) -> None:
-        self.sim.call_after(delay_us, self._crash, node)
-
     def crash_now(self, node: Node) -> None:
         self._crash(node)
 

@@ -433,11 +433,12 @@ class CommitManager:
                 own = self.ownership
                 if own is None or not own.claim_provisional(oid):
                     continue  # no longer a replica (trimmed mid-flight)
-                # We are listed as a replica but the granted copy has not
-                # landed yet (the grant is slower than this write).  Adopt
-                # the write's full value as our first copy so the late
-                # grant's stale version loses the monotonicity guard
-                # instead of creating the object behind current state.
+                # Our own acquisition of ``oid`` is in flight: either we are
+                # listed already and the grant is slower than this write, or
+                # we follow another object of this write and are not listed
+                # yet.  Adopt the value as a provisional first copy: a late
+                # grant's stale version then loses the monotonicity guard,
+                # and a grant carrying a newer one replaces this copy.
                 obj = self.store.create(oid, None, None)
                 obj.t_version = -1
             if obj.t_version >= version:

@@ -2,10 +2,11 @@
 
 Every gated experiment here is the paper's single request path (§3.1, §7)
 — the LB pins a key to a node, the node runs a local transaction,
-ownership follows the pin — under a different access pattern.  ``repro
-chaos``, ``elastic``/``heatmap``, ``place`` and the explorer/shrinker all
-build their run from these pieces; each keeps only its access pattern,
-its fault or scale-out timeline and its report.
+ownership follows the pin — under a different access pattern.  The one
+fault cell (``chaos.campaign.run_cell``: campaigns, the randomized sweep,
+the shrinker), ``elastic``/``heatmap`` and ``place`` all build their run
+from these pieces; each keeps only its access pattern, its fault or
+scale-out timeline and its report.
 
 The rig is *steps*, not one constructor: the order of RNG-stream creation,
 ``sim.call_*`` scheduling and ``spawn_app`` calls is part of a run's event
@@ -71,8 +72,8 @@ class Rig:
                                    catalog=catalog, seed=seed, obs=obs)
         self.cluster.load(init_value=0)
         # ``repro.verify`` is imported where it is used: its package
-        # ``__init__`` pulls in the explorer and (via the shrinker) the
-        # chaos campaign, both of which import this module.
+        # ``__init__`` pulls in the shrinker and with it the chaos
+        # campaign, which imports this module.
         from ..verify.audit import CommitLedger
         self.ledger = CommitLedger()
         self.stats = RunStats()

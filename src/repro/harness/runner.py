@@ -7,7 +7,7 @@ handler in one row — so ``python -m repro --help`` is always complete and
 the dispatch table cannot drift from the parser:
 
 * ``python -m repro quickstart``            — the README tour
-* ``python -m repro verify [--seeds N]``    — model checkers + explorer
+* ``python -m repro verify [--seeds N]``    — exhaustive checker + sweep
 * ``python -m repro chaos [--seeds N]``     — chaos campaign + audits
 * ``python -m repro elastic [--add K]``     — live scale-out + recovery report
 * ``python -m repro check [--seeds N]``     — strict-serializability check
@@ -56,18 +56,25 @@ def _cmd_quickstart(_args) -> int:
     return 0
 
 
+def _sweep(seeds: int):
+    """The randomized full-stack sweep ``verify`` and ``check`` share."""
+    from ..chaos import explore
+
+    swept = explore(seeds=seeds)
+    print(f"explorer        : {len(swept.runs)} histories "
+          f"({sum(bool(r.recipe.events) for r in swept.runs)} with crashes), "
+          f"{swept.committed} txns committed")
+    return swept
+
+
 def _cmd_verify(args) -> int:
-    from ..verify import SCENARIOS, ExplorerConfig, check_protocol, explore
+    from ..verify import SCENARIOS, check_protocol
 
     checked = [(name, check_protocol(scenario))
                for name, scenario in SCENARIOS.items()]
     for name, result in checked:
         print(f"{name:<15} : {result}")
-    swept = explore(seeds=args.seeds,
-                    cfg=ExplorerConfig(txns_per_node=args.txns))
-    print(f"explorer        : {swept.seeds_run} histories "
-          f"({swept.histories_with_crash} with crashes), "
-          f"{swept.committed_total} txns committed")
+    swept = _sweep(args.seeds)
     return _verdict([(name, result.violation or "truncated")
                      for name, result in checked
                      if not result.ok or result.truncated]
@@ -78,34 +85,39 @@ def _cmd_chaos(args) -> int:
     """Run a schedule × seed chaos campaign and audit every run."""
     from ..chaos import (
         CampaignConfig,
+        Recipe,
         campaign_schedule,
         run_campaign,
-        run_chaos_once,
+        run_cell,
     )
     from ..obs import (LocalityRecorder, Observability, Tracer,
                        write_chrome_trace, write_metrics)
     from ..sim.params import DiskParams
 
+    if args.elastic and args.difficulty == 0:
+        args.error("--elastic schedules start at --difficulty 1")
     power_loss = args.power_loss
     # --elastic implies the durable tier so the campaign's odd cells can
     # exercise the power-loss-mid-rebalance exit, not just drains.
     wal = args.wal or power_loss or args.elastic
     cfg = CampaignConfig(
-        num_nodes=args.nodes,
-        num_objects=args.objects,
-        duration_us=args.duration,
-        quiesce_us=args.quiesce,
+        cell=Recipe(
+            num_nodes=args.nodes,
+            num_objects=args.objects,
+            duration_us=args.duration,
+            quiesce_us=args.quiesce,
+            disk=DiskParams(enabled=wal, fsync_policy=args.fsync,
+                            ack_policy=args.ack),
+            placement=args.placement,
+            check_history=args.check_history,
+        ),
         num_schedules=args.schedules,
         seeds=tuple(range(args.seeds)),
         difficulty=args.difficulty,
         schedule_seed_base=args.schedule_seed_base,
-        check_history=args.check_history,
         power_loss=power_loss,
-        disk=DiskParams(enabled=wal, fsync_policy=args.fsync,
-                        ack_policy=args.ack),
         elastic=args.elastic,
         elastic_add=args.add,
-        placement=args.placement,
     )
 
     if args.show_schedules:
@@ -121,7 +133,7 @@ def _cmd_chaos(args) -> int:
         obs = Observability(
             tracer=Tracer() if args.trace else None,
             locality=LocalityRecorder() if args.locality_out else None)
-        run_chaos_once(schedule, cfg.seeds[0], cfg, obs=obs)
+        run_cell(cfg.cell.of(schedule, cfg.seeds[0]), obs)
         cell = f"{schedule.name} seed {cfg.seeds[0]}"
         if args.trace:
             write_chrome_trace(obs.tracer, args.trace)
@@ -142,7 +154,7 @@ def _cmd_chaos(args) -> int:
 
     print(f"chaos campaign: {cfg.num_schedules} schedules x "
           f"{len(cfg.seeds)} seeds, difficulty {cfg.difficulty}, "
-          f"{cfg.num_nodes} nodes")
+          f"{cfg.cell.num_nodes} nodes")
     result = run_campaign(cfg, progress=progress)
     print()
     print(result.summary())
@@ -150,7 +162,7 @@ def _cmd_chaos(args) -> int:
         write_metrics(result.registry, args.metrics_out)
         print(f"wrote campaign metrics: {args.metrics_out}")
     if args.trace_out:
-        _dump_worst_chaos_trace(cfg, result, args.trace_out)
+        _dump_worst_chaos_trace(result, args.trace_out)
     return _verdict(result.problems())
 
 
@@ -277,26 +289,22 @@ def _cmd_elastic(args) -> int:
 def _cmd_check(args) -> int:
     """Strict-serializability check over fault-injected runs.
 
-    Two surfaces: the explorer (random jitter + optional crash per seed)
-    and one difficulty-2 chaos schedule (crash → recover) with the
-    history audit on.  Exit 0 only if every recorded history checks out.
+    Two grids of the one audited cell, history audit on: the randomized
+    sweep (constant loss/dup/reorder + a crash draw per seed) and one
+    difficulty-2 chaos schedule (crash → recover).  Exit 0 only if every
+    recorded history checks out.
     """
-    from ..chaos import CampaignConfig, run_campaign
-    from ..verify import ExplorerConfig, explore
+    from ..chaos import CampaignConfig, Recipe, run_campaign
 
-    swept = explore(seeds=args.seeds,
-                    cfg=ExplorerConfig(txns_per_node=args.txns,
-                                       check_history=True))
-    print(f"explorer        : {swept.seeds_run} histories "
-          f"({swept.histories_with_crash} with crashes), "
-          f"{swept.committed_total} txns committed")
-    for line in swept.history_digests:
-        print(f"  {line}")
+    swept = _sweep(args.seeds)
+    for report in swept.runs:
+        print(f"  {report.digest()}")
 
     # A one-cell campaign: schedule 0 always crashes a node and difficulty
     # 2 pairs the crash with a recovery, so a rejoin must have run too.
     result = run_campaign(CampaignConfig(
-        difficulty=2, num_schedules=1, seeds=(0,), check_history=True))
+        cell=Recipe(check_history=True),
+        difficulty=2, num_schedules=1, seeds=(0,)))
     report = result.runs[0]
     print(f"chaos history   : {report.schedule_name} seed {report.seed}: "
           f"{report.committed} committed  "
@@ -304,7 +312,7 @@ def _cmd_check(args) -> int:
     return _verdict(swept.problems() + result.problems())
 
 
-def _dump_worst_chaos_trace(cfg, result, path: str) -> None:
+def _dump_worst_chaos_trace(result, path: str) -> None:
     """Re-run the campaign's worst cell with tracing on; dump span JSONL.
 
     "Worst" = failed audit first (more audit problems is worse), then most
@@ -312,15 +320,14 @@ def _dump_worst_chaos_trace(cfg, result, path: str) -> None:
     reproduces the original cell exactly — the trace is a faithful
     post-mortem of the run the campaign actually audited.
     """
-    from ..chaos import run_chaos_once
+    from ..chaos import run_cell
     from ..obs import Observability, Tracer, write_trace_jsonl
 
     worst = max(
         result.runs,
         key=lambda r: (0 if r.ok else 1, len(r.audit.problems()), r.aborted))
-    schedules = {schedule.name: schedule for schedule in result.schedules}
     obs = Observability(tracer=Tracer())
-    run_chaos_once(schedules[worst.schedule_name], worst.seed, cfg, obs=obs)
+    run_cell(worst.recipe, obs)
     write_trace_jsonl(obs.tracer, path)
     verdict = "ok" if worst.ok else "FAILED"
     print(f"wrote worst-cell trace ({worst.schedule_name} seed {worst.seed}, "
@@ -671,8 +678,8 @@ def _positive_int(text: str) -> int:
 
 
 def _args_verify(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seeds", type=_positive_int, default=20)
-    p.add_argument("--txns", type=_positive_int, default=15)
+    p.add_argument("--seeds", type=_positive_int, default=20,
+                   help="sweep cells to run (default %(default)s)")
 
 
 def _args_chaos(p: argparse.ArgumentParser) -> None:
@@ -680,8 +687,9 @@ def _args_chaos(p: argparse.ArgumentParser) -> None:
                    help="generated schedules (default %(default)s)")
     p.add_argument("--seeds", type=_positive_int, default=3,
                    help="run seeds per schedule (default %(default)s)")
-    p.add_argument("--difficulty", type=int, default=3, choices=(1, 2, 3),
-                   help="scenario severity (default %(default)s)")
+    p.add_argument("--difficulty", type=int, default=3, choices=(0, 1, 2, 3),
+                   help="scenario severity; 0 = no fault events "
+                        "(default %(default)s)")
     p.add_argument("--nodes", type=int, default=4)
     p.add_argument("--objects", type=int, default=8)
     p.add_argument("--duration", type=float, default=30_000.0,
@@ -803,10 +811,7 @@ def _args_place(p: argparse.ArgumentParser) -> None:
 
 def _args_check(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seeds", type=_positive_int, default=5,
-                   help="explorer histories to check (default %(default)s)")
-    p.add_argument("--txns", type=_positive_int, default=15,
-                   help="transactions per node per history "
-                        "(default %(default)s)")
+                   help="sweep cells to check (default %(default)s)")
 
 
 def _args_smallbank(p: argparse.ArgumentParser) -> None:
@@ -858,7 +863,8 @@ def _args_analyze(p: argparse.ArgumentParser) -> None:
 #: derive from this table.
 COMMANDS = [
     ("quickstart", "run the README tour", None, _cmd_quickstart),
-    ("verify", "model checkers + explorer", _args_verify, _cmd_verify),
+    ("verify", "exhaustive protocol checker + randomized sweep",
+     _args_verify, _cmd_verify),
     ("chaos", "fault-schedule campaign with invariant audits",
      _args_chaos, _cmd_chaos),
     ("elastic", "live scale-out demo with throughput-recovery report",

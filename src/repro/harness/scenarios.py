@@ -128,43 +128,42 @@ def _run_voter_migration(seed: int, obs: Observability) -> ScenarioOutcome:
                                   "objects_migrated": len(progress)})
 
 
-def _chaos_cell(cfg, schedule, seed: int,
-                obs: Observability) -> ScenarioOutcome:
-    """One audited campaign cell of ``cfg`` under ``schedule``."""
-    from ..chaos.campaign import run_chaos_once
+def _chaos_cell(recipe, obs: Observability) -> ScenarioOutcome:
+    """One audited campaign cell."""
+    from ..chaos.campaign import run_cell
 
-    report = run_chaos_once(schedule, seed, cfg, obs=obs)
+    report = run_cell(recipe, obs)
+    schedule = recipe.schedule
     extra = {"audit_ok": report.ok,
-             "schedule": report.schedule_signature,
+             "schedule": schedule.signature(),
              "timeline_events": len(report.timeline),
              "run_digest": hashlib.sha256(
                  report.digest().encode()).hexdigest()[:16]}
-    if cfg.elastic:
+    if schedule.has_elastic:
         for name in ("objects_moved", "drains_completed"):
             extra[name] = obs.registry.counter_total(f"rebalance.{name}")
     return ScenarioOutcome(report.committed, report.aborted,
                            report.events_executed,
-                           cfg.duration_us + cfg.quiesce_us, extra=extra)
+                           recipe.duration_us + recipe.quiesce_us, extra=extra)
 
 
 def _run_chaos2(seed: int, obs: Observability) -> ScenarioOutcome:
-    from ..chaos.campaign import CampaignConfig
+    from ..chaos.campaign import Recipe
     from ..chaos.generator import generate_schedule
 
-    cfg = CampaignConfig(duration_us=12_000.0, quiesce_us=12_000.0,
-                         difficulty=2, schedule_seed_base=104)
+    cell = Recipe(duration_us=12_000.0, quiesce_us=12_000.0)
     # Not campaign cell 0: that one forces a crash (a different rng draw).
-    return _chaos_cell(cfg, generate_schedule(
-        cfg.num_nodes, cfg.duration_us, seed=cfg.schedule_seed_base,
-        difficulty=cfg.difficulty), seed, obs)
+    return _chaos_cell(cell.of(generate_schedule(
+        cell.num_nodes, cell.duration_us, seed=104, difficulty=2), seed), obs)
 
 
 def _run_elastic(seed: int, obs: Observability) -> ScenarioOutcome:
-    from ..chaos.campaign import CampaignConfig, campaign_schedule
+    from ..chaos.campaign import CampaignConfig, Recipe, campaign_schedule
 
-    cfg = CampaignConfig(duration_us=14_000.0, quiesce_us=14_000.0,
+    cfg = CampaignConfig(cell=Recipe(duration_us=14_000.0,
+                                     quiesce_us=14_000.0),
                          difficulty=3, elastic=True, elastic_add=2)
-    return _chaos_cell(cfg, campaign_schedule(cfg, 0), seed, obs)
+    return _chaos_cell(cfg.cell.of(campaign_schedule(cfg, 0), seed), obs)
 
 
 #: name -> ``run(seed, obs)``; the golden test iterates this.

@@ -125,11 +125,6 @@ class HermesReplica:
                            16 + self.value_size, ctx=inv_ctx)
         return future
 
-    def write_blocking(self, key: HermesKey, value: Any):
-        """Generator form of :meth:`write` for app-thread processes."""
-        yield self.write(key, value)
-        return None
-
     # ------------------------------------------------------------ protocol
 
     def _apply_inv(self, key: HermesKey, ts: Tuple[int, int], value: Any) -> bool:

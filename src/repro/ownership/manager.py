@@ -375,13 +375,16 @@ class OwnershipManager(LifecycleMixin):
 
         The commit layer calls this when an R-INV arrives for an object we
         do not hold while an inbound acquisition (owner or reader) for it
-        is in flight: the directory already lists us (that is why the
-        coordinator included us in the follower set), so the write's value
-        must be adopted — otherwise a reordered, slower grant could later
-        install an older version over nothing and serve stale reads.  The
-        object is tracked as *provisional*: kept if the acquisition is
-        granted, dropped if it fails (an unlisted copy never sees another
-        invalidation and would serve ever-staler reads)."""
+        is in flight.  Either the directory already lists us and the grant
+        is merely slower than the write — then the value must be adopted,
+        or the late grant would install an older version over nothing and
+        serve stale reads — or we are only a follower of *another* object
+        of a multi-object write (an R-INV goes to the union of its objects'
+        readers) and the next write of ``oid`` will not reach us; the grant
+        then carries the newer value and ``_apply_locally`` adopts it over
+        this copy.  The object is tracked as *provisional*: kept if the
+        acquisition is granted, dropped if it fails (an unlisted copy never
+        sees another invalidation and would serve ever-staler reads)."""
         ctx = self._req_by_oid.get(oid)
         if (ctx is None or ctx.done
                 or ctx.req_type not in (ReqType.ACQUIRE_OWNER,
@@ -435,6 +438,10 @@ class OwnershipManager(LifecycleMixin):
             if obj is None:
                 obj = self.store.create(oid, data, None, o_ts)
                 obj.t_version = data_version or 0
+            elif data_version is not None and data_version > obj.t_version:
+                obj.t_data = data
+                obj.t_version = data_version
+                obj.t_state = TState.VALID
             obj.o_state = OState.VALID
         else:  # REMOVE_READER — requester is the owner updating its view
             if obj is not None:

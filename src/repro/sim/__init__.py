@@ -2,8 +2,8 @@
 
 from .kernel import EventHandle, SimulationError, Simulator
 from .params import FaultParams, NetParams, SimParams
-from .process import Event, Future, Process, all_of, sleep
-from .resources import CpuPool, CpuServer, FifoLock
+from .process import Event, Future, Process, all_of
+from .resources import CpuPool, CpuServer
 from .rng import RngRegistry
 
 __all__ = [
@@ -14,10 +14,8 @@ __all__ = [
     "Process",
     "Event",
     "all_of",
-    "sleep",
     "CpuServer",
     "CpuPool",
-    "FifoLock",
     "RngRegistry",
     "SimParams",
     "NetParams",

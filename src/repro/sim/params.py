@@ -135,8 +135,6 @@ class SimParams:
     # ------------------------------------------------------ ownership costs
     #: CPU for a directory/driver to arbitrate one request (µs).
     own_arbitrate_us: float = 0.30
-    #: CPU for requester to apply a won request (µs).
-    own_apply_us: float = 0.20
     #: Deadlock avoidance: initial retry back-off after a NACK (µs).
     own_backoff_us: float = 10.0
     #: Exponential back-off cap (µs).

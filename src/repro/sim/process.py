@@ -21,7 +21,7 @@ from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from .kernel import Simulator
 
-__all__ = ["Future", "Process", "Event", "all_of", "sleep"]
+__all__ = ["Future", "Process", "Event", "all_of"]
 
 
 class _Unset:
@@ -221,8 +221,3 @@ def all_of(sim: Simulator, futures: Iterable[Future]) -> Future:
     for i, fut in enumerate(futures):
         fut.add_done_callback(make_cb(i))
     return out
-
-
-def sleep(duration: float):
-    """``yield from sleep(d)`` inside a process generator."""
-    yield duration

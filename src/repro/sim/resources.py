@@ -1,4 +1,4 @@
-"""Shared-resource models: CPU servers/pools and FIFO locks.
+"""Shared-resource models: CPU servers/pools and the disk device.
 
 The paper's testbed pins application threads and datastore worker threads to
 dedicated cores (Section 7).  We model a pinned thread as a
@@ -11,13 +11,12 @@ future completes when the work would have finished on real hardware.
 from __future__ import annotations
 
 import heapq
-from collections import deque
-from typing import Deque, List, Optional, Tuple
+from typing import List
 
 from .kernel import Simulator
 from .process import Future
 
-__all__ = ["CpuServer", "CpuPool", "FifoLock", "DiskDevice"]
+__all__ = ["CpuServer", "CpuPool", "DiskDevice"]
 
 
 class CpuServer:
@@ -179,51 +178,3 @@ class DiskDevice:
 
     def utilization(self, elapsed: float) -> float:
         return self.busy_time / elapsed if elapsed > 0 else 0.0
-
-
-class FifoLock:
-    """A strictly FIFO mutex for processes (used by the local commit layer).
-
-    ``acquire()`` returns a future that completes when the caller holds the
-    lock; ``release()`` hands it to the next waiter at the current time.
-    """
-
-    __slots__ = ("sim", "_locked", "_waiters", "owner")
-
-    def __init__(self, sim: Simulator):
-        self.sim = sim
-        self._locked = False
-        self._waiters: Deque[Tuple[Future, object]] = deque()
-        self.owner: Optional[object] = None
-
-    @property
-    def locked(self) -> bool:
-        return self._locked
-
-    def acquire(self, owner: object = None) -> Future:
-        fut = Future(self.sim)
-        if not self._locked:
-            self._locked = True
-            self.owner = owner
-            fut.set_result(None)
-        else:
-            self._waiters.append((fut, owner))
-        return fut
-
-    def try_acquire(self, owner: object = None) -> bool:
-        if self._locked:
-            return False
-        self._locked = True
-        self.owner = owner
-        return True
-
-    def release(self) -> None:
-        if not self._locked:
-            raise RuntimeError("release of unlocked lock")
-        if self._waiters:
-            fut, owner = self._waiters.popleft()
-            self.owner = owner
-            fut.set_result(None)
-        else:
-            self._locked = False
-            self.owner = None

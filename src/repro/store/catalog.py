@@ -8,7 +8,7 @@ runtime via the ownership protocol.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..net.message import NodeId
 from ..sim.rng import hash_str
@@ -92,13 +92,6 @@ class Catalog:
         self._initial_owner.append(owner)
         self._key_index[(table, key)] = oid
         return oid
-
-    def create_objects(self, table: str, keys: Iterable[object],
-                       place: Optional[Callable[[object], NodeId]] = None) -> List[ObjectId]:
-        return [
-            self.create_object(table, key, owner=place(key) if place else None)
-            for key in keys
-        ]
 
     def grow(self, count: int) -> Tuple[NodeId, ...]:
         """Extend the placement universe by ``count`` fresh node ids.

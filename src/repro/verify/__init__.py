@@ -1,5 +1,6 @@
-"""Protocol verification: invariants, audits, the exhaustive and the
-randomized explorer, history checking, and counterexample minimization."""
+"""Protocol verification: invariants, audits, the exhaustive explorer,
+history checking, and counterexample minimization.  (The randomized sweep
+over the full stack is a campaign of cells: :func:`repro.chaos.explore`.)"""
 
 from .audit import (
     AuditReport,
@@ -13,7 +14,6 @@ from .audit import (
 )
 from .checker import CheckResult, bfs_check
 from .exhaustive import SCENARIOS, Scenario, check_protocol
-from .explorer import ExplorationResult, ExplorerConfig, explore
 from .history import (
     HistoryCheckResult,
     HistoryOp,
@@ -27,7 +27,7 @@ from .invariants import (
     check_quiescent,
     quiescence_problems,
 )
-from .shrink import ReproRecipe, ShrinkResult, run_recipe, shrink
+from .shrink import ShrinkResult, shrink
 
 __all__ = [
     "bfs_check",
@@ -39,9 +39,6 @@ __all__ = [
     "check_quiescent",
     "quiescence_problems",
     "InvariantViolation",
-    "explore",
-    "ExplorerConfig",
-    "ExplorationResult",
     "AuditReport",
     "CommitLedger",
     "audit_run",
@@ -55,8 +52,6 @@ __all__ = [
     "HistoryOp",
     "HistoryRecorder",
     "Violation",
-    "ReproRecipe",
     "ShrinkResult",
-    "run_recipe",
     "shrink",
 ]

@@ -1,7 +1,9 @@
-"""Post-run invariant audits for chaos campaigns.
+"""Post-run invariant audits: the one judge of every audited run.
 
-After a chaos run drains, six independent audits decide whether the
-history was correct *and* the system recovered:
+Every cell of ``repro.chaos.campaign.run_cell`` — campaign, randomized
+sweep or shrinker re-run — and every other rig consumer ends in
+:func:`audit_run`.  After a run drains, six independent audits decide
+whether the history was correct *and* the system recovered:
 
 1. **safety** — the paper's state invariants (single owner, valid-replica
    consistency, owner freshness, directory agreement), via the existing
@@ -21,7 +23,8 @@ history was correct *and* the system recovered:
    pipeline slot is pending, no applied-but-unvalidated follower state
    remains, no object is stuck in a non-Valid t_state.  (A pending
    arbitration whose requester gave up and aborted is tolerated — the
-   transaction itself is not stuck.)
+   transaction itself is not stuck.  :func:`audit_liveness` is the only
+   place that decides which quiescence findings a drained cell may keep.)
 5. **rejoin** — every node that crashed *and recovered* within the run is
    equivalent to the live replicas at quiesce: each object it stores
    carries the freshest (version, value) any live replica holds, every

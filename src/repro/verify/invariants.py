@@ -13,8 +13,8 @@ These checkers evaluate the same properties over a running
 state-machine invariants, at quiescence for convergence — or anything
 shaped like one (``.catalog``, and ``.handles`` with ``node.alive``,
 ``store``, ``directory``, ``ownership``, ``commit``).  The randomized
-explorer (:mod:`repro.verify.explorer`) calls them across thousands of
-interleavings, the exhaustive one (:mod:`repro.verify.exhaustive`) in
+sweep (:func:`repro.chaos.campaign.explore`) calls them every 200 us of
+every cell, the exhaustive explorer (:mod:`repro.verify.exhaustive`) in
 every reachable state of the real managers on small scenarios.
 """
 

@@ -1,189 +1,121 @@
-"""Counterexample minimization: delta-debug a violating run.
+"""Counterexample minimization: delta-debug a failing cell.
 
-When the history checker flags a seeded, fault-injected run, the raw
-counterexample is usually huge — dozens of fault-schedule events, a few
-hundred transactions, many objects.  :func:`shrink` reduces it the way
-``ddmin`` reduces failing inputs: re-run the *same seed* with subsets of
-the fault schedule, then smaller workloads, then fewer objects, keeping
-every reduction that still reproduces a violation of the same category.
-Because every run here is a pure function of its
-:class:`ReproRecipe`, "still reproduces" is a deterministic predicate —
-no flakiness budget, no retries.
+When an audit flags a seeded, fault-injected run, the raw counterexample
+is usually huge — a handful of overlapping fault events, a hundred
+simulated milliseconds, tens of thousands of transactions.  :func:`shrink`
+reduces it the way ``ddmin`` reduces failing inputs: re-run the *same
+seed* through the one runner (:func:`repro.chaos.campaign.run_cell`) with
+a shorter workload window, subsets of the fault events and a shorter
+drain, keeping every reduction after which *any gate the original failed*
+still fails, until nothing shrinks any more.  Because a run is a pure
+function of its :class:`~repro.chaos.campaign.Recipe`, "still reproduces"
+is a deterministic predicate — no flakiness budget, no retries.
 
-The output is a minimal :class:`ReproRecipe`: feed it back to
-:func:`run_recipe` (or print :meth:`ReproRecipe.describe` into a bug
-report) and the violation reproduces byte-for-byte.
+The output is a minimal ``Recipe`` from any campaign, sweep or hand-built
+cell: feed it back to ``run_cell`` (or print :meth:`ShrinkResult.describe`
+into a bug report) and the failure reproduces byte-for-byte.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional
 
-from ..chaos.engine import ChaosEngine
-from ..chaos.schedule import ChaosEventType, FaultSchedule
-from ..harness.rig import Rig, counter_catalog
-from ..obs import HistoryRecorder, Observability
-from ..sim.params import FaultParams
-from ..txn import transaction as _txn_mod
-from .explorer import spawn_writers
-from .history import HistoryCheckResult, check_history
+from ..chaos.campaign import Recipe, RunReport, run_cell
+from ..chaos.schedule import ChaosEventType
 
-__all__ = ["ReproRecipe", "ShrinkResult", "run_recipe", "shrink"]
+__all__ = ["ShrinkResult", "shrink"]
 
-
-@dataclass(frozen=True)
-class ReproRecipe:
-    """Everything needed to deterministically re-run one history."""
-
-    seed: int
-    num_nodes: int = 4
-    num_objects: int = 6
-    txns_per_node: int = 25
-    events: Tuple[ChaosEventType, ...] = ()
-    #: Network fault severity (constant outside fault-window events).
-    faults: FaultParams = field(default_factory=lambda: FaultParams(
-        loss_prob=0.02, duplicate_prob=0.02, reorder_max_us=6.0))
-    horizon_us: float = 100_000.0
-    #: Test-only: re-run with the broken commit path (skipped version
-    #: bump) that the checker is expected to catch.
-    broken_commit: bool = False
-
-    def describe(self) -> str:
-        lines = [
-            f"repro: seed={self.seed} nodes={self.num_nodes} "
-            f"objects={self.num_objects} txns/node={self.txns_per_node} "
-            f"horizon={self.horizon_us:.0f}us"
-            + (" broken-commit" if self.broken_commit else ""),
-        ]
-        if self.events:
-            lines.extend(f"  {ev.describe()}" for ev in self.events)
-        else:
-            lines.append("  (no fault events)")
-        return "\n".join(lines)
-
-
-def run_recipe(recipe: ReproRecipe) -> HistoryCheckResult:
-    """Re-run one recipe seed-pure and check its history.
-
-    Raises ``ValueError`` if the event subset is not a well-formed
-    schedule (e.g. a recovery whose crash was pruned) — :func:`shrink`
-    treats that as "does not reproduce".
-    """
-    schedule = FaultSchedule(recipe.events, name="repro")
-    schedule.validate(num_nodes=recipe.num_nodes)
-
-    recorder = HistoryRecorder()
-    rig = Rig(counter_catalog(recipe.num_nodes, recipe.num_objects),
-              recipe.seed, Observability(history=recorder),
-              faults=recipe.faults)
-    cluster = rig.cluster
-    ChaosEngine(cluster).install(schedule)
-    spawn_writers(rig, recipe.txns_per_node)
-    cluster.start_membership()
-
-    saved_bump = _txn_mod.VERSION_BUMP
-    try:
-        if recipe.broken_commit:
-            _txn_mod.VERSION_BUMP = 0
-        cluster.run(until=recipe.horizon_us)
-        # Drain retransmits/recovery so late responses are recorded.
-        cluster.run(until=recipe.horizon_us * 2)
-    finally:
-        _txn_mod.VERSION_BUMP = saved_bump
-    return check_history(recorder)
+#: Neither the window nor the drain is halved below this.
+_FLOOR_US = 1_000.0
 
 
 @dataclass
 class ShrinkResult:
     """Outcome of one minimization."""
 
-    original: ReproRecipe
-    minimized: ReproRecipe
-    original_result: HistoryCheckResult
-    minimized_result: HistoryCheckResult
+    original: RunReport
+    minimized: RunReport
     runs: int = 0
 
     @property
     def events_before(self) -> int:
-        return len(self.original.events)
+        return len(self.original.recipe.events)
 
     @property
     def events_after(self) -> int:
-        return len(self.minimized.events)
+        return len(self.minimized.recipe.events)
 
     def describe(self) -> str:
+        before, after = self.original.recipe, self.minimized.recipe
         return (
             f"shrunk {self.events_before} fault events -> "
-            f"{self.events_after}, "
-            f"{self.original.txns_per_node} -> "
-            f"{self.minimized.txns_per_node} txns/node, "
-            f"{self.original.num_objects} -> "
-            f"{self.minimized.num_objects} objects "
-            f"({self.runs} re-runs)\n" + self.minimized.describe() + "\n"
-            + self.minimized_result.describe())
+            f"{self.events_after}, window {before.duration_us:g} -> "
+            f"{after.duration_us:g} us, quiesce {before.quiesce_us:g} -> "
+            f"{after.quiesce_us:g} us ({self.runs} re-runs)\n"
+            + after.describe() + "\n"
+            + "\n".join(f"  FAILED [{gate}]: {problem}"
+                        for gate, problem in self.minimized.audit.problems()))
 
 
-def shrink(recipe: ReproRecipe,
-           result: Optional[HistoryCheckResult] = None) -> ShrinkResult:
-    """Minimize a violating run; ``recipe`` must reproduce a violation."""
-    runs = [0]
+def shrink(recipe: Recipe, report: Optional[RunReport] = None,
+           check_every_us: Optional[float] = None) -> ShrinkResult:
+    """Minimize a failing cell; ``recipe`` must fail at least one gate.
 
-    if result is None:
-        result = run_recipe(recipe)
-        runs[0] += 1
-    if result.ok:
-        raise ValueError("recipe does not reproduce a violation; "
-                         "nothing to shrink")
-    want = {v.category for v in result.violations}
+    ``report`` is the recipe's own report if the caller already has it;
+    ``check_every_us`` is passed to every re-run (a sweep cell that failed
+    mid-flight only fails again when checked mid-flight)."""
+    ran_original = report is None
+    if ran_original:
+        report = run_cell(recipe, check_every_us=check_every_us)
+    if report.ok:
+        raise ValueError("recipe passes every gate; nothing to shrink")
+    want = {gate for gate, _problem in report.audit.problems()}
 
-    def reproduces(candidate: ReproRecipe):
-        runs[0] += 1
-        try:
-            res = run_recipe(candidate)
-        except ValueError:
-            return None  # ill-formed event subset
-        if any(v.category in want for v in res.violations):
-            return res
-        return None
+    tried: Dict[Recipe, Optional[RunReport]] = {}
 
-    best, best_result = recipe, result
+    def reproduces(candidate: Recipe) -> Optional[RunReport]:
+        if candidate not in tried:
+            try:
+                res = run_cell(candidate, check_every_us=check_every_us)
+            except ValueError:
+                res = None  # ill-formed event subset
+            if res is not None and not any(
+                    gate in want for gate, _problem in res.audit.problems()):
+                res = None
+            tried[candidate] = res
+        return tried[candidate]
 
-    # ---- 1. ddmin over the fault-schedule events.
-    events = list(best.events)
-    if events:
-        # Cheap first probe: many violations don't need faults at all.
-        res = reproduces(replace(best, events=()))
-        if res is not None:
-            events, best_result = [], res
-        else:
-            events, best_result = _ddmin(best, events, reproduces,
-                                         best_result)
-        best = replace(best, events=tuple(events))
+    def halve(best: RunReport, knob: str, same_verdict: bool) -> RunReport:
+        while getattr(best.recipe, knob) / 2 >= _FLOOR_US:
+            res = reproduces(replace(
+                best.recipe, **{knob: getattr(best.recipe, knob) / 2}))
+            if res is None or (same_verdict and res.audit.problems()
+                               != best.audit.problems()):
+                break
+            best = res
+        return best
 
-    # ---- 2. Halve the workload while it still reproduces.
-    while best.txns_per_node > 1:
-        candidate = replace(best, txns_per_node=best.txns_per_node // 2)
-        res = reproduces(candidate)
-        if res is None:
-            break
-        best, best_result = candidate, res
-
-    # ---- 3. Drop objects one power of two at a time.
-    while best.num_objects > 1:
-        candidate = replace(best,
-                            num_objects=max(1, best.num_objects // 2))
-        res = reproduces(candidate)
-        if res is None:
-            break
-        best, best_result = candidate, res
-
-    return ShrinkResult(recipe, best, result, best_result, runs=runs[0])
+    best, settled = report, None
+    while settled != best.recipe:
+        settled = best.recipe
+        # The window first: every later re-run is that much cheaper.
+        best = halve(best, "duration_us", same_verdict=False)
+        if best.recipe.events:
+            # Cheap first probe: many failures don't need faults at all.
+            best = (reproduces(replace(best.recipe, events=()))
+                    or _ddmin(best, reproduces))
+        # The drain causes nothing, it only lets the cell settle: shorten
+        # it while the verdict stays exactly what it was (an undrained
+        # cell fails liveness for no reason of the defect's).
+        best = halve(best, "quiesce_us", same_verdict=True)
+    return ShrinkResult(report, best, runs=len(tried) + ran_original)
 
 
-def _ddmin(base: ReproRecipe, events: List[ChaosEventType], reproduces,
-           current_result: HistoryCheckResult):
+def _ddmin(best: RunReport, reproduces) -> RunReport:
     """Classic complement-based ddmin over the event list."""
+    events: List[ChaosEventType] = list(best.recipe.events)
+    base = best.recipe
     n = 2
     while len(events) >= 2:
         chunk = max(1, len(events) // n)
@@ -192,8 +124,7 @@ def _ddmin(base: ReproRecipe, events: List[ChaosEventType], reproduces,
             complement = events[:start] + events[start + chunk:]
             res = reproduces(replace(base, events=tuple(complement)))
             if res is not None:
-                events = complement
-                current_result = res
+                events, best = complement, res
                 n = max(n - 1, 2)
                 reduced = True
                 break
@@ -207,8 +138,7 @@ def _ddmin(base: ReproRecipe, events: List[ChaosEventType], reproduces,
         complement = events[:i] + events[i + 1:]
         res = reproduces(replace(base, events=tuple(complement)))
         if res is not None:
-            events = complement
-            current_result = res
+            events, best = complement, res
         else:
             i += 1
-    return events, current_result
+    return best

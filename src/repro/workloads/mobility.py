@@ -34,19 +34,9 @@ class MobilityModel:
         self.cols = cols
         self.rng = random.Random(seed)
 
-    @property
-    def num_cells(self) -> int:
-        return self.rows * self.cols
-
     def cell_node(self, row: int, col: int) -> int:
         """Shard of a cell: contiguous horizontal stripes."""
         return min(self.num_nodes - 1, row * self.num_nodes // self.rows)
-
-    def cell_id(self, row: int, col: int) -> int:
-        return row * self.cols + col
-
-    def cell_of_id(self, cell: int) -> Tuple[int, int]:
-        return divmod(cell, self.cols)
 
     # ------------------------------------------------------------- analytic
 

@@ -11,10 +11,11 @@ from repro.chaos import (
     FaultSchedule,
     FaultWindowEvent,
     PartitionEvent,
+    Recipe,
     SlowdownEvent,
     generate_schedule,
     run_campaign,
-    run_chaos_once,
+    run_cell,
 )
 from repro.harness.rig import Rig, counter_catalog
 from repro.sim.params import FaultParams
@@ -89,7 +90,10 @@ def test_generator_is_deterministic_per_seed():
 
 def test_generator_difficulty_scales_adversity():
     with pytest.raises(ValueError):
-        generate_schedule(4, 30_000.0, seed=0, difficulty=0)
+        generate_schedule(4, 30_000.0, seed=0, difficulty=4)
+    # Difficulty 0 is the fault-free control cell, crash demand or not.
+    assert not generate_schedule(4, 30_000.0, seed=0, difficulty=0,
+                                 require_crash=True).events
     # Difficulty 3 stacks loss + partition + slowdown in every schedule.
     s3 = generate_schedule(4, 30_000.0, seed=0, difficulty=3)
     assert s3.has_fault_window and s3.has_partition and s3.has_slowdown
@@ -159,19 +163,18 @@ def test_engine_rejects_schedule_for_wrong_cluster_size():
 # Campaign
 # ======================================================================
 
-def _small_cfg(**overrides):
-    kw = dict(num_schedules=2, seeds=(0, 1), difficulty=2,
-              duration_us=20_000.0, quiesce_us=25_000.0)
+def _small_cell(**overrides):
+    kw = dict(duration_us=20_000.0, quiesce_us=25_000.0)
     kw.update(overrides)
-    return CampaignConfig(**kw)
+    return Recipe(**kw)
 
 
 def test_single_run_is_deterministic():
-    cfg = _small_cfg()
-    sched = generate_schedule(cfg.num_nodes, cfg.duration_us, seed=101,
+    cell = _small_cell()
+    sched = generate_schedule(cell.num_nodes, cell.duration_us, seed=101,
                               difficulty=3, require_crash=True)
-    r1 = run_chaos_once(sched, seed=0, cfg=cfg)
-    r2 = run_chaos_once(sched, seed=0, cfg=cfg)
+    r1 = run_cell(cell.of(sched, 0))
+    r2 = run_cell(cell.of(sched, 0))
     assert r1.digest() == r2.digest()
     assert r1.ok, r1.audit.problems()
     assert r1.committed > 0
@@ -182,16 +185,15 @@ def test_single_run_is_deterministic():
                                     dict(placement=True)],
                          ids=["check_history", "placement"])
 def test_profiler_survives_the_per_run_observability_rebuild(layers):
-    """``run_chaos_once`` layers a per-run history (or locality) recorder
+    """``run_cell`` layers a per-run history (or locality) recorder
     over the caller's Observability; the caller's host profiler must still
     be the one the kernel, the nodes and the network report to."""
     from repro.obs import HostProfiler, Observability
-    cfg = _small_cfg(duration_us=6_000.0, quiesce_us=12_000.0, **layers)
-    sched = generate_schedule(cfg.num_nodes, cfg.duration_us, seed=101,
+    cell = _small_cell(duration_us=6_000.0, quiesce_us=12_000.0, **layers)
+    sched = generate_schedule(cell.num_nodes, cell.duration_us, seed=101,
                               difficulty=1)
     profiler = HostProfiler()
-    report = run_chaos_once(sched, seed=0, cfg=cfg,
-                            obs=Observability(profiler=profiler))
+    report = run_cell(cell.of(sched, 0), Observability(profiler=profiler))
     assert report.ok, report.audit.problems()
     assert profiler.events_profiled > 0
     assert sum(profiler.handler_events.values()) > 0
@@ -199,7 +201,8 @@ def test_profiler_survives_the_per_run_observability_rebuild(layers):
 
 
 def test_small_campaign_passes_all_audits():
-    result = run_campaign(_small_cfg())
+    result = run_campaign(CampaignConfig(
+        cell=_small_cell(), num_schedules=2, seeds=(0, 1), difficulty=2))
     assert len(result.runs) == 4
     assert result.ok, result.problems()
     # The first schedule is forced to crash a node, so every campaign
@@ -211,18 +214,17 @@ def test_small_campaign_passes_all_audits():
 
 def test_unhealed_partition_fails_liveness_audit():
     """A partition that never heals must be caught, not papered over."""
-    cfg = _small_cfg()
     sched = FaultSchedule([
         PartitionEvent(at_us=2_000.0, a_side=(0,), b_side=(1, 2, 3),
                        heal_at_us=None),
     ], name="no-heal")
-    report = run_chaos_once(sched, seed=0, cfg=cfg)
+    report = run_cell(_small_cell().of(sched, 0))
     assert not report.ok
     assert any("unacked" in p for p in report.audit.liveness)
 
 
 def test_exactly_once_audit_detects_ledger_mismatch():
-    cfg = _small_cfg()
+    cfg = _small_cell()
     rig = Rig(counter_catalog(cfg.num_nodes, cfg.num_objects), seed=0)
     cluster, ledger = rig.cluster, rig.ledger
     cluster.start_membership()

@@ -3,8 +3,8 @@ cold-start replay, and full-cluster power-loss recovery."""
 
 import pytest
 
-from repro.chaos.campaign import CampaignConfig, run_campaign, run_chaos_once
-from repro.chaos.generator import generate_schedule
+from repro.chaos.campaign import (CampaignConfig, Recipe, campaign_schedule,
+                                  run_campaign, run_cell)
 from repro.obs.registry import MetricsRegistry
 from repro.sim.kernel import Simulator
 from repro.sim.params import DiskParams
@@ -244,9 +244,10 @@ def test_cold_restart_without_durability_tier_is_amnesia():
 
 def _power_loss_cfg(policy, seeds=(0, 1, 2)):
     return CampaignConfig(
-        duration_us=12_000.0, quiesce_us=12_000.0, restart_wave_us=6_000.0,
-        num_schedules=1, seeds=seeds, power_loss=True, check_history=True,
-        disk=DiskParams(enabled=True, fsync_policy=policy))
+        cell=Recipe(duration_us=12_000.0, quiesce_us=12_000.0,
+                    check_history=True,
+                    disk=DiskParams(enabled=True, fsync_policy=policy)),
+        num_schedules=1, seeds=seeds, power_loss=True)
 
 
 @pytest.mark.parametrize("policy", ["group", "always"])
@@ -264,10 +265,8 @@ def test_power_loss_campaign_audits_clean(policy):
 @pytest.mark.parametrize("policy", ["group", "always"])
 def test_power_loss_run_is_deterministic(policy):
     cfg = _power_loss_cfg(policy, seeds=(0,))
-    schedule = generate_schedule(cfg.num_nodes, cfg.duration_us,
-                                 seed=cfg.schedule_seed_base,
-                                 difficulty=cfg.difficulty, power_loss=True)
-    first = run_chaos_once(schedule, 0, cfg)
-    second = run_chaos_once(schedule, 0, cfg)
+    recipe = cfg.cell.of(campaign_schedule(cfg, 0), 0)
+    first = run_cell(recipe)
+    second = run_cell(recipe)
     assert first.digest() == second.digest()
     assert first.ok, list(first.audit.problems())

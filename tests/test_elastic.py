@@ -18,12 +18,11 @@ from repro.chaos import (
     DrainEvent,
     FaultSchedule,
     PartitionEvent,
+    Recipe,
     RecoverEvent,
-    ScheduleConfig,
     campaign_schedule,
     generate_elastic_schedule,
-    generate_schedule,
-    run_chaos_once,
+    run_cell,
 )
 from repro.chaos.schedule import ClusterRestartEvent
 from repro.harness.rig import Rig, counter_catalog
@@ -32,11 +31,9 @@ from repro.verify.audit import audit_reconfig
 from repro.workloads.base import TxnSpec, spawn_zeus_workers
 
 
-def _cfg(**overrides):
-    kw = dict(num_schedules=1, seeds=(0,), difficulty=2,
-              duration_us=20_000.0, quiesce_us=25_000.0, elastic=True)
-    kw.update(overrides)
-    return CampaignConfig(**kw)
+def _cfg():
+    """The cell every test here runs or borrows its shape from."""
+    return Recipe(duration_us=20_000.0, quiesce_us=25_000.0)
 
 
 def _spec_fn(num_objects):
@@ -139,7 +136,7 @@ def test_donor_crash_mid_transfer_to_joiner():
         CrashEvent(at_us=6_500.0, node=3),
         RecoverEvent(at_us=15_000.0, node=3),
     ], name="donor-crash")
-    report = run_chaos_once(schedule, seed=0, cfg=cfg)
+    report = run_cell(cfg.of(schedule, 0))
     assert report.ok, report.audit.problems()
     assert report.committed > 0
     assert any(e.startswith("add(") for e in report.timeline)
@@ -155,17 +152,17 @@ def test_admission_races_unhealed_partition():
                        heal_at_us=9_000.0),
         AddNodesEvent(at_us=4_000.0, count=1),
     ], name="admit-vs-partition")
-    report = run_chaos_once(schedule, seed=0, cfg=cfg)
+    report = run_cell(cfg.of(schedule, 0))
     assert report.ok, report.audit.problems()
     assert any(e.startswith("add(") for e in report.timeline)
     assert any(e.startswith("heal(") for e in report.timeline)
 
 
 def test_elastic_campaign_cell_is_deterministic():
-    cfg = _cfg()
-    schedule = campaign_schedule(cfg, 0)
-    r1 = run_chaos_once(schedule, seed=0, cfg=cfg)
-    r2 = run_chaos_once(schedule, seed=0, cfg=cfg)
+    cfg = CampaignConfig(cell=_cfg(), difficulty=2, elastic=True)
+    recipe = cfg.cell.of(campaign_schedule(cfg, 0), 0)
+    r1 = run_cell(recipe)
+    r2 = run_cell(recipe)
     assert r1.digest() == r2.digest()
     assert r1.ok, r1.audit.problems()
     assert any(e.startswith("add(") for e in r1.timeline)
@@ -173,7 +170,7 @@ def test_elastic_campaign_cell_is_deterministic():
 
 
 # ======================================================================
-# Elastic schedule generator + ScheduleConfig
+# Elastic schedule generator
 # ======================================================================
 
 
@@ -201,52 +198,20 @@ def test_elastic_generator_requires_four_base_nodes():
         generate_elastic_schedule(3, 30_000.0, seed=1)
 
 
-def test_schedule_config_defaults_are_byte_identical():
-    for seed in (0, 3, 11):
-        for difficulty in (1, 2, 3):
-            a = generate_schedule(4, 30_000.0, seed=seed,
-                                  difficulty=difficulty)
-            b = generate_schedule(4, 30_000.0, seed=seed,
-                                  difficulty=difficulty,
-                                  config=ScheduleConfig())
-            assert a.signature() == b.signature()
-
-
-def test_schedule_config_moves_recover_window():
-    base = generate_schedule(4, 30_000.0, seed=0, difficulty=3,
-                             require_crash=True)
-    late = generate_schedule(4, 30_000.0, seed=0, difficulty=3,
-                             require_crash=True,
-                             config=ScheduleConfig(
-                                 recover_window=(0.90, 0.95)))
-    rec_base = [e for e in base if isinstance(e, RecoverEvent)]
-    rec_late = [e for e in late if isinstance(e, RecoverEvent)]
-    assert rec_base and rec_late
-    assert rec_late[0].at_us >= 30_000.0 * 0.90
-    assert rec_base[0].at_us <= 30_000.0 * 0.85
-
-    unpaired = generate_schedule(4, 30_000.0, seed=0, difficulty=3,
-                                 require_crash=True,
-                                 config=ScheduleConfig(pair_recovery=False))
-    assert not [e for e in unpaired if isinstance(e, RecoverEvent)]
-
-
 # ======================================================================
 # The ninth audit
 # ======================================================================
 
 
 def test_audit_reconfig_silent_without_reconfiguration():
-    cfg = CampaignConfig()
-    cluster = _rig(cfg, seed=0).cluster
+    cluster = _rig(Recipe(), seed=0).cluster
     cluster.start_membership()
     cluster.run(until=2_000.0)
     assert audit_reconfig(cluster) == []
 
 
 def test_audit_reconfig_flags_missing_convergence():
-    cfg = CampaignConfig()
-    cluster = _rig(cfg, seed=0).cluster
+    cluster = _rig(Recipe(), seed=0).cluster
     cluster.start_membership()
     cluster.sim.call_at(1_000.0,
                         lambda: cluster.add_nodes(1, rebalance=False))

@@ -4,7 +4,7 @@ a gate vacuous (or divide by zero) is rejected up front."""
 
 import pytest
 
-from repro.chaos import CampaignResult, FaultSchedule, RunReport
+from repro.chaos import CampaignResult, FaultSchedule, Recipe, RunReport
 from repro.chaos.schedule import (AddNodesEvent, ClusterRestartEvent,
                                   CrashEvent, DrainEvent, RecoverEvent)
 from repro.harness.gates import (locality_problems, recovery_problems,
@@ -74,9 +74,7 @@ POWER = FaultSchedule([ClusterRestartEvent(4_000.0)])
 def _campaign(schedule, moved=()):
     """One clean-audit cell of ``schedule``; each counter in ``moved`` > 0."""
     result = CampaignResult(
-        runs=[RunReport(schedule.name, schedule.signature(), 0, 10, 0, [],
-                        CLEAN)],
-        schedules=[schedule])
+        runs=[RunReport(Recipe().of(schedule, 0), 10, 0, [], CLEAN)])
     for name in moved:
         result.registry.counter(name).inc()
     return result
@@ -103,7 +101,8 @@ def test_campaign_problems_name_the_failing_cell_and_skip_absent_events():
     assert _campaign(FaultSchedule([CrashEvent(1_000.0, 1)])).ok
     assert CampaignResult().problems() == [("campaign", "no runs")]
     bad = AuditReport([], ["lost increment"], [], [])
-    result = CampaignResult(runs=[RunReport("s", "sig", 3, 10, 0, [], bad)])
+    result = CampaignResult(
+        runs=[RunReport(Recipe(seed=3, name="s"), 10, 0, [], bad)])
     assert result.problems() == [("s seed 3: exactly_once", "lost increment")]
     assert "1 failed" in result.summary()
 
@@ -157,9 +156,10 @@ def test_verdict_footer_carries_problems_to_the_exit_code(capsys):
     ["heatmap", "--groups", "0"],
     ["heatmap", "--top", "0"],
     ["verify", "--seeds", "0"],
-    ["verify", "--txns", "-1"],
+    ["chaos", "--difficulty", "4"],
     ["check", "--seeds", "0"],
-    ["check", "--txns", "0"],
+    # Elastic schedules have no fault-free level: the grid would be empty.
+    ["chaos", "--elastic", "--difficulty", "0"],
     ["chaos", "--seeds", "0"],
     ["chaos", "--schedules", "0"],
     # No sampling window would end inside the steady-state half.

@@ -1,9 +1,12 @@
 """History recording, strict-serializability checking, and shrinking."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.chaos import CampaignConfig, generate_schedule, run_chaos_once
+from repro.chaos import Recipe, explore, generate_schedule, run_cell
 from repro.chaos.schedule import CrashEvent, RecoverEvent, SlowdownEvent
+from repro.obs import LocalityRecorder, Observability, Tracer
 from repro.obs.history import (
     ABORTED,
     COMMITTED,
@@ -14,10 +17,9 @@ from repro.obs.history import (
 )
 from repro.sim.kernel import Simulator
 from repro.sim.process import Future
-from repro.verify import ExplorerConfig, explore
-from repro.verify.explorer import seed_crash
+from repro.txn import transaction as txn_mod
 from repro.verify.history import check_history
-from repro.verify.shrink import ReproRecipe, run_recipe, shrink
+from repro.verify.shrink import shrink
 
 
 # ------------------------------------------------------------------ recorder
@@ -173,22 +175,32 @@ def test_duplicate_version_with_indeterminate_is_crash_fork():
 
 
 def test_explorer_histories_strictly_serializable():
-    swept = explore(seeds=2, cfg=ExplorerConfig(txns_per_node=5))
-    assert swept.seeds_run == 2
-    assert swept.history_violations == []
-    assert len(swept.history_digests) == 2
-    assert not swept.violations and not swept.nonquiescent
+    swept = explore(seeds=2)
+    assert len(swept.runs) == 2
+    assert all(run.recipe.check_history for run in swept.runs)
+    assert swept.ok, swept.problems()
+
+
+def test_sweep_cell_without_a_crash_is_audited_with_strict_exactly_once():
+    """About half the sweep's seeds draw no crash; those cells are the
+    strict fault-free case — every committed increment applied exactly
+    once, not the crashed-coordinator lower bound."""
+    crash_free = [run for run in explore(seeds=8).runs
+                  if not run.recipe.events]
+    assert len(crash_free) >= 2
+    for run in crash_free:
+        assert run.timeline == [] and run.ok, run.audit.problems()
+        assert run.committed > 100
 
 
 def test_chaos_crash_recover_history_strictly_serializable():
     # The acceptance run: a difficulty-2 schedule (crash -> recover plus
     # partition/slowdown) with the history audit on must come back clean.
-    cfg = CampaignConfig(difficulty=2, seeds=(0,), check_history=True,
-                         duration_us=15_000.0, quiesce_us=25_000.0)
-    schedule = generate_schedule(
-        cfg.num_nodes, cfg.duration_us, seed=cfg.schedule_seed_base,
-        difficulty=cfg.difficulty, require_crash=True)
-    report = run_chaos_once(schedule, cfg.seeds[0], cfg)
+    cell = Recipe(check_history=True, duration_us=15_000.0,
+                  quiesce_us=25_000.0)
+    schedule = generate_schedule(cell.num_nodes, cell.duration_us, seed=100,
+                                 difficulty=2, require_crash=True)
+    report = run_cell(cell.of(schedule, 0))
     assert any(t.startswith("crash") for t in report.timeline)
     assert any(t.startswith("recover") for t in report.timeline)
     assert report.audit.history == []
@@ -201,77 +213,80 @@ def test_chaos_crash_recover_history_strictly_serializable():
 CRASH_RECOVER = (CrashEvent(3000.0, 1), RecoverEvent(15000.0, 1))
 SLOWDOWNS = (SlowdownEvent(500.0, 2, 3.0, 4000.0),
              SlowdownEvent(8000.0, 0, 2.0, 9000.0))
+SMALL = Recipe(seed=1, num_nodes=3, num_objects=4, duration_us=4_000.0,
+               quiesce_us=26_000.0, check_history=True)
+
+
+@pytest.fixture
+def broken_commit(monkeypatch):
+    """The commit path skips the version bump for the rest of the test."""
+    monkeypatch.setattr(txn_mod, "VERSION_BUMP", 0)
 
 
 def test_healthy_recipe_passes():
-    result = run_recipe(ReproRecipe(seed=1, num_nodes=3, num_objects=4,
-                                    txns_per_node=8, horizon_us=60_000.0))
-    assert result.ok
+    assert run_cell(replace(SMALL, events=CRASH_RECOVER)).ok
 
 
 @pytest.mark.parametrize("events", [CRASH_RECOVER, CRASH_RECOVER + SLOWDOWNS],
                          ids=["crash-recover", "crash-recover-slowdowns"])
-def test_broken_commit_caught_and_shrunk_to_half_or_less(events):
+def test_broken_commit_caught_and_shrunk_to_half_or_less(events,
+                                                         broken_commit):
     """The checker must *catch* a broken commit path and shrink the failing
     run to a minimal repro (CI's check-smoke job runs this test by name)."""
-    recipe = ReproRecipe(seed=1, num_nodes=3, num_objects=4, txns_per_node=8,
-                         events=events, horizon_us=60_000.0,
-                         broken_commit=True)
-    result = run_recipe(recipe)
-    assert not result.ok
-    assert any(v.category == "lost-update" for v in result.violations)
+    recipe = replace(SMALL, events=events)
+    report = run_cell(recipe)
+    assert any("[lost-update]" in p for p in report.audit.history)
 
-    sr = shrink(recipe, result)
+    sr = shrink(recipe, report)
     assert sr.events_after <= sr.events_before // 2
-    assert sr.minimized.txns_per_node <= recipe.txns_per_node
-    assert not sr.minimized_result.ok
+    assert sr.minimized.recipe.duration_us <= recipe.duration_us
+    assert not sr.minimized.ok
     assert "shrunk" in sr.describe()
     # The minimal recipe reproduces deterministically: re-running it
     # yields a byte-identical verdict.
-    assert run_recipe(sr.minimized).digest() == sr.minimized_result.digest()
+    assert run_cell(sr.minimized.recipe).digest() == sr.minimized.digest()
+
+
+def test_shrink_keeps_any_gate_of_the_original_not_only_history(
+        broken_commit):
+    """Without a recorder the broken commit path still fails the state
+    audits; the shrinker minimises on those gates alone."""
+    recipe = replace(SMALL, events=CRASH_RECOVER, check_history=False)
+    report = run_cell(recipe)
+    gates = {gate for gate, _ in report.audit.problems()}
+    assert gates == {"safety", "exactly_once"}
+
+    sr = shrink(recipe, report)
+    assert sr.events_after == 0
+    assert {gate for gate, _ in sr.minimized.audit.problems()} & gates
+    assert sr.minimized.audit.history == []
 
 
 def test_shrink_refuses_passing_run():
-    recipe = ReproRecipe(seed=1, num_nodes=3, num_objects=4,
-                         txns_per_node=8, horizon_us=60_000.0)
     with pytest.raises(ValueError):
-        shrink(recipe, run_recipe(recipe))
-
-
-def test_shrinker_replays_what_the_explorer_ran():
-    """A recipe built from an explorer seed — same cluster, faults, load
-    and crash — reproduces that seed's history verdict via run_recipe."""
-    cfg = ExplorerConfig(txns_per_node=6)
-    swept = explore(seeds=5, cfg=cfg)
-    crashes = [seed_crash(seed, cfg) for seed in range(5)]
-    assert any(crashes) and not all(crashes)  # both kinds of history
-    for seed, crash in enumerate(crashes):
-        recipe = ReproRecipe(seed=seed, num_nodes=cfg.num_nodes,
-                             num_objects=cfg.num_objects,
-                             txns_per_node=cfg.txns_per_node,
-                             events=(crash,) if crash else (),
-                             faults=cfg.faults, horizon_us=cfg.horizon_us)
-        assert (f"seed {seed}: {run_recipe(recipe).digest()}"
-                == swept.history_digests[seed])
+        shrink(SMALL)
 
 
 # ------------------------------------------------------- seed determinism
 
 
 def test_explorer_digest_deterministic():
-    cfg = ExplorerConfig(txns_per_node=4)
-    first = explore(seeds=4, cfg=cfg).digest()
-    second = explore(seeds=4, cfg=cfg).digest()
+    first = [run.digest() for run in explore(seeds=4).runs]
+    second = [run.digest() for run in explore(seeds=4).runs]
     assert first == second
 
 
 def test_chaos_run_digest_deterministic():
-    cfg = CampaignConfig(difficulty=1, seeds=(0,), check_history=True,
-                         duration_us=6_000.0, quiesce_us=12_000.0)
-    schedule = generate_schedule(
-        cfg.num_nodes, cfg.duration_us, seed=cfg.schedule_seed_base,
-        difficulty=cfg.difficulty, require_crash=True)
-    first = run_chaos_once(schedule, 0, cfg)
-    second = run_chaos_once(schedule, 0, cfg)
-    assert first.digest() == second.digest()
-    assert first.ok and second.ok
+    """Same recipe twice ⇒ byte-identical report digest — and attaching a
+    tracer, a history recorder and a locality recorder changes nothing."""
+    cell = Recipe(duration_us=6_000.0, quiesce_us=12_000.0)
+    recipe = cell.of(generate_schedule(cell.num_nodes, cell.duration_us,
+                                       seed=100, difficulty=1,
+                                       require_crash=True), 0)
+    first = run_cell(recipe)
+    assert first.ok, first.audit.problems()
+    assert run_cell(recipe).digest() == first.digest()
+    instrumented = run_cell(
+        replace(recipe, check_history=True),
+        Observability(tracer=Tracer(), locality=LocalityRecorder()))
+    assert instrumented.digest() == first.digest()

@@ -31,8 +31,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.chaos import CampaignConfig, generate_schedule, run_campaign
-from repro.chaos.campaign import run_chaos_once
+from repro.chaos import (CampaignConfig, Recipe, generate_schedule,
+                         run_campaign, run_cell)
 from repro.harness.rig import Rig, counter_catalog
 from repro.harness.runner import main
 from repro.obs import LocalityRecorder, Observability
@@ -243,24 +243,22 @@ def test_degree_adaptation_stays_inside_bounds(scenario_seq):
 # ======================================================================
 
 
-def _chaos_cfg(**overrides):
-    kw = dict(num_schedules=1, seeds=(0,), difficulty=2,
-              duration_us=20_000.0, quiesce_us=25_000.0,
+def _chaos_cell(**overrides):
+    kw = dict(duration_us=20_000.0, quiesce_us=25_000.0,
               placement=True, check_history=True)
     kw.update(overrides)
-    return CampaignConfig(**kw)
+    return Recipe(**kw)
 
 
 @pytest.mark.parametrize("mode", ["faults", "elastic", "power_loss"])
 def test_chaos_campaign_with_controller_live(mode):
-    overrides = {}
-    if mode == "elastic":
-        overrides["elastic"] = True
-    elif mode == "power_loss":
-        overrides.update(power_loss=True, disk=DiskParams(enabled=True),
-                         duration_us=12_000.0, quiesce_us=12_000.0,
-                         restart_wave_us=6_000.0)
-    result = run_campaign(_chaos_cfg(**overrides))
+    cell = _chaos_cell()
+    if mode == "power_loss":
+        cell = _chaos_cell(disk=DiskParams(enabled=True),
+                           duration_us=12_000.0, quiesce_us=12_000.0)
+    result = run_campaign(CampaignConfig(
+        cell=cell, num_schedules=1, seeds=(0,), difficulty=2,
+        elastic=mode == "elastic", power_loss=mode == "power_loss"))
     assert result.ok, result.problems()
     # The controller actually ran (it is a raw sim process, so crashes
     # and power loss do not kill it — it waits the faults out).
@@ -268,11 +266,12 @@ def test_chaos_campaign_with_controller_live(mode):
 
 
 def test_chaos_run_with_controller_is_deterministic():
-    cfg = _chaos_cfg(check_history=False)
-    sched = generate_schedule(cfg.num_nodes, cfg.duration_us, seed=101,
-                              difficulty=2, require_crash=True)
-    r1 = run_chaos_once(sched, seed=0, cfg=cfg)
-    r2 = run_chaos_once(sched, seed=0, cfg=cfg)
+    cell = _chaos_cell(check_history=False)
+    recipe = cell.of(generate_schedule(cell.num_nodes, cell.duration_us,
+                                       seed=101, difficulty=2,
+                                       require_crash=True), 0)
+    r1 = run_cell(recipe)
+    r2 = run_cell(recipe)
     assert r1.ok, list(r1.audit.problems())
     assert r1.digest() == r2.digest()
     assert any("crash" in e for e in r1.timeline)

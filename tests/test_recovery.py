@@ -319,17 +319,16 @@ def test_hermes_snapshot_bootstraps_a_reset_replica():
 # ======================================================================
 
 def test_chaos_run_with_recovery_passes_all_audits():
-    from repro.chaos.campaign import CampaignConfig, run_chaos_once
-    cfg = CampaignConfig(num_schedules=1, seeds=(0,), difficulty=2,
-                         duration_us=20_000.0, quiesce_us=25_000.0)
-    sched = FaultSchedule([CrashEvent(at_us=4_000.0, node=2),
-                           RecoverEvent(at_us=14_000.0, node=2)],
-                          name="rejoin-smoke")
-    r1 = run_chaos_once(sched, seed=0, cfg=cfg)
+    from repro.chaos.campaign import Recipe, run_cell
+    recipe = Recipe(duration_us=20_000.0, quiesce_us=25_000.0,
+                    name="rejoin-smoke",
+                    events=(CrashEvent(at_us=4_000.0, node=2),
+                            RecoverEvent(at_us=14_000.0, node=2)))
+    r1 = run_cell(recipe)
     assert r1.ok, r1.audit.problems()
     assert any("recover" in e for e in r1.timeline)
     # The whole cycle — including rejoin — is deterministic.
-    r2 = run_chaos_once(sched, seed=0, cfg=cfg)
+    r2 = run_cell(recipe)
     assert r1.digest() == r2.digest()
 
 

@@ -1,14 +1,16 @@
 """Golden pins for the rig's consumers that no scenario digest covers.
 
-``repro heatmap`` / ``repro elastic`` (the LB-routed scale-out), the four
-``repro place`` differentials and the explorer must reproduce, byte for byte,
-what the commit *before* the five hand-built harnesses were collapsed into
+``repro heatmap`` / ``repro elastic`` (the LB-routed scale-out) and the four
+``repro place`` differentials must reproduce, byte for byte, what the commit
+*before* the five hand-built harnesses were collapsed into
 ``repro.harness.rig`` produced.  The golden file was recorded from that
 parent commit (09ab9c3) with::
 
     PYTHONPATH=src python tests/test_rig_golden.py --record
 
 and must only ever be re-recorded by a change that means to alter an outcome.
+The ``explore`` entry pins the randomized sweep; it was re-recorded when the
+sweep's load became the campaign's (one cell, one runner).
 """
 
 import hashlib
@@ -19,9 +21,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.chaos import explore
 from repro.harness.runner import main
 from repro.placement import DIFF_WORKLOADS, run_pair
-from repro.verify import ExplorerConfig, explore
 
 GOLDEN = Path(__file__).with_name("golden_rig_digests.json")
 #: A 4 -> 6 scale-out small enough for tier-1 that still passes both CLIs'
@@ -49,8 +51,8 @@ def place_record(out) -> dict:
 
 
 def explore_digest() -> str:
-    swept = explore(seeds=3, cfg=ExplorerConfig(txns_per_node=8))
-    return hashlib.sha256(swept.digest().encode("utf-8")).hexdigest()
+    digests = [run.digest() for run in explore(seeds=3).runs]
+    return hashlib.sha256("\n".join(digests).encode("utf-8")).hexdigest()
 
 
 def test_heatmap_and_elastic_reports_match_parent_golden(tmp_path, capsys):

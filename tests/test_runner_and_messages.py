@@ -29,7 +29,7 @@ def test_cli_locality(capsys):
 
 
 def test_cli_verify_small(capsys):
-    assert main(["verify", "--seeds", "2", "--txns", "5"]) == 0
+    assert main(["verify", "--seeds", "2"]) == 0
     out = capsys.readouterr().out
     assert "verdict         : OK" in out
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.kernel import Simulator
-from repro.sim.process import Event, Future, Process, all_of, sleep
+from repro.sim.process import Event, Future, Process, all_of
 
 
 def test_process_sleeps_for_yielded_duration():
@@ -245,18 +245,6 @@ def test_event_clear_reblocks():
     event.set()
     event.clear()
     assert not event.is_set()
-
-
-def test_sleep_helper():
-    sim = Simulator()
-
-    def proc():
-        yield from sleep(12.0)
-        return sim.now
-
-    p = Process(sim, proc())
-    sim.run()
-    assert p.result() == 12.0
 
 
 def test_invalid_yield_type_errors():

@@ -1,10 +1,9 @@
-"""CPU servers/pools and FIFO locks."""
+"""CPU servers and pools."""
 
 import pytest
 
 from repro.sim.kernel import Simulator
-from repro.sim.process import Process
-from repro.sim.resources import CpuPool, CpuServer, FifoLock
+from repro.sim.resources import CpuPool, CpuServer
 
 
 def test_cpu_server_serializes_work():
@@ -81,44 +80,3 @@ def test_pool_utilization():
     pool.execute(10.0)
     sim.run()
     assert pool.utilization(10.0) == pytest.approx(0.5)
-
-
-def test_fifo_lock_grants_in_order():
-    sim = Simulator()
-    lock = FifoLock(sim)
-    order = []
-
-    def worker(tag, hold):
-        yield lock.acquire(tag)
-        order.append(tag)
-        yield hold
-        lock.release()
-
-    Process(sim, worker("a", 10.0))
-    Process(sim, worker("b", 1.0))
-    Process(sim, worker("c", 1.0))
-    sim.run()
-    assert order == ["a", "b", "c"]
-
-
-def test_fifo_lock_try_acquire():
-    sim = Simulator()
-    lock = FifoLock(sim)
-    assert lock.try_acquire("x") is True
-    assert lock.try_acquire("y") is False
-    lock.release()
-    assert lock.try_acquire("y") is True
-
-
-def test_fifo_lock_release_unlocked_raises():
-    with pytest.raises(RuntimeError):
-        FifoLock(Simulator()).release()
-
-
-def test_fifo_lock_owner_tracking():
-    sim = Simulator()
-    lock = FifoLock(sim)
-    lock.try_acquire("me")
-    assert lock.owner == "me"
-    lock.release()
-    assert lock.owner is None

@@ -1,4 +1,4 @@
-"""Verification layer: checker, exhaustive explorer, invariants, explorer."""
+"""Verification layer: checker, exhaustive explorer, invariants, sweep."""
 
 import os
 import subprocess
@@ -7,17 +7,16 @@ from pathlib import Path
 
 import pytest
 
+from repro.chaos import explore
 from repro.commit.manager import CommitManager
 from repro.ownership.manager import OwnershipManager
 from repro.verify import (
     SCENARIOS,
-    ExplorerConfig,
     InvariantViolation,
     bfs_check,
     check_invariants,
     check_protocol,
     check_quiescent,
-    explore,
 )
 from repro.store.meta import OState, ReplicaSet, TState
 from tests.conftest import make_cluster, run_app
@@ -192,8 +191,7 @@ def test_quiescence_clean_after_workload():
 
 
 def test_explorer_clean_sweep():
-    result = explore(seeds=4, cfg=ExplorerConfig(txns_per_node=8))
-    assert result.seeds_run == 4
-    assert result.violations == []
-    assert result.nonquiescent == []
-    assert result.committed_total > 0
+    result = explore(seeds=4)
+    assert len(result.runs) == 4
+    assert result.problems() == []
+    assert result.committed > 0
