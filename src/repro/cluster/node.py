@@ -140,7 +140,7 @@ class Node:
             # created before the sender learned we restarted).
             self._c_fenced.inc()
             tracer = self.obs.tracer
-            if tracer:
+            if tracer.enabled:
                 tracer.instant("recovery.fence", pid=self.node_id,
                                cat="recovery", src=msg.src,
                                dst_inc=msg.dst_inc, kind=msg.kind)
@@ -149,7 +149,7 @@ class Node:
         if known is not None and msg.inc < known:
             self._c_fenced.inc()
             tracer = self.obs.tracer
-            if tracer:
+            if tracer.enabled:
                 tracer.instant("recovery.fence", pid=self.node_id,
                                cat="recovery", src=msg.src, inc=msg.inc,
                                expected=known, kind=msg.kind)

@@ -57,7 +57,7 @@ class _Slot:
     """Coordinator-side state of one pending reliable commit."""
 
     __slots__ = ("inv", "needed", "acked", "extras", "future", "submitted_at",
-                 "span", "wal_key", "persist")
+                 "span", "wal_key", "hop")
 
     def __init__(self, inv: RInv, submitted_at: float):
         self.inv = inv
@@ -72,8 +72,9 @@ class _Slot:
         self.span = None
         #: WAL key of this slot's REDO record (None when the WAL is off).
         self.wal_key = None
-        #: Resolves when the slot's COMMIT record is fsynced (WAL only).
-        self.persist: Optional[Future] = None
+        #: The transaction's history op (None when no history is recorded):
+        #: stamped durable / persisted where the slot's outcome is settled.
+        self.hop = None
 
 
 class _CoordPipeline:
@@ -131,10 +132,11 @@ class CommitManager:
         self._recovering_epoch: Optional[int] = None
         #: Live set of the previous view, for spotting re-admitted peers.
         self._prev_live: frozenset = frozenset()
-        self.last_persist: Optional[Future] = None
 
         obs = node.obs
         self.tracer = obs.tracer
+        self.history = obs.history
+        self._pipeline_arg: Dict[PipelineId, List[int]] = {}
         #: Registry-backed counter view (``commit.*``, labeled by node).
         self.counters = obs.registry.group("commit", node=self.node_id)
         self._latency = obs.registry.histogram("commit.latency_us",
@@ -186,7 +188,8 @@ class CommitManager:
         return None
 
     def submit(self, thread: int, updates: List[Update],
-               followers: Set[NodeId], ctx=None, wal_key=None) -> Future:
+               followers: Set[NodeId], ctx=None, wal_key=None,
+               hop=None) -> Future:
         """Begin the reliable commit of a locally-committed transaction.
 
         Non-blocking.  Returns a future completing when the transaction is
@@ -200,7 +203,9 @@ class CommitManager:
         submitting transaction's trace.  ``wal_key`` is the REDO record key
         the transaction layer logged at local commit (where pre-images were
         still at hand); callers that skip it get a pre-image-free REDO
-        logged here.
+        logged here.  ``hop`` is the transaction's history op: it rides on
+        the slot and is marked durable (and persisted) at the instants this
+        manager settles the slot, so recording schedules nothing.
         """
         pipe = self._coord.get(thread)
         if pipe is None:
@@ -220,15 +225,12 @@ class CommitManager:
                    updates, prev_val=prev_done)
         slot = _Slot(inv, self.sim.now)
         slot.future = Future(self.sim)
+        slot.hop = hop
         dur = self.node.durability
         if dur is not None:
             if wal_key is None:
                 wal_key = dur.log_redo_coord(thread, updates, pre=[])
             slot.wal_key = wal_key
-            slot.persist = Future(self.sim)
-        #: Persist future of the most recent submit (read synchronously by
-        #: the txn layer to stamp ``persisted_at``); None when the WAL is off.
-        self.last_persist = slot.persist
         pipe.slots[slot_no] = slot
         for oid, _ver, _data, _size in updates:
             self._pending_by_oid[oid] = self._pending_by_oid.get(oid, 0) + 1
@@ -311,43 +313,50 @@ class CommitManager:
             dur = self.node.durability
             if dur is not None and slot.wal_key is not None:
                 self._persist_slot(dur, slot, pipeline_id)
-            elif slot.future is not None and not slot.future.done():
+            elif not slot.future.done():
+                # _ack(), inline: one frame fewer on every plain commit.
                 slot.future.set_result(None)
+                if slot.hop is not None:
+                    self.history.mark_durable(slot.hop, self.sim.now)
             if pipe.room is not None and len(pipe.slots) < self.max_pipeline_depth:
                 pipe.room.set()
 
+    def _ack(self, slot: _Slot) -> None:
+        """Resolve the slot's commit ack; its history op is durable now."""
+        if not slot.future.done():
+            slot.future.set_result(None)
+            if slot.hop is not None:
+                self.history.mark_durable(slot.hop, self.sim.now)
+
     def _persist_slot(self, dur, slot: _Slot, pipeline_id: PipelineId) -> None:
-        """Log the slot's COMMIT record and settle its futures.
+        """Log the slot's COMMIT record and settle its outcome.
 
         The commit ack (``slot.future``) resolves now under
         ``ack_policy="replication"`` (the paper's semantics; disk
         persistence is asynchronous), or only when the COMMIT record's
-        fsync completes under ``"persist"``.  ``slot.persist`` always
-        resolves at the fsync — the history recorder stamps
-        ``persisted_at`` from it.  A crash in the window kills the fsync
-        (token discard), both futures stay pending, and the op is audited
-        as maybe-committed.
+        fsync completes under ``"persist"``.  The history op is always
+        stamped ``persisted_at`` at the fsync.  A crash in the window kills
+        the fsync (token discard), the ack stays pending under
+        ``"persist"``, and the op is audited as maybe-committed.
         """
         pf = dur.log_commit(slot.wal_key, want_future=True)
         ack_persist = dur.ack_persist
-        if not ack_persist and slot.future is not None and not slot.future.done():
-            slot.future.set_result(None)
+        if not ack_persist:
+            self._ack(slot)
         pspan = None
         if slot.span is not None and not pf.done():
             pspan = self.tracer.begin("commit_persist", pid=self.node_id,
                                       tid=TID_REPLICATION + pipeline_id[1],
                                       cat="commit", ctx=slot.span.ctx,
                                       slot=slot.inv.slot)
-        persist_fut = slot.persist
-        ack_fut = slot.future if ack_persist else None
 
         def _done(_f):
             if pspan is not None:
                 self.tracer.end(pspan)
-            if persist_fut is not None and not persist_fut.done():
-                persist_fut.set_result(None)
-            if ack_fut is not None and not ack_fut.done():
-                ack_fut.set_result(None)
+            if slot.hop is not None:
+                self.history.mark_persisted(slot.hop, self.sim.now)
+            if ack_persist:
+                self._ack(slot)
 
         pf.add_done_callback(_done)
 
@@ -457,10 +466,13 @@ class CommitManager:
         self.counters.inc("applied")
         tracer = self.tracer
         if tracer.enabled:
+            # One list per pipeline, not per record: the tracer keeps
+            # argument values by reference.
             tracer.instant("commit.apply", pid=self.node_id,
                            tid=TID_REPLICATION, cat="commit",
-                           pipeline=list(inv.pipeline), slot=inv.slot,
-                           updates=len(inv.updates))
+                           pipeline=self._pipeline_arg.setdefault(
+                               inv.pipeline, list(inv.pipeline)),
+                           slot=inv.slot, updates=len(inv.updates))
         self._send_rack(ack_to if ack_to is not None else inv.pipeline[0], inv)
 
     def _send_rack(self, to: NodeId, inv: RInv) -> None:

@@ -43,10 +43,8 @@ class ScenarioOutcome:
         fields: same seed ⇒ same digest, on any machine, profiled or not,
         observability on or off.
 
-        ``events_executed`` is deliberately excluded: history recording
-        legitimately schedules extra bookkeeping events (durability-future
-        callbacks via ``sim.call_soon``) that never touch model state, so
-        the event count measures cost, not outcome.
+        ``events_executed`` is deliberately excluded: the event count
+        measures what the run cost the kernel, not what it decided.
         """
         payload = {
             "committed": self.committed,

@@ -164,7 +164,7 @@ class ReliableTransport:
 
     def _stamp_ctx(self, msg: Message, ctx) -> None:
         tracer = self.obs.tracer
-        if not tracer:
+        if not tracer.enabled:
             return
         msg.trace_id, msg.parent_span = ctx
         msg.flow_id = tracer.next_flow()
@@ -206,14 +206,14 @@ class ReliableTransport:
             # go-back-N window into a black hole every interval.
             seq = min(chan.unacked)
             self._c_probes.inc()
-            if tracer:
+            if tracer.enabled:
                 tracer.instant("net.probe", pid=self.node_id, tid=TID_NET,
                                cat="net", dst=dst, seq=seq)
             self.network.send(chan.unacked[seq])
         else:
             for seq in sorted(chan.unacked):
                 self._c_retransmissions.inc()
-                if tracer:
+                if tracer.enabled:
                     tracer.instant("net.retransmit", pid=self.node_id,
                                    tid=TID_NET, cat="net", dst=dst, seq=seq,
                                    attempt=chan.retries)

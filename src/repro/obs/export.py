@@ -58,8 +58,9 @@ def _sort_key(span: Span):
 def chrome_trace_events(tracer: Tracer) -> List[Dict]:
     """The ``traceEvents`` list: metadata + complete + instant events."""
     events: List[Dict] = []
-    tracks = sorted({(s.pid, s.tid) for s in tracer.spans}
-                    | {(e.pid, e.tid) for e in tracer.instants})
+    spans = sorted(tracer.rows(True), key=_sort_key)
+    instants = sorted(tracer.rows(False), key=_sort_key)
+    tracks = sorted({(r.pid, r.tid) for r in spans + instants})
     for pid in sorted({pid for pid, _tid in tracks}):
         events.append({"ph": "M", "pid": pid, "tid": 0,
                        "name": "process_name",
@@ -68,24 +69,24 @@ def chrome_trace_events(tracer: Tracer) -> List[Dict]:
         events.append({"ph": "M", "pid": pid, "tid": tid,
                        "name": "thread_name",
                        "args": {"name": _track_name(tid)}})
-    for span in sorted(tracer.spans, key=_sort_key):
+    for span in spans:
         ev = {"ph": "X", "name": span.name, "cat": span.cat,
               "pid": span.pid, "tid": span.tid,
               "ts": span.start_us, "dur": span.duration_us}
         if span.args:
             ev["args"] = span.args
         events.append(ev)
-    for inst in sorted(tracer.instants, key=_sort_key):
+    for inst in instants:
         ev = {"ph": "i", "s": "t", "name": inst.name, "cat": inst.cat,
               "pid": inst.pid, "tid": inst.tid, "ts": inst.start_us}
         if inst.args:
             ev["args"] = inst.args
         events.append(ev)
-    events.extend(_flow_events(tracer))
+    events.extend(_flow_events(spans, instants))
     return events
 
 
-def _flow_events(tracer: Tracer) -> List[Dict]:
+def _flow_events(spans: List[Span], instants: List[Span]) -> List[Dict]:
     """Flow (``ph:"s"``/``ph:"f"``) pairs for message-caused spans.
 
     For every span created on delivery of a traced wire message (it has a
@@ -93,20 +94,17 @@ def _flow_events(tracer: Tracer) -> List[Dict]:
     parent's track at the first wire send of that message and a binding
     flow *finish* at the handler span's start — Perfetto then draws the
     arrow across nodes.  By construction every ``s`` has its ``f``.
+    Both lists arrive in export (time) order.
     """
-    spans_by_id = {s.span_id: s for s in tracer.spans
-                   if s.span_id is not None}
+    spans_by_id = {s.span_id: s for s in spans}
     first_send: Dict[int, float] = {}
-    for inst in tracer.instants:
-        if inst.name != "net.send" or not inst.args:
-            continue
-        flow = inst.args.get("flow")
-        if flow is None:
-            continue
-        if flow not in first_send or inst.start_us < first_send[flow]:
-            first_send[flow] = inst.start_us
+    for inst in instants:
+        if inst.name == "net.send" and inst.args:
+            flow = inst.args.get("flow")
+            if flow is not None:
+                first_send.setdefault(flow, inst.start_us)
     events: List[Dict] = []
-    for span in sorted(tracer.spans, key=_sort_key):
+    for span in spans:
         if span.parent_id is None or not span.args:
             continue
         flow = span.args.get("flow")
@@ -144,21 +142,12 @@ def trace_records(tracer: Tracer) -> List[Dict]:
     :mod:`repro.obs.analysis` — a JSONL file read back line-by-line yields
     exactly these records.
     """
-    records = []
-    for span in tracer.spans:
-        records.append({"type": "span", "name": span.name, "cat": span.cat,
-                        "node": span.pid, "tid": span.tid,
-                        "start_us": span.start_us, "end_us": span.end_us,
-                        "trace": span.trace_id, "span": span.span_id,
-                        "parent": span.parent_id,
-                        "args": span.args or {}})
-    for inst in tracer.instants:
-        records.append({"type": "instant", "name": inst.name,
-                        "cat": inst.cat, "node": inst.pid, "tid": inst.tid,
-                        "start_us": inst.start_us, "end_us": inst.start_us,
-                        "trace": inst.trace_id, "span": inst.span_id,
-                        "parent": inst.parent_id,
-                        "args": inst.args or {}})
+    records = [{"type": kind, "name": r.name, "cat": r.cat, "node": r.pid,
+                "tid": r.tid, "start_us": r.start_us, "end_us": r.end_us,
+                "trace": r.trace_id, "span": r.span_id,
+                "parent": r.parent_id, "args": r.args or {}}
+               for kind, spans in (("span", True), ("instant", False))
+               for r in tracer.rows(spans)]
     records.sort(key=lambda r: (r["start_us"], r["node"], r["tid"], r["name"]))
     return records
 

@@ -137,28 +137,10 @@ class HistoryRecorder:
         op.durable = True
         op.durable_at = now
 
-    def attach_durability(self, op: HistoryOp, future) -> None:
-        """Flip :attr:`HistoryOp.durable` when ``future`` resolves.
-
-        The completion instant is taken from the future's simulator clock
-        and becomes the op's visibility point for real-time ordering.
-        """
-        if future is not None:
-            future.add_done_callback(
-                lambda f: self.mark_durable(op, f.sim.now))
-
     def mark_persisted(self, op: HistoryOp, now: Optional[float] = None) -> None:
         """The op's COMMIT record reached disk — it survives power loss."""
         op.persisted = True
         op.persisted_at = now
-
-    def attach_persistence(self, op: HistoryOp, future) -> None:
-        """Flip :attr:`HistoryOp.persisted` when ``future`` (the WAL COMMIT
-        record's fsync) resolves.  No-op when ``future`` is None — the WAL
-        is disabled and replication-durable remains the only guarantee."""
-        if future is not None:
-            future.add_done_callback(
-                lambda f: self.mark_persisted(op, f.sim.now))
 
     # ---------------------------------------------------------------- faults
 
@@ -233,7 +215,7 @@ class NullHistoryRecorder:
     __slots__ = ()
 
     enabled = False
-    ops: List[HistoryOp] = []
+    ops: Tuple[HistoryOp, ...] = ()
 
     def __bool__(self) -> bool:
         return False
@@ -253,13 +235,7 @@ class NullHistoryRecorder:
     def mark_durable(self, op, now=None) -> None:
         pass
 
-    def attach_durability(self, op, future) -> None:
-        pass
-
     def mark_persisted(self, op, now=None) -> None:
-        pass
-
-    def attach_persistence(self, op, future) -> None:
         pass
 
     def on_crash(self, node_id, now) -> None:

@@ -137,33 +137,40 @@ class SpaceSaving:
         self._rebuild_heap()
 
     def add(self, key: Any, now: float, n: float = 1.0) -> None:
+        self.add_all((key,), now, n)
+
+    def add_all(self, keys, now: float, n: float = 1.0) -> None:
+        """Count ``n`` for each of ``keys`` at one instant: a single decay
+        check serves the lot."""
         self.decay_to(now)
         counts = self.counts
-        cur = counts.get(key)
-        if cur is not None:
-            counts[key] = cur + n
-            heapq.heappush(self._heap, (cur + n, key))
-            return
-        if len(counts) < self.capacity:
-            counts[key] = n
-            self.errors[key] = 0.0
-            heapq.heappush(self._heap, (n, key))
-            return
         heap = self._heap
-        while True:
-            floor, victim = heap[0]
-            if counts.get(victim) == floor:
-                break
-            heapq.heappop(heap)  # stale: count moved on or key evicted
-        heapq.heappop(heap)
-        del counts[victim]
-        self.errors.pop(victim, None)
-        self.evictions += 1
-        counts[key] = floor + n
-        self.errors[key] = floor
-        heapq.heappush(heap, (floor + n, key))
-        if len(heap) > 8 * self.capacity:
-            self._rebuild_heap()
+        for key in keys:
+            cur = counts.get(key)
+            if cur is not None:
+                counts[key] = cur + n
+                heapq.heappush(heap, (cur + n, key))
+                continue
+            if len(counts) < self.capacity:
+                counts[key] = n
+                self.errors[key] = 0.0
+                heapq.heappush(heap, (n, key))
+                continue
+            while True:
+                floor, victim = heap[0]
+                if counts.get(victim) == floor:
+                    break
+                heapq.heappop(heap)  # stale: count moved on or key evicted
+            heapq.heappop(heap)
+            del counts[victim]
+            self.errors.pop(victim, None)
+            self.evictions += 1
+            counts[key] = floor + n
+            self.errors[key] = floor
+            heapq.heappush(heap, (floor + n, key))
+            if len(heap) > 8 * self.capacity:
+                self._rebuild_heap()
+                heap = self._heap
 
     def get(self, key: Any) -> float:
         return self.counts.get(key, 0.0)
@@ -307,9 +314,6 @@ class LocalityRecorder:
         #: Named experiment marks ((label, at, info)) for report overlays.
         self._marks: List[Tuple[str, float, Dict[str, Any]]] = []
 
-    def __bool__(self) -> bool:
-        return True
-
     # ----------------------------------------------------------- txn facing
 
     def begin(self, node: int, thread: int, now: float) -> LocalityOp:
@@ -342,26 +346,26 @@ class LocalityRecorder:
             slot = self._bins.setdefault(int(now // self.bin_us), [0, 0])
         slot[remote] += 1
 
-        oids = list(dict.fromkeys(list(write_set) + list(read_set)))
+        writes = list(dict.fromkeys(write_set)) if write_set else []
+        reads = list(dict.fromkeys(read_set)) if read_set else []
+        oids = (list(dict.fromkeys(writes + reads)) if writes and reads
+                else writes or reads)
         sketch = self._per_node.get(node)
         if sketch is None:
             sketch = self._per_node[node] = SpaceSaving(self.top_k,
                                                         self.half_life_us)
-        for oid in oids:
-            sketch.add(oid, now)
-        for oid in dict.fromkeys(write_set):
-            self._writes.add(oid, now)
-        for oid in dict.fromkeys(read_set):
-            self._reads.add(oid, now)
+        if oids:
+            sketch.add_all(oids, now)
+        if writes:
+            self._writes.add_all(writes, now)
+        if reads:
+            self._reads.add_all(reads, now)
 
         if len(oids) > 1:
             capped = oids[:8]  # bound the quadratic edge fan-out per txn
-            pairs = self._pairs
-            for i in range(len(capped)):
-                a = capped[i]
-                for j in range(i + 1, len(capped)):
-                    b = capped[j]
-                    pairs.add((a, b) if a <= b else (b, a), now)
+            self._pairs.add_all([(a, b) if a <= b else (b, a)
+                                 for i, a in enumerate(capped, 1)
+                                 for b in capped[i:]], now)
 
         open_recs = self._open
         if open_recs:

@@ -27,15 +27,21 @@ message) so the exporter can pair ``net.send``/``net.deliver`` instants
 into Chrome flow arrows and the analyzer can measure wire time and
 retransmit stalls.
 
+Storage: a finished span or an instant is one packed :data:`_ROW` plus its
+argument values in one flat list — no per-record object for the collector
+to walk (DESIGN.md §5, "Anatomy of a trace record"); a :class:`Span` exists
+only as an open span's handle and in views rebuilt on demand.
+
 The default tracer everywhere is :data:`NULL_TRACER`: falsy, stateless,
 and method calls are no-ops, so instrumented call sites guard with
-``if tracer:`` and a disabled tracer costs one falsy check — no
+``if tracer.enabled:`` and a disabled tracer costs one attribute read — no
 allocations, no simulator events.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from struct import Struct
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 __all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER", "TraceCtx",
            "TID_REPLICATION", "TID_NET", "TID_SVC"]
@@ -51,31 +57,32 @@ TID_NET = 9999
 #: may be None for a trace root.
 TraceCtx = Tuple[int, Optional[int]]
 
+#: One record: emit point, pid, tid, trace / span / parent id (-1 = None),
+#: start and end in simulated microseconds.  40 bytes, no padding.
+_ROW = Struct("<iiiiiidd")
+_UNBOUND = ("tracer used before sim bound: pass the Simulator to "
+            "Tracer(sim) or set tracer.sim before recording (the "
+            "cluster builder binds it automatically)")
+_new = tuple.__new__
 
-class Span:
+
+class Span(NamedTuple):
     """One named interval (or instant, when ``end_us == start_us``)."""
 
-    __slots__ = ("name", "cat", "pid", "tid", "start_us", "end_us", "args",
-                 "trace_id", "span_id", "parent_id")
-
-    def __init__(self, name: str, cat: str, pid: int, tid: int,
-                 start_us: float, args: Optional[Dict[str, Any]] = None,
-                 trace_id: Optional[int] = None,
-                 span_id: Optional[int] = None,
-                 parent_id: Optional[int] = None):
-        self.name = name
-        self.cat = cat
-        self.pid = pid
-        self.tid = tid
-        self.start_us = start_us
-        self.end_us: Optional[float] = None
-        self.args = args
-        #: Trace this span belongs to (None = untraced/standalone).
-        self.trace_id = trace_id
-        #: Unique id of this span within its tracer.
-        self.span_id = span_id
-        #: span_id of the causal parent (possibly on another node).
-        self.parent_id = parent_id
+    name: str
+    cat: str
+    pid: int
+    tid: int
+    start_us: float
+    #: None on the handle :meth:`Tracer.begin` returns, until it is ended.
+    end_us: Optional[float]
+    args: Optional[Dict[str, Any]]
+    #: Trace this span belongs to (None = untraced/standalone).
+    trace_id: Optional[int]
+    #: Unique id of this span within its tracer.
+    span_id: int
+    #: span_id of the causal parent (possibly on another node).
+    parent_id: Optional[int]
 
     @property
     def duration_us(self) -> float:
@@ -84,13 +91,7 @@ class Span:
     @property
     def ctx(self) -> Optional[TraceCtx]:
         """This span as a trace context for children/messages."""
-        if self.trace_id is None:
-            return None
-        return (self.trace_id, self.span_id)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (f"Span({self.name} n{self.pid}/t{self.tid} "
-                f"[{self.start_us:.2f}, {self.end_us}])")
+        return None if self.trace_id is None else (self.trace_id, self.span_id)
 
 
 class Tracer:
@@ -100,31 +101,26 @@ class Tracer:
     simulator); recording before binding raises a clear error.
     """
 
-    __slots__ = ("sim", "spans", "instants", "_next_span", "_next_trace",
-                 "_next_flow")
+    __slots__ = ("sim", "_rows", "_values", "_points", "_views",
+                 "_next_span", "_next_trace", "_next_flow")
 
-    enabled = True
+    enabled = True  # and truthy, as any object without __bool__ is
 
     def __init__(self, sim=None):
         self.sim = sim
-        #: Finished spans, in completion order (deterministic).
-        self.spans: List[Span] = []
-        #: Instant events, in emission order.
-        self.instants: List[Span] = []
+        #: Packed :data:`_ROW` records — finished spans in completion order
+        #: interleaved with instants in emission order (deterministic).
+        self._rows = bytearray()
+        #: Every row's argument values, end to end in row order; a row owns
+        #: as many as its emit point has argument names.
+        self._values: List[Any] = []
+        #: Interned emit points ``(is_span, name, cat, *arg names)`` -> index.
+        self._points: Dict[tuple, int] = {}
+        #: ``is_span -> (len(_rows) when built, materialised records)``.
+        self._views: Dict[bool, Tuple[int, List[Span]]] = {}
         self._next_span = 0
         self._next_trace = 0
         self._next_flow = 0
-
-    def __bool__(self) -> bool:
-        return True
-
-    def _now(self) -> float:
-        if self.sim is None:
-            raise RuntimeError(
-                "tracer used before sim bound: pass the Simulator to "
-                "Tracer(sim) or set tracer.sim before recording (the "
-                "cluster builder binds it automatically)")
-        return self.sim.now
 
     # -------------------------------------------------------------- contexts
 
@@ -145,52 +141,93 @@ class Tracer:
         """Open a span at the current simulated time.
 
         ``ctx`` links the span into an existing trace as a child of the
-        given parent span (which may live on another node).
+        given parent span (which may live on another node).  The handle
+        returned is all there is of the span until :meth:`end` records it.
         """
-        now = self._now()
-        self._next_span += 1
+        try:
+            now = self.sim.now
+        except AttributeError:
+            raise RuntimeError(_UNBOUND) from None
+        self._next_span = span_id = self._next_span + 1
         trace_id, parent_id = ctx if ctx is not None else (None, None)
-        return Span(name, cat, pid, tid, now, args or None,
-                    trace_id=trace_id, span_id=self._next_span,
-                    parent_id=parent_id)
+        return _new(Span, (name, cat, pid, tid, now, None, args or None,
+                           trace_id, span_id, parent_id))
 
     def end(self, span: Span, **args: Any) -> None:
         """Close ``span`` now and record it."""
-        span.end_us = self.sim.now
-        if args:
-            if span.args is None:
-                span.args = args
-            else:
-                span.args.update(args)
-        self.spans.append(span)
+        (name, cat, pid, tid, start, _end, merged, trace_id, span_id,
+         parent_id) = span
+        if merged is None:
+            merged = args
+        elif args:
+            merged.update(args)
+        points = self._points
+        self._rows += _ROW.pack(points.setdefault((True, name, cat, *merged),
+                                                  len(points)), pid, tid,
+                                -1 if trace_id is None else trace_id, span_id,
+                                -1 if parent_id is None else parent_id,
+                                start, self.sim.now)
+        if merged:
+            self._values.extend(merged.values())
 
     def instant(self, name: str, pid: int, tid: int = TID_NET,
                 cat: str = "event", ctx: Optional[TraceCtx] = None,
                 **args: Any) -> None:
         """Record a point event at the current simulated time."""
-        now = self._now()
-        self._next_span += 1
+        try:
+            now = self.sim.now
+        except AttributeError:
+            raise RuntimeError(_UNBOUND) from None
+        self._next_span = span_id = self._next_span + 1
         trace_id, parent_id = ctx if ctx is not None else (None, None)
-        ev = Span(name, cat, pid, tid, now, args or None,
-                  trace_id=trace_id, span_id=self._next_span,
-                  parent_id=parent_id)
-        ev.end_us = ev.start_us
-        self.instants.append(ev)
+        points = self._points
+        self._rows += _ROW.pack(points.setdefault((False, name, cat, *args),
+                                                  len(points)), pid, tid,
+                                -1 if trace_id is None else trace_id, span_id,
+                                -1 if parent_id is None else parent_id,
+                                now, now)
+        if args:
+            self._values.extend(args.values())
 
     # -------------------------------------------------------------- queries
+
+    def rows(self, spans: bool) -> Iterator[Span]:
+        """The finished spans (``spans=True``, completion order) or the
+        instants (emission order), each rebuilt from its row."""
+        points = [(key[0], key[1], key[2], key[3:]) for key in self._points]
+        values, at = self._values, 0
+        for (point, pid, tid, trace_id, span_id, parent_id, start,
+             end) in _ROW.iter_unpack(self._rows):
+            is_span, name, cat, keys = points[point]
+            upto = at + len(keys)
+            if is_span is spans:
+                yield _new(Span, (
+                    name, cat, pid, tid, start, end,
+                    dict(zip(keys, values[at:upto])) if keys else None,
+                    None if trace_id < 0 else trace_id, span_id,
+                    None if parent_id < 0 else parent_id))
+            at = upto
+
+    def _view(self, spans: bool) -> List[Span]:
+        view = self._views.get(spans)
+        if view is None or view[0] != len(self._rows):
+            view = self._views[spans] = (len(self._rows),
+                                         list(self.rows(spans)))
+        return view[1]
+
+    #: Finished spans in completion order / instants in emission order:
+    #: snapshots, built on first use and again only after a new record.
+    spans = property(lambda self: self._view(True))
+    instants = property(lambda self: self._view(False))
 
     def spans_named(self, name: str) -> List[Span]:
         return [s for s in self.spans if s.name == name]
 
     def durations_by_name(self) -> Dict[str, List[float]]:
         out: Dict[str, List[float]] = {}
-        for span in self.spans:
+        for span in self.rows(True):
             out.setdefault(span.name, []).append(span.duration_us)
         return out
-
-    def clear(self) -> None:
-        self.spans.clear()
-        self.instants.clear()
 
 
 class NullTracer:
@@ -202,12 +239,6 @@ class NullTracer:
 
     def __bool__(self) -> bool:
         return False
-
-    def new_trace(self) -> int:
-        return 0
-
-    def next_flow(self) -> int:
-        return 0
 
     def begin(self, name: str, pid: int, tid: int = 0, cat: str = "span",
               ctx: Optional[TraceCtx] = None, **args: Any) -> None:

@@ -253,7 +253,7 @@ class OwnershipManager(LifecycleMixin):
             span = (tracer.begin("own_acquire", pid=self.node_id, tid=thread,
                                  cat="ownership", ctx=ctx, oid=oid,
                                  type=req_type.name, coalesced=True)
-                    if tracer else None)
+                    if tracer.enabled else None)
             outcome = yield existing.future
             if span is not None:
                 tracer.end(span, granted=outcome.granted,
@@ -269,7 +269,7 @@ class OwnershipManager(LifecycleMixin):
         span = (tracer.begin("own_acquire", pid=self.node_id, tid=thread,
                              cat="ownership", ctx=ctx, oid=oid,
                              type=req_type.name)
-                if tracer else None)
+                if tracer.enabled else None)
 
         obj = self.store.get(oid)
         if obj is not None and obj.o_state == OState.VALID:

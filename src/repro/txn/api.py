@@ -271,11 +271,8 @@ class ZeusAPI:
                     if updates:
                         wal_key = (dur.log_redo_coord(thread, updates, pre)
                                    if dur is not None else None)
-                        fut = cm.submit(thread, updates, followers, ctx=tctx,
-                                        wal_key=wal_key)
-                        if hop is not None:
-                            hist.attach_durability(hop, fut)
-                            hist.attach_persistence(hop, cm.last_persist)
+                        cm.submit(thread, updates, followers, ctx=tctx,
+                                  wal_key=wal_key, hop=hop)
                     elif hop is not None:
                         hist.mark_durable(hop)
 

@@ -175,9 +175,9 @@ class Transaction(_TxnBase):
             updates.append((obj.oid, obj.t_version, obj.t_data, size))
             if obj.o_replicas is not None:
                 followers.update(obj.o_replicas.readers)
-            if hist:
+            if hist is not None:
                 hist.write(hop, obj.oid, obj.t_version, install_at)
-        if hist:
+        if hist is not None:
             # Local commit is the irrevocable point: reads and writes enter
             # the history here, before replication (which may outlive us).
             for oid, version, at in self._h_reads:
@@ -191,12 +191,9 @@ class Transaction(_TxnBase):
             wal_key = (dur.log_redo_coord(self.thread, updates, pre)
                        if dur is not None else None)
             yield from self.commit_mgr.wait_for_room(self.thread, ctx=self.ctx)
-            fut = self.commit_mgr.submit(self.thread, updates, followers,
-                                         ctx=self.ctx, wal_key=wal_key)
-            if hist:
-                hist.attach_durability(hop, fut)
-                hist.attach_persistence(hop, self.commit_mgr.last_persist)
-        elif hist:
+            self.commit_mgr.submit(self.thread, updates, followers,
+                                   ctx=self.ctx, wal_key=wal_key, hop=hop)
+        elif hist is not None:
             hist.mark_durable(hop)
         return True
 

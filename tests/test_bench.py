@@ -80,7 +80,7 @@ def test_kernel_skips_profiling_when_unset():
 
 
 def test_outcome_digest_ignores_event_count():
-    # History recording adds bookkeeping events; digests must not care.
+    # The event count is a cost, not an outcome; digests must not care.
     a = ScenarioOutcome(10, 2, 1000, 500.0, {"x": 1})
     b = ScenarioOutcome(10, 2, 1234, 500.0, {"x": 1})
     c = ScenarioOutcome(11, 2, 1000, 500.0, {"x": 1})

@@ -6,6 +6,7 @@ import pytest
 
 from repro.chaos import Recipe, explore, generate_schedule, run_cell
 from repro.chaos.schedule import CrashEvent, RecoverEvent, SlowdownEvent
+from repro.harness.zeus_cluster import ZeusCluster
 from repro.obs import LocalityRecorder, Observability, Tracer
 from repro.obs.history import (
     ABORTED,
@@ -15,11 +16,11 @@ from repro.obs.history import (
     HistoryOp,
     HistoryRecorder,
 )
-from repro.sim.kernel import Simulator
-from repro.sim.process import Future
+from repro.sim.params import DiskParams, SimParams
 from repro.txn import transaction as txn_mod
 from repro.verify.history import check_history
 from repro.verify.shrink import shrink
+from tests.conftest import make_catalog
 
 
 # ------------------------------------------------------------------ recorder
@@ -48,17 +49,36 @@ def test_null_history_is_falsy_noop():
     assert len(NULL_HISTORY) == 0
 
 
-def test_attach_durability_stamps_completion_time():
-    sim = Simulator()
-    rec = HistoryRecorder()
-    op = rec.begin(0, 0, "write", 0.0)
-    rec.respond(op, True, 1.0)
-    fut = Future(sim)
-    rec.attach_durability(op, fut)
-    assert not op.durable
-    sim.call_after(5.0, fut.set_result, None)
-    sim.run()
-    assert op.durable and op.durable_at == 5.0
+@pytest.mark.parametrize("wal", [False, True])
+def test_commit_manager_stamps_durability_at_the_ack_instant(wal):
+    """The history op rides on the commit slot: the manager marks it durable
+    where it resolves the commit ack (and persisted at the COMMIT record's
+    fsync), and recording the history costs the kernel no event."""
+    def submit(history):
+        params = SimParams().with_(
+            disk=DiskParams(enabled=True, fsync_policy="always")) if wal \
+            else SimParams()
+        cluster = ZeusCluster(3, params=params, catalog=make_catalog(3, 4),
+                              seed=0, obs=Observability(history=history))
+        cluster.load(init_value=0)
+        op = history.begin(0, 0, "write", cluster.sim.now) if history else None
+        acked = []
+        cluster.handles[0].commit.submit(
+            0, [(0, 2, "new", 64)], {1, 2}, hop=op
+        ).add_done_callback(lambda fut: acked.append(fut.sim.now))
+        assert op is None or not op.durable
+        cluster.run(until=2_000.0)
+        return op, acked, cluster.sim
+
+    op, acked, sim = submit(HistoryRecorder())
+    assert op.durable and [op.durable_at] == acked and acked[0] > 0.0
+    assert op.persisted is wal
+    assert (op.persisted_at >= op.durable_at) if wal \
+        else op.persisted_at is None
+    _, plain_acked, plain = submit(None)
+    assert plain_acked == acked
+    assert (plain.events_executed, plain.heap_pushes) \
+        == (sim.events_executed, sim.heap_pushes)
 
 
 def test_on_crash_downgrades_only_nondurable():

@@ -11,6 +11,7 @@ from repro.obs import (
     LatencyRecorder,
     MetricsRegistry,
     Observability,
+    Span,
     Tracer,
     chrome_trace_events,
     phase_report,
@@ -104,12 +105,16 @@ def test_tracer_records_sim_time_spans():
     sim.run()
     tracer.end(span, committed=True)
     tracer.instant("net.send", pid=2, dst=1)
-    assert span.start_us == 0.0 and span.end_us == 10.0
-    assert span.duration_us == 10.0
-    assert span.args == {"kind": "write", "committed": True}
-    assert tracer.spans_named("txn") == [span]
+    # The handle stays open; the record is rebuilt from its row.
+    assert span.end_us is None
+    [txn] = tracer.spans_named("txn")
+    assert txn == span._replace(
+        end_us=10.0, args={"kind": "write", "committed": True})
+    assert txn.duration_us == 10.0
     assert tracer.durations_by_name() == {"txn": [10.0]}
-    assert tracer.instants[0].tid == TID_NET
+    assert tracer.instants == [
+        Span("net.send", "event", 2, TID_NET, 10.0, 10.0, {"dst": 1},
+             None, 2, None)]
 
 
 # --------------------------------------------------------------- exporters

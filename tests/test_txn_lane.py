@@ -15,6 +15,8 @@ from inspect import CO_GENERATOR
 import pytest
 
 from repro.harness.zeus_cluster import ZeusCluster
+from repro.obs import (HistoryRecorder, LocalityRecorder, Observability,
+                       Tracer)
 from repro.sim.params import SimParams
 from repro.workloads.base import RunStats, run_zeus_workload
 from repro.workloads.smallbank import SmallbankWorkload
@@ -26,7 +28,7 @@ from repro.workloads.tatp import TatpWorkload
 BUDGET = {"tatp": 18.0, "smallbank": 150.0}
 
 
-def build(name: str):
+def build(name: str, obs=None):
     """(cluster, spec_fn, window_us) of a small fixed-seed run."""
     params = SimParams().scaled_threads(app=2, worker=2)
     if name == "tatp":
@@ -36,7 +38,8 @@ def build(name: str):
         wl = SmallbankWorkload(3, accounts_per_node=1_000, remote_frac=0.0,
                                seed=7)
         nodes, window_us = 3, 1_500.0
-    cluster = ZeusCluster(nodes, params=params, catalog=wl.catalog, seed=1)
+    cluster = ZeusCluster(nodes, params=params, catalog=wl.catalog, seed=1,
+                          obs=obs)
     cluster.load(init_value=100)
     return cluster, wl.spec_for, window_us
 
@@ -128,6 +131,25 @@ def test_python_frames_per_committed_txn_stay_in_budget(name):
 
 def test_census_is_deterministic():
     assert census("tatp") == census("tatp")
+
+
+def test_an_instrumented_lane_is_the_plain_lane_event_for_event():
+    """The recorders ride on the run's own events: they schedule none."""
+    def kernel_counts(obs):
+        cluster, spec_fn, window_us = build("smallbank", obs)
+        stats = run_zeus_workload(cluster, spec_fn, window_us, threads=2,
+                                  seed=1)
+        cluster.run(until=cluster.sim.now + 2_000.0)  # drain the pipelines
+        sim = cluster.sim
+        assert stats.committed > 1_000
+        return (stats.committed, sim.events_executed, sim.heap_pushes,
+                sim.cancelled_skipped)
+
+    obs = Observability(tracer=Tracer(), history=HistoryRecorder(),
+                        locality=LocalityRecorder())
+    assert kernel_counts(obs) == kernel_counts(None)
+    assert len(obs.history.ops) > 1_000 and all(
+        op.durable for op in obs.history.ops)
 
 
 if __name__ == "__main__":
