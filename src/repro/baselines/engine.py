@@ -32,6 +32,8 @@ KIND_RPC = "bl.rpc"
 KIND_REPLY = "bl.reply"
 
 _META = 8
+#: Attempts before a baseline transaction gives up (as ``ZeusAPI``).
+_MAX_RETRIES = 100
 
 
 class BaselineResult:
@@ -167,7 +169,7 @@ class BaselineEngine:
     def execute_write(self, cpu: CpuServer, txn_tag: Tuple[int, int],
                       write_set: Sequence[ObjectId],
                       read_set: Sequence[ObjectId] = (),
-                      exec_us: float = 0.0, max_retries: int = 100):
+                      exec_us: float = 0.0):
         """Generator: one serializable write transaction, OCC-style.
 
         ``cpu`` is the application thread's core — several coroutines share
@@ -178,10 +180,10 @@ class BaselineEngine:
         p = self.params
         hist = self.hist
         hop = (hist.begin(self.node_id, txn_tag[-1], "write", start)
-               if hist else None)
+               if hist is not None else None)
         backoff = p.own_backoff_us
         fetch_at = start
-        for _attempt in range(max_retries):
+        for _attempt in range(_MAX_RETRIES):
             n_access = len(write_set) + len(read_set)
             yield cpu.execute(p.txn_setup_us + self.profile.coord_overhead_us
                               + n_access * self.profile.per_access_cpu_us)
@@ -210,7 +212,7 @@ class BaselineEngine:
                                                read_set, versions)
             if ok:
                 result.committed = True
-                if hist:
+                if hist is not None:
                     commit_at = self.sim.now
                     for oid in read_set:
                         hist.read(hop, oid, versions[oid], fetch_at)
@@ -223,7 +225,7 @@ class BaselineEngine:
             yield backoff * (0.5 + self.rng.random())
             backoff = min(backoff * 2, p.own_backoff_max_us)
         result.latency_us = self.sim.now - start
-        if hist:
+        if hist is not None:
             hist.respond(hop, result.committed, self.sim.now)
             # The baseline's blocking commit is durable when it responds.
             hist.mark_durable(hop)
@@ -328,7 +330,7 @@ class BaselineEngine:
     # ------------------------------------------------------------ read txns
 
     def execute_read(self, cpu: CpuServer, read_set: Sequence[ObjectId],
-                     exec_us: float = 0.0, max_retries: int = 100):
+                     exec_us: float = 0.0):
         """Generator: serializable read-only transaction.
 
         Parallel reads (one RTT for remote objects) plus a validation
@@ -338,10 +340,11 @@ class BaselineEngine:
         start = self.sim.now
         p = self.params
         hist = self.hist
-        hop = (hist.begin(self.node_id, 0, "read", start) if hist else None)
+        hop = (hist.begin(self.node_id, 0, "read", start)
+               if hist is not None else None)
         backoff = p.own_backoff_us
         fetch_at = start
-        for _attempt in range(max_retries):
+        for _attempt in range(_MAX_RETRIES):
             yield cpu.execute(p.txn_setup_us
                               + len(read_set) * self.profile.per_access_cpu_us)
             versions: Dict[ObjectId, int] = {}
@@ -383,7 +386,7 @@ class BaselineEngine:
             if ok:
                 result.committed = True
                 self.counters.inc("committed_ro")
-                if hist:
+                if hist is not None:
                     for oid in read_set:
                         hist.read(hop, oid, versions[oid], fetch_at)
                 break
@@ -391,7 +394,7 @@ class BaselineEngine:
             yield backoff * (0.5 + self.rng.random())
             backoff = min(backoff * 2, p.own_backoff_max_us)
         result.latency_us = self.sim.now - start
-        if hist:
+        if hist is not None:
             hist.respond(hop, result.committed, self.sim.now)
             hist.mark_durable(hop)
         return result

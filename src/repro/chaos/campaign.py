@@ -234,7 +234,7 @@ def run_cell(recipe: Recipe, obs: Optional[Observability] = None,
         # registry/tracer: histories must not leak across runs.
         recorder = HistoryRecorder()
         obs = obs.replace(history=recorder)
-    if recipe.placement and not obs.locality:
+    if recipe.placement and obs.locality is None:
         # The controller is blind without telemetry: layer a per-run
         # locality recorder the same way check_history layers histories.
         obs = obs.replace(locality=LocalityRecorder())
@@ -296,19 +296,22 @@ def run_cell(recipe: Recipe, obs: Optional[Observability] = None,
     audit = rig.audit(history=recorder)
     audit.safety[:0] = midflight
     failures = cluster.failures
-    timeline = [f"crash(t={t:.0f},n{n})" for t, n in failures.crashed]
-    timeline += [f"recover(t={t:.0f},n{n})" for t, n in failures.recovered]
-    timeline += [f"partition(t={t:.0f},{list(a)}|{list(b)})"
-                 for t, a, b in failures.partitions]
-    timeline += [f"heal(t={t:.0f},{list(a)}|{list(b)})"
-                 for t, a, b in failures.heals]
-    timeline += [f"slow(t={t:.0f},n{n},x{f:g})"
-                 for t, n, f in failures.slowdowns]
-    timeline += [f"power_loss(t={t:.0f})" for t in failures.power_losses]
-    timeline += [f"cold_restart(t={t:.0f})" for t in failures.cold_restarts]
-    timeline += [f"add(t={t:.0f},n{n})" for t, n in failures.added]
-    timeline += [f"drain(t={t:.0f},n{n})" for t, n in failures.drained]
-    timeline.sort(key=lambda s: float(s.split("t=", 1)[1].split(",", 1)[0].rstrip(")")))
+    timed = [(t, f"crash(t={t:.0f},n{n})") for t, n in failures.crashed]
+    timed += [(t, f"recover(t={t:.0f},n{n})") for t, n in failures.recovered]
+    timed += [(t, f"partition(t={t:.0f},{list(a)}|{list(b)})")
+              for t, a, b in failures.partitions]
+    timed += [(t, f"heal(t={t:.0f},{list(a)}|{list(b)})")
+              for t, a, b in failures.heals]
+    timed += [(t, f"slow(t={t:.0f},n{n},x{f:g})")
+              for t, n, f in failures.slowdowns]
+    timed += [(t, f"power_loss(t={t:.0f})") for t in failures.power_losses]
+    timed += [(t, f"cold_restart(t={t:.0f})")
+              for t in failures.cold_restarts]
+    timed += [(t, f"add(t={t:.0f},n{n})") for t, n in failures.added]
+    timed += [(t, f"drain(t={t:.0f},n{n})") for t, n in failures.drained]
+    # Stable: events at one instant keep the kind order above.
+    timed.sort(key=lambda pair: pair[0])
+    timeline = [label for _t, label in timed]
     if schedule.has_fault_window:
         timeline.append("loss_burst")
 

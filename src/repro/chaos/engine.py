@@ -52,11 +52,11 @@ class ChaosEngine:
         for ev in schedule:
             self._c_events.inc()
             if isinstance(ev, CrashEvent):
-                # Resolve the node lazily: an elastic schedule may crash a
-                # node an earlier AddNodesEvent has yet to create.
-                cluster.sim.call_at(ev.at_us, self._crash_node, ev.node)
+                # By id, resolved when it fires: an elastic schedule may
+                # crash a node an earlier AddNodesEvent has yet to create.
+                cluster.sim.call_at(ev.at_us, cluster.crash, ev.node)
             elif isinstance(ev, RecoverEvent):
-                cluster.sim.call_at(ev.at_us, self._recover_node, ev.node)
+                cluster.sim.call_at(ev.at_us, cluster.recover, ev.node)
             elif isinstance(ev, PartitionEvent):
                 failures.partition_at(ev.a_side, ev.b_side, ev.at_us,
                                       ev.heal_at_us)
@@ -68,10 +68,9 @@ class ChaosEngine:
                 cluster.sim.call_at(ev.at_us, self._open_window, ev.params)
                 cluster.sim.call_at(ev.end_us, self._close_window)
             elif isinstance(ev, ClusterRestartEvent):
-                # Scheduled lazily too: with an elastic scale-out earlier
-                # in the timeline the node list at power-loss time is
-                # longer than at install time.
-                cluster.sim.call_at(ev.at_us, self._power_loss)
+                # Likewise: after an elastic scale-out the node list at
+                # power-loss time is longer than at install time.
+                cluster.sim.call_at(ev.at_us, cluster.power_loss)
                 cluster.sim.call_at(ev.at_us + ev.outage_us,
                                     cluster.cold_restart)
             elif isinstance(ev, AddNodesEvent):
@@ -79,23 +78,12 @@ class ChaosEngine:
             elif isinstance(ev, DrainEvent):
                 cluster.drain(ev.node, at=ev.at_us)
 
-    # ------------------------------------------------- lazy node resolution
-
-    def _crash_node(self, node_id: int) -> None:
-        self.cluster.failures.crash_now(self.cluster.nodes[node_id])
-
-    def _recover_node(self, node_id: int) -> None:
-        self.cluster.failures.recover_now(self.cluster.nodes[node_id])
-
-    def _power_loss(self) -> None:
-        self.cluster.failures.power_loss(self.cluster.nodes)
-
     # -------------------------------------------------------- fault windows
 
     def _open_window(self, params: FaultParams) -> None:
         self.cluster.faults.params = params
         tracer = self.obs.tracer
-        if tracer:
+        if tracer is not None:
             tracer.instant("chaos.fault_window_open", pid=0, tid=TID_NET,
                            cat="chaos", loss=params.loss_prob,
                            dup=params.duplicate_prob,
@@ -104,6 +92,6 @@ class ChaosEngine:
     def _close_window(self) -> None:
         self.cluster.faults.params = self._baseline
         tracer = self.obs.tracer
-        if tracer:
+        if tracer is not None:
             tracer.instant("chaos.fault_window_close", pid=0, tid=TID_NET,
                            cat="chaos")

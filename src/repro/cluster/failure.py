@@ -13,8 +13,11 @@ admits but the seed code never injected systematically:
 * **gray failures** — a node (or link) keeps running but slowly, via the
   CPU ``speed_factor`` / link latency multipliers.
 
-All injections are scheduled on the simulator clock, so a fault timeline is
-as deterministic as everything else in a run.
+Every verb acts *now*; a caller that wants it later schedules it with
+``sim.call_at`` (``ZeusCluster.crash(n, at=)``, ``ChaosEngine.install``), so
+a fault timeline is as deterministic as everything else in a run.  Only
+``partition_at`` / ``slow_at`` schedule themselves: they own the heal /
+window-nesting logic.
 """
 
 from __future__ import annotations
@@ -34,13 +37,11 @@ NodeGroup = Sequence[int]
 class FailureInjector:
     """Deterministic crash / partition / slowdown scheduler."""
 
-    def __init__(self, sim: Simulator, network: Optional[Network] = None,
-                 obs: Optional[Observability] = None):
+    def __init__(self, sim: Simulator, network: Network, obs: Observability):
         self.sim = sim
         self.network = network
-        self.obs = obs if obs is not None else (
-            network.obs if network is not None else Observability())
-        registry = self.obs.registry
+        self.obs = obs
+        registry = obs.registry
         self._c_crashes = registry.counter("faults.crashes")
         self._c_partitions = registry.counter("faults.partitions")
         self._c_heals = registry.counter("faults.heals")
@@ -64,7 +65,7 @@ class FailureInjector:
         self.slowdowns: List[Tuple[float, int, float]] = []
         #: Hook performing the actual restart + readmit + state transfer.
         #: The harness (:class:`ZeusCluster`) installs this; without it,
-        #: :meth:`recover_now` raises (crash-stop only, no rejoin path).
+        #: :meth:`recover` raises (crash-stop only, no rejoin path).
         self.recover_fn: Optional[Callable[[Node], None]] = None
         # Active slowdown windows per node, in application order.  Each entry
         # is (token, factor); ending a window removes *its* token and applies
@@ -75,14 +76,7 @@ class FailureInjector:
 
     # -------------------------------------------------------------- crashes
 
-    def crash_at(self, node: Node, time_us: float) -> None:
-        """Crash ``node`` at absolute simulated time ``time_us``."""
-        self.sim.call_at(time_us, self._crash, node)
-
-    def crash_now(self, node: Node) -> None:
-        self._crash(node)
-
-    def _crash(self, node: Node) -> None:
+    def crash(self, node: Node) -> None:
         if node.alive:
             node.crash()
             dur = node.durability
@@ -94,10 +88,10 @@ class FailureInjector:
             self.crashed.append((self.sim.now, node.node_id))
             self._c_crashes.inc()
             hist = self.obs.history
-            if hist:
+            if hist is not None:
                 hist.on_crash(node.node_id, self.sim.now)
             tracer = self.obs.tracer
-            if tracer:
+            if tracer is not None:
                 tracer.instant("chaos.crash", pid=node.node_id, tid=TID_NET,
                                cat="chaos")
 
@@ -119,7 +113,7 @@ class FailureInjector:
             self.drained.append((self.sim.now, node.node_id))
             self._c_drains.inc()
             tracer = self.obs.tracer
-            if tracer:
+            if tracer is not None:
                 tracer.instant("chaos.drain", pid=node.node_id, tid=TID_NET,
                                cat="chaos")
 
@@ -130,7 +124,7 @@ class FailureInjector:
             self.added.append((now, nid))
             self._c_node_adds.inc()
         tracer = self.obs.tracer
-        if tracer:
+        if tracer is not None:
             tracer.instant("chaos.add_nodes", pid=min(node_ids), tid=TID_NET,
                            cat="chaos", nodes=list(node_ids))
 
@@ -154,23 +148,17 @@ class FailureInjector:
         self.power_losses.append(now)
         self._c_power_losses.inc()
         hist = self.obs.history
-        if hist:
+        if hist is not None:
             hist.on_power_loss(now)
         tracer = self.obs.tracer
-        if tracer:
+        if tracer is not None:
             tracer.instant("chaos.power_loss", pid=0, tid=TID_NET,
                            cat="chaos", nodes=len(nodes))
 
-    def power_loss_at(self, nodes: Sequence[Node], time_us: float) -> None:
-        self.sim.call_at(time_us, self.power_loss, tuple(nodes))
-
     # ------------------------------------------------------------- recovery
 
-    def recover_at(self, node: Node, time_us: float) -> None:
-        """Restart ``node`` and begin its rejoin at ``time_us``."""
-        self.sim.call_at(time_us, self.recover_now, node)
-
-    def recover_now(self, node: Node) -> None:
+    def recover(self, node: Node) -> None:
+        """Restart a crashed ``node`` and begin its rejoin."""
         if node.alive:
             return
         if self.recover_fn is None:
@@ -183,7 +171,7 @@ class FailureInjector:
         self.recovered.append((self.sim.now, node.node_id))
         self._c_recoveries.inc()
         tracer = self.obs.tracer
-        if tracer:
+        if tracer is not None:
             tracer.instant("chaos.recover", pid=node.node_id, tid=TID_NET,
                            cat="chaos", inc=node.incarnation)
 
@@ -191,27 +179,25 @@ class FailureInjector:
 
     def partition(self, a_side: NodeGroup, b_side: NodeGroup) -> None:
         """Sever every (a, b) link between the two groups, now."""
-        self._require_network()
         for a in a_side:
             for b in b_side:
                 self.network.partition(a, b)
         self.partitions.append((self.sim.now, tuple(a_side), tuple(b_side)))
         self._c_partitions.inc()
         tracer = self.obs.tracer
-        if tracer:
+        if tracer is not None:
             tracer.instant("chaos.partition", pid=min(a_side), tid=TID_NET,
                            cat="chaos", a=list(a_side), b=list(b_side))
 
     def heal(self, a_side: NodeGroup, b_side: NodeGroup) -> None:
         """Restore every (a, b) link between the two groups, now."""
-        self._require_network()
         for a in a_side:
             for b in b_side:
                 self.network.heal(a, b)
         self.heals.append((self.sim.now, tuple(a_side), tuple(b_side)))
         self._c_heals.inc()
         tracer = self.obs.tracer
-        if tracer:
+        if tracer is not None:
             tracer.instant("chaos.heal", pid=min(a_side), tid=TID_NET,
                            cat="chaos", a=list(a_side), b=list(b_side))
 
@@ -234,7 +220,7 @@ class FailureInjector:
         if factor != 1.0:
             self._c_slowdowns.inc()
         tracer = self.obs.tracer
-        if tracer:
+        if tracer is not None:
             tracer.instant("chaos.slow", pid=node.node_id, tid=TID_NET,
                            cat="chaos", factor=factor)
 
@@ -265,9 +251,3 @@ class FailureInjector:
             return  # window already discarded (e.g. node restarted fresh)
         self._slow_windows[node.node_id] = remaining
         self.slow(node, remaining[-1][1] if remaining else 1.0)
-
-    # --------------------------------------------------------------- helper
-
-    def _require_network(self) -> None:
-        if self.network is None:
-            raise RuntimeError("this FailureInjector has no network attached")

@@ -27,25 +27,26 @@ NodeId = int
 #: One planned migration: (dst node, object, request type, trim victim).
 MoveOp = Tuple[NodeId, ObjectId, ReqType, Optional[NodeId]]
 
+#: Concurrent moves per batch, and how long a batch may take to settle.
+_BATCH_SIZE = 4
+_MOVE_TIMEOUT_US = 4000.0
+
 
 class MoveExecutor:
     """Executes move ops in rate-limited batches for one cluster.
 
+    ``pause_us`` is the floor of the duty-cycle pause between batches;
     ``counter_group`` names the registry group the executor reports into
     (``rebalance`` for the scale-out loop, ``placement`` for the locality
     controller), so each loop's migration volume stays separately
     attributable.
     """
 
-    def __init__(self, cluster, batch_size: int = 4, pause_us: float = 150.0,
-                 move_timeout_us: float = 4000.0,
-                 counter_group: str = "rebalance"):
+    def __init__(self, cluster, pause_us: float, counter_group: str):
         self.cluster = cluster
         self.sim = cluster.sim
         self.obs = cluster.obs
-        self.batch_size = batch_size
         self.pause_us = pause_us
-        self.move_timeout_us = move_timeout_us
         self.trace_cat = counter_group
         registry = self.obs.registry
         self.c_moved = registry.counter(f"{counter_group}.objects_moved")
@@ -56,16 +57,16 @@ class MoveExecutor:
     def execute(self, ops: List[MoveOp]):
         """Generator: run ``ops`` in batches, pausing between batches."""
         tracer = self.obs.tracer
-        for start in range(0, len(ops), self.batch_size):
-            batch = ops[start:start + self.batch_size]
+        for start in range(0, len(ops), _BATCH_SIZE):
+            batch = ops[start:start + _BATCH_SIZE]
             began = self.sim.now
             span = (tracer.begin(self.trace_cat, pid=0, tid=TID_NET,
                                  cat=self.trace_cat, ops=len(batch))
-                    if tracer else None)
+                    if tracer is not None else None)
             done: List[bool] = []
             for op in batch:
                 self.spawn_mover(op, done)
-            deadline = self.sim.now + self.move_timeout_us
+            deadline = self.sim.now + _MOVE_TIMEOUT_US
             while len(done) < len(batch) and self.sim.now < deadline:
                 yield 50.0
             if span is not None:

@@ -80,8 +80,8 @@ class Node:
         self.transport.fence_fn = self._fence
         self.transport.peer_inc_fn = self._believed_incarnation
         #: Durable-storage tier (:class:`~repro.store.wal.DurabilityManager`)
-        #: or None when the WAL is disabled — protocol layers pay a single
-        #: falsy check on their hot paths (same contract as NULL_TRACER).
+        #: or None when the WAL is disabled — absent means None, as for
+        #: the ``obs`` instruments; protocol layers guard ``is not None``.
         self.durability = None
         #: Trace context of the message handler currently running, if any.
         #: Handlers run synchronously at their dispatch time (the sim is
@@ -140,7 +140,7 @@ class Node:
             # created before the sender learned we restarted).
             self._c_fenced.inc()
             tracer = self.obs.tracer
-            if tracer.enabled:
+            if tracer is not None:
                 tracer.instant("recovery.fence", pid=self.node_id,
                                cat="recovery", src=msg.src,
                                dst_inc=msg.dst_inc, kind=msg.kind)
@@ -149,7 +149,7 @@ class Node:
         if known is not None and msg.inc < known:
             self._c_fenced.inc()
             tracer = self.obs.tracer
-            if tracer.enabled:
+            if tracer is not None:
                 tracer.instant("recovery.fence", pid=self.node_id,
                                cat="recovery", src=msg.src, inc=msg.inc,
                                expected=known, kind=msg.kind)
@@ -171,7 +171,7 @@ class Node:
         fn, cost, span_name = entry
         extra = cost(msg.payload) if callable(cost) else cost
         tracer = self.obs.tracer
-        traced = msg.trace_id is not None and tracer.enabled
+        traced = tracer is not None and msg.trace_id is not None
         # queue_delay() feeds only the service span's queue/service split;
         # read it (before charge() moves the pool) only when traced.
         queue_us = self.pool.queue_delay() if traced else 0.0
@@ -199,12 +199,11 @@ class Node:
         elif msg.trace_id is not None:
             self._handler_ctx = (msg.trace_id, msg.parent_span)
         prof = self.obs.profiler
-        timed = prof.enabled
-        t0 = _perf_ns() if timed else 0
+        t0 = _perf_ns() if prof is not None else 0
         try:
             fn(msg)
         finally:
-            if timed:
+            if prof is not None:
                 # Per-message-kind host time: the fine-grained view inside
                 # the kernel profiler's `cluster` subsystem bucket.
                 prof.handler(msg.kind, _perf_ns() - t0)

@@ -42,26 +42,24 @@ __all__ = ["Rebalancer", "MoveOp"]
 
 NodeId = int
 
+#: Control-loop period.
+_POLL_US = 200.0
+#: Consecutive idle polls a draining node must stay quiet before its
+#: process is halted (covers transactions past their ownership phase but
+#: not yet in the commit pipeline).
+_QUIET_POLLS = 3
+
 
 class Rebalancer:
     """Background ownership/replica migration driver for one cluster."""
 
-    def __init__(self, cluster, batch_size: int = 4, pause_us: float = 150.0,
-                 poll_us: float = 200.0, move_timeout_us: float = 4000.0,
-                 quiet_polls: int = 3):
+    def __init__(self, cluster):
         self.cluster = cluster
         self.sim = cluster.sim
         self.obs = cluster.obs
-        self.poll_us = poll_us
-        #: Consecutive idle polls a draining node must stay quiet before its
-        #: process is halted (covers transactions past their ownership phase
-        #: but not yet in the commit pipeline).
-        self.quiet_polls = quiet_polls
         #: Shared batched-mover machinery (also used by the placement
         #: controller, under its own counter group).
-        self.executor = MoveExecutor(cluster, batch_size=batch_size,
-                                     pause_us=pause_us,
-                                     move_timeout_us=move_timeout_us,
+        self.executor = MoveExecutor(cluster, pause_us=150.0,
                                      counter_group="rebalance")
 
         self._c_drains = self.obs.registry.counter(
@@ -109,7 +107,7 @@ class Rebalancer:
         for h in cluster.handles:
             h.ownership.trim_preferred.add(node_id)
         tracer = self.obs.tracer
-        if tracer:
+        if tracer is not None:
             tracer.instant("rebalance.drain_begin", pid=node_id, tid=TID_NET,
                            cat="rebalance")
         self.request()
@@ -120,13 +118,13 @@ class Rebalancer:
     def _loop(self):
         idle_rounds = 0
         while True:
-            yield self.poll_us
+            yield _POLL_US
             cluster = self.cluster
             if not any(n.alive for n in cluster.nodes):
                 # Power loss mid-rebalance: the loop itself survives (it is
                 # not tied to a node); wait for the cold restart.
                 idle_rounds = 0
-                yield self.poll_us * 10
+                yield _POLL_US * 10
                 continue
             if not self._barrier_up():
                 # A node is mid-recovery; let the transfer finish before
@@ -183,7 +181,7 @@ class Rebalancer:
     def _settle(self) -> None:
         self.cluster.last_converge_at = self.sim.now
         loc = self.cluster.obs.locality
-        if loc:
+        if loc is not None:
             loc.mark("converged", self.sim.now)
         waiters, self._converge_waiters = self._converge_waiters, []
         for fut in waiters:
@@ -272,7 +270,7 @@ class Rebalancer:
                 self._quiet[leaver] = 0
                 continue
             self._quiet[leaver] = self._quiet.get(leaver, 0) + 1
-            if self._quiet[leaver] >= self.quiet_polls:
+            if self._quiet[leaver] >= _QUIET_POLLS:
                 self._finalize_drain(leaver)
                 finalized = True
         return finalized
@@ -306,7 +304,7 @@ class Rebalancer:
         cluster.retired.add(leaver)
         self._c_drains.inc()
         tracer = self.obs.tracer
-        if tracer:
+        if tracer is not None:
             tracer.instant("rebalance.drain_done", pid=leaver, tid=TID_NET,
                            cat="rebalance")
         for fut in self._drain_waiters.pop(leaver, []):

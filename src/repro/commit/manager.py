@@ -176,7 +176,7 @@ class CommitManager:
         span = None
         tracer = self.tracer
         while len(pipe.slots) >= self.max_pipeline_depth:
-            if span is None and tracer.enabled:
+            if span is None and tracer is not None:
                 span = tracer.begin("commit_wait_room", pid=self.node_id,
                                     tid=thread, cat="commit", ctx=ctx,
                                     depth=len(pipe.slots))
@@ -236,7 +236,7 @@ class CommitManager:
             self._pending_by_oid[oid] = self._pending_by_oid.get(oid, 0) + 1
         self.counters.inc("submitted")
         tracer = self.tracer
-        if tracer.enabled:
+        if tracer is not None:
             # RInv broadcast starts here; the span closes when all RACKs
             # are in and the slot validates (RVAL broadcast).
             slot.span = tracer.begin("commit_replicate", pid=self.node_id,
@@ -465,7 +465,7 @@ class CommitManager:
         fpipe.settled = max(fpipe.settled, inv.slot)
         self.counters.inc("applied")
         tracer = self.tracer
-        if tracer.enabled:
+        if tracer is not None:
             # One list per pipeline, not per record: the tracer keeps
             # argument values by reference.
             tracer.instant("commit.apply", pid=self.node_id,
@@ -499,10 +499,11 @@ class CommitManager:
         val: RVal = msg.payload
         if val.epoch != self.node.epoch:
             return
-        if self.tracer.enabled:
-            self.tracer.instant("commit.val", pid=self.node_id,
-                                tid=TID_REPLICATION, cat="commit",
-                                entries=len(val.entries))
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.instant("commit.val", pid=self.node_id,
+                           tid=TID_REPLICATION, cat="commit",
+                           entries=len(val.entries))
         for pipeline, slot, cumulative in val.entries:
             fpipe = self._follow.get(pipeline)
             if fpipe is None:

@@ -146,7 +146,7 @@ class Rig:
             # (quarantine + join barrier + first leases clear first).
             self._rerouted = frozenset()
             loc = self.cluster.obs.locality
-            if loc:
+            if loc is not None:
                 loc.mark("joiners_serving", self.cluster.sim.now,
                          node=node_id)
         if not spec.read_only:

@@ -270,7 +270,7 @@ def _cmd_elastic(args) -> int:
     if args.metrics_out:
         write_metrics(reg, args.metrics_out)
         print(f"  wrote metrics: {args.metrics_out}")
-    if loc:
+    if loc is not None:
         serving, churn, settled = locality_fall(loc, add_at, stop_at)
         mig = loc.migration_summary()
         print(f"  locality     : remote fraction {pct(churn)} in the "

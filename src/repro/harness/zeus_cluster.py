@@ -85,14 +85,14 @@ class ZeusCluster:
             raise ValueError("catalog was built for a different cluster size")
 
         self.obs = obs if obs is not None else Observability()
-        if self.obs.tracer and getattr(self.obs.tracer, "sim", None) is None:
+        tracer = self.obs.tracer
+        if tracer is not None and tracer.sim is None:
             # Tracers are built before any Simulator exists; bind here so
             # spans are stamped with this cluster's simulated clock.
-            self.obs.tracer.sim = self.sim
-        if self.obs.profiler:
-            # Host self-profiling: the kernel times every event callback
-            # (wall clock only — scheduling and outcomes are unaffected).
-            self.sim.set_profiler(self.obs.profiler)
+            tracer.sim = self.sim
+        # Host self-profiling: the kernel times every event callback
+        # (wall clock only — scheduling and outcomes are unaffected).
+        self.sim.set_profiler(self.obs.profiler)
         self._install_stats_hook()
 
         faults = FaultInjector(self.params.faults, self.rng.stream("net.faults"),
@@ -109,7 +109,7 @@ class ZeusCluster:
 
         self.nodes = [h.node for h in self.handles]
         self.membership = MembershipService(self.sim, self.params, self.nodes)
-        self.failures = FailureInjector(self.sim, self.network, obs=self.obs)
+        self.failures = FailureInjector(self.sim, self.network, self.obs)
         self.failures.recover_fn = self._do_recover_node
         self._loaded = False
         #: Nodes that completed a graceful drain (gone for good; skipped by
@@ -199,19 +199,20 @@ class ZeusCluster:
         self._on_stats(self.sim.stats())  # exact end-of-run gauge values
 
     def crash(self, node_id: int, at: Optional[float] = None) -> None:
+        """Crash-stop a node (optionally scheduled)."""
         node = self.nodes[node_id]
         if at is None:
-            self.failures.crash_now(node)
+            self.failures.crash(node)
         else:
-            self.failures.crash_at(node, at)
+            self.sim.call_at(at, self.failures.crash, node)
 
     def recover(self, node_id: int, at: Optional[float] = None) -> None:
         """Restart a crashed node and re-admit it (optionally scheduled)."""
         node = self.nodes[node_id]
         if at is None:
-            self.failures.recover_now(node)
+            self.failures.recover(node)
         else:
-            self.failures.recover_at(node, at)
+            self.sim.call_at(at, self.failures.recover, node)
 
     def _do_recover_node(self, node: Node) -> None:
         """The failure injector's recover hook: reboot + rejoin."""
@@ -282,7 +283,7 @@ class ZeusCluster:
             self.membership.join(nid)
         self.failures.note_added(new_ids)
         loc = self.obs.locality
-        if loc:
+        if loc is not None:
             loc.mark("add_nodes", self.sim.now, nodes=list(new_ids))
         for fn in self._nodes_added_listeners:
             fn(new_ids)
@@ -308,12 +309,9 @@ class ZeusCluster:
 
     # ---------------------------------------------------------- power loss
 
-    def power_loss(self, at: Optional[float] = None) -> None:
-        """Power off the entire cluster (optionally scheduled)."""
-        if at is None:
-            self.failures.power_loss(self.nodes)
-        else:
-            self.failures.power_loss_at(self.nodes, at)
+    def power_loss(self) -> None:
+        """Power off the entire cluster, now."""
+        self.failures.power_loss(self.nodes)
 
     def cold_restart(self, boot_us: float = 200.0) -> float:
         """Cold-start the whole cluster after :meth:`power_loss`.
@@ -356,32 +354,6 @@ class ZeusCluster:
         self.membership.reform(epoch_floor, at=view_at)
         self.failures.cold_restarts.append(view_at)
         return view_at
-
-    def partition(self, a_side, b_side, at: Optional[float] = None,
-                  heal_at: Optional[float] = None) -> None:
-        """Sever every link between two node groups (optionally scheduled,
-        optionally healing later)."""
-        if at is None:
-            self.failures.partition(tuple(a_side), tuple(b_side))
-            if heal_at is not None:
-                self.sim.call_at(heal_at, self.failures.heal,
-                                 tuple(a_side), tuple(b_side))
-        else:
-            self.failures.partition_at(a_side, b_side, at, heal_at)
-
-    def heal(self, a_side, b_side) -> None:
-        self.failures.heal(tuple(a_side), tuple(b_side))
-
-    def slow(self, node_id: int, factor: float, at: Optional[float] = None,
-             until: Optional[float] = None) -> None:
-        """Gray-degrade a node's CPUs by ``factor`` (optionally windowed)."""
-        node = self.nodes[node_id]
-        if at is None:
-            self.failures.slow(node, factor)
-            if until is not None:
-                self.sim.call_at(until, self.failures.slow, node, 1.0)
-        else:
-            self.failures.slow_at(node, factor, at, until)
 
     # ------------------------------------------------------------- queries
 

@@ -106,12 +106,13 @@ class HermesReplica:
         ctx = _WriteCtx(key, ts, value, future)
         self._writes[(key, ts)] = ctx
         self.counters.inc("writes")
-        if self.tracer:
+        tracer = self.tracer
+        if tracer is not None:
             # Each write roots a trace: the INVs carry the span's context
             # so remote apply/ack service spans link back to the write.
-            ctx.span = self.tracer.begin(
+            ctx.span = tracer.begin(
                 "hermes_write", pid=self.node_id, cat="hermes",
-                ctx=(self.tracer.new_trace(), None), key=repr(key),
+                ctx=(tracer.new_trace(), None), key=repr(key),
                 ts=list(ts))
         self._apply_inv(key, ts, value)
         live = self.node.live_nodes or frozenset(self.replica_ids)

@@ -72,7 +72,7 @@ class LoadBalancer:
         dest = replica.read(key)
         if dest is not None and dest in self.active_nodes:
             self.counters.inc("hits")
-            if loc:
+            if loc is not None:
                 loc.on_route(key, dest, True, self.sim.now)
             return dest
         self.counters.inc("misses")
@@ -80,7 +80,7 @@ class LoadBalancer:
         if dest not in self.active_nodes:
             dest = self.rng.choice(self.active_nodes)
         replica.write(key, dest)
-        if loc:
+        if loc is not None:
             loc.on_route(key, dest, False, self.sim.now)
         return dest
 
@@ -89,7 +89,7 @@ class LoadBalancer:
         self.replicas[0].write(key, node)
         self.counters.inc("repins")
         loc = self.obs.locality
-        if loc:
+        if loc is not None:
             loc.on_repin(key, node, self.sim.now)
 
     def lookup(self, key: Any) -> Optional[NodeId]:
@@ -111,7 +111,7 @@ class LoadBalancer:
         dest = replica.read(key)
         if dest is not None and dest in self.active_nodes:
             self.counters.inc("hits")
-            if loc:
+            if loc is not None:
                 loc.on_route(key, dest, True, self.sim.now)
             return dest
         self.counters.inc("misses")
@@ -119,7 +119,7 @@ class LoadBalancer:
         if dest not in self.active_nodes:
             dest = self.rng.choice(self.active_nodes)
         yield replica.write(key, dest)  # replicated write-through
-        if loc:
+        if loc is not None:
             loc.on_route(key, dest, False, self.sim.now)
         return dest
 

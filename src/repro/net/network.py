@@ -14,7 +14,7 @@ claims.  A :class:`FaultInjector` can drop/duplicate/delay messages; a
 Observability: every fate a message can meet — sent, delivered, dropped by
 the injector / a partition / a down endpoint, duplicated, delayed — is
 counted in the cluster's :class:`~repro.obs.MetricsRegistry` under
-``net.*``, and emitted as wire-level trace events when a tracer is enabled.
+``net.*``, and emitted as wire-level trace events when a tracer is attached.
 """
 
 from __future__ import annotations
@@ -129,13 +129,12 @@ class Network:
         dst = msg.dst
         link_key = (src, dst)
         tracer = self.obs.tracer
-        traced = tracer.enabled
         if self._down and (src in self._down or dst in self._down):
             self._c_dropped_down.inc()
             return
         if self._partitioned and link_key in self._partitioned:
             self._c_dropped_partition.inc()
-            if traced:
+            if tracer is not None:
                 tracer.instant("net.drop", pid=src, tid=TID_NET,
                                cat="net", dst=dst, kind=msg.kind,
                                why="partition")
@@ -150,7 +149,7 @@ class Network:
         self.total_msgs += 1
         self._c_sent.value += 1  # not inc(): a Python frame per message
         prof = self.obs.profiler
-        if prof.enabled:
+        if prof is not None:
             prof.message(msg.kind)
 
         duplicates = 0
@@ -160,7 +159,7 @@ class Network:
             decision = faults.decide()
             if decision.drop:
                 self._c_dropped_fault.inc()
-                if traced:
+                if tracer is not None:
                     tracer.instant("net.drop", pid=src, tid=TID_NET,
                                    cat="net", dst=dst, kind=msg.kind,
                                    why="loss")
@@ -172,7 +171,7 @@ class Network:
             duplicates = decision.duplicates
             extra_delay = decision.extra_delay_us
 
-        if traced:
+        if tracer is not None:
             if msg.flow_id is not None:
                 tracer.instant("net.send", pid=src, tid=TID_NET,
                                cat="net", ctx=(msg.trace_id, msg.parent_span),
@@ -200,7 +199,7 @@ class Network:
         if endpoint is not None:
             self._c_delivered.value += 1
             tracer = self.obs.tracer
-            if tracer.enabled:
+            if tracer is not None:
                 if msg.flow_id is not None:
                     tracer.instant("net.deliver", pid=dst, tid=TID_NET,
                                    cat="net",

@@ -164,7 +164,7 @@ class ReliableTransport:
 
     def _stamp_ctx(self, msg: Message, ctx) -> None:
         tracer = self.obs.tracer
-        if not tracer.enabled:
+        if tracer is None:
             return
         msg.trace_id, msg.parent_span = ctx
         msg.flow_id = tracer.next_flow()
@@ -186,7 +186,7 @@ class ReliableTransport:
             return
         chan.retries += 1
         prof = self.obs.profiler
-        if prof:
+        if prof is not None:
             # Retransmit scans walk (and re-send) the whole unacked window;
             # their host cost scales with window size, so the profiler
             # tracks both the scan count and the total entries scanned.
@@ -206,14 +206,14 @@ class ReliableTransport:
             # go-back-N window into a black hole every interval.
             seq = min(chan.unacked)
             self._c_probes.inc()
-            if tracer.enabled:
+            if tracer is not None:
                 tracer.instant("net.probe", pid=self.node_id, tid=TID_NET,
                                cat="net", dst=dst, seq=seq)
             self.network.send(chan.unacked[seq])
         else:
             for seq in sorted(chan.unacked):
                 self._c_retransmissions.inc()
-                if tracer.enabled:
+                if tracer is not None:
                     tracer.instant("net.retransmit", pid=self.node_id,
                                    tid=TID_NET, cat="net", dst=dst, seq=seq,
                                    attempt=chan.retries)

@@ -1,11 +1,14 @@
-"""Unified observability: metrics registry, tracer, exporters.
+"""Unified observability: metrics registry, instruments, exporters.
 
-One :class:`Observability` object (a :class:`MetricsRegistry` plus a
-:class:`Tracer`) is created per simulated cluster and threaded through the
-network, nodes, and protocol managers.  The registry is always live (plain
-in-memory accumulators); tracing defaults to the no-op
-:data:`NULL_TRACER` and is enabled by passing ``Tracer()`` — see
-``python -m repro trace`` for the end-to-end flow.
+One :class:`Observability` object (a :class:`MetricsRegistry` plus four
+optional instruments) is created per simulated cluster and threaded
+through the network, nodes, and protocol managers.  The registry is always
+live (plain in-memory accumulators).  The instruments — ``tracer``,
+``history``, ``locality``, ``profiler`` — are each the instrument or
+``None``: absent means ``None``, and every recording site guards with
+``is not None`` on a local.  Attach one by passing it, e.g.
+``Observability(tracer=Tracer())`` — see ``python -m repro trace`` for the
+end-to-end flow.
 """
 
 from .analysis import (
@@ -25,25 +28,9 @@ from .export import (
     write_metrics,
     write_trace_jsonl,
 )
-from .history import (
-    NULL_HISTORY,
-    HistoryOp,
-    HistoryRecorder,
-    NullHistoryRecorder,
-)
-from .locality import (
-    NULL_LOCALITY,
-    LocalityOp,
-    LocalityRecorder,
-    NullLocalityRecorder,
-    SpaceSaving,
-)
-from .profile import (
-    NULL_PROFILER,
-    HostProfiler,
-    NullHostProfiler,
-    peak_rss_kb,
-)
+from .history import HistoryOp, HistoryRecorder
+from .locality import LocalityOp, LocalityRecorder, SpaceSaving
+from .profile import HostProfiler, peak_rss_kb
 from .registry import (
     Counter,
     CounterGroup,
@@ -55,15 +42,7 @@ from .registry import (
     ThroughputMeter,
 )
 from .stats import cdf_points, percentile
-from .trace import (
-    NULL_TRACER,
-    TID_NET,
-    TID_REPLICATION,
-    TID_SVC,
-    NullTracer,
-    Span,
-    Tracer,
-)
+from .trace import TID_NET, TID_REPLICATION, TID_SVC, Span, Tracer
 
 __all__ = [
     "Counter",
@@ -74,20 +53,12 @@ __all__ = [
     "MetricsRegistry",
     "Observability",
     "ThroughputMeter",
-    "NullTracer",
-    "NULL_TRACER",
     "HistoryOp",
     "HistoryRecorder",
-    "NullHistoryRecorder",
-    "NULL_HISTORY",
     "LocalityOp",
     "LocalityRecorder",
-    "NullLocalityRecorder",
-    "NULL_LOCALITY",
     "SpaceSaving",
     "HostProfiler",
-    "NullHostProfiler",
-    "NULL_PROFILER",
     "peak_rss_kb",
     "Span",
     "Tracer",

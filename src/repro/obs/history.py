@@ -37,10 +37,10 @@ remote replicas serve the old Valid version until the in-flight R-INVs
 land — by design, not by bug.  The checker therefore anchors a write's
 real-time obligations at ``durable_at`` when one was recorded.
 
-The default recorder everywhere is :data:`NULL_HISTORY` — falsy and
-no-op, the same zero-overhead pattern as
-:data:`~repro.obs.trace.NULL_TRACER` — so instrumented call sites guard
-with ``if hist:`` and pay one falsy check when recording is off.
+An absent recorder is ``None`` (``Observability().history``): call sites
+guard with ``if hist is not None:`` — never truthiness, which
+:meth:`HistoryRecorder.__len__` would make false for a recorder that has
+not recorded yet.
 
 Timestamps are passed explicitly (``now=``) rather than read from a
 simulator binding, which keeps the recorder trivially usable for
@@ -51,8 +51,8 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Tuple
 
-__all__ = ["HistoryOp", "HistoryRecorder", "NullHistoryRecorder",
-           "NULL_HISTORY", "COMMITTED", "ABORTED", "INDETERMINATE"]
+__all__ = ["HistoryOp", "HistoryRecorder",
+           "COMMITTED", "ABORTED", "INDETERMINATE"]
 
 COMMITTED = "committed"
 ABORTED = "aborted"
@@ -107,12 +107,12 @@ class HistoryRecorder:
 
     __slots__ = ("ops",)
 
-    enabled = True
-
     def __init__(self) -> None:
         self.ops: List[HistoryOp] = []
 
     def __bool__(self) -> bool:
+        # ``perf/`` tests ``cluster.obs.history`` for truthiness; without
+        # this, ``__len__`` would make an empty recorder read as absent.
         return True
 
     # ------------------------------------------------------------- recording
@@ -207,49 +207,3 @@ class HistoryRecorder:
 
     def __len__(self) -> int:
         return len(self.ops)
-
-
-class NullHistoryRecorder:
-    """Falsy no-op recorder: recording disabled at zero cost."""
-
-    __slots__ = ()
-
-    enabled = False
-    ops: Tuple[HistoryOp, ...] = ()
-
-    def __bool__(self) -> bool:
-        return False
-
-    def begin(self, node: int, thread: int, kind: str, now: float) -> None:
-        return None
-
-    def read(self, op, oid, version, now) -> None:
-        pass
-
-    def write(self, op, oid, version, now) -> None:
-        pass
-
-    def respond(self, op, committed, now) -> None:
-        pass
-
-    def mark_durable(self, op, now=None) -> None:
-        pass
-
-    def mark_persisted(self, op, now=None) -> None:
-        pass
-
-    def on_crash(self, node_id, now) -> None:
-        pass
-
-    def on_power_loss(self, now) -> None:
-        pass
-
-    def committed_ops(self) -> List[HistoryOp]:
-        return []
-
-    def __len__(self) -> int:
-        return 0
-
-
-#: Shared no-op instance — the default wherever a recorder is accepted.
-NULL_HISTORY = NullHistoryRecorder()

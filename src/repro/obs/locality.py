@@ -36,12 +36,11 @@ ownership handover was worth its 1.5 round-trips.  A
   amortize the handover cost, and objects bouncing ≥k times within a
   window are flagged as ping-ponging.
 
-The default recorder everywhere is :data:`NULL_LOCALITY` — falsy and
-no-op, the same zero-overhead-off contract as
-:data:`~repro.obs.trace.NULL_TRACER` / :data:`~repro.obs.history.NULL_HISTORY`
-— and an enabled recorder is *outcome-identical*: it schedules no
-simulator events, consumes no model RNG, and never touches protocol
-state, so recorded runs produce byte-identical outcome digests.
+An absent recorder is ``None`` (``Observability().locality``): call
+sites guard with ``if loc is not None:``.  An attached recorder is
+*outcome-identical*: it schedules no simulator events, consumes no model
+RNG, and never touches protocol state, so recorded runs produce
+byte-identical outcome digests.
 
 Timestamps are passed explicitly (``now=``), which keeps the recorder
 trivially usable on hand-built event streams in tests.
@@ -54,7 +53,6 @@ import heapq
 from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = ["SpaceSaving", "LocalityOp", "Handover", "LocalityRecorder",
-           "NullLocalityRecorder", "NULL_LOCALITY",
            "CAUSE_SHARED", "CAUSE_MIGRATING", "CAUSE_ROUTING_MISS"]
 
 CAUSE_SHARED = "shared"
@@ -241,8 +239,6 @@ class Handover:
 
 class LocalityRecorder:
     """Accumulates locality telemetry for one simulated run."""
-
-    enabled = True
 
     def __init__(self, top_k: int = 256, half_life_us: float = 5_000.0,
                  pair_top_k: int = 512,
@@ -721,49 +717,3 @@ class LocalityRecorder:
                       for label, at, info in self._marks],
             "placement": self.placement_snapshot(),
         }
-
-
-class NullLocalityRecorder:
-    """Falsy no-op recorder: locality telemetry disabled at zero cost."""
-
-    __slots__ = ()
-
-    enabled = False
-
-    def __bool__(self) -> bool:
-        return False
-
-    def begin(self, node, thread, now) -> None:
-        return None
-
-    def acquired(self, op, oid, level) -> None:
-        pass
-
-    def commit_txn(self, op, write_set, read_set, committed, now) -> None:
-        pass
-
-    def on_handover(self, oid, frm, to, version, now) -> None:
-        pass
-
-    def on_route(self, key, dest, hit, now) -> None:
-        pass
-
-    def on_repin(self, key, node, now) -> None:
-        pass
-
-    def mark(self, label, now, **info) -> None:
-        pass
-
-    def marks(self, label=None) -> list:
-        return []
-
-    def placement_snapshot(self, top: int = 64) -> Dict[str, Any]:
-        return {}
-
-    def report(self, groups: int = 8, top: int = 12,
-               table_limit: int = 64) -> Dict[str, Any]:
-        return {}
-
-
-#: Shared no-op instance — the default wherever a recorder is accepted.
-NULL_LOCALITY = NullLocalityRecorder()

@@ -7,12 +7,11 @@ heap-op counts, and peak RSS — so the benchmark of record (``perf/``,
 whose ``LayerRecorder`` subclasses :class:`HostProfiler`) can attribute
 every speedup or regression to the layer that caused it.
 
-A :class:`HostProfiler` follows the same falsy-sentinel contract as
-:data:`~repro.obs.trace.NULL_TRACER` / :data:`~repro.obs.history.NULL_HISTORY`:
-the default everywhere is :data:`NULL_PROFILER` (falsy, every method a
-no-op), instrumented call sites guard with ``if prof:``, and the kernel
-skips timing entirely when no profiler is installed — a disabled profiler
-costs one falsy check per call site and **zero** per simulator event.
+An absent profiler is ``None`` (``Observability().profiler``, and
+``Simulator._profiler``): call sites guard with ``if prof is not None:``
+and the kernel skips timing entirely when none is installed — an
+unprofiled run costs one identity test per call site and **zero** per
+simulator event.
 
 Crucially, profiling never touches simulated state: it reads
 ``time.perf_counter_ns`` and accumulates host-side dicts, schedules no
@@ -49,8 +48,7 @@ try:  # pragma: no cover - resource is POSIX-only
 except ImportError:  # pragma: no cover
     _resource = None
 
-__all__ = ["HostProfiler", "NullHostProfiler", "NULL_PROFILER",
-           "peak_rss_kb"]
+__all__ = ["HostProfiler", "peak_rss_kb"]
 
 _perf_ns = time.perf_counter_ns
 
@@ -91,8 +89,6 @@ class HostProfiler:
                  "handler_events", "message_counts", "counts",
                  "_wall_start_ns", "wall_ns", "events_profiled")
 
-    enabled = True
-
     def __init__(self) -> None:
         #: callback function object -> subsystem
         self._fn_cache: Dict[Any, str] = {}
@@ -105,9 +101,6 @@ class HostProfiler:
         self._wall_start_ns: Optional[int] = None
         self.wall_ns = 0
         self.events_profiled = 0
-
-    def __bool__(self) -> bool:
-        return True
 
     # ---------------------------------------------------------------- window
 
@@ -147,29 +140,3 @@ class HostProfiler:
     def count(self, name: str, n: int = 1) -> None:
         """Bump a named host-side counter (heap ops, retransmit scans...)."""
         self.counts[name] = self.counts.get(name, 0) + n
-
-
-class NullHostProfiler:
-    """The zero-overhead disabled profiler: falsy, records nothing."""
-
-    __slots__ = ()
-
-    enabled = False
-
-    def __bool__(self) -> bool:
-        return False
-
-    def event(self, fn, ns: int) -> None:
-        pass
-
-    def handler(self, kind: str, ns: int) -> None:
-        pass
-
-    def message(self, kind: str) -> None:
-        pass
-
-    def count(self, name: str, n: int = 1) -> None:
-        pass
-
-
-NULL_PROFILER = NullHostProfiler()

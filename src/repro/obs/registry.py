@@ -22,11 +22,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .history import NULL_HISTORY
-from .locality import NULL_LOCALITY
-from .profile import NULL_PROFILER
 from .stats import percentile
-from .trace import NULL_TRACER
 
 __all__ = [
     "Counter",
@@ -311,13 +307,10 @@ class Observability:
     """A registry, tracer, history recorder, host profiler, and locality
     recorder for the whole stack.
 
-    The default tracer is the no-op :data:`~repro.obs.trace.NULL_TRACER`
-    (falsy, records nothing), the default history recorder the no-op
-    :data:`~repro.obs.history.NULL_HISTORY`, the default host profiler
-    the no-op :data:`~repro.obs.profile.NULL_PROFILER`, and the default
-    locality recorder the no-op
-    :data:`~repro.obs.locality.NULL_LOCALITY`; the registry is always
-    live.
+    The registry is always live.  Each of the four instruments is the
+    instrument or ``None`` — absent means ``None`` — so a recording site
+    reads it into a local and guards with ``is not None`` (never
+    truthiness: a recorder with ``__len__`` is falsy while empty).
     """
 
     __slots__ = ("registry", "tracer", "history", "profiler", "locality")
@@ -325,10 +318,10 @@ class Observability:
     def __init__(self, registry: Optional[MetricsRegistry] = None,
                  tracer=None, history=None, profiler=None, locality=None):
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.history = history if history is not None else NULL_HISTORY
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
-        self.locality = locality if locality is not None else NULL_LOCALITY
+        self.tracer = tracer
+        self.history = history
+        self.profiler = profiler
+        self.locality = locality
 
     def replace(self, **instruments) -> "Observability":
         """A copy with the named instruments swapped and the rest shared —

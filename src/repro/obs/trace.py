@@ -32,10 +32,10 @@ argument values in one flat list — no per-record object for the collector
 to walk (DESIGN.md §5, "Anatomy of a trace record"); a :class:`Span` exists
 only as an open span's handle and in views rebuilt on demand.
 
-The default tracer everywhere is :data:`NULL_TRACER`: falsy, stateless,
-and method calls are no-ops, so instrumented call sites guard with
-``if tracer.enabled:`` and a disabled tracer costs one attribute read — no
-allocations, no simulator events.
+An absent tracer is ``None`` (``Observability().tracer``): call sites
+fetch it into a local and guard with ``if tracer is not None:``, so an
+untraced run pays one identity test per site — no allocations, no
+simulator events (DESIGN.md §5, "Absent means None").
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from __future__ import annotations
 from struct import Struct
 from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-__all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER", "TraceCtx",
+__all__ = ["Span", "Tracer", "TraceCtx",
            "TID_REPLICATION", "TID_NET", "TID_SVC"]
 
 #: tid for datastore-worker-pool service spans (message handling).
@@ -103,8 +103,6 @@ class Tracer:
 
     __slots__ = ("sim", "_rows", "_values", "_points", "_views",
                  "_next_span", "_next_trace", "_next_flow")
-
-    enabled = True  # and truthy, as any object without __bool__ is
 
     def __init__(self, sim=None):
         self.sim = sim
@@ -228,29 +226,3 @@ class Tracer:
         for span in self.rows(True):
             out.setdefault(span.name, []).append(span.duration_us)
         return out
-
-
-class NullTracer:
-    """The zero-overhead disabled tracer: falsy, records nothing."""
-
-    __slots__ = ()
-
-    enabled = False
-
-    def __bool__(self) -> bool:
-        return False
-
-    def begin(self, name: str, pid: int, tid: int = 0, cat: str = "span",
-              ctx: Optional[TraceCtx] = None, **args: Any) -> None:
-        return None
-
-    def end(self, span, **args: Any) -> None:
-        pass
-
-    def instant(self, name: str, pid: int, tid: int = TID_NET,
-                cat: str = "event", ctx: Optional[TraceCtx] = None,
-                **args: Any) -> None:
-        pass
-
-
-NULL_TRACER = NullTracer()

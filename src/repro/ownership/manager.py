@@ -253,7 +253,7 @@ class OwnershipManager(LifecycleMixin):
             span = (tracer.begin("own_acquire", pid=self.node_id, tid=thread,
                                  cat="ownership", ctx=ctx, oid=oid,
                                  type=req_type.name, coalesced=True)
-                    if tracer.enabled else None)
+                    if tracer is not None else None)
             outcome = yield existing.future
             if span is not None:
                 tracer.end(span, granted=outcome.granted,
@@ -269,7 +269,7 @@ class OwnershipManager(LifecycleMixin):
         span = (tracer.begin("own_acquire", pid=self.node_id, tid=thread,
                              cat="ownership", ctx=ctx, oid=oid,
                              type=req_type.name)
-                if tracer.enabled else None)
+                if tracer is not None else None)
 
         obj = self.store.get(oid)
         if obj is not None and obj.o_state == OState.VALID:
@@ -792,7 +792,7 @@ class OwnershipManager(LifecycleMixin):
             entry.o_state = OState.VALID
             self._log_dir(oid, entry)
             loc = self.node.obs.locality
-            if loc and inv.req_type == ReqType.ACQUIRE_OWNER:
+            if loc is not None and inv.req_type == ReqType.ACQUIRE_OWNER:
                 # Settled ownership handover: feed the migration ledger.
                 # Every directory host reports it; the recorder dedups on
                 # the (monotonic per-object) o_ts version.

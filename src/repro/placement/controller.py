@@ -42,17 +42,14 @@ class PlacementController:
 
     def __init__(self, cluster, lb=None,
                  policy: Optional[PlacementPolicy] = None,
-                 period_us: float = 600.0, batch_size: int = 4,
-                 pause_us: float = 100.0, move_timeout_us: float = 4000.0):
+                 period_us: float = 600.0):
         self.cluster = cluster
         self.sim = cluster.sim
         self.obs = cluster.obs
         self.lb = lb
         self.policy = policy or PlacementPolicy()
         self.period_us = period_us
-        self.executor = MoveExecutor(cluster, batch_size=batch_size,
-                                     pause_us=pause_us,
-                                     move_timeout_us=move_timeout_us,
+        self.executor = MoveExecutor(cluster, pause_us=100.0,
                                      counter_group="placement")
         registry = self.obs.registry
         self._c_cycles = registry.counter("placement.cycles")
@@ -114,7 +111,8 @@ class PlacementController:
             if not self._barrier_up():
                 continue  # recovery transfer in progress; stay out
             loc = self.obs.locality
-            snapshot = loc.placement_snapshot() if loc else {}
+            snapshot = (loc.placement_snapshot() if loc is not None
+                        else {})
             view = self._view()
             # The policy sees the *rounded* clock, so a recorded decision
             # replays offline bit-for-bit from its JSON record.

@@ -160,12 +160,13 @@ class RecoveryManager:
         self._entries.clear()
         self._repairing.clear()
         self._awaiting = True
-        if self.tracer:
-            self.tracer.instant("recovery.restart", pid=self.node_id,
-                                cat="recovery", inc=self.node.incarnation)
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.instant("recovery.restart", pid=self.node_id,
+                           cat="recovery", inc=self.node.incarnation)
             # Quarantine window: the reboot drops all inbound traffic until
             # membership re-admits us (span closed at the admit view).
-            self._quarantine_span = self.tracer.begin(
+            self._quarantine_span = tracer.begin(
                 "recovery.quarantine", pid=self.node_id, cat="recovery",
                 inc=self.node.incarnation)
 
@@ -186,10 +187,11 @@ class RecoveryManager:
         self._repairing.clear()
         self._awaiting = True
         self.counters.inc("joins")
-        if self.tracer:
-            self.tracer.instant("recovery.join", pid=self.node_id,
-                                cat="recovery", inc=self.node.incarnation)
-            self._quarantine_span = self.tracer.begin(
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.instant("recovery.join", pid=self.node_id,
+                           cat="recovery", inc=self.node.incarnation)
+            self._quarantine_span = tracer.begin(
                 "recovery.quarantine", pid=self.node_id, cat="recovery",
                 inc=self.node.incarnation)
 
@@ -220,9 +222,10 @@ class RecoveryManager:
         self._listed.clear()
         self._tail_vers.clear()
         self._floored = set(floored)
-        if self.tracer:
-            self.tracer.instant("recovery.cold_restart", pid=self.node_id,
-                                cat="recovery", inc=self.node.incarnation)
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.instant("recovery.cold_restart", pid=self.node_id,
+                           cat="recovery", inc=self.node.incarnation)
 
     def _on_view_change(self, epoch: int, live: frozenset) -> None:
         if self._cold_awaiting and self.node_id in live:
@@ -257,8 +260,9 @@ class RecoveryManager:
 
     def _begin_transfer(self, live: frozenset) -> None:
         donors = self._donors(live)
-        if self.tracer and self._transfer_span is None:
-            self._transfer_span = self.tracer.begin(
+        tracer = self.tracer
+        if tracer is not None and self._transfer_span is None:
+            self._transfer_span = tracer.begin(
                 "recovery.transfer", pid=self.node_id, cat="recovery",
                 donors=len(donors))
         if not donors:
@@ -327,9 +331,10 @@ class RecoveryManager:
         return known[1] if known is not None else None
 
     def _repair_pass(self):
-        span = (self.tracer.begin("recovery.repair", pid=self.node_id,
-                                  cat="recovery")
-                if self.tracer else None)
+        tracer = self.tracer
+        span = (tracer.begin("recovery.repair", pid=self.node_id,
+                             cat="recovery")
+                if tracer is not None else None)
         for oid in sorted(self._entries):
             replicas = self._current_replicas(oid)
             if replicas is None:
@@ -350,7 +355,7 @@ class RecoveryManager:
         for donor in self._donors(live):
             self.node.send(donor, KIND_REPAIR_SCAN, self.node.epoch, 16)
         if span is not None:
-            self.tracer.end(span)
+            tracer.end(span)
         dur = self.node.durability
         if dur is not None:
             # The rejoin rebuilt the volatile state from donors; bring the
@@ -359,9 +364,9 @@ class RecoveryManager:
         if self._crash_time is not None:
             self._h_mttr.record(self.sim.now - self._crash_time)
             self._crash_time = None
-        if self.tracer:
-            self.tracer.instant("recovery.complete", pid=self.node_id,
-                                cat="recovery", inc=self.node.incarnation)
+        if tracer is not None:
+            tracer.instant("recovery.complete", pid=self.node_id,
+                           cat="recovery", inc=self.node.incarnation)
 
     def _backoff_us(self, oid: ObjectId, attempt: int,
                     base_us: float) -> float:
@@ -533,9 +538,10 @@ class RecoveryManager:
     #    invalidations and would serve stale reads forever.
 
     def _cold_reconcile(self):
-        span = (self.tracer.begin("recovery.cold_reconcile",
-                                  pid=self.node_id, cat="recovery")
-                if self.tracer else None)
+        tracer = self.tracer
+        span = (tracer.begin("recovery.cold_reconcile",
+                             pid=self.node_id, cat="recovery")
+                if tracer is not None else None)
         preexisting = sorted(obj.oid for obj in self.store)
         live = self.node.live_nodes
         sent = 0
@@ -586,15 +592,15 @@ class RecoveryManager:
             # Fold the reconciled state into a fresh disk image promptly.
             dur.snapshot_soon()
         if span is not None:
-            self.tracer.end(span, listed=len(self._listed))
+            tracer.end(span, listed=len(self._listed))
         if self._admitted_at is not None:
             self._h_catchup.record(self.sim.now - self._admitted_at)
         if self._crash_time is not None:
             self._h_mttr.record(self.sim.now - self._crash_time)
             self._crash_time = None
-        if self.tracer:
-            self.tracer.instant("recovery.cold_complete", pid=self.node_id,
-                                cat="recovery", inc=self.node.incarnation)
+        if tracer is not None:
+            tracer.instant("recovery.cold_complete", pid=self.node_id,
+                           cat="recovery", inc=self.node.incarnation)
 
     def _merge_dir_local(self, oid: ObjectId, o_ts: Ots,
                          replicas: ReplicaSet) -> None:

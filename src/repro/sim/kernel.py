@@ -118,13 +118,13 @@ class Simulator:
         self._stats_countdown = self._stats_every
 
     def set_profiler(self, profiler) -> None:
-        """Install (or remove, with None/falsy) a host profiler.
+        """Install (or remove, with ``None``) a host profiler.
 
         The profiler times every event callback in wall-clock nanoseconds
         and classifies it by subsystem; it observes the host only, never
         the simulation, so scheduling and outcomes are unaffected.
         """
-        self._profiler = profiler if profiler else None
+        self._profiler = profiler
 
     @property
     def heap_pushes(self) -> int:

@@ -285,7 +285,8 @@ class DurabilityManager:
 
     Only constructed when ``DiskParams.enabled``; other layers keep a
     ``durability`` attribute that is ``None`` when the tier is off, so the
-    hot path pays a single falsy check (same contract as ``NULL_TRACER``).
+    hot path pays a single ``is not None`` test (absent means ``None``,
+    the same rule as the ``obs`` instruments).
     """
 
     def __init__(self, node, store, directory, params, registry):

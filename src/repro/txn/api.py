@@ -11,6 +11,11 @@ Retry policy (Section 6.2, "Deadlocks"): an aborted attempt — ownership
 denied, local lock conflict, read validation failure — is retried after an
 exponential randomized back-off, which is how Zeus sidesteps distributed
 deadlock during the Prepare phase.
+
+Instruments: the tracer, history and locality recorders of ``node.obs`` are
+each the instrument or ``None`` (absent means ``None``);
+:meth:`ZeusAPI.execute` tests one ``_instrumented`` flag per transaction and
+guards each recording with ``is not None``.
 """
 
 from __future__ import annotations
@@ -58,10 +63,12 @@ class TxnResult:
 class ZeusAPI:
     """Per-node transaction facade (the ``tr_*`` API surface)."""
 
+    #: Attempts before a transaction reports ``RETRIES_EXHAUSTED``.
+    max_retries = 100
+
     def __init__(self, node, store, catalog: Catalog,
                  ownership: OwnershipManager, commit_mgr: CommitManager,
-                 rng: Optional[random.Random] = None,
-                 max_retries: int = 100):
+                 rng: Optional[random.Random] = None):
         self.node = node
         self.sim = node.sim
         self.node_id = node.node_id
@@ -71,15 +78,14 @@ class ZeusAPI:
         self.commit_mgr = commit_mgr
         self.params = node.params
         self.rng = rng or random.Random(node.node_id)
-        self.max_retries = max_retries
-        # Each instrument, or None for its disabled sentinel; a run without
-        # instruments pays one attribute test per transaction.
+        # The instruments (absent = None); a run without any pays one
+        # attribute test per transaction.
         obs = node.obs
-        self._tracer = obs.tracer if obs.tracer.enabled else None
-        self._history = obs.history if obs.history.enabled else None
-        self._locality = obs.locality if obs.locality.enabled else None
-        self._instrumented = (obs.tracer.enabled or obs.history.enabled
-                              or obs.locality.enabled)
+        self._tracer = obs.tracer
+        self._history = obs.history
+        self._locality = obs.locality
+        self._instrumented = not (obs.tracer is None and obs.history is None
+                                  and obs.locality is None)
 
     # ------------------------------------------------------ paper-shaped API
 

@@ -55,15 +55,13 @@ from ..obs.history import (  # noqa: F401  (re-exported public surface)
     ABORTED,
     COMMITTED,
     INDETERMINATE,
-    NULL_HISTORY,
     HistoryOp,
     HistoryRecorder,
-    NullHistoryRecorder,
 )
 
 __all__ = ["check_history", "HistoryCheckResult", "Violation",
-           "HistoryOp", "HistoryRecorder", "NullHistoryRecorder",
-           "NULL_HISTORY", "COMMITTED", "ABORTED", "INDETERMINATE"]
+           "HistoryOp", "HistoryRecorder",
+           "COMMITTED", "ABORTED", "INDETERMINATE"]
 
 #: Edge-kind priority: when several dependencies link the same pair of
 #: ops, keep the data dependency — a cycle is only classified "realtime"

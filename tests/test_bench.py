@@ -5,7 +5,7 @@ import pytest
 
 from repro.harness.runner import COMMANDS
 from repro.harness.scenarios import SCENARIOS, ScenarioOutcome
-from repro.obs import NULL_PROFILER, HostProfiler, Observability
+from repro.obs import HostProfiler, Observability
 
 
 def test_registry_names_the_five_cells():
@@ -56,17 +56,6 @@ def test_profiler_attributes_host_time(chaos_runs):
     assert profiler.message_counts["rc.ack"] > 0
     # The window's wall time covers every callback (residual = dispatch).
     assert profiler.wall_ns >= sum(profiler.subsys_ns.values()) > 0
-
-
-def test_null_profiler_is_falsy_and_inert():
-    assert not NULL_PROFILER
-    assert NULL_PROFILER.enabled is False
-    assert bool(HostProfiler()) is True
-    # All hooks are no-ops.
-    NULL_PROFILER.event(len, 5)
-    NULL_PROFILER.handler("x", 5)
-    NULL_PROFILER.message("x")
-    NULL_PROFILER.count("x")
 
 
 def test_kernel_skips_profiling_when_unset():

@@ -12,7 +12,6 @@ from repro.obs.history import (
     ABORTED,
     COMMITTED,
     INDETERMINATE,
-    NULL_HISTORY,
     HistoryOp,
     HistoryRecorder,
 )
@@ -40,15 +39,6 @@ def test_recorder_roundtrip():
     assert len(rec) == 1
 
 
-def test_null_history_is_falsy_noop():
-    assert not NULL_HISTORY
-    assert NULL_HISTORY.begin(0, 0, "write", 0.0) is None
-    NULL_HISTORY.respond(None, True, 1.0)   # must not raise
-    NULL_HISTORY.on_crash(0, 1.0)
-    assert NULL_HISTORY.committed_ops() == []
-    assert len(NULL_HISTORY) == 0
-
-
 @pytest.mark.parametrize("wal", [False, True])
 def test_commit_manager_stamps_durability_at_the_ack_instant(wal):
     """The history op rides on the commit slot: the manager marks it durable
@@ -61,7 +51,8 @@ def test_commit_manager_stamps_durability_at_the_ack_instant(wal):
         cluster = ZeusCluster(3, params=params, catalog=make_catalog(3, 4),
                               seed=0, obs=Observability(history=history))
         cluster.load(init_value=0)
-        op = history.begin(0, 0, "write", cluster.sim.now) if history else None
+        op = (history.begin(0, 0, "write", cluster.sim.now)
+              if history is not None else None)
         acked = []
         cluster.handles[0].commit.submit(
             0, [(0, 2, "new", 64)], {1, 2}, hop=op

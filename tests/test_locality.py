@@ -2,8 +2,8 @@
 attribution, the migration-effectiveness ledger, and the ``repro
 heatmap`` CLI.
 
-Covers the recorder's contract with the rest of the stack — falsy
-sentinel, zero behavioural footprint when enabled (same commits, same
+Covers the recorder's contract with the rest of the stack — absent means
+``None``, zero behavioural footprint when attached (same commits, same
 outcome, recorder on or off), bounded memory under adversarial key
 streams, and seed-pure byte-identical JSON reports.
 """
@@ -14,12 +14,7 @@ import pytest
 
 from repro.harness.rig import Rig, counter_catalog
 from repro.harness.runner import main
-from repro.obs import (
-    NULL_LOCALITY,
-    LocalityRecorder,
-    Observability,
-    SpaceSaving,
-)
+from repro.obs import LocalityRecorder, Observability, SpaceSaving
 from repro.obs.locality import (
     CAUSE_MIGRATING,
     CAUSE_ROUTING_MISS,
@@ -218,27 +213,13 @@ def test_handover_ledger_overflow_is_bounded():
 
 
 # ---------------------------------------------------------------------------
-# Falsy sentinel and registry wiring
-
-
-def test_null_locality_is_falsy_noop():
-    assert not NULL_LOCALITY
-    assert NULL_LOCALITY.report() == {}
-    assert NULL_LOCALITY.marks() == []
-    op = NULL_LOCALITY.begin(0, 0, 0.0)
-    NULL_LOCALITY.acquired(op, 1, "owner")
-    NULL_LOCALITY.commit_txn(op, [1], [], True, 1.0)
-    NULL_LOCALITY.on_handover(1, 0, 1, 1, 1.0)
-    NULL_LOCALITY.on_route(1, 0, True, 1.0)
-    NULL_LOCALITY.on_repin(1, 0, 1.0)
-    NULL_LOCALITY.mark("x", 1.0)
+# Registry wiring
 
 
 def test_observability_defaults_to_null_locality():
-    assert Observability().locality is NULL_LOCALITY
+    assert Observability().locality is None
     loc = LocalityRecorder()
     assert Observability(locality=loc).locality is loc
-    assert bool(loc)
 
 
 # ---------------------------------------------------------------------------

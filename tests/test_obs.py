@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.obs import (
-    NULL_TRACER,
     TID_NET,
     TID_REPLICATION,
     LatencyRecorder,
@@ -88,18 +87,9 @@ def test_snapshot_is_deterministic_and_jsonable():
 # ------------------------------------------------------------------ tracer
 
 
-def test_null_tracer_is_falsy_noop():
-    assert not NULL_TRACER
-    assert NULL_TRACER.begin("x", pid=0) is None
-    NULL_TRACER.end(None)
-    NULL_TRACER.instant("x", pid=0)
-    assert Observability().tracer is NULL_TRACER
-
-
 def test_tracer_records_sim_time_spans():
     sim = Simulator()
     tracer = Tracer(sim)
-    assert tracer
     span = tracer.begin("txn", pid=2, tid=1, cat="txn", kind="write")
     sim.call_after(10.0, lambda: None)
     sim.run()
@@ -235,7 +225,7 @@ def test_disabled_tracer_runs_without_spans():
 
     cluster.spawn_app(0, 0, app())
     cluster.run(until=100_000)
-    assert cluster.obs.tracer is NULL_TRACER
+    assert cluster.obs.tracer is None
     assert cluster.total_committed() >= 4
     # Metrics stay live even with tracing off.
     snap = cluster.obs.registry.snapshot()

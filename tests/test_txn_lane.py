@@ -9,6 +9,7 @@ tests/test_txn_lane.py`` prints the census (DESIGN.md §5 quotes it).
 """
 
 import dis
+import gc
 import sys
 from inspect import CO_GENERATOR
 
@@ -59,12 +60,17 @@ def census(name: str) -> dict:
         if event in counts:
             counts[event] += 1
 
+    # No collection inside the window: hypothesis (run by earlier tests)
+    # registers a Python gc callback, whose frames are not the lane's and
+    # whose count depends on where the allocation counter stood.
+    gc.disable()
     sys.setprofile(profile)
     try:
         run_zeus_workload(cluster, spec_fn, window_us, threads=2, seed=1,
                           on_commit=on_commit, stats=stats)
     finally:
         sys.setprofile(None)
+        gc.enable()
     assert stats.committed == len(latencies) > 1_000
     assert stats.aborted_txns == 0
     return {"committed": stats.committed,
