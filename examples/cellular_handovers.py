@@ -10,9 +10,8 @@ node and everything is local again.
 Run:  python examples/cellular_handovers.py
 """
 
-from repro.harness.zeus_cluster import ZeusCluster
-from repro.sim.params import SimParams
-from repro.workloads import HandoverWorkload, run_zeus_workload
+from repro.harness.rig import steady_state
+from repro.workloads import HandoverWorkload
 
 
 def main() -> None:
@@ -24,13 +23,8 @@ def main() -> None:
         handover_frac=0.025,   # a typical network: 2.5% handovers
         mobile_frac=0.2,
     )
-    params = SimParams().scaled_threads(app=4, worker=4)
-    cluster = ZeusCluster(nodes, params=params, catalog=wl.catalog)
-    cluster.load(init_value=0)
-
     duration_us = 10_000.0
-    stats = run_zeus_workload(cluster, wl.spec_for, duration_us=duration_us,
-                              threads=4)
+    cluster, stats = steady_state(wl, 0, 4, duration_us)
 
     print("Cellular handover workload on Zeus")
     print("==================================")

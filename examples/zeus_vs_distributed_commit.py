@@ -9,38 +9,21 @@ atomic commit forever.  Prints the Figure 8-style crossover.
 Run:  python examples/zeus_vs_distributed_commit.py
 """
 
-from repro.baselines import FASST, BaselineCluster
-from repro.harness.zeus_cluster import ZeusCluster
-from repro.sim.params import SimParams
-from repro.workloads import (
-    SmallbankWorkload,
-    run_baseline_workload,
-    run_zeus_workload,
-)
+from repro.baselines import FASST
+from repro.harness.rig import steady_state
+from repro.workloads import SmallbankWorkload
 
 NODES = 3
 DURATION_US = 6_000.0
 FRACS = (0.0, 0.02, 0.1, 0.3)
 
 
-def zeus_tps(frac: float) -> float:
-    wl = SmallbankWorkload(NODES, accounts_per_node=1_500, remote_frac=frac)
-    params = SimParams().scaled_threads(app=4, worker=4)
-    cluster = ZeusCluster(NODES, params=params, catalog=wl.catalog)
-    cluster.load(init_value=1_000)
-    stats = run_zeus_workload(cluster, wl.spec_for, duration_us=DURATION_US,
-                              threads=4)
-    return stats.throughput_tps(DURATION_US)
-
-
-def baseline_tps(frac: float) -> float:
+def tps(frac: float, profile=None) -> float:
+    """Zeus — or, given a baseline ``profile``, static sharding — at one
+    remote-write fraction: four threads per node, closed loop."""
     wl = SmallbankWorkload(NODES, accounts_per_node=1_500, remote_frac=frac,
-                           track_migration=False)
-    params = SimParams().scaled_threads(app=4, worker=4)
-    cluster = BaselineCluster(NODES, FASST, params=params, catalog=wl.catalog)
-    cluster.load(init_value=1_000)
-    stats = run_baseline_workload(cluster, wl.spec_for,
-                                  duration_us=DURATION_US, threads=4)
+                           track_migration=profile is None)
+    _cluster, stats = steady_state(wl, 1_000, 4, DURATION_US, profile=profile)
     return stats.throughput_tps(DURATION_US)
 
 
@@ -51,8 +34,8 @@ def main() -> None:
     print(f"{'remote writes':>14}  {'Zeus':>10}  {'FaSST-like':>10}  winner")
     print("-" * 66)
     for frac in FRACS:
-        z = zeus_tps(frac)
-        b = baseline_tps(frac)
+        z = tps(frac)
+        b = tps(frac, FASST)
         winner = "Zeus" if z > b else "baseline"
         print(f"{frac:>13.0%}  {z/1e6:>9.2f}M  {b/1e6:>9.2f}M  "
               f"{winner} ({max(z, b)/min(z, b):.2f}x)")

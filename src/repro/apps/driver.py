@@ -14,7 +14,7 @@ import random
 from collections import deque
 from typing import Any, Callable, Deque, Generator, List, Optional
 
-from ..harness.metrics import ThroughputMeter
+from ..obs import ThroughputMeter
 from ..sim.kernel import Simulator
 
 __all__ = ["RequestQueue", "OpenLoopSource", "serve_queue"]

@@ -1,13 +1,5 @@
-"""Experiment harness: cluster assembly, metrics, drivers, tables."""
+"""Experiment harness: cluster assembly, the rig, figures, gates, tables."""
 
-from .metrics import LatencyRecorder, ThroughputMeter, cdf_points, percentile
 from .zeus_cluster import ZeusCluster, ZeusHandle
 
-__all__ = [
-    "ZeusCluster",
-    "ZeusHandle",
-    "ThroughputMeter",
-    "LatencyRecorder",
-    "percentile",
-    "cdf_points",
-]
+__all__ = ["ZeusCluster", "ZeusHandle"]

@@ -1,4 +1,5 @@
-"""The one audited rig: counter cluster + workload + ledger + settle + audit.
+"""The one cluster builder, the one steady-state point, and the one audited
+rig: counter cluster + workload + ledger + settle + audit.
 
 Every gated experiment here is the paper's single request path (§3.1, §7)
 — the LB pins a key to a node, the node runs a local transaction,
@@ -19,16 +20,19 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
+from ..baselines.cluster import BaselineCluster
 from ..hermes.protocol import HermesReplica
 from ..lb import LoadBalancer
 from ..obs import Observability
 from ..sim.params import DiskParams, FaultParams, SimParams
 from ..sim.process import Future
 from ..store.catalog import Catalog
-from ..workloads.base import RunStats, SpecFn, TxnSpec, spawn_zeus_workers
+from ..workloads.base import (RunStats, SpecFn, TxnSpec,
+                              run_baseline_workload, run_zeus_workload,
+                              spawn_zeus_workers)
 from .zeus_cluster import ZeusCluster
 
-__all__ = ["Rig", "counter_catalog"]
+__all__ = ["Rig", "counter_catalog", "loaded_cluster", "steady_state"]
 
 
 def counter_catalog(num_nodes: int, num_objects: int,
@@ -44,6 +48,44 @@ def counter_catalog(num_nodes: int, num_objects: int,
         catalog.create_object(
             table, i, owner=i % num_nodes if owner_of is None else owner_of(i))
     return catalog
+
+
+def loaded_cluster(catalog: Catalog, threads: int, init_value: int = 0,
+                   profile=None, params: Optional[SimParams] = None,
+                   seed: int = 0, obs: Optional[Observability] = None,
+                   max_pipeline_depth: int = 32):
+    """Where every experiment's cluster is built: ``catalog`` on a fresh
+    Zeus cluster — or, given a baseline cost ``profile``, a
+    :class:`BaselineCluster` — with ``threads`` app and worker threads per
+    node, every object loaded with ``init_value``."""
+    params = (params or SimParams()).scaled_threads(app=threads,
+                                                    worker=threads)
+    if profile is None:
+        cluster = ZeusCluster(catalog.num_nodes, params=params,
+                              catalog=catalog, seed=seed, obs=obs,
+                              max_pipeline_depth=max_pipeline_depth)
+    else:
+        cluster = BaselineCluster(catalog.num_nodes, profile, params=params,
+                                  catalog=catalog, seed=seed)
+    cluster.load(init_value=init_value)
+    return cluster
+
+
+def steady_state(wl, init_value: int, threads: int, duration_us: float,
+                 warmup_us: float = 0.0, profile=None, cluster_seed: int = 0,
+                 seed: int = 1, **cluster_args):
+    """The steady-state point every throughput figure, both steady-state
+    scenario cells and ``repro smallbank`` / ``trace`` / ``analyze``
+    measure: ``wl`` on its :func:`loaded_cluster`, driven closed-loop for
+    ``warmup_us + duration_us``.  Only commits after the warm-up count, so
+    the point is ``stats.throughput_tps(duration_us)``.  The seed defaults
+    are the clusters' and the drivers' own.  Returns ``(cluster, stats)``."""
+    cluster = loaded_cluster(wl.catalog, threads, init_value, profile,
+                             seed=cluster_seed, **cluster_args)
+    drive = run_zeus_workload if profile is None else run_baseline_workload
+    stats = drive(cluster, wl.spec_for, duration_us=warmup_us + duration_us,
+                  warmup_us=warmup_us, threads=threads, seed=seed)
+    return cluster, stats
 
 
 class Rig:
@@ -62,15 +104,13 @@ class Rig:
         params = SimParams(
             faults=faults if faults is not None else FaultParams(),
             disk=disk if disk is not None else DiskParams(),
-            lease_us=lease_us, heartbeat_us=heartbeat_us,
-        ).scaled_threads(app=threads, worker=threads)
+            lease_us=lease_us, heartbeat_us=heartbeat_us)
         self.seed = seed
         self.threads = threads
         #: Base cluster size (joiners are reached via ``cluster.nodes``).
         self.num_nodes = catalog.num_nodes
-        self.cluster = ZeusCluster(self.num_nodes, params=params,
-                                   catalog=catalog, seed=seed, obs=obs)
-        self.cluster.load(init_value=0)
+        self.cluster = loaded_cluster(catalog, threads, params=params,
+                                      seed=seed, obs=obs)
         # ``repro.verify`` is imported where it is used: its package
         # ``__init__`` pulls in the shrinker and with it the chaos
         # campaign, which imports this module.

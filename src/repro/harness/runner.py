@@ -344,21 +344,12 @@ def _cmd_locality(_args) -> int:
     cause attribution, migration paybacks — see the ``repro heatmap``
     sibling command.
     """
-    from ..workloads import MobilityModel, TpccAnalysis, VenmoGraph
+    from .figures import FIGURES
 
-    print("Boston mobility (remote handover fraction):")
-    for nodes in (2, 3, 4, 6):
-        model = MobilityModel(nodes)
-        print(f"  {nodes} nodes: analytic {model.analytic_remote_fraction():.1%}, "
-              f"measured {model.measure_remote_fraction():.1%}")
-    graph = VenmoGraph()
-    print("Venmo payment graph (remote transactions):")
-    for nodes in (3, 6):
-        print(f"  {nodes} nodes: {graph.measure_remote_fraction(nodes):.2%}")
-    tpcc = TpccAnalysis()
-    print(f"TPC-C remote fraction (per-line convention): "
-          f"{tpcc.remote_fraction(per_line=True):.2%}  (paper: 2.45%)")
-    print()
+    for row in FIGURES:
+        if row.id.startswith("L1"):  # the three locality-analysis rows
+            print(row.table(row.run()))
+            print()
     print("(live cluster telemetry: python -m repro heatmap)")
     return 0
 
@@ -505,35 +496,29 @@ def _cmd_place(args) -> int:
     return _verdict(problems)
 
 
-def _smallbank_zeus(args, obs, accounts: int, threads: int, duration: float,
-                    cluster_seed: int = 0, seed: int = 1):
-    """Build, load and drive one Zeus cluster under the SmallBank mix
-    (``repro smallbank``/``trace``/``analyze``); returns its run stats.
-    The seed defaults are ZeusCluster's and run_zeus_workload's own."""
-    from ..sim.params import SimParams
-    from ..workloads import SmallbankWorkload, run_zeus_workload
-    from .zeus_cluster import ZeusCluster
+def _smallbank(args, accounts: int, threads: int, duration: float,
+               profile=None, **point):
+    """The stats of one SmallBank steady-state point at ``--nodes`` /
+    ``--remote`` (``repro smallbank``/``trace``/``analyze``): Zeus, or the
+    static-sharding baseline ``profile``."""
+    from ..workloads import SmallbankWorkload
+    from .rig import steady_state
 
-    params = SimParams().scaled_threads(app=threads, worker=threads)
     wl = SmallbankWorkload(args.nodes, accounts_per_node=accounts,
-                           remote_frac=args.remote)
-    cluster = ZeusCluster(args.nodes, params=params, catalog=wl.catalog,
-                          seed=cluster_seed, obs=obs)
-    cluster.load(init_value=1_000)
-    return run_zeus_workload(cluster, wl.spec_for, duration_us=duration,
-                             threads=threads, seed=seed)
+                           remote_frac=args.remote,
+                           track_migration=profile is None)
+    return steady_state(wl, 1_000, threads, duration, profile=profile,
+                        **point)[1]
 
 
 def _cmd_smallbank(args) -> int:
-    from ..baselines import FASST, BaselineCluster
+    from ..baselines import FASST
     from ..obs import Observability, Tracer, write_chrome_trace, write_metrics
-    from ..sim.params import SimParams
-    from ..workloads import SmallbankWorkload, run_baseline_workload
 
     duration = 6_000.0
     traced = bool(args.trace or args.analyze or args.flow)
     obs = Observability(tracer=Tracer() if traced else None)
-    zstats = _smallbank_zeus(args, obs, 1_500, 4, duration)
+    zstats = _smallbank(args, 1_500, 4, duration, obs=obs)
     if args.trace:
         write_chrome_trace(obs.tracer, args.trace)
         print(f"wrote Chrome trace: {args.trace} "
@@ -552,15 +537,7 @@ def _cmd_smallbank(args) -> int:
         print()
         print(analyze(obs.tracer).breakdown_table())
 
-    wl_b = SmallbankWorkload(args.nodes, accounts_per_node=1_500,
-                             remote_frac=args.remote, track_migration=False)
-    base = BaselineCluster(
-        args.nodes, FASST, catalog=wl_b.catalog,
-        params=SimParams().scaled_threads(app=4, worker=4))
-    base.load(1_000)
-    bstats = run_baseline_workload(base, wl_b.spec_for, duration_us=duration,
-                                   threads=4)
-
+    bstats = _smallbank(args, 1_500, 4, duration, profile=FASST)
     ztps = zstats.throughput_tps(duration)
     btps = bstats.throughput_tps(duration)
     print(f"Smallbank, {args.nodes} nodes, {args.remote:.0%} remote writes:")
@@ -583,8 +560,8 @@ def _cmd_trace(args) -> int:
     )
 
     obs = Observability(tracer=Tracer())
-    stats = _smallbank_zeus(args, obs, 200, 2, args.duration,
-                            cluster_seed=args.seed, seed=args.seed)
+    stats = _smallbank(args, 200, 2, args.duration, obs=obs,
+                       cluster_seed=args.seed, seed=args.seed)
 
     write_chrome_trace(obs.tracer, args.out)
     print(f"ran {stats.committed} txns over {args.duration:.0f} us "
@@ -618,8 +595,8 @@ def _cmd_analyze(args) -> int:
         from ..obs import Observability, Tracer
 
         obs = Observability(tracer=Tracer())
-        stats = _smallbank_zeus(args, obs, 200, 2, args.duration,
-                                cluster_seed=args.seed, seed=args.seed)
+        stats = _smallbank(args, 200, 2, args.duration, obs=obs,
+                           cluster_seed=args.seed, seed=args.seed)
         print(f"traced inline run: {stats.committed} txns over "
               f"{args.duration:.0f} us ({args.nodes} nodes, "
               f"seed {args.seed})")
@@ -642,29 +619,12 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_list(_args) -> int:
-    table = [
-        ("T2", "benchmarks/test_table2_benchmarks.py", "benchmark summary"),
-        ("L1", "benchmarks/test_locality_analysis.py", "locality analyses"),
-        ("F7", "benchmarks/test_fig7_handovers.py", "handovers vs ideal"),
-        ("F8", "benchmarks/test_fig8_smallbank.py", "smallbank sweep"),
-        ("F9", "benchmarks/test_fig9_tatp.py", "tatp sweep"),
-        ("F10", "benchmarks/test_fig10_voter_migration.py", "bulk migration"),
-        ("F11", "benchmarks/test_fig11_voter_concurrent.py",
-         "migration under load"),
-        ("F12", "benchmarks/test_fig12_ownership_latency.py", "latency CDF"),
-        ("F13", "benchmarks/test_fig13_gateway.py", "packet gateway"),
-        ("F14", "benchmarks/test_fig14_sctp.py", "SCTP throughput"),
-        ("F15", "benchmarks/test_fig15_nginx.py", "nginx scale-out"),
-        ("V1", "benchmarks/test_verification.py", "model checking"),
-        ("A1", "benchmarks/test_ablation_pipelining.py", "pipelining"),
-        ("A2", "benchmarks/test_ablation_replication.py", "replication"),
-        ("A3", "benchmarks/test_ablation_readonly.py", "reads on replicas"),
-        ("A4", "benchmarks/test_ablation_ownership_hops.py", "hops"),
-        ("A5", "benchmarks/test_ablation_directory.py", "directory modes"),
-    ]
-    print("Experiment catalog (run with pytest <file> --benchmark-only -s):")
-    for eid, path, desc in table:
-        print(f"  {eid:<4} {path:<48} {desc}")
+    from .figures import FIGURES
+
+    print("Experiment catalog (run one with: pytest benchmarks "
+          "--benchmark-only -s -k <id>):")
+    for row in FIGURES:
+        print(f"  {row.id:<10} results/{row.result + '.json':<30} {row.title}")
     return 0
 
 

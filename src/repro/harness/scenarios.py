@@ -20,8 +20,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List
 
 from ..obs import Observability
-from ..sim.params import SimParams
-from .zeus_cluster import ZeusCluster
+from ..workloads import (SmallbankWorkload, TatpWorkload, VoterWorkload,
+                         migrate_objects, run_zeus_workload)
+from .rig import loaded_cluster, steady_state
 
 __all__ = ["ScenarioOutcome", "SCENARIOS"]
 
@@ -61,16 +62,10 @@ RunFn = Callable[[int, Observability], ScenarioOutcome]
 
 def _steady_state(wl, init_value: int, seed: int,
                   obs: Observability) -> ScenarioOutcome:
-    """Load ``wl``'s catalog on a fresh 3-node cluster and drive it
-    closed-loop for 8 ms with two threads per node."""
-    from ..workloads.base import run_zeus_workload
-
-    params = SimParams().scaled_threads(app=2, worker=2)
-    cluster = ZeusCluster(3, params=params, catalog=wl.catalog, seed=seed,
-                          obs=obs)
-    cluster.load(init_value=init_value)
-    stats = run_zeus_workload(cluster, wl.spec_for, duration_us=8_000.0,
-                              threads=2, seed=seed)
+    """``wl`` on its 3-node cluster, closed-loop for 8 ms with two threads
+    per node."""
+    cluster, stats = steady_state(wl, init_value, 2, 8_000.0,
+                                  cluster_seed=seed, seed=seed, obs=obs)
     return ScenarioOutcome(stats.committed, stats.aborted_txns,
                            cluster.sim.events_executed, cluster.sim.now,
                            extra={"retries": stats.retries,
@@ -78,29 +73,19 @@ def _steady_state(wl, init_value: int, seed: int,
 
 
 def _run_smallbank(seed: int, obs: Observability) -> ScenarioOutcome:
-    from ..workloads.smallbank import SmallbankWorkload
-
     wl = SmallbankWorkload(3, accounts_per_node=400, remote_frac=0.1, seed=7)
     return _steady_state(wl, 100, seed, obs)
 
 
 def _run_tatp(seed: int, obs: Observability) -> ScenarioOutcome:
-    from ..workloads.tatp import TatpWorkload
-
     wl = TatpWorkload(3, subscribers_per_node=600, remote_frac=0.05, seed=11)
     return _steady_state(wl, 0, seed, obs)
 
 
 def _run_voter_migration(seed: int, obs: Observability) -> ScenarioOutcome:
-    from ..workloads.base import run_zeus_workload
-    from ..workloads.voter import VoterWorkload, migrate_objects
-
     nodes, duration = 3, 9_000.0
-    params = SimParams().scaled_threads(app=2, worker=2)
     wl = VoterWorkload(nodes, voters=1_500, contestants=12, seed=17)
-    cluster = ZeusCluster(nodes, params=params, catalog=wl.catalog,
-                          seed=seed, obs=obs)
-    cluster.load(init_value=0)
+    cluster = loaded_cluster(wl.catalog, 2, seed=seed, obs=obs)
 
     migrated: List[int] = []
     progress: List[float] = []

@@ -63,6 +63,23 @@ CAUSE_ROUTING_MISS = "routing_miss"
 #: v2 added the ``placement`` section (the controller's decision input).
 SCHEMA_VERSION = 2
 
+#: Per-node / read / write sketch capacity, and every sketch's half-life.
+_TOP_K = 256
+_HALF_LIFE_US = 5_000.0
+#: A remote txn on an object handed over (LB-re-pinned) this recently is
+#: attributed to the migration (the routing change), not to sharing.
+_MIGRATION_WINDOW_US = 2_000.0
+_REPIN_WINDOW_US = 8_000.0
+#: An object is *shared* when its second-busiest node holds this share of
+#: at least ``_MIN_EVIDENCE`` decayed accesses.
+_SHARE_THRESHOLD = 0.25
+_MIN_EVIDENCE = 4.0
+#: Accesses at the new owner that pay a handover back.
+_PAYBACK_ACCESSES = 2
+#: Handovers of one object inside the window that make it a ping-pong.
+_PINGPONG_K = 3
+_PINGPONG_WINDOW_US = 10_000.0
+
 
 class SpaceSaving:
     """Space-Saving top-K heavy hitters with sliding half-life decay.
@@ -240,38 +257,20 @@ class Handover:
 class LocalityRecorder:
     """Accumulates locality telemetry for one simulated run."""
 
-    def __init__(self, top_k: int = 256, half_life_us: float = 5_000.0,
-                 pair_top_k: int = 512,
-                 migration_window_us: float = 2_000.0,
-                 repin_window_us: float = 8_000.0,
-                 share_threshold: float = 0.25,
-                 min_evidence: float = 4.0,
-                 payback_accesses: int = 2,
-                 pingpong_k: int = 3,
-                 pingpong_window_us: float = 10_000.0,
-                 bin_us: float = 1_000.0,
-                 max_handovers: int = 4096) -> None:
-        self.top_k = top_k
-        self.half_life_us = half_life_us
-        self.pair_top_k = pair_top_k
-        self.migration_window_us = migration_window_us
-        self.repin_window_us = repin_window_us
-        self.share_threshold = share_threshold
-        self.min_evidence = min_evidence
-        self.payback_accesses = payback_accesses
-        self.pingpong_k = pingpong_k
-        self.pingpong_window_us = pingpong_window_us
-        self.bin_us = bin_us
-        self.max_handovers = max_handovers
+    #: Width of a remote-fraction timeline bin.
+    bin_us = 1_000.0
+    #: Ledger bound: handovers past it are counted, not recorded.
+    max_handovers = 4096
 
+    def __init__(self, pair_top_k: int = 512) -> None:
         #: node id -> per-object access sketch.
         self._per_node: Dict[int, SpaceSaving] = {}
         #: co-access edges over (oid_lo, oid_hi) pairs.
-        self._pairs = SpaceSaving(pair_top_k, half_life_us)
+        self._pairs = SpaceSaving(pair_top_k, _HALF_LIFE_US)
         #: cluster-wide per-object read / write sketches (the degree
         #: policy's read-hot vs write-hot signal).
-        self._reads = SpaceSaving(top_k, half_life_us)
-        self._writes = SpaceSaving(top_k, half_life_us)
+        self._reads = SpaceSaving(_TOP_K, _HALF_LIFE_US)
+        self._writes = SpaceSaving(_TOP_K, _HALF_LIFE_US)
 
         # ----- per-txn classification
         self.txns = 0
@@ -348,8 +347,8 @@ class LocalityRecorder:
                 else writes or reads)
         sketch = self._per_node.get(node)
         if sketch is None:
-            sketch = self._per_node[node] = SpaceSaving(self.top_k,
-                                                        self.half_life_us)
+            sketch = self._per_node[node] = SpaceSaving(_TOP_K,
+                                                        _HALF_LIFE_US)
         if oids:
             sketch.add_all(oids, now)
         if writes:
@@ -372,7 +371,7 @@ class LocalityRecorder:
                 if node == rec.to:
                     rec.at_new_owner += 1
                     if (rec.payback_at is None
-                            and rec.at_new_owner >= self.payback_accesses):
+                            and rec.at_new_owner >= _PAYBACK_ACCESSES):
                         rec.payback_at = now
                 else:
                     rec.elsewhere += 1
@@ -404,9 +403,9 @@ class LocalityRecorder:
             if c:
                 counts.append((c, nid))
         total = sum(c for c, _nid in counts)
-        if total >= self.min_evidence and len(counts) >= 2:
+        if total >= _MIN_EVIDENCE and len(counts) >= 2:
             counts.sort()
-            if counts[-2][0] >= self.share_threshold * total:
+            if counts[-2][0] >= _SHARE_THRESHOLD * total:
                 return CAUSE_SHARED
         # Ownership in motion? A handover strictly *before* this txn began
         # (its own acquisition settles after started_at and must not count)
@@ -414,13 +413,13 @@ class LocalityRecorder:
         # moved and the protocol is still converging.
         times = self._handover_times.get(oid)
         if times:
-            lo = started_at - self.migration_window_us
+            lo = started_at - _MIGRATION_WINDOW_US
             for t in times:
                 if lo <= t < started_at:
                     return CAUSE_MIGRATING
         repin = self._repinned.get(oid)
         if (repin is not None and repin[0] == node
-                and started_at - repin[1] <= self.repin_window_us):
+                and started_at - repin[1] <= _REPIN_WINDOW_US):
             return CAUSE_MIGRATING
         if counts and max(counts)[1] == node:
             # We already dominate the object's accesses; ownership lags.
@@ -454,10 +453,10 @@ class LocalityRecorder:
         self.handovers += 1
         times = self._handover_times.setdefault(oid, [])
         times.append(now)
-        cutoff = now - self.pingpong_window_us
+        cutoff = now - _PINGPONG_WINDOW_US
         while times and times[0] < cutoff:
             times.pop(0)
-        if len(times) >= self.pingpong_k:
+        if len(times) >= _PINGPONG_K:
             prev = self._ping_pong.get(oid, 0)
             if len(times) > prev:
                 self._ping_pong[oid] = len(times)
@@ -486,8 +485,8 @@ class LocalityRecorder:
         are migration lag, not routing misses."""
         self.route_repins += 1
         self._repinned[key] = (node, now)
-        if len(self._repinned) > 4 * self.top_k:
-            cutoff = now - self.repin_window_us
+        if len(self._repinned) > 4 * _TOP_K:
+            cutoff = now - _REPIN_WINDOW_US
             self._repinned = {k: v for k, v in self._repinned.items()
                               if v[1] >= cutoff}
 
@@ -678,13 +677,13 @@ class LocalityRecorder:
         return {
             "schema_version": SCHEMA_VERSION,
             "params": {
-                "top_k": self.top_k,
-                "half_life_us": self.half_life_us,
-                "migration_window_us": self.migration_window_us,
-                "share_threshold": self.share_threshold,
-                "payback_accesses": self.payback_accesses,
-                "pingpong_k": self.pingpong_k,
-                "pingpong_window_us": self.pingpong_window_us,
+                "top_k": _TOP_K,
+                "half_life_us": _HALF_LIFE_US,
+                "migration_window_us": _MIGRATION_WINDOW_US,
+                "share_threshold": _SHARE_THRESHOLD,
+                "payback_accesses": _PAYBACK_ACCESSES,
+                "pingpong_k": _PINGPONG_K,
+                "pingpong_window_us": _PINGPONG_WINDOW_US,
                 "bin_us": self.bin_us,
             },
             "totals": {

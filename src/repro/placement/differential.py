@@ -68,9 +68,9 @@ class _DiffRig(Rig):
     """One seeded cluster + workload, built identically for both modes.
 
     Subclasses define the catalog, the access pattern, initial LB pins
-    (none = no LB), and the policy/controller tuning the adaptive run
-    uses.  Nothing here may depend on whether a controller is attached —
-    the pairing is only honest if the two runs differ by exactly that."""
+    (none = no LB), and the controller tuning the adaptive run uses.
+    Nothing here may depend on whether a controller is attached — the
+    pairing is only honest if the two runs differ by exactly that."""
 
     name = "?"
     must_win = False
@@ -80,8 +80,7 @@ class _DiffRig(Rig):
     #: Fraction of the run warmed up before the remote-fraction window
     #: opens (covers lease warmup and, adaptively, convergence).
     measure_frac = 0.4
-    #: Non-default :class:`PlacementPolicy` / controller arguments.
-    policy_tuning: Dict[str, Any] = {}
+    #: Non-default controller arguments.
     controller_tuning: Dict[str, Any] = {}
 
     def __init__(self, seed: int, obs: Observability):
@@ -101,11 +100,6 @@ class _DiffRig(Rig):
 
     def spec_fn(self, node_id: int, thread: int, rng):
         raise NotImplementedError
-
-    @classmethod
-    def policy(cls) -> PlacementPolicy:
-        """A fresh policy instance (also used for the offline replay)."""
-        return PlacementPolicy(**cls.policy_tuning)
 
     def schedule_events(self) -> None:
         """Hook for rigs with scripted events (mobility handovers)."""
@@ -287,7 +281,6 @@ class _MobilityRig(_DiffRig):
     #: of transactions per user — the per-handover remote cost stays
     #: visible instead of being diluted by closed-loop saturation.
     idle_frac = 0.8
-    policy_tuning = {"repin_follow_us": 2_500.0}
     # Wake often enough to catch a re-pin within the handover gap.
     controller_tuning = {"period_us": 300.0}
 
@@ -361,7 +354,7 @@ def _run_one(name: str, seed: int, adaptive: bool,
     controller = None
     if adaptive:
         controller = PlacementController(cluster, lb=rig.lb,
-                                         policy=rig.policy(),
+                                         policy=PlacementPolicy(),
                                          **rig.controller_tuning)
         controller.start()
 
@@ -385,11 +378,11 @@ def _run_one(name: str, seed: int, adaptive: bool,
     )
 
 
-def _replay_ok(name: str, decisions: List[Dict[str, Any]]) -> bool:
+def _replay_ok(decisions: List[Dict[str, Any]]) -> bool:
     """Offline purity proof: every logged cycle, replayed through a fresh
     policy from its JSON-round-tripped record, must reproduce the live
     actuation list exactly."""
-    policy = _RIGS[name].policy()
+    policy = PlacementPolicy()
     for rec in decisions:
         snapshot = json.loads(json.dumps(rec["snapshot"]))
         view = json.loads(json.dumps(rec["view"]))
@@ -513,5 +506,5 @@ def run_pair(name: str, seed: int = 1, check_history: bool = False,
         degree_sets=adaptive.degree_sets,
         decision_digest=digest,
         deterministic=deterministic,
-        replay_ok=_replay_ok(name, adaptive.decisions or []),
+        replay_ok=_replay_ok(adaptive.decisions or []),
     )

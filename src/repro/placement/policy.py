@@ -19,18 +19,17 @@ Three actuation families, mirroring the tentpole:
 * ``repin`` — point the LB at the dominant accessor for keys whose pin
   disagrees with where accesses actually land (routing-miss repair), and
   consolidate co-accessed key groups onto one serving node: connected
-  components of the co-access graph (edges above ``coaccess_min``) are
+  components of the co-access graph (edges above ``_COACCESS_MIN``) are
   assigned wholesale to the node already carrying most of their traffic,
   the Lion community-placement move.  Components larger than
-  ``consolidate_max`` are left alone — a component spanning most of the
+  ``_CONSOLIDATE_MAX`` are left alone — a component spanning most of the
   keyspace means the sharing is inherent and no placement fixes it.
 * ``set_degree`` / ``add_reader`` / ``remove_reader`` — per-object
   replication-degree adaptation: widen read-hot shared objects so reads
   stay local everywhere and post-acquire trims stop churning readers;
-  trim write-hot objects back down.  Degrees are clamped to
-  ``[min_degree, max_degree]`` with ``min_degree`` defaulting to the
-  cluster's configured replication degree, so the degree/durability
-  audits hold by construction.
+  trim write-hot objects back down.  Degrees are clamped between the
+  cluster's configured replication degree and the live node count, so the
+  degree/durability audits hold by construction.
 
 Hysteresis comes from the migration ledger: an object is never
 re-migrated inside its cooldown window after a handover, objects the
@@ -46,6 +45,35 @@ from typing import Any, Dict, List, Optional
 
 __all__ = ["PlacementPolicy"]
 
+#: Minimum decayed accesses before an object is judged at all.
+_MIN_EVIDENCE = 6.0
+#: Dominant node must hold this share of the object's accesses.
+_DOMINANT_SHARE = 0.6
+#: Dominant decayed count that projects a migration payback (the ledger
+#: pays a handover back after ``payback_accesses`` hits at the new owner;
+#: demanding at least this much recent traffic there makes that payback
+#: the expected outcome, not a gamble).
+_PAYBACK_MIN = 3.0
+#: How fresh an LB re-pin must be to migrate proactively after it.
+_REPIN_FOLLOW_US = 2_500.0
+#: Cooldown for repin-following moves (an explicit routing signal outranks
+#: access inference, so its window is shorter).
+_REPIN_COOLDOWN_US = 1_200.0
+#: Reads (writes) fraction above which an object counts as read-hot
+#: (write-hot).
+_READ_HOT_FRAC = 0.75
+_WRITE_HOT_FRAC = 0.75
+#: Minimum read+write evidence before adapting a degree.
+_DEGREE_EVIDENCE = 8.0
+#: Minimum decayed co-access edge weight to join two objects into one
+#: placement community.
+_COACCESS_MIN = 3.0
+#: Largest community the policy will consolidate; bigger ones are
+#: inherently shared.
+_CONSOLIDATE_MAX = 24
+#: Per-cycle cap on protocol-visible moves (rate limiting).
+_MAX_MOVES = 16
+
 
 class PlacementPolicy:
     """Pure, deterministic placement decisions over a telemetry snapshot.
@@ -59,62 +87,12 @@ class PlacementPolicy:
          "live": [0, 1, 2], "base_degree": 2}
     """
 
-    def __init__(self,
-                 min_evidence: float = 6.0,
-                 dominant_share: float = 0.6,
-                 payback_min: float = 3.0,
-                 cooldown_us: float = 5_000.0,
-                 repin_follow_us: float = 2_500.0,
-                 repin_cooldown_us: float = 1_200.0,
-                 read_hot_frac: float = 0.75,
-                 write_hot_frac: float = 0.75,
-                 degree_evidence: float = 8.0,
-                 min_degree: Optional[int] = None,
-                 max_degree: Optional[int] = None,
-                 coaccess_min: float = 3.0,
-                 consolidate_max: int = 24,
-                 max_moves: int = 16,
-                 pingpong_guard: bool = True):
-        #: Minimum decayed accesses before an object is judged at all.
-        self.min_evidence = min_evidence
-        #: Dominant node must hold this share of the object's accesses.
-        self.dominant_share = dominant_share
-        #: Dominant decayed count that projects a migration payback (the
-        #: ledger pays a handover back after ``payback_accesses`` hits at
-        #: the new owner; demanding at least this much recent traffic
-        #: there makes that payback the expected outcome, not a gamble).
-        self.payback_min = payback_min
-        #: Never re-migrate an object this soon after its last handover.
-        self.cooldown_us = cooldown_us
-        #: How fresh an LB re-pin must be to migrate proactively after it.
-        self.repin_follow_us = repin_follow_us
-        #: Cooldown for repin-following moves (an explicit routing signal
-        #: outranks access inference, so its window is shorter).
-        self.repin_cooldown_us = repin_cooldown_us
-        #: Reads fraction above which an object counts as read-hot.
-        self.read_hot_frac = read_hot_frac
-        #: Writes fraction above which an object counts as write-hot.
-        self.write_hot_frac = write_hot_frac
-        #: Minimum read+write evidence before adapting a degree.
-        self.degree_evidence = degree_evidence
-        #: Degree floor; ``None`` = the view's ``base_degree`` (never trim
-        #: below the configured replication degree — the durability and
-        #: degree audits assume it).
-        self.min_degree = min_degree
-        #: Degree ceiling; ``None`` = every live node.
-        self.max_degree = max_degree
-        #: Minimum decayed co-access edge weight to join two objects into
-        #: one placement community.
-        self.coaccess_min = coaccess_min
-        #: Largest community the policy will consolidate; bigger ones are
-        #: inherently shared.
-        self.consolidate_max = consolidate_max
-        #: Per-cycle cap on protocol-visible moves (rate limiting).
-        self.max_moves = max_moves
-        #: Test hook: ``False`` disables the ping-pong suppression *and*
-        #: the re-migration cooldown, so tests can prove the guard is what
-        #: keeps the controller from thrashing ownership.
-        self.pingpong_guard = pingpong_guard
+    #: Never re-migrate an object this soon after its last handover.
+    cooldown_us = 5_000.0
+    #: Test hook: ``False`` disables the ping-pong suppression *and* the
+    #: re-migration cooldown, so tests can prove the guard is what keeps
+    #: the controller from thrashing ownership.
+    pingpong_guard = True
 
     # ------------------------------------------------------------- decide
 
@@ -131,9 +109,11 @@ class PlacementPolicy:
         live_set = set(live)
         objects_view = view.get("objects", {})
         base_degree = int(view.get("base_degree", 1))
-        min_deg = base_degree if self.min_degree is None else self.min_degree
-        max_deg = len(live) if self.max_degree is None else self.max_degree
-        max_deg = max(min_deg, min(max_deg, len(live)))
+        # Never trim below the configured replication degree (the
+        # durability and degree audits assume it), never widen past the
+        # live nodes.
+        min_deg = base_degree
+        max_deg = max(min_deg, len(live))
 
         recent = {rec[0]: float(rec[1])
                   for rec in snapshot.get("recent_handovers", [])}
@@ -183,11 +163,11 @@ class PlacementPolicy:
                 repin_sig = None
                 dominant = None
             if (repin_sig is not None and owner is not None
-                    and not guarded and moves < self.max_moves):
+                    and not guarded and moves < _MAX_MOVES):
                 to, at = repin_sig
-                fresh = now - at <= self.repin_follow_us
+                fresh = now - at <= _REPIN_FOLLOW_US
                 calm = (not self.pingpong_guard or last_move is None
-                        or now - last_move >= self.repin_cooldown_us)
+                        or now - last_move >= _REPIN_COOLDOWN_US)
                 if to in live_set and to != owner and fresh and calm:
                     actuations.append({"kind": "migrate", "oid": oid,
                                        "dst": to, "reason": "repin"})
@@ -196,13 +176,13 @@ class PlacementPolicy:
             if (migrated_to is None and dominant is not None
                     and owner is not None and dominant != owner
                     and not guarded and not in_cooldown
-                    and total >= self.min_evidence
+                    and total >= _MIN_EVIDENCE
                     # Ownership placement only matters for writes (reads
                     # are served by replicas): never chase read traffic.
                     and float(entry.get("writes", 0.0)) >= 1.0
-                    and per[dominant] >= self.dominant_share * total
-                    and per[dominant] >= self.payback_min
-                    and moves < self.max_moves):
+                    and per[dominant] >= _DOMINANT_SHARE * total
+                    and per[dominant] >= _PAYBACK_MIN
+                    and moves < _MAX_MOVES):
                 actuations.append({"kind": "migrate", "oid": oid,
                                    "dst": dominant, "reason": "dominant"})
                 migrated_to = dominant
@@ -211,9 +191,9 @@ class PlacementPolicy:
             if (target_pin is not None and pin is not None
                     and int(pin) != target_pin and not guarded
                     and not in_cooldown
-                    and total >= self.min_evidence
+                    and total >= _MIN_EVIDENCE
                     and per.get(target_pin, 0.0)
-                    >= self.dominant_share * total):
+                    >= _DOMINANT_SHARE * total):
                 # Routing-miss repair: the LB keeps sending this key's
                 # traffic somewhere its accesses do not land.
                 actuations.append({"kind": "repin", "key": oid,
@@ -226,19 +206,19 @@ class PlacementPolicy:
             rw = reads + writes
             override = vo.get("override")
             cur_deg = base_degree if override is None else int(override)
-            if rw >= self.degree_evidence:
-                if reads >= self.read_hot_frac * rw and cur_deg < max_deg:
+            if rw >= _DEGREE_EVIDENCE:
+                if reads >= _READ_HOT_FRAC * rw and cur_deg < max_deg:
                     actuations.append({"kind": "set_degree", "oid": oid,
                                        "degree": max_deg})
                     want = [n for n in sorted(per, key=lambda n: (-per[n], n))
                             if n not in replicas]
                     for dst in want[:max(0, max_deg - len(replicas))]:
-                        if moves >= self.max_moves:
+                        if moves >= _MAX_MOVES:
                             break
                         actuations.append({"kind": "add_reader", "oid": oid,
                                            "dst": dst})
                         moves += 1
-                elif writes >= self.write_hot_frac * rw and cur_deg > min_deg:
+                elif writes >= _WRITE_HOT_FRAC * rw and cur_deg > min_deg:
                     actuations.append({"kind": "set_degree", "oid": oid,
                                        "degree": min_deg})
                     victims = [n for n in replicas
@@ -246,7 +226,7 @@ class PlacementPolicy:
                     # Least-recently-useful first: lightest accessor goes.
                     victims.sort(key=lambda n: (per.get(n, 0.0), n))
                     for victim in victims[:max(0, len(replicas) - min_deg)]:
-                        if moves >= self.max_moves:
+                        if moves >= _MAX_MOVES:
                             break
                         actuations.append({"kind": "remove_reader",
                                            "oid": oid, "victim": victim})
@@ -279,7 +259,7 @@ class PlacementPolicy:
             return root
 
         for edge in snapshot.get("coaccess", []):
-            if float(edge.get("count", 0.0)) < self.coaccess_min:
+            if float(edge.get("count", 0.0)) < _COACCESS_MIN:
                 continue
             a, b = edge["pair"]
             if str(a) not in objects_view or str(b) not in objects_view:
@@ -296,7 +276,7 @@ class PlacementPolicy:
         moves = 0
         for members in sorted((sorted(c, key=str) for c in comps.values()),
                               key=lambda ms: str(ms[0])):
-            if len(members) < 2 or len(members) > self.consolidate_max:
+            if len(members) < 2 or len(members) > _CONSOLIDATE_MAX:
                 continue
             weight = {n: 0.0 for n in live}
             pins = {n: 0 for n in live}
@@ -306,7 +286,7 @@ class PlacementPolicy:
                 pin = objects_view[str(m)].get("pin")
                 if pin is not None and int(pin) in pins:
                     pins[int(pin)] += 1
-            if sum(weight.values()) < self.min_evidence:
+            if sum(weight.values()) < _MIN_EVIDENCE:
                 continue
             target = max(live, key=lambda n: (pins[n], round(weight[n], 6),
                                               -n))
@@ -326,7 +306,7 @@ class PlacementPolicy:
                                and now - last_move < self.cooldown_us)
                 owner = vo.get("owner")
                 if (owner is not None and owner != target and not guarded
-                        and not in_cooldown and moves < self.max_moves):
+                        and not in_cooldown and moves < _MAX_MOVES):
                     actuations.append({"kind": "migrate", "oid": m,
                                        "dst": target,
                                        "reason": "community"})

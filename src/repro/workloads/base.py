@@ -19,7 +19,7 @@ from itertools import accumulate
 from typing import Any, Callable, Dict, Iterable, Optional, Sequence
 
 from ..baselines.cluster import BaselineCluster
-from ..harness.metrics import ThroughputMeter
+from ..obs import ThroughputMeter
 from ..harness.zeus_cluster import ZeusCluster
 from ..store.catalog import ObjectId
 

@@ -16,7 +16,7 @@ from repro.apps import (
     serve_queue,
     vanilla_packet_cost_us,
 )
-from repro.harness.metrics import ThroughputMeter
+from repro.obs import ThroughputMeter
 from repro.harness.zeus_cluster import ZeusCluster
 from repro.sim.params import SimParams
 

@@ -4,13 +4,13 @@ import os
 
 import pytest
 
-from repro.harness.metrics import (
+from repro.harness.tables import ascii_series, format_table, save_result
+from repro.obs import (
     LatencyRecorder,
     ThroughputMeter,
     cdf_points,
     percentile,
 )
-from repro.harness.tables import ascii_series, format_table, save_result
 from repro.store.catalog import Catalog
 from tests.conftest import make_cluster
 

@@ -142,7 +142,8 @@ def test_classify_migrating_when_acquirer_already_dominates():
 
 
 def test_remote_fraction_windows_and_timeline():
-    rec = LocalityRecorder(bin_us=100.0)
+    rec = LocalityRecorder()
+    rec.bin_us = 100.0
     _local_access(rec, 0, 1, 50.0)
     op = rec.begin(1, 0, 150.0)
     rec.acquired(op, 1, "owner")
@@ -159,7 +160,7 @@ def test_remote_fraction_windows_and_timeline():
 
 
 def test_payback_and_elsewhere_tallies():
-    rec = LocalityRecorder(payback_accesses=2)
+    rec = LocalityRecorder()
     rec.on_handover(3, 0, 1, version=1, now=100.0)
     _local_access(rec, 1, 3, 200.0)
     _local_access(rec, 0, 3, 250.0)  # an access *not* at the new owner
@@ -189,7 +190,7 @@ def test_handover_supersede_and_version_dedup():
 
 
 def test_ping_pong_detection():
-    rec = LocalityRecorder(pingpong_k=3, pingpong_window_us=10_000.0)
+    rec = LocalityRecorder()
     rec.on_handover(7, 0, 1, version=1, now=0.0)
     rec.on_handover(7, 1, 0, version=2, now=100.0)
     assert rec.ping_pongs() == []
@@ -203,7 +204,8 @@ def test_ping_pong_detection():
 
 
 def test_handover_ledger_overflow_is_bounded():
-    rec = LocalityRecorder(max_handovers=2)
+    rec = LocalityRecorder()
+    rec.max_handovers = 2
     for v in range(5):
         rec.on_handover(v, 0, 1, version=1, now=float(v))
     summary = rec.migration_summary()

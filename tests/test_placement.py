@@ -298,7 +298,8 @@ def _run_contested_object(guard: bool):
     cluster.start_membership()
 
     # Same knobs both ways: the arms differ only in the guard flag.
-    policy = PlacementPolicy(pingpong_guard=guard, cooldown_us=12_000.0)
+    policy = PlacementPolicy()
+    policy.pingpong_guard, policy.cooldown_us = guard, 12_000.0
     controller = PlacementController(cluster, policy=policy,
                                      period_us=400.0)
     controller.start()

@@ -3,7 +3,7 @@
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.harness.metrics import percentile
+from repro.obs import percentile
 from repro.sim.kernel import Simulator
 from repro.sim.resources import CpuPool, CpuServer
 from repro.store.meta import Ots, ReplicaSet

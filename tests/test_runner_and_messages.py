@@ -17,7 +17,7 @@ from repro.store.meta import Ots, ReplicaSet
 def test_cli_list(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
-    assert "test_fig8_smallbank" in out
+    assert "fig8_smallbank" in out
     assert "A5" in out
 
 
