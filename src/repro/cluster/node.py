@@ -21,7 +21,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..net.message import Message, NodeId
 from ..net.network import Network
-from ..obs import Observability, TID_SVC
+from ..obs import TID_NET, TID_SVC, Observability
 from ..sim.kernel import Simulator
 from ..sim.params import SimParams
 from ..sim.process import Process
@@ -51,8 +51,9 @@ class Node:
         from ..net.reliable import ReliableTransport  # local import: avoid cycle
 
         self.transport = ReliableTransport(sim, network, node_id, params.net, self._dispatch)
-        #: kind -> (handler, extra worker-CPU cost, service-span name).
-        self._handlers: Dict[str, Tuple[HandlerFn, CostFn, str]] = {}
+        #: kind -> (handler, extra worker-CPU cost, service span: its emit
+        #: point when there is a tracer, else its name).
+        self._handlers: Dict[str, Tuple[HandlerFn, CostFn, Any]] = {}
         #: Worker CPU every message costs at either end (send or receive).
         self._msg_cpu_us = (params.net.msg_cpu_us
                             + params.net.reliable_overhead_us)
@@ -101,7 +102,12 @@ class Node:
         names like ``own_acquire.serve`` so traces read well."""
         if kind in self._handlers:
             raise ValueError(f"handler for {kind!r} already registered")
-        self._handlers[kind] = (fn, cost, span_name or f"svc.{kind}")
+        span = span_name or f"svc.{kind}"
+        tracer = self.obs.tracer
+        if tracer is not None:
+            span = tracer.point(span, "svc", True, kind=str, src=int,
+                                queue_us=float, service_us=float, flow=int)
+        self._handlers[kind] = (fn, cost, span)
 
     def send(self, dst: NodeId, kind: str, payload: Any, size_bytes: int,
              ctx=None) -> None:
@@ -141,18 +147,20 @@ class Node:
             self._c_fenced.inc()
             tracer = self.obs.tracer
             if tracer is not None:
-                tracer.instant("recovery.fence", pid=self.node_id,
-                               cat="recovery", src=msg.src,
-                               dst_inc=msg.dst_inc, kind=msg.kind)
+                tracer.point("recovery.fence", "recovery", False, src=int,
+                             dst_inc=int, kind=str)(
+                    self.node_id, TID_NET, None, msg.src, msg.dst_inc,
+                    msg.kind)
             return True
         known = self.peer_incarnations.get(msg.src)
         if known is not None and msg.inc < known:
             self._c_fenced.inc()
             tracer = self.obs.tracer
             if tracer is not None:
-                tracer.instant("recovery.fence", pid=self.node_id,
-                               cat="recovery", src=msg.src, inc=msg.inc,
-                               expected=known, kind=msg.kind)
+                tracer.point("recovery.fence", "recovery", False, src=int,
+                             inc=int, expected=int, kind=str)(
+                    self.node_id, TID_NET, None, msg.src, msg.inc, known,
+                    msg.kind)
             return True
         return False
 
@@ -168,7 +176,7 @@ class Node:
         entry = self._handlers.get(msg.kind)
         if entry is None:
             raise KeyError(f"node {self.node_id}: no handler for {msg.kind!r}")
-        fn, cost, span_name = entry
+        fn, cost, svc = entry
         extra = cost(msg.payload) if callable(cost) else cost
         tracer = self.obs.tracer
         traced = tracer is not None and msg.trace_id is not None
@@ -176,20 +184,20 @@ class Node:
         # read it (before charge() moves the pool) only when traced.
         queue_us = self.pool.queue_delay() if traced else 0.0
         ready_at = self.pool.charge(self._msg_cpu_us + extra)
-        span = None
         if traced:
             # Service span: [arrival, handler-done] on the worker-pool
             # track, split into queue wait and service time, linked under
             # the sender's span so the trace crosses the wire.
-            span = tracer.begin(span_name, pid=self.node_id, tid=TID_SVC,
-                                cat="svc", ctx=(msg.trace_id, msg.parent_span),
-                                kind=msg.kind, src=msg.src,
-                                queue_us=queue_us,
-                                service_us=ready_at - self.sim.now - queue_us,
-                                flow=msg.flow_id)
-        self.sim.post_at(ready_at, self._run_handler, fn, msg, span)
+            self.sim.post_at(
+                ready_at, self._run_handler, fn, msg, svc,
+                tracer.open(self.node_id, TID_SVC,
+                            (msg.trace_id, msg.parent_span)),
+                queue_us, ready_at - self.sim.now - queue_us)
+        else:
+            self.sim.post_at(ready_at, self._run_handler, fn, msg)
 
-    def _run_handler(self, fn: HandlerFn, msg: Message, span=None) -> None:
+    def _run_handler(self, fn: HandlerFn, msg: Message, svc=None, span=None,
+                     queue_us: float = 0.0, service_us: float = 0.0) -> None:
         if not self.alive:
             return
         # The handler runs synchronously; anything it sends inherits this
@@ -208,7 +216,8 @@ class Node:
                 # the kernel profiler's `cluster` subsystem bucket.
                 prof.handler(msg.kind, _perf_ns() - t0)
             if span is not None:
-                self.obs.tracer.end(span)
+                svc(span, msg.kind, msg.src, queue_us, service_us,
+                    msg.flow_id)
             self._handler_ctx = None
 
     # ----------------------------------------------------------- processes

@@ -136,7 +136,13 @@ class CommitManager:
         obs = node.obs
         self.tracer = obs.tracer
         self.history = obs.history
-        self._pipeline_arg: Dict[PipelineId, List[int]] = {}
+        if self.tracer is not None:
+            point = self.tracer.point
+            self._t_replicate = point("commit_replicate", "commit", True,
+                                      slot=int, followers=int, acked=int)
+            self._t_apply = point("commit.apply", "commit", False,
+                                  pipeline=tuple, slot=int, updates=int)
+            self._t_val = point("commit.val", "commit", False, entries=int)
         #: Registry-backed counter view (``commit.*``, labeled by node).
         self.counters = obs.registry.group("commit", node=self.node_id)
         self._latency = obs.registry.histogram("commit.latency_us",
@@ -177,14 +183,14 @@ class CommitManager:
         tracer = self.tracer
         while len(pipe.slots) >= self.max_pipeline_depth:
             if span is None and tracer is not None:
-                span = tracer.begin("commit_wait_room", pid=self.node_id,
-                                    tid=thread, cat="commit", ctx=ctx,
-                                    depth=len(pipe.slots))
+                span = tracer.open(self.node_id, thread, ctx)
+                depth = len(pipe.slots)
             if pipe.room is None or pipe.room.is_set():
                 pipe.room = Event(self.sim)
             yield pipe.room.wait()
         if span is not None:
-            tracer.end(span)
+            tracer.point("commit_wait_room", "commit", True,
+                         depth=int)(span, depth)
         return None
 
     def submit(self, thread: int, updates: List[Update],
@@ -239,10 +245,8 @@ class CommitManager:
         if tracer is not None:
             # RInv broadcast starts here; the span closes when all RACKs
             # are in and the slot validates (RVAL broadcast).
-            slot.span = tracer.begin("commit_replicate", pid=self.node_id,
-                                     tid=TID_REPLICATION + thread,
-                                     cat="commit", ctx=ctx, slot=slot_no,
-                                     followers=len(follower_set))
+            slot.span = tracer.open(self.node_id, TID_REPLICATION + thread,
+                                    ctx)
 
         if not prev_done and slot_no > 0:
             prev_slot = pipe.slots.get(slot_no - 1)
@@ -284,10 +288,12 @@ class CommitManager:
                 continue
             # Cumulative: an ack for slot n acks every earlier slot this
             # follower participates in (Section 5.2).
-            for slot_no in sorted(pipe.slots):
+            # ``slots`` fills in ascending slot order and empties only
+            # from the front, so it iterates sorted.
+            for slot_no, pending in pipe.slots.items():
                 if slot_no > slot:
                     break
-                pipe.slots[slot_no].acked.add(msg.src)
+                pending.acked.add(msg.src)
             self._try_validate(pipe, pipeline)
 
     def _try_validate(self, pipe: _CoordPipeline, pipeline_id: PipelineId) -> None:
@@ -309,7 +315,8 @@ class CommitManager:
             self._latency.record(self.sim.now - slot.submitted_at)
             self.counters.inc("committed")
             if slot.span is not None:
-                self.tracer.end(slot.span, acked=len(slot.acked))
+                self._t_replicate(slot.span, nxt, len(slot.inv.followers),
+                                  len(slot.acked))
             dur = self.node.durability
             if dur is not None and slot.wal_key is not None:
                 self._persist_slot(dur, slot, pipeline_id)
@@ -345,14 +352,14 @@ class CommitManager:
             self._ack(slot)
         pspan = None
         if slot.span is not None and not pf.done():
-            pspan = self.tracer.begin("commit_persist", pid=self.node_id,
-                                      tid=TID_REPLICATION + pipeline_id[1],
-                                      cat="commit", ctx=slot.span.ctx,
-                                      slot=slot.inv.slot)
+            pspan = self.tracer.open(self.node_id,
+                                     TID_REPLICATION + pipeline_id[1],
+                                     slot.span.ctx)
 
         def _done(_f):
             if pspan is not None:
-                self.tracer.end(pspan)
+                self.tracer.point("commit_persist", "commit", True,
+                                  slot=int)(pspan, slot.inv.slot)
             if slot.hop is not None:
                 self.history.mark_persisted(slot.hop, self.sim.now)
             if ack_persist:
@@ -464,15 +471,9 @@ class CommitManager:
         fpipe.applied[inv.slot] = (inv, records)
         fpipe.settled = max(fpipe.settled, inv.slot)
         self.counters.inc("applied")
-        tracer = self.tracer
-        if tracer is not None:
-            # One list per pipeline, not per record: the tracer keeps
-            # argument values by reference.
-            tracer.instant("commit.apply", pid=self.node_id,
-                           tid=TID_REPLICATION, cat="commit",
-                           pipeline=self._pipeline_arg.setdefault(
-                               inv.pipeline, list(inv.pipeline)),
-                           slot=inv.slot, updates=len(inv.updates))
+        if self.tracer is not None:
+            self._t_apply(self.node_id, TID_REPLICATION, None, inv.pipeline,
+                          inv.slot, len(inv.updates))
         self._send_rack(ack_to if ack_to is not None else inv.pipeline[0], inv)
 
     def _send_rack(self, to: NodeId, inv: RInv) -> None:
@@ -499,11 +500,9 @@ class CommitManager:
         val: RVal = msg.payload
         if val.epoch != self.node.epoch:
             return
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.instant("commit.val", pid=self.node_id,
-                           tid=TID_REPLICATION, cat="commit",
-                           entries=len(val.entries))
+        if self.tracer is not None:
+            self._t_val(self.node_id, TID_REPLICATION, None,
+                        len(val.entries))
         for pipeline, slot, cumulative in val.entries:
             fpipe = self._follow.get(pipeline)
             if fpipe is None:

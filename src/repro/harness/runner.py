@@ -566,7 +566,8 @@ def _cmd_trace(args) -> int:
     write_chrome_trace(obs.tracer, args.out)
     print(f"ran {stats.committed} txns over {args.duration:.0f} us "
           f"({args.nodes} nodes, seed {args.seed})")
-    print(f"wrote Chrome trace: {args.out} ({len(obs.tracer.spans)} spans)"
+    print(f"wrote Chrome trace: {args.out} ({len(obs.tracer.spans)} spans, "
+          f"{obs.tracer.open_spans} still open and not exported)"
           f" — open in chrome://tracing or https://ui.perfetto.dev")
     if args.jsonl:
         write_trace_jsonl(obs.tracer, args.jsonl)

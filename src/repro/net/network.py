@@ -70,6 +70,20 @@ class Network:
         self._c_dropped_down = registry.counter("net.dropped_down")
         self._c_duplicated = registry.counter("net.duplicated")
         self._c_delayed = registry.counter("net.delayed")
+        tracer = self.obs.tracer
+        if tracer is not None:
+            # Emit points, declared once: two thirds of a trace's records.
+            self._t_drop = tracer.point("net.drop", "net", False,
+                                        dst=int, kind=str, why=str)
+            self._t_send = tracer.point("net.send", "net", False,
+                                        dst=int, kind=str, size=int)
+            self._t_send_flow = tracer.point(
+                "net.send", "net", False, dst=int, kind=str, size=int,
+                flow=int)
+            self._t_deliver = tracer.point("net.deliver", "net", False,
+                                           src=int, kind=str)
+            self._t_deliver_flow = tracer.point(
+                "net.deliver", "net", False, src=int, kind=str, flow=int)
 
     # ----------------------------------------------------------- topology
 
@@ -135,9 +149,7 @@ class Network:
         if self._partitioned and link_key in self._partitioned:
             self._c_dropped_partition.inc()
             if tracer is not None:
-                tracer.instant("net.drop", pid=src, tid=TID_NET,
-                               cat="net", dst=dst, kind=msg.kind,
-                               why="partition")
+                self._t_drop(src, TID_NET, None, dst, msg.kind, "partition")
             return
         wire_bytes = self.params.header_bytes + msg.size_bytes
         link = self._links.get(link_key)
@@ -160,9 +172,7 @@ class Network:
             if decision.drop:
                 self._c_dropped_fault.inc()
                 if tracer is not None:
-                    tracer.instant("net.drop", pid=src, tid=TID_NET,
-                                   cat="net", dst=dst, kind=msg.kind,
-                                   why="loss")
+                    self._t_drop(src, TID_NET, None, dst, msg.kind, "loss")
                 return
             if decision.duplicates:
                 self._c_duplicated.inc(decision.duplicates)
@@ -173,14 +183,12 @@ class Network:
 
         if tracer is not None:
             if msg.flow_id is not None:
-                tracer.instant("net.send", pid=src, tid=TID_NET,
-                               cat="net", ctx=(msg.trace_id, msg.parent_span),
-                               dst=dst, kind=msg.kind,
-                               size=msg.size_bytes, flow=msg.flow_id)
+                self._t_send_flow(src, TID_NET,
+                                  (msg.trace_id, msg.parent_span), dst,
+                                  msg.kind, msg.size_bytes, msg.flow_id)
             else:
-                tracer.instant("net.send", pid=src, tid=TID_NET,
-                               cat="net", dst=dst, kind=msg.kind,
-                               size=msg.size_bytes)
+                self._t_send(src, TID_NET, None, dst, msg.kind,
+                             msg.size_bytes)
         delay = self.latency(msg.size_bytes) + extra_delay
         if self._degraded:
             factor = self._degraded.get(link_key)
@@ -201,14 +209,11 @@ class Network:
             tracer = self.obs.tracer
             if tracer is not None:
                 if msg.flow_id is not None:
-                    tracer.instant("net.deliver", pid=dst, tid=TID_NET,
-                                   cat="net",
-                                   ctx=(msg.trace_id, msg.parent_span),
-                                   src=msg.src, kind=msg.kind,
-                                   flow=msg.flow_id)
+                    self._t_deliver_flow(dst, TID_NET,
+                                         (msg.trace_id, msg.parent_span),
+                                         msg.src, msg.kind, msg.flow_id)
                 else:
-                    tracer.instant("net.deliver", pid=dst, tid=TID_NET,
-                                   cat="net", src=msg.src, kind=msg.kind)
+                    self._t_deliver(dst, TID_NET, None, msg.src, msg.kind)
             endpoint(msg)
 
     # ---------------------------------------------------------- accounting

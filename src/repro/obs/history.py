@@ -49,6 +49,7 @@ hand-built histories in tests.
 
 from __future__ import annotations
 
+from struct import Struct
 from typing import Any, List, Optional, Tuple
 
 __all__ = ["HistoryOp", "HistoryRecorder",
@@ -57,6 +58,24 @@ __all__ = ["HistoryOp", "HistoryRecorder",
 COMMITTED = "committed"
 ABORTED = "aborted"
 INDETERMINATE = "indeterminate"
+
+#: One op: node, thread, kind and outcome (indices into the tuples below),
+#: durable, persisted, invoked / responded / durable / persisted at (NaN =
+#: None).  44 bytes; ``_OUTCOME`` .. ``_PERSISTED_AT`` are offsets into it.
+_OP = Struct("<iiBB??dddd")
+_OP_BYTES, _pack_op = _OP.size, _OP.pack
+_KIND_OF = {"write": 0, "read": 1}
+_KINDS = tuple(_KIND_OF)
+_OUTCOMES = (None, COMMITTED, ABORTED, INDETERMINATE)
+_PENDING, _COMMITTED, _ABORTED, _INDETERMINATE = range(4)
+_OUTCOME, _DURABLE, _PERSISTED = 9, 10, 11
+_RESPONDED_AT, _DURABLE_AT, _PERSISTED_AT = 20, 28, 36
+_set_at = Struct("<d").pack_into
+_NAN = float("nan")
+#: One read or write: op, oid, version, at.  20 bytes: object ids and
+#: versions are 32-bit ints in every catalog (anything else raises).
+_ACCESS = Struct("<iiid")
+_pack_access = _ACCESS.pack
 
 
 class HistoryOp:
@@ -103,12 +122,18 @@ class HistoryOp:
 
 
 class HistoryRecorder:
-    """Accumulates :class:`HistoryOp` records for one simulated run."""
+    """One simulated run's transactions as packed rows: an op is an
+    :data:`_OP` row (:meth:`begin` returns its opaque handle), a read or write
+    an :data:`_ACCESS` row, and a :class:`HistoryOp` exists only in the
+    snapshot :attr:`ops` rebuilds (DESIGN.md §5, "Anatomy of a trace record").
+    """
 
-    __slots__ = ("ops",)
+    __slots__ = ("_ops", "_reads", "_writes")
 
     def __init__(self) -> None:
-        self.ops: List[HistoryOp] = []
+        self._ops = bytearray()
+        self._reads = bytearray()
+        self._writes = bytearray()
 
     def __bool__(self) -> bool:
         # ``perf/`` tests ``cluster.obs.history`` for truthiness; without
@@ -117,30 +142,34 @@ class HistoryRecorder:
 
     # ------------------------------------------------------------- recording
 
-    def begin(self, node: int, thread: int, kind: str, now: float) -> HistoryOp:
-        op = HistoryOp(len(self.ops), node, thread, kind, now)
-        self.ops.append(op)
-        return op
+    def begin(self, node: int, thread: int, kind: str, now: float) -> int:
+        rows = self._ops
+        rows += _pack_op(node, thread, _KIND_OF[kind], _PENDING, False, False,
+                         now, _NAN, _NAN, _NAN)
+        return len(rows) // _OP_BYTES - 1
 
-    def read(self, op: HistoryOp, oid: Any, version: int, now: float) -> None:
-        op.reads.append((oid, version, now))
+    def read(self, op: int, oid: int, version: int, now: float) -> None:
+        self._reads += _pack_access(op, oid, version, now)
 
-    def write(self, op: HistoryOp, oid: Any, version: int, now: float) -> None:
-        op.writes.append((oid, version, now))
+    def write(self, op: int, oid: int, version: int, now: float) -> None:
+        self._writes += _pack_access(op, oid, version, now)
 
-    def respond(self, op: HistoryOp, committed: bool, now: float) -> None:
-        op.responded_at = now
-        op.outcome = COMMITTED if committed else ABORTED
+    def respond(self, op: int, committed: bool, now: float) -> None:
+        base = op * _OP_BYTES
+        self._ops[base + _OUTCOME] = _COMMITTED if committed else _ABORTED
+        _set_at(self._ops, base + _RESPONDED_AT, now)
 
-    def mark_durable(self, op: HistoryOp, now: Optional[float] = None) -> None:
+    def mark_durable(self, op: int, now: Optional[float] = None) -> None:
         """Replication fully acked — the op can no longer be lost."""
-        op.durable = True
-        op.durable_at = now
+        base = op * _OP_BYTES
+        self._ops[base + _DURABLE] = True
+        _set_at(self._ops, base + _DURABLE_AT, _NAN if now is None else now)
 
-    def mark_persisted(self, op: HistoryOp, now: Optional[float] = None) -> None:
+    def mark_persisted(self, op: int, now: Optional[float] = None) -> None:
         """The op's COMMIT record reached disk — it survives power loss."""
-        op.persisted = True
-        op.persisted_at = now
+        base = op * _OP_BYTES
+        self._ops[base + _PERSISTED] = True
+        _set_at(self._ops, base + _PERSISTED_AT, _NAN if now is None else now)
 
     # ---------------------------------------------------------------- faults
 
@@ -153,13 +182,13 @@ class HistoryRecorder:
         applied them), and ops still in flight (no response at all).
         Aborted and durable ops are untouched — their fate is settled.
         """
-        for op in self.ops:
-            if op.node != node_id or op.durable:
-                continue
-            if op.outcome == COMMITTED or op.outcome is None:
-                op.outcome = INDETERMINATE
-                if op.responded_at is None:
-                    op.responded_at = now
+        for op, (node, _thread, _kind, outcome, durable, _persisted, _at,
+                 responded_at, *_) in enumerate(_OP.iter_unpack(self._ops)):
+            if (node == node_id and not durable
+                    and outcome in (_PENDING, _COMMITTED)):
+                self._ops[op * _OP_BYTES + _OUTCOME] = _INDETERMINATE
+                if responded_at != responded_at:
+                    _set_at(self._ops, op * _OP_BYTES + _RESPONDED_AT, now)
 
     def on_power_loss(self, now: float) -> None:
         """Full-cluster power loss: only *disk*-durable outcomes survive.
@@ -181,29 +210,48 @@ class HistoryRecorder:
         recorded op wrote (the pre-loaded initial state) are safe: the
         genesis snapshot persists them.
         """
-        persisted_writes = {(oid, version)
-                            for op in self.ops if op.persisted
-                            for oid, version, _at in op.writes}
-        lost_writes = {(oid, version)
-                       for op in self.ops if not op.persisted
-                       for oid, version, _at in op.writes
-                       if (oid, version) not in persisted_writes}
-        for op in self.ops:
-            if op.outcome is None:
-                op.outcome = INDETERMINATE
-                op.responded_at = now
-            elif op.outcome != COMMITTED:
-                continue
-            elif not op.persisted and op.kind == "write":
-                op.outcome = INDETERMINATE
-            elif any((oid, version) in lost_writes
-                     for oid, version, _at in op.reads):
-                op.outcome = INDETERMINATE
+        rows = list(_OP.iter_unpack(self._ops))
+        written = [(rows[op][5], (oid, version)) for op, oid, version, _at
+                   in _ACCESS.iter_unpack(self._writes)]
+        lost_writes = ({key for persisted, key in written if not persisted}
+                       - {key for persisted, key in written if persisted})
+        read_lost = {op for op, oid, version, _at
+                     in _ACCESS.iter_unpack(self._reads)
+                     if (oid, version) in lost_writes}
+        for op, (_node, _thread, kind, outcome, _durable,
+                 persisted, *_) in enumerate(rows):
+            base = op * _OP_BYTES
+            if outcome == _PENDING:
+                self._ops[base + _OUTCOME] = _INDETERMINATE
+                _set_at(self._ops, base + _RESPONDED_AT, now)
+            elif outcome == _COMMITTED and (
+                    not persisted and _KINDS[kind] == "write"
+                    or op in read_lost):
+                self._ops[base + _OUTCOME] = _INDETERMINATE
 
     # ------------------------------------------------------------- inspection
+
+    @property
+    def ops(self) -> List[HistoryOp]:
+        """The recorded ops in ``op_id`` order — a snapshot rebuilt from the
+        rows on every read, so take it once."""
+        ops = []
+        for (node, thread, kind, outcome, durable, persisted, invoked_at,
+             *times) in _OP.iter_unpack(self._ops):
+            op = HistoryOp(len(ops), node, thread, _KINDS[kind], invoked_at)
+            op.outcome, op.durable, op.persisted = (
+                _OUTCOMES[outcome], durable, persisted)
+            op.responded_at, op.durable_at, op.persisted_at = (
+                None if at != at else at for at in times)
+            ops.append(op)
+        for op, *read in _ACCESS.iter_unpack(self._reads):
+            ops[op].reads.append(tuple(read))
+        for op, *write in _ACCESS.iter_unpack(self._writes):
+            ops[op].writes.append(tuple(write))
+        return ops
 
     def committed_ops(self) -> List[HistoryOp]:
         return [op for op in self.ops if op.outcome == COMMITTED]
 
     def __len__(self) -> int:
-        return len(self.ops)
+        return len(self._ops) // _OP_BYTES

@@ -27,10 +27,12 @@ message) so the exporter can pair ``net.send``/``net.deliver`` instants
 into Chrome flow arrows and the analyzer can measure wire time and
 retransmit stalls.
 
-Storage: a finished span or an instant is one packed :data:`_ROW` plus its
-argument values in one flat list — no per-record object for the collector
-to walk (DESIGN.md §5, "Anatomy of a trace record"); a :class:`Span` exists
-only as an open span's handle and in views rebuilt on demand.
+Storage: a record is its emit point's struct — a fixed header and the
+arguments packed inline in one ``bytearray``, no Python object per record or
+argument (DESIGN.md §5, "Anatomy of a trace record"); a :class:`Span` exists
+only as an open span's handle and in views rebuilt on demand.  Hot call sites
+declare their points once (:meth:`Tracer.point`) and emit positionally; the
+keyword ``begin`` / ``end`` / ``instant`` write through the same writers.
 
 An absent tracer is ``None`` (``Observability().tracer``): call sites
 fetch it into a local and guard with ``if tracer is not None:``, so an
@@ -40,8 +42,10 @@ simulator events (DESIGN.md §5, "Absent means None").
 
 from __future__ import annotations
 
+from functools import lru_cache
 from struct import Struct
-from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import (Any, Callable, Dict, Iterator, List, NamedTuple, Optional,
+                    Tuple)
 
 __all__ = ["Span", "Tracer", "TraceCtx",
            "TID_REPLICATION", "TID_NET", "TID_SVC"]
@@ -57,24 +61,67 @@ TID_NET = 9999
 #: may be None for a trace root.
 TraceCtx = Tuple[int, Optional[int]]
 
-#: One record: emit point, pid, tid, trace / span / parent id (-1 = None),
-#: start and end in simulated microseconds.  40 bytes, no padding.
-_ROW = Struct("<iiiiiidd")
+#: A record: emit point, pid, tid, trace / span / parent id (-1 = None), start
+#: in simulated microseconds (30 bytes), a span's end, the point's arguments.
+_HEADER = "<H5id"
+#: Argument type -> (struct code, what its writer packs).  Points are declared
+#: over ``int`` (32-bit), ``float``, ``bool``, ``str`` (an interned symbol or
+#: None) and ``tuple`` (two ints, read back as a list); a keyword call's other
+#: values are ``object``: kept by reference in the symbol table.
+_CODECS = {int: ("i", "{0}"), float: ("d", "{0}"), bool: ("?", "{0}"),
+           tuple: ("ii", "*{0}"), object: ("I", "sym({0})"),
+           str: ("I", "ids[{0}] if {0} in ids else sym({0})")}
+#: The two writers.  An instant takes its span id and the clock itself; a
+#: span closes the handle ``open`` / ``begin`` returned.
+_WRITERS = {False: """def emit(pid, tid, ctx{params}):
+    now = tracer.sim.now
+    trace_id, parent_id = ctx if ctx is not None else (-1, -1)
+    tracer._next_span = span_id = tracer._next_span + 1
+    extend(pack(point, pid, tid, -1 if trace_id is None else trace_id,
+                span_id, -1 if parent_id is None else parent_id, now{values}))
+""", True: """def emit(span{params}):
+    (_name, _cat, pid, tid, start, _end, _args, trace_id, span_id,
+     parent_id) = span
+    extend(pack(point, pid, tid, -1 if trace_id is None else trace_id,
+                span_id, -1 if parent_id is None else parent_id, start,
+                tracer.sim.now{values}))
+"""}
+_INT32 = range(-1 << 31, 1 << 31)
+_EXACT = {str: str, type(None): str, float: float, bool: bool}
 _UNBOUND = ("tracer used before sim bound: pass the Simulator to "
             "Tracer(sim) or set tracer.sim before recording (the "
             "cluster builder binds it automatically)")
 _new = tuple.__new__
 
 
+@lru_cache(maxsize=None)
+def _writer_code(span: bool, types: tuple):
+    """The writer for one shape of record, compiled once per process (the
+    29 service spans of a cluster share a shape)."""
+    return compile(_WRITERS[span].format(
+        params="".join(f", a{i}" for i in range(len(types))),
+        values="".join(", " + _CODECS[kind][1].format(f"a{i}")
+                       for i, kind in enumerate(types))), "<emit point>", "exec")
+
+
+def _type_of(value: Any) -> type:
+    """The argument type that gives ``value`` back exactly."""
+    cls = value.__class__
+    if cls is int:
+        return int if value in _INT32 else object
+    return _EXACT.get(cls, object)
+
+
 class Span(NamedTuple):
     """One named interval (or instant, when ``end_us == start_us``)."""
 
-    name: str
-    cat: str
+    #: Like ``cat``, None on the handle of :meth:`Tracer.open`.
+    name: Optional[str]
+    cat: Optional[str]
     pid: int
     tid: int
     start_us: float
-    #: None on the handle :meth:`Tracer.begin` returns, until it is ended.
+    #: None on an open span's handle, until it is ended.
     end_us: Optional[float]
     args: Optional[Dict[str, Any]]
     #: Trace this span belongs to (None = untraced/standalone).
@@ -101,19 +148,24 @@ class Tracer:
     simulator); recording before binding raises a clear error.
     """
 
-    __slots__ = ("sim", "_rows", "_values", "_points", "_views",
-                 "_next_span", "_next_trace", "_next_flow")
+    __slots__ = ("sim", "_rows", "_points", "_writers",
+                 "_symbols", "_symbol_ids", "_views", "_next_span",
+                 "_next_trace", "_next_flow")
 
     def __init__(self, sim=None):
         self.sim = sim
-        #: Packed :data:`_ROW` records — finished spans in completion order
-        #: interleaved with instants in emission order (deterministic).
+        #: The records — finished spans in completion order interleaved
+        #: with instants in emission order (deterministic).
         self._rows = bytearray()
-        #: Every row's argument values, end to end in row order; a row owns
-        #: as many as its emit point has argument names.
-        self._values: List[Any] = []
-        #: Interned emit points ``(is_span, name, cat, *arg names)`` -> index.
-        self._points: Dict[tuple, int] = {}
+        #: Emit point id (declaration order) -> ``(is_span, name, cat, arg
+        #: names, arg types, row struct)``.
+        self._points: List[tuple] = []
+        #: ``(is_span, name, cat, *arg names, *arg types)`` -> its writer.
+        self._writers: Dict[tuple, Callable] = {}
+        #: Symbol index -> value: strings and None interned in first-seen
+        #: order, anything else one entry per occurrence.
+        self._symbols: List[Any] = []
+        self._symbol_ids: Dict[Optional[str], int] = {}
         #: ``is_span -> (len(_rows) when built, materialised records)``.
         self._views: Dict[bool, Tuple[int, List[Span]]] = {}
         self._next_span = 0
@@ -132,79 +184,123 @@ class Tracer:
         self._next_flow += 1
         return self._next_flow
 
+    # ---------------------------------------------------------- emit points
+
+    def point(self, name: str, cat: str, span: bool, /,
+              **schema: Any) -> Callable[..., None]:
+        """The writer of one emit point, declared on first use: ``schema``
+        is its arguments in order, each with its type (:data:`_CODECS`).  An
+        instant's writer is called ``(pid, tid, ctx, *arguments)``, a span's
+        ``(handle of open(), *arguments)``; either appends one record."""
+        key = (span, name, cat, *schema, *schema.values())
+        emit = self._writers.get(key)
+        if emit is None:
+            types = tuple(schema.values())
+            row = Struct(_HEADER + "d" * span
+                         + "".join(_CODECS[kind][0] for kind in types))
+            scope = {"tracer": self, "point": len(self._points),
+                     "extend": self._rows.extend, "pack": row.pack,
+                     "ids": self._symbol_ids, "sym": self._symbol}
+            exec(_writer_code(span, types), scope)
+            emit = self._writers[key] = scope["emit"]
+            self._points.append((span, name, cat, tuple(schema), types, row))
+        return emit
+
+    def _symbol(self, value: Any) -> int:
+        index = len(self._symbols)
+        self._symbols.append(value)
+        if value.__class__ is str or value is None:
+            self._symbol_ids[value] = index
+        return index
+
     # ------------------------------------------------------------ recording
 
     def begin(self, name: str, pid: int, tid: int = 0, cat: str = "span",
               ctx: Optional[TraceCtx] = None, **args: Any) -> Span:
-        """Open a span at the current simulated time.
-
-        ``ctx`` links the span into an existing trace as a child of the
-        given parent span (which may live on another node).  The handle
-        returned is all there is of the span until :meth:`end` records it.
-        """
-        try:
-            now = self.sim.now
-        except AttributeError:
-            raise RuntimeError(_UNBOUND) from None
+        """Open a span now; :meth:`end` closes it, and until then the
+        handle returned is all there is of it.  ``ctx`` links it into a
+        trace as a child of that span (which may live on another node)."""
+        if self.sim is None:
+            raise RuntimeError(_UNBOUND)
         self._next_span = span_id = self._next_span + 1
         trace_id, parent_id = ctx if ctx is not None else (None, None)
-        return _new(Span, (name, cat, pid, tid, now, None, args or None,
+        return _new(Span, (name, cat, pid, tid, self.sim.now, None,
+                           args or None, trace_id, span_id, parent_id))
+
+    def open(self, pid: int, tid: int = 0,
+             ctx: Optional[TraceCtx] = None) -> Span:
+        """:meth:`begin` without the keywords' dict and the call it would
+        cost: a span that a span point's writer names and closes."""
+        self._next_span = span_id = self._next_span + 1
+        trace_id, parent_id = ctx if ctx is not None else (None, None)
+        return _new(Span, (None, None, pid, tid, self.sim.now, None, None,
                            trace_id, span_id, parent_id))
 
     def end(self, span: Span, **args: Any) -> None:
         """Close ``span`` now and record it."""
-        (name, cat, pid, tid, start, _end, merged, trace_id, span_id,
-         parent_id) = span
-        if merged is None:
-            merged = args
-        elif args:
-            merged.update(args)
-        points = self._points
-        self._rows += _ROW.pack(points.setdefault((True, name, cat, *merged),
-                                                  len(points)), pid, tid,
-                                -1 if trace_id is None else trace_id, span_id,
-                                -1 if parent_id is None else parent_id,
-                                start, self.sim.now)
-        if merged:
-            self._values.extend(merged.values())
+        if span[6] is not None:
+            args = {**span[6], **args}
+        if args:
+            self._resolve(True, span[0], span[1], args)(span, *args.values())
+        else:  # no key to build, no value to type
+            (self._writers.get((True, span[0], span[1]))
+             or self.point(span[0], span[1], True))(span)
 
     def instant(self, name: str, pid: int, tid: int = TID_NET,
                 cat: str = "event", ctx: Optional[TraceCtx] = None,
                 **args: Any) -> None:
         """Record a point event at the current simulated time."""
-        try:
-            now = self.sim.now
-        except AttributeError:
-            raise RuntimeError(_UNBOUND) from None
-        self._next_span = span_id = self._next_span + 1
-        trace_id, parent_id = ctx if ctx is not None else (None, None)
-        points = self._points
-        self._rows += _ROW.pack(points.setdefault((False, name, cat, *args),
-                                                  len(points)), pid, tid,
-                                -1 if trace_id is None else trace_id, span_id,
-                                -1 if parent_id is None else parent_id,
-                                now, now)
-        if args:
-            self._values.extend(args.values())
+        if self.sim is None:
+            raise RuntimeError(_UNBOUND)
+        self._resolve(False, name, cat, args)(pid, tid, ctx, *args.values())
+
+    def _resolve(self, span: bool, name: str, cat: str,
+                 args: Dict[str, Any]) -> Callable[..., None]:
+        """The point a keyword call writes through, by the names and the
+        types of this call's arguments."""
+        return self._writers.get(
+            (span, name, cat, *args, *map(_type_of, args.values()))
+        ) or self.point(name, cat, span, **{
+            key: _type_of(value) for key, value in args.items()})
 
     # -------------------------------------------------------------- queries
+
+    def _walk(self) -> Iterator[Tuple[int, tuple]]:
+        """Every record's offset and emit point, in the order written."""
+        rows, points, at = self._rows, self._points, 0
+        while at < len(rows):
+            point = points[rows[at] | rows[at + 1] << 8]
+            yield at, point
+            at += point[-1].size
 
     def rows(self, spans: bool) -> Iterator[Span]:
         """The finished spans (``spans=True``, completion order) or the
         instants (emission order), each rebuilt from its row."""
-        points = [(key[0], key[1], key[2], key[3:]) for key in self._points]
-        values, at = self._values, 0
-        for (point, pid, tid, trace_id, span_id, parent_id, start,
-             end) in _ROW.iter_unpack(self._rows):
-            is_span, name, cat, keys = points[point]
-            upto = at + len(keys)
-            if is_span is spans:
-                yield _new(Span, (
-                    name, cat, pid, tid, start, end,
-                    dict(zip(keys, values[at:upto])) if keys else None,
-                    None if trace_id < 0 else trace_id, span_id,
-                    None if parent_id < 0 else parent_id))
-            at = upto
+        symbols = self._symbols
+        for at, (is_span, name, cat, keys, types, row) in self._walk():
+            if is_span is not spans:
+                continue
+            (_point, pid, tid, trace_id, span_id, parent_id, start,
+             *values) = row.unpack_from(self._rows, at)
+            values.reverse()
+            end = values.pop() if is_span else start
+            args = {} if keys else None
+            for key, kind in zip(keys, types):
+                value = values.pop()
+                if kind is str or kind is object:
+                    value = symbols[value]
+                elif kind is tuple:
+                    value = [value, values.pop()]
+                args[key] = value
+            yield _new(Span, (name, cat, pid, tid, start, end, args,
+                              None if trace_id < 0 else trace_id, span_id,
+                              None if parent_id < 0 else parent_id))
+
+    @property
+    def open_spans(self) -> int:
+        """Spans begun and not (yet) ended — ids issued minus records
+        written: they are in no row and reach no export."""
+        return self._next_span - sum(1 for _ in self._walk())
 
     def _view(self, spans: bool) -> List[Span]:
         view = self._views.get(spans)

@@ -169,6 +169,13 @@ class OwnershipManager(LifecycleMixin):
         # ------ observability
         obs = node.obs
         self.tracer = obs.tracer
+        if self.tracer is not None:
+            point = self.tracer.point
+            self._t_acquire = point("own_acquire", "ownership", True, oid=int,
+                                    type=str, granted=bool, reason=str)
+            self._t_coalesced = point(
+                "own_acquire", "ownership", True, oid=int, type=str,
+                coalesced=bool, granted=bool, reason=str)
         #: Registry-backed counter view (``ownership.*``, labeled by node).
         self.counters = obs.registry.group("ownership", node=self.node_id)
         self._latency = obs.registry.histogram("ownership.latency_us",
@@ -250,14 +257,13 @@ class OwnershipManager(LifecycleMixin):
         tracer = self.tracer
         existing = self._req_by_oid.get(oid)
         if existing is not None and not existing.done:
-            span = (tracer.begin("own_acquire", pid=self.node_id, tid=thread,
-                                 cat="ownership", ctx=ctx, oid=oid,
-                                 type=req_type.name, coalesced=True)
+            span = (tracer.open(self.node_id, thread, ctx)
                     if tracer is not None else None)
             outcome = yield existing.future
             if span is not None:
-                tracer.end(span, granted=outcome.granted,
-                           reason=outcome.reason.name if outcome.reason else None)
+                self._t_coalesced(
+                    span, oid, req_type.name, True, outcome.granted,
+                    outcome.reason.name if outcome.reason else None)
             return outcome
 
         req_id = (self.node_id, self._next_req_id)
@@ -266,9 +272,7 @@ class OwnershipManager(LifecycleMixin):
         self._reqs[req_id] = rctx
         self._req_by_oid[oid] = rctx
         self.counters.inc(_REQ_COUNTER_KEY[req_type])
-        span = (tracer.begin("own_acquire", pid=self.node_id, tid=thread,
-                             cat="ownership", ctx=ctx, oid=oid,
-                             type=req_type.name)
+        span = (tracer.open(self.node_id, thread, ctx)
                 if tracer is not None else None)
 
         obj = self.store.get(oid)
@@ -285,8 +289,9 @@ class OwnershipManager(LifecycleMixin):
         outcome = yield rctx.future
         if span is not None:
             # NACK/timeout annotations ride on the span for retry analysis.
-            tracer.end(span, granted=outcome.granted,
-                       reason=outcome.reason.name if outcome.reason else None)
+            self._t_acquire(
+                span, oid, req_type.name, outcome.granted,
+                outcome.reason.name if outcome.reason else None)
         return outcome
 
     def _complete(self, ctx: _ReqCtx, granted: bool,

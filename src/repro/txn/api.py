@@ -86,6 +86,16 @@ class ZeusAPI:
         self._locality = obs.locality
         self._instrumented = not (obs.tracer is None and obs.history is None
                                   and obs.locality is None)
+        if obs.tracer is not None:
+            point = obs.tracer.point
+            self._t_txn_fast = point("txn", "txn", True, kind=str,
+                                     committed=bool, fast=bool)
+            self._t_txn = point("txn", "txn", True, kind=str, committed=bool,
+                                aborts=int)
+            self._t_execute = point("execute", "txn", True, attempt=int,
+                                    committed=bool)
+            self._t_execute_abort = point("execute", "txn", True, attempt=int,
+                                          committed=bool, abort=str)
 
     # ------------------------------------------------------ paper-shaped API
 
@@ -153,10 +163,8 @@ class ZeusAPI:
                 # Each logical transaction roots a fresh trace; everything
                 # it causes — acquires, remote arbitration, replication —
                 # links back.
-                tspan = tracer.begin("txn", pid=node_id, tid=thread,
-                                     cat="txn",
-                                     ctx=(tracer.new_trace(), None),
-                                     kind="read" if read_only else "write")
+                tspan = tracer.open(node_id, thread,
+                                    (tracer.new_trace(), None))
                 tctx = tspan.ctx
 
         # ------------------------------------------------------- fast lane
@@ -293,8 +301,7 @@ class ZeusAPI:
                 txn.ctx = tctx
                 txn.hop = hop
                 txn.lop = lop
-                espan = (tracer.begin("execute", pid=node_id, tid=thread,
-                                      cat="txn", ctx=tctx, attempt=attempt)
+                espan = (tracer.open(node_id, thread, tctx)
                          if tracer is not None else None)
                 try:
                     yield p.txn_setup_us
@@ -308,13 +315,14 @@ class ZeusAPI:
                     yield from txn.commit()
                     result.committed = True
                     if espan is not None:
-                        tracer.end(espan, committed=True)
+                        self._t_execute(espan, attempt, True)
                     break
                 except TxnAborted as abort:
                     result.aborts += 1
                     result.abort_reason = abort.reason
                     if espan is not None:
-                        tracer.end(espan, committed=False, abort=abort.reason)
+                        self._t_execute_abort(espan, attempt, False,
+                                              abort.reason)
                     yield backoff * (0.5 + self.rng.random())
                     backoff = min(backoff * 2, p.own_backoff_max_us)
                 finally:
@@ -330,11 +338,11 @@ class ZeusAPI:
         if lop is not None:
             loc.commit_txn(lop, write_set, read_set, result.committed, now)
         if tspan is not None:
+            kind = "read" if read_only else "write"
             if fast:
-                tracer.end(tspan, committed=True, fast=True)
+                self._t_txn_fast(tspan, kind, True, True)
             else:
-                tracer.end(tspan, committed=result.committed,
-                           aborts=result.aborts)
+                self._t_txn(tspan, kind, result.committed, result.aborts)
         return result
 
     # --------------------------------------------------------- direct reads

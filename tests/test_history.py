@@ -31,11 +31,12 @@ def test_recorder_roundtrip():
     rec.read(op, 7, 3, 11.0)
     rec.write(op, 7, 4, 12.0)
     rec.respond(op, True, 12.5)
+    [op] = rec.ops
     assert op.committed
     assert op.invoked_at == 10.0 and op.responded_at == 12.5
     assert op.reads == [(7, 3, 11.0)]
     assert op.writes == [(7, 4, 12.0)]
-    assert rec.committed_ops() == [op]
+    assert [done.op_id for done in rec.committed_ops()] == [op.op_id]
     assert len(rec) == 1
 
 
@@ -57,9 +58,9 @@ def test_commit_manager_stamps_durability_at_the_ack_instant(wal):
         cluster.handles[0].commit.submit(
             0, [(0, 2, "new", 64)], {1, 2}, hop=op
         ).add_done_callback(lambda fut: acked.append(fut.sim.now))
-        assert op is None or not op.durable
+        assert op is None or not history.ops[op].durable
         cluster.run(until=2_000.0)
-        return op, acked, cluster.sim
+        return op if op is None else history.ops[op], acked, cluster.sim
 
     op, acked, sim = submit(HistoryRecorder())
     assert op.durable and [op.durable_at] == acked and acked[0] > 0.0
@@ -86,6 +87,7 @@ def test_on_crash_downgrades_only_nondurable():
     rec.respond(other_node, True, 2.8)
 
     rec.on_crash(1, 4.0)
+    durable, pending, in_flight, aborted, other_node = rec.ops
     assert durable.outcome == COMMITTED
     assert pending.outcome == INDETERMINATE
     assert in_flight.outcome == INDETERMINATE

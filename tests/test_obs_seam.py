@@ -63,3 +63,32 @@ def test_no_sentinel_and_no_enabled_flag_in_src():
             if sentinel.match(name):
                 offenders.append(f"{path}:{node.lineno}: {name}")
     assert offenders == []
+
+
+#: Where nearly every trace record is written (28 of the 60 tracer call
+#: sites outside ``obs/``).  The recovery, chaos, failure and retransmit
+#: sites are cold and may stay on the keyword calls.
+HOT_MODULES = ("net/network.py", "cluster/node.py", "commit/manager.py",
+               "txn/api.py", "ownership/manager.py")
+
+
+def test_hot_modules_emit_positionally():
+    """A keyword ``begin`` / ``end`` / ``instant`` builds a dict and types
+    its values on every record; a hot site declares its emit point once
+    (``tracer.point``) and calls the writer positionally."""
+    offenders, sites = [], 0
+    for module in HOT_MODULES:
+        for node in ast.walk(ast.parse((SRC / module).read_text())):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)):
+                continue
+            owner = node.func.value
+            owner = getattr(owner, "attr", getattr(owner, "id", ""))
+            if owner.lstrip("_") != "tracer":
+                continue
+            sites += 1
+            if node.func.attr in ("begin", "end", "instant") or (
+                    node.keywords and node.func.attr != "point"):
+                offenders.append(f"{module}:{node.lineno}: "
+                                 f"tracer.{node.func.attr}(...)")
+    assert offenders == [] and sites >= 10  # the walk still finds them

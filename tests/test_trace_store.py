@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 from repro.obs import TID_NET, TID_SVC, Span, Tracer
 from repro.sim.kernel import Simulator
 
-#: Bytes one record may cost: a 40-byte row, ~4 argument references and the
-#: boxed ints/floats among the values.  The list-of-``Span`` store it
-#: replaced measured ~400.
-BYTES_PER_RECORD = 128
+#: Bytes one record may cost: a 30-byte header (38 for a span) and its
+#: arguments packed inline, plus the buffer's growth slack.  A 40-byte row
+#: with boxed values behind ~4 references measured ~110, the list-of-``Span``
+#: store before it ~400.
+BYTES_PER_RECORD = 64
 
 
 def _record(tracer: Tracer, n: int) -> None:
@@ -31,9 +32,9 @@ def _record(tracer: Tracer, n: int) -> None:
         tracer.end(span, acked=2)
 
 
-def test_a_record_is_no_object_and_at_most_128_bytes():
+def test_a_record_is_no_object_and_at_most_64_bytes():
     tracer = Tracer(Simulator())
-    _record(tracer, 100)  # intern the emit points, first buffer growth
+    _record(tracer, 100)  # declare the emit points, first buffer growth
     gc.collect()
     objects = len(gc.get_objects())
     tracemalloc.start()
@@ -49,6 +50,41 @@ def test_a_record_is_no_object_and_at_most_128_bytes():
     assert not any(isinstance(obj, Span) for obj in gc.get_objects())
     assert grown <= BYTES_PER_RECORD * 20_000, grown / 20_000
     assert len(tracer.spans) == len(tracer.instants) == 10_100
+
+
+def test_positional_points_and_the_keyword_calls_share_one_writer():
+    """A declared point and a keyword call of the same shape are the same
+    emit point: one row format, one reader."""
+    tracer = Tracer(Simulator())
+    send = tracer.point("net.send", "net", False, dst=int, kind=str, size=int)
+    replicate = tracer.point("commit.apply", "commit", False, pipeline=tuple)
+    done = tracer.point("txn", "txn", True, kind=str, committed=bool)
+    send(1, TID_NET, (7, None), 2, "rc.inv", 96)
+    tracer.instant("net.send", pid=1, cat="net", ctx=(7, None), dst=2,
+                   kind="rc.inv", size=96)
+    replicate(1, TID_NET, None, (0, 3))
+    done(tracer.open(1, 0, (7, 2)), "write", True)
+    tracer.end(tracer.begin("txn", pid=1, cat="txn", ctx=(7, 2),
+                            kind="write"), committed=True)
+    assert len(tracer._points) == 3
+    first, second, pair = tracer.instants
+    assert first[:-2] == second[:-2] and first.args == {
+        "dst": 2, "kind": "rc.inv", "size": 96}
+    assert pair.args == {"pipeline": [0, 3]}
+    positional, keyword = tracer.spans
+    assert positional[:-2] == keyword[:-2]
+    assert positional.args == {"kind": "write", "committed": True}
+
+
+def test_open_spans_counts_what_no_export_holds():
+    tracer = Tracer(Simulator())
+    assert tracer.open_spans == 0
+    wedged = tracer.begin("commit_replicate", pid=0, slot=3)
+    tracer.end(tracer.begin("txn", pid=0))
+    tracer.instant("net.send", pid=0, dst=1)
+    assert tracer.open_spans == 1 and len(tracer.spans) == 1
+    tracer.end(wedged)
+    assert tracer.open_spans == 0
 
 
 def test_views_are_snapshots_rebuilt_after_new_records():
@@ -93,11 +129,21 @@ class _ListOfSpans:
 
 
 _ids = st.integers(1, 2**31 - 1)
+# The value classes the JSON exports must give back exactly: ``True`` is not
+# ``1`` and ``2.0`` is not ``2``, None, ints below zero and past 2**31 and
+# 2**63, floats bit for bit, strings first seen mid-run, and whatever else a
+# cold call site passes (kept by reference; the int pair among it).
 _args = st.dictionaries(
-    st.sampled_from(["kind", "flow", "oid", "granted", "reason"]),
+    st.sampled_from(["kind", "flow", "oid", "granted", "reason", "pipeline"]),
     st.one_of(st.none(), st.booleans(), st.integers(),
-              st.floats(allow_nan=False), st.text(max_size=8)),
-    max_size=4)
+              st.integers(-2**31 - 2, 2**31 + 2),
+              st.sampled_from([-2**63 - 1, -2**63, 2**63 - 1, 2**63]),
+              st.floats(allow_nan=False), st.sampled_from([-0.0, 2.0, 5e-324]),
+              st.text(max_size=8),
+              st.lists(st.integers(-2**31 - 1, 2**31), min_size=1,
+                       max_size=3),
+              st.tuples(st.integers(), st.booleans())),
+    max_size=5)
 _site = st.tuples(st.sampled_from(["txn", "net.send", "own_acquire"]),
                   st.integers(0, 7),                      # pid
                   st.sampled_from([0, 1, TID_SVC, TID_NET]),
@@ -141,6 +187,7 @@ def test_rows_round_trip_what_the_list_of_spans_held(steps):
     assert [tuple(s) for s in tracer.spans] == oracle.spans
     assert [tuple(e) for e in tracer.instants] == oracle.instants
     # Same values is not enough for a byte-identical export: same types and
-    # same argument order too.
+    # same argument order too (``-0.0 == 0.0`` and ``True == 1``).
     assert repr(tracer.spans + tracer.instants) == repr(
         [Span(*row) for row in oracle.spans + oracle.instants])
+    assert tracer.open_spans == len(open_spans)
