@@ -63,8 +63,9 @@ class Node:
         #: Incarnation number: bumped on every restart.  Stamped onto every
         #: outgoing message so peers can fence pre-crash ("zombie") traffic.
         self.incarnation = 1
-        #: Latest incarnation of each peer as announced by membership views.
-        self.peer_incarnations: Dict[NodeId, int] = {}
+        #: Latest incarnation of each peer as announced by membership views
+        #: (the transport's dict: it stamps them as ``msg.dst_inc``).
+        self.peer_incarnations = self.transport.peer_incarnations
         #: Live-node view as known by this node.
         self.live_nodes: frozenset = frozenset()
         self._processes: List[Process] = []
@@ -79,7 +80,6 @@ class Node:
         #: rebooting node must not engage in the protocols until admitted.
         self.joining = False
         self.transport.fence_fn = self._fence
-        self.transport.peer_inc_fn = self._believed_incarnation
         #: Durable-storage tier (:class:`~repro.store.wal.DurabilityManager`)
         #: or None when the WAL is disabled — absent means None, as for
         #: the ``obs`` instruments; protocol layers guard ``is not None``.
@@ -163,12 +163,6 @@ class Node:
                     msg.kind)
             return True
         return False
-
-    def _believed_incarnation(self, peer: NodeId) -> int:
-        """What incarnation we believe ``peer`` runs (0 before any view)."""
-        if peer == self.node_id:
-            return self.incarnation
-        return self.peer_incarnations.get(peer, 0)
 
     def _dispatch(self, msg: Message) -> None:
         if not self.alive:

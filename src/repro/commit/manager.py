@@ -429,7 +429,8 @@ class CommitManager:
             fpipe.settled = max(fpipe.settled, inv.slot - 1)
         if inv.slot == fpipe.settled + 1:
             self._apply_rinv(fpipe, inv, ack_to=msg.src if inv.replay else None)
-            self._drain_buffer(fpipe)
+            if fpipe.buffer:
+                self._drain_buffer(fpipe)
         else:
             fpipe.buffer[inv.slot] = inv
 
@@ -521,9 +522,10 @@ class CommitManager:
                         obj.t_state = TState.VALID
                 if dur is not None and records:
                     dur.log_commit(("f",) + pipeline + (s,))
-            if cumulative:
+            if cumulative and fpipe.buffer:
                 self._drain_buffer(fpipe)
-        self._maybe_done_recovering()
+        if self._recovering_epoch is not None:
+            self._maybe_done_recovering()
 
     # ======================================================================
     # Recovery

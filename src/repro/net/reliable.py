@@ -61,6 +61,8 @@ class _RecvChannel:
     def __init__(self) -> None:
         self.expected = 0
         self.buffer: Dict[int, Message] = {}
+        #: The delayed-ack timer.  A piggybacked ack cancels it but keeps
+        #: the handle, so the next arrival can revive it in place.
         self.ack_timer: Optional[EventHandle] = None
 
 
@@ -83,10 +85,11 @@ class ReliableTransport:
         #: Optional fence: ``fence_fn(msg) -> True`` rejects the message
         #: before any channel state is touched (zombie-incarnation traffic).
         self.fence_fn: Optional[Callable[[Message], bool]] = None
-        #: Optional hook returning the peer incarnation we currently believe
-        #: (0 = unknown); stamped as ``msg.dst_inc`` so a peer that has since
-        #: restarted can drop traffic addressed to its dead incarnation.
-        self.peer_inc_fn: Optional[Callable[[NodeId], int]] = None
+        #: The incarnation we believe each peer runs (absent = unknown, 0);
+        #: stamped as ``msg.dst_inc`` so a peer that has since restarted can
+        #: drop traffic addressed to its dead incarnation.  The owning node
+        #: shares this dict as its ``peer_incarnations``.
+        self.peer_incarnations: Dict[NodeId, int] = {}
         # metrics (registry-backed; shared with the network's registry)
         self.obs = network.obs
         registry = self.obs.registry
@@ -145,8 +148,7 @@ class ReliableTransport:
         chan = self._send.get(dst)
         if chan is None:
             chan = self._send[dst] = _SendChannel()
-        if self.peer_inc_fn is not None:
-            msg.dst_inc = self.peer_inc_fn(dst)
+        msg.dst_inc = self.peer_incarnations.get(dst, 0)
         msg.seq = seq = chan.next_seq
         chan.next_seq = seq + 1
         chan.unacked[seq] = msg
@@ -158,9 +160,9 @@ class ReliableTransport:
         rchan = self._recv.get(dst)
         if rchan is not None:
             msg.ack = rchan.expected
-            if rchan.ack_timer is not None:
-                rchan.ack_timer.cancel()
-                rchan.ack_timer = None
+            timer = rchan.ack_timer
+            if timer is not None:
+                timer.cancelled = True
 
     def _stamp_ctx(self, msg: Message, ctx) -> None:
         tracer = self.obs.tracer
@@ -252,9 +254,13 @@ class ReliableTransport:
                 self.deliver(ready)
         # Anything else is a duplicate (the original ack was lost or the
         # injector duplicated): re-ack so the sender can advance.
-        if chan.ack_timer is None:
+        timer = chan.ack_timer
+        if timer is None:
             chan.ack_timer = self.sim.call_after(_ACK_DELAY_US,
                                                  self._flush_ack, src)
+        elif timer.cancelled:
+            chan.ack_timer = self.sim.rearm(timer, _ACK_DELAY_US,
+                                            self._flush_ack, src)
 
     def _flush_ack(self, src: NodeId) -> None:
         chan = self._recv.get(src)
@@ -264,8 +270,7 @@ class ReliableTransport:
         self._c_acks_sent.inc()
         ack = Message(self.node_id, src, ACK_KIND, chan.expected, _ACK_SIZE)
         ack.inc = self.incarnation
-        if self.peer_inc_fn is not None:
-            ack.dst_inc = self.peer_inc_fn(src)
+        ack.dst_inc = self.peer_incarnations.get(src, 0)
         self.network.send(ack)
 
     def _on_ack(self, src: NodeId, cumulative: int) -> None:
@@ -283,11 +288,19 @@ class ReliableTransport:
             del unacked[seq]
         chan.retries = 0
         chan.probing = False  # the peer is reachable again
-        if chan.timer is not None:
-            chan.timer.cancel()
-            chan.timer = None
+        timer = chan.timer
         if unacked:
-            self._arm_retransmit(src, chan)
+            # Push the deadline back: in place, not a dead entry per ack.
+            timeout = self.params.retransmit_timeout_us
+            if timer is None:
+                chan.timer = self.sim.call_after(timeout, self._retransmit,
+                                                 src)
+            else:
+                chan.timer = self.sim.rearm(timer, timeout, self._retransmit,
+                                            src)
+        elif timer is not None:
+            timer.cancel()
+            chan.timer = None
 
     # ----------------------------------------------------------- lifecycle
 

@@ -97,12 +97,13 @@ class SpaceSaving:
     Eviction ties break on the smallest key, so the sketch's contents are
     a pure function of the (key, now) stream — same seed, same sketch.
 
-    Victim selection uses a stale-tolerant min-heap instead of an
-    O(capacity) scan: every count change pushes a fresh ``(count, key)``
-    entry, eviction pops until the top matches the live count (the true
-    minimum is always present), and the heap is rebuilt on decay steps
-    and when staleness piles past ``8 * capacity`` — amortized O(log K)
-    per eviction where the scan made high-cardinality streams quadratic.
+    Victim selection uses a min-heap instead of an O(capacity) scan.  The
+    heap holds exactly one ``(count, key)`` entry per tracked key, a lower
+    bound on its live count (counts only grow between decay steps, which
+    rebuild it), so a hit pushes nothing.  Eviction re-seats a stale top
+    at its live count until the top is exact — then it is the minimum
+    ``(count, key)``, the scan's victim — and replaces it with the
+    newcomer: amortized O(log K) per eviction, heap size K.
     """
 
     __slots__ = ("capacity", "half_life_us", "counts", "errors",
@@ -118,7 +119,8 @@ class SpaceSaving:
         self.errors: Dict[Any, float] = {}
         self.last_decay_at = 0.0
         self.evictions = 0
-        #: (count, key) min-heap; entries go stale on updates and decay.
+        #: (count, key) min-heap, one entry per key in ``counts``: a lower
+        #: bound on its count (a hit leaves it stale; eviction re-seats it).
         self._heap: List[Tuple[float, Any]] = []
 
     def _rebuild_heap(self) -> None:
@@ -155,16 +157,15 @@ class SpaceSaving:
         self.add_all((key,), now, n)
 
     def add_all(self, keys, now: float, n: float = 1.0) -> None:
-        """Count ``n`` for each of ``keys`` at one instant: a single decay
-        check serves the lot."""
+        """Count ``n`` (>= 0) for each of ``keys`` at one instant: a single
+        decay check serves the lot."""
         self.decay_to(now)
         counts = self.counts
         heap = self._heap
         for key in keys:
             cur = counts.get(key)
             if cur is not None:
-                counts[key] = cur + n
-                heapq.heappush(heap, (cur + n, key))
+                counts[key] = cur + n  # its heap entry stays a lower bound
                 continue
             if len(counts) < self.capacity:
                 counts[key] = n
@@ -173,19 +174,16 @@ class SpaceSaving:
                 continue
             while True:
                 floor, victim = heap[0]
-                if counts.get(victim) == floor:
+                live = counts[victim]
+                if live == floor:
                     break
-                heapq.heappop(heap)  # stale: count moved on or key evicted
-            heapq.heappop(heap)
+                heapq.heapreplace(heap, (live, victim))  # re-seat, stale
             del counts[victim]
-            self.errors.pop(victim, None)
+            del self.errors[victim]
             self.evictions += 1
             counts[key] = floor + n
             self.errors[key] = floor
-            heapq.heappush(heap, (floor + n, key))
-            if len(heap) > 8 * self.capacity:
-                self._rebuild_heap()
-                heap = self._heap
+            heapq.heapreplace(heap, (floor + n, key))
 
     def get(self, key: Any) -> float:
         return self.counts.get(key, 0.0)

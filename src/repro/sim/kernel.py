@@ -15,7 +15,8 @@ of its seed and parameters.
 
 from __future__ import annotations
 
-from heapq import heappop as _heappop, heappush as _heappush
+from heapq import (heappop as _heappop, heappush as _heappush,
+                   heapreplace as _heapreplace)
 from math import inf as _INF
 from sys import maxsize as _NO_BUDGET
 from time import perf_counter_ns as _perf_ns
@@ -29,12 +30,19 @@ class SimulationError(RuntimeError):
 
 
 class EventHandle:
-    """A cancellable reference to a scheduled event."""
+    """A cancellable reference to a scheduled event.
 
-    __slots__ = ("cancelled",)
+    ``_due`` is the time of the handle's heap entry while that entry is
+    queued (None once it popped); ``_moved`` is ``(time, seq, fn, args)``
+    when :meth:`Simulator.rearm` moved the event later without pushing, and
+    the entry re-enters the heap under that key when it pops."""
+
+    __slots__ = ("cancelled", "_due", "_moved")
 
     def __init__(self) -> None:
         self.cancelled = False
+        self._due: Optional[float] = None
+        self._moved = None
 
     def cancel(self) -> None:
         """Mark the event so the kernel skips it; O(1), lazily removed."""
@@ -61,7 +69,10 @@ class Simulator:
     :class:`EventHandle` so the event can be cancelled (timers);
     ``post_at``/``post_after``/``post_soon`` are fire-and-forget — no handle
     is allocated — for the hops nobody ever cancels (message delivery,
-    handler dispatch, process resumption).
+    handler dispatch, process resumption).  ``rearm(handle, delay, fn,
+    *args)`` is ``handle.cancel()`` followed by ``call_after`` for a timer
+    that is pushed back on every hop: same sequence number, same order,
+    but usually no new heap entry (see :meth:`rearm`).
     """
 
     def __init__(self) -> None:
@@ -89,13 +100,18 @@ class Simulator:
 
     @property
     def cancelled_skipped(self) -> int:
-        """Events popped from the heap but skipped because cancelled."""
+        """Events popped from the heap but skipped because cancelled.  An
+        entry that :meth:`rearm` moved is neither fired nor cancelled when
+        it pops: it goes back in under its new key, uncounted."""
         return self._cancelled_skipped
 
     # ------------------------------------------------------------ statistics
 
     def stats(self) -> dict:
-        """Event-loop statistics: clock, events fired, heap backlog."""
+        """Event-loop statistics: clock, events fired, heap backlog.
+
+        ``pending_events`` counts the entries in the heap now: a moved
+        timer is one entry, a cancelled one stays until it pops."""
         return {
             "now_us": self.now,
             "events_executed": self._events_executed,
@@ -128,7 +144,9 @@ class Simulator:
 
     @property
     def heap_pushes(self) -> int:
-        """Total events ever pushed onto the heap (= sequence counter)."""
+        """Total events ever scheduled (= sequence counter).  Every
+        ``call_*``/``post_*``/``rearm`` issues one, whether or not it pushed
+        a heap entry."""
         return self._seq
 
     # ------------------------------------------------------------- scheduling
@@ -140,6 +158,7 @@ class Simulator:
                 f"cannot schedule at t={time} before now={self.now}"
             )
         handle = EventHandle()
+        handle._due = time
         self._seq = seq = self._seq + 1
         _heappush(self._heap, (time, seq, fn, args, handle))
         return handle
@@ -150,6 +169,7 @@ class Simulator:
             raise SimulationError(f"negative delay {delay}")
         time = self.now + delay
         handle = EventHandle()
+        handle._due = time
         self._seq = seq = self._seq + 1
         _heappush(self._heap, (time, seq, fn, args, handle))
         return handle
@@ -158,7 +178,46 @@ class Simulator:
         """Schedule ``fn(*args)`` at the current time (after pending events)."""
         time = self.now
         handle = EventHandle()
+        handle._due = time
         self._seq = seq = self._seq + 1
+        _heappush(self._heap, (time, seq, fn, args, handle))
+        return handle
+
+    def rearm(self, handle: EventHandle, delay: float,
+              fn: Callable[..., Any], *args: Any) -> EventHandle:
+        """``handle.cancel(); return self.call_after(delay, fn, *args)``,
+        without the dead entry.
+
+        The sequence number is issued here, exactly as ``call_after`` would
+        issue it, so the event fires at the same ``(time, seq)`` and
+        :attr:`heap_pushes` counts it.  While the handle's entry is queued
+        and due no later than the new time, nothing is pushed: the new key
+        is recorded on the handle, and when the old entry pops it goes back
+        in under that key — before anything with a larger key can pop, so
+        the order is the one ``call_after`` gives.  A cancelled entry that
+        is still queued is revived that way.  A new time earlier than the
+        queued entry gets a fresh entry (and a fresh handle) and the old
+        one is retired as cancelled.
+
+        ``handle`` is consumed: keep the returned handle (often the same
+        object) and use it for any later ``cancel`` or ``rearm``.
+        """
+        if delay < 0:
+            raise SimulationError(f"negative delay {delay}")
+        time = self.now + delay
+        self._seq = seq = self._seq + 1
+        due = handle._due
+        if due is None:  # its entry popped: reuse the handle for a new one
+            handle.cancelled = False
+            handle._moved = None
+        elif due <= time:
+            handle.cancelled = False
+            handle._moved = (time, seq, fn, args)
+            return handle
+        else:
+            handle.cancelled = True
+            handle = EventHandle()
+        handle._due = time
         _heappush(self._heap, (time, seq, fn, args, handle))
         return handle
 
@@ -197,9 +256,20 @@ class Simulator:
             if heap[0][0] > until:
                 break
             time, _seq, fn, args, handle = _heappop(heap)
-            if handle is not None and handle.cancelled:
-                self._cancelled_skipped += 1
-                continue
+            if handle is not None:
+                if handle.cancelled:
+                    handle._due = None
+                    self._cancelled_skipped += 1
+                    continue
+                moved = handle._moved
+                if moved is not None:
+                    # Re-armed while queued: back in under the key rearm()
+                    # issued.  Neither fired nor cancelled; `now` stays.
+                    handle._moved = None
+                    handle._due = moved[0]
+                    _heappush(heap, moved + (handle,))
+                    continue
+                handle._due = None
             self.now = time
             self._events_executed += 1
             fired += 1
@@ -235,11 +305,21 @@ class Simulator:
             self.now = until
 
     def peek_time(self) -> Optional[float]:
-        """Timestamp of the next non-cancelled event, or None."""
+        """Timestamp of the next non-cancelled event, or None.  Cancelled
+        heads are discarded and moved ones re-queued, as :meth:`run` would."""
         heap = self._heap
         while heap:
-            handle = heap[0][4]
-            if handle is None or not handle.cancelled:
-                return heap[0][0]
-            _heappop(heap)
+            time, _seq, _fn, _args, handle = heap[0]
+            if handle is None:
+                return time
+            if handle.cancelled:
+                handle._due = None
+                _heappop(heap)
+            elif handle._moved is not None:
+                moved = handle._moved
+                handle._moved = None
+                handle._due = moved[0]
+                _heapreplace(heap, moved + (handle,))
+            else:
+                return time
         return None

@@ -1,10 +1,15 @@
 """Shared test fixtures: small clusters and catalogs."""
 
 import pytest
+from hypothesis import settings
 
 from repro.harness.rig import counter_catalog
 from repro.harness.zeus_cluster import ZeusCluster
 from repro.sim.params import SimParams
+
+#: ``pytest --hypothesis-profile=ci`` runs the properties in depth (CI does
+#: so for the kernel and the reliable transport); tier-1 keeps the default.
+settings.register_profile("ci", max_examples=2_000, deadline=None)
 
 
 def make_catalog(num_nodes=3, objects=10, degree=3, size=64, spread=True):

@@ -11,6 +11,8 @@ streams, and seed-pure byte-identical JSON reports.
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.harness.rig import Rig, counter_catalog
 from repro.harness.runner import main
@@ -66,6 +68,76 @@ def test_space_saving_deterministic():
         return dict(sk.counts)
 
     assert run() == run()
+
+
+def test_space_saving_heap_holds_one_entry_per_tracked_key():
+    # ``_heap`` is the eviction heap: hits must not grow it.
+    sk = SpaceSaving(capacity=8, half_life_us=0.0)
+    for _ in range(100_000):
+        sk.add("hot", 0.0)
+    assert sk.get("hot") == 100_000.0 and len(sk._heap) == 1
+    sk = SpaceSaving()  # default capacity and half-life
+    for i in range(200_000):
+        sk.add(i % 100, now=i * 0.02)  # all inside one half-life
+    assert len(sk) == 100 and len(sk._heap) == 100
+    sk = SpaceSaving(capacity=8, half_life_us=0.0)
+    for i in range(1_000):
+        sk.add(i % 50, 0.0)
+        assert len(sk._heap) == len(sk) <= 8
+
+
+class _ScanSketch:
+    """The Space-Saving sketch with an O(capacity) victim scan: the
+    reference the heap evictor must agree with, step for step."""
+
+    def __init__(self, capacity, half_life_us):
+        self.capacity, self.half_life_us = capacity, half_life_us
+        self.counts, self.errors = {}, {}
+        self.last_decay_at, self.evictions = 0.0, 0
+
+    def add_all(self, keys, now):
+        hl = self.half_life_us
+        steps = int((now - self.last_decay_at) // hl) if hl > 0 else 0
+        if steps > 0:
+            self.last_decay_at += steps * hl
+            for key in list(self.counts):
+                count = self.counts[key] * 0.5 ** steps
+                if count < 0.5:
+                    del self.counts[key], self.errors[key]
+                else:
+                    self.counts[key] = count
+                    self.errors[key] *= 0.5 ** steps
+        for key in keys:
+            if key in self.counts:
+                self.counts[key] += 1.0
+            elif len(self.counts) < self.capacity:
+                self.counts[key], self.errors[key] = 1.0, 0.0
+            else:
+                floor, victim = min((c, k) for k, c in self.counts.items())
+                del self.counts[victim], self.errors[victim]
+                self.evictions += 1
+                self.counts[key], self.errors[key] = floor + 1.0, floor
+
+
+@settings(max_examples=300, deadline=None)
+@given(capacity=st.integers(1, 6),
+       half_life=st.sampled_from([0.0, 50.0, 200.0]),
+       batches=st.lists(st.tuples(
+           st.lists(st.integers(0, 12), min_size=1, max_size=4),
+           st.sampled_from([0.0, 0.0, 10.0, 60.0, 300.0])), max_size=60))
+def test_space_saving_evicts_what_a_linear_scan_evicts(capacity, half_life,
+                                                       batches):
+    sk = SpaceSaving(capacity, half_life)
+    ref = _ScanSketch(capacity, half_life)
+    now = 0.0
+    for keys, dt in batches:
+        now += dt
+        sk.add_all(keys, now)
+        ref.add_all(keys, now)
+        assert list(sk.counts.items()) == list(ref.counts.items())
+        assert list(sk.errors.items()) == list(ref.errors.items())
+        assert sk.evictions == ref.evictions
+        assert len(sk._heap) == len(sk.counts)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,9 @@ recorded from that parent commit with::
     PYTHONPATH=src python tests/test_message_hop_golden.py --record
 
 and must only ever be re-recorded by a change that means to alter the model.
+(One edit since: when the reliable transport began re-arming its timers in
+place, ``cancelled`` fell 256 -> 149 — a moved timer entry pops neither
+executed nor cancelled; no other field moved.)
 """
 
 import json

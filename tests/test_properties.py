@@ -165,8 +165,7 @@ def make_transport_pair(sim, faults=None, fault_seed=0):
     return net, a, b, inbox_a, inbox_b
 
 
-@settings(max_examples=30, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.integers(0, 10_000),
        st.floats(min_value=0.0, max_value=0.4),
        st.floats(min_value=0.0, max_value=0.5),
@@ -190,8 +189,7 @@ def test_reliable_exactly_once_in_order_under_faults(seed, loss, dup,
     assert a.unacked_count() == 0
 
 
-@settings(max_examples=15, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.integers(0, 10_000), st.integers(1, 10), st.integers(1, 5))
 def test_reliable_probe_recovers_after_heal(seed, before, after):
     """A sender that exhausts its retransmit budget against a partitioned

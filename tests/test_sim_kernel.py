@@ -175,6 +175,78 @@ def test_posted_events_share_the_order_and_return_no_handle():
     assert sim.heap_pushes == 6 and sim.events_executed == 6
 
 
+def _pending(sim):
+    return sim.stats()["pending_events"]
+
+
+def test_rearm_later_moves_the_entry_in_place():
+    sim = Simulator()
+    seen = []
+    handle = sim.call_after(5.0, seen.append, "old")
+    sim.call_after(6.0, seen.append, "tie")
+    again = sim.rearm(handle, 6.0, seen.append, "new")
+    assert again is handle and _pending(sim) == 2 and sim.heap_pushes == 3
+    assert sim.peek_time() == 6.0 and _pending(sim) == 2
+    sim.run()
+    # Same (time, seq) as cancel + call_after: after the tie, not before.
+    assert seen == ["tie", "new"] and sim.now == 6.0
+    assert sim.events_executed == 2 and sim.cancelled_skipped == 0
+
+
+def test_rearm_earlier_pushes_a_fresh_entry_and_retires_the_old():
+    sim = Simulator()
+    seen = []
+    handle = sim.call_after(400.0, seen.append, "probe")
+    again = sim.rearm(handle, 40.0, seen.append, "timeout")
+    assert again is not handle and handle.cancelled and _pending(sim) == 2
+    sim.run()
+    assert seen == ["timeout"] and sim.cancelled_skipped == 1
+    assert sim.now == 40.0  # the retired entry popped without moving time
+
+
+def test_rearm_revives_a_cancelled_entry_still_queued():
+    sim = Simulator()
+    seen = []
+    handle = sim.call_after(5.0, seen.append, "first")
+    handle.cancel()
+    sim.run(until=2.0)
+    again = sim.rearm(handle, 5.0, seen.append, "revived")
+    assert again is handle and not handle.cancelled and _pending(sim) == 1
+    sim.run()
+    assert seen == ["revived"] and sim.now == 7.0
+    assert sim.cancelled_skipped == 0 and sim.heap_pushes == 2
+
+
+def test_rearm_after_the_entry_popped_schedules_afresh():
+    sim = Simulator()
+    seen = []
+    handle = sim.call_after(1.0, seen.append, "a")
+    sim.run()
+    handle = sim.rearm(handle, 1.0, seen.append, "b")  # fired: reused
+    skipped = sim.call_after(1.0, seen.append, "x")
+    skipped.cancel()
+    sim.run()
+    handle = sim.rearm(skipped, 1.0, seen.append, "c")  # popped cancelled
+    sim.run()
+    assert seen == ["a", "b", "c"] and sim.now == 3.0
+    assert sim.cancelled_skipped == 1 and _pending(sim) == 0
+    # Moved, then cancelled, then popped: the move is forgotten.
+    handle = sim.rearm(handle, 1.0, seen.append, "moved")
+    handle = sim.rearm(handle, 2.0, seen.append, "moved again")
+    handle.cancel()
+    sim.run(until=4.5)
+    handle = sim.rearm(handle, 1.0, seen.append, "d")
+    sim.run()
+    assert seen == ["a", "b", "c", "d"] and sim.now == 5.5
+
+
+def test_rearm_rejects_a_negative_delay():
+    sim = Simulator()
+    handle = sim.call_after(1.0, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.rearm(handle, -1.0, lambda: None)
+
+
 def test_posted_events_reject_the_past():
     sim = Simulator()
     sim.run(until=10.0)
@@ -184,16 +256,20 @@ def test_posted_events_reject_the_past():
         sim.post_after(-1.0, lambda: None)
 
 
-# Delays repeat so that ties on the timestamp are common.
+# Delays repeat so that ties on the timestamp are common; a re-arm draws
+# from the same set, so it lands earlier than, at or after the entry it
+# re-arms, and re-arms of cancelled handles are common.
 _DELAYS = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.5])
 _OP = st.one_of(
     st.tuples(st.sampled_from(["call_at", "post_at", "call_after",
                                "post_after"]), _DELAYS),
     st.tuples(st.sampled_from(["call_soon", "post_soon"]), st.just(0.0)),
     st.tuples(st.just("cancel"), st.integers(0, 50)),
+    st.tuples(st.just("rearm"), st.integers(0, 50), _DELAYS),
 )
 #: Each top-level op carries the ops its event issues when it fires, so
-#: schedules, ``*_soon`` at the current time and cancels also happen mid-run.
+#: schedules, ``*_soon`` at the current time, cancels and re-arms also
+#: happen mid-run.
 _PROGRAM = st.lists(st.tuples(_OP, st.lists(_OP, max_size=4)), max_size=25)
 
 
@@ -201,7 +277,7 @@ _PROGRAM = st.lists(st.tuples(_OP, st.lists(_OP, max_size=4)), max_size=25)
 def test_any_interleaving_fires_in_time_then_scheduling_order(program,
                                                              stepwise):
     sim = Simulator()
-    scheduled = []  # one record per push, in scheduling order
+    scheduled = []  # one record per event scheduled, in scheduling order
     handles = []    # (index into scheduled, handle) of the cancellable ones
     fired = []      # (sim.now, index into scheduled)
 
@@ -211,14 +287,30 @@ def test_any_interleaving_fires_in_time_then_scheduling_order(program,
         for op in children:
             apply(op, ())
 
+    def cancel(index):
+        if not scheduled[index]["fired"]:
+            scheduled[index]["cancelled"] = True
+
     def apply(op, children):
-        name, arg = op
+        name, arg = op[:2]
         if name == "cancel":
             if handles:
                 index, handle = handles[arg % len(handles)]
                 handle.cancel()
-                if not scheduled[index]["fired"]:
-                    scheduled[index]["cancelled"] = True
+                cancel(index)
+            return
+        if name == "rearm":
+            # The old record is cancelled and a new one scheduled, in
+            # scheduling order; the returned handle replaces the old one.
+            if handles:
+                slot = arg % len(handles)
+                index, handle = handles[slot]
+                cancel(index)
+                delay = op[2]
+                handles[slot] = (len(scheduled), sim.rearm(
+                    handle, delay, fire, len(scheduled), children))
+                scheduled.append({"time": sim.now + delay, "fired": False,
+                                  "cancelled": False})
             return
         index = len(scheduled)
         when = sim.now + arg
@@ -257,5 +349,6 @@ def test_any_interleaving_fires_in_time_then_scheduling_order(program,
     assert fired == sorted(fired)  # (time, scheduling order)
     assert sim.events_executed == len(fired)
     assert sim.heap_pushes == len(scheduled)
-    if not stepwise:  # peek_time() discards cancelled heads uncounted
-        assert sim.cancelled_skipped == len(scheduled) - len(live)
+    # peek_time() discards cancelled heads uncounted, and a moved entry is
+    # not counted at all.
+    assert sim.cancelled_skipped <= len(scheduled) - len(live)

@@ -24,9 +24,10 @@ from repro.workloads.smallbank import SmallbankWorkload
 from repro.workloads.tatp import TatpWorkload
 
 #: Python frames per committed transaction the lane may cost.  The commit
-#: before the lane (8c4f344) measured 33.7 and 168.0 on these windows, this
-#: one 17.2 and 123.3.
-BUDGET = {"tatp": 18.0, "smallbank": 150.0}
+#: before the lane (8c4f344) measured 33.7 and 168.0 on these windows, the
+#: lane 17.2 and 123.3; re-arming the transport's timers in place (and the
+#: hop trims beside it) took Smallbank from 123.3 to 104.9.
+BUDGET = {"tatp": 18.0, "smallbank": 108.0}
 
 
 def build(name: str, obs=None):

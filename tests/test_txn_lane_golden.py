@@ -16,7 +16,9 @@ file was recorded from that parent commit (8c4f344) with::
 and must only ever be re-recorded by a change that means to alter the model.
 (One edit since: when the history recorder stopped scheduling completion
 callbacks, the instrumented ``events`` / ``heap_pushes`` fell to the plain
-run's values; no other field moved.)
+run's values; no other field moved.  And when the reliable transport began
+re-arming its timers in place, Smallbank's ``cancelled`` fell 36,138 ->
+2,534: a moved timer entry pops neither executed nor cancelled.)
 """
 
 import hashlib
