@@ -84,14 +84,14 @@ class ChaosEngine:
         self.cluster.faults.params = params
         tracer = self.obs.tracer
         if tracer is not None:
-            tracer.instant("chaos.fault_window_open", pid=0, tid=TID_NET,
-                           cat="chaos", loss=params.loss_prob,
-                           dup=params.duplicate_prob,
-                           reorder=params.reorder_max_us)
+            tracer.point("chaos.fault_window_open", "chaos", False,
+                         loss=float, dup=float, reorder=float)(
+                0, TID_NET, None, params.loss_prob, params.duplicate_prob,
+                params.reorder_max_us)
 
     def _close_window(self) -> None:
         self.cluster.faults.params = self._baseline
         tracer = self.obs.tracer
         if tracer is not None:
-            tracer.instant("chaos.fault_window_close", pid=0, tid=TID_NET,
-                           cat="chaos")
+            tracer.point("chaos.fault_window_close", "chaos", False)(
+                0, TID_NET, None)

@@ -92,8 +92,8 @@ class FailureInjector:
                 hist.on_crash(node.node_id, self.sim.now)
             tracer = self.obs.tracer
             if tracer is not None:
-                tracer.instant("chaos.crash", pid=node.node_id, tid=TID_NET,
-                               cat="chaos")
+                tracer.point("chaos.crash", "chaos", False)(
+                    node.node_id, TID_NET, None)
 
     # -------------------------------------------------------------- elastic
 
@@ -114,8 +114,8 @@ class FailureInjector:
             self._c_drains.inc()
             tracer = self.obs.tracer
             if tracer is not None:
-                tracer.instant("chaos.drain", pid=node.node_id, tid=TID_NET,
-                               cat="chaos")
+                tracer.point("chaos.drain", "chaos", False)(
+                    node.node_id, TID_NET, None)
 
     def note_added(self, node_ids: Sequence[int]) -> None:
         """Record a live scale-out (for timelines and the reconfig audit)."""
@@ -125,8 +125,8 @@ class FailureInjector:
             self._c_node_adds.inc()
         tracer = self.obs.tracer
         if tracer is not None:
-            tracer.instant("chaos.add_nodes", pid=min(node_ids), tid=TID_NET,
-                           cat="chaos", nodes=list(node_ids))
+            tracer.point("chaos.add_nodes", "chaos", False, nodes=object)(
+                min(node_ids), TID_NET, None, list(node_ids))
 
     # ----------------------------------------------------------- power loss
 
@@ -152,8 +152,8 @@ class FailureInjector:
             hist.on_power_loss(now)
         tracer = self.obs.tracer
         if tracer is not None:
-            tracer.instant("chaos.power_loss", pid=0, tid=TID_NET,
-                           cat="chaos", nodes=len(nodes))
+            tracer.point("chaos.power_loss", "chaos", False, nodes=int)(
+                0, TID_NET, None, len(nodes))
 
     # ------------------------------------------------------------- recovery
 
@@ -172,8 +172,8 @@ class FailureInjector:
         self._c_recoveries.inc()
         tracer = self.obs.tracer
         if tracer is not None:
-            tracer.instant("chaos.recover", pid=node.node_id, tid=TID_NET,
-                           cat="chaos", inc=node.incarnation)
+            tracer.point("chaos.recover", "chaos", False, inc=int)(
+                node.node_id, TID_NET, None, node.incarnation)
 
     # ----------------------------------------------------------- partitions
 
@@ -186,8 +186,9 @@ class FailureInjector:
         self._c_partitions.inc()
         tracer = self.obs.tracer
         if tracer is not None:
-            tracer.instant("chaos.partition", pid=min(a_side), tid=TID_NET,
-                           cat="chaos", a=list(a_side), b=list(b_side))
+            tracer.point("chaos.partition", "chaos", False, a=object,
+                         b=object)(
+                min(a_side), TID_NET, None, list(a_side), list(b_side))
 
     def heal(self, a_side: NodeGroup, b_side: NodeGroup) -> None:
         """Restore every (a, b) link between the two groups, now."""
@@ -198,8 +199,8 @@ class FailureInjector:
         self._c_heals.inc()
         tracer = self.obs.tracer
         if tracer is not None:
-            tracer.instant("chaos.heal", pid=min(a_side), tid=TID_NET,
-                           cat="chaos", a=list(a_side), b=list(b_side))
+            tracer.point("chaos.heal", "chaos", False, a=object, b=object)(
+                min(a_side), TID_NET, None, list(a_side), list(b_side))
 
     def partition_at(self, a_side: NodeGroup, b_side: NodeGroup,
                      time_us: float, heal_at_us: Optional[float] = None) -> None:
@@ -221,8 +222,8 @@ class FailureInjector:
             self._c_slowdowns.inc()
         tracer = self.obs.tracer
         if tracer is not None:
-            tracer.instant("chaos.slow", pid=node.node_id, tid=TID_NET,
-                           cat="chaos", factor=factor)
+            tracer.point("chaos.slow", "chaos", False, factor=float)(
+                node.node_id, TID_NET, None, factor)
 
     def slow_at(self, node: Node, factor: float, time_us: float,
                 until_us: Optional[float] = None) -> None:

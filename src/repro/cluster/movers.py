@@ -60,9 +60,7 @@ class MoveExecutor:
         for start in range(0, len(ops), _BATCH_SIZE):
             batch = ops[start:start + _BATCH_SIZE]
             began = self.sim.now
-            span = (tracer.begin(self.trace_cat, pid=0, tid=TID_NET,
-                                 cat=self.trace_cat, ops=len(batch))
-                    if tracer is not None else None)
+            span = tracer.open(0, TID_NET) if tracer is not None else None
             done: List[bool] = []
             for op in batch:
                 self.spawn_mover(op, done)
@@ -70,8 +68,10 @@ class MoveExecutor:
             while len(done) < len(batch) and self.sim.now < deadline:
                 yield 50.0
             if span is not None:
-                tracer.end(span, moved=sum(1 for ok in done if ok),
-                           timed_out=len(batch) - len(done))
+                tracer.point(self.trace_cat, self.trace_cat, True, ops=int,
+                             moved=int, timed_out=int)(
+                    span, len(batch), sum(1 for ok in done if ok),
+                    len(batch) - len(done))
             # Duty-cycle pause: floor plus half the batch's wall time, so a
             # struggling cluster gets proportionally more breathing room.
             pause = self.pause_us + 0.5 * (self.sim.now - began)

@@ -108,8 +108,8 @@ class Rebalancer:
             h.ownership.trim_preferred.add(node_id)
         tracer = self.obs.tracer
         if tracer is not None:
-            tracer.instant("rebalance.drain_begin", pid=node_id, tid=TID_NET,
-                           cat="rebalance")
+            tracer.point("rebalance.drain_begin", "rebalance", False)(
+                node_id, TID_NET, None)
         self.request()
         return fut
 
@@ -305,8 +305,8 @@ class Rebalancer:
         self._c_drains.inc()
         tracer = self.obs.tracer
         if tracer is not None:
-            tracer.instant("rebalance.drain_done", pid=leaver, tid=TID_NET,
-                           cat="rebalance")
+            tracer.point("rebalance.drain_done", "rebalance", False)(
+                leaver, TID_NET, None)
         for fut in self._drain_waiters.pop(leaver, []):
             if not fut.done():
                 fut.set_result(leaver)

@@ -110,10 +110,8 @@ class HermesReplica:
         if tracer is not None:
             # Each write roots a trace: the INVs carry the span's context
             # so remote apply/ack service spans link back to the write.
-            ctx.span = tracer.begin(
-                "hermes_write", pid=self.node_id, cat="hermes",
-                ctx=(tracer.new_trace(), None), key=repr(key),
-                ts=list(ts))
+            ctx.span = tracer.open(self.node_id, 0,
+                                   (tracer.new_trace(), None))
         self._apply_inv(key, ts, value)
         live = self.node.live_nodes or frozenset(self.replica_ids)
         peers = [r for r in self.replica_ids if r != self.node_id and r in live]
@@ -163,7 +161,9 @@ class HermesReplica:
         self._writes.pop((ctx.key, ctx.ts), None)
         self.counters.inc("validated")
         if ctx.span is not None:
-            self.tracer.end(ctx.span, acks=len(ctx.acks))
+            self.tracer.point("hermes_write", "hermes", True, key=str,
+                              ts=tuple, acks=int)(
+                ctx.span, repr(ctx.key), ctx.ts, len(ctx.acks))
             ctx.span = None
         entry = self._table.get(ctx.key)
         if entry is not None and entry.ts == ctx.ts:

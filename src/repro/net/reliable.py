@@ -209,16 +209,16 @@ class ReliableTransport:
             seq = min(chan.unacked)
             self._c_probes.inc()
             if tracer is not None:
-                tracer.instant("net.probe", pid=self.node_id, tid=TID_NET,
-                               cat="net", dst=dst, seq=seq)
+                tracer.point("net.probe", "net", False, dst=int, seq=int)(
+                    self.node_id, TID_NET, None, dst, seq)
             self.network.send(chan.unacked[seq])
         else:
             for seq in sorted(chan.unacked):
                 self._c_retransmissions.inc()
                 if tracer is not None:
-                    tracer.instant("net.retransmit", pid=self.node_id,
-                                   tid=TID_NET, cat="net", dst=dst, seq=seq,
-                                   attempt=chan.retries)
+                    tracer.point("net.retransmit", "net", False, dst=int,
+                                 seq=int, attempt=int)(
+                        self.node_id, TID_NET, None, dst, seq, chan.retries)
                 self.network.send(chan.unacked[seq])
         self._arm_retransmit(dst, chan)
 

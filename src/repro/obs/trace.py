@@ -18,7 +18,7 @@ Track layout (mapped to Chrome trace-event pid/tid):
 Causal linkage: every span carries a ``span_id`` (unique, monotonically
 assigned) and optionally a ``trace_id``/``parent_id`` pair — the *trace
 context*.  A context is a plain ``(trace_id, span_id)`` tuple; passing one
-as ``ctx=`` to :meth:`Tracer.begin` links the new span under that parent,
+to :meth:`Tracer.open` links the new span under that parent,
 across nodes.  Protocol messages carry the sender's context so spans on
 remote nodes join the originating transaction's trace (see
 ``repro.net.message.Message`` and ``repro.obs.analysis`` for the
@@ -30,9 +30,13 @@ retransmit stalls.
 Storage: a record is its emit point's struct — a fixed header and the
 arguments packed inline in one ``bytearray``, no Python object per record or
 argument (DESIGN.md §5, "Anatomy of a trace record"); a :class:`Span` exists
-only as an open span's handle and in views rebuilt on demand.  Hot call sites
-declare their points once (:meth:`Tracer.point`) and emit positionally; the
-keyword ``begin`` / ``end`` / ``instant`` write through the same writers.
+only as an open span's handle and in views rebuilt on demand.  Every record
+comes from a declared emit point: a call site declares its point
+(:meth:`Tracer.point`: name, category, span or instant, each argument with
+its type) and calls the writer positionally; a span's arguments are all
+written when it closes.  The declared column is the record's type — no value
+is typed at record time.  ``begin`` / ``end`` remain only as an
+argument-free span pair.
 
 An absent tracer is ``None`` (``Observability().tracer``): call sites
 fetch it into a local and guard with ``if tracer is not None:``, so an
@@ -66,13 +70,13 @@ TraceCtx = Tuple[int, Optional[int]]
 _HEADER = "<H5id"
 #: Argument type -> (struct code, what its writer packs).  Points are declared
 #: over ``int`` (32-bit), ``float``, ``bool``, ``str`` (an interned symbol or
-#: None) and ``tuple`` (two ints, read back as a list); a keyword call's other
-#: values are ``object``: kept by reference in the symbol table.
+#: None), ``tuple`` (two ints, read back as a list) and ``object`` (kept by
+#: reference in the symbol table: a variable-length list of node ids).
 _CODECS = {int: ("i", "{0}"), float: ("d", "{0}"), bool: ("?", "{0}"),
            tuple: ("ii", "*{0}"), object: ("I", "sym({0})"),
            str: ("I", "ids[{0}] if {0} in ids else sym({0})")}
 #: The two writers.  An instant takes its span id and the clock itself; a
-#: span closes the handle ``open`` / ``begin`` returned.
+#: span closes the handle :meth:`Tracer.open` returned.
 _WRITERS = {False: """def emit(pid, tid, ctx{params}):
     now = tracer.sim.now
     trace_id, parent_id = ctx if ctx is not None else (-1, -1)
@@ -86,8 +90,6 @@ _WRITERS = {False: """def emit(pid, tid, ctx{params}):
                 span_id, -1 if parent_id is None else parent_id, start,
                 tracer.sim.now{values}))
 """}
-_INT32 = range(-1 << 31, 1 << 31)
-_EXACT = {str: str, type(None): str, float: float, bool: bool}
 _UNBOUND = ("tracer used before sim bound: pass the Simulator to "
             "Tracer(sim) or set tracer.sim before recording (the "
             "cluster builder binds it automatically)")
@@ -102,14 +104,6 @@ def _writer_code(span: bool, types: tuple):
         params="".join(f", a{i}" for i in range(len(types))),
         values="".join(", " + _CODECS[kind][1].format(f"a{i}")
                        for i, kind in enumerate(types))), "<emit point>", "exec")
-
-
-def _type_of(value: Any) -> type:
-    """The argument type that gives ``value`` back exactly."""
-    cls = value.__class__
-    if cls is int:
-        return int if value in _INT32 else object
-    return _EXACT.get(cls, object)
 
 
 class Span(NamedTuple):
@@ -145,7 +139,8 @@ class Tracer:
     """Records spans and instant events against a simulator clock.
 
     ``sim`` may be bound after construction (the cluster builder owns the
-    simulator); recording before binding raises a clear error.
+    simulator); declaring an emit point before binding raises a clear
+    error.
     """
 
     __slots__ = ("sim", "_rows", "_points", "_writers",
@@ -191,10 +186,13 @@ class Tracer:
         """The writer of one emit point, declared on first use: ``schema``
         is its arguments in order, each with its type (:data:`_CODECS`).  An
         instant's writer is called ``(pid, tid, ctx, *arguments)``, a span's
-        ``(handle of open(), *arguments)``; either appends one record."""
+        ``(handle of open(), *arguments)``; either appends one record.
+        Declaring a point before ``sim`` is bound raises."""
         key = (span, name, cat, *schema, *schema.values())
         emit = self._writers.get(key)
         if emit is None:
+            if self.sim is None:
+                raise RuntimeError(_UNBOUND)
             types = tuple(schema.values())
             row = Struct(_HEADER + "d" * span
                          + "".join(_CODECS[kind][0] for kind in types))
@@ -215,53 +213,30 @@ class Tracer:
 
     # ------------------------------------------------------------ recording
 
-    def begin(self, name: str, pid: int, tid: int = 0, cat: str = "span",
-              ctx: Optional[TraceCtx] = None, **args: Any) -> Span:
-        """Open a span now; :meth:`end` closes it, and until then the
-        handle returned is all there is of it.  ``ctx`` links it into a
-        trace as a child of that span (which may live on another node)."""
-        if self.sim is None:
-            raise RuntimeError(_UNBOUND)
-        self._next_span = span_id = self._next_span + 1
-        trace_id, parent_id = ctx if ctx is not None else (None, None)
-        return _new(Span, (name, cat, pid, tid, self.sim.now, None,
-                           args or None, trace_id, span_id, parent_id))
-
     def open(self, pid: int, tid: int = 0,
              ctx: Optional[TraceCtx] = None) -> Span:
-        """:meth:`begin` without the keywords' dict and the call it would
-        cost: a span that a span point's writer names and closes."""
+        """Open a span now: the handle a span point's writer names, fills
+        in and closes — until then it is all there is of the span.  ``ctx``
+        links it into a trace as a child of that span (which may live on
+        another node)."""
         self._next_span = span_id = self._next_span + 1
         trace_id, parent_id = ctx if ctx is not None else (None, None)
         return _new(Span, (None, None, pid, tid, self.sim.now, None, None,
                            trace_id, span_id, parent_id))
 
-    def end(self, span: Span, **args: Any) -> None:
-        """Close ``span`` now and record it."""
-        if span[6] is not None:
-            args = {**span[6], **args}
-        if args:
-            self._resolve(True, span[0], span[1], args)(span, *args.values())
-        else:  # no key to build, no value to type
-            (self._writers.get((True, span[0], span[1]))
-             or self.point(span[0], span[1], True))(span)
+    def begin(self, name: str, pid: int, tid: int = 0, cat: str = "span",
+              ctx: Optional[TraceCtx] = None) -> Span:
+        """:meth:`open` a span that :meth:`end` closes as a point of its
+        own, with no arguments."""
+        self._next_span = span_id = self._next_span + 1
+        trace_id, parent_id = ctx if ctx is not None else (None, None)
+        return _new(Span, (name, cat, pid, tid, self.sim.now, None, None,
+                           trace_id, span_id, parent_id))
 
-    def instant(self, name: str, pid: int, tid: int = TID_NET,
-                cat: str = "event", ctx: Optional[TraceCtx] = None,
-                **args: Any) -> None:
-        """Record a point event at the current simulated time."""
-        if self.sim is None:
-            raise RuntimeError(_UNBOUND)
-        self._resolve(False, name, cat, args)(pid, tid, ctx, *args.values())
-
-    def _resolve(self, span: bool, name: str, cat: str,
-                 args: Dict[str, Any]) -> Callable[..., None]:
-        """The point a keyword call writes through, by the names and the
-        types of this call's arguments."""
-        return self._writers.get(
-            (span, name, cat, *args, *map(_type_of, args.values()))
-        ) or self.point(name, cat, span, **{
-            key: _type_of(value) for key, value in args.items()})
+    def end(self, span: Span) -> None:
+        """Close a :meth:`begin` span now and record it."""
+        (self._writers.get((True, span[0], span[1]))
+         or self.point(span[0], span[1], True))(span)
 
     # -------------------------------------------------------------- queries
 

@@ -41,6 +41,7 @@ from typing import Dict, Iterable, Optional, Set, Tuple
 
 from ..cluster.node import Node
 from ..net.message import Message, NodeId
+from ..obs import TID_NET
 from ..ownership.manager import KIND_DIR_SYNC, OwnershipManager
 from ..ownership.messages import ReqType
 from ..store.catalog import Catalog, ObjectId
@@ -115,6 +116,7 @@ class RecoveryManager:
         #: Objects replay *floored* (version label kept, data is a
         #: pre-image) — a real tail at the same version outranks ours.
         self._floored: Set[ObjectId] = set()
+        #: Open ``recovery.transfer`` span and its donor count.
         self._transfer_span = None
         #: Open ``recovery.quarantine`` span: restart → admit view.
         self._quarantine_span = None
@@ -160,15 +162,15 @@ class RecoveryManager:
         self._entries.clear()
         self._repairing.clear()
         self._awaiting = True
+        # The dead incarnation's spans stay open: they reach no export.
+        self._transfer_span = self._quarantine_span = None
         tracer = self.tracer
         if tracer is not None:
-            tracer.instant("recovery.restart", pid=self.node_id,
-                           cat="recovery", inc=self.node.incarnation)
+            tracer.point("recovery.restart", "recovery", False, inc=int)(
+                self.node_id, TID_NET, None, self.node.incarnation)
             # Quarantine window: the reboot drops all inbound traffic until
             # membership re-admits us (span closed at the admit view).
-            self._quarantine_span = tracer.begin(
-                "recovery.quarantine", pid=self.node_id, cat="recovery",
-                inc=self.node.incarnation)
+            self._quarantine_span = tracer.open(self.node_id)
 
     def on_join(self) -> None:
         """Arm the rejoin machinery for a *brand-new* node (live scale-out).
@@ -186,14 +188,13 @@ class RecoveryManager:
         self._entries.clear()
         self._repairing.clear()
         self._awaiting = True
+        self._transfer_span = self._quarantine_span = None
         self.counters.inc("joins")
         tracer = self.tracer
         if tracer is not None:
-            tracer.instant("recovery.join", pid=self.node_id,
-                           cat="recovery", inc=self.node.incarnation)
-            self._quarantine_span = tracer.begin(
-                "recovery.quarantine", pid=self.node_id, cat="recovery",
-                inc=self.node.incarnation)
+            tracer.point("recovery.join", "recovery", False, inc=int)(
+                self.node_id, TID_NET, None, self.node.incarnation)
+            self._quarantine_span = tracer.open(self.node_id)
 
     def on_cold_restart(self, outage_time_us: float,
                         floored: Iterable[ObjectId] = ()) -> None:
@@ -224,8 +225,8 @@ class RecoveryManager:
         self._floored = set(floored)
         tracer = self.tracer
         if tracer is not None:
-            tracer.instant("recovery.cold_restart", pid=self.node_id,
-                           cat="recovery", inc=self.node.incarnation)
+            tracer.point("recovery.cold_restart", "recovery", False, inc=int)(
+                self.node_id, TID_NET, None, self.node.incarnation)
 
     def _on_view_change(self, epoch: int, live: frozenset) -> None:
         if self._cold_awaiting and self.node_id in live:
@@ -240,7 +241,9 @@ class RecoveryManager:
             self._admitted_at = self.sim.now
             self.counters.inc("rejoins")
             if self._quarantine_span is not None:
-                self.tracer.end(self._quarantine_span, epoch=epoch)
+                self.tracer.point("recovery.quarantine", "recovery", True,
+                                  inc=int, epoch=int)(
+                    self._quarantine_span, self.node.incarnation, epoch)
                 self._quarantine_span = None
             self._begin_transfer(live)
             return
@@ -262,9 +265,7 @@ class RecoveryManager:
         donors = self._donors(live)
         tracer = self.tracer
         if tracer is not None and self._transfer_span is None:
-            self._transfer_span = tracer.begin(
-                "recovery.transfer", pid=self.node_id, cat="recovery",
-                donors=len(donors))
+            self._transfer_span = (tracer.open(self.node_id), len(donors))
         if not donors:
             # Nothing to learn from (single live node): repair is moot too.
             self._finish_transfer()
@@ -310,7 +311,9 @@ class RecoveryManager:
         if self._admitted_at is not None:
             self._h_catchup.record(self.sim.now - self._admitted_at)
         if self._transfer_span is not None:
-            self.tracer.end(self._transfer_span, entries=len(self._entries))
+            self.tracer.point("recovery.transfer", "recovery", True,
+                              donors=int, entries=int)(
+                *self._transfer_span, len(self._entries))
             self._transfer_span = None
         self.node.spawn(self._repair_pass(), name="recovery-repair")
 
@@ -332,9 +335,7 @@ class RecoveryManager:
 
     def _repair_pass(self):
         tracer = self.tracer
-        span = (tracer.begin("recovery.repair", pid=self.node_id,
-                             cat="recovery")
-                if tracer is not None else None)
+        span = tracer.open(self.node_id) if tracer is not None else None
         for oid in sorted(self._entries):
             replicas = self._current_replicas(oid)
             if replicas is None:
@@ -355,7 +356,7 @@ class RecoveryManager:
         for donor in self._donors(live):
             self.node.send(donor, KIND_REPAIR_SCAN, self.node.epoch, 16)
         if span is not None:
-            tracer.end(span)
+            tracer.point("recovery.repair", "recovery", True)(span)
         dur = self.node.durability
         if dur is not None:
             # The rejoin rebuilt the volatile state from donors; bring the
@@ -365,8 +366,8 @@ class RecoveryManager:
             self._h_mttr.record(self.sim.now - self._crash_time)
             self._crash_time = None
         if tracer is not None:
-            tracer.instant("recovery.complete", pid=self.node_id,
-                           cat="recovery", inc=self.node.incarnation)
+            tracer.point("recovery.complete", "recovery", False, inc=int)(
+                self.node_id, TID_NET, None, self.node.incarnation)
 
     def _backoff_us(self, oid: ObjectId, attempt: int,
                     base_us: float) -> float:
@@ -539,9 +540,7 @@ class RecoveryManager:
 
     def _cold_reconcile(self):
         tracer = self.tracer
-        span = (tracer.begin("recovery.cold_reconcile",
-                             pid=self.node_id, cat="recovery")
-                if tracer is not None else None)
+        span = tracer.open(self.node_id) if tracer is not None else None
         preexisting = sorted(obj.oid for obj in self.store)
         live = self.node.live_nodes
         sent = 0
@@ -592,15 +591,16 @@ class RecoveryManager:
             # Fold the reconciled state into a fresh disk image promptly.
             dur.snapshot_soon()
         if span is not None:
-            tracer.end(span, listed=len(self._listed))
+            tracer.point("recovery.cold_reconcile", "recovery", True,
+                         listed=int)(span, len(self._listed))
         if self._admitted_at is not None:
             self._h_catchup.record(self.sim.now - self._admitted_at)
         if self._crash_time is not None:
             self._h_mttr.record(self.sim.now - self._crash_time)
             self._crash_time = None
         if tracer is not None:
-            tracer.instant("recovery.cold_complete", pid=self.node_id,
-                           cat="recovery", inc=self.node.incarnation)
+            tracer.point("recovery.cold_complete", "recovery", False, inc=int)(
+                self.node_id, TID_NET, None, self.node.incarnation)
 
     def _merge_dir_local(self, oid: ObjectId, o_ts: Ots,
                          replicas: ReplicaSet) -> None:

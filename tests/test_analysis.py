@@ -16,6 +16,7 @@ from repro.harness.runner import main
 from repro.harness.zeus_cluster import ZeusCluster
 from repro.obs import (
     SEGMENTS,
+    TID_NET,
     MetricsRegistry,
     Observability,
     Tracer,
@@ -62,9 +63,9 @@ def traced():
 def test_tracer_unbound_raises():
     tracer = Tracer()
     with pytest.raises(RuntimeError, match="tracer used before sim bound"):
-        tracer.begin("txn", pid=0)
+        tracer.point("txn", "txn", True, kind=str)
     with pytest.raises(RuntimeError, match="tracer used before sim bound"):
-        tracer.instant("net.send", pid=0)
+        tracer.point("net.send", "net", False, dst=int)
     # Binding afterwards (what the cluster builder does) makes it usable.
     tracer.sim = Simulator()
     span = tracer.begin("txn", pid=0)
@@ -162,7 +163,7 @@ def test_chrome_trace_without_contexts_has_no_flow_events():
     tracer = Tracer(sim)
     span = tracer.begin("txn", pid=0)
     tracer.end(span)
-    tracer.instant("net.send", pid=0, dst=1)
+    tracer.point("net.send", "net", False, dst=int)(0, TID_NET, None, 1)
     phases = {e["ph"] for e in chrome_trace_events(tracer)}
     assert phases == {"M", "X", "i"}
 

@@ -90,16 +90,18 @@ def test_snapshot_is_deterministic_and_jsonable():
 def test_tracer_records_sim_time_spans():
     sim = Simulator()
     tracer = Tracer(sim)
-    span = tracer.begin("txn", pid=2, tid=1, cat="txn", kind="write")
+    span = tracer.open(2, 1)
     sim.call_after(10.0, lambda: None)
     sim.run()
-    tracer.end(span, committed=True)
-    tracer.instant("net.send", pid=2, dst=1)
+    tracer.point("txn", "txn", True, kind=str, committed=bool)(
+        span, "write", True)
+    tracer.point("net.send", "event", False, dst=int)(2, TID_NET, None, 1)
     # The handle stays open; the record is rebuilt from its row.
     assert span.end_us is None
     [txn] = tracer.spans_named("txn")
     assert txn == span._replace(
-        end_us=10.0, args={"kind": "write", "committed": True})
+        name="txn", cat="txn", end_us=10.0,
+        args={"kind": "write", "committed": True})
     assert txn.duration_us == 10.0
     assert tracer.durations_by_name() == {"txn": [10.0]}
     assert tracer.instants == [
@@ -114,13 +116,12 @@ def _sample_tracer():
     sim = Simulator()
     tracer = Tracer(sim)
     t = tracer.begin("txn", pid=0, tid=0, cat="txn")
-    c = tracer.begin("commit_replicate", pid=0, tid=TID_REPLICATION,
-                     cat="commit")
+    c = tracer.open(0, TID_REPLICATION)
     sim.call_after(5.0, lambda: None)
     sim.run()
     tracer.end(t)
-    tracer.end(c, acked=2)
-    tracer.instant("net.send", pid=0, dst=1)
+    tracer.point("commit_replicate", "commit", True, acked=int)(c, 2)
+    tracer.point("net.send", "event", False, dst=int)(0, TID_NET, None, 1)
     return tracer
 
 

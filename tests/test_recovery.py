@@ -385,3 +385,39 @@ def test_begin_transfer_without_live_donors_finishes_gracefully():
     assert not rec._pending_donors
     cluster.run(until=2_000.0)  # the spawned repair pass drains
     assert rec._transfer_span is None
+
+
+def test_a_transfer_span_dies_with_its_incarnation():
+    """A recipient that crashes mid-transfer leaves that transfer's span
+    open — the dead incarnation's, in no export — and the next
+    incarnation's transfer is a span of its own, not the old one carried
+    across the crash with the first attempt's donor count."""
+    from repro.harness.zeus_cluster import ZeusCluster
+    from repro.obs import Observability, Tracer
+    from repro.sim.params import SimParams
+    from tests.conftest import make_catalog
+
+    tracer = Tracer()
+    cluster = ZeusCluster(
+        4, params=SimParams().with_(lease_us=2_000.0, heartbeat_us=200.0),
+        catalog=make_catalog(4, objects=400), obs=Observability(tracer=tracer))
+    cluster.load(init_value=0)
+    cluster.start_membership()
+    cluster.crash(1, at=2_000.0)
+    cluster.recover(1, at=15_000.0)
+
+    def crash_on_admit(_epoch, live):
+        # The admit view opened the transfer; crash before it completes.
+        if cluster.sim.now > 15_000.0 and 1 in live and not restarts:
+            restarts.append(cluster.sim.now + 12_000.0)
+            cluster.crash(1, at=cluster.sim.now + 2.0)
+            cluster.recover(1, at=restarts[0])
+
+    restarts = []
+    cluster.nodes[1].add_view_listener(crash_on_admit)
+    cluster.run(until=60_000.0)
+    assert cluster.handles[1].recovery.counters["rejoins"] == 2
+    [transfer] = tracer.spans_named("recovery.transfer")
+    assert transfer.start_us > restarts[0]
+    assert transfer.duration_us < 1_000.0
+    assert tracer.open_spans == 1  # the first attempt's, never closed

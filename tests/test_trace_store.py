@@ -5,9 +5,11 @@ Deterministic, in the style of ``tests/test_txn_lane.py``: object counts and
 """
 
 import gc
+import struct
 import tracemalloc
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -23,13 +25,13 @@ BYTES_PER_RECORD = 64
 
 def _record(tracer: Tracer, n: int) -> None:
     """``n`` instants and ``n`` spans shaped like the wire/service pair."""
+    send = tracer.point("net.send", "net", False, dst=int, kind=str,
+                        size=int, flow=int)
+    ack = tracer.point("commit_ack", "svc", True, kind=str, src=int,
+                       queue_us=float, flow=int, acked=int)
     for i in range(n):
-        tracer.instant("net.send", pid=1, cat="net", dst=2, kind="rc.inv",
-                       size=96, flow=i)
-        span = tracer.begin("commit_ack", pid=2, tid=TID_SVC, cat="svc",
-                            ctx=(i + 1, i), kind="rc.inv", src=1,
-                            queue_us=0.25 * i, flow=i)
-        tracer.end(span, acked=2)
+        send(1, TID_NET, None, 2, "rc.inv", 96, i)
+        ack(tracer.open(2, TID_SVC, (i + 1, i)), "rc.inv", 1, 0.25 * i, i, 2)
 
 
 def test_a_record_is_no_object_and_at_most_64_bytes():
@@ -52,47 +54,32 @@ def test_a_record_is_no_object_and_at_most_64_bytes():
     assert len(tracer.spans) == len(tracer.instants) == 10_100
 
 
-def test_positional_points_and_the_keyword_calls_share_one_writer():
-    """A declared point and a keyword call of the same shape are the same
-    emit point: one row format, one reader."""
+def test_an_int_column_is_32_bit():
     tracer = Tracer(Simulator())
-    send = tracer.point("net.send", "net", False, dst=int, kind=str, size=int)
-    replicate = tracer.point("commit.apply", "commit", False, pipeline=tuple)
-    done = tracer.point("txn", "txn", True, kind=str, committed=bool)
-    send(1, TID_NET, (7, None), 2, "rc.inv", 96)
-    tracer.instant("net.send", pid=1, cat="net", ctx=(7, None), dst=2,
-                   kind="rc.inv", size=96)
-    replicate(1, TID_NET, None, (0, 3))
-    done(tracer.open(1, 0, (7, 2)), "write", True)
-    tracer.end(tracer.begin("txn", pid=1, cat="txn", ctx=(7, 2),
-                            kind="write"), committed=True)
-    assert len(tracer._points) == 3
-    first, second, pair = tracer.instants
-    assert first[:-2] == second[:-2] and first.args == {
-        "dst": 2, "kind": "rc.inv", "size": 96}
-    assert pair.args == {"pipeline": [0, 3]}
-    positional, keyword = tracer.spans
-    assert positional[:-2] == keyword[:-2]
-    assert positional.args == {"kind": "write", "committed": True}
+    probe = tracer.point("net.probe", "net", False, dst=int, seq=int)
+    probe(0, TID_NET, None, 1, 2**31 - 1)
+    with pytest.raises(struct.error):
+        probe(0, TID_NET, None, 1, 2**31)
+    assert [e.args for e in tracer.instants] == [{"dst": 1, "seq": 2**31 - 1}]
 
 
 def test_open_spans_counts_what_no_export_holds():
     tracer = Tracer(Simulator())
     assert tracer.open_spans == 0
-    wedged = tracer.begin("commit_replicate", pid=0, slot=3)
+    wedged = tracer.open(0)
     tracer.end(tracer.begin("txn", pid=0))
-    tracer.instant("net.send", pid=0, dst=1)
+    tracer.point("net.send", "net", False, dst=int)(0, TID_NET, None, 1)
     assert tracer.open_spans == 1 and len(tracer.spans) == 1
-    tracer.end(wedged)
+    tracer.point("commit_replicate", "commit", True, slot=int)(wedged, 3)
     assert tracer.open_spans == 0
 
 
 def test_views_are_snapshots_rebuilt_after_new_records():
     tracer = Tracer(Simulator())
-    tracer.instant("a", pid=0)
+    tracer.point("a", "event", False)(0, TID_NET, None)
     first = tracer.instants
     assert tracer.instants is first            # materialised once
-    tracer.instant("b", pid=0, n=1)
+    tracer.point("b", "event", False, n=int)(0, TID_NET, None, 1)
     assert [e.name for e in tracer.instants] == ["a", "b"]
     assert [e.name for e in first] == ["a"]
     assert tracer.spans == [] and list(tracer.rows(True)) == []
@@ -107,54 +94,70 @@ class _ListOfSpans:
     def __init__(self, sim):
         self.sim, self.spans, self.instants, self.next_span = sim, [], [], 0
 
-    def begin(self, name, pid, tid=0, cat="span", ctx=None, **args):
+    def begin(self, name, pid, tid, cat, ctx):
         self.next_span += 1
         trace_id, parent_id = ctx if ctx is not None else (None, None)
-        return [name, cat, pid, tid, self.sim.now, None, args or None,
+        return [name, cat, pid, tid, self.sim.now, None, None,
                 trace_id, self.next_span, parent_id]
 
-    def end(self, span, **args):
-        span[5] = self.sim.now
-        if args:
-            if span[6] is None:
-                span[6] = args
-            else:
-                span[6].update(args)
+    def end(self, span, args):
+        span[5], span[6] = self.sim.now, args or None
         self.spans.append(tuple(span))
 
-    def instant(self, name, pid, tid=TID_NET, cat="event", ctx=None, **args):
-        span = self.begin(name, pid, tid, cat, ctx, **args)
-        span[5] = span[4]
+    def instant(self, name, pid, tid, cat, ctx, args):
+        span = self.begin(name, pid, tid, cat, ctx)
+        span[5], span[6] = span[4], args or None
         self.instants.append(tuple(span))
 
 
+_int32 = st.integers(-2**31, 2**31 - 1)
 _ids = st.integers(1, 2**31 - 1)
-# The value classes the JSON exports must give back exactly: ``True`` is not
-# ``1`` and ``2.0`` is not ``2``, None, ints below zero and past 2**31 and
-# 2**63, floats bit for bit, strings first seen mid-run, and whatever else a
-# cold call site passes (kept by reference; the int pair among it).
-_args = st.dictionaries(
-    st.sampled_from(["kind", "flow", "oid", "granted", "reason", "pipeline"]),
-    st.one_of(st.none(), st.booleans(), st.integers(),
-              st.integers(-2**31 - 2, 2**31 + 2),
-              st.sampled_from([-2**63 - 1, -2**63, 2**63 - 1, 2**63]),
-              st.floats(allow_nan=False), st.sampled_from([-0.0, 2.0, 5e-324]),
-              st.text(max_size=8),
-              st.lists(st.integers(-2**31 - 1, 2**31), min_size=1,
-                       max_size=3),
-              st.tuples(st.integers(), st.booleans())),
-    max_size=5)
+#: Declared type -> the values a column of it must give back exactly for a
+#: byte-identical export: ``True`` is not ``1`` and ``2.0`` is not ``2``,
+#: floats bit for bit, strings first seen mid-run and None, and whatever an
+#: ``object`` column is handed (kept by reference: big ints, lists, pairs).
+_VALUES = {
+    int: _int32,
+    float: st.one_of(st.floats(allow_nan=False),
+                     st.sampled_from([-0.0, 2.0, 5e-324])),
+    bool: st.booleans(),
+    str: st.one_of(st.none(), st.text(max_size=8)),
+    tuple: st.tuples(_int32, _int32),
+    object: st.one_of(st.none(), st.integers(), st.text(max_size=8),
+                      st.sampled_from([-2**63 - 1, 2**63]),
+                      st.lists(st.integers(-2**31 - 1, 2**31), min_size=1,
+                               max_size=3),
+                      st.tuples(st.integers(), st.booleans())),
+}
+
+
+@st.composite
+def _args(draw):
+    """A schema — argument names in order, each with its declared type —
+    and one value of each type."""
+    names = draw(st.lists(st.sampled_from(
+        ["kind", "flow", "oid", "granted", "reason", "pipeline"]),
+        unique=True, max_size=5))
+    schema = {name: draw(st.sampled_from(list(_VALUES))) for name in names}
+    return schema, [draw(_VALUES[kind]) for kind in schema.values()]
+
+
+def _exported(schema, values):
+    """The args a record reads back as: a ``tuple`` column gives a list."""
+    return {name: list(value) if kind is tuple else value
+            for (name, kind), value in zip(schema.items(), values)}
+
+
 _site = st.tuples(st.sampled_from(["txn", "net.send", "own_acquire"]),
                   st.integers(0, 7),                      # pid
                   st.sampled_from([0, 1, TID_SVC, TID_NET]),
                   st.sampled_from(["txn", "net", "svc"]),
                   st.one_of(st.none(), st.tuples(_ids, st.none()),
-                            st.tuples(_ids, _ids)),
-                  _args)
+                            st.tuples(_ids, _ids)))
 _steps = st.lists(st.one_of(
-    st.tuples(st.just("begin"), _site),
-    st.tuples(st.just("instant"), _site),
-    st.tuples(st.just("end"), st.integers(0, 64), _args),
+    st.tuples(st.just("open"), _site),
+    st.tuples(st.just("instant"), _site, _args()),
+    st.tuples(st.just("end"), st.integers(0, 64), _args()),
     st.tuples(st.just("tick"), st.floats(0.0, 1e6)),
 ), max_size=60)
 
@@ -172,18 +175,20 @@ def test_rows_round_trip_what_the_list_of_spans_held(steps):
         elif step[0] == "end":
             if open_spans:
                 got, want = open_spans.pop(step[1] % len(open_spans))
-                tracer.end(got, **step[2])
-                oracle.end(want, **step[2])
+                schema, values = step[2]
+                tracer.point(want[0], want[1], True, **schema)(got, *values)
+                oracle.end(want, _exported(schema, values))
+        elif step[0] == "instant":
+            (name, pid, tid, cat, ctx), (schema, values) = step[1:]
+            tracer.point(name, cat, False, **schema)(pid, tid, ctx, *values)
+            oracle.instant(name, pid, tid, cat, ctx,
+                           _exported(schema, values))
         else:
-            name, pid, tid, cat, ctx, args = step[1]
-            if step[0] == "instant":
-                tracer.instant(name, pid, tid, cat, ctx, **args)
-                oracle.instant(name, pid, tid, cat, ctx, **args)
-            else:
-                got = tracer.begin(name, pid, tid, cat, ctx, **args)
-                want = oracle.begin(name, pid, tid, cat, ctx, **dict(args))
-                assert tuple(got) == tuple(want)
-                open_spans.append((got, want))
+            name, pid, tid, cat, ctx = step[1]
+            got = tracer.open(pid, tid, ctx)
+            want = oracle.begin(name, pid, tid, cat, ctx)
+            assert tuple(got)[2:] == tuple(want)[2:]
+            open_spans.append((got, want))
     assert [tuple(s) for s in tracer.spans] == oracle.spans
     assert [tuple(e) for e in tracer.instants] == oracle.instants
     # Same values is not enough for a byte-identical export: same types and
