@@ -75,9 +75,9 @@ def steady_state(wl, init_value: int, threads: int, duration_us: float,
                  warmup_us: float = 0.0, profile=None, cluster_seed: int = 0,
                  seed: int = 1, **cluster_args):
     """The steady-state point every throughput figure, both steady-state
-    scenario cells and ``repro smallbank`` / ``trace`` / ``analyze``
-    measure: ``wl`` on its :func:`loaded_cluster`, driven closed-loop for
-    ``warmup_us + duration_us``.  Only commits after the warm-up count, so
+    scenario cells and ``repro smallbank`` / ``trace`` measure: ``wl`` on
+    its :func:`loaded_cluster`, driven closed-loop for ``warmup_us +
+    duration_us``.  Only commits after the warm-up count, so
     the point is ``stats.throughput_tps(duration_us)``.  The seed defaults
     are the clusters' and the drivers' own.  Returns ``(cluster, stats)``."""
     cluster = loaded_cluster(wl.catalog, threads, init_value, profile,

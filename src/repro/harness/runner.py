@@ -10,14 +10,17 @@ the dispatch table cannot drift from the parser:
 * ``python -m repro verify [--seeds N]``    — exhaustive checker + sweep
 * ``python -m repro chaos [--seeds N]``     — chaos campaign + audits
 * ``python -m repro elastic [--add K]``     — live scale-out + recovery report
-* ``python -m repro check [--seeds N]``     — strict-serializability check
-* ``python -m repro locality``              — the §8 locality analyses
-* ``python -m repro heatmap [--out F]``     — live locality telemetry
+* ``python -m repro heatmap``               — live locality telemetry
 * ``python -m repro place [--workload W]``  — static-vs-adaptive placement
 * ``python -m repro smallbank [--remote F]``— one Zeus-vs-baseline point
-* ``python -m repro trace [--out F]``       — capture a Chrome trace
-* ``python -m repro analyze [--jsonl F]``   — critical-path latency breakdown
-* ``python -m repro list``                  — the benchmark catalog
+* ``python -m repro trace``                 — trace a short SmallBank mix
+* ``python -m repro analyze FILE``          — critical-path latency breakdown
+* ``python -m repro list [ID ...]``         — the catalog, or rows' tables
+
+Every command that runs a cluster takes one output-flag set
+(:func:`_args_outputs`): ``--trace`` (Chrome), ``--jsonl`` (spans, the
+``analyze`` input), ``--metrics-out``, ``--locality-out``; each file is
+written only when asked, by :func:`_write_outputs`.
 
 Every gated command computes its gates in the library — as ``(gate,
 problem)`` lists, the shape of ``AuditReport.problems()`` — and ends in
@@ -27,6 +30,7 @@ the one :func:`_verdict` footer, whose exit code carries them.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -40,6 +44,41 @@ def _verdict(problems) -> int:
         print(f"  FAILED [{gate}]: {problem}")
     print("verdict         :", "FAILED" if problems else "OK")
     return 1 if problems else 0
+
+
+def _observability(args, tracer: bool = False, locality: bool = False):
+    """The instruments the output flags ask for, plus the ones the command
+    itself reads (``tracer`` / ``locality``)."""
+    from ..obs import LocalityRecorder, Observability, Tracer
+
+    tracer = tracer or args.trace or args.jsonl
+    locality = locality or args.locality_out
+    return Observability(tracer=Tracer() if tracer else None,
+                         locality=LocalityRecorder() if locality else None)
+
+
+def _write_outputs(args, obs) -> None:
+    """Write every artefact the output flags ask for, from ``obs`` — the
+    only code that writes one."""
+    import json
+
+    from ..obs import write_chrome_trace, write_metrics, write_trace_jsonl
+
+    def write_locality(recorder, path: str) -> None:
+        # Sorted, seed-pure byte-identical: the placement-controller input.
+        with open(path, "w") as fh:
+            json.dump(recorder.report(), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+    for path, write, source, kind in (
+            (args.trace, write_chrome_trace, obs.tracer, "Chrome trace"),
+            (args.jsonl, write_trace_jsonl, obs.tracer, "span JSONL"),
+            (args.metrics_out, write_metrics, obs.registry, "metrics"),
+            (args.locality_out, write_locality, obs.locality,
+             "locality report")):
+        if path:
+            write(source, path)
+            print(f"wrote {kind}: {path}")
 
 
 def _cmd_quickstart(_args) -> int:
@@ -56,25 +95,18 @@ def _cmd_quickstart(_args) -> int:
     return 0
 
 
-def _sweep(seeds: int):
-    """The randomized full-stack sweep ``verify`` and ``check`` share."""
-    from ..chaos import explore
-
-    swept = explore(seeds=seeds)
-    print(f"explorer        : {len(swept.runs)} histories "
-          f"({sum(bool(r.recipe.events) for r in swept.runs)} with crashes), "
-          f"{swept.committed} txns committed")
-    return swept
-
-
 def _cmd_verify(args) -> int:
+    from ..chaos import explore
     from ..verify import SCENARIOS, check_protocol
 
     checked = [(name, check_protocol(scenario))
                for name, scenario in SCENARIOS.items()]
     for name, result in checked:
         print(f"{name:<15} : {result}")
-    swept = _sweep(args.seeds)
+    swept = explore(seeds=args.seeds)
+    print(f"explorer        : {len(swept.runs)} histories "
+          f"({sum(bool(r.recipe.events) for r in swept.runs)} with crashes), "
+          f"{swept.committed} txns committed")
     return _verdict([(name, result.violation or "truncated")
                      for name, result in checked
                      if not result.ok or result.truncated]
@@ -82,24 +114,22 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_chaos(args) -> int:
-    """Run a schedule × seed chaos campaign and audit every run."""
-    from ..chaos import (
-        CampaignConfig,
-        Recipe,
-        campaign_schedule,
-        run_campaign,
-        run_cell,
-    )
-    from ..obs import (LocalityRecorder, Observability, Tracer,
-                       write_chrome_trace, write_metrics)
+    """Run a schedule × seed chaos campaign and audit every run.
+
+    ``--trace`` / ``--jsonl`` / ``--locality-out`` re-run the worst cell
+    (failed audit, then more audit problems, then more aborts; ties in
+    grid order) with those instruments on — seed-pure, so it is the cell
+    the campaign audited.  ``--metrics-out`` dumps the campaign registry.
+    """
+    from ..chaos import (CampaignConfig, Recipe, campaign_schedule,
+                         run_campaign, run_cell)
     from ..sim.params import DiskParams
 
     if args.elastic and args.difficulty == 0:
         args.error("--elastic schedules start at --difficulty 1")
-    power_loss = args.power_loss
     # --elastic implies the durable tier so the campaign's odd cells can
     # exercise the power-loss-mid-rebalance exit, not just drains.
-    wal = args.wal or power_loss or args.elastic
+    wal = args.wal or args.power_loss or args.elastic
     cfg = CampaignConfig(
         cell=Recipe(
             num_nodes=args.nodes,
@@ -115,7 +145,7 @@ def _cmd_chaos(args) -> int:
         seeds=tuple(range(args.seeds)),
         difficulty=args.difficulty,
         schedule_seed_base=args.schedule_seed_base,
-        power_loss=power_loss,
+        power_loss=args.power_loss,
         elastic=args.elastic,
         elastic_add=args.add,
     )
@@ -124,27 +154,6 @@ def _cmd_chaos(args) -> int:
         for i in range(cfg.num_schedules):
             print(campaign_schedule(cfg, i).describe())
         return 0
-
-    if args.trace or args.locality_out:
-        # Re-run the first grid cell on the side with the requested
-        # instruments (fault instants land in the trace; seed-pure, so it
-        # reproduces the campaign's own cell exactly).
-        schedule = campaign_schedule(cfg, 0)
-        obs = Observability(
-            tracer=Tracer() if args.trace else None,
-            locality=LocalityRecorder() if args.locality_out else None)
-        run_cell(cfg.cell.of(schedule, cfg.seeds[0]), obs)
-        cell = f"{schedule.name} seed {cfg.seeds[0]}"
-        if args.trace:
-            write_chrome_trace(obs.tracer, args.trace)
-            print(f"wrote Chrome trace of {cell}: {args.trace}")
-        if args.locality_out:
-            _write_locality_json(obs.locality, args.locality_out)
-            rep = obs.locality.report()
-            print(f"wrote locality telemetry of {cell}: "
-                  f"{args.locality_out} (remote fraction "
-                  f"{rep['totals']['remote_fraction']:.1%}, "
-                  f"{rep['migrations']['handovers']} handovers)")
 
     def progress(report) -> None:
         verdict = "ok" if report.ok else "FAILED"
@@ -158,11 +167,15 @@ def _cmd_chaos(args) -> int:
     result = run_campaign(cfg, progress=progress)
     print()
     print(result.summary())
-    if args.metrics_out:
-        write_metrics(result.registry, args.metrics_out)
-        print(f"wrote campaign metrics: {args.metrics_out}")
-    if args.trace_out:
-        _dump_worst_chaos_trace(result, args.trace_out)
+    obs = _observability(args)
+    if obs.tracer is not None or obs.locality is not None:
+        worst = max(result.runs, key=lambda r: (
+            0 if r.ok else 1, len(r.audit.problems()), r.aborted))
+        run_cell(worst.recipe, obs)
+        print(f"re-ran worst cell {worst.schedule_name} seed {worst.seed} "
+              f"(audit {'ok' if worst.ok else 'FAILED'}, {worst.aborted} "
+              f"aborted) for its trace / locality outputs")
+    _write_outputs(args, obs.replace(registry=result.registry))
     return _verdict(result.problems())
 
 
@@ -196,16 +209,6 @@ def _start_routed_rig(args, obs, wal: bool = False):
     return rig
 
 
-def _write_locality_json(recorder, path: str) -> None:
-    """Dump a recorder's report as deterministic (sorted, seed-pure
-    byte-identical) JSON — the placement-controller input format."""
-    import json
-
-    with open(path, "w") as fh:
-        json.dump(recorder.report(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _cmd_elastic(args) -> int:
     """Live scale-out: N -> N+k under load, throughput-recovery report.
 
@@ -214,10 +217,9 @@ def _cmd_elastic(args) -> int:
     the joiners are quarantined, admitted, and fed by the rebalancer.
     Exit 0 requires every post-run audit to pass *and* throughput to
     recover to within 10% of the pre-scale-out steady state.  With
-    ``--locality-out`` the run also records locality telemetry and dumps
-    the recorder's JSON report (see ``repro heatmap``).
+    ``--locality-out`` the run also records locality telemetry and prints
+    its remote-fraction fall (see ``repro heatmap``).
     """
-    from ..obs import LocalityRecorder, Observability, write_metrics
     from .gates import (locality_fall, pct, recovery_problems,
                         throughput_recovery)
 
@@ -225,8 +227,7 @@ def _cmd_elastic(args) -> int:
         # Steady state is the mean of the windows ending in the back half
         # of the pre-add era: a longer window leaves that half empty.
         args.error("--window must be positive and at most --steady / 2")
-    loc = LocalityRecorder() if args.locality_out else None
-    obs = Observability(locality=loc)
+    obs = _observability(args)
     rig = _start_routed_rig(args, obs, wal=args.wal)
     cluster, stats = rig.cluster, rig.stats
     add_at = args.steady
@@ -267,9 +268,7 @@ def _cmd_elastic(args) -> int:
           f"{reg.counter_total('rebalance.bytes')} bytes, "
           f"{reg.counter_total('rebalance.inflight_aborts')} in-flight "
           f"aborts, converged={done.done()}")
-    if args.metrics_out:
-        write_metrics(reg, args.metrics_out)
-        print(f"  wrote metrics: {args.metrics_out}")
+    loc = obs.locality
     if loc is not None:
         serving, churn, settled = locality_fall(loc, add_at, stop_at)
         mig = loc.migration_summary()
@@ -277,81 +276,12 @@ def _cmd_elastic(args) -> int:
               f"churn era (joiners serving at t={serving:.0f}us) -> "
               f"{pct(settled)} once settled; {mig['handovers']} "
               f"handovers, {mig['paid_back']} paid back")
-        _write_locality_json(loc, args.locality_out)
-        print(f"  wrote locality telemetry: {args.locality_out}")
+    _write_outputs(args, obs)
     problems = audit.problems() + recovery_problems(steady, recovered_at,
                                                     final)
     if not done.done():
         problems.append(("rebalance", "did not converge after the scale-out"))
     return _verdict(problems)
-
-
-def _cmd_check(args) -> int:
-    """Strict-serializability check over fault-injected runs.
-
-    Two grids of the one audited cell, history audit on: the randomized
-    sweep (constant loss/dup/reorder + a crash draw per seed) and one
-    difficulty-2 chaos schedule (crash → recover).  Exit 0 only if every
-    recorded history checks out.
-    """
-    from ..chaos import CampaignConfig, Recipe, run_campaign
-
-    swept = _sweep(args.seeds)
-    for report in swept.runs:
-        print(f"  {report.digest()}")
-
-    # A one-cell campaign: schedule 0 always crashes a node and difficulty
-    # 2 pairs the crash with a recovery, so a rejoin must have run too.
-    result = run_campaign(CampaignConfig(
-        cell=Recipe(check_history=True),
-        difficulty=2, num_schedules=1, seeds=(0,)))
-    report = result.runs[0]
-    print(f"chaos history   : {report.schedule_name} seed {report.seed}: "
-          f"{report.committed} committed  "
-          f"[{', '.join(report.timeline)}]")
-    return _verdict(swept.problems() + result.problems())
-
-
-def _dump_worst_chaos_trace(result, path: str) -> None:
-    """Re-run the campaign's worst cell with tracing on; dump span JSONL.
-
-    "Worst" = failed audit first (more audit problems is worse), then most
-    aborts, ties broken by grid order.  Runs are seed-pure, so the re-run
-    reproduces the original cell exactly — the trace is a faithful
-    post-mortem of the run the campaign actually audited.
-    """
-    from ..chaos import run_cell
-    from ..obs import Observability, Tracer, write_trace_jsonl
-
-    worst = max(
-        result.runs,
-        key=lambda r: (0 if r.ok else 1, len(r.audit.problems()), r.aborted))
-    obs = Observability(tracer=Tracer())
-    run_cell(worst.recipe, obs)
-    write_trace_jsonl(obs.tracer, path)
-    verdict = "ok" if worst.ok else "FAILED"
-    print(f"wrote worst-cell trace ({worst.schedule_name} seed {worst.seed}, "
-          f"audit {verdict}, {worst.aborted} aborted): {path}")
-
-
-def _cmd_locality(_args) -> int:
-    """The §8 *analytic* locality studies: closed-form and trace-driven
-    estimates of each workload's inherent remote fraction (mobility
-    handovers, the Venmo payment graph, TPC-C).
-
-    These analyses predict locality from the workload alone; for *live*
-    telemetry of a running cluster — per-node access heatmap, remote-txn
-    cause attribution, migration paybacks — see the ``repro heatmap``
-    sibling command.
-    """
-    from .figures import FIGURES
-
-    for row in FIGURES:
-        if row.id.startswith("L1"):  # the three locality-analysis rows
-            print(row.table(row.run()))
-            print()
-    print("(live cluster telemetry: python -m repro heatmap)")
-    return 0
 
 
 def _cmd_heatmap(args) -> int:
@@ -363,23 +293,26 @@ def _cmd_heatmap(args) -> int:
     timeline with cause attribution (routing miss vs ownership migrating
     vs genuinely shared), the hot-key table with a decayed skew estimate,
     and the migration-effectiveness ledger (paybacks, ping-pongs).
-    ``--out`` writes the full report as seed-pure byte-identical JSON —
-    the input format for a future placement controller.  With ``--add``
+    ``--locality-out`` writes the full report as seed-pure byte-identical
+    JSON — the placement controller's input format.  With ``--add``
     (the default) exit 0 additionally requires the remote fraction to
     *fall* after the scale-out's rebalance converges and at least one
     migration to have paid for itself.
     """
-    from ..obs import LocalityRecorder, Observability
     from .gates import locality_fall, locality_problems, pct
+    from .tables import format_table
 
-    loc = LocalityRecorder()
-    obs = Observability(locality=loc)
+    obs = _observability(args, locality=True)
+    loc = obs.locality
     rig = _start_routed_rig(args, obs)
-    cluster = rig.cluster
     add_at = args.steady
     stop_at = add_at + args.after
-    cluster.run(until=stop_at)
+    rig.cluster.run(until=stop_at)
     rig.settle(args.quiesce, converge=args.add > 0)
+
+    def table(headers, rows) -> None:
+        for line in format_table(headers, rows).splitlines():
+            print("    " + line.rstrip())
 
     report = loc.report(groups=args.groups, top=args.top)
     totals = report["totals"]
@@ -400,32 +333,29 @@ def _cmd_heatmap(args) -> int:
     heat = report["heatmap"]
     print(f"\n  access heatmap (decayed counts, object groups of "
           f"{heat['group_size']}):")
-    header = "    node " + "".join(f"{g:>12}" for g in heat["groups"])
-    print(header)
-    for nid, row in zip(heat["nodes"], heat["counts"]):
-        print(f"    {nid:>4} " + "".join(f"{c:>12.1f}" for c in row))
+    table(["node", *heat["groups"]],
+          [[nid, *(f"{c:.1f}" for c in row)]
+           for nid, row in zip(heat["nodes"], heat["counts"])])
 
-    marks = {label: at for label, at, _info in report["marks"]}
+    # Windows of whole time bins: the recorder counts a bin in a window
+    # only if the bin starts inside it.
+    span = max(1, round(stop_at / 10 / loc.bin_us)) * loc.bin_us
+    marks = sorted((at, label) for label, at, _info in report["marks"])
     print("\n  remote-fraction timeline:")
-    span = stop_at / 10
-    t = 0.0
-    while t < stop_at:
-        frac = loc.remote_fraction(t, t + span)
-        note = "".join(f"  <- {label}" for label, at in sorted(
-            marks.items(), key=lambda kv: kv[1]) if t <= at < t + span)
-        print(f"    {t:>9.0f}-{min(t + span, stop_at):<9.0f}us  "
-              f"{pct(frac):>6}{note}")
-        t += span
+    table(["window (us)", "remote", "marks"],
+          [[f"{t:.0f}-{min(t + span, stop_at):.0f}",
+            pct(loc.remote_fraction(t, t + span)),
+            " ".join(label for at, label in marks if t <= at < t + span)]
+           for t in (i * span for i in range(math.ceil(stop_at / span)))])
 
     skew = report["skew"]
     print(f"\n  hot keys (top {args.top} of {skew['distinct_tracked']} "
           f"tracked; top-1 share {skew['top1_share']:.1%}, "
           f"top-10 {skew['top10_share']:.1%}):")
-    print(f"    {'oid':>6} {'total':>10} {'share':>8}  per-node")
-    for row in report["hot_keys"]:
-        per = ", ".join(f"n{n}:{c:.0f}" for n, c in row["per_node"].items())
-        print(f"    {row['oid']:>6} {row['total']:>10.1f} "
-              f"{row['share']:>8.1%}  {per}")
+    table(["oid", "total", "share", "per-node"],
+          [[row["oid"], f"{row['total']:.1f}", f"{row['share']:.1%}",
+            ", ".join(f"n{n}:{c:.0f}" for n, c in row["per_node"].items())]
+           for row in report["hot_keys"]])
 
     mig = report["migrations"]
     print(f"\n  migrations   : {mig['handovers']} handovers, "
@@ -443,10 +373,7 @@ def _cmd_heatmap(args) -> int:
     for pp in mig["ping_pongs"][:args.top]:
         print(f"    PING-PONG oid {pp['oid']}: "
               f"{pp['handovers_in_window']} handovers within the window")
-
-    if args.out:
-        _write_locality_json(loc, args.out)
-        print(f"\n  wrote locality report: {args.out}")
+    _write_outputs(args, obs)
 
     fall = locality_fall(loc, add_at, stop_at) if args.add > 0 else None
     problems = locality_problems(report, fall)
@@ -499,7 +426,7 @@ def _cmd_place(args) -> int:
 def _smallbank(args, accounts: int, threads: int, duration: float,
                profile=None, **point):
     """The stats of one SmallBank steady-state point at ``--nodes`` /
-    ``--remote`` (``repro smallbank``/``trace``/``analyze``): Zeus, or the
+    ``--remote`` (``repro smallbank`` / ``trace``): Zeus, or the
     static-sharding baseline ``profile``."""
     from ..workloads import SmallbankWorkload
     from .rig import steady_state
@@ -513,30 +440,11 @@ def _smallbank(args, accounts: int, threads: int, duration: float,
 
 def _cmd_smallbank(args) -> int:
     from ..baselines import FASST
-    from ..obs import Observability, Tracer, write_chrome_trace, write_metrics
 
     duration = 6_000.0
-    traced = bool(args.trace or args.analyze or args.flow)
-    obs = Observability(tracer=Tracer() if traced else None)
+    obs = _observability(args)
     zstats = _smallbank(args, 1_500, 4, duration, obs=obs)
-    if args.trace:
-        write_chrome_trace(obs.tracer, args.trace)
-        print(f"wrote Chrome trace: {args.trace} "
-              f"({len(obs.tracer.spans)} spans)")
-    if args.metrics_out:
-        write_metrics(obs.registry, args.metrics_out)
-        print(f"wrote metrics snapshot: {args.metrics_out}")
-    if args.flow:
-        from ..obs import folded_stacks
-        with open(args.flow, "w") as fh:
-            for line in folded_stacks(obs.tracer):
-                fh.write(line + "\n")
-        print(f"wrote folded stacks: {args.flow}")
-    if args.analyze:
-        from ..obs import analyze
-        print()
-        print(analyze(obs.tracer).breakdown_table())
-
+    _write_outputs(args, obs)  # of the Zeus run
     bstats = _smallbank(args, 1_500, 4, duration, profile=FASST)
     ztps = zstats.throughput_tps(duration)
     btps = bstats.throughput_tps(duration)
@@ -549,60 +457,29 @@ def _cmd_smallbank(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    """Run a short SmallBank mix with tracing on; dump trace + reports."""
-    from ..obs import (
-        Observability,
-        Tracer,
-        phase_report,
-        write_chrome_trace,
-        write_metrics,
-        write_trace_jsonl,
-    )
+    """Run a short SmallBank mix with tracing on; print the phase report."""
+    from ..obs import phase_report
 
-    obs = Observability(tracer=Tracer())
+    obs = _observability(args, tracer=True)
     stats = _smallbank(args, 200, 2, args.duration, obs=obs,
                        cluster_seed=args.seed, seed=args.seed)
-
-    write_chrome_trace(obs.tracer, args.out)
     print(f"ran {stats.committed} txns over {args.duration:.0f} us "
-          f"({args.nodes} nodes, seed {args.seed})")
-    print(f"wrote Chrome trace: {args.out} ({len(obs.tracer.spans)} spans, "
-          f"{obs.tracer.open_spans} still open and not exported)"
-          f" — open in chrome://tracing or https://ui.perfetto.dev")
-    if args.jsonl:
-        write_trace_jsonl(obs.tracer, args.jsonl)
-        print(f"wrote span JSONL : {args.jsonl}")
-    if args.metrics_out:
-        write_metrics(obs.registry, args.metrics_out)
-        print(f"wrote metrics    : {args.metrics_out}")
+          f"({args.nodes} nodes, seed {args.seed}): "
+          f"{len(obs.tracer.spans)} spans, {obs.tracer.open_spans} still "
+          f"open and not exported")
+    _write_outputs(args, obs)
     print()
     print(phase_report(obs.tracer))
     return 0
 
 
 def _cmd_analyze(args) -> int:
-    """Critical-path latency attribution: breakdown table + folded stacks.
-
-    Consumes a span JSONL trace (``repro trace --jsonl`` /
-    ``repro chaos --trace-out``) or, without ``--jsonl``, runs a short
-    traced SmallBank workload inline and analyzes that.
-    """
+    """Critical-path latency attribution of a span JSONL trace (any
+    command's ``--jsonl``): breakdown table + folded stacks."""
     from ..obs import analyze, folded_stacks, load_jsonl
 
-    if args.jsonl:
-        source = load_jsonl(args.jsonl)
-        print(f"analyzing {args.jsonl} ({len(source)} records)")
-    else:
-        from ..obs import Observability, Tracer
-
-        obs = Observability(tracer=Tracer())
-        stats = _smallbank(args, 200, 2, args.duration, obs=obs,
-                           cluster_seed=args.seed, seed=args.seed)
-        print(f"traced inline run: {stats.committed} txns over "
-              f"{args.duration:.0f} us ({args.nodes} nodes, "
-              f"seed {args.seed})")
-        source = obs.tracer
-
+    source = load_jsonl(args.jsonl)
+    print(f"analyzing {args.jsonl} ({len(source)} records)")
     report = analyze(source)
     if not report.timelines:
         print("no traced transactions found "
@@ -619,23 +496,53 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _cmd_list(_args) -> int:
+def _cmd_list(args) -> int:
     from .figures import FIGURES
 
-    print("Experiment catalog (run one with: pytest benchmarks "
-          "--benchmark-only -s -k <id>):")
-    for row in FIGURES:
-        print(f"  {row.id:<10} results/{row.result + '.json':<30} {row.title}")
+    rows = {row.id: row for row in FIGURES}
+    unknown = [i for i in args.ids if i not in rows]
+    if unknown:
+        args.error(f"unknown row id: {', '.join(unknown)} "
+                   f"(ids: {', '.join(rows)})")
+    for i in args.ids:
+        print(rows[i].table(rows[i].run()), end="\n\n")
+    if not args.ids:
+        print("Experiment catalog (repro list <id> prints a row's table; "
+              "paper scale: pytest benchmarks --benchmark-only -s -k <id>):")
+        for row in FIGURES:
+            print(f"  {row.id:<10} results/{row.result + '.json':<30} "
+                  f"{row.title}")
     return 0
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts that size a run: zero would run nothing
-    (and pass vacuously) or divide by zero further in."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _checked(cast, ok, want: str):
+    """An argparse type: ``cast(text)`` satisfying ``ok``.  A value that
+    would run nothing or crash the run is a usage error (exit 2)."""
+    def parse(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {want}, got {value}")
+        return value
+    parse.__name__ = cast.__name__  # argparse names it in "invalid ... value"
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, ">= 1")
+_positive_float = _checked(float, lambda v: v > 0, "> 0")
+_fraction = _checked(float, lambda v: 0 <= v <= 1, "in [0, 1]")
+
+
+def _args_outputs(p: argparse.ArgumentParser) -> None:
+    """The one output-flag set of every command that runs a cluster."""
+    p.add_argument("--trace", metavar="FILE",
+                   help="write a Chrome trace (chrome://tracing, Perfetto)")
+    p.add_argument("--jsonl", metavar="FILE",
+                   help="write the spans as JSON lines (`repro analyze`)")
+    p.add_argument("--metrics-out", metavar="FILE",
+                   help="write the metrics registry snapshot as JSON")
+    p.add_argument("--locality-out", metavar="FILE",
+                   help="write the locality recorder's report as "
+                        "deterministic JSON (placement-controller input)")
 
 
 def _args_verify(p: argparse.ArgumentParser) -> None:
@@ -651,8 +558,8 @@ def _args_chaos(p: argparse.ArgumentParser) -> None:
     p.add_argument("--difficulty", type=int, default=3, choices=(0, 1, 2, 3),
                    help="scenario severity; 0 = no fault events "
                         "(default %(default)s)")
-    p.add_argument("--nodes", type=int, default=4)
-    p.add_argument("--objects", type=int, default=8)
+    p.add_argument("--nodes", type=_positive_int, default=4)
+    p.add_argument("--objects", type=_positive_int, default=8)
     p.add_argument("--duration", type=float, default=30_000.0,
                    help="workload window in us (default %(default)s)")
     p.add_argument("--quiesce", type=float, default=30_000.0,
@@ -671,7 +578,7 @@ def _args_chaos(p: argparse.ArgumentParser) -> None:
                    help="reconfiguration campaign: every schedule scales the "
                         "cluster out mid-run, then drains a node or powers "
                         "the cluster off mid-rebalance (implies --wal)")
-    p.add_argument("--add", type=int, default=2,
+    p.add_argument("--add", type=_positive_int, default=2,
                    help="nodes each elastic schedule adds "
                         "(default %(default)s)")
     p.add_argument("--placement", action="store_true",
@@ -685,32 +592,21 @@ def _args_chaos(p: argparse.ArgumentParser) -> None:
                    default="replication",
                    help="commit-ack point: the paper's replication point or "
                         "the WAL COMMIT fsync (default %(default)s)")
-    p.add_argument("--trace", metavar="FILE", default=None,
-                   help="Chrome trace of the first cell (chaos instants)")
-    p.add_argument("--metrics-out", metavar="FILE", default=None,
-                   help="dump campaign chaos.* metrics as JSON")
-    p.add_argument("--trace-out", metavar="FILE", default=None,
-                   dest="trace_out",
-                   help="re-run the worst-audit cell traced and dump its "
-                        "spans as JSONL (for `repro analyze`)")
-    p.add_argument("--locality-out", metavar="FILE", default=None,
-                   dest="locality_out",
-                   help="run the first cell with the locality recorder and "
-                        "dump its JSON report (see `repro heatmap`)")
+    _args_outputs(p)
 
 
 def _args_routed(p: argparse.ArgumentParser) -> None:
     """The flags ``repro elastic`` and ``repro heatmap`` share (one rig)."""
-    p.add_argument("--nodes", type=int, default=4,
+    p.add_argument("--nodes", type=_positive_int, default=4,
                    help="base cluster size (default %(default)s)")
     p.add_argument("--add", type=int, default=2,
                    help="nodes to add mid-run; 0 = no scale-out "
                         "(default %(default)s)")
-    p.add_argument("--objects", type=int, default=48,
+    p.add_argument("--objects", type=_positive_int, default=48,
                    help="counter objects (default %(default)s)")
-    p.add_argument("--threads", type=int, default=2,
+    p.add_argument("--threads", type=_positive_int, default=2,
                    help="app threads per node (default %(default)s)")
-    p.add_argument("--remote", type=float, default=0.05,
+    p.add_argument("--remote", type=_fraction, default=0.05,
                    help="fraction of transactions touching keys routed to "
                         "other nodes (default %(default)s)")
     p.add_argument("--steady", type=float, default=20_000.0,
@@ -723,6 +619,7 @@ def _args_routed(p: argparse.ArgumentParser) -> None:
                    help="drain window after traffic stops, before the "
                         "audit (default %(default)s)")
     p.add_argument("--seed", type=int, default=1)
+    _args_outputs(p)
 
 
 def _args_elastic(p: argparse.ArgumentParser) -> None:
@@ -732,13 +629,6 @@ def _args_elastic(p: argparse.ArgumentParser) -> None:
                         "(default %(default)s)")
     p.add_argument("--wal", action="store_true",
                    help="enable the per-node write-ahead log + snapshots")
-    p.add_argument("--metrics-out", metavar="FILE", default=None,
-                   help="dump the metrics snapshot (rebalance.* included) "
-                        "as JSON")
-    p.add_argument("--locality-out", metavar="FILE", default=None,
-                   dest="locality_out",
-                   help="record locality telemetry during the run and dump "
-                        "the recorder's JSON report (see `repro heatmap`)")
 
 
 def _args_heatmap(p: argparse.ArgumentParser) -> None:
@@ -749,9 +639,6 @@ def _args_heatmap(p: argparse.ArgumentParser) -> None:
     p.add_argument("--top", type=_positive_int, default=10,
                    help="rows in the hot-key/migration tables "
                         "(default %(default)s)")
-    p.add_argument("--out", metavar="FILE", default=None,
-                   help="write the full report as deterministic JSON "
-                        "(placement-controller input)")
 
 
 def _args_place(p: argparse.ArgumentParser) -> None:
@@ -770,53 +657,31 @@ def _args_place(p: argparse.ArgumentParser) -> None:
                         "decision log byte-identical (faster)")
 
 
-def _args_check(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seeds", type=_positive_int, default=5,
-                   help="sweep cells to check (default %(default)s)")
-
-
-def _args_smallbank(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--nodes", type=int, default=3)
-    p.add_argument("--remote", type=float, default=0.01)
-    p.add_argument("--trace", metavar="FILE", default=None,
-                   help="capture a Chrome trace of the Zeus run")
-    p.add_argument("--metrics-out", metavar="FILE", default=None,
-                   help="dump the metrics registry snapshot as JSON")
-    p.add_argument("--analyze", action="store_true",
-                   help="trace the Zeus run and print the critical-path "
-                        "latency breakdown")
-    p.add_argument("--flow", metavar="FILE", default=None,
-                   help="trace the Zeus run and write folded-stack "
-                        "(flamegraph) lines")
+def _args_smallbank(p: argparse.ArgumentParser, remote: float = 0.01) -> None:
+    p.add_argument("--nodes", type=_positive_int, default=3)
+    p.add_argument("--remote", type=_fraction, default=remote,
+                   help="remote-write fraction (default %(default)s)")
+    _args_outputs(p)
 
 
 def _args_trace(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", metavar="FILE", default="trace.json",
-                   help="Chrome trace-event output (default %(default)s)")
-    p.add_argument("--jsonl", metavar="FILE", default=None,
-                   help="also dump raw spans as JSON lines")
-    p.add_argument("--metrics-out", metavar="FILE", default=None,
-                   help="dump the metrics registry snapshot as JSON")
-    p.add_argument("--nodes", type=int, default=3)
-    p.add_argument("--remote", type=float, default=0.2,
-                   help="remote-write fraction (default %(default)s)")
-    p.add_argument("--duration", type=float, default=5_000.0,
-                   help="simulated run length in us")
+    _args_smallbank(p, remote=0.2)
+    p.add_argument("--duration", type=_positive_float, default=5_000.0,
+                   help="simulated run length in us (default %(default)s)")
     p.add_argument("--seed", type=int, default=1)
 
 
 def _args_analyze(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--jsonl", metavar="FILE", default=None,
-                   help="analyze an existing span JSONL trace "
-                        "(default: run a traced workload inline)")
+    p.add_argument("jsonl", metavar="FILE",
+                   help="a span JSONL trace (any command's --jsonl)")
     p.add_argument("--folded", metavar="FILE", default=None,
                    help="also write folded-stack (flamegraph) lines")
-    p.add_argument("--nodes", type=int, default=3)
-    p.add_argument("--remote", type=float, default=0.2,
-                   help="remote-write fraction for the inline run")
-    p.add_argument("--duration", type=float, default=5_000.0,
-                   help="inline run length in simulated us")
-    p.add_argument("--seed", type=int, default=1)
+
+
+def _args_list(p: argparse.ArgumentParser) -> None:
+    p.add_argument("ids", nargs="*", metavar="ID",
+                   help="run these rows and print their tables (default: "
+                        "print the catalog)")
 
 
 #: The single source of truth for subcommands: (name, help, argument
@@ -830,20 +695,17 @@ COMMANDS = [
      _args_chaos, _cmd_chaos),
     ("elastic", "live scale-out demo with throughput-recovery report",
      _args_elastic, _cmd_elastic),
-    ("check", "strict-serializability check over seeded runs",
-     _args_check, _cmd_check),
-    ("locality", "§8 analytic locality studies (live sibling: heatmap)",
-     None, _cmd_locality),
     ("heatmap", "live locality telemetry: heatmap, remote-txn attribution, "
      "migration ledger", _args_heatmap, _cmd_heatmap),
     ("place", "static-vs-adaptive placement differential (exit-code gated)",
      _args_place, _cmd_place),
     ("smallbank", "one Zeus-vs-FaSST point", _args_smallbank, _cmd_smallbank),
-    ("trace", "capture a Chrome trace of a short SmallBank mix",
+    ("trace", "trace a short SmallBank mix: phase report",
      _args_trace, _cmd_trace),
-    ("analyze", "critical-path latency attribution per txn segment",
+    ("analyze", "critical-path latency attribution of a span JSONL trace",
      _args_analyze, _cmd_analyze),
-    ("list", "experiment catalog", None, _cmd_list),
+    ("list", "experiment catalog, or the tables of the named rows",
+     _args_list, _cmd_list),
 ]
 
 

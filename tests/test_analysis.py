@@ -260,7 +260,7 @@ def test_cli_analyze_jsonl_and_folded(tmp_path, capsys):
     write_trace_jsonl(_traced_smallbank(seed=3, duration_us=800.0),
                       str(trace_path))
     folded_path = tmp_path / "run.folded"
-    assert main(["analyze", "--jsonl", str(trace_path),
+    assert main(["analyze", str(trace_path),
                  "--folded", str(folded_path)]) == 0
     out = capsys.readouterr().out
     assert "latency breakdown" in out
@@ -268,27 +268,30 @@ def test_cli_analyze_jsonl_and_folded(tmp_path, capsys):
     assert folded_path.read_text().strip()
 
 
-def test_cli_analyze_inline_run(capsys):
-    assert main(["analyze", "--duration", "600", "--seed", "2"]) == 0
+def test_cli_trace_jsonl_feeds_analyze(tmp_path, capsys):
+    spans = tmp_path / "spans.jsonl"
+    assert main(["trace", "--duration", "600", "--seed", "2",
+                 "--jsonl", str(spans)]) == 0
+    assert main(["analyze", str(spans)]) == 0
     out = capsys.readouterr().out
-    assert "traced inline run" in out
+    assert f"wrote span JSONL: {spans}" in out
     assert "replication-ACK wait" in out
 
 
 def test_cli_analyze_empty_trace_fails(tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
-    assert main(["analyze", "--jsonl", str(empty)]) == 1
+    assert main(["analyze", str(empty)]) == 1
     assert "no traced transactions" in capsys.readouterr().out
 
 
-def test_cli_chaos_trace_out_contains_quarantine(tmp_path, capsys):
+def test_cli_chaos_jsonl_contains_quarantine(tmp_path, capsys):
     trace_path = tmp_path / "worst.jsonl"
     rc = main(["chaos", "--schedules", "1", "--seeds", "1",
                "--duration", "10000", "--quiesce", "10000",
-               "--trace-out", str(trace_path)])
+               "--jsonl", str(trace_path)])
     assert rc == 0
-    assert "wrote worst-cell trace" in capsys.readouterr().out
+    assert "re-ran worst cell" in capsys.readouterr().out
     records = load_jsonl(str(trace_path))
     # The recovery quarantine window shows up as a span (satellite 6).
     quarantine = [r for r in records if r["name"] == "recovery.quarantine"]

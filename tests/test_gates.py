@@ -157,7 +157,6 @@ def test_verdict_footer_carries_problems_to_the_exit_code(capsys):
     ["heatmap", "--top", "0"],
     ["verify", "--seeds", "0"],
     ["chaos", "--difficulty", "4"],
-    ["check", "--seeds", "0"],
     # Elastic schedules have no fault-free level: the grid would be empty.
     ["chaos", "--elastic", "--difficulty", "0"],
     ["chaos", "--seeds", "0"],
@@ -165,6 +164,15 @@ def test_verdict_footer_carries_problems_to_the_exit_code(capsys):
     # No sampling window would end inside the steady-state half.
     ["elastic", "--steady", "400", "--window", "1000"],
     ["elastic", "--window", "0"],
+    # Sizes, fractions and windows that used to raise a traceback or run
+    # nothing and exit 0.
+    ["smallbank", "--nodes", "0"],
+    ["elastic", "--nodes", "0"],
+    ["elastic", "--threads", "0"],
+    ["heatmap", "--objects", "0", "--add", "0"],
+    ["chaos", "--elastic", "--add", "-1"],
+    ["trace", "--remote", "1.5"],
+    ["trace", "--duration", "-5"],
 ])
 def test_cli_rejects_argv_that_runs_nothing(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -408,7 +408,7 @@ def test_heatmap_cli_byte_identical_json(tmp_path, capsys):
             "--seed", "5"]
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path in paths:
-        assert main(argv + ["--out", str(path)]) == 0
+        assert main(argv + ["--locality-out", str(path)]) == 0
     out = capsys.readouterr().out
     assert "access heatmap" in out
     assert "hot keys" in out
@@ -420,6 +420,21 @@ def test_heatmap_cli_byte_identical_json(tmp_path, capsys):
     assert doc["totals"]["routes"]["repins"] >= 24
     # v2 adds the placement-controller input section.
     assert doc["placement"]["objects"]
+
+
+def test_heatmap_timeline_windows_with_traffic_report_a_fraction(capsys):
+    # Traffic commits throughout the 6 ms run; a window cut through the
+    # middle of a 1 ms time bin used to miss that bin and print n/a.
+    assert main(["heatmap", "--nodes", "3", "--add", "0", "--objects", "24",
+                 "--steady", "6000", "--after", "0", "--quiesce", "3000",
+                 "--seed", "5"]) == 0
+    out = capsys.readouterr().out
+    timeline = out.split("remote-fraction timeline:")[1].split("hot keys")[0]
+    windows = [line.split() for line in timeline.splitlines()[3:]
+               if line.strip()]
+    assert [w[0] for w in windows] == [f"{t * 1000}-{(t + 1) * 1000}"
+                                       for t in range(6)]
+    assert all(w[1].endswith("%") for w in windows), timeline
 
 
 def test_heatmap_cli_rejects_empty_run(capsys):

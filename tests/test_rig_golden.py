@@ -38,7 +38,8 @@ def locality_reports(out_dir: Path) -> dict:
     heat, elastic = out_dir / "heatmap.json", out_dir / "elastic.json"
     codes = {"elastic": main(["elastic", *RIG_ARGS,
                               "--locality-out", str(elastic)]),
-             "heatmap": main(["heatmap", *RIG_ARGS, "--out", str(heat)])}
+             "heatmap": main(["heatmap", *RIG_ARGS,
+                              "--locality-out", str(heat)])}
     return {"exit": codes,
             "heatmap": hashlib.sha256(heat.read_bytes()).hexdigest(),
             "elastic": hashlib.sha256(elastic.read_bytes()).hexdigest()}

@@ -1,9 +1,14 @@
 """CLI runner and wire-message size accounting."""
 
+import json
+from pathlib import Path
+
 import pytest
 
+import repro.chaos as chaos
 from repro.commit.messages import RAck, RInv, RVal
 from repro.harness.runner import main
+from repro.obs import Observability, Tracer, load_jsonl, write_chrome_trace
 from repro.ownership.messages import (
     OwnAck,
     OwnInv,
@@ -21,11 +26,18 @@ def test_cli_list(capsys):
     assert "A5" in out
 
 
-def test_cli_locality(capsys):
-    assert main(["locality"]) == 0
+def test_cli_list_runs_the_named_rows(capsys):
+    assert main(["list", "L1-venmo"]) == 0
     out = capsys.readouterr().out
-    assert "Boston" in out
-    assert "TPC-C" in out
+    assert "Venmo payment graph" in out
+    assert "Boston" not in out and "Experiment catalog" not in out
+
+
+def test_cli_list_rejects_an_unknown_row(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["list", "NOPE"])
+    assert exc.value.code == 2
+    assert "unknown row id: NOPE" in capsys.readouterr().err
 
 
 def test_cli_verify_small(capsys):
@@ -37,6 +49,49 @@ def test_cli_verify_small(capsys):
 def test_cli_requires_command():
     with pytest.raises(SystemExit):
         main([])
+
+
+# ----------------------------------------------------------- output flags
+
+
+@pytest.mark.parametrize("flag", [None, "--trace", "--jsonl", "--metrics-out",
+                                  "--locality-out"])
+def test_each_output_flag_writes_its_file_only_when_asked(
+        flag, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["trace", "--duration", "300"] + ([flag, "out"] if flag else [])
+    assert main(argv) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        ["out"] if flag else [])
+    assert ("wrote " in capsys.readouterr().out) == bool(flag)
+    if flag == "--jsonl":
+        assert load_jsonl("out")
+    elif flag:
+        assert json.loads((tmp_path / "out").read_text())
+
+
+def test_chaos_trace_reruns_the_cell_the_worst_key_selects(
+        tmp_path, monkeypatch, capsys):
+    campaigns, real_campaign = [], chaos.run_campaign
+
+    def campaign_with_a_bad_middle_cell(*args, **kwargs):
+        result = real_campaign(*args, **kwargs)
+        assert [run.aborted for run in result.runs] == [0, 0, 0]
+        result.runs[1].aborted = 1  # the audits all pass: most aborts wins
+        campaigns.append(result)
+        return result
+
+    monkeypatch.setattr(chaos, "run_campaign", campaign_with_a_bad_middle_cell)
+    path = tmp_path / "worst.json"
+    main(["chaos", "--difficulty", "1", "--schedules", "1", "--seeds", "3",
+          "--duration", "5000", "--quiesce", "5000", "--trace", str(path)])
+    worst = campaigns[0].runs[1]
+    assert (f"re-ran worst cell {worst.schedule_name} seed 1 "
+            f"(audit ok, 1 aborted)") in capsys.readouterr().out
+    obs = Observability(tracer=Tracer())
+    chaos.run_cell(worst.recipe, obs)
+    again = write_chrome_trace(obs.tracer, str(tmp_path / "again.json"))
+    assert path.read_bytes() == Path(again).read_bytes()
 
 
 # ------------------------------------------------------------ wire sizes

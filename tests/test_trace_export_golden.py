@@ -46,7 +46,7 @@ TRACE_ARGS = ["--nodes", "3", "--remote", "0.2", "--duration", "1200",
 def export_digests(out_dir: Path) -> dict:
     """Trace one window through the CLI; sha256 of everything it exports."""
     chrome, jsonl = out_dir / "trace.json", out_dir / "trace.jsonl"
-    code = main(["trace", *TRACE_ARGS, "--out", str(chrome),
+    code = main(["trace", *TRACE_ARGS, "--trace", str(chrome),
                  "--jsonl", str(jsonl)])
     records = load_jsonl(str(jsonl))
     table = analyze(records).breakdown_table()
