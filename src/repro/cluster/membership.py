@@ -184,7 +184,8 @@ class MembershipService:
         Unlike :meth:`admit` there is no lease dance: a node that never
         held a lease has no dead incarnation anyone could confuse with
         the new one, so the view may install immediately.  The joiner
-        stays quarantined (``joining``) until the install reaches it."""
+        stays quarantined (``transport.quarantined``) until the install
+        reaches it."""
         node = self.nodes[node_id]
         if not node.alive:
             raise RuntimeError(f"node {node_id} is not booted; cannot join")

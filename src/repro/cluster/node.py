@@ -21,7 +21,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..net.message import Message, NodeId
 from ..net.network import Network
-from ..obs import TID_NET, TID_SVC, Observability
+from ..obs import TID_SVC, Observability
 from ..sim.kernel import Simulator
 from ..sim.params import SimParams
 from ..sim.process import Process
@@ -72,14 +72,6 @@ class Node:
         self._view_listeners: List[Callable[[int, frozenset], None]] = []
         #: Registry-backed counter view (``node.*`` metrics, labeled by id).
         self.counters = self.obs.registry.group("node", node=node_id)
-        self._c_fenced = self.obs.registry.counter("recovery.fenced",
-                                                   node=node_id)
-        self._c_quarantined = self.obs.registry.counter(
-            "recovery.quarantined", node=node_id)
-        #: True between :meth:`restart` and the first view install: a
-        #: rebooting node must not engage in the protocols until admitted.
-        self.joining = False
-        self.transport.fence_fn = self._fence
         #: Durable-storage tier (:class:`~repro.store.wal.DurabilityManager`)
         #: or None when the WAL is disabled — absent means None, as for
         #: the ``obs`` instruments; protocol layers guard ``is not None``.
@@ -122,47 +114,19 @@ class Node:
         self.pool.charge(self._msg_cpu_us)
         if ctx is None:
             ctx = self._handler_ctx
-        self.transport.send(dst, kind, payload, size_bytes, ctx)
-
-    def _fence(self, msg: Message) -> bool:
-        """Reject traffic from a stale incarnation of ``msg.src``.
-
-        After a peer crashes and rejoins, membership announces its bumped
-        incarnation; anything still in flight from the dead incarnation
-        (messages the network already accepted, probe retransmits) must not
-        touch channel or protocol state.  Higher-than-known incarnations are
-        allowed through: the rejoined peer may legitimately reach us before
-        the admit view does.
-
-        While :attr:`joining` (rebooted but not yet admitted) *everything*
-        is dropped: in-flight traffic can only be addressed to our dead
-        incarnation, and letting it advance fresh receive channels would
-        desynchronize them against peers that reset at the admit view."""
-        if self.joining:
-            self._c_quarantined.inc()
-            return True
-        if 0 < msg.dst_inc < self.incarnation:
-            # Addressed to our dead incarnation (e.g. a probe retransmit
-            # created before the sender learned we restarted).
-            self._c_fenced.inc()
-            tracer = self.obs.tracer
-            if tracer is not None:
-                tracer.point("recovery.fence", "recovery", False, src=int,
-                             dst_inc=int, kind=str)(
-                    self.node_id, TID_NET, None, msg.src, msg.dst_inc,
-                    msg.kind)
-            return True
-        known = self.peer_incarnations.get(msg.src)
-        if known is not None and msg.inc < known:
-            self._c_fenced.inc()
-            tracer = self.obs.tracer
-            if tracer is not None:
-                tracer.point("recovery.fence", "recovery", False, src=int,
-                             inc=int, expected=int, kind=str)(
-                    self.node_id, TID_NET, None, msg.src, msg.inc, known,
-                    msg.kind)
-            return True
-        return False
+        if dst != self.node_id:
+            self.transport.send(dst, kind, payload, size_bytes, ctx)
+            return
+        # Loopback: dispatched at the current time, never on the wire (no
+        # channel, sequence number or ack), stamped as the transport
+        # stamps a message.
+        msg = Message(dst, dst, kind, payload, size_bytes)
+        msg.inc = self.incarnation
+        tracer = self.obs.tracer
+        if ctx is not None and tracer is not None:
+            msg.trace_id, msg.parent_span = ctx
+            msg.flow_id = tracer.next_flow()
+        self.sim.post_soon(self._dispatch, msg)
 
     def _dispatch(self, msg: Message) -> None:
         if not self.alive:
@@ -241,9 +205,12 @@ class Node:
         All volatile state is rebuilt: worker pool and app CPUs (a reboot
         forgets queued work and any gray slowdown), transport channels
         (sequence numbers restart at 0), and the view (cleared so the admit
-        view installs unconditionally).  Datastore state is *not* restored
-        here — the recovery manager transfers it from live replicas once
-        membership re-admits the node."""
+        view installs unconditionally).  Until the admit view installs, the
+        transport is quarantined: a rebooting node must not engage in the
+        protocols, and everything in flight can only be addressed to its
+        dead incarnation.  Datastore state is *not* restored here — the
+        recovery manager transfers it from live replicas once membership
+        re-admits the node."""
         if self.alive:
             raise RuntimeError(f"node {self.node_id} is alive; cannot restart")
         self.incarnation += 1
@@ -256,7 +223,7 @@ class Node:
         ]
         self.transport.incarnation = self.incarnation
         self.transport.restart()
-        self.joining = True
+        self.transport.quarantined = True
         self.live_nodes = frozenset()
         self.peer_incarnations.clear()
         self.network.set_down(self.node_id, False)
@@ -268,9 +235,9 @@ class Node:
         A joiner must not engage in the protocols before its join view
         installs: a peer could otherwise observe it mid-handshake under an
         epoch that does not list it.  Reuses the reboot quarantine — the
-        first view install lifts it (:meth:`on_view_change` clears
-        ``joining``)."""
-        self.joining = True
+        first view install lifts it (:meth:`on_view_change` clears the
+        transport's ``quarantined``)."""
+        self.transport.quarantined = True
 
     def set_slowdown(self, factor: float) -> None:
         """Gray failure: multiply every CPU cost on this node by ``factor``
@@ -299,7 +266,7 @@ class Node:
             return
         if self.live_nodes and epoch <= self.epoch:
             return
-        self.joining = False  # admitted: the quarantine lifts
+        self.transport.quarantined = False  # admitted: the quarantine lifts
         removed = self.live_nodes - live
         added = (live - self.live_nodes) if self.live_nodes else frozenset()
         self.epoch = epoch

@@ -8,8 +8,10 @@ DPDK.  This module is that layer: per-(sender, receiver) channels with
 * cumulative acknowledgements, piggybacked on reverse data traffic and
   otherwise flushed by a delayed-ack timer,
 * go-back-N retransmission driven by a per-channel timeout,
-* in-order delivery with an out-of-order reassembly buffer, and
-* duplicate suppression (re-acking so the sender can advance).
+* in-order delivery with an out-of-order reassembly buffer,
+* duplicate suppression (re-acking so the sender can advance), and
+* an incarnation fence: traffic from or to a dead incarnation of a
+  restarted node is dropped before it touches any channel.
 
 Unlike FaSST — which must kill and recover a node on any lost packet — this
 lets Zeus ride out loss at the cost of the ``reliable_overhead_us`` CPU tax
@@ -82,13 +84,14 @@ class ReliableTransport:
         #: Our incarnation number, stamped on every outgoing message.  The
         #: owning :class:`~repro.cluster.node.Node` bumps it on restart.
         self.incarnation = 1
-        #: Optional fence: ``fence_fn(msg) -> True`` rejects the message
-        #: before any channel state is touched (zombie-incarnation traffic).
-        self.fence_fn: Optional[Callable[[Message], bool]] = None
+        #: Set by the owning node from a reboot (or a live join) until the
+        #: view that admits it installs: every arrival is fenced.
+        self.quarantined = False
         #: The incarnation we believe each peer runs (absent = unknown, 0);
         #: stamped as ``msg.dst_inc`` so a peer that has since restarted can
-        #: drop traffic addressed to its dead incarnation.  The owning node
-        #: shares this dict as its ``peer_incarnations``.
+        #: drop traffic addressed to its dead incarnation; an arrival from
+        #: an older incarnation than this is fenced.  The owning node shares
+        #: this dict as its ``peer_incarnations``.
         self.peer_incarnations: Dict[NodeId, int] = {}
         # metrics (registry-backed; shared with the network's registry)
         self.obs = network.obs
@@ -99,6 +102,9 @@ class ReliableTransport:
         self._c_gave_up = registry.counter("net.gave_up", node=node_id)
         self._c_probes = registry.counter("net.probes", node=node_id)
         self._c_resets = registry.counter("net.channel_resets", node=node_id)
+        self._c_fenced = registry.counter("recovery.fenced", node=node_id)
+        self._c_quarantined = registry.counter("recovery.quarantined",
+                                               node=node_id)
         network.attach(node_id, self._on_wire)
 
     def watermarks(self) -> Dict[NodeId, Tuple[int, int]]:
@@ -128,8 +134,10 @@ class ReliableTransport:
 
     def send(self, dst: NodeId, kind: str, payload: Any, size_bytes: int,
              ctx=None) -> None:
-        """Reliably send an application message (fire-and-forget API; the
-        layer retries until acked or ``max_retransmits`` is exhausted).
+        """Reliably send an application message to peer ``dst`` (fire and
+        forget; the layer retries until acked or ``max_retransmits`` is
+        exhausted).  A node's messages to itself never reach the
+        transport: ``Node.send`` dispatches them directly.
 
         ``ctx`` is an optional trace context ``(trace_id, parent_span_id)``
         stamped on the message so receiver-side spans join the sender's
@@ -141,10 +149,6 @@ class ReliableTransport:
         msg.inc = self.incarnation
         if ctx is not None:
             self._stamp_ctx(msg, ctx)
-        if dst == self.node_id:
-            # Loopback: deliver immediately without touching the wire.
-            self.sim.post_soon(self.deliver, msg)
-            return
         chan = self._send.get(dst)
         if chan is None:
             chan = self._send[dst] = _SendChannel()
@@ -227,13 +231,74 @@ class ReliableTransport:
     def _on_wire(self, msg: Message) -> None:
         if self.stopped:
             return
-        if self.fence_fn is not None and self.fence_fn(msg):
-            return
         src = msg.src
-        if msg.ack is not None:
-            self._on_ack(src, msg.ack)
-        if msg.kind == ACK_KIND:
-            self._on_ack(src, msg.payload)
+        # The fence: traffic of a dead incarnation touches no channel or
+        # protocol state.  A higher-than-known sender incarnation passes:
+        # the rejoined peer may legitimately reach us before its admit
+        # view does.
+        if self.quarantined:
+            # Rebooted, not yet admitted: in-flight traffic can only be
+            # addressed to our dead incarnation, and letting it advance
+            # fresh receive channels would desynchronize them against
+            # peers that reset at the admit view.
+            self._c_quarantined.inc()
+            return
+        if 0 < msg.dst_inc < self.incarnation:
+            # Addressed to our dead incarnation (e.g. a probe retransmit
+            # created before the sender learned we restarted).
+            self._c_fenced.inc()
+            tracer = self.obs.tracer
+            if tracer is not None:
+                tracer.point("recovery.fence", "recovery", False, src=int,
+                             dst_inc=int, kind=str)(
+                    self.node_id, TID_NET, None, src, msg.dst_inc, msg.kind)
+            return
+        known = self.peer_incarnations.get(src)
+        if known is not None and msg.inc < known:
+            # Sent by a dead incarnation of ``src`` (accepted by the
+            # network before it crashed, or a probe retransmit).
+            self._c_fenced.inc()
+            tracer = self.obs.tracer
+            if tracer is not None:
+                tracer.point("recovery.fence", "recovery", False, src=int,
+                             inc=int, expected=int, kind=str)(
+                    self.node_id, TID_NET, None, src, msg.inc, known,
+                    msg.kind)
+            return
+        # The cumulative ack for our channel to ``src``: a standalone ack's
+        # payload, or piggybacked on a data message.
+        kind = msg.kind
+        cumulative = msg.payload if kind == ACK_KIND else msg.ack
+        if cumulative is not None:
+            schan = self._send.get(src)
+            if schan is not None:
+                # Sequence numbers are handed out in order and acks are
+                # cumulative, so everything acked sits at the front of the
+                # (insertion-ordered) window: pop from there, stop at the
+                # first survivor.
+                unacked = schan.unacked
+                while unacked:
+                    first = next(iter(unacked))
+                    if first >= cumulative:
+                        break
+                    del unacked[first]
+                schan.retries = 0
+                schan.probing = False  # the peer is reachable again
+                timer = schan.timer
+                if unacked:
+                    # Push the deadline back: in place, not a dead entry
+                    # per ack.
+                    timeout = self.params.retransmit_timeout_us
+                    if timer is None:
+                        schan.timer = self.sim.call_after(
+                            timeout, self._retransmit, src)
+                    else:
+                        schan.timer = self.sim.rearm(
+                            timer, timeout, self._retransmit, src)
+                elif timer is not None:
+                    timer.cancelled = True
+                    schan.timer = None
+        if kind == ACK_KIND:
             return
         seq = msg.seq
         chan = self._recv.get(src)
@@ -272,35 +337,6 @@ class ReliableTransport:
         ack.inc = self.incarnation
         ack.dst_inc = self.peer_incarnations.get(src, 0)
         self.network.send(ack)
-
-    def _on_ack(self, src: NodeId, cumulative: int) -> None:
-        chan = self._send.get(src)
-        if chan is None:
-            return
-        # Sequence numbers are handed out in order and acks are cumulative,
-        # so everything acked sits at the front of the (insertion-ordered)
-        # window: pop from there, stop at the first survivor.
-        unacked = chan.unacked
-        while unacked:
-            seq = next(iter(unacked))
-            if seq >= cumulative:
-                break
-            del unacked[seq]
-        chan.retries = 0
-        chan.probing = False  # the peer is reachable again
-        timer = chan.timer
-        if unacked:
-            # Push the deadline back: in place, not a dead entry per ack.
-            timeout = self.params.retransmit_timeout_us
-            if timer is None:
-                chan.timer = self.sim.call_after(timeout, self._retransmit,
-                                                 src)
-            else:
-                chan.timer = self.sim.rearm(timer, timeout, self._retransmit,
-                                            src)
-        elif timer is not None:
-            timer.cancel()
-            chan.timer = None
 
     # ----------------------------------------------------------- lifecycle
 

@@ -82,7 +82,7 @@ class LifecycleMixin:
         if self.directory is not None:
             self.directory.create(oid, replicas, o_ts)
 
-        targets = (set(self._dir_nodes_for(oid)) | set(readers))
+        targets = (set(catalog.directory_nodes_for(oid)) | set(readers))
         targets &= self.node.live_nodes
         targets.discard(self.node_id)
         future = Future(self.sim)
@@ -134,7 +134,7 @@ class LifecycleMixin:
             raise PermissionError(
                 f"node {self.node_id} does not own object {oid}")
         replicas = obj.o_replicas
-        targets = set(self._dir_nodes_for(oid)) | set(replicas.readers)
+        targets = set(self.catalog.directory_nodes_for(oid)) | set(replicas.readers)
         targets &= self.node.live_nodes
         targets.discard(self.node_id)
         self.store.drop(oid)

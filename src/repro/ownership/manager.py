@@ -206,19 +206,15 @@ class OwnershipManager(LifecycleMixin):
         """Granted-acquire latency samples (registry histogram view)."""
         return self._latency.samples
 
-    def _dir_nodes(self) -> Tuple[NodeId, ...]:
-        """Cluster-wide directory duty nodes (recovery barrier home)."""
-        return self.catalog.directory_nodes()
-
-    def _dir_nodes_for(self, oid: ObjectId) -> Tuple[NodeId, ...]:
-        """Directory replicas arbitrating this object (§6.2: a single
-        replicated directory by default, consistent hashing when the
-        deployment out-scales it)."""
-        return self.catalog.directory_nodes_for(oid)
-
     def _live_dir_nodes(self, oid: ObjectId) -> Tuple[NodeId, ...]:
+        """The live directory replicas arbitrating this object (§6.2: a
+        single replicated directory by default, consistent hashing when
+        the deployment out-scales it)."""
+        dirs = self.catalog.directory_nodes_for(oid)
         live = self.node.live_nodes
-        return tuple(d for d in self._dir_nodes_for(oid) if d in live)
+        if live.issuperset(dirs):
+            return dirs
+        return tuple([d for d in dirs if d in live])
 
     def _choose_driver(self, oid: ObjectId) -> NodeId:
         """Prefer self if co-located with the directory (2-hop fast path,
@@ -226,7 +222,8 @@ class OwnershipManager(LifecycleMixin):
         driver load spreads across the directory replicas."""
         dirs = self._live_dir_nodes(oid)
         if not dirs:
-            return self._dir_nodes_for(oid)[0]  # no quorum; will time out
+            # No quorum; will time out.
+            return self.catalog.directory_nodes_for(oid)[0]
         if self.node_id in dirs:
             return self.node_id
         return dirs[oid % len(dirs)]
@@ -453,8 +450,9 @@ class OwnershipManager(LifecycleMixin):
                 obj.o_ts = o_ts
                 obj.o_replicas = stripped
                 obj.o_state = OState.VALID
-        if obj is not None:
-            self._log_store(obj)
+        dur = self.node.durability
+        if obj is not None and dur is not None:
+            self._log_store(dur, obj)
 
     def _maybe_trim(self, oid: ObjectId, req_type: ReqType,
                     new_replicas: ReplicaSet) -> None:
@@ -546,7 +544,8 @@ class OwnershipManager(LifecycleMixin):
         level_holder = (
             (req.req_type == ReqType.ACQUIRE_OWNER and replicas.owner == req.requester)
             or (req.req_type == ReqType.ADD_READER
-                and req.requester in replicas.all_nodes())
+                and (req.requester == replicas.owner
+                     or req.requester in replicas.readers))
             or (req.req_type == ReqType.REMOVE_READER
                 and req.victim not in replicas.readers)
         )
@@ -596,9 +595,10 @@ class OwnershipManager(LifecycleMixin):
         if self_arbitrates:
             obj.o_state = OState.INVALID
             obj.o_ts = new_ts
+        size = inv.size
         for arb in arbiters:
             if arb != self.node_id:
-                self.node.send(arb, KIND_INV, inv, inv.size)
+                self.node.send(arb, KIND_INV, inv, size)
         # The driver is itself an arbiter; it stays in Drive state and acks
         # the requester right away.
         self._send_ack(inv, to=req.requester, to_driver=False)
@@ -618,7 +618,8 @@ class OwnershipManager(LifecycleMixin):
             if req.victim in live:
                 arbiters.add(req.victim)
         else:
-            requester_has_data = req.requester in replicas.all_nodes()
+            requester_has_data = (req.requester == owner
+                                  or req.requester in replicas.readers)
             if owner is not None and owner in live:
                 arbiters.add(owner)
                 if not requester_has_data:
@@ -657,11 +658,16 @@ class OwnershipManager(LifecycleMixin):
                            to_driver=inv.replay)
             return
 
-        ref_ts = current.o_ts if current is not None else self._local_ts(oid)
+        entry = self.directory.get(oid) if self.directory is not None else None
+        obj = self.store.get(oid)
+        if current is not None:
+            ref_ts = current.o_ts
+        else:  # the newest o_ts this node holds for the object, if any
+            ref_ts = entry.o_ts if entry is not None else None
+            if obj is not None and (ref_ts is None or obj.o_ts > ref_ts):
+                ref_ts = obj.o_ts
         if ref_ts is not None and inv.o_ts <= ref_ts:
             return  # stale or smaller contender: ignore (no ACK)
-
-        entry = self.directory.get(oid) if self.directory is not None else None
 
         # Losing driver: we were driving a smaller-o_ts request; the larger
         # contender wins, our requester gets a NACK (Section 4.1).
@@ -675,7 +681,6 @@ class OwnershipManager(LifecycleMixin):
 
         # Owner-busy check: an owner must not give up an object with a
         # pending reliable commit or an executing local transaction.
-        obj = self.store.get(oid)
         if (obj is not None and obj.o_replicas is not None
                 and obj.o_replicas.owner == self.node_id
                 and inv.req_type != ReqType.REMOVE_READER):
@@ -717,16 +722,6 @@ class OwnershipManager(LifecycleMixin):
         self._send_ack(inv, to=(msg.src if inv.replay else inv.requester),
                        to_driver=inv.replay)
 
-    def _local_ts(self, oid: ObjectId) -> Optional[Ots]:
-        entry = self.directory.get(oid) if self.directory is not None else None
-        obj = self.store.get(oid)
-        candidates = []
-        if entry is not None:
-            candidates.append(entry.o_ts)
-        if obj is not None:
-            candidates.append(obj.o_ts)
-        return max(candidates) if candidates else None
-
     def _owner_busy(self, obj: StoredObject) -> bool:
         if obj.locked_by is not None:
             return True
@@ -757,36 +752,34 @@ class OwnershipManager(LifecycleMixin):
         self._apply_arbitration(cur)
 
     # ------------------------------------------------------ durability hooks
+    #
+    # Only settled ownership state is logged, and only with a WAL (the
+    # caller tests ``node.durability is not None``): an OWN record
+    # (``dur.log_own``) per settled directory entry on a directory host —
+    # in-flight arbitration state is never persisted, an interrupted
+    # arbitration is settled by arb-replay, not by disk — and a GRANT
+    # record per settled change on the store side.
 
-    def _log_dir(self, oid: ObjectId, entry) -> None:
-        """WAL an OWN record for a *settled* directory entry (directory
-        hosts only; in-flight arbitration state is never persisted — an
-        interrupted arbitration is settled by arb-replay, not by disk)."""
-        dur = self.node.durability
-        if dur is not None:
-            dur.log_own(oid, entry.o_ts, entry.replicas)
-
-    def _log_store(self, obj: StoredObject) -> None:
-        """WAL a GRANT record for a settled ownership change on the store
-        side.  The value rides along only when transactionally Valid — an
-        in-flight reliable commit's WRITE-state data must reach disk via
-        its own REDO/COMMIT records, never via an ownership grant."""
-        dur = self.node.durability
-        if dur is not None:
-            ok = obj.t_state == TState.VALID
-            dur.log_grant(obj.oid, obj.o_ts, obj.o_replicas,
-                          obj.t_version if ok else None,
-                          obj.t_data if ok else None,
-                          self.catalog.size_of(obj.oid) if ok else 0)
+    def _log_store(self, dur, obj: StoredObject) -> None:
+        """WAL a GRANT record.  The value rides along only when
+        transactionally Valid — an in-flight reliable commit's WRITE-state
+        data must reach disk via its own REDO/COMMIT records, never via an
+        ownership grant."""
+        ok = obj.t_state == TState.VALID
+        dur.log_grant(obj.oid, obj.o_ts, obj.o_replicas,
+                      obj.t_version if ok else None,
+                      obj.t_data if ok else None,
+                      self.catalog.size_of(obj.oid) if ok else 0)
 
     def _apply_arbitration(self, inv: OwnInv) -> None:
         oid = inv.oid
         self._pending_arb.pop(oid, None)
         replicas = inv.new_replicas.restricted_to(self.node.live_nodes)
+        dur = self.node.durability
 
         entry = self.directory.get(oid) if self.directory is not None else None
         if (entry is None and self.directory is not None
-                and self.node_id in self._dir_nodes_for(oid)):
+                and self.node_id in self.catalog.directory_nodes_for(oid)):
             # A rejoining directory host can receive the INV before the
             # state-transfer snapshot covers this object; materialize the
             # entry now so the settled arbitration is not lost.
@@ -795,7 +788,8 @@ class OwnershipManager(LifecycleMixin):
             entry.replicas = replicas
             entry.o_ts = inv.o_ts
             entry.o_state = OState.VALID
-            self._log_dir(oid, entry)
+            if dur is not None:
+                dur.log_own(oid, entry.o_ts, entry.replicas)
             loc = self.node.obs.locality
             if loc is not None and inv.req_type == ReqType.ACQUIRE_OWNER:
                 # Settled ownership handover: feed the migration ledger.
@@ -808,7 +802,7 @@ class OwnershipManager(LifecycleMixin):
         obj = self.store.get(oid)
         if obj is None:
             return
-        if self.node_id not in replicas.all_nodes():
+        if self.node_id != replicas.owner and self.node_id not in replicas.readers:
             # The settled view excludes us, so our copy is garbage: an
             # unlisted replica never receives another invalidation, and
             # re-blessing it Valid here would let it serve ever-staler
@@ -834,12 +828,14 @@ class OwnershipManager(LifecycleMixin):
             obj.o_state = OState.INVALID
             obj.o_ts = inv.o_ts
             obj.o_replicas = None
-            self._log_store(obj)
+            if dur is not None:
+                self._log_store(dur, obj)
             return
         obj.o_state = OState.VALID
         obj.o_ts = inv.o_ts
         obj.o_replicas = replicas if replicas.owner == self.node_id else None
-        self._log_store(obj)
+        if dur is not None:
+            self._log_store(dur, obj)
 
     def _on_abort(self, msg: Message) -> None:
         abort: OwnAbort = msg.payload
@@ -848,16 +844,18 @@ class OwnershipManager(LifecycleMixin):
             return
         self._pending_arb.pop(abort.oid, None)
         prev = cur.prev_replicas.restricted_to(self.node.live_nodes)
+        dur = self.node.durability
         entry = self.directory.get(abort.oid) if self.directory is not None else None
         if (entry is None and self.directory is not None
-                and self.node_id in self._dir_nodes_for(abort.oid)):
+                and self.node_id in self.catalog.directory_nodes_for(abort.oid)):
             entry = self.directory.create(abort.oid, prev, cur.o_ts)
         if entry is not None:
             entry.replicas = prev
             entry.o_state = OState.VALID
             # o_ts stays bumped: the aborted version number is burned so a
             # retry can never collide with the aborted request.
-            self._log_dir(abort.oid, entry)
+            if dur is not None:
+                dur.log_own(abort.oid, entry.o_ts, entry.replicas)
         self._sync_absent_dir_hosts(cur)
         obj = self.store.get(abort.oid)
         if obj is not None and obj.o_state == OState.INVALID:
@@ -866,7 +864,8 @@ class OwnershipManager(LifecycleMixin):
             # own demotion VAL was superseded by the (now aborted) larger
             # request must not resurrect a stale self-as-owner view.
             obj.o_replicas = prev if prev.owner == self.node_id else None
-            self._log_store(obj)
+            if dur is not None:
+                self._log_store(dur, obj)
         self.counters.inc("arb_aborted")
 
     # ----------------------------------------------------- directory repair
@@ -884,8 +883,10 @@ class OwnershipManager(LifecycleMixin):
         """
         if self.directory is None:
             return
+        dir_hosts = self.catalog.directory_nodes_for(inv.oid)
+        if set(inv.arbiters).issuperset(dir_hosts):
+            return  # every directory host arbitrated: nobody to forward to
         live = self.node.live_nodes
-        dir_hosts = self._dir_nodes_for(inv.oid)
         absent = [d for d in dir_hosts if d in live and d not in inv.arbiters]
         if not absent:
             return
@@ -904,13 +905,15 @@ class OwnershipManager(LifecycleMixin):
         if self.directory is None:
             return
         oid, o_ts, replicas = msg.payload
-        if self.node_id not in self._dir_nodes_for(oid):
+        if self.node_id not in self.catalog.directory_nodes_for(oid):
             return
         replicas = replicas.restricted_to(self.node.live_nodes)
+        dur = self.node.durability
         entry = self.directory.get(oid)
         if entry is None:
             entry = self.directory.create(oid, replicas, o_ts)
-            self._log_dir(oid, entry)
+            if dur is not None:
+                dur.log_own(oid, entry.o_ts, entry.replicas)
             self.counters.inc("dir_sync_applied")
             return
         # ``>=`` (not ``>``): an abort keeps the bumped o_ts but reverts the
@@ -920,7 +923,8 @@ class OwnershipManager(LifecycleMixin):
         if entry.o_state == OState.VALID and o_ts >= entry.o_ts:
             entry.replicas = replicas
             entry.o_ts = o_ts
-            self._log_dir(oid, entry)
+            if dur is not None:
+                dur.log_own(oid, entry.o_ts, entry.replicas)
             self.counters.inc("dir_sync_applied")
 
     # ======================================================================
@@ -959,7 +963,7 @@ class OwnershipManager(LifecycleMixin):
         """Called by the commit manager once this node has drained all
         pending reliable commits of dead coordinators."""
         live = self.node.live_nodes
-        for dnode in self._dir_nodes():
+        for dnode in self.catalog.directory_nodes():
             if dnode in live:
                 self.node.send(dnode, KIND_RECOVERED,
                                (epoch, self.node_id), 16)

@@ -125,7 +125,9 @@ class Simulator:
         The observability layer uses this to refresh event-loop gauges.
         The hook must not schedule simulator events (it runs between
         events, and determinism depends on it staying passive); pass
-        ``None`` to uninstall.
+        ``None`` to uninstall.  Call this between runs, not from an event:
+        the run loop reads the hook once per batch of events up to its
+        next firing.
         """
         if fn is not None and every_events <= 0:
             raise SimulationError(f"bad stats interval {every_events}")
@@ -252,39 +254,50 @@ class Simulator:
         heap = self._heap
         prof = self._profiler
         fired = 0
-        while heap and fired < budget:
-            if heap[0][0] > until:
-                break
-            time, _seq, fn, args, handle = _heappop(heap)
-            if handle is not None:
-                if handle.cancelled:
+        while True:
+            # The stats hook fires after every `_stats_every`-th executed
+            # event, counted across calls: fire the events up to the next
+            # firing as one batch, so the per-event loop never looks at it.
+            hook = self._stats_hook
+            stop = budget
+            if hook is not None and fired + self._stats_countdown < budget:
+                stop = fired + self._stats_countdown
+            start = fired
+            while heap and fired < stop:
+                if heap[0][0] > until:
+                    break
+                time, _seq, fn, args, handle = _heappop(heap)
+                if handle is not None:
+                    if handle.cancelled:
+                        handle._due = None
+                        self._cancelled_skipped += 1
+                        continue
+                    moved = handle._moved
+                    if moved is not None:
+                        # Re-armed while queued: back in under the key
+                        # rearm() issued.  Neither fired nor cancelled;
+                        # `now` stays.
+                        handle._moved = None
+                        handle._due = moved[0]
+                        _heappush(heap, moved + (handle,))
+                        continue
                     handle._due = None
-                    self._cancelled_skipped += 1
-                    continue
-                moved = handle._moved
-                if moved is not None:
-                    # Re-armed while queued: back in under the key rearm()
-                    # issued.  Neither fired nor cancelled; `now` stays.
-                    handle._moved = None
-                    handle._due = moved[0]
-                    _heappush(heap, moved + (handle,))
-                    continue
-                handle._due = None
-            self.now = time
-            self._events_executed += 1
-            fired += 1
-            if prof is None:
-                fn(*args)
-            else:
-                t0 = _perf_ns()
-                fn(*args)
-                prof.event(fn, _perf_ns() - t0)
-            if self._stats_hook is not None:
-                self._stats_countdown -= 1
-                if self._stats_countdown <= 0:
-                    self._stats_countdown = self._stats_every
-                    self._stats_hook(self.stats())
-        return fired
+                self.now = time
+                self._events_executed += 1
+                fired += 1
+                if prof is None:
+                    fn(*args)
+                else:
+                    t0 = _perf_ns()
+                    fn(*args)
+                    prof.event(fn, _perf_ns() - t0)
+            if hook is None:
+                return fired
+            self._stats_countdown -= fired - start
+            if self._stats_countdown > 0:
+                return fired
+            self._stats_countdown = self._stats_every
+            hook(self.stats())
 
     def step(self) -> bool:
         """Execute the next event.  Returns False when the heap is empty."""

@@ -60,8 +60,17 @@ class Catalog:
         #: to arbitrate; keeping placement pinned preserves the §4 fencing
         #: argument across elastic membership changes.
         self._dir_base = num_nodes
+        self._dir_nodes = tuple(range(min(3, num_nodes)))
+        #: Hashed mode: oid -> its directory triplet, ranked on first use
+        #: (placement is frozen at ``_dir_base``, so it never goes stale).
+        #: It lives here, not on the protocol managers: the exhaustive
+        #: explorer keys its states on the managers' attributes.
+        self._hashed_dirs: Dict[ObjectId, Tuple[NodeId, ...]] = {}
         self.tables: Dict[str, TableSpec] = {}
         self._sizes: List[int] = []
+        #: ``size_of(oid)`` -> the object's size in bytes: the list's own
+        #: bound ``__getitem__`` (every ownership ACK and grant asks).
+        self.size_of = self._sizes.__getitem__
         self._initial_owner: List[NodeId] = []
         self._key_index: Dict[Tuple[str, object], ObjectId] = {}
 
@@ -117,9 +126,6 @@ class Catalog:
     def oid(self, table: str, key: object) -> ObjectId:
         return self._key_index[(table, key)]
 
-    def size_of(self, oid: ObjectId) -> int:
-        return self._sizes[oid]
-
     def initial_owner(self, oid: ObjectId) -> NodeId:
         return self._initial_owner[oid]
 
@@ -138,7 +144,7 @@ class Catalog:
     def directory_nodes(self) -> Tuple[NodeId, ...]:
         """The (up to) three nodes hosting cluster-wide directory duties
         (the recovery barrier always lives here, whatever the mode)."""
-        return tuple(range(min(3, self._dir_base)))
+        return self._dir_nodes
 
     def directory_nodes_for(self, oid: ObjectId) -> Tuple[NodeId, ...]:
         """The directory replicas arbitrating ``oid``.
@@ -150,13 +156,16 @@ class Catalog:
         never reshuffles arbiters.
         """
         if self.directory_mode == "single" or self._dir_base <= 3:
-            return self.directory_nodes()
-        ranked = sorted(range(self._dir_base),
-                        key=lambda n: hash_str(f"dir:{oid}:{n}"))
-        return tuple(sorted(ranked[:3]))
+            return self._dir_nodes
+        dirs = self._hashed_dirs.get(oid)
+        if dirs is None:
+            ranked = sorted(range(self._dir_base),
+                            key=lambda n: hash_str(f"dir:{oid}:{n}"))
+            dirs = self._hashed_dirs[oid] = tuple(sorted(ranked[:3]))
+        return dirs
 
     def hosts_directory(self, node_id: NodeId) -> bool:
         """Whether ``node_id`` may hold directory entries at all."""
         if self.directory_mode == "hashed" and self._dir_base > 3:
             return node_id < self._dir_base
-        return node_id in self.directory_nodes()
+        return node_id in self._dir_nodes

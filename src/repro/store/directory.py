@@ -9,7 +9,7 @@ set.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Tuple
 
 from ..net.message import NodeId
 from .catalog import ObjectId
@@ -38,6 +38,9 @@ class DirectoryTable:
     def __init__(self, node_id: NodeId):
         self.node_id = node_id
         self._entries: Dict[ObjectId, DirEntry] = {}
+        #: ``get(oid)`` -> the entry or None: the dict's own bound method,
+        #: as ``ObjectStore.get`` (every ownership message looks one up).
+        self.get = self._entries.get
 
     def create(self, oid: ObjectId, replicas: ReplicaSet,
                o_ts: Ots = Ots(0, 0)) -> DirEntry:
@@ -46,9 +49,6 @@ class DirectoryTable:
         entry = DirEntry(replicas, o_ts)
         self._entries[oid] = entry
         return entry
-
-    def get(self, oid: ObjectId) -> Optional[DirEntry]:
-        return self._entries.get(oid)
 
     def require(self, oid: ObjectId) -> DirEntry:
         entry = self._entries.get(oid)

@@ -107,6 +107,9 @@ class ReplicaSet(NamedTuple):
     def restricted_to(self, live: FrozenSet[NodeId]) -> "ReplicaSet":
         """Replica set with every non-``live`` node stripped (``self`` when
         nothing is dead)."""
+        owner = self.owner
+        if (owner is None or owner in live) and live.issuperset(self.readers):
+            return self
         replicas = self
         for node_id in self.all_nodes() - live:
             replicas = replicas.without(node_id)

@@ -67,6 +67,8 @@ class ObjectStore:
         #: every protocol looks objects up per message and per transaction,
         #: and a wrapper would be one Python frame per lookup.
         self.get = self._objects.get
+        #: ``has(oid)`` -> whether the replica is here (same reason).
+        self.has = self._objects.__contains__
 
     def create(self, oid: ObjectId, data: Any,
                replicas: ReplicaSet, o_ts: Ots = Ots(0, 0)) -> StoredObject:
@@ -85,9 +87,6 @@ class ObjectStore:
     def drop(self, oid: ObjectId) -> None:
         """Discard the replica (reader trim / non-replica demotion)."""
         self._objects.pop(oid, None)
-
-    def has(self, oid: ObjectId) -> bool:
-        return oid in self._objects
 
     def clear(self) -> None:
         """Forget every replica (crash wiped the node's memory)."""

@@ -4,6 +4,7 @@ import pytest
 
 from repro.harness.zeus_cluster import ZeusCluster
 from repro.sim.params import SimParams
+from repro.sim.rng import hash_str
 from repro.store.catalog import Catalog
 from tests.conftest import make_cluster, run_app
 
@@ -129,6 +130,28 @@ def test_hashed_directory_stable_per_object():
     oid = catalog.create_object("t", 0)
     assert catalog.directory_nodes_for(oid) == catalog.directory_nodes_for(oid)
     assert len(catalog.directory_nodes_for(oid)) == 3
+
+
+def test_hashed_placement_memo_is_a_fresh_ranking_before_and_after_grow():
+    """Placement is ranked once per object and remembered; the memo must
+    agree with ranking afresh over the frozen base for every object, old
+    or created after the cluster grew."""
+    catalog = Catalog(6, directory_mode="hashed")
+    catalog.add_table("t", 8)
+
+    def ranked(oid):
+        order = sorted(range(6), key=lambda n: hash_str(f"dir:{oid}:{n}"))
+        return tuple(sorted(order[:3]))
+
+    before = [catalog.create_object("t", key) for key in range(300)]
+    assert [catalog.directory_nodes_for(oid) for oid in before] == [
+        ranked(oid) for oid in before]
+    catalog.grow(3)
+    after = [catalog.create_object("t", key) for key in range(300, 400)]
+    everything = before + after
+    assert [catalog.directory_nodes_for(oid) for oid in everything] == [
+        ranked(oid) for oid in everything]
+    assert catalog._hashed_dirs == {oid: ranked(oid) for oid in everything}
 
 
 def test_hashed_mode_small_cluster_falls_back():

@@ -2,12 +2,13 @@
 
 import pytest
 
+from repro.cluster.node import Node
 from repro.net.fault import FaultInjector
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.reliable import ReliableTransport
 from repro.sim.kernel import Simulator
-from repro.sim.params import FaultParams, NetParams
+from repro.sim.params import FaultParams, NetParams, SimParams
 
 
 def make_net(sim, faults=None, jitter=False):
@@ -206,11 +207,19 @@ def test_reliable_delivery_in_order():
 
 
 def test_reliable_loopback():
+    """A node's message to itself is dispatched without touching the
+    wire: no network message, channel, sequence number or ack."""
     sim = Simulator()
-    _net, a, _b, inbox_a, _ib = make_pair(sim)
-    a.send(0, "k", "self", 10)
+    net = make_net(sim)
+    node = Node(sim, 0, SimParams(), net)
+    got = []
+    node.register_handler("k", lambda m: got.append(
+        (m.payload, m.src, m.dst, m.inc, m.seq)))
+    node.send(0, "k", "self", 10)
     sim.run(until=100)
-    assert [m.payload for m in inbox_a] == ["self"]
+    assert got == [("self", 0, 0, 1, None)]
+    assert net.total_msgs == 0
+    assert not node.transport._send and not node.transport._recv
 
 
 def test_reliable_recovers_from_loss():

@@ -38,7 +38,7 @@ def test_rejoin_bumps_incarnation_and_epoch():
     cluster = _recovered_cluster()
     node = cluster.nodes[1]
     view = cluster.membership.view
-    assert node.alive and not node.joining
+    assert node.alive and not node.transport.quarantined
     assert node.incarnation == 2
     assert view.live == frozenset({0, 1, 2, 3})
     assert view.epoch == 3  # boot view + eviction + admission
@@ -76,14 +76,14 @@ def test_zombie_incarnation_traffic_is_fenced():
     cluster = _recovered_cluster()
     donor = cluster.nodes[0]
     assert donor.peer_incarnations[1] == 2
-    before = donor._c_fenced.value
+    before = donor.transport._c_fenced.value
     chan = donor.transport._recv.get(1)
     expected_before = chan.expected if chan is not None else None
     zombie = Message(1, 0, "own.recovered", (donor.epoch, 1), 16)
     zombie.inc = 1  # the dead incarnation
     zombie.seq = expected_before or 0
     donor.transport._on_wire(zombie)
-    assert donor._c_fenced.value == before + 1
+    assert donor.transport._c_fenced.value == before + 1
     # Channel state untouched: the fence fires before any bookkeeping.
     chan_after = donor.transport._recv.get(1)
     assert (chan_after.expected if chan_after else None) == expected_before
@@ -95,7 +95,7 @@ def test_traffic_addressed_to_dead_incarnation_is_fenced():
     cluster = _recovered_cluster()
     rejoiner = cluster.nodes[1]
     assert rejoiner.incarnation == 2
-    before = rejoiner._c_fenced.value
+    before = rejoiner.transport._c_fenced.value
     chan = rejoiner.transport._recv.get(0)
     expected_before = chan.expected if chan is not None else None
     stale = Message(0, 1, "rc.val", None, 16)
@@ -103,7 +103,7 @@ def test_traffic_addressed_to_dead_incarnation_is_fenced():
     stale.dst_inc = 1   # but it addressed our dead predecessor
     stale.seq = expected_before or 0
     rejoiner.transport._on_wire(stale)
-    assert rejoiner._c_fenced.value == before + 1
+    assert rejoiner.transport._c_fenced.value == before + 1
     chan_after = rejoiner.transport._recv.get(0)
     assert (chan_after.expected if chan_after else None) == expected_before
 
@@ -120,16 +120,16 @@ def test_restarted_node_quarantines_traffic_until_admitted():
     node = cluster.nodes[2]
     node.restart()
     cluster.handles[2].recovery.on_restart(2_000.0)
-    assert node.joining
+    assert node.transport.quarantined
     stray = Message(0, 2, "rc.val", None, 16)
     stray.inc = 1
     stray.seq = 0
     node.transport._on_wire(stray)
-    assert node._c_quarantined.value == 1
+    assert node.transport._c_quarantined.value == 1
     assert 0 not in node.transport._recv
     cluster.membership.admit(2)
     cluster.run(until=60_000.0)
-    assert not node.joining
+    assert not node.transport.quarantined
     assert 2 in cluster.membership.view.live
 
 

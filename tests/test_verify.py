@@ -18,6 +18,7 @@ from repro.verify import (
     check_protocol,
     check_quiescent,
 )
+from repro.verify.exhaustive import _Explorer, _Node
 from repro.store.meta import OState, ReplicaSet, TState
 from tests.conftest import make_cluster, run_app
 
@@ -110,6 +111,38 @@ def test_reachable_counts_do_not_depend_on_the_hash_seed():
         for child in children:
             child.kill()
             child.wait()
+
+
+#: Every attribute of the two managers on the explorer's fake node.  A
+#: node's state key holds all of them (``exhaustive._Node.key``), so an
+#: attribute added to a manager — a lazily filled cache, say — joins every
+#: explored state and moves REACHABLE without a protocol change.
+MANAGER_ATTRIBUTES = {
+    OwnershipManager: [
+        "_fetch_waiting", "_latency", "_lifecycle", "_lifted_epoch",
+        "_next_req_id", "_pending_arb", "_provisional", "_recovered",
+        "_replays", "_req_by_oid", "_reqs", "catalog", "commit_mgr",
+        "counters", "degree_overrides", "directory", "node", "node_id",
+        "params", "sim", "store", "tracer", "trim_preferred"],
+    CommitManager: [
+        "_ack_buffer", "_ack_flush_scheduled", "_coord", "_follow",
+        "_latency", "_pending_by_oid", "_prev_live", "_recovering_epoch",
+        "_replays", "_val_buffer", "_val_flush_scheduled", "catalog",
+        "counters", "history", "max_pipeline_depth", "node", "node_id",
+        "ownership", "params", "sim", "store", "tracer"],
+}
+
+
+def test_the_explorer_sees_exactly_these_manager_attributes():
+    node = _Node(_Explorer(SCENARIOS["ownership"]), 0)
+    for manager in (node.ownership, node.commit):
+        want = MANAGER_ATTRIBUTES[type(manager)]
+        assert sorted(vars(manager)) == want, (
+            f"{type(manager).__name__} attributes changed: the exhaustive "
+            "explorer keys every state on them.  Caches stay off the "
+            "manager (keep one on the catalog, or recompute a function of "
+            "the view on a view change); protocol state added on purpose "
+            "goes here and in REACHABLE, with the reason")
 
 
 def test_seeded_ownership_bug_is_caught_with_a_shortest_trace(monkeypatch):
