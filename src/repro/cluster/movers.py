@@ -54,6 +54,13 @@ class MoveExecutor:
         self.c_aborts = registry.counter(f"{counter_group}.inflight_aborts")
         self.h_pause = registry.histogram(f"{counter_group}.pause_us")
 
+    def barrier_up(self) -> bool:
+        """False while any live node is still mid-recovery (its join
+        barrier up): a loop generates no ownership traffic until the
+        transfer finishes."""
+        return all(h.ownership.barrier_lifted
+                   for h in self.cluster.handles if h.node.alive)
+
     def execute(self, ops: List[MoveOp]):
         """Generator: run ``ops`` in batches, pausing between batches."""
         tracer = self.obs.tracer

@@ -126,7 +126,7 @@ class Rebalancer:
                 idle_rounds = 0
                 yield _POLL_US * 10
                 continue
-            if not self._barrier_up():
+            if not self.executor.barrier_up():
                 # A node is mid-recovery; let the transfer finish before
                 # generating extra ownership traffic.
                 idle_rounds = 0
@@ -159,24 +159,12 @@ class Rebalancer:
                 return
 
     def _cluster_quiet(self) -> bool:
-        for h in self.cluster.handles:
-            if not h.node.alive:
-                continue
-            if getattr(h.ownership, "_reqs", None):
-                return False
-            # Arbiter-side pending arbitrations count too: an abandoned
-            # request's rollback (or a straggler VAL behind a healing
-            # channel) will still rewrite directory entries when it
-            # lands — settling before that re-skews the declared balance.
-            if getattr(h.ownership, "_pending_arb", None):
-                return False
-        return True
-
-    def _barrier_up(self) -> bool:
-        for h in self.cluster.handles:
-            if h.node.alive and not getattr(h.ownership, "barrier_lifted", True):
-                return False
-        return True
+        # Arbiter-side pending arbitrations count too: an abandoned
+        # request's rollback (or a straggler VAL behind a healing channel)
+        # will still rewrite directory entries when it lands — settling
+        # before that re-skews the declared balance.
+        return not any(h.ownership._reqs or h.ownership._pending_arb
+                       for h in self.cluster.handles if h.node.alive)
 
     def _settle(self) -> None:
         self.cluster.last_converge_at = self.sim.now
@@ -278,17 +266,10 @@ class Rebalancer:
     def _node_busy(self, node_id: NodeId) -> bool:
         """True while the draining node still has protocol work in flight."""
         h = self.cluster.handles[node_id]
-        own = h.ownership
-        if getattr(own, "_reqs", None) or getattr(own, "_pending_arb", None):
-            return True
-        commit = h.commit
-        pending = getattr(commit, "_pending_by_oid", {})
-        if any(v > 0 for v in pending.values()):
-            return True
-        for pipeline in getattr(commit, "_coord", {}).values():
-            if getattr(pipeline, "slots", None):
-                return True
-        return False
+        own, commit = h.ownership, h.commit
+        return bool(own._reqs or own._pending_arb
+                    or any(v > 0 for v in commit._pending_by_oid.values())
+                    or any(p.slots for p in commit._coord.values()))
 
     def _finalize_drain(self, leaver: NodeId) -> None:
         cluster = self.cluster

@@ -1,6 +1,5 @@
-"""Gates of the LB-routed scale-out experiments (``repro elastic`` /
-``repro heatmap``), computed from what a :class:`~repro.harness.rig.Rig`
-run leaves behind.
+"""Gates of the LB-routed scale-out experiment (``repro elastic``),
+computed from what a :class:`~repro.harness.rig.Rig` run leaves behind.
 
 Every gate function returns the ``(gate, problem)`` list shape of
 :meth:`repro.verify.audit.AuditReport.problems` — empty means passed — so

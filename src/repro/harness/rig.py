@@ -5,7 +5,7 @@ Every gated experiment here is the paper's single request path (§3.1, §7)
 — the LB pins a key to a node, the node runs a local transaction,
 ownership follows the pin — under a different access pattern.  The one
 fault cell (``chaos.campaign.run_cell``: campaigns, the randomized sweep,
-the shrinker), ``elastic``/``heatmap`` and ``place`` all build their run
+the shrinker), ``elastic`` and ``place`` all build their run
 from these pieces; each keeps only its access pattern, its fault or
 scale-out timeline and its report.
 

@@ -9,8 +9,8 @@ the dispatch table cannot drift from the parser:
 * ``python -m repro quickstart``            — the README tour
 * ``python -m repro verify [--seeds N]``    — exhaustive checker + sweep
 * ``python -m repro chaos [--seeds N]``     — chaos campaign + audits
-* ``python -m repro elastic [--add K]``     — live scale-out + recovery report
-* ``python -m repro heatmap``               — live locality telemetry
+* ``python -m repro elastic [--add K]``     — live scale-out: recovery report
+  and locality telemetry of one LB-routed run
 * ``python -m repro place [--workload W]``  — static-vs-adaptive placement
 * ``python -m repro smallbank [--remote F]``— one Zeus-vs-baseline point
 * ``python -m repro trace``                 — trace a short SmallBank mix
@@ -179,59 +179,58 @@ def _cmd_chaos(args) -> int:
     return _verdict(result.problems())
 
 
-def _start_routed_rig(args, obs, wal: bool = False):
-    """The LB-routed locality workload shared by ``repro elastic`` and
-    ``repro heatmap``: workers run until ``steady + after``, the cluster
-    scales out by ``add`` nodes at ``steady``.  Returns the rig.
+def _cmd_elastic(args) -> int:
+    """One LB-routed run, live scale-out N -> N+k mid-traffic: the
+    throughput-recovery report and the locality telemetry of that run.
 
     The paper's request path: the LB pins each key to a serving node and
     workers access the keys routed to *their* node (plus a small remote
     fraction), so Zeus's locality protocol keeps objects where they are
-    used.  On scale-out the LB shifts a fair share of keys onto the
-    joiners and ownership follows the new access points.  Keys are the
-    object ids themselves, which keeps LB routing and the locality
-    recorder's per-object telemetry on one key space.
+    used.  At ``--steady`` the cluster adds ``--add`` nodes, the LB
+    shifts a fair share of keys onto the joiners and ownership follows
+    the new access points.  Keys are the object ids themselves, which
+    keeps LB routing and the locality recorder's per-object telemetry on
+    one key space.
+
+    Windowed throughput is sampled throughout; then the run settles
+    (waiting for the rebalancer to converge only after a scale-out) and
+    is audited.  The report is the recovery summary, then what the
+    :class:`~repro.obs.LocalityRecorder` saw: the per-node × object-group
+    access heatmap, the remote-txn fraction timeline with cause
+    attribution (routing miss vs ownership migrating vs genuinely
+    shared), the hot-key table with a decayed skew estimate, and the
+    migration-effectiveness ledger (paybacks, ping-pongs).  Exit 0
+    requires every audit and a non-empty hot-key table; with a scale-out
+    also throughput back within 10% of the pre-add steady state, the
+    rebalancer converged, the remote fraction *falling* once it settled
+    and at least one migration paying for itself.
     """
     from ..sim.params import DiskParams
+    from .gates import (locality_fall, locality_problems, pct,
+                        recovery_problems, throughput_recovery)
     from .rig import Rig, counter_catalog
-
-    rig = Rig(counter_catalog(args.nodes, args.objects), args.seed, obs,
-              threads=args.threads, disk=DiskParams(enabled=wal))
-    rig.cluster.start_membership()
-    try:
-        # Pins match the initial owners.
-        rig.add_lb((i, i % args.nodes) for i in range(args.objects))
-    except ValueError as err:
-        args.error(str(err))  # the subparser's error(): usage + exit 2
-    rig.start(rig.routed_spec(args.remote), args.steady + args.after)
-    if args.add > 0:
-        rig.cluster.sim.call_at(args.steady, rig.cluster.add_nodes, args.add)
-    return rig
-
-
-def _cmd_elastic(args) -> int:
-    """Live scale-out: N -> N+k under load, throughput-recovery report.
-
-    Runs a steady-state window on the base cluster, then calls
-    ``add_nodes`` mid-traffic and keeps sampling windowed throughput while
-    the joiners are quarantined, admitted, and fed by the rebalancer.
-    Exit 0 requires every post-run audit to pass *and* throughput to
-    recover to within 10% of the pre-scale-out steady state.  With
-    ``--locality-out`` the run also records locality telemetry and prints
-    its remote-fraction fall (see ``repro heatmap``).
-    """
-    from .gates import (locality_fall, pct, recovery_problems,
-                        throughput_recovery)
+    from .tables import format_table
 
     if not 0 < args.window <= args.steady / 2:
         # Steady state is the mean of the windows ending in the back half
         # of the pre-add era: a longer window leaves that half empty.
         args.error("--window must be positive and at most --steady / 2")
-    obs = _observability(args)
-    rig = _start_routed_rig(args, obs, wal=args.wal)
+    obs = _observability(args, locality=True)
+    loc = obs.locality
+    rig = Rig(counter_catalog(args.nodes, args.objects), args.seed, obs,
+              threads=args.threads, disk=DiskParams(enabled=args.wal))
     cluster, stats = rig.cluster, rig.stats
+    cluster.start_membership()
+    try:
+        # Pins match the initial owners.
+        rig.add_lb((i, i % args.nodes) for i in range(args.objects))
+    except ValueError as err:
+        args.error(str(err))  # the subparser's error(): usage + exit 2
     add_at = args.steady
     stop_at = add_at + args.after
+    rig.start(rig.routed_spec(args.remote), stop_at)
+    if args.add > 0:
+        cluster.sim.call_at(add_at, cluster.add_nodes, args.add)
 
     samples = []  # (window_end_us, committed_in_window)
     last = 0
@@ -244,85 +243,43 @@ def _cmd_elastic(args) -> int:
     steady, pre_windows, recovered_at, final = throughput_recovery(
         samples, add_at)
 
-    # Settle: let the rebalancer converge, drain in-flight work, audit.
-    done = rig.settle(args.quiesce)
+    # Settle: let a scale-out's rebalance converge, drain, audit.
+    done = rig.settle(args.quiesce, converge=args.add > 0)
     audit = rig.audit()
-
-    reg = obs.registry
-    tps = lambda c: c / (args.window / 1e6)  # noqa: E731
-    print(f"elastic scale-out: {args.nodes} -> {args.nodes + args.add} "
-          f"nodes at t={add_at:.0f}us ({stats.committed} txns committed)")
-    print(f"  steady state : {tps(steady):>12,.0f} tps "
-          f"(mean of {pre_windows} windows before the add)")
-    if recovered_at is not None:
-        print(f"  recovered    : t={recovered_at:.0f}us "
-              f"(+{recovered_at - add_at:.0f}us after the add, first "
-              f"window back above 90% of steady)")
-    else:
-        print("  recovered    : NEVER (no post-add window reached 90% "
-              "of steady)")
-    print(f"  final        : {tps(final):>12,.0f} tps "
-          f"({final / (steady or 1):.0%} of steady, last 3 windows)")
-    print(f"  rebalancer   : "
-          f"{reg.counter_total('rebalance.objects_moved')} objects moved, "
-          f"{reg.counter_total('rebalance.bytes')} bytes, "
-          f"{reg.counter_total('rebalance.inflight_aborts')} in-flight "
-          f"aborts, converged={done.done()}")
-    loc = obs.locality
-    if loc is not None:
-        serving, churn, settled = locality_fall(loc, add_at, stop_at)
-        mig = loc.migration_summary()
-        print(f"  locality     : remote fraction {pct(churn)} in the "
-              f"churn era (joiners serving at t={serving:.0f}us) -> "
-              f"{pct(settled)} once settled; {mig['handovers']} "
-              f"handovers, {mig['paid_back']} paid back")
-    _write_outputs(args, obs)
-    problems = audit.problems() + recovery_problems(steady, recovered_at,
-                                                    final)
-    if not done.done():
-        problems.append(("rebalance", "did not converge after the scale-out"))
-    return _verdict(problems)
-
-
-def _cmd_heatmap(args) -> int:
-    """Live locality telemetry of an LB-routed run (optionally elastic).
-
-    Runs the same workload as ``repro elastic`` with the
-    :class:`~repro.obs.LocalityRecorder` enabled and reports what it saw:
-    the per-node × object-group access heatmap, the remote-txn fraction
-    timeline with cause attribution (routing miss vs ownership migrating
-    vs genuinely shared), the hot-key table with a decayed skew estimate,
-    and the migration-effectiveness ledger (paybacks, ping-pongs).
-    ``--locality-out`` writes the full report as seed-pure byte-identical
-    JSON — the placement controller's input format.  With ``--add``
-    (the default) exit 0 additionally requires the remote fraction to
-    *fall* after the scale-out's rebalance converges and at least one
-    migration to have paid for itself.
-    """
-    from .gates import locality_fall, locality_problems, pct
-    from .tables import format_table
-
-    obs = _observability(args, locality=True)
-    loc = obs.locality
-    rig = _start_routed_rig(args, obs)
-    add_at = args.steady
-    stop_at = add_at + args.after
-    rig.cluster.run(until=stop_at)
-    rig.settle(args.quiesce, converge=args.add > 0)
 
     def table(headers, rows) -> None:
         for line in format_table(headers, rows).splitlines():
             print("    " + line.rstrip())
 
+    reg = obs.registry
+    tps = lambda c: c / (args.window / 1e6)  # noqa: E731
+    print(f"elastic: {args.nodes} -> {args.nodes + args.add} nodes at "
+          f"t={add_at:.0f}us" if args.add > 0 else
+          f"elastic: {args.nodes} nodes, no scale-out",
+          f"({stats.committed} txns committed, seed {args.seed})")
+    print(f"  steady state : {tps(steady):>12,.0f} tps "
+          f"(mean of {pre_windows} windows before t={add_at:.0f}us)")
+    if args.add > 0:
+        if recovered_at is not None:
+            print(f"  recovered    : t={recovered_at:.0f}us "
+                  f"(+{recovered_at - add_at:.0f}us after the add, first "
+                  f"window back above 90% of steady)")
+        else:
+            print("  recovered    : NEVER (no post-add window reached 90% "
+                  "of steady)")
+    print(f"  final        : {tps(final):>12,.0f} tps "
+          f"({final / (steady or 1):.0%} of steady, last 3 windows)")
+    if done is not None:
+        print(f"  rebalancer   : "
+              f"{reg.counter_total('rebalance.objects_moved')} objects "
+              f"moved, {reg.counter_total('rebalance.bytes')} bytes, "
+              f"{reg.counter_total('rebalance.inflight_aborts')} in-flight "
+              f"aborts, converged={done.done()}")
+
     report = loc.report(groups=args.groups, top=args.top)
     totals = report["totals"]
     causes = totals["causes"]
-    print(f"locality telemetry: {args.nodes} nodes"
-          + (f" -> {args.nodes + args.add} at t={add_at:.0f}us"
-             if args.add > 0 else "")
-          + f", {totals['txns']} txns ({totals['committed']} committed), "
-          f"seed {args.seed}")
-    print(f"  remote       : {totals['remote']} of {totals['txns']} "
+    print(f"  remote       : {totals['remote']} of {totals['txns']} txns "
           f"({totals['remote_fraction']:.1%}) — "
           f"routing miss {causes['routing_miss']}, "
           f"migrating {causes['migrating']}, shared {causes['shared']}")
@@ -373,19 +330,26 @@ def _cmd_heatmap(args) -> int:
     for pp in mig["ping_pongs"][:args.top]:
         print(f"    PING-PONG oid {pp['oid']}: "
               f"{pp['handovers_in_window']} handovers within the window")
-    _write_outputs(args, obs)
 
-    fall = locality_fall(loc, add_at, stop_at) if args.add > 0 else None
-    problems = locality_problems(report, fall)
+    problems = audit.problems()
+    fall = None
+    if args.add > 0:
+        problems += recovery_problems(steady, recovered_at, final)
+        if not done.done():
+            problems.append(("rebalance",
+                             "did not converge after the scale-out"))
+        fall = locality_fall(loc, add_at, stop_at)
+    locality = locality_problems(report, fall)
     if fall is not None:
         serving, churn, settled = fall
-        fell = "remote_fraction" not in dict(problems)
+        fell = "remote_fraction" not in dict(locality)
         print(f"\n  scale-out    : remote fraction {pct(churn)} while "
               f"ownership chases the re-pinned keys (joiners serving at "
               f"t={serving:.0f}us) -> {pct(settled)} once settled "
               f"({'fell' if fell else 'DID NOT FALL'})")
     print()
-    return _verdict(problems)
+    _write_outputs(args, obs)
+    return _verdict(problems + locality)
 
 
 def _cmd_place(args) -> int:
@@ -412,11 +376,10 @@ def _cmd_place(args) -> int:
     problems = []
     for name in names:
         out = run_pair(name, seed=args.seed,
-                       check_history=args.check_history,
-                       verify_determinism=not args.no_redetermine)
+                       check_history=args.check_history)
         print(out.row())
-        print(f"    committed {out.static_committed} -> "
-              f"{out.adaptive_committed}; decision log sha256 "
+        print(f"    committed {out.static.committed} -> "
+              f"{out.adaptive.committed}; decision log sha256 "
               f"{out.decision_digest[:16]}")
         problems += [(f"{name}: {gate}", problem)
                      for gate, problem in out.problems()]
@@ -595,11 +558,11 @@ def _args_chaos(p: argparse.ArgumentParser) -> None:
     _args_outputs(p)
 
 
-def _args_routed(p: argparse.ArgumentParser) -> None:
-    """The flags ``repro elastic`` and ``repro heatmap`` share (one rig)."""
+def _args_elastic(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nodes", type=_positive_int, default=4,
                    help="base cluster size (default %(default)s)")
-    p.add_argument("--add", type=int, default=2,
+    p.add_argument("--add", type=_checked(int, lambda v: v >= 0, ">= 0"),
+                   default=2,
                    help="nodes to add mid-run; 0 = no scale-out "
                         "(default %(default)s)")
     p.add_argument("--objects", type=_positive_int, default=48,
@@ -618,27 +581,19 @@ def _args_routed(p: argparse.ArgumentParser) -> None:
     p.add_argument("--quiesce", type=float, default=30_000.0,
                    help="drain window after traffic stops, before the "
                         "audit (default %(default)s)")
-    p.add_argument("--seed", type=int, default=1)
-    _args_outputs(p)
-
-
-def _args_elastic(p: argparse.ArgumentParser) -> None:
-    _args_routed(p)
     p.add_argument("--window", type=float, default=2_000.0,
                    help="throughput sampling window in us "
                         "(default %(default)s)")
-    p.add_argument("--wal", action="store_true",
-                   help="enable the per-node write-ahead log + snapshots")
-
-
-def _args_heatmap(p: argparse.ArgumentParser) -> None:
-    _args_routed(p)
     p.add_argument("--groups", type=_positive_int, default=8,
                    help="object groups across the heatmap "
                         "(default %(default)s)")
     p.add_argument("--top", type=_positive_int, default=10,
                    help="rows in the hot-key/migration tables "
                         "(default %(default)s)")
+    p.add_argument("--wal", action="store_true",
+                   help="enable the per-node write-ahead log + snapshots")
+    p.add_argument("--seed", type=int, default=1)
+    _args_outputs(p)
 
 
 def _args_place(p: argparse.ArgumentParser) -> None:
@@ -652,9 +607,6 @@ def _args_place(p: argparse.ArgumentParser) -> None:
     p.add_argument("--check-history", action="store_true",
                    help="also record and audit each run's transaction "
                         "history for strict serializability")
-    p.add_argument("--no-redetermine", action="store_true",
-                   help="skip the repeat adaptive run that proves the "
-                        "decision log byte-identical (faster)")
 
 
 def _args_smallbank(p: argparse.ArgumentParser, remote: float = 0.01) -> None:
@@ -693,10 +645,9 @@ COMMANDS = [
      _args_verify, _cmd_verify),
     ("chaos", "fault-schedule campaign with invariant audits",
      _args_chaos, _cmd_chaos),
-    ("elastic", "live scale-out demo with throughput-recovery report",
+    ("elastic", "live LB-routed scale-out: throughput recovery, locality "
+     "heatmap, remote-txn attribution, migration ledger",
      _args_elastic, _cmd_elastic),
-    ("heatmap", "live locality telemetry: heatmap, remote-txn attribution, "
-     "migration ledger", _args_heatmap, _cmd_heatmap),
     ("place", "static-vs-adaptive placement differential (exit-code gated)",
      _args_place, _cmd_place),
     ("smallbank", "one Zeus-vs-FaSST point", _args_smallbank, _cmd_smallbank),

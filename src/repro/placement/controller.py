@@ -108,7 +108,7 @@ class PlacementController:
             if not any(n.alive for n in cluster.nodes):
                 yield self.period_us * 10  # power loss; wait for restart
                 continue
-            if not self._barrier_up():
+            if not self.executor.barrier_up():
                 continue  # recovery transfer in progress; stay out
             loc = self.obs.locality
             snapshot = (loc.placement_snapshot() if loc is not None
@@ -130,13 +130,6 @@ class PlacementController:
             if actuations:
                 self._c_acts.inc(len(actuations))
                 yield from self._apply(actuations, view)
-
-    def _barrier_up(self) -> bool:
-        for h in self.cluster.handles:
-            if h.node.alive and not getattr(h.ownership, "barrier_lifted",
-                                            True):
-                return False
-        return True
 
     # ------------------------------------------------------------- the view
 

@@ -82,7 +82,7 @@ def test_outcome_digest_ignores_event_count():
 
 def test_cli_registry_covers_all_commands():
     names = [name for name, _, _, _ in COMMANDS]
-    assert names == ["quickstart", "verify", "chaos", "elastic", "heatmap",
+    assert names == ["quickstart", "verify", "chaos", "elastic",
                      "place", "smallbank", "trace", "analyze", "list"]
     assert len(set(names)) == len(names)
     for _, help_line, _, handler in COMMANDS:

@@ -10,7 +10,7 @@ from repro.chaos.schedule import (AddNodesEvent, ClusterRestartEvent,
 from repro.harness.gates import (locality_problems, recovery_problems,
                                  throughput_recovery)
 from repro.harness.runner import _verdict, main
-from repro.placement.differential import DiffOutcome
+from repro.placement.differential import DiffOutcome, _RunResult
 from repro.verify.audit import AuditReport
 
 CLEAN = AuditReport([], [], [], [])
@@ -110,12 +110,13 @@ def test_campaign_problems_name_the_failing_cell_and_skip_absent_events():
 # ------------------------------------------------- placement pair gates
 
 
+def _run(remote=0.10, audit=CLEAN):
+    return _RunResult(remote=remote, committed=1, audit=audit)
+
+
 def _pair(**overrides):
-    kw = dict(workload="w", seed=1, must_win=False, static_remote=0.10,
-              adaptive_remote=0.10, static_committed=1, adaptive_committed=1,
-              static_audit=CLEAN, adaptive_audit=CLEAN, migrations=0,
-              repins=0, degree_sets=0, decision_digest="", deterministic=True,
-              replay_ok=True)
+    kw = dict(workload="w", seed=1, must_win=False, static=_run(),
+              adaptive=_run(), deterministic=True, replay_ok=True)
     kw.update(overrides)
     return DiffOutcome(**kw)
 
@@ -124,9 +125,9 @@ def _pair(**overrides):
     (dict(deterministic=False), "determinism"),
     (dict(replay_ok=False), "replay"),
     (dict(must_win=True), "claim"),                 # no reduction, win due
-    (dict(adaptive_remote=0.20), "claim"),          # worse past tolerance
-    (dict(adaptive_remote=None), "claim"),
-    (dict(adaptive_audit=AuditReport(["two owners"], [], [], [])),
+    (dict(adaptive=_run(remote=0.20)), "claim"),    # worse past tolerance
+    (dict(adaptive=_run(remote=None)), "claim"),
+    (dict(adaptive=_run(audit=AuditReport(["two owners"], [], [], []))),
      "adaptive audit: safety"),
 ])
 def test_placement_pair_gate_fails(overrides, gate):
@@ -137,8 +138,8 @@ def test_placement_pair_gate_fails(overrides, gate):
 
 def test_placement_pair_gates_pass():
     assert _pair().ok
-    assert _pair(must_win=True, adaptive_remote=0.05).ok
-    assert _pair(static_remote=None, adaptive_remote=None).ok
+    assert _pair(must_win=True, adaptive=_run(remote=0.05)).ok
+    assert _pair(static=_run(remote=None), adaptive=_run(remote=None)).ok
 
 
 # ------------------------------------------------------ the CLI footer
@@ -153,8 +154,8 @@ def test_verdict_footer_carries_problems_to_the_exit_code(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["heatmap", "--groups", "0"],
-    ["heatmap", "--top", "0"],
+    ["elastic", "--groups", "0"],
+    ["elastic", "--top", "0"],
     ["verify", "--seeds", "0"],
     ["chaos", "--difficulty", "4"],
     # Elastic schedules have no fault-free level: the grid would be empty.
@@ -169,10 +170,15 @@ def test_verdict_footer_carries_problems_to_the_exit_code(capsys):
     ["smallbank", "--nodes", "0"],
     ["elastic", "--nodes", "0"],
     ["elastic", "--threads", "0"],
-    ["heatmap", "--objects", "0", "--add", "0"],
+    ["elastic", "--objects", "0", "--add", "0"],
     ["chaos", "--elastic", "--add", "-1"],
     ["trace", "--remote", "1.5"],
     ["trace", "--duration", "-5"],
+    # A negative scale-out used to report "3 -> 2 nodes" and pass.
+    ["elastic", "--nodes", "3", "--add", "-1"],
+    # An empty run: no sampling window fits in a zero steady state.
+    ["elastic", "--nodes", "3", "--add", "0", "--steady", "0", "--after",
+     "0", "--quiesce", "0"],
 ])
 def test_cli_rejects_argv_that_runs_nothing(argv, capsys):
     with pytest.raises(SystemExit) as exc:

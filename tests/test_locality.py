@@ -1,6 +1,6 @@
 """Locality telemetry: the Space-Saving access sketch, remote-txn cause
-attribution, the migration-effectiveness ledger, and the ``repro
-heatmap`` CLI.
+attribution, the migration-effectiveness ledger, and the locality report
+of the ``repro elastic`` CLI.
 
 Covers the recorder's contract with the rest of the stack — absent means
 ``None``, zero behavioural footprint when attached (same commits, same
@@ -304,7 +304,7 @@ NODES, OBJECTS = 3, 24
 
 
 def _routed_rig(obs):
-    """The ``repro heatmap`` workload at test size: every object pinned to
+    """The ``repro elastic`` workload at test size: every object pinned to
     its initial owner, workers drawing from the keys routed to them."""
     rig = Rig(counter_catalog(NODES, OBJECTS), seed=5, obs=obs)
     rig.cluster.start_membership()
@@ -390,9 +390,9 @@ def test_scale_out_marks_and_payback():
 # CLI
 
 
-@pytest.mark.parametrize("argv", [["heatmap", "--nodes", "2", "--add", "0"],
+@pytest.mark.parametrize("argv", [["elastic", "--nodes", "2", "--add", "0"],
                                   ["elastic", "--nodes", "2"]],
-                         ids=["heatmap", "elastic"])
+                         ids=["add0", "elastic"])
 def test_lb_routed_clis_reject_fewer_than_three_nodes(argv, capsys):
     # The LB's routing table lives on three Hermes replicas; the rig
     # says so once instead of an IndexError out of the replica list.
@@ -402,13 +402,16 @@ def test_lb_routed_clis_reject_fewer_than_three_nodes(argv, capsys):
     assert "LB routing needs >= 3 nodes" in capsys.readouterr().err
 
 
+#: ``repro elastic`` without a scale-out, at test size.
+NO_SCALE_OUT = ["elastic", "--nodes", "3", "--add", "0", "--objects", "24",
+                "--steady", "6000", "--after", "0", "--quiesce", "3000",
+                "--seed", "5"]
+
+
 def test_heatmap_cli_byte_identical_json(tmp_path, capsys):
-    argv = ["heatmap", "--nodes", "3", "--add", "0", "--objects", "24",
-            "--steady", "6000", "--after", "0", "--quiesce", "3000",
-            "--seed", "5"]
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path in paths:
-        assert main(argv + ["--locality-out", str(path)]) == 0
+        assert main(NO_SCALE_OUT + ["--locality-out", str(path)]) == 0
     out = capsys.readouterr().out
     assert "access heatmap" in out
     assert "hot keys" in out
@@ -425,9 +428,7 @@ def test_heatmap_cli_byte_identical_json(tmp_path, capsys):
 def test_heatmap_timeline_windows_with_traffic_report_a_fraction(capsys):
     # Traffic commits throughout the 6 ms run; a window cut through the
     # middle of a 1 ms time bin used to miss that bin and print n/a.
-    assert main(["heatmap", "--nodes", "3", "--add", "0", "--objects", "24",
-                 "--steady", "6000", "--after", "0", "--quiesce", "3000",
-                 "--seed", "5"]) == 0
+    assert main(NO_SCALE_OUT) == 0
     out = capsys.readouterr().out
     timeline = out.split("remote-fraction timeline:")[1].split("hot keys")[0]
     windows = [line.split() for line in timeline.splitlines()[3:]
@@ -435,11 +436,3 @@ def test_heatmap_timeline_windows_with_traffic_report_a_fraction(capsys):
     assert [w[0] for w in windows] == [f"{t * 1000}-{(t + 1) * 1000}"
                                        for t in range(6)]
     assert all(w[1].endswith("%") for w in windows), timeline
-
-
-def test_heatmap_cli_rejects_empty_run(capsys):
-    rc = main(["heatmap", "--nodes", "3", "--add", "0", "--objects", "24",
-               "--steady", "0", "--after", "0", "--quiesce", "0",
-               "--seed", "5"])
-    assert rc == 1
-    assert "hot-key table is empty" in capsys.readouterr().out

@@ -62,38 +62,38 @@ def venmo_outcome(place_outcome):
 
 def test_mobility_adaptive_beats_static(mobility_outcome):
     out = mobility_outcome
-    assert out.static_audit.ok and out.adaptive_audit.ok
+    assert out.static.audit.ok and out.adaptive.audit.ok
     # The handover workload leaves a meaningful static remote fraction
     # and the controller, fed the same seed, must reduce it: the LB
     # re-pin leads the traffic, so migrating inside the gap pays off.
     assert out.claimed, out.row()
-    assert out.adaptive_remote < out.static_remote
-    assert out.migrations > 0
+    assert out.adaptive.remote < out.static.remote
+    assert out.adaptive.migrations > 0
     assert out.ok, out.row()
 
 
 def test_venmo_consolidation_beats_static(venmo_outcome):
     out = venmo_outcome
-    assert out.static_audit.ok and out.adaptive_audit.ok
+    assert out.static.audit.ok and out.adaptive.audit.ok
     # No single user has a dominant accessor — the win comes from
     # consolidating co-access communities through LB re-pins: once the
     # routing converges, the workers' own writes acquire ownership
     # locally and the controller needs no migrate actuations.
     assert out.claimed, out.row()
-    assert out.repins > 0
+    assert out.adaptive.repins > 0
     assert out.ok, out.row()
 
 
 @pytest.mark.parametrize("name", ["smallbank", "tpcc"])
 def test_uniform_workloads_make_no_claim(name, place_outcome):
     out = place_outcome(name)
-    assert out.static_audit.ok and out.adaptive_audit.ok
+    assert out.static.audit.ok and out.adaptive.audit.ok
     assert not out.must_win
     # Placement is already right (smallbank) or the remoteness is
     # inherent (tpcc): the policy's thresholds must keep the controller
     # from claiming — or manufacturing — a win here.
     assert not out.claimed, out.row()
-    assert out.adaptive_remote <= out.static_remote + out.tolerance
+    assert out.adaptive.remote <= out.static.remote + out.tolerance
     assert out.replay_ok
     assert out.ok, out.row()
 

@@ -48,10 +48,11 @@ def _spec_fns():
         "handovers": (handovers.spec_for, 3, ()),
     }
     for name in ("tpcc", "venmo", "mobility"):
-        rig = differential._RIGS[name](1, Observability())
-        rig.schedule_events()
+        row = differential._ROWS[name]
+        rig = differential._build(row, 1, Observability())
+        script = row.events(rig) if row.events is not None else None
         rig.cluster.run(until=400.0)  # the LB pins settle; no handover yet
-        fns[name] = (rig.spec_fn, rig.nodes, ())
+        fns[name] = (row.spec(rig, script), row.nodes, ())
     return fns
 
 
