@@ -65,8 +65,9 @@ class Rebalancer:
         self._c_drains = self.obs.registry.counter(
             "rebalance.drains_completed")
 
-        #: Nodes currently being drained (removed once retired).
-        self.draining: Set[NodeId] = set()
+        #: Nodes currently being drained (removed once retired): the
+        #: cluster's set, which workload workers test on every transaction.
+        self.draining: Set[NodeId] = cluster.draining
         self._quiet: Dict[NodeId, int] = {}
         self._drain_waiters: Dict[NodeId, List[Future]] = {}
         self._converge_waiters: List[Future] = []

@@ -115,6 +115,9 @@ class ZeusCluster:
         #: Nodes that completed a graceful drain (gone for good; skipped by
         #: cold restarts and excluded from rebalance targets).
         self.retired: Set[int] = set()
+        #: Nodes in a graceful drain (the rebalancer's own set): their
+        #: workload workers stop generating load.
+        self.draining: Set[int] = set()
         #: Sim time of the rebalancer's most recent convergence.
         self.last_converge_at: Optional[float] = None
         self._rebalancer: Optional[Rebalancer] = None
@@ -246,10 +249,6 @@ class ZeusCluster:
             self._placement = PlacementController(
                 self, policy=self._placement_policy)
         return self._placement
-
-    def is_draining(self, node_id: int) -> bool:
-        return (self._rebalancer is not None
-                and node_id in self._rebalancer.draining)
 
     def on_nodes_added(self,
                        fn: Callable[[Tuple[int, ...]], None]) -> None:

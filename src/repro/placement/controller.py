@@ -153,7 +153,7 @@ class PlacementController:
         live = sorted(n for n in cluster.membership.view.live
                       if n < len(cluster.nodes) and cluster.nodes[n].alive
                       and n not in cluster.retired
-                      and not cluster.is_draining(n))
+                      and n not in cluster.draining)
         return {
             "objects": objects,
             "live": live,

@@ -16,6 +16,7 @@ to run legacy applications unchanged, and we get to model it literally.
 
 from __future__ import annotations
 
+from heapq import heappush as _heappush
 from math import inf as _INF
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
@@ -29,6 +30,8 @@ class _Unset:
 
 
 _UNSET = _Unset()
+#: The arguments of a plain resumption, ``_step(None, None)``.
+_RESUME = (None, None)
 
 
 class Future:
@@ -133,7 +136,12 @@ class Process(Future):
                 return
             yielded = float(yielded)
         if 0.0 <= yielded < _INF:
-            self.sim.post_after(yielded, self._step, None, None)
+            # ``sim.post_after(yielded, self._step, None, None)``, inline:
+            # the same sequence number and heap entry, one frame fewer.
+            sim = self.sim
+            sim._seq = seq = sim._seq + 1
+            _heappush(sim._heap, (sim.now + yielded, seq, self._step, _RESUME,
+                                  None))
         else:
             # Negative, NaN or infinite: the process's own bug, so it is
             # raised where the process can see it, not in the kernel loop.

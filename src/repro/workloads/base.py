@@ -19,7 +19,6 @@ from itertools import accumulate
 from typing import Any, Callable, Dict, Iterable, Optional, Sequence
 
 from ..baselines.cluster import BaselineCluster
-from ..obs import ThroughputMeter
 from ..harness.zeus_cluster import ZeusCluster
 from ..store.catalog import ObjectId
 
@@ -49,25 +48,27 @@ class MixTable:
     ``pick(rng)`` is ``rng.choices(population, weights=weights)[0]`` —
     the same single ``rng.random()`` draw through the same bisection, so
     it returns the same element and leaves ``rng`` in the same state —
-    without re-accumulating the weights on every call.
+    without re-accumulating the weights on every call.  A generator on
+    the transaction lane spells ``pick`` out in its own frame from
+    ``population``, ``cum``, ``total`` and ``hi``.
     """
 
-    __slots__ = ("population", "_cum", "_total", "_hi")
+    __slots__ = ("population", "cum", "total", "hi")
 
     def __init__(self, population: Sequence[Any], weights: Sequence[float]):
         self.population = tuple(population)
-        self._cum = list(accumulate(weights))
-        self._hi = len(self._cum) - 1
-        self._total = self._cum[-1] + 0.0 if self._cum else 0.0
+        self.cum = list(accumulate(weights))
+        self.hi = len(self.cum) - 1
+        self.total = self.cum[-1] + 0.0 if self.cum else 0.0
         # What ``choices`` itself refuses.
-        if (len(self._cum) != len(self.population)
-                or not 0.0 < self._total < float("inf")):
+        if (len(self.cum) != len(self.population)
+                or not 0.0 < self.total < float("inf")):
             raise ValueError("need one weight per element and a positive, "
                              "finite total")
 
     def pick(self, rng: random.Random) -> Any:
-        return self.population[bisect(self._cum, rng.random() * self._total,
-                                      0, self._hi)]
+        return self.population[bisect(self.cum, rng.random() * self.total,
+                                      0, self.hi)]
 
 
 #: spec_fn(node_id, thread, rng) -> TxnSpec | None (None = this thread idles
@@ -81,7 +82,6 @@ class RunStats:
     """Aggregated outcome of one workload run."""
 
     def __init__(self) -> None:
-        self.meter = ThroughputMeter(bin_us=100_000.0)
         self.committed = 0
         self.aborted_txns = 0
         self.retries = 0
@@ -90,7 +90,10 @@ class RunStats:
         self.per_tag: Dict[str, int] = {}
 
     def throughput_tps(self, elapsed_us: float) -> float:
-        return self.meter.rate_tps(elapsed_us)
+        """Mean committed transactions per simulated second."""
+        if elapsed_us <= 0:
+            return 0.0
+        return self.committed / (elapsed_us / 1e6)
 
 
 def spawn_zeus_workers(cluster: ZeusCluster, spec_fn: SpecFn,
@@ -106,13 +109,13 @@ def spawn_zeus_workers(cluster: ZeusCluster, spec_fn: SpecFn,
     node must wind down its application load, not keep generating it.
     """
     sim = cluster.sim
-    is_draining = cluster.is_draining
+    draining = cluster.draining
 
     def worker(node_id: int, thread: int):
         execute = cluster.handles[node_id].api.execute
         node = cluster.nodes[node_id]
         rng = cluster.rng.stream(f"wl.{seed}.{node_id}.{thread}")
-        while sim.now < stop_at and node.alive and not is_draining(node_id):
+        while sim.now < stop_at and node.alive and node_id not in draining:
             spec = spec_fn(node_id, thread, rng)
             if spec is None:
                 yield 5.0  # nothing routed here right now
@@ -122,10 +125,8 @@ def spawn_zeus_workers(cluster: ZeusCluster, spec_fn: SpecFn,
             result = yield from execute(thread, spec.write_set, spec.read_set,
                                         spec.exec_us, None, spec.read_only)
             if result.committed:
-                now = sim.now
-                if now >= measure_from:
+                if sim.now >= measure_from:
                     stats.committed += 1
-                    stats.meter.record(now)
                     stats.retries += result.aborts
                     stats.ownership_requests += result.ownership_requests
                     stats.objects_acquired += result.acquired_objects
@@ -134,7 +135,7 @@ def spawn_zeus_workers(cluster: ZeusCluster, spec_fn: SpecFn,
                         stats.per_tag[tag] = stats.per_tag.get(tag, 0) + 1
                 if on_commit is not None:
                     on_commit(node_id, spec, result)
-            else:
+            elif sim.now >= measure_from:
                 stats.aborted_txns += 1
 
     for node_id in node_ids:
@@ -152,7 +153,8 @@ def run_zeus_workload(cluster: ZeusCluster, spec_fn: SpecFn,
                       stats: Optional[RunStats] = None) -> RunStats:
     """Drive a Zeus cluster closed-loop and return aggregate stats.
 
-    Statistics only count transactions committed after ``warmup_us``.
+    Statistics only count transactions that finish (commit or give up)
+    after ``warmup_us``.
     Pass ``stats`` to aggregate into a caller-owned instance (elastic runs
     share one across workers spawned before and after a scale-out).
     """
@@ -201,13 +203,14 @@ def run_baseline_workload(cluster: BaselineCluster, spec_fn: SpecFn,
                                                          spec.write_set,
                                                          spec.read_set,
                                                          spec.exec_us)
-            if result.committed and sim.now >= measure_from:
+            if sim.now < measure_from:
+                continue
+            if result.committed:
                 stats.committed += 1
-                stats.meter.record(sim.now)
                 stats.retries += result.aborts
                 if spec.tag:
                     stats.per_tag[spec.tag] = stats.per_tag.get(spec.tag, 0) + 1
-            elif not result.committed:
+            else:
                 stats.aborted_txns += 1
 
     for node_id in range(len(cluster.nodes)):

@@ -17,6 +17,7 @@ executes it remotely forever.
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from typing import List, Optional
 
 from ..store.catalog import Catalog
@@ -76,6 +77,11 @@ class SmallbankWorkload:
         #: Accounts per node's shard, and the hot ones among them.
         self._per_node = max(1, self.accounts // num_nodes)
         self._hot_per_node = max(1, int(self._per_node * hot_frac))
+        #: ``getrandbits`` widths of the bounded draws (``rng.randrange(n)``
+        #: is CPython's ``getrandbits(n.bit_length())`` rejection loop).
+        self._per_node_bits = self._per_node.bit_length()
+        self._hot_bits = self._hot_per_node.bit_length()
+        self._other_bits = (num_nodes - 1).bit_length()
 
         #: Draws ``(tag, read_only)`` by the mix weights.
         self._mix = MixTable([(m[0], m[2]) for m in SMALLBANK_MIX],
@@ -84,23 +90,32 @@ class SmallbankWorkload:
     # ------------------------------------------------------------ selection
 
     def _pick_account(self, node: int, rng: random.Random,
-                      local: bool) -> Optional[int]:
+                      local: bool, tries: int) -> Optional[int]:
         """An account homed at ``node`` (local) or elsewhere (remote),
         honouring the per-node hotspot skew (FaSST's setup: each node's
-        shard has its own hot set)."""
-        per_node, hot_per_node = self._per_node, self._hot_per_node
-        for _ in range(8):
+        shard has its own hot set): up to ``tries`` of the 8 skewed draws
+        (``spec_for`` makes a local first account's first try itself),
+        then the node index."""
+        per_node, home = self._per_node, self.home
+        getrandbits = rng.getrandbits
+        for _ in range(tries):
             if local or self.num_nodes == 1:
                 target = node
             else:
-                target = (node + 1 + rng.randrange(self.num_nodes - 1)) \
-                    % self.num_nodes
-            base = target * per_node
+                n, k = self.num_nodes - 1, self._other_bits
+                r = getrandbits(k)
+                while r >= n:
+                    r = getrandbits(k)
+                target = (node + 1 + r) % self.num_nodes
             if rng.random() < self.hot_prob:
-                acct = base + rng.randrange(hot_per_node)
+                n, k = self._hot_per_node, self._hot_bits
             else:
-                acct = base + rng.randrange(per_node)
-            if (self.home[acct] == node) == local:
+                n, k = per_node, self._per_node_bits
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            acct = target * per_node + r
+            if (home[acct] == node) == local:
                 return acct
         # Skew made the draw miss; fall back to the node index (compacting
         # entries gone stale through migration as we touch them).
@@ -133,18 +148,35 @@ class SmallbankWorkload:
     # ------------------------------------------------------------ generator
 
     def spec_for(self, node: int, thread: int, rng: random.Random) -> Optional[TxnSpec]:
-        tag, read_only = self._mix.pick(rng)
+        # ``self._mix.pick(rng)`` and the first try of a local
+        # ``_pick_account`` spelled out: the same draws, no helper frame.
+        mix = self._mix
+        tag, read_only = mix.population[bisect(
+            mix.cum, rng.random() * mix.total, 0, mix.hi)]
         # Locality-shift semantics (see TatpWorkload.spec_for): under
         # static sharding shifted accounts' reads stay remote too.
         shifted = self.num_nodes > 1 and rng.random() < self.remote_frac
         remote = shifted and (not read_only or not self.track_migration)
+        pair = tag in ("amalgamate", "send_payment")
 
-        a = self._pick_account(node, rng, local=not remote or tag in
-                               ("amalgamate", "send_payment"))
+        if remote and not pair:
+            a = self._pick_account(node, rng, False, 8)
+        else:
+            if rng.random() < self.hot_prob:
+                n, k = self._hot_per_node, self._hot_bits
+            else:
+                n, k = self._per_node, self._per_node_bits
+            getrandbits = rng.getrandbits
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            a = node * self._per_node + r
+            if self.home[a] != node:
+                a = self._pick_account(node, rng, True, 7)
         if a is None:
             return None
-        if tag in ("amalgamate", "send_payment"):
-            b = self._pick_account(node, rng, local=not remote)
+        if pair:
+            b = self._pick_account(node, rng, not remote, 8)
             if b is None or b == a:
                 b = (a + 1) % self.accounts
             involved = (a, b)

@@ -16,6 +16,7 @@ change under Zeus, remote distributed commit under the baselines).
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from typing import List, Optional
 
 from ..store.catalog import Catalog
@@ -48,6 +49,8 @@ class TatpWorkload:
                  track_migration: bool = True):
         self.num_nodes = num_nodes
         self.subscribers = num_nodes * subscribers_per_node
+        if self.subscribers < 1:
+            raise ValueError("TATP needs at least one subscriber")
         self.remote_frac = remote_frac
         self.track_migration = track_migration
 
@@ -66,11 +69,16 @@ class TatpWorkload:
         #: Draws ``(tag, read_only)`` by the mix weights.
         self._mix = MixTable([(m[0], m[2]) for m in TATP_MIX],
                              [m[1] for m in TATP_MIX])
+        #: ``getrandbits`` width of ``rng.randrange(self.subscribers)``.
+        self._sub_bits = self.subscribers.bit_length()
 
     def _pick_subscriber(self, node: int, rng: random.Random,
-                         local: bool) -> int:
-        """TATP draws subscribers uniformly; retry until home matches."""
-        for _ in range(16):
+                         local: bool, tries: int) -> int:
+        """TATP draws subscribers uniformly; retry until home matches.
+
+        ``spec_for`` makes the first of the 16 uniform tries itself and
+        hands a miss to this fallback with the ``tries`` left."""
+        for _ in range(tries):
             sub = rng.randrange(self.subscribers)
             if (self.home[sub] == node) == local:
                 return sub
@@ -86,7 +94,12 @@ class TatpWorkload:
 
     def spec_for(self, node: int, thread: int,
                  rng: random.Random) -> Optional[TxnSpec]:
-        tag, read_only = self._mix.pick(rng)
+        # ``self._mix.pick(rng)`` and the first ``_pick_subscriber`` try
+        # (``rng.randrange(n)``: CPython's ``getrandbits`` rejection loop)
+        # spelled out — the same draws, no helper frame per spec.
+        mix = self._mix
+        tag, read_only = mix.population[bisect(
+            mix.cum, rng.random() * mix.total, 0, mix.hi)]
         # The sweep models a *locality shift*: a fraction of subscribers is
         # now being served from a different node than the sharding put
         # them on.  Under Zeus the first write migrates the subscriber and
@@ -94,8 +107,15 @@ class TatpWorkload:
         # remote subscribers.  Under static sharding (track_migration
         # False) the shifted subscribers' *reads* stay remote forever too.
         shifted = self.num_nodes > 1 and rng.random() < self.remote_frac
-        remote = shifted and (not read_only or not self.track_migration)
-        sub = self._pick_subscriber(node, rng, local=not remote)
+        local = not (shifted and (not read_only or not self.track_migration))
+        n = self.subscribers
+        getrandbits = rng.getrandbits
+        k = self._sub_bits
+        sub = getrandbits(k)
+        while sub >= n:
+            sub = getrandbits(k)
+        if (self.home[sub] == node) != local:
+            sub = self._pick_subscriber(node, rng, local, 15)
         sub_oids, ai_oids, sf_oids, cf_oids = self.oids
 
         if tag == "get_subscriber_data":

@@ -193,6 +193,38 @@ def test_replication_degree_one_commits_instantly():
     assert not cluster.handles[1].store.has(0)
 
 
+def test_a_follower_less_submit_numbers_its_slot_and_settles_at_once():
+    """Degree 1 on the same pipeline as a replicated commit: the first
+    submit has no live follower and an empty pipeline, so it validates
+    before returning; the next one, with a follower, is slot 1."""
+    cluster = make_cluster(3)
+    cm = cluster.handles[0].commit
+    obj = cluster.handles[0].store.get(0)
+
+    def local_write():
+        obj.t_version += 1
+        obj.t_state = TState.WRITE
+        return [(0, obj.t_version, "v", 64)]
+
+    first = cm.submit(0, local_write(), set())
+    assert first.done() and not cm.has_pending(0)
+    assert obj.t_state == TState.VALID
+    assert cm.counters["submitted"] == cm.counters["committed"] == 1
+    assert cm.commit_latencies_us == [0.0]
+
+    second = cm.submit(0, local_write(), {1})
+    assert not second.done() and cm.has_pending(0)
+    cluster.run(until=1_000.0)
+    assert second.done() and not cm.has_pending(0)
+    assert obj.t_state == TState.VALID
+    pipe = cm._coord[0]
+    assert (pipe.next_slot, pipe.validated_upto) == (2, 1)
+    follower = cluster.handles[1].commit
+    assert follower.counters["applied"] == 1
+    assert follower._follow[(0, 0)].settled == 1
+    assert cluster.handles[1].store.get(0).t_version == obj.t_version
+
+
 # --------------------------------------------------------------- failures
 
 

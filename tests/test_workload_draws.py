@@ -9,8 +9,11 @@ recorded from the parent commit (8c4f344) with::
 ``tatp``, ``smallbank``, ``voter`` and ``handovers`` are the generators in
 ``repro.workloads``; ``tpcc``, ``venmo`` and ``mobility`` are the access
 patterns of the ``repro place`` differential.  The property test pins the
-one primitive that changed underneath them: a ``base.MixTable`` pick is
-``random.Random.choices(population, weights=w)[0]``, draw for draw.
+primitives that changed underneath them: a ``base.MixTable`` pick is
+``random.Random.choices(population, weights=w)[0]``, draw for draw, and
+the bounded draw the TATP and Smallbank generators spell out is
+``random.Random.randrange(n)`` (CPython's algorithm, so CI runs the
+properties in depth on the newest interpreter of the matrix).
 """
 
 import hashlib
@@ -29,6 +32,9 @@ from repro.workloads import (HandoverWorkload, SmallbankWorkload,
                              TatpWorkload, VoterWorkload, base)
 
 GOLDEN = Path(__file__).with_name("golden_workload_draws.json")
+#: Examples per property: 200, or the loaded profile's count when that is
+#: more (2,000 under ``--hypothesis-profile=ci``).
+EXAMPLES = max(200, settings.default.max_examples)
 SPECS = 5_000
 THREADS = 2
 
@@ -91,7 +97,7 @@ def test_spec_streams_match_parent_golden(name, drawn):
     assert drawn[name] == json.loads(GOLDEN.read_text())[name]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=EXAMPLES, deadline=None)
 @given(weights=st.lists(st.one_of(st.integers(1, 1_000),
                                   st.floats(1e-6, 1e6)),
                         min_size=1, max_size=12),
@@ -104,6 +110,22 @@ def test_mix_table_pick_is_random_choices(weights, seed, draws):
         assert table.pick(ours) == theirs.choices(population,
                                                   weights=weights)[0]
         assert ours.getstate() == theirs.getstate()  # one draw, no more
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(n=st.integers(1, 2**24), seed=st.integers(0, 2**32),
+       draws=st.integers(1, 20))
+def test_inline_bounded_draw_is_randrange(n, seed, draws):
+    """The rejection loop ``TatpWorkload.spec_for`` and Smallbank's
+    account draw run in their own frame, with the width precomputed."""
+    ours, theirs = random.Random(seed), random.Random(seed)
+    getrandbits, k = ours.getrandbits, n.bit_length()
+    for _ in range(draws):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        assert r == theirs.randrange(n)
+        assert ours.getstate() == theirs.getstate()
 
 
 def test_mix_table_rejects_what_choices_rejects():

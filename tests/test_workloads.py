@@ -2,7 +2,13 @@
 
 import random
 
+import pytest
 
+from repro.baselines import FASST, BaselineCluster
+from repro.baselines.engine import BaselineResult
+from repro.harness.zeus_cluster import ZeusCluster
+from repro.sim.params import SimParams
+from repro.txn.api import TxnResult
 from repro.workloads import (
     HandoverWorkload,
     MobilityModel,
@@ -12,6 +18,8 @@ from repro.workloads import (
     VenmoGraph,
     VoterWorkload,
 )
+from repro.workloads.base import (TxnSpec, run_baseline_workload,
+                                  run_zeus_workload)
 
 
 # ---------------------------------------------------------------- smallbank
@@ -97,6 +105,13 @@ def test_tatp_read_share():
     for _ in range(5_000):
         reads += wl.spec_for(rng.randrange(3), 0, rng).read_only
     assert abs(reads / 5_000 - 0.80) < 0.03
+
+
+def test_tatp_without_subscribers_is_refused():
+    # ``spec_for``'s bounded draw would spin on an empty range (where
+    # ``randrange(0)`` raised), so the deployment is refused up front.
+    with pytest.raises(ValueError):
+        TatpWorkload(2, subscribers_per_node=0)
 
 
 def test_tatp_single_subscriber_objects():
@@ -281,3 +296,65 @@ def test_tpcc_more_nodes_more_remote():
     few = TpccAnalysis(num_nodes=2).remote_fraction()
     many = TpccAnalysis(num_nodes=12).remote_fraction()
     assert many > few
+
+
+# ------------------------------------------------------------------ drivers
+
+WARMUP_US = 200.0
+
+
+def _write_spec(_node, _thread, _rng):
+    return TxnSpec(write_set=(0,), tag="w")
+
+
+def test_zeus_driver_counts_no_warmup_abort():
+    """Aborts count from ``measure_from``, as commits do: a transaction
+    that fails during warm-up and one that commits during it are both
+    outside the measurement."""
+    wl = TatpWorkload(1, subscribers_per_node=10)
+    cluster = ZeusCluster(1, params=SimParams().scaled_threads(app=1,
+                                                               worker=1),
+                          catalog=wl.catalog, seed=1)
+    cluster.load()
+    sim = cluster.sim
+
+    def execute(thread, write_set, read_set, exec_us, compute, read_only):
+        yield 10.0
+        result = TxnResult()
+        result.committed = sim.now >= WARMUP_US
+        return result
+
+    cluster.handles[0].api.execute = execute
+    stats = run_zeus_workload(cluster, _write_spec, 1_000.0,
+                              warmup_us=WARMUP_US, threads=1)
+    assert stats.committed > 0 and stats.per_tag["w"] == stats.committed
+    assert stats.aborted_txns == 0
+
+
+def test_baseline_driver_counts_no_warmup_abort():
+    wl = TatpWorkload(1, subscribers_per_node=10)
+    cluster = BaselineCluster(1, FASST, catalog=wl.catalog)
+    cluster.load(0)
+    sim = cluster.sim
+
+    def execute_write(cpu, tag, write_set, read_set, exec_us):
+        yield 10.0
+        result = BaselineResult()
+        result.committed = sim.now >= WARMUP_US
+        return result
+
+    for engine in cluster.engines:
+        engine.execute_write = execute_write
+    stats = run_baseline_workload(cluster, _write_spec, 1_000.0,
+                                  warmup_us=WARMUP_US, threads=1)
+    assert stats.committed > 0 and stats.aborted_txns == 0
+
+
+def test_throughput_is_committed_per_simulated_second():
+    wl = TatpWorkload(1, subscribers_per_node=100)
+    cluster = ZeusCluster(1, catalog=wl.catalog, seed=1)
+    cluster.load()
+    stats = run_zeus_workload(cluster, wl.spec_for, 500.0, warmup_us=100.0)
+    assert stats.committed > 0
+    assert stats.throughput_tps(400.0) == stats.committed / 400e-6
+    assert stats.throughput_tps(0.0) == 0.0
