@@ -34,7 +34,9 @@ from ..workloads.base import spawn_zeus_workers
 from .engine import ChaosEngine
 from .generator import (generate_elastic_schedule, generate_schedule,
                         generate_sweep_schedule)
-from .schedule import ChaosEventType, FaultSchedule
+from .schedule import (AddNodesEvent, ChaosEventType, ClusterRestartEvent,
+                       DrainEvent, FaultSchedule, FaultWindowEvent,
+                       RecoverEvent)
 
 if TYPE_CHECKING:  # ``repro.verify`` imports this module (the shrinker)
     from ..verify.audit import AuditReport
@@ -157,15 +159,15 @@ class RunReport:
 
 
 #: A fault path the grid schedules must show up in the campaign's own
-#: counters — (schedule property, counter, what it means when it is zero).
+#: counters — (event class, counter, what it means when it is zero).
 _EXERCISED = (
-    ("has_recovery", "recovery.rejoins",
+    (RecoverEvent, "recovery.rejoins",
      "a schedule recovers a crashed node but no rejoin ran"),
-    ("drain_nodes", "rebalance.drains_completed",
+    (DrainEvent, "rebalance.drains_completed",
      "a schedule drains a node but no drain completed"),
-    ("added_count", "rebalance.objects_moved",
+    (AddNodesEvent, "rebalance.objects_moved",
      "a schedule adds nodes but the rebalancer moved no ownership"),
-    ("has_power_loss", "recovery.wal_replayed",
+    (ClusterRestartEvent, "recovery.wal_replayed",
      "a schedule powers the cluster off but no WAL record was replayed"),
 )
 
@@ -190,8 +192,8 @@ class CampaignResult:
         out = [(f"{run.schedule_name} seed {run.seed}: {name}", problem)
                for run in self.runs for name, problem in run.audit.problems()]
         schedules = [run.recipe.schedule for run in self.runs]
-        for prop, counter, problem in _EXERCISED:
-            if (any(getattr(s, prop) for s in schedules)
+        for kind, counter, problem in _EXERCISED:
+            if (any(s.of(kind) for s in schedules)
                     and self.registry.counter_total(counter) == 0):
                 out.append(("exercised", f"{problem} ({counter} == 0)"))
         return out
@@ -265,7 +267,7 @@ def run_cell(recipe: Recipe, obs: Optional[Observability] = None,
     stop_at = cluster.sim.now + recipe.duration_us
     rig.start(spec_fn, stop_at)
     advance(stop_at)
-    if schedule.has_power_loss:
+    if schedule.of(ClusterRestartEvent):
         # The first wave died with the power loss; drive a second wave of
         # traffic, half a window long, against the cold-started cluster
         # (the reformed view and the reconcile pass are long settled by
@@ -290,7 +292,7 @@ def run_cell(recipe: Recipe, obs: Optional[Observability] = None,
     # quiet check, and its next acquisition would re-skew a balance the
     # rebalancer already declared.
     advance(cluster.sim.now + recipe.quiesce_us)
-    if schedule.has_elastic:
+    if schedule.of(AddNodesEvent, DrainEvent):
         rig.converge(4 * recipe.quiesce_us)
 
     audit = rig.audit(history=recorder)
@@ -312,7 +314,7 @@ def run_cell(recipe: Recipe, obs: Optional[Observability] = None,
     # Stable: events at one instant keep the kind order above.
     timed.sort(key=lambda pair: pair[0])
     timeline = [label for _t, label in timed]
-    if schedule.has_fault_window:
+    if schedule.of(FaultWindowEvent):
         timeline.append("loss_burst")
 
     return RunReport(

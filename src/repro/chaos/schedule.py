@@ -31,7 +31,9 @@ clock, covering the full fault model Zeus claims to survive (Sections 3.1,
 
 Schedules are plain data: they can be generated (see
 :mod:`repro.chaos.generator`), hand-written in tests, printed, and hashed
-for determinism checks.
+for determinism checks.  Each event's ``inject(cluster)`` is one call of
+its :class:`~repro.harness.zeus_cluster.ZeusCluster` fault verb, so a new
+fault kind is one event class plus one verb.
 """
 
 from __future__ import annotations
@@ -54,6 +56,9 @@ class CrashEvent:
     def describe(self) -> str:
         return f"t={self.at_us:.0f}us crash node {self.node}"
 
+    def inject(self, cluster) -> None:
+        cluster.crash(self.node, at=self.at_us)
+
 
 @dataclass(frozen=True)
 class RecoverEvent:
@@ -62,6 +67,9 @@ class RecoverEvent:
 
     def describe(self) -> str:
         return f"t={self.at_us:.0f}us recover node {self.node}"
+
+    def inject(self, cluster) -> None:
+        cluster.recover(self.node, at=self.at_us)
 
 
 @dataclass(frozen=True)
@@ -78,6 +86,10 @@ class PartitionEvent:
         return (f"t={self.at_us:.0f}us partition {list(self.a_side)} | "
                 f"{list(self.b_side)}{heal}")
 
+    def inject(self, cluster) -> None:
+        cluster.partition(self.a_side, self.b_side, at=self.at_us,
+                          heal_at=self.heal_at_us)
+
 
 @dataclass(frozen=True)
 class SlowdownEvent:
@@ -92,6 +104,9 @@ class SlowdownEvent:
                if self.end_us is not None else " permanently")
         return f"t={self.at_us:.0f}us slow node {self.node} x{self.factor:g}{end}"
 
+    def inject(self, cluster) -> None:
+        cluster.slow(self.node, self.factor, at=self.at_us, until=self.end_us)
+
 
 @dataclass(frozen=True)
 class FaultWindowEvent:
@@ -104,6 +119,9 @@ class FaultWindowEvent:
         return (f"t={self.at_us:.0f}us..{self.end_us:.0f}us faults "
                 f"loss={p.loss_prob:g} dup={p.duplicate_prob:g} "
                 f"reorder={p.reorder_max_us:g}us")
+
+    def inject(self, cluster) -> None:
+        cluster.fault_window(self.params, at=self.at_us, until=self.end_us)
 
 
 @dataclass(frozen=True)
@@ -118,6 +136,10 @@ class ClusterRestartEvent:
         return (f"t={self.at_us:.0f}us power-loss all nodes, cold restart "
                 f"t={self.at_us + self.outage_us:.0f}us")
 
+    def inject(self, cluster) -> None:
+        cluster.power_loss(at=self.at_us,
+                           restart_at=self.at_us + self.outage_us)
+
 
 @dataclass(frozen=True)
 class AddNodesEvent:
@@ -127,6 +149,9 @@ class AddNodesEvent:
     def describe(self) -> str:
         return f"t={self.at_us:.0f}us add {self.count} node(s)"
 
+    def inject(self, cluster) -> None:
+        cluster.add_nodes(self.count, at=self.at_us)
+
 
 @dataclass(frozen=True)
 class DrainEvent:
@@ -135,6 +160,9 @@ class DrainEvent:
 
     def describe(self) -> str:
         return f"t={self.at_us:.0f}us drain node {self.node}"
+
+    def inject(self, cluster) -> None:
+        cluster.drain(self.node, at=self.at_us)
 
 
 ChaosEventType = Union[CrashEvent, RecoverEvent, PartitionEvent,
@@ -172,8 +200,7 @@ class FaultSchedule:
         crashed_at: dict = {}
         drained: set = set()
         avail = num_nodes
-        has_restart = any(isinstance(e, ClusterRestartEvent)
-                          for e in self.events)
+        has_restart = bool(self.of(ClusterRestartEvent))
         for ev in self.events:
             if ev.at_us < 0:
                 raise ValueError(f"event before t=0: {ev.describe()}")
@@ -251,48 +278,9 @@ class FaultSchedule:
 
     # -------------------------------------------------------------- queries
 
-    @property
-    def crash_nodes(self) -> Tuple[int, ...]:
-        return tuple(e.node for e in self.events if isinstance(e, CrashEvent))
-
-    @property
-    def recover_nodes(self) -> Tuple[int, ...]:
-        return tuple(e.node for e in self.events
-                     if isinstance(e, RecoverEvent))
-
-    @property
-    def has_recovery(self) -> bool:
-        return any(isinstance(e, RecoverEvent) for e in self.events)
-
-    @property
-    def has_partition(self) -> bool:
-        return any(isinstance(e, PartitionEvent) for e in self.events)
-
-    @property
-    def has_slowdown(self) -> bool:
-        return any(isinstance(e, SlowdownEvent) for e in self.events)
-
-    @property
-    def has_fault_window(self) -> bool:
-        return any(isinstance(e, FaultWindowEvent) for e in self.events)
-
-    @property
-    def has_power_loss(self) -> bool:
-        return any(isinstance(e, ClusterRestartEvent) for e in self.events)
-
-    @property
-    def has_elastic(self) -> bool:
-        return any(isinstance(e, (AddNodesEvent, DrainEvent))
-                   for e in self.events)
-
-    @property
-    def added_count(self) -> int:
-        return sum(e.count for e in self.events
-                   if isinstance(e, AddNodesEvent))
-
-    @property
-    def drain_nodes(self) -> Tuple[int, ...]:
-        return tuple(e.node for e in self.events if isinstance(e, DrainEvent))
+    def of(self, *kinds: type) -> Tuple[ChaosEventType, ...]:
+        """The events that are instances of any of ``kinds``, in order."""
+        return tuple(e for e in self.events if isinstance(e, kinds))
 
     def describe(self) -> str:
         if not self.events:

@@ -1,7 +1,6 @@
-"""Cluster substrate: nodes, lease-based membership with epochs, failures."""
+"""Cluster substrate: nodes, lease-based membership with epochs."""
 
-from .failure import FailureInjector
 from .membership import MembershipService, View
 from .node import Node
 
-__all__ = ["Node", "MembershipService", "View", "FailureInjector"]
+__all__ = ["Node", "MembershipService", "View"]

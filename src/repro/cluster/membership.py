@@ -244,19 +244,3 @@ class MembershipService:
                 node.spawn(self._heartbeat_loop(node), name="heartbeat")
             self.sim.call_after(wire, node.on_view_change, epoch, live,
                                 self.view.incarnations)
-
-    # -------------------------------------------------------------- helper
-
-    def force_remove(self, node_id: NodeId) -> None:
-        """Test helper: install a view without waiting for lease expiry."""
-        if node_id not in self.view.live:
-            return
-        self._last_heartbeat.pop(node_id, None)
-        self._suspected.pop(node_id, None)
-        live = frozenset(self.view.live - {node_id})
-        self.view = View(self.view.epoch + 1, live,
-                         {nid: self.nodes[nid].incarnation for nid in live})
-        self.view_history.append(self.view)
-        for nid in live:
-            self.sim.call_soon(self.nodes[nid].on_view_change, self.view.epoch,
-                               live, self.view.incarnations)

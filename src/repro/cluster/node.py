@@ -198,6 +198,11 @@ class Node:
         for proc in self._processes:
             proc.kill()
         self._processes.clear()
+        if self.durability is not None:
+            # The crash loses the volatile WAL tail, and any fsync
+            # completion already in flight must never resolve a
+            # durability future for the dead incarnation (token bump).
+            self.durability.power_fail()
 
     def restart(self) -> None:
         """Reboot a crashed node under a fresh incarnation.
@@ -289,5 +294,3 @@ class Node:
         for fn in self._view_listeners:
             fn(epoch, live)
 
-    def count(self, key: str, n: int = 1) -> None:
-        self.counters.inc(key, n)

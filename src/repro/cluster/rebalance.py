@@ -278,12 +278,7 @@ class Rebalancer:
         self._quiet.pop(leaver, None)
         for h in cluster.handles:
             h.ownership.trim_preferred.discard(leaver)
-        # Halt first (the graceful dual of a crash), then retire: retire
-        # demands proof-of-stop and installs the epoch bump that fences any
-        # straggler message from the drained incarnation.
-        cluster.failures.drain_now(cluster.nodes[leaver])
-        cluster.membership.retire(leaver)
-        cluster.retired.add(leaver)
+        cluster.retire(leaver)
         self._c_drains.inc()
         tracer = self.obs.tracer
         if tracer is not None:

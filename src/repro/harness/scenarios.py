@@ -114,6 +114,7 @@ def _run_voter_migration(seed: int, obs: Observability) -> ScenarioOutcome:
 def _chaos_cell(recipe, obs: Observability) -> ScenarioOutcome:
     """One audited campaign cell."""
     from ..chaos.campaign import run_cell
+    from ..chaos.schedule import AddNodesEvent, DrainEvent
 
     report = run_cell(recipe, obs)
     schedule = recipe.schedule
@@ -122,7 +123,7 @@ def _chaos_cell(recipe, obs: Observability) -> ScenarioOutcome:
              "timeline_events": len(report.timeline),
              "run_digest": hashlib.sha256(
                  report.digest().encode()).hexdigest()[:16]}
-    if schedule.has_elastic:
+    if schedule.of(AddNodesEvent, DrainEvent):
         for name in ("objects_moved", "drains_completed"):
             extra[name] = obs.registry.counter_total(f"rebalance.{name}")
     return ScenarioOutcome(report.committed, report.aborted,

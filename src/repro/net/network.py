@@ -56,8 +56,6 @@ class Network:
         self._endpoints: Dict[NodeId, DeliverFn] = {}
         self._down: Set[NodeId] = set()
         self._partitioned: Set[Tuple[NodeId, NodeId]] = set()
-        #: Per-directed-link latency multiplier (>1 = degraded link).
-        self._degraded: Dict[Tuple[NodeId, NodeId], float] = {}
         # --------- accounting
         self._links: Dict[Tuple[NodeId, NodeId], _Link] = {}
         self.total_bytes = 0
@@ -111,19 +109,6 @@ class Network:
 
     def is_partitioned(self, a: NodeId, b: NodeId) -> bool:
         return (a, b) in self._partitioned
-
-    def degrade(self, a: NodeId, b: NodeId, latency_factor: float) -> None:
-        """Multiply the (a, b) link's latency in both directions (a gray
-        network failure: the link works, just slowly)."""
-        if latency_factor <= 0:
-            raise ValueError(f"bad latency factor {latency_factor}")
-        self._degraded[(a, b)] = latency_factor
-        self._degraded[(b, a)] = latency_factor
-
-    def restore(self, a: NodeId, b: NodeId) -> None:
-        """Undo :meth:`degrade` for the (a, b) pair."""
-        self._degraded.pop((a, b), None)
-        self._degraded.pop((b, a), None)
 
     # ------------------------------------------------------------- sending
 
@@ -190,10 +175,6 @@ class Network:
                 self._t_send(src, TID_NET, None, dst, msg.kind,
                              msg.size_bytes)
         delay = self.latency(msg.size_bytes) + extra_delay
-        if self._degraded:
-            factor = self._degraded.get(link_key)
-            if factor is not None:
-                delay *= factor
         for i in range(duplicates + 1):
             # Duplicates trail the original slightly.
             self.sim.post_after(delay + i * 0.5, self._deliver, msg)

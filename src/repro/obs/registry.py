@@ -1,4 +1,4 @@
-"""The metrics registry: named counters, gauges, histograms, meters.
+"""The metrics registry: named counters, gauges and histograms.
 
 Every protocol layer registers its instruments here instead of keeping
 private ``_count`` dicts, so one ``registry.snapshot()`` captures the whole
@@ -226,13 +226,12 @@ class CounterGroup(Mapping):
 class MetricsRegistry:
     """Holds every instrument of one simulated cluster."""
 
-    __slots__ = ("_counters", "_gauges", "_histograms", "_meters", "_groups")
+    __slots__ = ("_counters", "_gauges", "_histograms", "_groups")
 
     def __init__(self) -> None:
         self._counters: Dict[Tuple[str, Labels], Counter] = {}
         self._gauges: Dict[Tuple[str, Labels], Gauge] = {}
         self._histograms: Dict[Tuple[str, Labels], Histogram] = {}
-        self._meters: Dict[Tuple[str, Labels], ThroughputMeter] = {}
         self._groups: Dict[Tuple[str, Labels], CounterGroup] = {}
 
     # ---------------------------------------------------------- instruments
@@ -261,15 +260,6 @@ class MetricsRegistry:
             self._histograms[key] = inst
         return inst
 
-    def meter(self, name: str, bin_us: float = 100_000.0,
-              **labels) -> ThroughputMeter:
-        key = (name, _labels_of(labels))
-        inst = self._meters.get(key)
-        if inst is None:
-            inst = ThroughputMeter(bin_us, name, key[1])
-            self._meters[key] = inst
-        return inst
-
     def group(self, prefix: str, **labels) -> CounterGroup:
         key = (prefix, _labels_of(labels))
         grp = self._groups.get(key)
@@ -293,13 +283,10 @@ class MetricsRegistry:
                   for (n, l), g in self._gauges.items()}
         histograms = {_qualified(n, l): h.summary()
                       for (n, l), h in self._histograms.items()}
-        meters = {_qualified(n, l): {"total": m.total, "bin_us": m.bin_us}
-                  for (n, l), m in self._meters.items()}
         return {
             "counters": dict(sorted(counters.items())),
             "gauges": dict(sorted(gauges.items())),
             "histograms": dict(sorted(histograms.items())),
-            "meters": dict(sorted(meters.items())),
         }
 
 

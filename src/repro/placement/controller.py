@@ -87,10 +87,6 @@ class PlacementController:
         the controller no longer perturbs."""
         self._stopped = True
 
-    @property
-    def running(self) -> bool:
-        return self._proc is not None and not self._proc.done()
-
     def decision_log_json(self) -> str:
         """The decision log as canonical JSON (sorted keys, compact
         separators) — byte-identical across same-seed runs."""

@@ -36,10 +36,6 @@ class CpuServer:
         #: Cost multiplier (>1 = degraded core; chaos gray-failure knob).
         self.speed_factor = 1.0
 
-    @property
-    def free_at(self) -> float:
-        return self._free_at
-
     def utilization(self, elapsed: float) -> float:
         """Fraction of ``elapsed`` spent busy (can exceed 1 if overloaded)."""
         return self.busy_time / elapsed if elapsed > 0 else 0.0
@@ -155,10 +151,6 @@ class DiskDevice:
         self.busy_time = 0.0
         #: Cost multiplier (>1 = degraded device; chaos gray-failure knob).
         self.speed_factor = 1.0
-
-    @property
-    def free_at(self) -> float:
-        return self._free_at
 
     def write(self, nbytes: int) -> float:
         """Charge a sequential append of ``nbytes``; returns finish time."""

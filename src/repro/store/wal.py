@@ -20,9 +20,9 @@ Appends are volatile until an fsync barrier covers them.  ``fsync_policy
 "group"`` batches appends for up to ``group_window_us`` before issuing one
 barrier (group commit); ``"always"`` issues a barrier per append.  A crash
 or power loss discards the un-fsynced tail and — via a token bump, the same
-pattern as the failure injector's slow windows — guarantees an in-flight
+pattern as the cluster's slowdown windows — guarantees an in-flight
 fsync completion scheduled before the crash can never resolve a durability
-future after it (see ``FailureInjector._crash``).
+future after it (see ``Node.crash``).
 
 Snapshots are crash-consistent: capture the state at one instant, *flush
 the log past the capture point*, write the snapshot, and only then install

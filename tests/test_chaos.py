@@ -42,8 +42,8 @@ def test_schedule_sorts_events_and_signature_is_stable():
     s2 = FaultSchedule([b, a], name="x")
     assert [e.at_us for e in s1] == [2_000.0, 5_000.0]
     assert s1.signature() == s2.signature()
-    assert s1.crash_nodes == (1,)
-    assert s1.has_partition and not s1.has_slowdown
+    assert s1.of(CrashEvent) == (a,)
+    assert s1.of(PartitionEvent) and not s1.of(SlowdownEvent)
     assert "partition" in s1.describe()
 
 
@@ -96,19 +96,21 @@ def test_generator_difficulty_scales_adversity():
                                  require_crash=True).events
     # Difficulty 3 stacks loss + partition + slowdown in every schedule.
     s3 = generate_schedule(4, 30_000.0, seed=0, difficulty=3)
-    assert s3.has_fault_window and s3.has_partition and s3.has_slowdown
+    assert (s3.of(FaultWindowEvent) and s3.of(PartitionEvent)
+            and s3.of(SlowdownEvent))
     # Difficulty 1 picks exactly one adversity (plus possibly a crash).
     s1 = generate_schedule(4, 30_000.0, seed=0, difficulty=1,
                            allow_crash=False)
-    kinds = sum([s1.has_fault_window, s1.has_partition, s1.has_slowdown])
-    assert kinds == 1 and not s1.crash_nodes
+    kinds = sum(bool(s1.of(kind)) for kind in
+                (FaultWindowEvent, PartitionEvent, SlowdownEvent))
+    assert kinds == 1 and not s1.of(CrashEvent)
 
 
 def test_generator_require_crash_and_heal_bounds():
     for seed in range(5):
         sched = generate_schedule(4, 30_000.0, seed=seed, difficulty=3,
                                   require_crash=True)
-        assert len(sched.crash_nodes) == 1
+        assert len(sched.of(CrashEvent)) == 1
         for ev in sched:
             if isinstance(ev, PartitionEvent):
                 # Generated partitions always heal inside the run.

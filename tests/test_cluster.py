@@ -1,11 +1,13 @@
-"""Nodes, membership with leases/epochs, failure injection."""
+"""Nodes, membership with leases/epochs, the cluster's fault verbs."""
+
+from dataclasses import asdict
 
 import pytest
 
 from repro.cluster.node import Node
 from repro.net.network import Network
 from repro.sim.kernel import Simulator
-from repro.sim.params import NetParams, SimParams
+from repro.sim.params import FaultParams, NetParams, SimParams
 from tests.conftest import make_cluster
 
 
@@ -96,13 +98,6 @@ def test_view_listener_called_once_per_epoch():
     assert calls == [2, 3]
 
 
-def test_counters():
-    _sim, _net, nodes = make_nodes(1)
-    nodes[0].count("x")
-    nodes[0].count("x", 2)
-    assert nodes[0].counters["x"] == 3
-
-
 # ------------------------------------------------------------- membership
 
 
@@ -149,17 +144,62 @@ def test_membership_two_crashes_two_epochs():
     assert cluster.membership.view.epoch >= 2
 
 
-def test_force_remove_helper():
-    cluster = make_cluster(3)
-    cluster.membership.force_remove(2)
-    cluster.run(until=100.0)
-    assert cluster.nodes[0].epoch == 2
-    assert cluster.nodes[0].live_nodes == frozenset({0, 1})
-
-
 def test_failure_injector_records():
     cluster = make_cluster(3)
     cluster.crash(1, at=50.0)
     cluster.run(until=100.0)
     assert cluster.failures.crashed == [(50.0, 1)]
     assert not cluster.nodes[1].alive
+
+
+#: verb -> (its calls, the non-empty ``cluster.failures`` lists after the
+#: run, the ``faults.*`` / ``chaos.*`` counter increments).
+FAULT_VERBS = {
+    "crash": (lambda c: c.crash(1, at=50.0),
+              {"crashed": [(50.0, 1)]}, {"faults.crashes": 1}),
+    "recover": (lambda c: (c.crash(1, at=50.0), c.recover(1, at=500.0)),
+                {"crashed": [(50.0, 1)], "recovered": [(500.0, 1)]},
+                {"faults.crashes": 1, "faults.recoveries": 1}),
+    "partition": (lambda c: c.partition([0], [1, 2], at=50.0, heal_at=500.0),
+                  {"partitions": [(50.0, (0,), (1, 2))],
+                   "heals": [(500.0, (0,), (1, 2))]},
+                  {"faults.partitions": 1, "faults.heals": 1}),
+    "slow": (lambda c: c.slow(1, 3.0, at=50.0, until=500.0),
+             {"slowdowns": [(50.0, 1, 3.0), (500.0, 1, 1.0)]},
+             {"faults.slowdowns": 1}),
+    "fault_window": (lambda c: c.fault_window(FaultParams(loss_prob=0.5),
+                                              at=50.0, until=500.0),
+                     {}, {"chaos.fault_windows": 1}),
+    # The cold restart's view installs a 200 us boot after it begins.
+    "power_loss": (lambda c: c.power_loss(at=50.0, restart_at=500.0),
+                   {"power_losses": [50.0], "cold_restarts": [700.0]},
+                   {"faults.power_losses": 1}),
+    "add_nodes": (lambda c: c.add_nodes(1, at=50.0),
+                  {"added": [(50.0, 3)]}, {"faults.node_adds": 1}),
+}
+
+
+def _fault_counters(cluster):
+    counters = cluster.obs.registry.snapshot()["counters"]
+    return {name: value for name, value in counters.items()
+            if name.startswith(("faults.", "chaos."))}
+
+
+@pytest.mark.parametrize("verb", list(FAULT_VERBS))
+def test_fault_verb_records_counts_and_acts(verb):
+    calls, records, increments = FAULT_VERBS[verb]
+    cluster = make_cluster(3)
+    before = _fault_counters(cluster)
+    calls(cluster)
+    loss = {}
+    for t in (100.0, 1_000.0):
+        cluster.sim.call_at(t, lambda t=t: loss.__setitem__(
+            t, cluster.network.faults.params.loss_prob))
+    cluster.run(until=2_000.0)
+    after = _fault_counters(cluster)
+    assert {kind: entries for kind, entries in asdict(cluster.failures).items()
+            if entries} == records
+    assert {name: value - before.get(name, 0) for name, value in after.items()
+            if value != before.get(name, 0)} == increments
+    mid = 0.5 if verb == "fault_window" else 0.0
+    assert loss == {100.0: mid, 1_000.0: 0.0}

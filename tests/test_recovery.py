@@ -223,9 +223,8 @@ def test_degree_audit_detects_unrepaired_replica_set():
 def test_overlapping_slowdown_windows_nest():
     cluster = make_cluster(3)
     node = cluster.nodes[1]
-    failures = cluster.failures
-    failures.slow_at(node, 2.0, 1_000.0, 5_000.0)
-    failures.slow_at(node, 4.0, 2_000.0, 8_000.0)
+    cluster.slow(1, 2.0, at=1_000.0, until=5_000.0)
+    cluster.slow(1, 4.0, at=2_000.0, until=8_000.0)
     samples = {}
     for t in (1_500.0, 3_000.0, 6_000.0, 9_000.0):
         cluster.sim.call_at(t, lambda t=t: samples.__setitem__(t, node.slowdown))
@@ -238,7 +237,7 @@ def test_slowdown_window_straddling_a_restart_is_discarded():
     cluster = make_cluster(4, fast_failover=True)
     cluster.start_membership()
     node = cluster.nodes[1]
-    cluster.failures.slow_at(node, 8.0, 1_000.0, 40_000.0)
+    cluster.slow(1, 8.0, at=1_000.0, until=40_000.0)
     cluster.crash(1, at=2_000.0)
     cluster.recover(1, at=15_000.0)
     cluster.run(until=60_000.0)
@@ -263,9 +262,8 @@ def test_schedule_rejects_recovery_without_crash():
     sched = FaultSchedule([CrashEvent(at_us=1_000.0, node=0),
                            RecoverEvent(at_us=2_000.0, node=0)])
     sched.validate(3)
-    assert sched.crash_nodes == (0,)
-    assert sched.recover_nodes == (0,)
-    assert sched.has_recovery
+    assert [e.node for e in sched.of(CrashEvent)] == [0]
+    assert [e.node for e in sched.of(RecoverEvent)] == [0]
 
 
 def test_generator_emits_crash_recover_pairs_deterministically():
@@ -278,7 +276,7 @@ def test_generator_emits_crash_recover_pairs_deterministically():
         again = generate_schedule(4, horizon, seed=seed, difficulty=2,
                                   require_crash=True)
         assert sched.signature() == again.signature()
-        assert sched.has_recovery  # difficulty >= 2 pairs every crash
+        assert sched.of(RecoverEvent)  # difficulty >= 2 pairs every crash
         seen_recovery = True
         crash = next(e for e in sched if isinstance(e, CrashEvent))
         recover = next(e for e in sched if isinstance(e, RecoverEvent))
@@ -289,10 +287,10 @@ def test_generator_emits_crash_recover_pairs_deterministically():
     # Difficulty 1 and allow_recovery=False never emit recoveries.
     for seed in range(10):
         assert not generate_schedule(4, horizon, seed=seed, difficulty=1,
-                                     require_crash=True).has_recovery
+                                     require_crash=True).of(RecoverEvent)
         assert not generate_schedule(4, horizon, seed=seed, difficulty=2,
                                      require_crash=True,
-                                     allow_recovery=False).has_recovery
+                                     allow_recovery=False).of(RecoverEvent)
 
 
 # ======================================================================
