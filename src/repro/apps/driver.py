@@ -19,6 +19,9 @@ from ..sim.kernel import Simulator
 
 __all__ = ["RequestQueue", "OpenLoopSource", "serve_queue"]
 
+#: How long an idle worker thread waits before polling its queue again.
+_IDLE_POLL_US = 2.0
+
 
 class RequestQueue:
     """A FIFO of pending requests feeding one node's worker threads."""
@@ -85,8 +88,7 @@ class OpenLoopSource:
 def serve_queue(sim: Simulator, queue: RequestQueue,
                 handler: Callable[[Any], Generator],
                 meter: Optional[ThroughputMeter] = None,
-                stop_at: Optional[float] = None,
-                idle_poll_us: float = 2.0) -> Generator:
+                stop_at: Optional[float] = None) -> Generator:
     """Worker-thread loop: pop a request, run its (generator) handler.
 
     The handler generator models the request's CPU and blocking profile;
@@ -95,7 +97,7 @@ def serve_queue(sim: Simulator, queue: RequestQueue,
     while stop_at is None or sim.now < stop_at:
         item = queue.pop()
         if item is None:
-            yield idle_poll_us
+            yield _IDLE_POLL_US
             continue
         yield from handler(item)
         if meter is not None:

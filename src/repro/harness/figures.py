@@ -1,24 +1,24 @@
 """The paper's evaluation (§8) as one table: every table, figure and
 ablation is a :class:`Figure` row of :data:`FIGURES` (ids: DESIGN.md §3).
 
-``run(**sizes)`` simulates the experiment and returns its payload
-(``benchmarks/`` holds the paper-scale sizes; each ``run`` docstring has
-the paper's claim and why the scaled-down run still shows it),
-``table(payload)`` renders what the paper's artefact reports, and
+``run(**row.sizes)`` simulates the experiment at the sizes the committed
+``results/`` were recorded at and returns its payload (each ``run``
+docstring has the paper's claim and why the scaled-down run still shows
+it), ``table(payload)`` renders what the paper's artefact reports, and
 ``bands(payload)`` judges the *shape* the reproduction targets — who wins,
-by roughly what factor, where the crossovers fall — as the ``(gate,
-problem)`` list of :mod:`repro.harness.gates`, so a band is callable on a
-stored or hand-built payload without simulating anything.  A payload's
-``detail`` entry (display-only series, per-scenario verdicts) is the one
-part ``results/<result>.json`` does not carry.
+by roughly what factor, where the crossovers fall — as a ``(gate,
+problem)`` list, so a band is callable on a stored or hand-built payload
+without simulating anything.  A payload's ``detail`` entry (display-only
+series, per-scenario verdicts) is the one part ``results/<result>.json``
+does not carry.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
+from typing import Callable, List, Optional, Tuple
 
 from ..apps import (CellularGateway, NginxServer, OpenLoopSource,
                     RemoteKvClient, RemoteKvServer, RequestQueue,
@@ -36,23 +36,28 @@ from ..workloads import (SMALLBANK_MIX, TATP_MIX, HandoverWorkload,
                          MobilityModel, SmallbankWorkload, TatpWorkload,
                          TpccAnalysis, VenmoGraph, VoterWorkload,
                          migrate_objects)
-from .gates import Problems
 from .rig import loaded_cluster, steady_state
 from .tables import ascii_series, format_table, save_result
 
 __all__ = ["Figure", "FIGURES"]
 
+#: Failed gates as ``(gate, problem)``; empty means passed.
+Problems = List[Tuple[str, str]]
+
 
 @dataclass(frozen=True)
 class Figure:
-    """One artefact of the paper's evaluation."""
+    """One gated experiment: an artefact of the paper's evaluation, or a
+    CLI command's row (``result`` ``None``: it saves nothing)."""
 
     id: str
     title: str
-    result: str
+    result: Optional[str]
     run: Callable[..., dict]
     table: Callable[[dict], str]
     bands: Callable[[dict], Problems]
+    #: The ``run`` keywords ``results/`` was recorded at.
+    sizes: dict = field(default_factory=dict)
 
     def save(self, payload: dict) -> str:
         """Write ``payload`` minus its ``detail`` to ``results/``."""
@@ -927,7 +932,7 @@ def _v1_table(out):
     return (format_table(
         ["scenario", "states", "transitions", "result"],
         [(name, r.states_explored, r.transitions,
-          "OK" if r.ok else r.violation)
+          "OK" if r.ok and not r.truncated else r.violation or "truncated")
          for name, r in out["detail"]["checked"].items()],
         title="Exhaustive check of the real managers (paper: TLA+/TLC)")
         + f"\nimplementation sweep — {out['detail']['sweep']}")
@@ -1195,12 +1200,18 @@ def _a5_bands(out):
         ("throughput_kept", hashed["tps"] > 0.9 * single["tps"], out))
 
 
-#: Every artefact, in DESIGN.md §3 order.  ``repro list`` prints this
-#: table; ``benchmarks/`` runs it at paper scale; ``tests/test_figures.py``
+#: Closed-loop steady-state window of every throughput point (µs).
+_WINDOW = dict(threads=4, duration_us=8_000.0, warmup_us=1_500.0)
+
+#: Every artefact, in DESIGN.md §3 order, at the sizes ``results/`` was
+#: recorded at (the L1 rows are sized by their models).  ``repro list``
+#: prints this table; ``benchmarks/`` runs it; ``tests/test_figures.py``
 #: keeps it one-to-one with ``results/`` and reaches every band.
 FIGURES = (
-    Figure("T2", "benchmark summary", "table2",
-           _t2_run, _t2_table, _t2_bands),
+    Figure("T2", "benchmark summary", "table2", _t2_run, _t2_table, _t2_bands,
+           dict(users_per_node=500, stations_per_node=10,
+                accounts_per_node=500, subscribers_per_node=500,
+                voters=2_000, samples=20_000)),
     Figure("L1-boston", "locality analysis: Boston handovers",
            "locality_boston", _boston_run, _boston_table, _boston_bands),
     Figure("L1-venmo", "locality analysis: Venmo payment graph",
@@ -1208,32 +1219,46 @@ FIGURES = (
     Figure("L1-tpcc", "locality analysis: TPC-C",
            "locality_tpcc", _tpcc_run, _tpcc_table, _tpcc_bands),
     Figure("F7", "handovers vs ideal", "fig7_handovers",
-           _f7_run, _f7_table, _f7_bands),
+           _f7_run, _f7_table, _f7_bands,
+           dict(users_per_node=2_500, stations_per_node=40, **_WINDOW)),
     Figure("F8", "smallbank sweep", "fig8_smallbank",
-           _f8_run, _f8_table, _f8_bands),
-    Figure("F9", "tatp sweep", "fig9_tatp", _f9_run, _f9_table, _f9_bands),
+           _f8_run, _f8_table, _f8_bands,
+           dict(accounts_per_node=2_000, **_WINDOW)),
+    Figure("F9", "tatp sweep", "fig9_tatp", _f9_run, _f9_table, _f9_bands,
+           dict(subscribers_per_node=4_000, **_WINDOW)),
     Figure("F10", "bulk migration", "fig10_voter_migration",
-           _f10_run, _f10_table, _f10_bands),
+           _f10_run, _f10_table, _f10_bands,
+           dict(voters=12_000, mover_threads=4, vote_threads=2,
+                move1_at=20_000.0, horizon=220_000.0)),
     Figure("F11", "migration under load", "fig11_voter_concurrent",
-           _f11_run, _f11_table, _f11_bands),
+           _f11_run, _f11_table, _f11_bands,
+           dict(voters=15_000, hot_voters=3_000, vote_threads=2,
+                horizon=180_000.0, moves_at=(20_000.0, 75_000.0, 130_000.0))),
     Figure("F12", "latency CDF", "fig12_ownership_latency",
-           _f12_run, _f12_table, _f12_bands),
+           _f12_run, _f12_table, _f12_bands,
+           dict(voters=8_000, hot_voters=2_000, horizon=120_000.0)),
     Figure("F13", "packet gateway", "fig13_gateway",
-           _f13_run, _f13_table, _f13_bands),
+           _f13_run, _f13_table, _f13_bands,
+           dict(users=2_000, horizon=400_000.0)),
     Figure("F14", "SCTP throughput", "fig14_sctp",
-           _f14_run, _f14_table, _f14_bands),
+           _f14_run, _f14_table, _f14_bands, dict(duration_us=30_000.0)),
     Figure("F15", "nginx scale-out", "fig15_nginx",
-           _f15_run, _f15_table, _f15_bands),
+           _f15_run, _f15_table, _f15_bands,
+           dict(sessions=3_000, horizon=300_000.0)),
     Figure("V1", "model checking", "verification",
-           _v1_run, _v1_table, _v1_bands),
+           _v1_run, _v1_table, _v1_bands, dict(seeds=12)),
     Figure("A1", "pipelining", "ablation_pipelining",
-           _a1_run, _a1_table, _a1_bands),
+           _a1_run, _a1_table, _a1_bands,
+           dict(accounts_per_node=2_000, **_WINDOW)),
     Figure("A2", "replication", "ablation_replication",
-           _a2_run, _a2_table, _a2_bands),
+           _a2_run, _a2_table, _a2_bands,
+           dict(accounts_per_node=1_500, **_WINDOW)),
     Figure("A3", "reads on replicas", "ablation_readonly",
-           _a3_run, _a3_table, _a3_bands),
+           _a3_run, _a3_table, _a3_bands,
+           dict(objects=60, threads=4, duration_us=8_000.0)),
     Figure("A4", "hops", "ablation_ownership_hops",
-           _a4_run, _a4_table, _a4_bands),
+           _a4_run, _a4_table, _a4_bands, dict(per_case=400)),
     Figure("A5", "directory modes", "ablation_directory",
-           _a5_run, _a5_table, _a5_bands),
+           _a5_run, _a5_table, _a5_bands,
+           dict(subscribers_per_node=1_500, threads=4, duration_us=6_000.0)),
 )

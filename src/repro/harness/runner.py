@@ -1,36 +1,24 @@
 """Command-line experiment runner: ``python -m repro <command>``.
 
-Convenience entry points for the common flows so users do not need pytest
-to explore the system.  Every subcommand lives in the single
-:data:`COMMANDS` registry below — name, help line, argument setup, and
-handler in one row — so ``python -m repro --help`` is always complete and
-the dispatch table cannot drift from the parser:
+Every subcommand is one row of :data:`COMMANDS` — name, help line,
+argument setup and handler — so ``python -m repro --help`` lists them all
+and dispatch cannot drift from the parser.
 
-* ``python -m repro quickstart``            — the README tour
-* ``python -m repro verify [--seeds N]``    — exhaustive checker + sweep
-* ``python -m repro chaos [--seeds N]``     — chaos campaign + audits
-* ``python -m repro elastic [--add K]``     — live scale-out: recovery report
-  and locality telemetry of one LB-routed run
-* ``python -m repro place [--workload W]``  — static-vs-adaptive placement
-* ``python -m repro smallbank [--remote F]``— one Zeus-vs-baseline point
-* ``python -m repro trace``                 — trace a short SmallBank mix
-* ``python -m repro analyze FILE``          — critical-path latency breakdown
-* ``python -m repro list [ID ...]``         — the catalog, or rows' tables
-
-Every command that runs a cluster takes one output-flag set
-(:func:`_args_outputs`): ``--trace`` (Chrome), ``--jsonl`` (spans, the
-``analyze`` input), ``--metrics-out``, ``--locality-out``; each file is
-written only when asked, by :func:`_write_outputs`.
-
-Every gated command computes its gates in the library — as ``(gate,
-problem)`` lists, the shape of ``AuditReport.problems()`` — and ends in
-the one :func:`_verdict` footer, whose exit code carries them.
+Every gated experiment but the chaos campaign (which streams its cells)
+is a :class:`~repro.harness.figures.Figure` row — a paper artefact of
+``FIGURES`` (``repro list <id>``, ``repro verify`` is V1), or ``ELASTIC``
+/ ``PLACE`` of :mod:`repro.harness.experiments` — and runs down one path,
+:func:`_run_row`: ``run`` at the row's sizes, ``table``, the output
+files, then the :func:`_verdict` footer on its ``bands``, whose exit code
+carries them.  Every command that runs a cluster takes one output-flag
+set (:func:`_args_outputs`): ``--trace`` (Chrome), ``--jsonl`` (spans,
+the ``analyze`` input), ``--metrics-out``, ``--locality-out``; each file
+is written only when asked, by :func:`_write_outputs`.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from typing import List, Optional
 
@@ -82,35 +70,36 @@ def _write_outputs(args, obs) -> None:
 
 
 def _cmd_quickstart(_args) -> int:
-    import os
     import runpy
+    from pathlib import Path
 
-    here = os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.dirname(os.path.abspath(__file__)))))
-    script = os.path.join(here, "examples", "quickstart.py")
-    if not os.path.exists(script):
+    script = Path(__file__).resolve().parents[3] / "examples" / "quickstart.py"
+    if not script.exists():
         print("examples/quickstart.py not found (installed without repo?)")
         return 1
-    runpy.run_path(script, run_name="__main__")
+    runpy.run_path(str(script), run_name="__main__")
     return 0
 
 
-def _cmd_verify(args) -> int:
-    from ..chaos import explore
-    from ..verify import SCENARIOS, check_protocol
+def _rows() -> dict:
+    from .figures import FIGURES
 
-    checked = [(name, check_protocol(scenario))
-               for name, scenario in SCENARIOS.items()]
-    for name, result in checked:
-        print(f"{name:<15} : {result}")
-    swept = explore(seeds=args.seeds)
-    print(f"explorer        : {len(swept.runs)} histories "
-          f"({sum(bool(r.recipe.events) for r in swept.runs)} with crashes), "
-          f"{swept.committed} txns committed")
-    return _verdict([(name, result.violation or "truncated")
-                     for name, result in checked
-                     if not result.ok or result.truncated]
-                    + swept.problems())
+    return {row.id: row for row in FIGURES}
+
+
+def _run_row(row, args=None, **overrides) -> int:
+    """The one path of every gated row: run it at its sizes (``overrides``
+    on top), print its table, write the files ``args``' output flags ask
+    for (from the run's ``obs``), and end in the verdict on its bands."""
+    out = row.run(**{**row.sizes, **overrides})
+    print(row.table(out))
+    if args is not None:
+        _write_outputs(args, overrides["obs"])
+    return _verdict(row.bands(out))
+
+
+def _cmd_verify(args) -> int:
+    return _run_row(_rows()["V1"], seeds=args.seeds)
 
 
 def _cmd_chaos(args) -> int:
@@ -131,24 +120,17 @@ def _cmd_chaos(args) -> int:
     # exercise the power-loss-mid-rebalance exit, not just drains.
     wal = args.wal or args.power_loss or args.elastic
     cfg = CampaignConfig(
-        cell=Recipe(
-            num_nodes=args.nodes,
-            num_objects=args.objects,
-            duration_us=args.duration,
-            quiesce_us=args.quiesce,
-            disk=DiskParams(enabled=wal, fsync_policy=args.fsync,
-                            ack_policy=args.ack),
-            placement=args.placement,
-            check_history=args.check_history,
-        ),
-        num_schedules=args.schedules,
-        seeds=tuple(range(args.seeds)),
+        cell=Recipe(num_nodes=args.nodes, num_objects=args.objects,
+                    duration_us=args.duration, quiesce_us=args.quiesce,
+                    disk=DiskParams(enabled=wal, fsync_policy=args.fsync,
+                                    ack_policy=args.ack),
+                    placement=args.placement,
+                    check_history=args.check_history),
+        num_schedules=args.schedules, seeds=tuple(range(args.seeds)),
         difficulty=args.difficulty,
         schedule_seed_base=args.schedule_seed_base,
-        power_loss=args.power_loss,
-        elastic=args.elastic,
-        elastic_add=args.add,
-    )
+        power_loss=args.power_loss, elastic=args.elastic,
+        elastic_add=args.add)
 
     if args.show_schedules:
         for i in range(cfg.num_schedules):
@@ -180,210 +162,27 @@ def _cmd_chaos(args) -> int:
 
 
 def _cmd_elastic(args) -> int:
-    """One LB-routed run, live scale-out N -> N+k mid-traffic: the
-    throughput-recovery report and the locality telemetry of that run.
-
-    The paper's request path: the LB pins each key to a serving node and
-    workers access the keys routed to *their* node (plus a small remote
-    fraction), so Zeus's locality protocol keeps objects where they are
-    used.  At ``--steady`` the cluster adds ``--add`` nodes, the LB
-    shifts a fair share of keys onto the joiners and ownership follows
-    the new access points.  Keys are the object ids themselves, which
-    keeps LB routing and the locality recorder's per-object telemetry on
-    one key space.
-
-    Windowed throughput is sampled throughout; then the run settles
-    (waiting for the rebalancer to converge only after a scale-out) and
-    is audited.  The report is the recovery summary, then what the
-    :class:`~repro.obs.LocalityRecorder` saw: the per-node × object-group
-    access heatmap, the remote-txn fraction timeline with cause
-    attribution (routing miss vs ownership migrating vs genuinely
-    shared), the hot-key table with a decayed skew estimate, and the
-    migration-effectiveness ledger (paybacks, ping-pongs).  Exit 0
-    requires every audit and a non-empty hot-key table; with a scale-out
-    also throughput back within 10% of the pre-add steady state, the
-    rebalancer converged, the remote fraction *falling* once it settled
-    and at least one migration paying for itself.
-    """
-    from ..sim.params import DiskParams
-    from .gates import (locality_fall, locality_problems, pct,
-                        recovery_problems, throughput_recovery)
-    from .rig import Rig, counter_catalog
-    from .tables import format_table
+    """One LB-routed live scale-out: the ``ELASTIC`` row."""
+    from .experiments import ELASTIC
 
     if not 0 < args.window <= args.steady / 2:
         # Steady state is the mean of the windows ending in the back half
         # of the pre-add era: a longer window leaves that half empty.
         args.error("--window must be positive and at most --steady / 2")
-    obs = _observability(args, locality=True)
-    loc = obs.locality
-    rig = Rig(counter_catalog(args.nodes, args.objects), args.seed, obs,
-              threads=args.threads, disk=DiskParams(enabled=args.wal))
-    cluster, stats = rig.cluster, rig.stats
-    cluster.start_membership()
-    try:
-        # Pins match the initial owners.
-        rig.add_lb((i, i % args.nodes) for i in range(args.objects))
-    except ValueError as err:
-        args.error(str(err))  # the subparser's error(): usage + exit 2
-    add_at = args.steady
-    stop_at = add_at + args.after
-    rig.start(rig.routed_spec(args.remote), stop_at)
-    if args.add > 0:
-        cluster.sim.call_at(add_at, cluster.add_nodes, args.add)
-
-    samples = []  # (window_end_us, committed_in_window)
-    last = 0
-    t = 0.0
-    while t < stop_at:
-        t = min(t + args.window, stop_at)
-        cluster.run(until=t)
-        samples.append((t, stats.committed - last))
-        last = stats.committed
-    steady, pre_windows, recovered_at, final = throughput_recovery(
-        samples, add_at)
-
-    # Settle: let a scale-out's rebalance converge, drain, audit.
-    done = rig.settle(args.quiesce, converge=args.add > 0)
-    audit = rig.audit()
-
-    def table(headers, rows) -> None:
-        for line in format_table(headers, rows).splitlines():
-            print("    " + line.rstrip())
-
-    reg = obs.registry
-    tps = lambda c: c / (args.window / 1e6)  # noqa: E731
-    print(f"elastic: {args.nodes} -> {args.nodes + args.add} nodes at "
-          f"t={add_at:.0f}us" if args.add > 0 else
-          f"elastic: {args.nodes} nodes, no scale-out",
-          f"({stats.committed} txns committed, seed {args.seed})")
-    print(f"  steady state : {tps(steady):>12,.0f} tps "
-          f"(mean of {pre_windows} windows before t={add_at:.0f}us)")
-    if args.add > 0:
-        if recovered_at is not None:
-            print(f"  recovered    : t={recovered_at:.0f}us "
-                  f"(+{recovered_at - add_at:.0f}us after the add, first "
-                  f"window back above 90% of steady)")
-        else:
-            print("  recovered    : NEVER (no post-add window reached 90% "
-                  "of steady)")
-    print(f"  final        : {tps(final):>12,.0f} tps "
-          f"({final / (steady or 1):.0%} of steady, last 3 windows)")
-    if done is not None:
-        print(f"  rebalancer   : "
-              f"{reg.counter_total('rebalance.objects_moved')} objects "
-              f"moved, {reg.counter_total('rebalance.bytes')} bytes, "
-              f"{reg.counter_total('rebalance.inflight_aborts')} in-flight "
-              f"aborts, converged={done.done()}")
-
-    report = loc.report(groups=args.groups, top=args.top)
-    totals = report["totals"]
-    causes = totals["causes"]
-    print(f"  remote       : {totals['remote']} of {totals['txns']} txns "
-          f"({totals['remote_fraction']:.1%}) — "
-          f"routing miss {causes['routing_miss']}, "
-          f"migrating {causes['migrating']}, shared {causes['shared']}")
-    routes = totals["routes"]
-    print(f"  lb routing   : {routes['hits']} hits, "
-          f"{routes['misses']} misses, {routes['repins']} re-pins")
-
-    heat = report["heatmap"]
-    print(f"\n  access heatmap (decayed counts, object groups of "
-          f"{heat['group_size']}):")
-    table(["node", *heat["groups"]],
-          [[nid, *(f"{c:.1f}" for c in row)]
-           for nid, row in zip(heat["nodes"], heat["counts"])])
-
-    # Windows of whole time bins: the recorder counts a bin in a window
-    # only if the bin starts inside it.
-    span = max(1, round(stop_at / 10 / loc.bin_us)) * loc.bin_us
-    marks = sorted((at, label) for label, at, _info in report["marks"])
-    print("\n  remote-fraction timeline:")
-    table(["window (us)", "remote", "marks"],
-          [[f"{t:.0f}-{min(t + span, stop_at):.0f}",
-            pct(loc.remote_fraction(t, t + span)),
-            " ".join(label for at, label in marks if t <= at < t + span)]
-           for t in (i * span for i in range(math.ceil(stop_at / span)))])
-
-    skew = report["skew"]
-    print(f"\n  hot keys (top {args.top} of {skew['distinct_tracked']} "
-          f"tracked; top-1 share {skew['top1_share']:.1%}, "
-          f"top-10 {skew['top10_share']:.1%}):")
-    table(["oid", "total", "share", "per-node"],
-          [[row["oid"], f"{row['total']:.1f}", f"{row['share']:.1%}",
-            ", ".join(f"n{n}:{c:.0f}" for n, c in row["per_node"].items())]
-           for row in report["hot_keys"]])
-
-    mig = report["migrations"]
-    print(f"\n  migrations   : {mig['handovers']} handovers, "
-          f"{mig['paid_back']} paid back"
-          + (f" (mean payback {mig['mean_payback_us']:.0f}us)"
-             if mig["mean_payback_us"] is not None else "")
-          + f", {mig['ping_pong_objects']} ping-ponging")
-    shown = [rec for rec in mig["table"] if not rec["superseded"]]
-    for rec in shown[:args.top]:
-        payback = (f"paid back in {rec['payback_us']:.0f}us"
-                   if rec["payback_us"] is not None else "not paid back")
-        print(f"    oid {rec['oid']:>4}: {rec['from']} -> {rec['to']} at "
-              f"t={rec['at_us']:.0f}us, {rec['at_new_owner']} accesses at "
-              f"new owner vs {rec['elsewhere']} elsewhere — {payback}")
-    for pp in mig["ping_pongs"][:args.top]:
-        print(f"    PING-PONG oid {pp['oid']}: "
-              f"{pp['handovers_in_window']} handovers within the window")
-
-    problems = audit.problems()
-    fall = None
-    if args.add > 0:
-        problems += recovery_problems(steady, recovered_at, final)
-        if not done.done():
-            problems.append(("rebalance",
-                             "did not converge after the scale-out"))
-        fall = locality_fall(loc, add_at, stop_at)
-    locality = locality_problems(report, fall)
-    if fall is not None:
-        serving, churn, settled = fall
-        fell = "remote_fraction" not in dict(locality)
-        print(f"\n  scale-out    : remote fraction {pct(churn)} while "
-              f"ownership chases the re-pinned keys (joiners serving at "
-              f"t={serving:.0f}us) -> {pct(settled)} once settled "
-              f"({'fell' if fell else 'DID NOT FALL'})")
-    print()
-    _write_outputs(args, obs)
-    return _verdict(problems + locality)
+    return _run_row(ELASTIC, args, obs=_observability(args, locality=True),
+                    **{name: getattr(args, name) for name in (
+                        "nodes", "add", "objects", "threads", "remote",
+                        "steady", "after", "quiesce", "window", "groups",
+                        "top", "wal", "seed")})
 
 
 def _cmd_place(args) -> int:
-    """Static vs adaptive placement: the differential harness as a CLI.
+    """Static vs adaptive placement: the ``PLACE`` row."""
+    from ..placement import DIFF_WORKLOADS
+    from .experiments import PLACE
 
-    For each workload, runs the same seeded cluster + workload twice —
-    without and with the :class:`~repro.placement.PlacementController` —
-    and reports the remote-transaction-fraction change, the controller's
-    actuation counts, and the decision-log digest.  Exit 0 requires every
-    gate: audits green on all runs (``--check-history`` adds the strict-
-    serializability checker), adaptive *reducing* the remote fraction on
-    the locality workloads (venmo, mobility), *no* reduction claim on the
-    uniform ones (smallbank, tpcc), same-seed byte-identical decision
-    logs, and every logged decision replaying offline through the pure
-    policy to the live actuation list.
-    """
-    from ..placement import DIFF_WORKLOADS, run_pair
-
-    names = args.workload if args.workload else list(DIFF_WORKLOADS)
-    print(f"placement differential: static vs adaptive, seed {args.seed}"
-          + (", history checker on" if args.check_history else ""))
-    print(f"{'workload':<10} {'static':>7}    {'adaptive':>6}  "
-          f"{'claim':<9} {'gate':<14} actuations")
-    problems = []
-    for name in names:
-        out = run_pair(name, seed=args.seed,
-                       check_history=args.check_history)
-        print(out.row())
-        print(f"    committed {out.static.committed} -> "
-              f"{out.adaptive.committed}; decision log sha256 "
-              f"{out.decision_digest[:16]}")
-        problems += [(f"{name}: {gate}", problem)
-                     for gate, problem in out.problems()]
-    return _verdict(problems)
+    return _run_row(PLACE, workloads=args.workload or DIFF_WORKLOADS,
+                    seed=args.seed, check_history=args.check_history)
 
 
 def _smallbank(args, accounts: int, threads: int, duration: float,
@@ -452,29 +251,25 @@ def _cmd_analyze(args) -> int:
     print(report.breakdown_table())
     if args.folded:
         with open(args.folded, "w") as fh:
-            for line in folded_stacks(source):
-                fh.write(line + "\n")
+            fh.writelines(line + "\n" for line in folded_stacks(source))
         print(f"\nwrote folded stacks: {args.folded} "
               f"(flamegraph.pl-compatible)")
     return 0
 
 
 def _cmd_list(args) -> int:
-    from .figures import FIGURES
-
-    rows = {row.id: row for row in FIGURES}
+    rows = _rows()
     unknown = [i for i in args.ids if i not in rows]
     if unknown:
         args.error(f"unknown row id: {', '.join(unknown)} "
                    f"(ids: {', '.join(rows)})")
-    for i in args.ids:
-        print(rows[i].table(rows[i].run()), end="\n\n")
-    if not args.ids:
-        print("Experiment catalog (repro list <id> prints a row's table; "
-              "paper scale: pytest benchmarks --benchmark-only -s -k <id>):")
-        for row in FIGURES:
-            print(f"  {row.id:<10} results/{row.result + '.json':<30} "
-                  f"{row.title}")
+    if args.ids:
+        return max([_run_row(rows[i]) for i in args.ids])
+    print("Experiment catalog (repro list <id> runs at the committed sizes "
+          "and gates; pytest benchmarks --benchmark-only -s -k <id> also "
+          "saves results/):")
+    for row in rows.values():
+        print(f"  {row.id:<10} results/{row.result + '.json':<30} {row.title}")
     return 0
 
 
@@ -533,17 +328,15 @@ def _args_chaos(p: argparse.ArgumentParser) -> None:
                         "for strict serializability")
     p.add_argument("--show-schedules", action="store_true",
                    help="print the generated fault timelines and exit")
-    p.add_argument("--power-loss", action="store_true",
-                   help="durability campaign: every schedule powers off the "
-                        "whole cluster mid-run and cold-starts it "
-                        "(implies --wal)")
-    p.add_argument("--elastic", action="store_true",
-                   help="reconfiguration campaign: every schedule scales the "
-                        "cluster out mid-run, then drains a node or powers "
-                        "the cluster off mid-rebalance (implies --wal)")
-    p.add_argument("--add", type=_positive_int, default=2,
-                   help="nodes each elastic schedule adds "
-                        "(default %(default)s)")
+    p.add_argument("--power-loss", action="store_true", help=(
+        "durability campaign: every schedule powers off the whole cluster "
+        "mid-run and cold-starts it (implies --wal)"))
+    p.add_argument("--elastic", action="store_true", help=(
+        "reconfiguration campaign: every schedule scales the cluster out "
+        "mid-run, then drains a node or powers the cluster off "
+        "mid-rebalance (implies --wal)"))
+    p.add_argument("--add", type=_positive_int, default=2, help=(
+        "nodes each elastic schedule adds (default %(default)s)"))
     p.add_argument("--placement", action="store_true",
                    help="run every cell with the adaptive placement "
                         "controller live (locality recorder attached)")
@@ -559,12 +352,12 @@ def _args_chaos(p: argparse.ArgumentParser) -> None:
 
 
 def _args_elastic(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--nodes", type=_positive_int, default=4,
-                   help="base cluster size (default %(default)s)")
+    p.add_argument("--nodes", type=_checked(int, lambda v: v >= 3, ">= 3 "
+                                            "(LB routing needs >= 3 nodes)"),
+                   default=4, help="base cluster size (default %(default)s)")
     p.add_argument("--add", type=_checked(int, lambda v: v >= 0, ">= 0"),
-                   default=2,
-                   help="nodes to add mid-run; 0 = no scale-out "
-                        "(default %(default)s)")
+                   default=2, help="nodes to add mid-run; 0 = no scale-out "
+                                   "(default %(default)s)")
     p.add_argument("--objects", type=_positive_int, default=48,
                    help="counter objects (default %(default)s)")
     p.add_argument("--threads", type=_positive_int, default=2,
@@ -572,24 +365,19 @@ def _args_elastic(p: argparse.ArgumentParser) -> None:
     p.add_argument("--remote", type=_fraction, default=0.05,
                    help="fraction of transactions touching keys routed to "
                         "other nodes (default %(default)s)")
-    p.add_argument("--steady", type=float, default=20_000.0,
-                   help="steady-state window before the add, in us "
-                        "(default %(default)s)")
-    p.add_argument("--after", type=float, default=40_000.0,
-                   help="measured window after the add, in us "
-                        "(default %(default)s)")
-    p.add_argument("--quiesce", type=float, default=30_000.0,
-                   help="drain window after traffic stops, before the "
-                        "audit (default %(default)s)")
-    p.add_argument("--window", type=float, default=2_000.0,
-                   help="throughput sampling window in us "
-                        "(default %(default)s)")
-    p.add_argument("--groups", type=_positive_int, default=8,
-                   help="object groups across the heatmap "
-                        "(default %(default)s)")
-    p.add_argument("--top", type=_positive_int, default=10,
-                   help="rows in the hot-key/migration tables "
-                        "(default %(default)s)")
+    p.add_argument("--steady", type=float, default=20_000.0, help=(
+        "steady-state window before the add, in us (default %(default)s)"))
+    p.add_argument("--after", type=float, default=40_000.0, help=(
+        "measured window after the add, in us (default %(default)s)"))
+    p.add_argument("--quiesce", type=float, default=30_000.0, help=(
+        "drain window after traffic stops, before the audit, in us "
+        "(default %(default)s)"))
+    p.add_argument("--window", type=float, default=2_000.0, help=(
+        "throughput sampling window in us (default %(default)s)"))
+    p.add_argument("--groups", type=_positive_int, default=8, help=(
+        "object groups across the heatmap (default %(default)s)"))
+    p.add_argument("--top", type=_positive_int, default=10, help=(
+        "rows in the hot-key/migration tables (default %(default)s)"))
     p.add_argument("--wal", action="store_true",
                    help="enable the per-node write-ahead log + snapshots")
     p.add_argument("--seed", type=int, default=1)
@@ -632,8 +420,8 @@ def _args_analyze(p: argparse.ArgumentParser) -> None:
 
 def _args_list(p: argparse.ArgumentParser) -> None:
     p.add_argument("ids", nargs="*", metavar="ID",
-                   help="run these rows and print their tables (default: "
-                        "print the catalog)")
+                   help="run these rows at their sizes and gate on their "
+                        "bands (default: print the catalog)")
 
 
 #: The single source of truth for subcommands: (name, help, argument
@@ -655,7 +443,7 @@ COMMANDS = [
      _args_trace, _cmd_trace),
     ("analyze", "critical-path latency attribution of a span JSONL trace",
      _args_analyze, _cmd_analyze),
-    ("list", "experiment catalog, or the tables of the named rows",
+    ("list", "experiment catalog, or run the named rows and gate",
      _args_list, _cmd_list),
 ]
 

@@ -38,6 +38,10 @@ from ..txn.api import ZeusAPI
 
 __all__ = ["ZeusCluster", "ZeusHandle", "FaultRecord"]
 
+#: The shortest cold restart: the reboot delay when no WAL replay is
+#: longer.
+_BOOT_US = 200.0
+
 
 @dataclass
 class FaultRecord:
@@ -426,7 +430,7 @@ class ZeusCluster:
         if restart_at is not None:
             self.sim.call_at(restart_at, self.cold_restart)
 
-    def cold_restart(self, boot_us: float = 200.0) -> float:
+    def cold_restart(self) -> float:
         """Cold-start the whole cluster after :meth:`power_loss`.
 
         Every node reboots, replays its durable image (snapshot restore,
@@ -463,7 +467,7 @@ class ZeusCluster:
             h.ownership.reset_for_restart()
             h.commit.reset_for_restart()
             h.recovery.on_cold_restart(outage_at, floored=floored)
-        view_at = self.sim.now + max(boot_us, max_replay)
+        view_at = self.sim.now + max(_BOOT_US, max_replay)
         self.membership.reform(epoch_floor, at=view_at)
         self.failures.cold_restarts.append(view_at)
         return view_at

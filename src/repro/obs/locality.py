@@ -79,6 +79,8 @@ _PAYBACK_ACCESSES = 2
 #: Handovers of one object inside the window that make it a ping-pong.
 _PINGPONG_K = 3
 _PINGPONG_WINDOW_US = 10_000.0
+#: Rows of the report's migration table.
+_MIGRATION_TABLE_ROWS = 64
 
 
 class SpaceSaving:
@@ -666,8 +668,7 @@ class LocalityRecorder:
             "coaccess": self.coaccess_edges(256),
         }
 
-    def report(self, groups: int = 8, top: int = 12,
-               table_limit: int = 64) -> Dict[str, Any]:
+    def report(self, groups: int = 8, top: int = 12) -> Dict[str, Any]:
         """The full JSON-able telemetry document (deterministically
         ordered; byte-identical per seed once serialized with sorted
         keys) — the interface a future placement controller consumes."""
@@ -708,7 +709,7 @@ class LocalityRecorder:
             "migrations": {
                 **self.migration_summary(),
                 "ping_pongs": self.ping_pongs(),
-                "table": self.migration_table(table_limit),
+                "table": self.migration_table(_MIGRATION_TABLE_ROWS),
             },
             "marks": [[label, round(at, 3), info]
                       for label, at, info in self._marks],

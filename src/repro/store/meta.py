@@ -80,7 +80,7 @@ class ReplicaSet(NamedTuple):
             return AccessLevel.READER
         return AccessLevel.NON_REPLICA
 
-    def with_owner(self, new_owner: NodeId, demote_old: bool = True) -> "ReplicaSet":
+    def with_owner(self, new_owner: NodeId) -> "ReplicaSet":
         """Replica set after ``new_owner`` takes ownership.
 
         The old owner is demoted to reader (it retains the data); the new
@@ -88,7 +88,7 @@ class ReplicaSet(NamedTuple):
         """
         readers = set(self.readers)
         readers.discard(new_owner)
-        if demote_old and self.owner is not None and self.owner != new_owner:
+        if self.owner is not None and self.owner != new_owner:
             readers.add(self.owner)
         return ReplicaSet(new_owner, tuple(sorted(readers)))
 

@@ -88,8 +88,7 @@ def check_owner_freshness(cluster: ZeusCluster) -> None:
                 f"replica at v{max_valid}")
 
 
-def check_directory_agreement(cluster: ZeusCluster,
-                              require_valid: bool = True) -> None:
+def check_directory_agreement(cluster: ZeusCluster) -> None:
     """Live directory nodes whose entry is Valid agree on the replica set
     (the paper's arbiter-agreement invariant)."""
     dir_handles = [h for h in _live_handles(cluster) if h.directory is not None]
@@ -97,9 +96,7 @@ def check_directory_agreement(cluster: ZeusCluster,
         views = []
         for h in dir_handles:
             entry = h.directory.get(oid)
-            if entry is None:
-                continue
-            if require_valid and entry.o_state != OState.VALID:
+            if entry is None or entry.o_state != OState.VALID:
                 continue
             views.append((h.node_id, entry.o_ts, entry.replicas))
         if len(views) < 2:

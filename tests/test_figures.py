@@ -2,22 +2,19 @@
 ``results/*.json``, every band reachable without a simulation, and the
 rows that take under a second run here at their paper-scale sizes."""
 
+import dataclasses
 import json
 import pathlib
-import runpy
 
 import pytest
 
-from repro.harness import tables
+from repro.harness import figures, tables
 from repro.harness.figures import FIGURES
 from repro.harness.runner import main
 from repro.verify import CheckResult
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 ROWS = {row.id: row for row in FIGURES}
-#: The sizes ``results/`` was recorded at live with the benchmark.
-PAPER_SCALE = runpy.run_path(
-    str(ROOT / "benchmarks" / "test_paper_figures.py"))["PAPER_SCALE"]
 #: Rows that run in well under a second at those sizes (3 s together).
 FAST = ("T2", "L1-boston", "L1-venmo", "L1-tpcc", "F14", "F15", "A3", "A4")
 
@@ -44,8 +41,7 @@ def truncated() -> CheckResult:
 def test_rows_and_results_are_one_to_one():
     on_disk = sorted(p.stem for p in (ROOT / "results").glob("*.json"))
     assert sorted(row.result for row in FIGURES) == on_disk
-    assert len(ROWS) == len(FIGURES) == len(PAPER_SCALE)
-    assert set(ROWS) == set(PAPER_SCALE)
+    assert len(ROWS) == len(FIGURES)
 
 
 def test_repro_list_prints_every_row(capsys):
@@ -54,6 +50,26 @@ def test_repro_list_prints_every_row(capsys):
     assert [line.split()[0] for line in lines] == [row.id for row in FIGURES]
     # All 17 artefacts of DESIGN.md §3 (L1 is three rows).
     assert len({row.id.split("-")[0] for row in FIGURES}) == 17
+
+
+@pytest.mark.parametrize("row_id", ["F14", "A4"])
+def test_repro_list_runs_a_row_at_its_sizes(row_id, capsys):
+    assert main(["list", row_id]) == 0
+    assert capsys.readouterr().out.endswith("verdict         : OK\n")
+
+
+@pytest.mark.parametrize("argv", [["list", "V1"], ["verify", "--seeds", "1"]])
+def test_a_failed_band_fails_the_command(argv, monkeypatch, capsys):
+    payload = recorded(ROWS["V1"])
+    payload["detail"]["checked"]["commit+crash"] = truncated()
+    payload["detail"]["sweep"] = "(not run)"
+    monkeypatch.setattr(figures, "FIGURES", tuple(
+        dataclasses.replace(row, run=lambda **_sizes: payload)
+        if row.id == "V1" else row for row in FIGURES))
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert "  FAILED [exhaustive[commit+crash]]: " in out
+    assert out.endswith("verdict         : FAILED\n")
 
 
 # ---------------------------------------------------------------- bands
@@ -163,7 +179,7 @@ def test_fast_row_reproduces_its_recorded_result(row_id, tmp_path,
     """Run -> table -> save -> bands, as the benchmark does; what it saves
     must be the committed file byte for byte."""
     row = ROWS[row_id]
-    payload = row.run(**PAPER_SCALE[row_id])
+    payload = row.run(**row.sizes)
     assert row.bands(payload) == []
     assert row.table(payload).splitlines()[0]
     monkeypatch.setattr(tables, "results_dir", lambda: str(tmp_path))

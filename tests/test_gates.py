@@ -7,8 +7,8 @@ import pytest
 from repro.chaos import CampaignResult, FaultSchedule, Recipe, RunReport
 from repro.chaos.schedule import (AddNodesEvent, ClusterRestartEvent,
                                   CrashEvent, DrainEvent, RecoverEvent)
-from repro.harness.gates import (locality_problems, recovery_problems,
-                                 throughput_recovery)
+from repro.harness.experiments import (locality_problems,
+                                       recovery_problems, throughput_recovery)
 from repro.harness.runner import _verdict, main
 from repro.placement.differential import DiffOutcome, _RunResult
 from repro.verify.audit import AuditReport
