@@ -430,7 +430,7 @@ class CommitManager:
             out = [(pipeline, slot, True)
                    for pipeline, slot in cumulative_max.items()]
             out.extend((pipeline, slot, False) for pipeline, slot in exact)
-            val = RVal(out, self.node.epoch)
+            val = RVal(tuple(out), self.node.epoch)
             self.node.send(follower, KIND_RVAL, val, val.size)
 
     # ======================================================================
@@ -506,7 +506,7 @@ class CommitManager:
     def _send_rack(self, to: NodeId, inv: RInv) -> None:
         if inv.replay or to != inv.pipeline[0]:
             # Recovery acks are rare and latency-critical: send immediately.
-            ack = RAck([(inv.pipeline, inv.slot)], self.node.epoch)
+            ack = RAck(((inv.pipeline, inv.slot),), self.node.epoch)
             self.node.send(to, KIND_RACK, ack, ack.size)
             return
         per_coord = self._ack_buffer.setdefault(to, {})
@@ -520,7 +520,7 @@ class CommitManager:
         self._ack_flush_scheduled = False
         buffer, self._ack_buffer = self._ack_buffer, {}
         for coordinator, per_pipe in buffer.items():
-            ack = RAck(list(per_pipe.items()), self.node.epoch)
+            ack = RAck(tuple(per_pipe.items()), self.node.epoch)
             self.node.send(coordinator, KIND_RACK, ack, ack.size)
 
     def _on_rval(self, msg: Message) -> None:

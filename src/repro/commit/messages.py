@@ -13,11 +13,15 @@
 A *pipeline* is ``(node_id, thread_idx)`` — Zeus pipelines per thread, not
 per node (Section 7), which is what lets the local commit's thread
 ownership double as pipeline separation.
+
+``RAck`` and ``RVal`` are ``NamedTuple`` values.  ``RInv`` is the one
+mutable payload: a view change re-stamps a pending slot's epoch in place
+(``CommitManager._on_view_change``) before re-broadcasting it.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Tuple
+from typing import Any, List, NamedTuple, Tuple
 
 from ..net.message import NodeId
 from ..store.catalog import ObjectId
@@ -63,7 +67,7 @@ class RInv:
         self.size = (5 + len(followers) + 2 * len(updates)) * _META + data
 
 
-class RAck:
+class RAck(NamedTuple):
     """Batched cumulative acks: entries are (pipeline, highest slot).
 
     Acking slot *n* implies successful reception and processing of every
@@ -72,25 +76,19 @@ class RAck:
     implementation batches packets per peer.
     """
 
-    __slots__ = ("entries", "epoch")
-
-    def __init__(self, entries: List[Tuple[PipelineId, int]], epoch: int):
-        self.entries = entries
-        self.epoch = epoch
+    entries: Tuple[Tuple[PipelineId, int], ...]
+    epoch: int
 
     @property
     def size(self) -> int:
         return (1 + 3 * len(self.entries)) * _META
 
 
-class RVal:
+class RVal(NamedTuple):
     """Batched validations: each entry is (pipeline, slot, cumulative)."""
 
-    __slots__ = ("entries", "epoch")
-
-    def __init__(self, entries: List[Tuple[PipelineId, int, bool]], epoch: int):
-        self.entries = entries
-        self.epoch = epoch
+    entries: Tuple[Tuple[PipelineId, int, bool], ...]
+    epoch: int
 
     @property
     def size(self) -> int:

@@ -96,15 +96,8 @@ class ZeusCluster:
                  catalog: Optional[Catalog] = None,
                  seed: int = 0,
                  max_pipeline_depth: int = 32,
-                 obs: Optional[Observability] = None,
-                 placement=None):
+                 obs: Optional[Observability] = None):
         self.params = params or SimParams()
-        #: Placement policy for the lazy :attr:`placement` controller
-        #: (``None`` = the policy's defaults).  The controller itself only
-        #: exists — and only acts — once something calls ``.start()`` on
-        #: it, so a cluster built with a policy but never started is
-        #: byte-identical to a controller-free one.
-        self._placement_policy = placement
         self.sim = Simulator()
         self.rng = RngRegistry(seed)
         self.catalog = catalog or Catalog(num_nodes, self.params.replication_degree)
@@ -562,11 +555,11 @@ class ZeusCluster:
     def placement(self):
         """The (lazily created) adaptive placement controller.  Needs the
         locality recorder to see anything — attach one via ``obs`` — and
-        an LB (``placement.lb``) for re-pin actuations."""
+        an LB (``placement.lb``) for re-pin actuations.  It acts only once
+        started, so an unstarted controller leaves a run byte-identical."""
         if self._placement is None:
             from ..placement import PlacementController
-            self._placement = PlacementController(
-                self, policy=self._placement_policy)
+            self._placement = PlacementController(self)
         return self._placement
 
     def on_nodes_added(self,

@@ -35,7 +35,6 @@ from .registry import (
     Counter,
     CounterGroup,
     Gauge,
-    Histogram,
     LatencyRecorder,
     MetricsRegistry,
     Observability,
@@ -48,7 +47,6 @@ __all__ = [
     "Counter",
     "CounterGroup",
     "Gauge",
-    "Histogram",
     "LatencyRecorder",
     "MetricsRegistry",
     "Observability",

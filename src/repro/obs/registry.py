@@ -27,7 +27,6 @@ from .stats import percentile
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "LatencyRecorder",
     "ThroughputMeter",
     "CounterGroup",
@@ -132,10 +131,6 @@ class LatencyRecorder:
         }
 
 
-#: Registry-facing alias: ``registry.histogram(...)`` returns this type.
-Histogram = LatencyRecorder
-
-
 class ThroughputMeter:
     """Counts events into fixed time bins; yields a tps timeline."""
 
@@ -231,7 +226,7 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._counters: Dict[Tuple[str, Labels], Counter] = {}
         self._gauges: Dict[Tuple[str, Labels], Gauge] = {}
-        self._histograms: Dict[Tuple[str, Labels], Histogram] = {}
+        self._histograms: Dict[Tuple[str, Labels], LatencyRecorder] = {}
         self._groups: Dict[Tuple[str, Labels], CounterGroup] = {}
 
     # ---------------------------------------------------------- instruments
@@ -252,11 +247,11 @@ class MetricsRegistry:
             self._gauges[key] = inst
         return inst
 
-    def histogram(self, name: str, **labels) -> Histogram:
+    def histogram(self, name: str, **labels) -> LatencyRecorder:
         key = (name, _labels_of(labels))
         inst = self._histograms.get(key)
         if inst is None:
-            inst = Histogram(name, key[1])
+            inst = LatencyRecorder(name, key[1])
             self._histograms[key] = inst
         return inst
 

@@ -52,6 +52,7 @@ from .messages import (
     OwnReq,
     OwnResp,
     OwnVal,
+    ReqId,
     ReqType,
 )
 
@@ -60,8 +61,6 @@ __all__ = ["OwnershipManager", "AcquireOutcome"]
 KIND_RECOVERED = "own.recovered"
 KIND_LIFTED = "own.lifted"
 KIND_DIR_SYNC = "own.dir_sync"
-
-ReqId = Tuple[NodeId, int]
 
 # Counter-key strings, precomputed so the acquire/deny hot paths don't
 # build an f-string (plus .name.lower()) per request.
@@ -89,7 +88,7 @@ class _ReqCtx:
 
     __slots__ = ("req_id", "oid", "req_type", "victim", "future", "acks",
                  "arbiters", "o_ts", "new_replicas", "data", "data_version",
-                 "started_at", "timeout_handle", "done", "resp")
+                 "started_at", "timeout_handle", "done")
 
     def __init__(self, req_id: ReqId, oid: ObjectId, req_type: ReqType,
                  victim: Optional[NodeId], future: Future, started_at: float):
@@ -107,7 +106,6 @@ class _ReqCtx:
         self.started_at = started_at
         self.timeout_handle = None
         self.done = False
-        self.resp: Optional[OwnResp] = None
 
 
 class _ReplayCtx:
@@ -1010,7 +1008,8 @@ class OwnershipManager(LifecycleMixin):
     def _start_replay(self, inv: OwnInv) -> None:
         live = self.node.live_nodes
         live_arbiters = tuple(a for a in inv.arbiters if a in live)
-        replay_inv = inv.replayed_by(self.node_id, self.node.epoch, live_arbiters)
+        replay_inv = inv._replace(epoch=self.node.epoch, arbiters=live_arbiters,
+                                  replay=True)
         ctx = _ReplayCtx(replay_inv, live_arbiters)
         self._replays[inv.req_id] = ctx
         self.counters.inc("arb_replay")
@@ -1064,7 +1063,6 @@ class OwnershipManager(LifecycleMixin):
             ctx.o_ts = resp.o_ts
             ctx.new_replicas = resp.new_replicas
             ctx.arbiters = resp.arbiters
-            ctx.resp = resp
             self._finish_resp(ctx.oid, ctx.req_type, resp, ctx)
         else:
             # The request is gone (watchdog fired, or an arb-replay after

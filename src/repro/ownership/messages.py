@@ -16,18 +16,22 @@ Sizes are modeled analytically (metadata fields ≈ 8B each) so bandwidth
 accounting stays meaningful; an owner ACK to a non-replica requester also
 carries the object value (Section 6.2: "the value is included in a single
 ownership message").
+
+Every message is a ``NamedTuple``: what a node sends is fixed when it is
+sent, so a replayed or duplicated copy is the original.
 """
 
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Any, Optional, Tuple
+from typing import Any, NamedTuple, Optional, Tuple
 
 from ..net.message import NodeId
 from ..store.catalog import ObjectId
 from ..store.meta import Ots, ReplicaSet
 
 __all__ = [
+    "ReqId",
     "ReqType",
     "NackReason",
     "OwnReq",
@@ -62,6 +66,9 @@ KIND_DATA = "own.data"
 
 _META = 8  # modeled bytes per metadata field
 
+#: (requester, per-requester counter)
+ReqId = Tuple[NodeId, int]
+
 
 class ReqType(IntEnum):
     """Sharding request types (Sections 4 and 6.2)."""
@@ -81,167 +88,118 @@ class NackReason(IntEnum):
     TIMEOUT = 6            # requester-side watchdog fired
 
 
-class OwnReq:
-    __slots__ = ("req_id", "oid", "requester", "req_type", "epoch", "victim")
-
-    def __init__(self, req_id: int, oid: ObjectId, requester: NodeId,
-                 req_type: ReqType, epoch: int, victim: Optional[NodeId] = None):
-        self.req_id = req_id
-        self.oid = oid
-        self.requester = requester
-        self.req_type = req_type
-        self.epoch = epoch
-        #: Reader to discard, for REMOVE_READER.
-        self.victim = victim
+class OwnReq(NamedTuple):
+    req_id: ReqId
+    oid: ObjectId
+    requester: NodeId
+    req_type: ReqType
+    epoch: int
+    #: Reader to discard, for REMOVE_READER.
+    victim: Optional[NodeId] = None
 
     size = 5 * _META
 
 
-class OwnInv:
-    __slots__ = ("req_id", "oid", "o_ts", "new_replicas", "requester",
-                 "req_type", "epoch", "replay", "arbiters", "data_source",
-                 "prev_replicas", "prev_ts")
+class OwnInv(NamedTuple):
+    """Driver → arbiters.  An arb-replay re-sends the same INV under a new
+    epoch and live arbiter set (``inv._replace(epoch=..., arbiters=...,
+    replay=True)``): every other field is the original's."""
 
-    def __init__(self, req_id: int, oid: ObjectId, o_ts: Ots,
-                 new_replicas: ReplicaSet, requester: NodeId, req_type: ReqType,
-                 epoch: int, arbiters: Tuple[NodeId, ...],
-                 data_source: Optional[NodeId],
-                 prev_replicas: ReplicaSet, prev_ts: Ots,
-                 replay: bool = False):
-        self.req_id = req_id
-        self.oid = oid
-        self.o_ts = o_ts
-        self.new_replicas = new_replicas
-        self.requester = requester
-        self.req_type = req_type
-        self.epoch = epoch
-        self.replay = replay
-        #: All arbiters of this request (directory nodes + current owner).
-        self.arbiters = arbiters
-        #: Node whose ACK must carry the object value (None if requester
-        #: already stores it).
-        self.data_source = data_source
-        #: Pre-arbitration metadata, retained so an abort can revert.
-        self.prev_replicas = prev_replicas
-        self.prev_ts = prev_ts
+    req_id: ReqId
+    oid: ObjectId
+    o_ts: Ots
+    new_replicas: ReplicaSet
+    requester: NodeId
+    req_type: ReqType
+    epoch: int
+    #: All arbiters of this request (directory nodes + current owner).
+    arbiters: Tuple[NodeId, ...]
+    #: Node whose ACK must carry the object value (None if requester
+    #: already stores it).
+    data_source: Optional[NodeId]
+    #: Pre-arbitration metadata, retained so an abort can revert.
+    prev_replicas: ReplicaSet
+    prev_ts: Ots
+    replay: bool = False
 
     @property
     def size(self) -> int:
         return (8 + len(self.arbiters) + self.new_replicas.size()) * _META
 
-    def replayed_by(self, driver: NodeId, epoch: int,
-                    arbiters: Tuple[NodeId, ...]) -> "OwnInv":
-        """The identical idempotent INV, re-driven after a failure."""
-        inv = OwnInv(self.req_id, self.oid, self.o_ts, self.new_replicas,
-                     self.requester, self.req_type, epoch, arbiters,
-                     self.data_source, self.prev_replicas, self.prev_ts,
-                     replay=True)
-        return inv
 
-
-class OwnAck:
-    __slots__ = ("req_id", "oid", "o_ts", "epoch", "arbiters", "new_replicas",
-                 "data", "data_version")
-
-    def __init__(self, req_id: int, oid: ObjectId, o_ts: Ots, epoch: int,
-                 arbiters: Tuple[NodeId, ...], new_replicas: ReplicaSet,
-                 data: Any = None, data_version: Optional[int] = None):
-        self.req_id = req_id
-        self.oid = oid
-        self.o_ts = o_ts
-        self.epoch = epoch
-        self.arbiters = arbiters
-        self.new_replicas = new_replicas
-        self.data = data
-        self.data_version = data_version
+class OwnAck(NamedTuple):
+    req_id: ReqId
+    oid: ObjectId
+    o_ts: Ots
+    epoch: int
+    arbiters: Tuple[NodeId, ...]
+    new_replicas: ReplicaSet
+    data: Any = None
+    data_version: Optional[int] = None
 
     def size_with(self, obj_size: int) -> int:
         base = (6 + len(self.arbiters)) * _META
         return base + (obj_size if self.data_version is not None else 0)
 
 
-class OwnNack:
-    __slots__ = ("req_id", "oid", "reason", "epoch", "arbiters", "o_ts")
-
-    def __init__(self, req_id: int, oid: ObjectId, reason: NackReason,
-                 epoch: int, arbiters: Tuple[NodeId, ...] = (),
-                 o_ts: Optional[Ots] = None):
-        self.req_id = req_id
-        self.oid = oid
-        self.reason = reason
-        self.epoch = epoch
-        #: Arbiters the requester must ABORT (owner-busy NACKs only).
-        self.arbiters = arbiters
-        self.o_ts = o_ts
+class OwnNack(NamedTuple):
+    req_id: ReqId
+    oid: ObjectId
+    reason: NackReason
+    epoch: int
+    #: Arbiters the requester must ABORT (owner-busy NACKs only).
+    arbiters: Tuple[NodeId, ...] = ()
+    o_ts: Optional[Ots] = None
 
     size = 5 * _META
 
 
-class OwnVal:
-    __slots__ = ("req_id", "oid", "o_ts", "epoch")
-
-    def __init__(self, req_id: int, oid: ObjectId, o_ts: Ots, epoch: int):
-        self.req_id = req_id
-        self.oid = oid
-        self.o_ts = o_ts
-        self.epoch = epoch
+class OwnVal(NamedTuple):
+    req_id: ReqId
+    oid: ObjectId
+    o_ts: Ots
+    epoch: int
 
     size = 4 * _META
 
 
-class OwnResp:
+class OwnResp(NamedTuple):
     """Replay driver → live requester: arbitration won, apply then VAL."""
 
-    __slots__ = ("req_id", "oid", "o_ts", "epoch", "new_replicas",
-                 "arbiters", "data_source")
-
-    def __init__(self, req_id: int, oid: ObjectId, o_ts: Ots, epoch: int,
-                 new_replicas: ReplicaSet, arbiters: Tuple[NodeId, ...],
-                 data_source: Optional[NodeId]):
-        self.req_id = req_id
-        self.oid = oid
-        self.o_ts = o_ts
-        self.epoch = epoch
-        self.new_replicas = new_replicas
-        self.arbiters = arbiters
-        self.data_source = data_source
+    req_id: ReqId
+    oid: ObjectId
+    o_ts: Ots
+    epoch: int
+    new_replicas: ReplicaSet
+    arbiters: Tuple[NodeId, ...]
+    data_source: Optional[NodeId]
 
     size = 8 * _META
 
 
-class OwnAbort:
-    __slots__ = ("req_id", "oid", "o_ts", "epoch")
-
-    def __init__(self, req_id: int, oid: ObjectId, o_ts: Ots, epoch: int):
-        self.req_id = req_id
-        self.oid = oid
-        self.o_ts = o_ts
-        self.epoch = epoch
+class OwnAbort(NamedTuple):
+    req_id: ReqId
+    oid: ObjectId
+    o_ts: Ots
+    epoch: int
 
     size = 4 * _META
 
 
-class OwnFetch:
-    __slots__ = ("req_id", "oid", "epoch")
-
-    def __init__(self, req_id: int, oid: ObjectId, epoch: int):
-        self.req_id = req_id
-        self.oid = oid
-        self.epoch = epoch
+class OwnFetch(NamedTuple):
+    req_id: ReqId
+    oid: ObjectId
+    epoch: int
 
     size = 3 * _META
 
 
-class OwnData:
-    __slots__ = ("req_id", "oid", "epoch", "data", "data_version")
-
-    def __init__(self, req_id: int, oid: ObjectId, epoch: int,
-                 data: Any, data_version: int):
-        self.req_id = req_id
-        self.oid = oid
-        self.epoch = epoch
-        self.data = data
-        self.data_version = data_version
+class OwnData(NamedTuple):
+    req_id: ReqId
+    oid: ObjectId
+    epoch: int
+    data: Any
+    data_version: int
 
     def size_with(self, obj_size: int) -> int:
         return 4 * _META + obj_size

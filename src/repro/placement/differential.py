@@ -331,7 +331,6 @@ def _run_one(row: _Row, seed: int, adaptive: bool,
     controller = None
     if adaptive:
         controller = PlacementController(rig.cluster, lb=rig.lb,
-                                         policy=PlacementPolicy(),
                                          period_us=row.period_us)
         controller.start()
     if rig.lb is not None:

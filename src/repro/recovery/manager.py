@@ -467,8 +467,8 @@ class RecoveryManager:
         # and the settled arbitration follows via VAL or dir_sync.
         items = sorted(self.directory.items())
         for start in range(0, len(items), _CHUNK_ENTRIES):
-            chunk = [(oid, entry.o_ts, entry.replicas)
-                     for oid, entry in items[start:start + _CHUNK_ENTRIES]]
+            chunk = tuple([(oid, entry.o_ts, entry.replicas) for oid, entry
+                           in items[start:start + _CHUNK_ENTRIES]])
             self.node.send(requester, KIND_SNAP_CHUNK, chunk,
                            len(chunk) * _ENTRY_BYTES)
             yield _CHUNK_GAP_US

@@ -79,9 +79,11 @@ SCENARIOS: Dict[str, Scenario] = {
 
 
 def _canon(x):
-    """``x`` as a hashable value, every set and dict sorted.  Only the
-    ``__slots__`` classes of the protocol packages are descended into:
-    futures, timer handles, metrics and back-references are not state."""
+    """``x`` as a hashable value, every set and dict sorted.  A tuple
+    branch covers the ``NamedTuple`` wire payloads (and ``Ots`` /
+    ``ReplicaSet``); beyond those only the ``__slots__`` classes of the
+    protocol packages are descended into: futures, timer handles, metrics
+    and back-references are not state."""
     if x is None or isinstance(x, (int, str, float)):
         return x
     if isinstance(x, (tuple, list)):

@@ -8,7 +8,10 @@ import pytest
 import repro.chaos as chaos
 from repro.commit.messages import RAck, RInv, RVal
 from repro.harness.runner import main
+from repro.harness.scenarios import SCENARIOS
+from repro.net.network import Network
 from repro.obs import Observability, Tracer, load_jsonl, write_chrome_trace
+from repro.sim.params import FaultParams
 from repro.ownership.messages import (
     OwnAck,
     OwnInv,
@@ -17,6 +20,8 @@ from repro.ownership.messages import (
     ReqType,
 )
 from repro.store.meta import Ots, ReplicaSet
+from repro.workloads.base import TxnSpec, run_zeus_workload
+from tests.conftest import make_cluster
 
 
 def test_cli_list(capsys):
@@ -129,13 +134,73 @@ def test_own_inv_replay_preserves_identity():
     inv = OwnInv((0, 1), 5, Ots(2, 0), ReplicaSet(3, (0,)), 3,
                  ReqType.ACQUIRE_OWNER, 1, (0, 1, 2), None,
                  ReplicaSet(0, (1,)), Ots(1, 0))
-    replayed = inv.replayed_by(driver=1, epoch=2, arbiters=(0, 1))
+    replayed = inv._replace(epoch=2, arbiters=(0, 1), replay=True)
     assert replayed.o_ts == inv.o_ts
     assert replayed.req_id == inv.req_id
     assert replayed.replay and not inv.replay
-    assert replayed.epoch == 2
+    assert replayed.epoch == 2 and inv.epoch == 1
+    assert replayed.arbiters == (0, 1) and inv.arbiters == (0, 1, 2)
 
 
 def test_own_req_and_val_fixed_sizes():
     assert OwnReq.size > 0
     assert OwnVal.size > 0
+
+
+def _mutable_parts(value):
+    """Whatever in ``value`` is neither a scalar nor a tuple (NamedTuples
+    included), searched through nested tuples."""
+    if value is None or isinstance(value, (int, float, str)):
+        return []
+    if isinstance(value, tuple):
+        return [part for v in value for part in _mutable_parts(v)]
+    return [value]
+
+
+@pytest.fixture
+def sent(monkeypatch):
+    """Every ``(kind, payload)`` that reaches ``Network.send``."""
+    seen = []
+    real_send = Network.send
+
+    def send(network, msg):
+        seen.append((msg.kind, msg.payload))
+        real_send(network, msg)
+
+    monkeypatch.setattr(Network, "send", send)
+    return seen
+
+
+def _assert_values(sent):
+    for kind, payload in sent:
+        if isinstance(payload, RInv):
+            continue  # re-stamped in place by a view change
+        assert not _mutable_parts(payload), (kind, payload)
+
+
+def test_elastic_cell_sends_only_values(sent):
+    """Ownership replays and recovery snapshot chunks, beside every
+    steady-state payload: each is fixed when it is sent."""
+    SCENARIOS["elastic"](1, Observability())
+    assert any(isinstance(p, OwnInv) and p.replay for _k, p in sent)
+    assert any(kind == "rec.snap_chunk" for kind, _p in sent)
+    _assert_values(sent)
+
+
+def test_commit_replay_sends_only_values(sent):
+    """A coordinator crash mid-pipeline on a lossy network: followers
+    replay its slots and ack the replays (as in ``test_chaos``)."""
+    cluster = make_cluster(4, objects=12, fast_failover=True, seed=3,
+                           faults=FaultParams(loss_prob=0.03,
+                                              duplicate_prob=0.03,
+                                              reorder_max_us=4.0))
+    cluster.start_membership()
+    cluster.crash(3, at=5_000.0)
+    run_zeus_workload(
+        cluster, lambda node_id, thread, rng: TxnSpec(
+            write_set=rng.sample(range(12), 2), exec_us=0.3),
+        duration_us=20_000.0, threads=2, seed=3)
+    cluster.run(until=200_000.0)
+    assert any(isinstance(p, RInv) and p.replay for _k, p in sent)
+    assert any(isinstance(p, RAck) for _k, p in sent)
+    _assert_values(sent)
