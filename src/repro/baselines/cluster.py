@@ -56,9 +56,17 @@ class BaselineCluster:
             self.engines.append(engine)
 
     def load(self, init_value: Any = 0) -> None:
-        for oid in range(self.catalog.num_objects):
-            for engine in self.engines:
-                engine.load(oid, init_value)
+        """Install every object on its primary and backups, one placement
+        lookup per object."""
+        held: List[List[int]] = [[] for _ in self.engines]
+        catalog = self.catalog
+        for oid in range(catalog.num_objects):
+            replicas = catalog.initial_replicas(oid)
+            held[replicas.owner].append(oid)
+            for backup in replicas.readers:
+                held[backup].append(oid)
+        for engine, oids in zip(self.engines, held):
+            engine.load(oids, init_value)
 
     def spawn_app(self, node_id: int, gen: Generator,
                   name: str = "app") -> Process:

@@ -81,11 +81,10 @@ class BaselineEngine:
 
     # ------------------------------------------------------------- storage
 
-    def load(self, oid: ObjectId, value: Any) -> None:
-        """Install a record if this node is primary or backup for it."""
-        replicas = self.catalog.initial_replicas(oid)
-        if self.node_id in replicas.all_nodes():
-            self._records[oid] = _Record(value)
+    def load(self, oids: Sequence[ObjectId], value: Any) -> None:
+        """Install a record for each of ``oids`` (this node is primary or
+        backup of each), in order."""
+        self._records.update((oid, _Record(value)) for oid in oids)
 
     def primary_of(self, oid: ObjectId) -> NodeId:
         return self.catalog.initial_owner(oid)

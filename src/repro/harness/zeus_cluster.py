@@ -13,7 +13,9 @@ This is the entry point almost every example, test, and benchmark uses::
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import (Any, Callable, Dict, Generator, List, Optional, Sequence,
                     Set, Tuple)
 
@@ -199,16 +201,23 @@ class ZeusCluster:
     def load(self, init_value: Any = 0,
              values: Optional[Dict[ObjectId, Any]] = None) -> None:
         """Materialize every catalog object on its replicas and register it
-        in the directory (the paper's pre-sharded initial state)."""
-        for oid in range(self.catalog.num_objects):
-            replicas = self.catalog.initial_replicas(oid)
-            value = values.get(oid, init_value) if values else init_value
-            for dnode in self.catalog.directory_nodes_for(oid):
-                self.handles[dnode].directory.create(oid, replicas)
-            owner = replicas.owner
-            self.handles[owner].store.create(oid, value, replicas)
-            for reader in replicas.readers:
-                self.handles[reader].store.create(oid, value, None)
+        in the directory (the paper's pre-sharded initial state).
+
+        The catalog's owners are read once.  Every object an owner starts
+        with shares that owner's :meth:`Catalog.placement`, and each store
+        and directory table takes its objects in one bulk insert, in oid
+        order.  The burst allocates only live, acyclic objects, so the
+        cyclic collector is paused for it (a pass would re-walk every
+        replica loaded so far).  Loading a non-empty catalog twice raises
+        ``ValueError``.
+        """
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            self._load(init_value, values)
+        finally:
+            if enabled:
+                gc.enable()
         self._loaded = True
         for h in self.handles:
             if h.node.durability is not None:
@@ -216,6 +225,49 @@ class ZeusCluster:
                 # power loss before the first periodic snapshot still
                 # recovers the initial placement.
                 h.node.durability.start()
+
+    def _load(self, init_value: Any,
+              values: Optional[Dict[ObjectId, Any]]) -> None:
+        catalog = self.catalog
+        owners = catalog.initial_owners()
+        # One int object per oid, shared by every store and directory key
+        # (a fresh ``range`` or ``enumerate`` per node would allocate one
+        # per replica).
+        every_oid = list(range(len(owners)))
+        placements = {owner: catalog.placement(owner) for owner in set(owners)}
+        data = ([values.get(oid, init_value) for oid in every_oid]
+                if values else None)
+        for h in self.handles:
+            nid = h.node.node_id
+            # owner -> what ``nid`` keeps of its objects: the replica set
+            # at the owner, None at a reader.
+            held = {owner: replicas if owner == nid else None
+                    for owner, replicas in placements.items()
+                    if owner == nid or nid in replicas.readers}
+            if not held:
+                continue
+            oids = [oid for oid, owner in zip(every_oid, owners)
+                    if owner in held]
+            h.store.load(oids,
+                         repeat(init_value) if data is None
+                         else map(data.__getitem__, oids),
+                         [held[owner] for owner in owners if owner in held])
+        replicas = [placements[owner] for owner in owners]
+        for dnode, oids in self._directory_oids(every_oid).items():
+            self.handles[dnode].directory.load(
+                oids, map(replicas.__getitem__, oids))
+
+    def _directory_oids(self, every_oid: List[ObjectId]
+                        ) -> Dict[int, List[ObjectId]]:
+        """Directory node -> the oids it arbitrates, ascending."""
+        catalog = self.catalog
+        if catalog.directory_mode == "single":
+            return {dnode: every_oid for dnode in catalog.directory_nodes()}
+        arbiters: Dict[int, List[ObjectId]] = {}
+        for oid in every_oid:
+            for dnode in catalog.directory_nodes_for(oid):
+                arbiters.setdefault(dnode, []).append(oid)
+        return arbiters
 
     # ------------------------------------------------------------ execution
 

@@ -53,16 +53,17 @@ class Catalog:
         #: by rendezvous hashing — the distributed-directory scheme §6.2
         #: prescribes for large deployments or limited locality.
         self.directory_mode = directory_mode
-        #: Directory placement is frozen at the construction-time cluster
-        #: size: nodes added later by :meth:`grow` never host directory
-        #: entries.  Re-sharding the arbiters onto state-less fresh nodes
-        #: mid-run would hand the recovery barrier to nodes with no entries
-        #: to arbitrate; keeping placement pinned preserves the §4 fencing
+        #: Initial and directory placement are frozen at the
+        #: construction-time cluster size: nodes added later by :meth:`grow`
+        #: never host directory entries and are no object's initial replica.
+        #: Re-sharding the arbiters onto state-less fresh nodes mid-run
+        #: would hand the recovery barrier to nodes with no entries to
+        #: arbitrate; keeping placement pinned preserves the §4 fencing
         #: argument across elastic membership changes.
-        self._dir_base = num_nodes
+        self._base = num_nodes
         self._dir_nodes = tuple(range(min(3, num_nodes)))
         #: Hashed mode: oid -> its directory triplet, ranked on first use
-        #: (placement is frozen at ``_dir_base``, so it never goes stale).
+        #: (placement is frozen at ``_base``, so it never goes stale).
         #: It lives here, not on the protocol managers: the exhaustive
         #: explorer keys its states on the managers' attributes.
         self._hashed_dirs: Dict[ObjectId, Tuple[NodeId, ...]] = {}
@@ -72,6 +73,10 @@ class Catalog:
         #: bound ``__getitem__`` (every ownership ACK and grant asks).
         self.size_of = self._sizes.__getitem__
         self._initial_owner: List[NodeId] = []
+        #: owner -> the one shared initial :class:`ReplicaSet` of every
+        #: object it starts out owning (frozen at ``_base``, like the
+        #: directory, so it never goes stale).
+        self._placements: Dict[NodeId, ReplicaSet] = {}
         self._key_index: Dict[Tuple[str, object], ObjectId] = {}
 
     # -------------------------------------------------------------- schema
@@ -107,7 +112,7 @@ class Catalog:
 
         Returns the new ids (dense, following the existing ones).  Only
         the *universe* grows: directory placement stays frozen at the
-        construction-time base (see ``_dir_base``) and existing objects
+        construction-time base (see ``_base``) and existing objects
         keep their initial placement — moving data onto the new nodes is
         the rebalancer's job, via the ownership protocol's normal
         handover path.
@@ -129,13 +134,24 @@ class Catalog:
     def initial_owner(self, oid: ObjectId) -> NodeId:
         return self._initial_owner[oid]
 
+    def initial_owners(self) -> Tuple[NodeId, ...]:
+        """Every object's initial owner, indexed by oid."""
+        return tuple(self._initial_owner)
+
     def initial_replicas(self, oid: ObjectId) -> ReplicaSet:
         """Owner plus the next ``degree - 1`` nodes round-robin."""
-        owner = self._initial_owner[oid]
-        readers = tuple(
-            sorted((owner + i) % self.num_nodes for i in range(1, self.replication_degree))
-        )
-        return ReplicaSet(owner, readers)
+        return self.placement(self._initial_owner[oid])
+
+    def placement(self, owner: NodeId) -> ReplicaSet:
+        """The initial replica set of every object ``owner`` starts out
+        owning: one shared immutable value per owner, the readers taken
+        round-robin over the construction-time nodes."""
+        replicas = self._placements.get(owner)
+        if replicas is None:
+            readers = tuple(sorted((owner + i) % self._base
+                                   for i in range(1, self.replication_degree)))
+            replicas = self._placements[owner] = ReplicaSet(owner, readers)
+        return replicas
 
     @property
     def num_objects(self) -> int:
@@ -155,17 +171,17 @@ class Catalog:
         Rendezvous ranking runs over the frozen base, so :meth:`grow`
         never reshuffles arbiters.
         """
-        if self.directory_mode == "single" or self._dir_base <= 3:
+        if self.directory_mode == "single" or self._base <= 3:
             return self._dir_nodes
         dirs = self._hashed_dirs.get(oid)
         if dirs is None:
-            ranked = sorted(range(self._dir_base),
+            ranked = sorted(range(self._base),
                             key=lambda n: hash_str(f"dir:{oid}:{n}"))
             dirs = self._hashed_dirs[oid] = tuple(sorted(ranked[:3]))
         return dirs
 
     def hosts_directory(self, node_id: NodeId) -> bool:
         """Whether ``node_id`` may hold directory entries at all."""
-        if self.directory_mode == "hashed" and self._dir_base > 3:
-            return node_id < self._dir_base
+        if self.directory_mode == "hashed" and self._base > 3:
+            return node_id < self._base
         return node_id in self._dir_nodes

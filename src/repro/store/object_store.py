@@ -14,13 +14,18 @@ commit (Section 7): a lightweight per-object thread lock.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Iterable, Iterator, Optional, Sequence
 
 from ..net.message import NodeId
 from .catalog import ObjectId
 from .meta import Ots, OState, ReplicaSet, TState
 
 __all__ = ["StoredObject", "ObjectStore"]
+
+#: The initial states, read once: an enum member is a class-attribute
+#: lookup (~0.1 µs), paid per replica by the initial load.
+_T_VALID = TState.VALID
+_O_VALID = OState.VALID
 
 
 class StoredObject:
@@ -41,10 +46,10 @@ class StoredObject:
                  replicas: Optional[ReplicaSet] = None,
                  o_ts: Ots = Ots(0, 0)):
         self.oid = oid
-        self.t_state = TState.VALID
+        self.t_state = _T_VALID
         self.t_version = 0
         self.t_data = data
-        self.o_state = OState.VALID
+        self.o_state = _O_VALID
         self.o_ts = o_ts
         self.o_replicas = replicas
         #: Local-commit thread ownership (Section 7); None when free.
@@ -77,6 +82,20 @@ class ObjectStore:
         obj = StoredObject(oid, data, replicas, o_ts)
         self._objects[oid] = obj
         return obj
+
+    def load(self, oids: Sequence[ObjectId], data: Iterable[Any],
+             replicas: Iterable[Optional[ReplicaSet]]) -> None:
+        """Store fresh replicas in bulk, in ``oids`` order (the initial load):
+        ``oids[i]`` holds the ``i``-th of ``data`` and of ``replicas``.
+
+        ``oids`` must be distinct; one already stored raises ``ValueError``
+        and stores nothing.
+        """
+        objects = self._objects
+        if not objects.keys().isdisjoint(oids):
+            oid = next(oid for oid in oids if oid in objects)
+            raise ValueError(f"object {oid} already stored on node {self.node_id}")
+        objects.update(zip(oids, map(StoredObject, oids, data, replicas)))
 
     def require(self, oid: ObjectId) -> StoredObject:
         obj = self._objects.get(oid)

@@ -62,6 +62,8 @@ class VoterWorkload:
                                for c in range(contestants)])
         self.voter_choice: List[int] = []
         self.history_oids: List[int] = []
+        #: contestant -> its voters, ascending (what a re-pin migrates).
+        self._voters_of: List[List[int]] = [[] for _ in range(contestants)]
         hot_assigned = 0
         for v in range(voters):
             if hot_assigned < hot_contestant_voters:
@@ -70,6 +72,7 @@ class VoterWorkload:
             else:
                 choice = popularity.pick(rng)
             self.voter_choice.append(choice)
+            self._voters_of[choice].append(v)
             # History rows start colocated with the preferred contestant
             # (the LB routed this voter's first call there).
             self.history_oids.append(
@@ -109,12 +112,10 @@ class VoterWorkload:
         """Re-pin a contestant (LB decision); returns the objects that must
         migrate: the contestant row plus all its voters' history rows."""
         self.contestant_node[contestant] = node
-        moved = [self.contestant_oids[contestant]]
-        for v in range(self.voters):
-            if self.voter_choice[v] == contestant:
-                moved.append(self.history_oids[v])
-                self.voters_at[node].append(v)
-        return moved
+        voters = self._voters_of[contestant]
+        self.voters_at[node].extend(voters)
+        history = self.history_oids
+        return [self.contestant_oids[contestant], *[history[v] for v in voters]]
 
 
 def migrate_objects(cluster: ZeusCluster, node_id: int, oids: Sequence[int],

@@ -1,5 +1,6 @@
 """Distributed-commit baseline engine: correctness and protocol shape."""
 
+import pytest
 
 from repro.baselines import DRTM, FARM, FASST, BaselineCluster
 from repro.store.catalog import Catalog
@@ -128,3 +129,22 @@ def test_static_sharding_never_migrates():
     run_txn(cluster, 0, [1])
     # Object 1's primary is still node 1 — there is no ownership movement.
     assert cluster.engines[0].primary_of(1) == 1
+
+
+@pytest.mark.parametrize("num_nodes,degree", [(1, 1), (3, 3), (5, 2), (6, 3)])
+def test_load_matches_per_engine_scan(num_nodes, degree):
+    # Reference: the scan load replaced — every engine asks, per object,
+    # whether it is among the object's initial replicas.
+    catalog = Catalog(num_nodes, replication_degree=degree)
+    catalog.add_table("t", 64)
+    for i in range(40):
+        catalog.create_object("t", i, owner=(i * 7) % num_nodes)
+    cluster = BaselineCluster(num_nodes, FASST, catalog=catalog)
+    cluster.load(5)
+    for engine in cluster.engines:
+        expected = [oid for oid in range(catalog.num_objects)
+                    if engine.node_id
+                    in catalog.initial_replicas(oid).all_nodes()]
+        assert list(engine._records) == expected
+        assert all((r.value, r.version, r.locked_by) == (5, 0, None)
+                   for r in engine._records.values())

@@ -95,6 +95,30 @@ def test_catalog_explicit_owner_respected():
     assert set(replicas.readers) == {3, 0}  # round-robin after the owner
 
 
+def test_catalog_initial_replicas_survive_grow():
+    # grow() widens the universe only: an object owned by node 2 of 3 keeps
+    # readers (0, 1), never the fresh nodes 3 and 4 that never held it.
+    catalog = Catalog(3)
+    catalog.add_table("a", 8)
+    oid = catalog.create_object("a", "x", owner=2)
+    late = catalog.create_object("a", "y", owner=1)
+    assert catalog.initial_replicas(oid) == ReplicaSet(2, (0, 1))
+    assert catalog.grow(2) == (3, 4)
+    assert catalog.initial_replicas(oid) == ReplicaSet(2, (0, 1))
+    # First asked after the growth: still the construction-time ring.
+    assert catalog.initial_replicas(late) == ReplicaSet(1, (0, 2))
+
+
+def test_catalog_placement_is_shared_per_owner():
+    catalog = Catalog(4, replication_degree=2)
+    catalog.add_table("a", 8)
+    oids = [catalog.create_object("a", i, owner=i % 2) for i in range(6)]
+    assert catalog.initial_owners() == (0, 1, 0, 1, 0, 1)
+    assert catalog.initial_replicas(oids[0]) is catalog.initial_replicas(oids[2])
+    assert catalog.initial_replicas(oids[1]) is catalog.placement(1)
+    assert catalog.placement(3) == ReplicaSet(3, (0,))
+
+
 def test_catalog_hash_placement_in_range():
     catalog = Catalog(5)
     catalog.add_table("a", 8)
@@ -151,6 +175,23 @@ def test_store_duplicate_create_rejected():
         store.create(1, None, None)
 
 
+def test_store_bulk_load_in_order():
+    store = ObjectStore(0)
+    rs = ReplicaSet(0, (1,))
+    store.load([4, 2, 7], ["a", "b", "c"], [rs, None, rs])
+    assert [(o.oid, o.t_data, o.o_replicas) for o in store] == [
+        (4, "a", rs), (2, "b", None), (7, "c", rs)]
+    assert store.get(2).o_ts == Ots(0, 0)
+
+
+def test_store_bulk_load_duplicate_rejected_whole():
+    store = ObjectStore(0)
+    store.create(2, None, None)
+    with pytest.raises(ValueError, match="object 2 already stored"):
+        store.load([1, 2, 3], [None] * 3, [None] * 3)
+    assert [o.oid for o in store] == [2]
+
+
 def test_store_require_missing_raises():
     with pytest.raises(KeyError):
         ObjectStore(0).require(9)
@@ -189,6 +230,17 @@ def test_directory_duplicate_rejected():
     table.create(1, ReplicaSet(0, ()))
     with pytest.raises(ValueError):
         table.create(1, ReplicaSet(0, ()))
+
+
+def test_directory_bulk_load_in_order():
+    table = DirectoryTable(0)
+    a, b = ReplicaSet(0, (1,)), ReplicaSet(1, ())
+    table.load([3, 1], [a, b])
+    assert [(oid, e.o_state, e.o_ts, e.replicas) for oid, e in table.items()] \
+        == [(3, OState.VALID, Ots(0, 0), a), (1, OState.VALID, Ots(0, 0), b)]
+    with pytest.raises(ValueError, match="entry for 1 already exists"):
+        table.load([5, 1], [a, a])
+    assert len(table) == 2
 
 
 def test_directory_strip_dead():

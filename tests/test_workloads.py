@@ -222,6 +222,36 @@ def test_voter_move_contestant_lists_all_objects():
     assert wl.contestant_node[0] == 2
 
 
+def _scan_move(wl, contestant, node):
+    """The full voter scan ``move_contestant`` replaced (the reference)."""
+    wl.contestant_node[contestant] = node
+    moved = [wl.contestant_oids[contestant]]
+    for v in range(wl.voters):
+        if wl.voter_choice[v] == contestant:
+            moved.append(wl.history_oids[v])
+            wl.voters_at[node].append(v)
+    return moved
+
+
+@pytest.mark.parametrize("kw", [
+    dict(voters=600, hot_contestant_voters=100),
+    dict(voters=600, single_node_setup=True),
+    dict(voters=30, contestants=40, zipf_s=2.0),
+])
+def test_voter_move_contestant_matches_full_scan(kw):
+    wl, ref = VoterWorkload(3, **kw), VoterWorkload(3, **kw)
+    idle = [c for c in range(wl.num_contestants) if c not in wl.voter_choice]
+    assert idle or "contestants" not in kw  # the sparse case has some
+    # Every contestant once, the first one again, then every idle one.
+    moves = [(c, (c + 1) % 3) for c in range(wl.num_contestants)]
+    moves += [(0, 2)] + [(c, 1) for c in idle]
+    for contestant, node in moves:
+        assert (wl.move_contestant(contestant, node)
+                == _scan_move(ref, contestant, node))
+        assert wl.voters_at == ref.voters_at
+        assert wl.contestant_node == ref.contestant_node
+
+
 def test_voter_single_node_setup():
     wl = VoterWorkload(3, voters=300, single_node_setup=True)
     assert set(wl.contestant_node) == {0}
