@@ -42,7 +42,7 @@ class BaselineCluster:
         self.profile = profile
         self.sim = Simulator()
         self.rng = RngRegistry(seed)
-        self.catalog = catalog or Catalog(num_nodes, self.params.replication_degree)
+        self.catalog = catalog or Catalog(num_nodes)
         faults = FaultInjector(self.params.faults, self.rng.stream("net.faults"))
         self.network = Network(self.sim, self.params.net, faults,
                                jitter_rng=self.rng.stream("net.jitter"))

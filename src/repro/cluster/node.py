@@ -122,6 +122,7 @@ class Node:
         # stamps a message.
         msg = Message(dst, dst, kind, payload, size_bytes)
         msg.inc = self.incarnation
+        msg.epoch = self.epoch
         tracer = self.obs.tracer
         if ctx is not None and tracer is not None:
             msg.trace_id, msg.parent_span = ctx
@@ -274,7 +275,7 @@ class Node:
         self.transport.quarantined = False  # admitted: the quarantine lifts
         removed = self.live_nodes - live
         added = (live - self.live_nodes) if self.live_nodes else frozenset()
-        self.epoch = epoch
+        self.epoch = self.transport.epoch = epoch
         self.live_nodes = live
         if self.durability is not None:
             self.durability.log_epoch(epoch)

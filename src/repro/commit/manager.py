@@ -253,8 +253,8 @@ class CommitManager:
             return future
 
         prev_done = pipe.validated_upto >= slot_no - 1
-        inv = RInv(pipeline_id, slot_no, self.node.epoch, follower_set,
-                   updates, prev_val=prev_done)
+        inv = RInv(pipeline_id, slot_no, follower_set, tuple(updates),
+                   prev_done)
         slot = _Slot(inv, self.sim.now)
         slot.future = Future(self.sim)
         slot.hop = hop
@@ -300,7 +300,7 @@ class CommitManager:
 
     def _on_rack(self, msg: Message) -> None:
         ack: RAck = msg.payload
-        if ack.epoch != self.node.epoch:
+        if msg.epoch != self.node.epoch:
             return
         for pipeline, slot in ack.entries:
             replay_key = (pipeline, slot)
@@ -430,7 +430,7 @@ class CommitManager:
             out = [(pipeline, slot, True)
                    for pipeline, slot in cumulative_max.items()]
             out.extend((pipeline, slot, False) for pipeline, slot in exact)
-            val = RVal(tuple(out), self.node.epoch)
+            val = RVal(tuple(out))
             self.node.send(follower, KIND_RVAL, val, val.size)
 
     # ======================================================================
@@ -439,7 +439,7 @@ class CommitManager:
 
     def _on_rinv(self, msg: Message) -> None:
         inv: RInv = msg.payload
-        if inv.epoch != self.node.epoch:
+        if msg.epoch != self.node.epoch:
             return
         fpipe = self._follow.setdefault(inv.pipeline, _FollowerPipeline())
         if inv.slot in fpipe.applied or inv.slot <= fpipe.settled:
@@ -506,7 +506,7 @@ class CommitManager:
     def _send_rack(self, to: NodeId, inv: RInv) -> None:
         if inv.replay or to != inv.pipeline[0]:
             # Recovery acks are rare and latency-critical: send immediately.
-            ack = RAck(((inv.pipeline, inv.slot),), self.node.epoch)
+            ack = RAck(((inv.pipeline, inv.slot),))
             self.node.send(to, KIND_RACK, ack, ack.size)
             return
         per_coord = self._ack_buffer.setdefault(to, {})
@@ -520,12 +520,12 @@ class CommitManager:
         self._ack_flush_scheduled = False
         buffer, self._ack_buffer = self._ack_buffer, {}
         for coordinator, per_pipe in buffer.items():
-            ack = RAck(tuple(per_pipe.items()), self.node.epoch)
+            ack = RAck(tuple(per_pipe.items()))
             self.node.send(coordinator, KIND_RACK, ack, ack.size)
 
     def _on_rval(self, msg: Message) -> None:
         val: RVal = msg.payload
-        if val.epoch != self.node.epoch:
+        if msg.epoch != self.node.epoch:
             return
         if self.tracer is not None:
             self._t_val(self.node_id, TID_REPLICATION, None,
@@ -600,7 +600,6 @@ class CommitManager:
             for slot in pipe.slots.values():
                 slot.needed &= live
                 inv = slot.inv
-                inv.epoch = epoch
                 for f in sorted(slot.needed - slot.acked):
                     self.node.send(f, KIND_RINV, inv, inv.size)
             self._try_validate(pipe, pipeline_id)
@@ -627,11 +626,11 @@ class CommitManager:
             fpipe.buffer.clear()
             for slot_no in sorted(fpipe.applied):
                 inv, _records = fpipe.applied[slot_no]
-                self._start_replay(pipeline, slot_no, inv, live, epoch)
+                self._start_replay(pipeline, slot_no, inv, live)
         self._maybe_done_recovering()
 
     def _start_replay(self, pipeline: PipelineId, slot_no: int, inv: RInv,
-                      live: frozenset, epoch: int) -> None:
+                      live: frozenset) -> None:
         others = {f for f in inv.followers if f in live and f != self.node_id}
         key = (pipeline, slot_no)
         if key in self._replays:
@@ -642,8 +641,7 @@ class CommitManager:
             self._finish_replay(key, pipeline, slot_no)
             return
         self._replays[key] = set(others)
-        replay_inv = RInv(pipeline, slot_no, epoch, inv.followers,
-                          inv.updates, prev_val=inv.prev_val, replay=True)
+        replay_inv = inv._replace(replay=True)
         for f in others:
             self.node.send(f, KIND_RINV, replay_inv, replay_inv.size)
 

@@ -1,7 +1,7 @@
 """Reliable-commit wire messages (Section 5, Figure 4).
 
 * ``rc.inv`` — coordinator → followers: idempotent invalidation carrying
-  the transaction id ``(pipeline, slot)``, the epoch, the follower set, and
+  the transaction id ``(pipeline, slot)``, the follower set, and
   per-object ``(oid, t_version, t_data)``.  The ``prev_val`` bit tells a
   follower that every earlier slot of this pipeline is already validated
   (the partial-stream rule of Section 5.2).
@@ -14,14 +14,16 @@ A *pipeline* is ``(node_id, thread_idx)`` — Zeus pipelines per thread, not
 per node (Section 7), which is what lets the local commit's thread
 ownership double as pipeline separation.
 
-``RAck`` and ``RVal`` are ``NamedTuple`` values.  ``RInv`` is the one
-mutable payload: a view change re-stamps a pending slot's epoch in place
-(``CommitManager._on_view_change``) before re-broadcasting it.
+Every message is a tuple, fixed when it is sent, and none carries an
+epoch: a handler drops a message whose ``msg.epoch`` is not its node's.
+A view change re-sends a pending R-INV unchanged; a copy still in flight
+keeps the epoch it was sent in.  Sizes count the epoch word.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, NamedTuple, Tuple
+from collections import namedtuple
+from typing import Any, NamedTuple, Tuple
 
 from ..net.message import NodeId
 from ..store.catalog import ObjectId
@@ -41,30 +43,23 @@ PipelineId = Tuple[NodeId, int]
 Update = Tuple[ObjectId, int, Any, int]
 
 
-class RInv:
-    __slots__ = ("pipeline", "slot", "epoch", "followers", "updates",
-                 "prev_val", "replay", "data_bytes", "size")
+class RInv(namedtuple("RInv", ("pipeline", "slot", "followers", "updates",
+                               "prev_val", "replay", "data_bytes", "size"))):
+    """One slot's invalidation.  A follower replaying it after the
+    coordinator died sends ``inv._replace(replay=True)``.  Both sizes are
+    summed here once, not on every follower send and every apply."""
 
-    def __init__(self, pipeline: PipelineId, slot: int, epoch: int,
-                 followers: Tuple[NodeId, ...], updates: List[Update],
-                 prev_val: bool, replay: bool = False):
-        self.pipeline = pipeline
-        self.slot = slot
-        self.epoch = epoch
-        self.followers = followers
-        self.updates = updates
-        self.prev_val = prev_val
-        self.replay = replay
-        # Followers and updates never change once the slot is built (a
-        # view change re-stamps only the epoch), so both sizes are summed
-        # here once, not on every follower send and every apply.
+    __slots__ = ()
+
+    def __new__(cls, pipeline: PipelineId, slot: int,
+                followers: Tuple[NodeId, ...], updates: Tuple[Update, ...],
+                prev_val: bool) -> "RInv":
         data = 0
         for update in updates:
             data += update[3]
-        #: Payload bytes of the updated objects.
-        self.data_bytes = data
-        #: Wire size: metadata words plus the payload.
-        self.size = (5 + len(followers) + 2 * len(updates)) * _META + data
+        return tuple.__new__(cls, (
+            pipeline, slot, followers, updates, prev_val, False, data,
+            (5 + len(followers) + 2 * len(updates)) * _META + data))
 
 
 class RAck(NamedTuple):
@@ -77,7 +72,6 @@ class RAck(NamedTuple):
     """
 
     entries: Tuple[Tuple[PipelineId, int], ...]
-    epoch: int
 
     @property
     def size(self) -> int:
@@ -88,7 +82,6 @@ class RVal(NamedTuple):
     """Batched validations: each entry is (pipeline, slot, cumulative)."""
 
     entries: Tuple[Tuple[PipelineId, int, bool], ...]
-    epoch: int
 
     @property
     def size(self) -> int:

@@ -29,7 +29,6 @@ from ..apps.nginx import REQUEST_US
 from ..baselines import DRTM, FARM, FASST
 from ..chaos import explore
 from ..obs import LatencyRecorder, ThroughputMeter, cdf_points
-from ..sim.params import SimParams
 from ..store.catalog import Catalog
 from ..verify import SCENARIOS, check_protocol
 from ..workloads import (SMALLBANK_MIX, TATP_MIX, HandoverWorkload,
@@ -994,9 +993,8 @@ def _a2_run(accounts_per_node, threads, duration_us, warmup_us):
         wl = SmallbankWorkload(6, accounts_per_node, remote_frac=0.0)
         # Rebuild the catalog with the requested degree.
         wl.catalog.replication_degree = degree
-        cluster, stats = steady_state(
-            wl, 1_000, threads, duration_us, warmup_us,
-            params=SimParams(replication_degree=degree))
+        cluster, stats = steady_state(wl, 1_000, threads, duration_us,
+                                      warmup_us)
         out[str(degree)] = {"tps": stats.throughput_tps(duration_us),
                             "bytes": cluster.network.total_bytes}
     return out
@@ -1100,8 +1098,7 @@ def _a4_run(per_case):
         catalog.add_table("t", 256)
         oids = [catalog.create_object("t", i, owner=3)
                 for i in range(per_case)]
-        cluster = loaded_cluster(catalog, 2,
-                                 params=SimParams(replication_degree=2))
+        cluster = loaded_cluster(catalog, 2)
         handle = cluster.handles[requester]
         rec = LatencyRecorder()
 

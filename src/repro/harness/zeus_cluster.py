@@ -102,7 +102,7 @@ class ZeusCluster:
         self.params = params or SimParams()
         self.sim = Simulator()
         self.rng = RngRegistry(seed)
-        self.catalog = catalog or Catalog(num_nodes, self.params.replication_degree)
+        self.catalog = catalog or Catalog(num_nodes)
         if self.catalog.num_nodes != num_nodes:
             raise ValueError("catalog was built for a different cluster size")
 

@@ -22,7 +22,7 @@ class Message:
     """A single message on the simulated network."""
 
     __slots__ = ("src", "dst", "kind", "payload", "size_bytes", "seq", "ack",
-                 "inc", "dst_inc", "trace_id", "parent_span", "flow_id")
+                 "inc", "dst_inc", "epoch", "trace_id", "parent_span", "flow_id")
 
     def __init__(self, src: NodeId, dst: NodeId, kind: str, payload: Any, size_bytes: int):
         self.src = src
@@ -42,6 +42,10 @@ class Message:
         #: message: it was addressed to its dead predecessor.  Retransmits
         #: re-send the stored message, so the stamp ages with the intent.
         self.dst_inc = 0
+        #: The sender's membership epoch at send time (0 on a transport
+        #: ack); retransmits keep it.  No payload carries an epoch: the
+        #: handlers that fence compare this one with their node's.
+        self.epoch = 0
         #: Trace context (set only when tracing): the trace this message
         #: belongs to and the span that caused the send, so the receiver's
         #: handler span can link back across the wire.

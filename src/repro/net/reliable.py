@@ -84,6 +84,9 @@ class ReliableTransport:
         #: Our incarnation number, stamped on every outgoing message.  The
         #: owning :class:`~repro.cluster.node.Node` bumps it on restart.
         self.incarnation = 1
+        #: Our membership epoch, stamped on every outgoing message.  The
+        #: owning node keeps it equal to its ``epoch`` on every view change.
+        self.epoch = 1
         #: Set by the owning node from a reboot (or a live join) until the
         #: view that admits it installs: every arrival is fenced.
         self.quarantined = False
@@ -147,6 +150,7 @@ class ReliableTransport:
             return
         msg = Message(self.node_id, dst, kind, payload, size_bytes)
         msg.inc = self.incarnation
+        msg.epoch = self.epoch
         if ctx is not None:
             self._stamp_ctx(msg, ctx)
         chan = self._send.get(dst)

@@ -72,7 +72,7 @@ class LifecycleMixin:
         """
         catalog = self.catalog
         oid = catalog.create_object(table, key, owner=self.node_id)
-        degree = self.params.replication_degree
+        degree = catalog.replication_degree
         readers = tuple(sorted(
             (self.node_id + i) % catalog.num_nodes for i in range(1, degree)))
         replicas = ReplicaSet(self.node_id, readers)
@@ -92,7 +92,7 @@ class LifecycleMixin:
             return (yield future)
         self._lifecycle[oid] = _LifecycleCtx(oid, set(targets), future)
         size = 6 * _META + catalog.size_of(oid)
-        payload = (oid, replicas, value, self.node.epoch)
+        payload = (oid, replicas, value)
         for target in targets:
             self.node.send(target, KIND_REGISTER, payload, size)
         result = yield future
@@ -100,9 +100,9 @@ class LifecycleMixin:
         return result
 
     def _on_register(self, msg: Message) -> None:
-        oid, replicas, value, epoch = msg.payload
-        if epoch != self.node.epoch:
+        if msg.epoch != self.node.epoch:
             return
+        oid, replicas, value = msg.payload
         if self.directory is not None and self.directory.get(oid) is None:
             self.directory.create(oid, replicas, Ots(0, replicas.owner))
         if (self.node_id in replicas.readers
@@ -146,17 +146,16 @@ class LifecycleMixin:
             self.counters.inc("destroyed")
             return (yield future)
         self._lifecycle[oid] = _LifecycleCtx(oid, set(targets), future)
-        payload = (oid, self.node.epoch)
         for target in targets:
-            self.node.send(target, KIND_UNREGISTER, payload, 3 * _META)
+            self.node.send(target, KIND_UNREGISTER, oid, 3 * _META)
         result = yield future
         self.counters.inc("destroyed")
         return result
 
     def _on_unregister(self, msg: Message) -> None:
-        oid, epoch = msg.payload
-        if epoch != self.node.epoch:
+        if msg.epoch != self.node.epoch:
             return
+        oid = msg.payload
         self.store.drop(oid)
         if self.directory is not None:
             self.directory._entries.pop(oid, None)

@@ -278,7 +278,7 @@ class OwnershipManager(LifecycleMixin):
         rctx.timeout_handle = self.sim.call_after(
             self._req_timeout_us(), self._on_timeout, req_id
         )
-        req = OwnReq(req_id, oid, self.node_id, req_type, self.node.epoch, victim)
+        req = OwnReq(req_id, oid, self.node_id, req_type, victim)
         self.node.send(driver, KIND_REQ, req, OwnReq.size,
                        ctx=span.ctx if span is not None else None)
         outcome = yield rctx.future
@@ -309,7 +309,7 @@ class OwnershipManager(LifecycleMixin):
             # is itself a directory host — a straggler ACK is silently
             # ignored and the entry strands in Drive, livelocking every
             # later request on BUSY_ARBITRATION).  Roll it back.
-            abort = OwnAbort(ctx.req_id, ctx.oid, ctx.o_ts, self.node.epoch)
+            abort = OwnAbort(ctx.req_id, ctx.oid, ctx.o_ts)
             for arb in ctx.arbiters:
                 self.node.send(arb, KIND_ABORT, abort, OwnAbort.size)
             self.counters.inc("timeout_abort")
@@ -351,7 +351,7 @@ class OwnershipManager(LifecycleMixin):
 
     def _on_ack(self, msg: Message) -> None:
         ack: OwnAck = msg.payload
-        if ack.epoch != self.node.epoch:
+        if msg.epoch != self.node.epoch:
             return
         replay_ctx = self._replays.get(ack.req_id)
         if replay_ctx is not None and not replay_ctx.done:
@@ -403,7 +403,7 @@ class OwnershipManager(LifecycleMixin):
             # designated data source lost its copy after the directory
             # read): installing a fresh version-0 copy here would fork
             # the object's history.  Roll the arbitration back instead.
-            abort = OwnAbort(ctx.req_id, ctx.oid, ctx.o_ts, self.node.epoch)
+            abort = OwnAbort(ctx.req_id, ctx.oid, ctx.o_ts)
             for arb in ctx.arbiters:
                 self.node.send(arb, KIND_ABORT, abort, OwnAbort.size)
             self.counters.inc("ack_no_data_abort")
@@ -411,7 +411,7 @@ class OwnershipManager(LifecycleMixin):
             return
         self._apply_locally(ctx.oid, ctx.req_type, ctx.o_ts, ctx.new_replicas,
                             ctx.data, ctx.data_version)
-        val = OwnVal(ctx.req_id, ctx.oid, ctx.o_ts, self.node.epoch)
+        val = OwnVal(ctx.req_id, ctx.oid, ctx.o_ts)
         for arb in ctx.arbiters:
             self.node.send(arb, KIND_VAL, val, OwnVal.size)
         self._complete(ctx, True, None)
@@ -459,7 +459,8 @@ class OwnershipManager(LifecycleMixin):
         of the critical path (Section 6.2)."""
         if req_type != ReqType.ACQUIRE_OWNER:
             return
-        degree = self.degree_overrides.get(oid, self.params.replication_degree)
+        degree = self.degree_overrides.get(oid,
+                                           self.catalog.replication_degree)
         if new_replicas.size() <= degree:
             return
         victim = self._pick_trim_victim(new_replicas)
@@ -485,7 +486,7 @@ class OwnershipManager(LifecycleMixin):
 
     def _on_nack(self, msg: Message) -> None:
         nack: OwnNack = msg.payload
-        if nack.epoch != self.node.epoch:
+        if msg.epoch != self.node.epoch:
             return
         ctx = self._reqs.get(nack.req_id)
         if ctx is None or ctx.done:
@@ -507,7 +508,7 @@ class OwnershipManager(LifecycleMixin):
         if (nack.reason in (NackReason.BUSY_COMMIT, NackReason.NO_DATA)
                 and nack.arbiters):
             # Directory arbiters already invalidated; revert them.
-            abort = OwnAbort(nack.req_id, nack.oid, nack.o_ts, self.node.epoch)
+            abort = OwnAbort(nack.req_id, nack.oid, nack.o_ts)
             for arb in nack.arbiters:
                 if arb != msg.src:  # the refusing arbiter never invalidated
                     self.node.send(arb, KIND_ABORT, abort, OwnAbort.size)
@@ -519,7 +520,7 @@ class OwnershipManager(LifecycleMixin):
 
     def _on_req(self, msg: Message) -> None:
         req: OwnReq = msg.payload
-        if req.epoch != self.node.epoch or self.directory is None:
+        if msg.epoch != self.node.epoch or self.directory is None:
             return
         entry = self.directory.get(req.oid)
         if entry is None:
@@ -581,7 +582,7 @@ class OwnershipManager(LifecycleMixin):
             return
 
         inv = OwnInv(req.req_id, req.oid, new_ts, new_replicas, req.requester,
-                     req.req_type, self.node.epoch, arbiters, data_source,
+                     req.req_type, arbiters, data_source,
                      prev_replicas=replicas, prev_ts=entry.o_ts)
         entry.o_state = OState.DRIVE
         entry.o_ts = new_ts
@@ -637,7 +638,7 @@ class OwnershipManager(LifecycleMixin):
 
     def _nack(self, requester: NodeId, req: OwnReq, reason: NackReason,
               arbiters: Tuple[NodeId, ...] = (), o_ts: Optional[Ots] = None) -> None:
-        nack = OwnNack(req.req_id, req.oid, reason, self.node.epoch, arbiters, o_ts)
+        nack = OwnNack(req.req_id, req.oid, reason, arbiters, o_ts)
         self.node.send(requester, KIND_NACK, nack, OwnNack.size)
 
     # ======================================================================
@@ -646,7 +647,7 @@ class OwnershipManager(LifecycleMixin):
 
     def _on_inv(self, msg: Message) -> None:
         inv: OwnInv = msg.payload
-        if inv.epoch != self.node.epoch:
+        if msg.epoch != self.node.epoch:
             return
         oid = inv.oid
         current = self._pending_arb.get(oid)
@@ -672,8 +673,7 @@ class OwnershipManager(LifecycleMixin):
         if (current is not None and entry is not None
                 and entry.o_state == OState.DRIVE
                 and current.o_ts.node_id == self.node_id):
-            nack = OwnNack(current.req_id, oid, NackReason.CONTENTION_LOST,
-                           self.node.epoch)
+            nack = OwnNack(current.req_id, oid, NackReason.CONTENTION_LOST)
             self.node.send(current.requester, KIND_NACK, nack, OwnNack.size)
             self.counters.inc("drive_lost")
 
@@ -684,8 +684,7 @@ class OwnershipManager(LifecycleMixin):
                 and inv.req_type != ReqType.REMOVE_READER):
             if self._owner_busy(obj):
                 nack = OwnNack(inv.req_id, oid, NackReason.BUSY_COMMIT,
-                               self.node.epoch, arbiters=inv.arbiters,
-                               o_ts=inv.o_ts)
+                               arbiters=inv.arbiters, o_ts=inv.o_ts)
                 target = msg.src if inv.replay else inv.requester
                 self.node.send(target, KIND_NACK, nack, OwnNack.size)
                 self.counters.inc("owner_busy_nack")
@@ -702,8 +701,7 @@ class OwnershipManager(LifecycleMixin):
                 and inv.req_type in (ReqType.ACQUIRE_OWNER,
                                      ReqType.ADD_READER)):
             nack = OwnNack(inv.req_id, oid, NackReason.NO_DATA,
-                           self.node.epoch, arbiters=inv.arbiters,
-                           o_ts=inv.o_ts)
+                           arbiters=inv.arbiters, o_ts=inv.o_ts)
             target = msg.src if inv.replay else inv.requester
             self.node.send(target, KIND_NACK, nack, OwnNack.size)
             self.counters.inc("data_source_gone_nack")
@@ -737,8 +735,8 @@ class OwnershipManager(LifecycleMixin):
             if obj is not None:
                 data = obj.t_data
                 version = obj.t_version
-        ack = OwnAck(inv.req_id, inv.oid, inv.o_ts, self.node.epoch,
-                     inv.arbiters, inv.new_replicas, data, version)
+        ack = OwnAck(inv.req_id, inv.oid, inv.o_ts, inv.arbiters,
+                     inv.new_replicas, data, version)
         size = ack.size_with(self.catalog.size_of(inv.oid))
         self.node.send(to, KIND_ACK, ack, size)
 
@@ -992,7 +990,7 @@ class OwnershipManager(LifecycleMixin):
           so the arbitration can settle without them;
         * *all* participants survived but the view still changed (a node
           was admitted or gracefully retired).  The epoch fence dropped
-          every in-flight INV/ACK/VAL of the old epoch, so nobody will
+          every in-flight INV/ACK of the old epoch, so nobody will
           finish the arbitration either — the **driver** re-drives it in
           the new epoch.  Without this, an admission view can strand a
           directory entry in Drive state forever, and every later request
@@ -1008,8 +1006,7 @@ class OwnershipManager(LifecycleMixin):
     def _start_replay(self, inv: OwnInv) -> None:
         live = self.node.live_nodes
         live_arbiters = tuple(a for a in inv.arbiters if a in live)
-        replay_inv = inv._replace(epoch=self.node.epoch, arbiters=live_arbiters,
-                                  replay=True)
+        replay_inv = inv._replace(arbiters=live_arbiters, replay=True)
         ctx = _ReplayCtx(replay_inv, live_arbiters)
         self._replays[inv.req_id] = ctx
         self.counters.inc("arb_replay")
@@ -1041,14 +1038,14 @@ class OwnershipManager(LifecycleMixin):
                     data_source = owner
                 elif candidates:
                     data_source = candidates[0]
-            resp = OwnResp(inv.req_id, inv.oid, inv.o_ts, self.node.epoch,
-                           inv.new_replicas, ctx.live_arbiters, data_source)
+            resp = OwnResp(inv.req_id, inv.oid, inv.o_ts, inv.new_replicas,
+                           ctx.live_arbiters, data_source)
             self.node.send(inv.requester, KIND_RESP, resp, OwnResp.size)
         else:
             # Dead requester: the driver validates directly; the applied
             # replica set is stripped of dead nodes at every arbiter, so
             # the object simply ends up owner-less until the next write.
-            val = OwnVal(inv.req_id, inv.oid, inv.o_ts, self.node.epoch)
+            val = OwnVal(inv.req_id, inv.oid, inv.o_ts)
             for arb in ctx.live_arbiters:
                 self.node.send(arb, KIND_VAL, val, OwnVal.size)
 
@@ -1056,7 +1053,7 @@ class OwnershipManager(LifecycleMixin):
 
     def _on_resp(self, msg: Message) -> None:
         resp: OwnResp = msg.payload
-        if resp.epoch != self.node.epoch:
+        if msg.epoch != self.node.epoch:
             return
         ctx = self._reqs.get(resp.req_id)
         if ctx is not None and not ctx.done:
@@ -1069,7 +1066,7 @@ class OwnershipManager(LifecycleMixin):
             # an epoch bump re-offered an acquisition we abandoned).  The
             # arbiters are all invalidated waiting on our VAL; nobody else
             # will ever send it, so roll the arbitration back.
-            abort = OwnAbort(resp.req_id, resp.oid, resp.o_ts, self.node.epoch)
+            abort = OwnAbort(resp.req_id, resp.oid, resp.o_ts)
             for arb in resp.arbiters:
                 self.node.send(arb, KIND_ABORT, abort, OwnAbort.size)
             self.counters.inc("stale_resp_abort")
@@ -1080,7 +1077,7 @@ class OwnershipManager(LifecycleMixin):
         if obj is None or obj.o_ts < resp.o_ts:
             self._finish_resp(resp.oid, ReqType.ACQUIRE_OWNER, resp, None)
         else:
-            val = OwnVal(resp.req_id, resp.oid, resp.o_ts, self.node.epoch)
+            val = OwnVal(resp.req_id, resp.oid, resp.o_ts)
             for arb in resp.arbiters:
                 self.node.send(arb, KIND_VAL, val, OwnVal.size)
 
@@ -1094,7 +1091,7 @@ class OwnershipManager(LifecycleMixin):
                 if ctx is not None:
                     self._complete(ctx, False, NackReason.NO_DATA)
                 return
-            fetch = OwnFetch(resp.req_id, oid, self.node.epoch)
+            fetch = OwnFetch(resp.req_id, oid)
             self._fetch_waiting[resp.req_id] = (resp, ctx, req_type)
             self.node.send(resp.data_source, KIND_FETCH, fetch, OwnFetch.size)
             return
@@ -1105,7 +1102,7 @@ class OwnershipManager(LifecycleMixin):
                     data_version: Optional[int]) -> None:
         self._apply_locally(oid, req_type, resp.o_ts, resp.new_replicas,
                             data, data_version)
-        val = OwnVal(resp.req_id, oid, resp.o_ts, self.node.epoch)
+        val = OwnVal(resp.req_id, oid, resp.o_ts)
         for arb in resp.arbiters:
             self.node.send(arb, KIND_VAL, val, OwnVal.size)
         if ctx is not None:
@@ -1119,13 +1116,11 @@ class OwnershipManager(LifecycleMixin):
             # named us as the source): reply with an empty DATA so the
             # requester fails fast with NO_DATA instead of stalling until
             # its watchdog fires.
-            empty = OwnData(fetch.req_id, fetch.oid, self.node.epoch,
-                            None, None)
+            empty = OwnData(fetch.req_id, fetch.oid, None, None)
             self.node.send(msg.src, KIND_DATA, empty, empty.size_with(0))
             self.counters.inc("fetch_source_gone")
             return
-        data = OwnData(fetch.req_id, fetch.oid, self.node.epoch,
-                       obj.t_data, obj.t_version)
+        data = OwnData(fetch.req_id, fetch.oid, obj.t_data, obj.t_version)
         self.node.send(msg.src, KIND_DATA, data,
                        data.size_with(self.catalog.size_of(fetch.oid)))
 
@@ -1140,8 +1135,7 @@ class OwnershipManager(LifecycleMixin):
         if payload.data_version is None and not self.store.has(payload.oid):
             # The fetch target had no copy: abort the grant rather than
             # installing a version-0 fork (mirrors _apply_and_validate).
-            abort = OwnAbort(payload.req_id, payload.oid, resp.o_ts,
-                             self.node.epoch)
+            abort = OwnAbort(payload.req_id, payload.oid, resp.o_ts)
             for arb in resp.arbiters:
                 self.node.send(arb, KIND_ABORT, abort, OwnAbort.size)
             self.counters.inc("fetch_no_data_abort")

@@ -18,7 +18,11 @@ carries the object value (Section 6.2: "the value is included in a single
 ownership message").
 
 Every message is a ``NamedTuple``: what a node sends is fixed when it is
-sent, so a replayed or duplicated copy is the original.
+sent, so a replayed or duplicated copy is the original.  None carries an
+epoch: REQ, INV, ACK, NACK and RESP are dropped where ``msg.epoch`` is not
+the node's; VAL, ABORT, FETCH and DATA match their arbitration by
+``o_ts`` or ``req_id``, which a view change does not rename.  Sizes count
+the epoch word.
 """
 
 from __future__ import annotations
@@ -93,7 +97,6 @@ class OwnReq(NamedTuple):
     oid: ObjectId
     requester: NodeId
     req_type: ReqType
-    epoch: int
     #: Reader to discard, for REMOVE_READER.
     victim: Optional[NodeId] = None
 
@@ -101,9 +104,9 @@ class OwnReq(NamedTuple):
 
 
 class OwnInv(NamedTuple):
-    """Driver → arbiters.  An arb-replay re-sends the same INV under a new
-    epoch and live arbiter set (``inv._replace(epoch=..., arbiters=...,
-    replay=True)``): every other field is the original's."""
+    """Driver → arbiters.  An arb-replay re-sends the same INV to the live
+    arbiter set (``inv._replace(arbiters=..., replay=True)``) in the new
+    epoch: every other field is the original's."""
 
     req_id: ReqId
     oid: ObjectId
@@ -111,7 +114,6 @@ class OwnInv(NamedTuple):
     new_replicas: ReplicaSet
     requester: NodeId
     req_type: ReqType
-    epoch: int
     #: All arbiters of this request (directory nodes + current owner).
     arbiters: Tuple[NodeId, ...]
     #: Node whose ACK must carry the object value (None if requester
@@ -131,7 +133,6 @@ class OwnAck(NamedTuple):
     req_id: ReqId
     oid: ObjectId
     o_ts: Ots
-    epoch: int
     arbiters: Tuple[NodeId, ...]
     new_replicas: ReplicaSet
     data: Any = None
@@ -146,7 +147,6 @@ class OwnNack(NamedTuple):
     req_id: ReqId
     oid: ObjectId
     reason: NackReason
-    epoch: int
     #: Arbiters the requester must ABORT (owner-busy NACKs only).
     arbiters: Tuple[NodeId, ...] = ()
     o_ts: Optional[Ots] = None
@@ -158,7 +158,6 @@ class OwnVal(NamedTuple):
     req_id: ReqId
     oid: ObjectId
     o_ts: Ots
-    epoch: int
 
     size = 4 * _META
 
@@ -169,7 +168,6 @@ class OwnResp(NamedTuple):
     req_id: ReqId
     oid: ObjectId
     o_ts: Ots
-    epoch: int
     new_replicas: ReplicaSet
     arbiters: Tuple[NodeId, ...]
     data_source: Optional[NodeId]
@@ -181,7 +179,6 @@ class OwnAbort(NamedTuple):
     req_id: ReqId
     oid: ObjectId
     o_ts: Ots
-    epoch: int
 
     size = 4 * _META
 
@@ -189,7 +186,6 @@ class OwnAbort(NamedTuple):
 class OwnFetch(NamedTuple):
     req_id: ReqId
     oid: ObjectId
-    epoch: int
 
     size = 3 * _META
 
@@ -197,7 +193,6 @@ class OwnFetch(NamedTuple):
 class OwnData(NamedTuple):
     req_id: ReqId
     oid: ObjectId
-    epoch: int
     data: Any
     data_version: int
 

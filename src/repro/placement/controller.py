@@ -153,7 +153,7 @@ class PlacementController:
         return {
             "objects": objects,
             "live": live,
-            "base_degree": cluster.params.replication_degree,
+            "base_degree": cluster.catalog.replication_degree,
         }
 
     # ----------------------------------------------------------- actuation
@@ -172,7 +172,7 @@ class PlacementController:
                 oid, degree = act["oid"], act["degree"]
                 self._c_degrees.inc()
                 for h in cluster.handles:
-                    if degree == cluster.params.replication_degree:
+                    if degree == cluster.catalog.replication_degree:
                         h.ownership.degree_overrides.pop(oid, None)
                     else:
                         h.ownership.degree_overrides[oid] = degree

@@ -272,7 +272,7 @@ class RecoveryManager:
             return
         self._pending_donors = set(donors)
         for donor in donors:
-            self.node.send(donor, KIND_SNAP_REQ, self.node.epoch, 16)
+            self.node.send(donor, KIND_SNAP_REQ, None, 16)
 
     def _on_snap_chunk(self, msg: Message) -> None:
         if not self._pending_donors:
@@ -323,7 +323,7 @@ class RecoveryManager:
 
     def _target_degree(self) -> int:
         live = self.node.live_nodes or frozenset({self.node_id})
-        return min(self.params.replication_degree, len(live))
+        return min(self.catalog.replication_degree, len(live))
 
     def _current_replicas(self, oid: ObjectId) -> Optional[ReplicaSet]:
         if self.directory is not None:
@@ -354,7 +354,7 @@ class RecoveryManager:
         # rejoiner cannot fill): ask the donors to scan and hint.
         live = self.node.live_nodes
         for donor in self._donors(live):
-            self.node.send(donor, KIND_REPAIR_SCAN, self.node.epoch, 16)
+            self.node.send(donor, KIND_REPAIR_SCAN, None, 16)
         if span is not None:
             tracer.point("recovery.repair", "recovery", True)(span)
         dur = self.node.durability

@@ -146,9 +146,6 @@ class SimParams:
     #: Failure-detector heartbeat interval (µs).
     heartbeat_us: float = 1_000.0
 
-    #: Replication degree (owner + readers); paper evaluates 3-way.
-    replication_degree: int = 3
-
     def with_(self, **kwargs) -> "SimParams":
         """A copy with selected fields replaced (frozen-dataclass helper)."""
         return replace(self, **kwargs)

@@ -310,7 +310,7 @@ def audit_degree(cluster: ZeusCluster) -> List[str]:
     view = cluster.membership.view
     if not recovered <= set(view.live):
         return []  # a rejoiner was evicted again (late partition etc.)
-    target = min(cluster.params.replication_degree, len(view.live))
+    target = min(cluster.catalog.replication_degree, len(view.live))
     problems: List[str] = []
     for oid in range(cluster.catalog.num_objects):
         replicas = cluster.replicas_of(oid)

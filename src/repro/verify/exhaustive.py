@@ -148,7 +148,7 @@ class _Node:
         return Process(self, gen, name)
 
     def send(self, dst, kind, payload, size_bytes, ctx=None) -> None:
-        self.outbox.append((self.node_id, dst, kind, payload))
+        self.outbox.append((self.node_id, dst, kind, payload, self.epoch))
 
     def post_soon(self, fn, *args) -> None:
         self.soon.append((fn, args))
@@ -164,8 +164,10 @@ class _Node:
         self.outbox = []
         tag = inp[0]
         if tag == "deliver":
-            src, dst, kind, payload = messages[inp[1]]
-            self.handlers[kind](Message(src, dst, kind, payload, 0))
+            src, dst, kind, payload, epoch = messages[inp[1]]
+            msg = Message(src, dst, kind, payload, 0)
+            msg.epoch = epoch
+            self.handlers[kind](msg)
         elif tag == "timer":
             _handle, fn = self.timers.pop(inp[1:])
             fn(*inp[2])
@@ -229,7 +231,7 @@ class _Explorer:
                                        owner_of=lambda _i: scenario.owner)
         #: Node states: key -> id -> (frozen node, the inputs that built it).
         self.node_ids, self.nodes = {}, []
-        #: Messages: canonical form -> id -> (src, dst, kind, payload).
+        #: Messages: canonical form -> id -> (src, dst, kind, payload, epoch).
         self.message_ids, self.messages = {}, []
         #: (node state, input) -> (node state, ids of the messages sent).
         self.steps: Dict[tuple, tuple] = {}
@@ -291,7 +293,7 @@ class _Explorer:
         for i, queue in enumerate(network):
             pool = self.scenario.adversary and i // n != i % n
             for mid in queue if pool else queue[:1]:
-                src, dst, kind, _payload = self.messages[mid]
+                src, dst, kind, _payload, _epoch = self.messages[mid]
                 rest = network[:i] + (queue if pool else queue[1:],)
                 out.append((f"deliver {src}->{dst} {kind}", self._after(
                     (sids, rest + network[i + 1:], epoch, exposed), dst,

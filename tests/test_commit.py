@@ -186,7 +186,7 @@ def test_reader_invalid_between_inv_and_val():
 
 
 def test_replication_degree_one_commits_instantly():
-    cluster = make_cluster(3, degree=1, replication_degree=1)
+    cluster = make_cluster(3, degree=1)
     result = write(cluster, 0, [0])
     assert result.committed
     assert cluster.handles[0].commit.counters["committed"] == 1

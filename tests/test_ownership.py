@@ -2,7 +2,7 @@
 
 
 from repro.ownership.messages import NackReason, ReqType
-from repro.store.meta import OState, TState
+from repro.store.meta import OState, ReplicaSet, TState
 from tests.conftest import make_cluster, run_app
 
 
@@ -64,13 +64,15 @@ def test_non_replica_acquisition_transfers_data():
 
 
 def test_non_replica_acquisition_trims_back_to_degree():
-    cluster = make_cluster(6, objects=6)
-    oid = 0
-    outcome = acquire(cluster, 5, oid, until=1_000_000.0)
-    assert outcome.granted
-    replicas = cluster.replicas_of(oid)
-    assert replicas.size() == cluster.params.replication_degree
-    assert replicas.owner == 5
+    """The trim keeps the catalog's degree, 3 or 2: object 0 starts on
+    ``(0; 1, 2)`` or ``(0; 1)`` and ends on the requester plus its old
+    owner."""
+    for nodes, degree, requester, readers in ((6, 3, 5, (0, 1)),
+                                              (4, 2, 2, (0,))):
+        cluster = make_cluster(nodes, objects=nodes, degree=degree)
+        outcome = acquire(cluster, requester, 0, until=1_000_000.0)
+        assert outcome.granted
+        assert cluster.replicas_of(0) == ReplicaSet(requester, readers)
 
 
 def test_directory_agrees_after_transfer(cluster3):

@@ -13,9 +13,14 @@ from repro.net.network import Network
 from repro.obs import Observability, Tracer, load_jsonl, write_chrome_trace
 from repro.sim.params import FaultParams
 from repro.ownership.messages import (
+    OwnAbort,
     OwnAck,
+    OwnData,
+    OwnFetch,
     OwnInv,
+    OwnNack,
     OwnReq,
+    OwnResp,
     OwnVal,
     ReqType,
 )
@@ -103,48 +108,54 @@ def test_chaos_trace_reruns_the_cell_the_worst_key_selects(
 
 
 def test_rinv_size_includes_payload_bytes():
-    small = RInv((0, 0), 0, 1, (1, 2), [(5, 1, "x", 100)], prev_val=True)
-    large = RInv((0, 0), 0, 1, (1, 2), [(5, 1, "x", 10_000)], prev_val=True)
+    small = RInv((0, 0), 0, (1, 2), ((5, 1, "x", 100),), True)
+    large = RInv((0, 0), 0, (1, 2), ((5, 1, "x", 10_000),), True)
     assert large.size - small.size == 9_900
     assert small.data_bytes == 100
+    assert small.size == (5 + 2 + 2) * 8 + 100
+    replayed = small._replace(replay=True)  # a follower's replay
+    assert replayed.replay and replayed[:5] == small[:5]
+    assert (replayed.data_bytes, replayed.size) == (100, small.size)
 
 
 def test_rinv_size_grows_with_updates_and_followers():
-    one = RInv((0, 0), 0, 1, (1,), [(5, 1, None, 0)], prev_val=False)
-    two = RInv((0, 0), 0, 1, (1, 2), [(5, 1, None, 0), (6, 1, None, 0)],
-               prev_val=False)
+    one = RInv((0, 0), 0, (1,), ((5, 1, None, 0),), False)
+    two = RInv((0, 0), 0, (1, 2), ((5, 1, None, 0), (6, 1, None, 0)), False)
     assert two.size > one.size
 
 
 def test_rack_rval_sizes_scale_with_entries():
-    assert RAck([((0, 0), 1)], 1).size < RAck([((0, 0), 1), ((0, 1), 2)], 1).size
-    assert RVal([((0, 0), 1, True)], 1).size \
-        < RVal([((0, 0), 1, True), ((0, 1), 2, False)], 1).size
+    assert RAck((((0, 0), 1),)).size == RVal((((0, 0), 1, True),)).size == 32
+    assert RAck((((0, 0), 1),)).size < RAck((((0, 0), 1), ((0, 1), 2))).size
+    assert RVal((((0, 0), 1, True),)).size \
+        < RVal((((0, 0), 1, True), ((0, 1), 2, False))).size
 
 
 def test_own_ack_size_with_and_without_data():
     replicas = ReplicaSet(0, (1, 2))
-    bare = OwnAck((0, 1), 5, Ots(1, 0), 1, (0, 1, 2), replicas)
-    loaded = OwnAck((0, 1), 5, Ots(1, 0), 1, (0, 1, 2), replicas,
+    bare = OwnAck((0, 1), 5, Ots(1, 0), (0, 1, 2), replicas)
+    loaded = OwnAck((0, 1), 5, Ots(1, 0), (0, 1, 2), replicas,
                     data="v", data_version=3)
     assert loaded.size_with(400) - bare.size_with(400) == 400
 
 
 def test_own_inv_replay_preserves_identity():
     inv = OwnInv((0, 1), 5, Ots(2, 0), ReplicaSet(3, (0,)), 3,
-                 ReqType.ACQUIRE_OWNER, 1, (0, 1, 2), None,
+                 ReqType.ACQUIRE_OWNER, (0, 1, 2), None,
                  ReplicaSet(0, (1,)), Ots(1, 0))
-    replayed = inv._replace(epoch=2, arbiters=(0, 1), replay=True)
+    replayed = inv._replace(arbiters=(0, 1), replay=True)
     assert replayed.o_ts == inv.o_ts
     assert replayed.req_id == inv.req_id
     assert replayed.replay and not inv.replay
-    assert replayed.epoch == 2 and inv.epoch == 1
     assert replayed.arbiters == (0, 1) and inv.arbiters == (0, 1, 2)
 
 
 def test_own_req_and_val_fixed_sizes():
-    assert OwnReq.size > 0
-    assert OwnVal.size > 0
+    """The declared sizes count the epoch word, which rides on the
+    envelope, not in the payload."""
+    assert (OwnReq.size, OwnVal.size, OwnNack.size) == (40, 32, 40)
+    assert (OwnResp.size, OwnAbort.size, OwnFetch.size) == (64, 32, 24)
+    assert OwnData((0, 1), 5, None, None).size_with(100) == 132
 
 
 def _mutable_parts(value):
@@ -159,12 +170,13 @@ def _mutable_parts(value):
 
 @pytest.fixture
 def sent(monkeypatch):
-    """Every ``(kind, payload)`` that reaches ``Network.send``."""
+    """Every message that reaches ``Network.send`` (a retransmit again),
+    with the epoch it carried then."""
     seen = []
     real_send = Network.send
 
     def send(network, msg):
-        seen.append((msg.kind, msg.payload))
+        seen.append((msg, msg.epoch))
         real_send(network, msg)
 
     monkeypatch.setattr(Network, "send", send)
@@ -172,18 +184,33 @@ def sent(monkeypatch):
 
 
 def _assert_values(sent):
-    for kind, payload in sent:
-        if isinstance(payload, RInv):
-            continue  # re-stamped in place by a view change
-        assert not _mutable_parts(payload), (kind, payload)
+    """No payload holds a mutable container, and no message's epoch
+    changed after it was sent."""
+    for msg, epoch in sent:
+        assert not _mutable_parts(msg.payload), (msg.kind, msg.payload)
+        assert msg.epoch == epoch, (msg, msg.epoch, epoch)
+
+
+def _rinv_resent_in_a_later_epoch(sent) -> bool:
+    """Some slot's R-INV went out again (re-broadcast or replay) in a
+    higher epoch than its first send."""
+    first = {}
+    for msg, epoch in sent:
+        if isinstance(msg.payload, RInv):
+            key = msg.payload[:2]  # (pipeline, slot)
+            if epoch > first.setdefault(key, epoch):
+                return True
+    return False
 
 
 def test_elastic_cell_sends_only_values(sent):
     """Ownership replays and recovery snapshot chunks, beside every
     steady-state payload: each is fixed when it is sent."""
     SCENARIOS["elastic"](1, Observability())
-    assert any(isinstance(p, OwnInv) and p.replay for _k, p in sent)
-    assert any(kind == "rec.snap_chunk" for kind, _p in sent)
+    assert any(isinstance(msg.payload, OwnInv) and msg.payload.replay
+               for msg, _epoch in sent)
+    assert any(msg.kind == "rec.snap_chunk" for msg, _epoch in sent)
+    assert _rinv_resent_in_a_later_epoch(sent)
     _assert_values(sent)
 
 
@@ -201,6 +228,8 @@ def test_commit_replay_sends_only_values(sent):
             write_set=rng.sample(range(12), 2), exec_us=0.3),
         duration_us=20_000.0, threads=2, seed=3)
     cluster.run(until=200_000.0)
-    assert any(isinstance(p, RInv) and p.replay for _k, p in sent)
-    assert any(isinstance(p, RAck) for _k, p in sent)
+    assert any(isinstance(msg.payload, RInv) and msg.payload.replay
+               for msg, _epoch in sent)
+    assert any(isinstance(msg.payload, RAck) for msg, _epoch in sent)
+    assert _rinv_resent_in_a_later_epoch(sent)
     _assert_values(sent)

@@ -74,7 +74,7 @@ REACHABLE = {
     "ownership+dup": (908, 8377),
     "ownership+crash": (6226, 15156),
     "ownership+write": (10372, 40233),
-    "commit+crash": (67824, 230899),
+    "commit+crash": (55142, 190297),
 }
 
 
