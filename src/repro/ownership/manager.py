@@ -23,7 +23,7 @@ victim but not the owner, keeping the trim out of the write critical path.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..cluster.node import Node
 from ..net.message import Message, NodeId
@@ -109,15 +109,14 @@ class _ReqCtx:
 
 
 class _ReplayCtx:
-    """Recovery-driver state for one arb-replay."""
+    """Recovery-driver state for one arb-replay: the replayed INV (its
+    arbiters are the live ones) and who has re-ACKed it."""
 
-    __slots__ = ("inv", "acks", "live_arbiters", "done")
+    __slots__ = ("inv", "acks")
 
-    def __init__(self, inv: OwnInv, live_arbiters: Tuple[NodeId, ...]):
+    def __init__(self, inv: OwnInv):
         self.inv = inv
         self.acks: Set[NodeId] = set()
-        self.live_arbiters = live_arbiters
-        self.done = False
 
 
 from .lifecycle import LifecycleMixin
@@ -159,7 +158,8 @@ class OwnershipManager(LifecycleMixin):
         #: is what arb-replay re-transmits).
         self._pending_arb: Dict[ObjectId, OwnInv] = {}
         self._replays: Dict[ReqId, _ReplayCtx] = {}
-        self._fetch_waiting: Dict[ReqId, Tuple[OwnResp, Optional[_ReqCtx], ReqType]] = {}
+        #: Requests granted by RESP whose value is being fetched.
+        self._fetch_waiting: Dict[ReqId, _ReqCtx] = {}
         #: Recovery barrier (directory nodes): epoch -> nodes recovered.
         self._recovered: Dict[int, Set[NodeId]] = {}
         self._lifted_epoch = 1
@@ -309,14 +309,12 @@ class OwnershipManager(LifecycleMixin):
             # is itself a directory host — a straggler ACK is silently
             # ignored and the entry strands in Drive, livelocking every
             # later request on BUSY_ARBITRATION).  Roll it back.
-            abort = OwnAbort(ctx.req_id, ctx.oid, ctx.o_ts)
-            for arb in ctx.arbiters:
-                self.node.send(arb, KIND_ABORT, abort, OwnAbort.size)
+            self._send_abort(ctx.req_id, ctx.oid, ctx.o_ts, ctx.arbiters)
             self.counters.inc("timeout_abort")
             # Abandon decisively: a DATA reply still in flight would
-            # otherwise "honour the grant anyway" (_on_data) and VAL the
-            # arbiters, racing this abort — whichever lands first at each
-            # arbiter would win, forking the directory.
+            # otherwise finish the grant (_on_data) and VAL the arbiters,
+            # racing this abort — whichever lands first at each arbiter
+            # would win, forking the directory.
             self._fetch_waiting.pop(ctx.req_id, None)
         obj = self.store.get(ctx.oid)
         if ctx.oid in self._provisional:
@@ -353,9 +351,10 @@ class OwnershipManager(LifecycleMixin):
         ack: OwnAck = msg.payload
         if msg.epoch != self.node.epoch:
             return
-        replay_ctx = self._replays.get(ack.req_id)
-        if replay_ctx is not None and not replay_ctx.done:
-            self._on_replay_ack(replay_ctx, msg.src, ack)
+        replay = self._replays.get(ack.req_id)
+        if replay is not None:
+            replay.acks.add(msg.src)
+            self._check_replay_done(replay)
             return
         ctx = self._reqs.get(ack.req_id)
         if ctx is None or ctx.done:
@@ -394,32 +393,41 @@ class OwnershipManager(LifecycleMixin):
         return True
 
     def _apply_and_validate(self, ctx: _ReqCtx) -> None:
-        """All ACKs in: apply locally *first* (paper: the requester must
-        apply before any arbiter), then VAL every arbiter."""
+        """Finish a grant — every arbiter ACKed, or a RESP (after its FETCH,
+        if the value was missing) said the arb-replay did: apply locally
+        *first* (paper: the requester must apply before any arbiter), then
+        VAL every arbiter."""
         if (ctx.req_type in (ReqType.ACQUIRE_OWNER, ReqType.ADD_READER)
                 and ctx.data_version is None
                 and not self.store.has(ctx.oid)):
-            # Every arbiter ACKed but none attached the value (the
-            # designated data source lost its copy after the directory
-            # read): installing a fresh version-0 copy here would fork
+            # The grant carries no value (the designated data source lost
+            # its copy after the directory read, or a RESP named no live
+            # source): installing a fresh version-0 copy here would fork
             # the object's history.  Roll the arbitration back instead.
-            abort = OwnAbort(ctx.req_id, ctx.oid, ctx.o_ts)
-            for arb in ctx.arbiters:
-                self.node.send(arb, KIND_ABORT, abort, OwnAbort.size)
+            self._send_abort(ctx.req_id, ctx.oid, ctx.o_ts, ctx.arbiters)
             self.counters.inc("ack_no_data_abort")
             self._complete(ctx, False, NackReason.NO_DATA)
             return
-        self._apply_locally(ctx.oid, ctx.req_type, ctx.o_ts, ctx.new_replicas,
-                            ctx.data, ctx.data_version)
+        installed = self._apply_locally(ctx.oid, ctx.req_type, ctx.o_ts,
+                                        ctx.new_replicas, ctx.data,
+                                        ctx.data_version)
         val = OwnVal(ctx.req_id, ctx.oid, ctx.o_ts)
         for arb in ctx.arbiters:
             self.node.send(arb, KIND_VAL, val, OwnVal.size)
         self._complete(ctx, True, None)
-        self._maybe_trim(ctx.oid, ctx.req_type, ctx.new_replicas)
+        self._maybe_trim(ctx.oid, ctx.req_type, installed)
+
+    def _send_abort(self, req_id: ReqId, oid: ObjectId, o_ts: Ots,
+                    arbiters: Iterable[NodeId]) -> None:
+        """Roll an arbitration back at ``arbiters``."""
+        abort = OwnAbort(req_id, oid, o_ts)
+        for arb in arbiters:
+            self.node.send(arb, KIND_ABORT, abort, OwnAbort.size)
 
     def _apply_locally(self, oid: ObjectId, req_type: ReqType, o_ts: Ots,
                        new_replicas: ReplicaSet, data: Any,
-                       data_version: Optional[int]) -> None:
+                       data_version: Optional[int]) -> ReplicaSet:
+        """Install the grant; returns the live replica set it installed."""
         stripped = new_replicas.restricted_to(self.node.live_nodes)
         obj = self.store.get(oid)
         if req_type == ReqType.ACQUIRE_OWNER:
@@ -451,19 +459,22 @@ class OwnershipManager(LifecycleMixin):
         dur = self.node.durability
         if obj is not None and dur is not None:
             self._log_store(dur, obj)
+        return stripped
 
     def _maybe_trim(self, oid: ObjectId, req_type: ReqType,
-                    new_replicas: ReplicaSet) -> None:
+                    replicas: ReplicaSet) -> None:
         """Keep the configured replication degree: after a non-replica
         acquisition the replica count grew by one, so discard a reader out
-        of the critical path (Section 6.2)."""
+        of the critical path (Section 6.2).  ``replicas`` is the live set
+        the grant installed: a replayed grant's drive-time set can still
+        name a node that has since died."""
         if req_type != ReqType.ACQUIRE_OWNER:
             return
         degree = self.degree_overrides.get(oid,
                                            self.catalog.replication_degree)
-        if new_replicas.size() <= degree:
+        if replicas.size() <= degree:
             return
-        victim = self._pick_trim_victim(new_replicas)
+        victim = self._pick_trim_victim(replicas)
         if victim is None:
             return
 
@@ -507,11 +518,10 @@ class OwnershipManager(LifecycleMixin):
             return
         if (nack.reason in (NackReason.BUSY_COMMIT, NackReason.NO_DATA)
                 and nack.arbiters):
-            # Directory arbiters already invalidated; revert them.
-            abort = OwnAbort(nack.req_id, nack.oid, nack.o_ts)
-            for arb in nack.arbiters:
-                if arb != msg.src:  # the refusing arbiter never invalidated
-                    self.node.send(arb, KIND_ABORT, abort, OwnAbort.size)
+            # Directory arbiters already invalidated; revert them (the
+            # refusing arbiter never invalidated).
+            self._send_abort(nack.req_id, nack.oid, nack.o_ts,
+                             [a for a in nack.arbiters if a != msg.src])
         self._complete(ctx, False, nack.reason)
 
     # ======================================================================
@@ -1007,7 +1017,7 @@ class OwnershipManager(LifecycleMixin):
         live = self.node.live_nodes
         live_arbiters = tuple(a for a in inv.arbiters if a in live)
         replay_inv = inv._replace(arbiters=live_arbiters, replay=True)
-        ctx = _ReplayCtx(replay_inv, live_arbiters)
+        ctx = _ReplayCtx(replay_inv)
         self._replays[inv.req_id] = ctx
         self.counters.inc("arb_replay")
         for arb in live_arbiters:
@@ -1017,17 +1027,12 @@ class OwnershipManager(LifecycleMixin):
         ctx.acks.add(self.node_id)
         self._check_replay_done(ctx)
 
-    def _on_replay_ack(self, ctx: _ReplayCtx, src: NodeId, ack: OwnAck) -> None:
-        ctx.acks.add(src)
-        self._check_replay_done(ctx)
-
     def _check_replay_done(self, ctx: _ReplayCtx) -> None:
-        if ctx.done or not (set(ctx.live_arbiters) <= ctx.acks):
-            return
-        ctx.done = True
         inv = ctx.inv
+        if not ctx.acks.issuperset(inv.arbiters):
+            return
+        del self._replays[inv.req_id]
         live = self.node.live_nodes
-        self._replays.pop(inv.req_id, None)
         if inv.requester in live:
             data_source = inv.data_source if inv.data_source in live else None
             if data_source is None and inv.data_source is not None:
@@ -1039,14 +1044,14 @@ class OwnershipManager(LifecycleMixin):
                 elif candidates:
                     data_source = candidates[0]
             resp = OwnResp(inv.req_id, inv.oid, inv.o_ts, inv.new_replicas,
-                           ctx.live_arbiters, data_source)
+                           inv.arbiters, data_source)
             self.node.send(inv.requester, KIND_RESP, resp, OwnResp.size)
         else:
             # Dead requester: the driver validates directly; the applied
             # replica set is stripped of dead nodes at every arbiter, so
             # the object simply ends up owner-less until the next write.
             val = OwnVal(inv.req_id, inv.oid, inv.o_ts)
-            for arb in ctx.live_arbiters:
+            for arb in inv.arbiters:
                 self.node.send(arb, KIND_VAL, val, OwnVal.size)
 
     # --------------------------------------------------- RESP + data fetch
@@ -1056,57 +1061,28 @@ class OwnershipManager(LifecycleMixin):
         if msg.epoch != self.node.epoch:
             return
         ctx = self._reqs.get(resp.req_id)
-        if ctx is not None and not ctx.done:
-            ctx.o_ts = resp.o_ts
-            ctx.new_replicas = resp.new_replicas
-            ctx.arbiters = resp.arbiters
-            self._finish_resp(ctx.oid, ctx.req_type, resp, ctx)
-        else:
+        if ctx is None or ctx.done:
             # The request is gone (watchdog fired, or an arb-replay after
             # an epoch bump re-offered an acquisition we abandoned).  The
             # arbiters are all invalidated waiting on our VAL; nobody else
             # will ever send it, so roll the arbitration back.
-            abort = OwnAbort(resp.req_id, resp.oid, resp.o_ts)
-            for arb in resp.arbiters:
-                self.node.send(arb, KIND_ABORT, abort, OwnAbort.size)
+            self._send_abort(resp.req_id, resp.oid, resp.o_ts, resp.arbiters)
             self.counters.inc("stale_resp_abort")
             return
-        # Late RESP for a request we abandoned: honour the grant anyway so
-        # the arbiters unblock and the directory stays consistent.
-        obj = self.store.get(resp.oid)
-        if obj is None or obj.o_ts < resp.o_ts:
-            self._finish_resp(resp.oid, ReqType.ACQUIRE_OWNER, resp, None)
-        else:
-            val = OwnVal(resp.req_id, resp.oid, resp.o_ts)
-            for arb in resp.arbiters:
-                self.node.send(arb, KIND_VAL, val, OwnVal.size)
-
-    def _finish_resp(self, oid: ObjectId, req_type: ReqType, resp: OwnResp,
-                     ctx: Optional[_ReqCtx]) -> None:
-        needs_data = (req_type in (ReqType.ACQUIRE_OWNER, ReqType.ADD_READER)
-                      and not self.store.has(oid))
-        if needs_data:
-            if resp.data_source is None:
-                self.counters.inc("resp_no_data")
-                if ctx is not None:
-                    self._complete(ctx, False, NackReason.NO_DATA)
-                return
-            fetch = OwnFetch(resp.req_id, oid)
-            self._fetch_waiting[resp.req_id] = (resp, ctx, req_type)
-            self.node.send(resp.data_source, KIND_FETCH, fetch, OwnFetch.size)
+        # The arb-replay settled our request: finish it as if our own ACKs
+        # had arrived, with the value fetched first if we hold none.
+        ctx.o_ts = resp.o_ts
+        ctx.new_replicas = resp.new_replicas
+        ctx.arbiters = resp.arbiters
+        ctx.data = ctx.data_version = None
+        if (resp.data_source is not None
+                and ctx.req_type in (ReqType.ACQUIRE_OWNER, ReqType.ADD_READER)
+                and not self.store.has(ctx.oid)):
+            self._fetch_waiting[resp.req_id] = ctx
+            self.node.send(resp.data_source, KIND_FETCH,
+                           OwnFetch(resp.req_id, ctx.oid), OwnFetch.size)
             return
-        self._apply_resp(oid, req_type, resp, ctx, data=None, data_version=None)
-
-    def _apply_resp(self, oid: ObjectId, req_type: ReqType, resp: OwnResp,
-                    ctx: Optional[_ReqCtx], data: Any,
-                    data_version: Optional[int]) -> None:
-        self._apply_locally(oid, req_type, resp.o_ts, resp.new_replicas,
-                            data, data_version)
-        val = OwnVal(resp.req_id, oid, resp.o_ts)
-        for arb in resp.arbiters:
-            self.node.send(arb, KIND_VAL, val, OwnVal.size)
-        if ctx is not None:
-            self._complete(ctx, True, None)
+        self._apply_and_validate(ctx)
 
     def _on_fetch(self, msg: Message) -> None:
         fetch: OwnFetch = msg.payload
@@ -1126,21 +1102,11 @@ class OwnershipManager(LifecycleMixin):
 
     def _on_data(self, msg: Message) -> None:
         payload: OwnData = msg.payload
-        waiting = self._fetch_waiting.pop(payload.req_id, None)
-        if waiting is None:
+        ctx = self._fetch_waiting.pop(payload.req_id, None)
+        if ctx is None:
             return
-        resp, ctx, req_type = waiting
-        if ctx is not None and ctx.done:
-            ctx = None
-        if payload.data_version is None and not self.store.has(payload.oid):
-            # The fetch target had no copy: abort the grant rather than
-            # installing a version-0 fork (mirrors _apply_and_validate).
-            abort = OwnAbort(payload.req_id, payload.oid, resp.o_ts)
-            for arb in resp.arbiters:
-                self.node.send(arb, KIND_ABORT, abort, OwnAbort.size)
-            self.counters.inc("fetch_no_data_abort")
-            if ctx is not None:
-                self._complete(ctx, False, NackReason.NO_DATA)
-            return
-        self._apply_resp(payload.oid, req_type, resp, ctx,
-                         payload.data, payload.data_version)
+        # An empty DATA (the source lost its copy) leaves data_version
+        # None, and _apply_and_validate rolls the grant back.
+        ctx.data = payload.data
+        ctx.data_version = payload.data_version
+        self._apply_and_validate(ctx)

@@ -163,7 +163,10 @@ class OwnVal(NamedTuple):
 
 
 class OwnResp(NamedTuple):
-    """Replay driver → live requester: arbitration won, apply then VAL."""
+    """Replay driver → live requester: the arb-replay settled, so finish
+    the grant as if every ACK had arrived — FETCH the value from
+    ``data_source`` first if the requester holds no copy, then apply and
+    VAL ``arbiters`` (the live ones)."""
 
     req_id: ReqId
     oid: ObjectId

@@ -1,29 +1,23 @@
-"""``OwnershipManager._on_resp`` falls through on a *live* request (ROADMAP
-item 1), pinned before the fix.
+"""A RESP for a *live* request finishes it exactly once (ROADMAP item 1(a)).
 
 A RESP is what an arb-replay driver sends the requester once the surviving
 arbiters have re-ACKed (here: arbiter 2 crashes as the request leaves, so
 the requester's own ACK collection can never finish and the view change
-replays the stored INV).  For a request that is still waiting, ``_on_resp``
-hands the grant to ``_finish_resp`` — and then runs the "late RESP for a
-request we abandoned" tail as well, whose own branch above already
-returned:
+replays the stored INV).  ``_on_resp`` hands a live request to the ACK
+path's ``_apply_and_validate``, after a FETCH if the requester holds no
+copy, and returns.  This guards both shapes of the old fall-through into
+a "late RESP" tail:
 
-* the requester **stores** the object (a reader): the grant is applied and
-  validated once by ``_apply_resp`` and then the tail VALs every arbiter a
-  second time;
-* the requester **needs the value**: the tail sends a second FETCH and
-  overwrites ``_fetch_waiting[req_id]`` with ``ctx=None``, so the DATA
-  reply applies the grant but completes nobody — ``acquire()`` returns
-  ``TIMEOUT`` at the watchdog, for an ownership it holds.
+* the requester **stores** the object (a reader): the grant must be VALed
+  once at every arbiter, not twice;
+* the requester **needs the value**: a second FETCH used to overwrite
+  the first with no request attached, so the DATA reply applied the grant
+  but completed nobody, and ``acquire()`` returned ``TIMEOUT`` for an
+  ownership it held.
 
-``xfail(strict=True)`` on the assertion only: a recipe that no longer
-delivers a RESP to a live request raises ``RecipeBroken`` and fails
-outright.  The fix is one ``return``; it moves ``REACHABLE`` and the
-``elastic`` golden, so it is its own PR.
+A recipe that no longer delivers a RESP to a live request raises
+``RecipeBroken`` instead of passing vacuously.
 """
-
-import pytest
 
 from repro.harness.rig import Rig, counter_catalog
 from repro.ownership.messages import KIND_RESP, KIND_VAL
@@ -82,9 +76,6 @@ def acquire_across_a_crashed_arbiter(nodes, requester):
     return outcomes[0], vals
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="_on_resp falls through after _finish_resp on a "
-                          "live request, ROADMAP item 1")
 def test_a_resp_for_a_live_request_is_finished_once():
     problems = []
     for role, nodes, requester in (("reader", 4, 3), ("non-replica", 5, 4)):

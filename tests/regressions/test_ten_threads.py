@@ -1,22 +1,27 @@
-"""Violations at the paper's ten app threads (ROADMAP item 14), pinned
-before the fix.
+"""The sweep cell at the paper's ten app threads (ROADMAP item 14).
 
 Every judged cell elsewhere runs two app threads per node; the paper runs
-ten (§8).  These three cells are :data:`repro.chaos.SWEEP_CELL` at ten
-threads.  Each fails in under a second with no shrinking, and all three
-pass at 4, 6 and 8 threads, so 10 is the lowest failing thread count
-measured.  All are ``xfail(strict=True)``: they assert that the cell
-passes every audit, so the PR that fixes a cause has to delete its marker.
+ten (§8).  These cells are :data:`repro.chaos.SWEEP_CELL` at ten threads,
+each run unshrunk in under a second.  Three are live violations, pinned
+``xfail(strict=True)``: they assert that the cell passes every audit, so
+the PR that fixes a cause has to delete its marker.
 
 1. *Fault-free seed 52: read skew.*  A read-only transaction (op 458)
    reads object 4 at v94 and object 2 at v93, but v93 follows v95 of
    object 4 through a chain of write-write edges: ``[serializability]
-   dependency cycle over ops [458, 504, 512, 513, 514, 510]``.
+   dependency cycle over ops [458, 504, 512, 513, 514, 510]``.  It passes
+   at 4, 6 and 8 threads.
 2. *Fault-free seed 82: a real-time cycle* over ops 1541, 1621, 1618 and
-   1624.
-3. *Seed 26 with its sweep crash draw: a lost update.*  Object 3's
-   version 1 is installed by two committed transactions, and
-   ``audit_exactly_once`` counts 75 increments committed but 74 applied.
+   1624.  It passes at 4, 6 and 8 threads.
+3. *Seed 34 with its sweep crash draw: a real-time cycle* over ops 42,
+   182, 167, 172, 163 and 176.  No live request receives a RESP in it.
+
+Seed 26 with its crash draw is a plain test.  It lost an update: node 2
+got a RESP for object 3 while its request was live, applied the grant,
+then fell through into the "late RESP" tail, so object 3's version 1 was
+installed by two committed transactions (``audit_exactly_once``: 75
+increments committed, 74 applied).  A live RESP now finishes the request
+once, through the ACK path.
 """
 
 from dataclasses import replace
@@ -44,8 +49,15 @@ def test_fault_free_cell_at_ten_threads_is_strictly_serializable(seed):
     assert run_cell(recipe).audit.problems() == []
 
 
-@violates
+def crash_draw(seed):
+    return replace(SWEEP_CELL, app_threads=THREADS).of(
+        generate_sweep_schedule(4, seed), seed)
+
+
 def test_crash_draw_at_ten_threads_loses_no_update():
-    recipe = replace(SWEEP_CELL, app_threads=THREADS).of(
-        generate_sweep_schedule(4, 26), 26)
-    assert run_cell(recipe).audit.problems() == []
+    assert run_cell(crash_draw(26)).audit.problems() == []
+
+
+@violates
+def test_crash_draw_at_ten_threads_is_strictly_serializable():
+    assert run_cell(crash_draw(34)).audit.problems() == []

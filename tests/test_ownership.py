@@ -64,15 +64,28 @@ def test_non_replica_acquisition_transfers_data():
 
 
 def test_non_replica_acquisition_trims_back_to_degree():
-    """The trim keeps the catalog's degree, 3 or 2: object 0 starts on
-    ``(0; 1, 2)`` or ``(0; 1)`` and ends on the requester plus its old
-    owner."""
-    for nodes, degree, requester, readers in ((6, 3, 5, (0, 1)),
-                                              (4, 2, 2, (0,))):
-        cluster = make_cluster(nodes, objects=nodes, degree=degree)
-        outcome = acquire(cluster, requester, 0, until=1_000_000.0)
+    """The trim keeps the catalog's degree, 3 or 2, however the grant
+    arrives.  By ACK: object 0 starts on ``(0; 1, 2)`` or ``(0; 1)`` and
+    ends on the requester plus its old owner.  By RESP: object 1 starts on
+    ``(1; 2, 3)``, and directory host 0, an arbiter holding no copy,
+    crashes as node 4's REQ leaves, so the arb-replay after the view change
+    grants it; it ends on ``(4; 1, 2)``."""
+    cases = (  # nodes, degree, oid, requester, crash node 0, final readers
+        (6, 3, 0, 5, False, (0, 1)),
+        (4, 2, 0, 2, False, (0,)),
+        (5, 3, 1, 4, True, (1, 2)),
+    )
+    for nodes, degree, oid, requester, crash, readers in cases:
+        cluster = make_cluster(nodes, objects=nodes, degree=degree,
+                               fast_failover=crash)
+        if crash:
+            cluster.start_membership()
+            cluster.crash(0, at=0.0)
+        outcome = acquire(cluster, requester, oid, until=1_000_000.0)
         assert outcome.granted
-        assert cluster.replicas_of(0) == ReplicaSet(requester, readers)
+        assert cluster.replicas_of(oid) == ReplicaSet(requester, readers)
+        replays = cluster.handles[1].ownership.counters.get("arb_replay", 0)
+        assert bool(replays) == crash
 
 
 def test_directory_agrees_after_transfer(cluster3):

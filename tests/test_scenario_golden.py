@@ -14,10 +14,10 @@ The rule: only a change that *means* to alter an outcome re-records, with::
 
 and explains the diff.  The values were recorded at commit 0c5b58f, the
 last one to carry a second benchmark: they are the ``sim.digest`` fields of
-its five per-scenario baseline files.  Known follow-up: the fix for the two
-live protocol defects in ROADMAP item 1 changes the fault path, so that PR
-re-records ``chaos2`` and ``elastic`` here (no longer in two baseline files)
-and shows the other three did not move.
+its five per-scenario baseline files.  Fault-path changes have re-recorded
+``elastic`` since (the R-INV epoch on the envelope, then a live RESP that
+finishes its request once, ROADMAP item 1(a)); ``chaos2`` and the three
+fault-free cells did not move.
 """
 
 import json

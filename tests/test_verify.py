@@ -72,7 +72,7 @@ def test_bfs_checks_initial_states():
 REACHABLE = {
     "ownership": (1256, 3571),
     "ownership+dup": (908, 8377),
-    "ownership+crash": (6226, 15156),
+    "ownership+crash": (5610, 13432),
     "ownership+write": (10372, 40233),
     "commit+crash": (55142, 190297),
 }
