@@ -29,7 +29,26 @@ _O_VALID = OState.VALID
 
 
 class StoredObject:
-    """One object replica on one node."""
+    """One object replica on one node.
+
+    **The read rule.**  A copy may serve a read when ``o_state !=
+    OState.INVALID and t_state == TState.VALID``, and the read still holds
+    at commit when the same test passes at the ``t_version`` it read.  The
+    ``t_state`` clause is Section 5.3's: a copy is Valid until a writer's
+    R-INV reaches it.  That is evidence only while writers still send it
+    R-INVs, which is what the ``o_state`` clause adds: an ``o_state``
+    Invalid copy is mid-arbitration or unlisted (an eviction victim, or
+    provisional after a settled arbitration dropped this node), and an
+    unlisted copy gets no more R-INVs, so its Valid ``t_state`` can stay
+    Valid at a version long overwritten.  An owner-level read locks the
+    copy instead of testing ``t_state`` (the owner's Write copy is the
+    newest value) and keeps the ``o_state`` clause.  Every read site in
+    ``repro.txn`` spells the test inline as ``o_state == INVALID or
+    t_state != VALID`` (refuse), on the lane and on the interactive path,
+    at admission and at validation; ``ReadOnlyTransaction.open_read``
+    tests ``o_state`` where it picks the copy (or acquires one) and
+    ``t_state`` once the read is charged.
+    """
 
     __slots__ = (
         "oid",

@@ -138,13 +138,16 @@ class ZeusAPI:
         Fully-local conflict-free transactions — the common case Zeus is
         built around — take the *fast lane*: a pre-check, one simulator
         event carrying every CPU charge, and a post-validation, all in
-        this frame.  It is semantically identical to the interactive path
-        (same locks, same read validation, same reliable-commit hand-off;
-        for read-only transactions Section 5.3's buffer-then-verify) and
-        leaves no side effect beyond an abort count when it gives up.
-        Anything it cannot serve — ownership acquisition, a lock wait,
-        pipeline back-pressure, an invalidated object — falls back to the
-        interactive ``Transaction`` with randomized exponential back-off.
+        this frame.  It takes the interactive path's locks and its
+        reliable-commit hand-off, and admits and validates a read by the
+        rule in :class:`~repro.store.object_store.StoredObject`'s
+        docstring, spelled inline; ``tests/test_txn.py::
+        test_lane_reads_by_the_interactive_rule`` holds the two paths to
+        the same decision on every ``o_state`` x ``t_state``.  It leaves
+        no side effect beyond an abort count when it gives up.  Anything
+        it cannot serve — ownership acquisition, a lock wait, pipeline
+        back-pressure, an unreadable copy — falls back to the interactive
+        ``Transaction`` with randomized exponential back-off.
         """
         sim = self.sim
         node_id = self.node_id
@@ -177,7 +180,8 @@ class ZeusAPI:
             snapshot = []
             for oid in read_set:
                 obj = get(oid)
-                if obj is None or obj.t_state != _T_VALID:
+                if (obj is None or obj.o_state == _O_INVALID
+                        or obj.t_state != _T_VALID):
                     fast = False
                     break
                 snapshot.append((obj, obj.t_version))
@@ -185,7 +189,8 @@ class ZeusAPI:
                 yield (p.txn_setup_us + len(snapshot) * p.open_read_us
                        + exec_us + p.local_commit_us)
                 for obj, ver in snapshot:
-                    if obj.t_state != _T_VALID or obj.t_version != ver:
+                    if (obj.o_state == _O_INVALID or obj.t_state != _T_VALID
+                            or obj.t_version != ver):
                         fast = False
                         result.aborts += 1
                         break
@@ -217,6 +222,8 @@ class ZeusAPI:
                         break
                     if (obj.o_replicas is not None
                             and obj.o_replicas.owner == node_id):
+                        # The owner's thread lock stands in for the t_state
+                        # clause (its Write copy is the newest value).
                         if obj.locked_by is not None and obj.locked_by != me:
                             fast = False
                             break
@@ -245,7 +252,8 @@ class ZeusAPI:
                 yield cost
 
                 for obj, ver in reads:
-                    if obj.t_state != _T_VALID or obj.t_version != ver:
+                    if (obj.o_state == _O_INVALID or obj.t_state != _T_VALID
+                            or obj.t_version != ver):
                         fast = False
                         result.aborts += 1
                         break

@@ -9,8 +9,10 @@ A :class:`Transaction` mirrors the paper's transactional-memory API:
   the ownership protocol runs and the application thread stalls — the only
   blocking point in Zeus (Section 3.2's deliberate trade-off).
 * ``open_read`` requires at least *reader* level; reads at the owner take
-  the local thread lock, reads at a reader are version-validated at commit
-  (the invalidation-based scheme of Section 5.3 makes this sufficient).
+  the local thread lock, reads at a reader pass the read rule of
+  :class:`~repro.store.object_store.StoredObject` when opened and again at
+  commit, at the version read (the invalidation-based scheme of Section
+  5.3 makes this sufficient).
 * ``commit`` performs the local commit (irrevocable, so write transactions
   have opacity: any abort happens before it) and then hands the update set
   to the reliable-commit pipeline without blocking.
@@ -47,12 +49,11 @@ VERSION_BUMP = 1
 class TxnStats:
     """Per-transaction bookkeeping surfaced to workload drivers."""
 
-    __slots__ = ("ownership_requests", "acquired_objects", "aborts")
+    __slots__ = ("ownership_requests", "acquired_objects")
 
     def __init__(self) -> None:
         self.ownership_requests = 0
         self.acquired_objects = 0
-        self.aborts = 0
 
 
 class _TxnBase:
@@ -126,8 +127,9 @@ class Transaction(_TxnBase):
             if self.hop is not None:
                 self._h_reads.append((oid, obj.t_version, self.node.sim.now))
             return obj.t_data
-        # Reader-level read: opacity check now, version validation at commit.
-        if obj.t_state != TState.VALID:
+        # Reader-level read: the read rule now (StoredObject), again at
+        # commit at the version read.
+        if obj.o_state == OState.INVALID or obj.t_state != TState.VALID:
             self._abort_now(AbortReason.OBJECT_INVALID)
         self._read_versions.append((obj, obj.t_version))
         if self.hop is not None:
@@ -152,10 +154,11 @@ class Transaction(_TxnBase):
         p = self.params
         yield p.local_commit_us + len(self._write_set) * p.local_commit_per_obj_us
         # Validate reader-level reads: the invalidation-based commit means
-        # a consistent snapshot iff every read object is still Valid at the
-        # same version.
+        # a consistent snapshot iff every read copy still passes the read
+        # rule at the same version.
         for obj, version in self._read_versions:
-            if obj.t_state != TState.VALID or obj.t_version != version:
+            if (obj.o_state == OState.INVALID or obj.t_state != TState.VALID
+                    or obj.t_version != version):
                 self._abort_now(AbortReason.READ_CONFLICT)
 
         updates = []
@@ -251,7 +254,7 @@ class Transaction(_TxnBase):
         """Generator: block until this node holds at least reader level."""
         for _attempt in range(64):
             obj = self.store.get(oid)
-            if obj is not None and obj.o_state in (OState.VALID, OState.REQUEST):
+            if obj is not None and obj.o_state != OState.INVALID:
                 return obj
             self.stats.ownership_requests += 1
             outcome = yield from self.ownership.acquire(
@@ -269,8 +272,9 @@ class ReadOnlyTransaction(_TxnBase):
     """A read-only transaction (``tr_r_create``, Section 5.3).
 
     Executes locally on **any** replica — owner or reader — with no network
-    traffic: buffer version+value per read, then commit iff every object is
-    still Valid at the buffered version.
+    traffic: buffer version+value per read, then commit iff every copy
+    still passes the read rule (:class:`StoredObject`) at the buffered
+    version.
     """
 
     __slots__ = ("_buffer", "values")
@@ -283,12 +287,10 @@ class ReadOnlyTransaction(_TxnBase):
     def open_read(self, oid: ObjectId):
         """Generator: read one object into the snapshot buffer."""
         obj = self.store.get(oid)
-        if obj is not None and obj.o_state not in (OState.VALID,
-                                                   OState.REQUEST):
-            # A copy whose ownership state is not Valid is not a
-            # legitimate replica (mid-eviction, or provisional after a
-            # settled arbitration unlisted us): writers no longer
-            # invalidate it, so reading it returns ever-staler data.
+        if obj is not None and obj.o_state == OState.INVALID:
+            # The read rule's o_state clause (StoredObject): not a replica
+            # writers still invalidate.  Its t_state clause is tested once
+            # the read is charged, and commit tests both.
             obj = None
         if obj is None:
             # Not a replica: acquire reader level (rare; the load balancer
@@ -313,10 +315,12 @@ class ReadOnlyTransaction(_TxnBase):
         return obj.t_data
 
     def commit(self):
-        """Generator: verify the snapshot (versions + Valid) and commit."""
+        """Generator: verify the snapshot (the read rule at each buffered
+        version) and commit."""
         yield self.params.local_commit_us
         for obj, version in self._buffer:
-            if obj.t_state != TState.VALID or obj.t_version != version:
+            if (obj.o_state == OState.INVALID or obj.t_state != TState.VALID
+                    or obj.t_version != version):
                 raise TxnAborted(AbortReason.READ_CONFLICT)
         hop = self.hop
         if hop is not None:

@@ -10,7 +10,12 @@ parent commit (09ab9c3) with::
 
 and must only ever be re-recorded by a change that means to alter an outcome.
 The ``explore`` entry pins the randomized sweep; it was re-recorded when the
-sweep's load became the campaign's (one cell, one runner).
+sweep's load became the campaign's (one cell, one runner).  The read rule
+(``StoredObject``: a read needs ``o_state`` not Invalid as well as
+``t_state`` Valid, on the transaction lane too) re-recorded
+``locality_report``, ``explore`` and the smallbank and venmo ``place``
+entries: read-only transactions that used to read a mid-arbitration copy
+now retry.
 """
 
 import hashlib

@@ -16,8 +16,12 @@ and explains the diff.  The values were recorded at commit 0c5b58f, the
 last one to carry a second benchmark: they are the ``sim.digest`` fields of
 its five per-scenario baseline files.  Fault-path changes have re-recorded
 ``elastic`` since (the R-INV epoch on the envelope, then a live RESP that
-finishes its request once, ROADMAP item 1(a)); ``chaos2`` and the three
-fault-free cells did not move.
+finishes its request once, ROADMAP item 1(a)).  The read rule
+(``StoredObject``: a read needs ``o_state`` not Invalid as well as
+``t_state`` Valid, on the transaction lane too) re-recorded ``smallbank``,
+``chaos2`` and ``elastic``: in each, read-only transactions that used to
+read a mid-arbitration copy now retry.  ``tatp`` and ``voter_migration``
+have not moved.
 """
 
 import json

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.store.meta import TState
+from repro.store.meta import OState, TState
 from repro.txn.errors import AbortReason, TxnAborted
 from tests.conftest import make_cluster, run_app
 
@@ -273,3 +273,93 @@ def test_retries_exhausted_reports_failure():
 def test_peek_missing_object_is_none():
     cluster = make_cluster(3)
     assert cluster.handles[0].api.peek(999) is None
+
+
+@pytest.mark.parametrize("owned", [True, False], ids=["owned", "reader"])
+@pytest.mark.parametrize("t_state", list(TState), ids=lambda s: s.name)
+@pytest.mark.parametrize(
+    "o_state", [OState.VALID, OState.REQUEST, OState.INVALID],
+    ids=lambda s: s.name)
+def test_lane_reads_by_the_interactive_rule(o_state, t_state, owned):
+    """The transaction lane (``ZeusAPI.execute``) against its reference,
+    the interactive transactions, on one copy at node 1 whose states are
+    set directly: the lane's read-only branch commits with no ownership
+    request exactly when ``ReadOnlyTransaction.open_read`` admits the copy
+    without one, which is exactly when the read rule of ``StoredObject``
+    holds; and once admitted, a copy that goes ``o_state`` Invalid after
+    it was read fails validation on the lane and on the interactive path,
+    read-only and (at reader level) read-write."""
+    node, oid, own_write = 1, (1 if owned else 0), 4
+
+    def cluster_with_copy():
+        cluster = make_cluster(3)
+        cluster.run(until=10_000)  # settle the initial view's barrier round
+        obj = cluster.handles[node].store.get(oid)
+        assert (obj.o_replicas is not None) == owned
+        obj.o_state, obj.t_state = o_state, t_state
+        api = cluster.handles[node].api
+        api.max_retries = 1
+        return cluster, api, obj
+
+    def run(cluster, gen):
+        run_app(cluster, node, gen, until=cluster.sim.now + 50_000.0)
+
+    def lane(cluster, api, **kw):
+        results = []
+
+        def app():
+            results.append((yield from api.execute(0, **kw)))
+
+        run(cluster, app())
+        return results[0]
+
+    cluster, api, _obj = cluster_with_copy()
+    result = lane(cluster, api, write_set=(), read_set=[oid], read_only=True)
+    lane_admits = result.committed and result.ownership_requests == 0
+
+    cluster, api, _obj = cluster_with_copy()
+    txn = api.tr_r_create(0)
+    outcome = []
+
+    def open_read():
+        try:
+            yield from txn.open_read(oid)
+            outcome.append(True)
+        except TxnAborted:
+            outcome.append(False)
+
+    run(cluster, open_read())
+    reference_admits = outcome == [True] and txn.stats.ownership_requests == 0
+
+    readable = o_state != OState.INVALID and t_state == TState.VALID
+    assert lane_admits == reference_admits == readable
+    if not readable:
+        return
+
+    # The lane reads before its one batched event and validates after it.
+    shapes = [dict(write_set=(), read_set=[oid], read_only=True)]
+    if not owned:  # an owner-level read is locked, not validated
+        shapes.append(dict(write_set=[own_write], read_set=[oid]))
+    for shape in shapes:
+        cluster, api, obj = cluster_with_copy()
+        cluster.sim.call_after(10.0, setattr, obj, "o_state", OState.INVALID)
+        assert lane(cluster, api, exec_us=50.0, **shape).aborts >= 1, shape
+
+    interactive = [lambda api: api.tr_r_create(0)]
+    if not owned:
+        interactive.append(lambda api: api.tr_create(0))
+    for create in interactive:
+        cluster, api, obj = cluster_with_copy()
+        txn = create(api)
+        reasons = []
+
+        def read_then_commit():
+            yield from txn.open_read(oid)
+            obj.o_state = OState.INVALID
+            try:
+                yield from txn.commit()
+            except TxnAborted as abort:
+                reasons.append(abort.reason)
+
+        run(cluster, read_then_commit())
+        assert reasons == [AbortReason.READ_CONFLICT], type(txn).__name__
