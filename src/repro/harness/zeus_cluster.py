@@ -328,13 +328,7 @@ class ZeusCluster:
         self._slow_windows.pop(node_id, None)
         crash_time = max((t for t, n in self.failures.crashed
                           if n == node_id), default=self.sim.now)
-        node.restart()
-        self.handles[node_id].recovery.on_restart(crash_time)
-        if node.durability is not None:
-            # Warm rejoin: the node rebuilds from live donors, which
-            # supersedes the old disk image — retire it (wipe) and let the
-            # snapshot loop capture the transferred state.
-            node.durability.on_restart(wipe=True)
+        self.handles[node_id].recovery.rejoin(crash_time)
         self.membership.admit(node_id)
         self.failures.recovered.append((self.sim.now, node_id))
         self._c_recoveries.inc()
@@ -494,24 +488,12 @@ class ZeusCluster:
         max_replay = 0.0
         epoch_floor = 0
         for h in self.handles:
-            node = h.node
-            if node.node_id in self.retired:
+            if h.node.node_id in self.retired:
                 continue  # drained for good; a cold restart does not resurrect
-            node.restart()
-            h.store.clear()
-            if h.directory is not None:
-                h.directory.clear()
-            dur = node.durability
-            floored = ()
-            if dur is not None:
-                stats = dur.replay()
-                dur.on_restart()
+            stats = h.recovery.cold_restart(outage_at)
+            if stats is not None:
                 epoch_floor = max(epoch_floor, stats.epoch)
                 max_replay = max(max_replay, stats.replay_us)
-                floored = stats.floored
-            h.ownership.reset_for_restart()
-            h.commit.reset_for_restart()
-            h.recovery.on_cold_restart(outage_at, floored=floored)
         view_at = self.sim.now + max(_BOOT_US, max_replay)
         self.membership.reform(epoch_floor, at=view_at)
         self.failures.cold_restarts.append(view_at)
@@ -537,12 +519,9 @@ class ZeusCluster:
         new_ids = self.catalog.grow(count)
         for nid in new_ids:
             handle = self._build_handle(nid)
-            handle.node.begin_join()
             self.handles.append(handle)
             self.nodes.append(handle.node)
-            if self._loaded and handle.node.durability is not None:
-                handle.node.durability.start()
-            handle.recovery.on_join()
+            handle.recovery.join(loaded=self._loaded)
             self.membership.register(handle.node)
             self.membership.join(nid)
         now = self.sim.now

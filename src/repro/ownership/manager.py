@@ -914,23 +914,10 @@ class OwnershipManager(LifecycleMixin):
         if self.node_id not in self.catalog.directory_nodes_for(oid):
             return
         replicas = replicas.restricted_to(self.node.live_nodes)
-        dur = self.node.durability
-        entry = self.directory.get(oid)
-        if entry is None:
-            entry = self.directory.create(oid, replicas, o_ts)
+        if self.directory.merge(oid, o_ts, replicas):
+            dur = self.node.durability
             if dur is not None:
-                dur.log_own(oid, entry.o_ts, entry.replicas)
-            self.counters.inc("dir_sync_applied")
-            return
-        # ``>=`` (not ``>``): an abort keeps the bumped o_ts but reverts the
-        # replica set, so an equal-ts sync can still carry news.  A local
-        # in-flight arbitration (non-VALID state) is never clobbered — its
-        # own VAL/ABORT/arb-replay settles it.
-        if entry.o_state == OState.VALID and o_ts >= entry.o_ts:
-            entry.replicas = replicas
-            entry.o_ts = o_ts
-            if dur is not None:
-                dur.log_own(oid, entry.o_ts, entry.replicas)
+                dur.log_own(oid, o_ts, replicas)
             self.counters.inc("dir_sync_applied")
 
     # ======================================================================

@@ -1,10 +1,11 @@
-"""Node recovery: state transfer, catch-up, and re-replication.
+"""Node recovery: every way a node comes back, as one phase machine.
 
 A crashed node that restarts comes back *empty* — crash-stop wiped its
-store, directory shard, and every in-flight protocol context.  This
-package turns that blank node back into a full replica:
+store, directory shard, and every in-flight protocol context; a node a
+scale-out adds starts empty.  :class:`RecoveryManager` turns either into
+a full replica:
 
-1. membership re-admits it under a bumped epoch and a fresh incarnation
+1. membership admits it under a bumped epoch and a fresh incarnation
    (pre-crash traffic is fenced at every peer);
 2. a state-transfer protocol streams directory snapshots from live
    directory hosts (chunked, timestamp-guarded, restartable if a donor
@@ -13,8 +14,11 @@ package turns that blank node back into a full replica:
    target degree through the ordinary ownership protocol, which also
    carries the object values — so writes racing the transfer are handled
    by the same idempotence rules as any other replication traffic.
+
+After a full-cluster power loss it instead replays the durable image and
+reconciles the nodes' diverging durable tails.
 """
 
-from .manager import RecoveryManager
+from .manager import Phase, RecoveryManager
 
-__all__ = ["RecoveryManager"]
+__all__ = ["Phase", "RecoveryManager"]

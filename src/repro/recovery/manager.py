@@ -1,16 +1,23 @@
-"""Rejoin protocol: snapshot transfer + degree repair for restarted nodes.
+"""The one way back for a node: every reboot, join and cold restart.
 
 The paper treats node recovery operationally ("a recovered or new node
 ... gets up-to-date by state transfer from the object replicas" — §6.1);
-this module pins down the mechanism:
+this module pins down the mechanism.  A node comes back one of three ways,
+each one entry that runs the whole sequence: :meth:`RecoveryManager.rejoin`
+(a crashed node reboots and wipes its store, directory shard, disk image
+and protocol state), :meth:`~RecoveryManager.join` (a brand-new node of a
+live scale-out) and :meth:`~RecoveryManager.cold_restart` (after a
+full-cluster power loss: replay the durable image, then reconcile with
+the peers).  Where a node is on its way back is one field,
+:attr:`RecoveryManager.phase`.  The admit view of a rejoin or join starts:
 
-* **State transfer** — on the admit view, the rejoiner asks every live
-  directory host for a snapshot of its directory shard.  Donors stream
-  ``(oid, o_ts, replicas)`` entries in chunks; the rejoiner applies them
-  under a strict ``o_ts >`` guard (a racing arbitration that already
-  produced a newer entry locally always wins) and re-creates its own
-  directory shard if it hosts one.  A donor dying mid-transfer just
-  restarts the transfer against the survivors.
+* **State transfer** — the rejoiner asks every live directory host for a
+  snapshot of its directory shard.  Donors stream ``(oid, o_ts,
+  replicas)`` entries in chunks; the rejoiner applies them under a strict
+  ``o_ts >`` guard (a racing arbitration that already produced a newer
+  entry locally always wins) and re-creates its own directory shard if it
+  hosts one.  A donor dying mid-transfer restarts the transfer against
+  the survivors.
 
 * **Catch-up / re-replication** — object *values* never ride the
   snapshot.  Instead the rejoiner walks the transferred entries and, for
@@ -19,24 +26,26 @@ this module pins down the mechanism:
   protocol's FETCH/DATA leg delivers the current value, and once the VAL
   lands the rejoiner is in the replica set — so any write racing the
   transfer reaches it through the normal reliable-commit path, guarded
-  by version monotonicity.  Entries that *still list* the rejoiner (the
-  directory never saw it leave, so an ``ADD_READER`` would no-op-grant
-  without data) instead re-fetch the value directly from a live replica
-  — membership in the set was never revoked, only the bytes were lost,
-  and subsequent commits stream to the rejoiner anyway because it is
-  listed.  Finally the rejoiner asks the donors to *scan* for residual
-  deficits (multiple simultaneous crashes can leave holes one rejoiner
-  cannot fill alone); donors hint the lowest-id candidate nodes, which
-  repair themselves the same way.
+  by version monotonicity.  An entry that *still lists* the rejoiner
+  instead has the value re-fetched directly from a live replica (an
+  ``ADD_READER`` would no-op-grant without data).  No measured run has
+  taken that branch: membership admits a rejoiner only after its eviction
+  view, on which every live directory host drops it from every replica
+  set, and what else could list it is not known.  Finally the rejoiner
+  asks the donors to *scan* for residual deficits (several simultaneous
+  crashes can leave holes one rejoiner cannot fill alone); donors hint the
+  lowest-id candidate nodes, which repair themselves the same way.
 
-Metrics: ``recovery.rejoins`` / ``transfer_chunks`` / ``transfer_bytes``
-/ ``objects_repaired`` counters, ``recovery.catchup_us`` (admit →
-transfer done) and ``recovery.mttr_us`` (crash → fully repaired)
+Metrics: ``recovery.rejoins`` / ``joins`` / ``cold_restarts`` /
+``transfer_chunks`` / ``transfer_bytes`` / ``objects_repaired`` /
+``objects_refetched`` / ``repair_hints`` counters, ``recovery.catchup_us``
+(admit → transfer done) and ``recovery.mttr_us`` (crash → fully repaired)
 histograms, and ``recovery.transfer`` / ``recovery.repair`` trace spans.
 """
 
 from __future__ import annotations
 
+from enum import Enum
 from typing import Dict, Iterable, Optional, Set, Tuple
 
 from ..cluster.node import Node
@@ -46,10 +55,12 @@ from ..ownership.manager import KIND_DIR_SYNC, OwnershipManager
 from ..ownership.messages import ReqType
 from ..store.catalog import Catalog, ObjectId
 from ..store.directory import DirectoryTable
+from ..sim.rng import hash_str
 from ..store.meta import Ots, OState, ReplicaSet, TState
 from ..store.object_store import ObjectStore
+from ..store.wal import ReplayStats
 
-__all__ = ["RecoveryManager"]
+__all__ = ["Phase", "RecoveryManager"]
 
 KIND_SNAP_REQ = "rec.snap_req"
 KIND_SNAP_CHUNK = "rec.snap_chunk"
@@ -81,6 +92,17 @@ _BACKOFF_CAP_US = 3200.0
 _COLD_SETTLE_US = 400.0
 
 
+class Phase(Enum):
+    """Where a node is on its way back."""
+
+    UP = "up"                # serving: nothing to recover
+    ADMIT = "admit"          # rebooted or joining: quarantined until admitted
+    REFORM = "reform"        # cold-started: waiting for the reformed view
+    TRANSFER = "transfer"    # pulling directory snapshots from the donors
+    REPAIR = "repair"        # restoring degree, re-fetching lost values
+    RECONCILE = "reconcile"  # cold restart: exchanging durable tails
+
+
 class RecoveryManager:
     """Rejoin endpoint on one node: snapshot donor *and* recipient."""
 
@@ -95,10 +117,8 @@ class RecoveryManager:
         self.directory = directory
         self.ownership = ownership
         self.commit = commit
-        self.params = node.params
 
-        #: Restarted and waiting for the admit view.
-        self._awaiting = False
+        self.phase = Phase.UP
         self._crash_time: Optional[float] = None
         self._admitted_at: Optional[float] = None
         #: Donors whose SNAP_DONE is still outstanding (empty = no transfer).
@@ -107,10 +127,9 @@ class RecoveryManager:
         self._entries: Dict[ObjectId, Tuple[Ots, ReplicaSet]] = {}
         #: Objects a repair acquisition is already in flight for.
         self._repairing: Set[ObjectId] = set()
-        #: Cold-restart reconcile state: armed flag, objects confirmed
-        #: listed by the converged directory, and reader tail versions
-        #: that arrived before the driver's TAIL did.
-        self._cold_awaiting = False
+        #: Cold-restart reconcile state: objects confirmed listed by the
+        #: converged directory, and reader tail versions that arrived
+        #: before the driver's TAIL did.
         self._listed: Set[ObjectId] = set()
         self._tail_vers: Dict[ObjectId, Tuple[int, object, bool]] = {}
         #: Objects replay *floored* (version label kept, data is a
@@ -142,80 +161,83 @@ class RecoveryManager:
         node.register_handler(KIND_TAIL_DATA, self._on_tail_data)
         node.add_view_listener(self._on_view_change)
 
-    # ------------------------------------------------------------- restart
+    # ------------------------------------------------------ ways back in
 
-    def on_restart(self, crash_time_us: float) -> None:
-        """Wipe all datastore + protocol state and arm the rejoin.
+    def rejoin(self, crash_time_us: float) -> None:
+        """Reboot a crashed node and arm its state transfer.
 
-        Called by the cluster right after :meth:`Node.restart`, *before*
-        membership re-admits the node — the node must look blank by the
-        time the first post-admit message arrives.
+        Runs before membership re-admits the node: it must look blank by
+        the time the first post-admit message arrives.  The old disk image
+        is retired too — the node rebuilds from live donors, and the
+        snapshot loop captures the transferred state.
         """
+        self.node.restart()
+        self._wipe(replay=False)
+        self._arm(Phase.ADMIT, crash_time_us, "recovery.restart")
+
+    def join(self, loaded: bool) -> None:
+        """Quarantine a brand-new node (live scale-out) until admitted.
+
+        There is no pre-crash state to wipe and no MTTR clock to start:
+        the node is blank by construction.  It rides the same admit-view →
+        snapshot-transfer → repair path as a rejoiner, so a joiner learns
+        the directory map — and, once the rebalancer moves replicas its
+        way, the data — through the mechanism the rejoin audits cover.
+        A durable joiner of a ``loaded`` cluster installs its genesis
+        snapshot now (``ZeusCluster.load`` starts the others).
+        """
+        self.node.begin_join()
+        dur = self.node.durability
+        if loaded and dur is not None:
+            dur.start()
+        self.counters.inc("joins")
+        self._arm(Phase.ADMIT, None, "recovery.join")
+
+    def cold_restart(self, outage_time_us: float) -> Optional[ReplayStats]:
+        """Reboot after a full power loss and replay the durable image.
+
+        Unlike :meth:`rejoin`, the replayed store/directory are *kept* —
+        they are the durable truth.  What remains is cross-node
+        reconciliation: each node's durable tail may be a few commits
+        ahead of or behind its peers' (fsync batching is independent per
+        node), and ownership records that straddled the outage can leave
+        directory shards divergent.  The reconcile runs once the reformed
+        view lands.  Returns the replay stats (``None`` without a
+        durability tier: the node comes back empty).
+
+        Objects whose replay advanced the version counter past an undone
+        write (``ReplayStats.floored``) keep an authoritative version label
+        over pre-image *data*, so during the tail exchange a real
+        surviving write at the same version wins.
+        """
+        self.node.restart()
+        stats = self._wipe(replay=True)
+        self._arm(Phase.REFORM, outage_time_us, "recovery.cold_restart",
+                  stats.floored if stats is not None else ())
+        return stats
+
+    def _wipe(self, replay: bool) -> Optional[ReplayStats]:
+        """Forget the dead incarnation's datastore and protocol state;
+        with ``replay``, rebuild the datastore from the disk image,
+        otherwise retire the image."""
         self.store.clear()
         if self.directory is not None:
             self.directory.clear()
+        stats = None
+        dur = self.node.durability
+        if dur is not None:
+            if replay:
+                stats = dur.replay()
+            dur.on_restart(wipe=not replay)
         self.ownership.reset_for_restart()
         self.commit.reset_for_restart()
-        self._crash_time = crash_time_us
-        self._admitted_at = None
-        self._pending_donors.clear()
-        self._entries.clear()
-        self._repairing.clear()
-        self._awaiting = True
-        # The dead incarnation's spans stay open: they reach no export.
-        self._transfer_span = self._quarantine_span = None
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.point("recovery.restart", "recovery", False, inc=int)(
-                self.node_id, TID_NET, None, self.node.incarnation)
-            # Quarantine window: the reboot drops all inbound traffic until
-            # membership re-admits us (span closed at the admit view).
-            self._quarantine_span = tracer.open(self.node_id)
+        return stats
 
-    def on_join(self) -> None:
-        """Arm the rejoin machinery for a *brand-new* node (live scale-out).
-
-        Unlike :meth:`on_restart` there is no pre-crash state to wipe and
-        no MTTR clock to start: the node is blank by construction.  It
-        rides the same admit-view → snapshot-transfer → repair path as a
-        restarted node, so a joiner learns the directory map — and, once
-        the rebalancer moves replicas its way, the data — through the
-        exact mechanism the rejoin audits already cover.
-        """
-        self._crash_time = None
-        self._admitted_at = None
-        self._pending_donors.clear()
-        self._entries.clear()
-        self._repairing.clear()
-        self._awaiting = True
-        self._transfer_span = self._quarantine_span = None
-        self.counters.inc("joins")
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.point("recovery.join", "recovery", False, inc=int)(
-                self.node_id, TID_NET, None, self.node.incarnation)
-            self._quarantine_span = tracer.open(self.node_id)
-
-    def on_cold_restart(self, outage_time_us: float,
-                        floored: Iterable[ObjectId] = ()) -> None:
-        """Arm the post-replay reconcile pass (cold start after power loss).
-
-        Unlike :meth:`on_restart`, the replayed store/directory are *kept*
-        — they are the durable truth the WAL replay just rebuilt.  What
-        remains is cross-node reconciliation: each node's durable tail may
-        be a few commits ahead of or behind its peers' (fsync batching is
-        independent per node), and ownership records that straddled the
-        outage can leave directory shards divergent.  The reconcile runs
-        once the reformed membership view lands.
-
-        ``floored`` names objects whose replay advanced the version counter
-        past an undone write (see ``ReplayStats.floored``): their version
-        label is authoritative but their *data* is a pre-image, so during
-        the tail exchange a real surviving write at the same version wins.
-        """
-        self._crash_time = outage_time_us
-        self._awaiting = False
-        self._cold_awaiting = True
+    def _arm(self, phase: Phase, crash_time: Optional[float], point: str,
+             floored: Iterable[ObjectId] = ()) -> None:
+        """Reset every per-incarnation field and wait in ``phase``."""
+        self.phase = phase
+        self._crash_time = crash_time
         self._admitted_at = None
         self._pending_donors.clear()
         self._entries.clear()
@@ -223,21 +245,34 @@ class RecoveryManager:
         self._listed.clear()
         self._tail_vers.clear()
         self._floored = set(floored)
+        # The dead incarnation's spans stay open: they reach no export.
+        self._transfer_span = self._quarantine_span = None
         tracer = self.tracer
         if tracer is not None:
-            tracer.point("recovery.cold_restart", "recovery", False, inc=int)(
+            tracer.point(point, "recovery", False, inc=int)(
                 self.node_id, TID_NET, None, self.node.incarnation)
+            if phase is Phase.ADMIT:
+                # Quarantine window: all inbound traffic is dropped until
+                # membership admits us (span closed at the admit view).
+                self._quarantine_span = tracer.open(self.node_id)
 
     def _on_view_change(self, epoch: int, live: frozenset) -> None:
-        if self._cold_awaiting and self.node_id in live:
-            self._cold_awaiting = False
+        phase = self.phase
+        if phase is Phase.TRANSFER:
+            if not (self._pending_donors <= live):
+                # A donor died mid-transfer; restart against the survivors
+                # (re-applied chunks are harmless under the o_ts guard).
+                self._begin_transfer(live)
+            return
+        if self.node_id not in live:
+            return
+        if phase is Phase.REFORM:
+            self.phase = Phase.RECONCILE
             self._admitted_at = self.sim.now
             self.counters.inc("cold_restarts")
             self.node.spawn(self._cold_reconcile(), name="cold-reconcile")
-            return
-        if self._awaiting and self.node_id in live:
+        elif phase is Phase.ADMIT:
             # The admit view: membership took us back — start catching up.
-            self._awaiting = False
             self._admitted_at = self.sim.now
             self.counters.inc("rejoins")
             if self._quarantine_span is not None:
@@ -246,11 +281,22 @@ class RecoveryManager:
                     self._quarantine_span, self.node.incarnation, epoch)
                 self._quarantine_span = None
             self._begin_transfer(live)
-            return
-        if self._pending_donors and not (self._pending_donors <= live):
-            # A donor died mid-transfer; restart against the survivors
-            # (re-applied chunks are harmless under the o_ts guard).
-            self._begin_transfer(live)
+
+    def _complete(self, point: str) -> None:
+        """Shared tail of the repair pass and the cold reconcile."""
+        self.phase = Phase.UP
+        dur = self.node.durability
+        if dur is not None:
+            # The pass rebuilt the volatile state; bring the disk image up
+            # to date without waiting out a snapshot interval.
+            dur.snapshot_soon()
+        if self._crash_time is not None:
+            self._h_mttr.record(self.sim.now - self._crash_time)
+            self._crash_time = None
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.point(point, "recovery", False, inc=int)(
+                self.node_id, TID_NET, None, self.node.incarnation)
 
     # ======================================================================
     # State transfer — recipient side
@@ -270,12 +316,13 @@ class RecoveryManager:
             # Nothing to learn from (single live node): repair is moot too.
             self._finish_transfer()
             return
+        self.phase = Phase.TRANSFER
         self._pending_donors = set(donors)
         for donor in donors:
             self.node.send(donor, KIND_SNAP_REQ, None, 16)
 
     def _on_snap_chunk(self, msg: Message) -> None:
-        if not self._pending_donors:
+        if self.phase is not Phase.TRANSFER:
             return  # late chunk from an aborted transfer
         entries = msg.payload
         self.counters.inc("transfer_chunks")
@@ -289,15 +336,10 @@ class RecoveryManager:
             if (self.directory is not None
                     and self.catalog.hosts_directory(self.node_id)
                     and self.node_id in self.catalog.directory_nodes_for(oid)):
-                entry = self.directory.get(oid)
-                if entry is None:
-                    self.directory.create(oid, replicas, o_ts)
-                elif entry.o_state == OState.VALID and o_ts > entry.o_ts:
-                    # Strict ``>``: an arbitration that settled here after
-                    # the admit view is newer than any snapshot of the
-                    # pre-crash past, and must not be regressed.
-                    entry.o_ts = o_ts
-                    entry.replicas = replicas
+                # Strict: an arbitration that settled here after the admit
+                # view is newer than any snapshot of the pre-crash past,
+                # and must not be regressed.
+                self.directory.merge(oid, o_ts, replicas, strict=True)
 
     def _on_snap_done(self, msg: Message) -> None:
         if msg.src not in self._pending_donors:
@@ -307,6 +349,7 @@ class RecoveryManager:
             self._finish_transfer()
 
     def _finish_transfer(self) -> None:
+        self.phase = Phase.REPAIR
         self._pending_donors.clear()
         if self._admitted_at is not None:
             self._h_catchup.record(self.sim.now - self._admitted_at)
@@ -341,15 +384,14 @@ class RecoveryManager:
             if replicas is None:
                 continue
             if self.node_id in replicas.all_nodes():
-                # Still listed from before the crash: we are a valid member
-                # of the set that merely lost its bytes (ADD_READER would
-                # no-op-grant without data), so re-fetch the value.
+                # Still listed: we are a valid member of the set that
+                # merely lost its bytes, so re-fetch the value.
                 if not self.store.has(oid):
-                    yield from self._refetch_with_retry(oid)
+                    yield from self._fill(oid, refetch=True)
                 continue
             if replicas.size() >= self._target_degree():
                 continue
-            yield from self._acquire_with_retry(oid)
+            yield from self._fill(oid, refetch=False)
         # Residual deficits (several simultaneous crashes leave holes one
         # rejoiner cannot fill): ask the donors to scan and hint.
         live = self.node.live_nodes
@@ -357,17 +399,7 @@ class RecoveryManager:
             self.node.send(donor, KIND_REPAIR_SCAN, None, 16)
         if span is not None:
             tracer.point("recovery.repair", "recovery", True)(span)
-        dur = self.node.durability
-        if dur is not None:
-            # The rejoin rebuilt the volatile state from donors; bring the
-            # disk image up to date without waiting out a snapshot interval.
-            dur.snapshot_soon()
-        if self._crash_time is not None:
-            self._h_mttr.record(self.sim.now - self._crash_time)
-            self._crash_time = None
-        if tracer is not None:
-            tracer.point("recovery.complete", "recovery", False, inc=int)(
-                self.node_id, TID_NET, None, self.node.incarnation)
+        self._complete("recovery.complete")
 
     def _backoff_us(self, oid: ObjectId, attempt: int,
                     base_us: float) -> float:
@@ -375,59 +407,49 @@ class RecoveryManager:
         :data:`_BACKOFF_CAP_US`.  Jitter keeps 50–100% of the exponential
         step, derived from a deterministic hash so the schedule is
         reproducible and per-(node, oid) decorrelated."""
-        from ..sim.rng import hash_str
-
         step = min(base_us * (2.0 ** attempt), _BACKOFF_CAP_US)
         jitter = (hash_str(f"repair-backoff/{self.node_id}/{oid}/{attempt}")
                   % 1024) / 1024.0
         return step * (0.5 + 0.5 * jitter)
 
-    def _acquire_with_retry(self, oid: ObjectId):
-        """Join ``oid``'s replica set via ADD_READER, retrying through
-        transient NACKs (busy arbitration, recovery barrier) with jittered
-        exponential backoff."""
-        self._repairing.add(oid)
-        try:
-            for attempt in range(_REPAIR_ATTEMPTS):
-                if self.store.has(oid):
-                    break
-                outcome = yield from self.ownership.acquire(
-                    oid, ReqType.ADD_READER)
-                if outcome.granted and self.store.has(oid):
-                    break
-                self.counters.inc("repair_retries")
-                yield self._backoff_us(oid, attempt, 400.0)
-            if self.store.has(oid):
-                self.counters.inc("objects_repaired")
-            else:
-                self.counters.inc("repair_failed")
-        finally:
-            self._repairing.discard(oid)
+    def _fill(self, oid: ObjectId, refetch: bool):
+        """Get a copy of ``oid``, retrying with jittered exponential
+        backoff until the store has it.
 
-    def _refetch_with_retry(self, oid: ObjectId):
-        """Recover the value of an object we are still listed for,
-        rotating through the live replicas until one answers."""
+        ``refetch`` re-fetches the value of an object we are still listed
+        for, rotating through the live replicas until one answers.
+        Otherwise we join the replica set via ADD_READER, retrying through
+        transient NACKs (busy arbitration, recovery barrier)."""
         self._repairing.add(oid)
         try:
             for attempt in range(_REPAIR_ATTEMPTS):
                 if self.store.has(oid):
                     break
-                replicas = self._current_replicas(oid)
-                live = self.node.live_nodes
-                sources = sorted(
-                    n for n in (replicas.all_nodes() if replicas else ())
-                    if n != self.node_id and n in live)
-                if not sources:
-                    break  # sole surviving member: the value died with us
-                self.node.send(sources[attempt % len(sources)],
-                               KIND_FETCH, oid, 16)
-                if attempt:
+                if refetch:
+                    replicas = self._current_replicas(oid)
+                    live = self.node.live_nodes
+                    sources = sorted(
+                        n for n in (replicas.all_nodes() if replicas else ())
+                        if n != self.node_id and n in live)
+                    if not sources:
+                        break  # sole surviving member: the value died with us
+                    self.node.send(sources[attempt % len(sources)],
+                                   KIND_FETCH, oid, 16)
+                    if attempt:
+                        self.counters.inc("repair_retries")
+                else:
+                    outcome = yield from self.ownership.acquire(
+                        oid, ReqType.ADD_READER)
+                    if outcome.granted and self.store.has(oid):
+                        break
                     self.counters.inc("repair_retries")
-                yield self._backoff_us(oid, attempt, 300.0)
-            if self.store.has(oid):
-                self.counters.inc("objects_refetched")
-            else:
+                yield self._backoff_us(oid, attempt,
+                                       300.0 if refetch else 400.0)
+            if not self.store.has(oid):
                 self.counters.inc("repair_failed")
+            else:
+                self.counters.inc("objects_refetched" if refetch
+                                  else "objects_repaired")
         finally:
             self._repairing.discard(oid)
 
@@ -439,10 +461,9 @@ class RecoveryManager:
         if obj is None:
             o_ts, _snap_replicas = self._entries[oid]
             replicas = self._current_replicas(oid)
-            if replicas is not None and replicas.owner == self.node_id:
-                obj = self.store.create(oid, data, replicas, o_ts)
-            else:
-                obj = self.store.create(oid, data, None, o_ts)
+            if replicas is not None and replicas.owner != self.node_id:
+                replicas = None  # a reader keeps no replica set
+            obj = self.store.create(oid, data, replicas, o_ts)
             obj.t_version = version
         elif version > obj.t_version:
             obj.t_data = data
@@ -503,7 +524,7 @@ class RecoveryManager:
                 self.counters.inc("repair_hints")
                 if candidate == self.node_id:
                     if not self.store.has(oid) and oid not in self._repairing:
-                        self.node.spawn(self._acquire_with_retry(oid),
+                        self.node.spawn(self._fill(oid, refetch=False),
                                         name=f"repair-{oid}")
                 else:
                     self.node.send(candidate, KIND_REPAIR, oid, 16)
@@ -512,7 +533,7 @@ class RecoveryManager:
         oid: ObjectId = msg.payload
         if self.store.has(oid) or oid in self._repairing:
             return
-        self.node.spawn(self._acquire_with_retry(oid),
+        self.node.spawn(self._fill(oid, refetch=False),
                         name=f"repair-{oid}")
 
     # ======================================================================
@@ -543,9 +564,10 @@ class RecoveryManager:
         span = tracer.open(self.node_id) if tracer is not None else None
         preexisting = sorted(obj.oid for obj in self.store)
         live = self.node.live_nodes
+        directory = self.directory
         sent = 0
-        if self.directory is not None:
-            for oid, entry in sorted(self.directory.items()):
+        if directory is not None:
+            for oid, entry in sorted(directory.items()):
                 for d in self.catalog.directory_nodes_for(oid):
                     if d != self.node_id and d in live:
                         self.node.send(d, KIND_DIR_SYNC,
@@ -557,8 +579,10 @@ class RecoveryManager:
             rs = obj.o_replicas
             if rs is None or rs.owner != self.node_id:
                 continue
-            self._merge_dir_local(obj.oid, obj.o_ts, rs)
-            for d in self.catalog.directory_nodes_for(obj.oid):
+            dirs = self.catalog.directory_nodes_for(obj.oid)
+            if directory is not None and self.node_id in dirs:
+                directory.merge(obj.oid, obj.o_ts, rs)
+            for d in dirs:
                 if d != self.node_id and d in live:
                     self.node.send(d, KIND_DIR_SYNC, (obj.oid, obj.o_ts, rs),
                                    40)
@@ -566,8 +590,8 @@ class RecoveryManager:
                     if sent % 16 == 0:
                         yield 1.0
         yield _COLD_SETTLE_US
-        if self.directory is not None:
-            for oid, entry in sorted(self.directory.items()):
+        if directory is not None:
+            for oid, entry in sorted(directory.items()):
                 hosts = [d for d in self.catalog.directory_nodes_for(oid)
                          if d in live]
                 if not hosts or min(hosts) != self.node_id:
@@ -586,35 +610,12 @@ class RecoveryManager:
             if oid not in self._listed and self.store.has(oid):
                 self.store.drop(oid)
                 self.counters.inc("stale_dropped")
-        dur = self.node.durability
-        if dur is not None:
-            # Fold the reconciled state into a fresh disk image promptly.
-            dur.snapshot_soon()
         if span is not None:
             tracer.point("recovery.cold_reconcile", "recovery", True,
                          listed=int)(span, len(self._listed))
         if self._admitted_at is not None:
             self._h_catchup.record(self.sim.now - self._admitted_at)
-        if self._crash_time is not None:
-            self._h_mttr.record(self.sim.now - self._crash_time)
-            self._crash_time = None
-        if tracer is not None:
-            tracer.point("recovery.cold_complete", "recovery", False, inc=int)(
-                self.node_id, TID_NET, None, self.node.incarnation)
-
-    def _merge_dir_local(self, oid: ObjectId, o_ts: Ots,
-                         replicas: ReplicaSet) -> None:
-        """Apply an owner's replica-set view to our own shard (same
-        ``o_ts >=`` guard the DIR_SYNC handler uses for remote views)."""
-        if (self.directory is None
-                or self.node_id not in self.catalog.directory_nodes_for(oid)):
-            return
-        entry = self.directory.get(oid)
-        if entry is None:
-            self.directory.create(oid, replicas, o_ts)
-        elif entry.o_state == OState.VALID and o_ts >= entry.o_ts:
-            entry.o_ts = o_ts
-            entry.replicas = replicas
+        self._complete("recovery.cold_complete")
 
     def _apply_tail(self, oid: ObjectId, o_ts: Ots,
                     replicas: ReplicaSet) -> None:
@@ -645,17 +646,10 @@ class RecoveryManager:
         if pend is not None:
             self._adopt_tail(obj, pend[0], pend[1], pend[2])
 
-    def _outranked(self, oid: ObjectId, mine: int, theirs: int,
-                   theirs_floored: bool) -> bool:
-        """True when a reported tail (version, floored-bit) beats ours."""
-        if theirs > mine:
-            return True
-        return (theirs == mine and not theirs_floored
-                and oid in self._floored)
-
     def _adopt_tail(self, obj, version: int, data,
                     floored: bool = False) -> None:
-        if not self._outranked(obj.oid, obj.t_version, version, floored):
+        if not _beats(version, floored, obj.t_version,
+                      obj.oid in self._floored):
             return
         obj.t_data = data
         obj.t_version = version
@@ -681,23 +675,21 @@ class RecoveryManager:
             # The driver's TAIL has not landed here yet; stash the
             # freshest report and apply it when it does.
             best = self._tail_vers.get(oid)
-            if best is None or (version > best[0]
-                                or (version == best[0] and best[2]
-                                    and not flr)):
+            if best is None or _beats(version, flr, best[0], best[2]):
                 self._tail_vers[oid] = (version, data, flr)
             return
-        if self._outranked(oid, obj.t_version, version, flr):
+        ours = (obj.t_version, oid in self._floored)
+        if _beats(version, flr, *ours):
+            # The reader's tail wins: adopt it and push it to every reader.
             self._adopt_tail(obj, version, data, flr)
             rs = obj.o_replicas
-            for nid in (sorted(rs.readers) if rs is not None else ()):
-                self.node.send(nid, KIND_TAIL_DATA,
-                               (oid, obj.t_version, obj.t_data, obj.o_ts,
-                                oid in self._floored),
-                               self.catalog.size_of(oid) + 24)
-        elif version < obj.t_version or (version == obj.t_version
-                                         and flr
-                                         and oid not in self._floored):
-            self.node.send(msg.src, KIND_TAIL_DATA,
+            to = sorted(rs.readers) if rs is not None else ()
+        elif _beats(*ours, version, flr):
+            to = (msg.src,)  # ours wins: send it back to the reporter
+        else:
+            return
+        for nid in to:
+            self.node.send(nid, KIND_TAIL_DATA,
                            (oid, obj.t_version, obj.t_data, obj.o_ts,
                             oid in self._floored),
                            self.catalog.size_of(oid) + 24)
@@ -714,3 +706,11 @@ class RecoveryManager:
             self.counters.inc("tail_reconciled")
         else:
             self._adopt_tail(obj, version, data, flr)
+
+
+def _beats(version: int, floored: bool, other: int,
+           other_floored: bool) -> bool:
+    """Whether a durable tail outranks another: the higher version, or at
+    the same version a real write over a replay floor."""
+    return version > other or (version == other and not floored
+                               and other_floored)

@@ -68,6 +68,29 @@ class DirectoryTable:
             raise ValueError(f"directory entry for {oid} already exists")
         entries.update(zip(oids, map(DirEntry, replicas)))
 
+    def merge(self, oid: ObjectId, o_ts: Ots, replicas: ReplicaSet,
+              strict: bool = False) -> bool:
+        """Apply a settled ``(o_ts, replicas)`` view of ``oid``; returns
+        whether it took.
+
+        An absent entry is created.  A Valid entry is overwritten unless
+        its ``o_ts`` is newer — ``>=``, because an abort keeps the bumped
+        ``o_ts`` but reverts the replica set, so an equal-ts view can still
+        carry news; ``strict`` demands a strictly older entry.  An entry
+        mid-arbitration is never clobbered: its own VAL/ABORT/arb-replay
+        settles it.
+        """
+        entry = self._entries.get(oid)
+        if entry is None:
+            self._entries[oid] = DirEntry(replicas, o_ts)
+            return True
+        if (entry.o_state is not _O_VALID
+                or o_ts < entry.o_ts or (strict and o_ts == entry.o_ts)):
+            return False
+        entry.o_ts = o_ts
+        entry.replicas = replicas
+        return True
+
     def require(self, oid: ObjectId) -> DirEntry:
         entry = self._entries.get(oid)
         if entry is None:

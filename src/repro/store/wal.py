@@ -41,7 +41,7 @@ ABORT for each so the undo itself is durable.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..sim.process import Future
 from ..sim.resources import DiskDevice
@@ -454,8 +454,7 @@ class DurabilityManager:
                 obj.o_state = o_state
             if self.directory is not None:
                 for oid, o_ts, replicas in blob["dir"]:
-                    entry = self.directory.create(oid, replicas, o_ts)
-                    entry.o_state = OState.VALID
+                    self.directory.create(oid, replicas, o_ts)
 
         records = self.wal.durable_records()
         stats.records = len(records)
@@ -493,13 +492,9 @@ class DurabilityManager:
             elif r.kind == OWN:
                 if self.directory is None:
                     continue
-                entry = self.directory.get(r.oid)
-                if entry is None:
-                    entry = self.directory.create(r.oid, r.replicas, r.o_ts)
-                elif r.o_ts >= entry.o_ts:
-                    entry.o_ts = r.o_ts
-                    entry.replicas = r.replicas
-                entry.o_state = OState.VALID
+                # Every replayed entry is Valid, so the merge rule's
+                # in-flight guard never holds one back here.
+                self.directory.merge(r.oid, r.o_ts, r.replicas)
                 stats.own_applied += 1
             elif r.kind == EPOCH:
                 stats.epoch = max(stats.epoch, r.epoch)

@@ -27,6 +27,7 @@ from repro.chaos import (
 from repro.chaos.schedule import ClusterRestartEvent
 from repro.harness.rig import Rig, counter_catalog
 from repro.obs import Observability, build_timelines
+from repro.recovery.manager import Phase
 from repro.verify.audit import audit_reconfig
 from repro.workloads.base import TxnSpec, spawn_zeus_workers
 
@@ -128,19 +129,42 @@ def test_drain_of_directory_host_is_rejected():
 
 
 def test_donor_crash_mid_transfer_to_joiner():
-    """A base node crashes while the rebalancer is feeding the joiner:
-    movers abort, the repair pass re-replicates, audits stay clean."""
+    """A directory host crashes between the joiner's SNAP_REQ and its
+    SNAP_DONE: the eviction view restarts the transfer against the
+    survivors, it completes, and the audits stay clean."""
     cfg = _cfg()
-    schedule = FaultSchedule([
-        AddNodesEvent(at_us=4_000.0, count=1),
-        CrashEvent(at_us=6_500.0, node=3),
-        RecoverEvent(at_us=15_000.0, node=3),
-    ], name="donor-crash")
-    report = run_cell(cfg.of(schedule, 0))
-    assert report.ok, report.audit.problems()
-    assert report.committed > 0
-    assert any(e.startswith("add(") for e in report.timeline)
-    assert any(e.startswith("crash(") for e in report.timeline)
+    rig = _rig(cfg, seed=0)
+    cluster = rig.cluster
+    cluster.start_membership()
+    views = []
+
+    def watch(new_ids):
+        joiner = cluster.handles[new_ids[0]].recovery
+
+        def on_view(epoch, live):
+            views.append((sorted(live), joiner.phase,
+                          sorted(joiner._pending_donors)))
+            if len(views) == 1:
+                cluster.crash(2)  # the admit view just sent the SNAP_REQs
+
+        joiner.node.add_view_listener(on_view)
+
+    def setup():
+        cluster.on_nodes_added(watch)
+        cluster.add_nodes(1, at=4_000.0)
+        cluster.recover(2, at=15_000.0)
+
+    assert _run_with_workers(rig, cfg, 20_000.0, setup).done()
+    admit, evict = views[:2]
+    assert admit == ([0, 1, 2, 3, 4], Phase.TRANSFER, [0, 1, 2])
+    assert evict == ([0, 1, 3, 4], Phase.TRANSFER, [0, 1])
+    joiner = cluster.handles[4].recovery
+    assert joiner.phase is Phase.UP
+    # One chunk per survivor per attempt: both survivors served twice.
+    assert joiner.counters.as_dict()["transfer_chunks"] == 4
+    assert rig.stats.committed > 0
+    audit = rig.audit()
+    assert audit.ok, audit.problems()
 
 
 def test_admission_races_unhealed_partition():

@@ -7,7 +7,7 @@ from repro.chaos.schedule import CrashEvent, FaultSchedule, RecoverEvent
 from repro.hermes.protocol import HermesReplica
 from repro.net.message import Message
 from repro.store.meta import Ots
-from repro.verify.audit import audit_degree, audit_rejoin, audit_run, CommitLedger
+from repro.verify.audit import audit_degree, audit_rejoin
 from tests.conftest import make_cluster
 
 
@@ -118,8 +118,7 @@ def test_restarted_node_quarantines_traffic_until_admitted():
     cluster.crash(2, at=2_000.0)
     cluster.run(until=20_000.0)  # eviction installed
     node = cluster.nodes[2]
-    node.restart()
-    cluster.handles[2].recovery.on_restart(2_000.0)
+    cluster.handles[2].recovery.rejoin(2_000.0)
     assert node.transport.quarantined
     stray = Message(0, 2, "rc.val", None, 16)
     stray.inc = 1
@@ -155,8 +154,9 @@ def test_state_transfer_rebuilds_store_directory_and_degree():
 
 
 def test_refetch_restores_value_for_still_listed_replica():
-    """A replica the directory never saw leave re-fetches its bytes
-    directly instead of a no-op ADD_READER."""
+    """A replica still listed for an object it lost re-fetches the bytes
+    directly instead of a no-op ADD_READER (driven by hand: no measured
+    rejoin is still listed)."""
     cluster = make_cluster(4, objects=4)
     cluster.start_membership()
     cluster.run(until=1_000.0)
@@ -172,11 +172,33 @@ def test_refetch_restores_value_for_still_listed_replica():
     recovery = handle.recovery
     recovery._entries[oid] = (cluster.handles[replicas.owner].store
                               .get(oid).o_ts, replicas)
-    cluster.nodes[victim].spawn(recovery._refetch_with_retry(oid))
+    cluster.nodes[victim].spawn(recovery._fill(oid, refetch=True))
     cluster.run(until=10_000.0)
     obj = handle.store.get(oid)
     assert obj is not None and (obj.t_data, obj.t_version) == (42, 7)
     assert recovery.counters.as_dict()["objects_refetched"] == 1
+
+
+def test_rejoiner_that_cannot_fill_a_hole_alone_gets_help_from_hints():
+    """Two nodes crash at once and one comes back: objects that lost both
+    replicas stay one short after the rejoiner joins their sets, so the
+    donors' scan hints a live bystander, which repairs itself."""
+    cluster = make_cluster(4, objects=8, fast_failover=True)
+    cluster.start_membership()
+    cluster.crash(2, at=3_000.0)
+    cluster.crash(3, at=3_000.0)
+    cluster.recover(2, at=15_000.0)
+    cluster.run(until=60_000.0)
+    registry = cluster.obs.registry
+    assert registry.counter_total("recovery.rejoins") == 1
+    assert registry.counter_total("recovery.repair_hints") > 0
+    # Both bystanders took a hinted repair, one from its own scan and one
+    # from the other donor's REPAIR message.
+    for bystander in (0, 1):
+        counters = cluster.handles[bystander].recovery.counters.as_dict()
+        assert counters["objects_repaired"] > 0
+    assert audit_rejoin(cluster) == []
+    assert audit_degree(cluster) == []
 
 
 def test_rejoin_audit_detects_stale_and_missing_replicas():
@@ -365,7 +387,7 @@ def test_refetch_gives_up_cleanly_when_all_listed_replicas_quarantined():
     rec._entries[oid] = (obj.o_ts if obj is not None else Ots(0, 0), replicas)
     h.store.drop(oid)
     failed_before = rec.counters.get("repair_failed", 0)
-    h.node.spawn(rec._refetch_with_retry(oid), name="refetch-test")
+    h.node.spawn(rec._fill(oid, refetch=True), name="refetch-test")
     cluster.run(until=cluster.sim.now + 30_000.0)
     assert rec.counters.get("repair_failed", 0) == failed_before + 1
     assert not h.store.has(oid)
