@@ -447,11 +447,10 @@ class CommitManager:
             # slot we already applied): just re-ack.
             self._send_rack(msg.src if inv.replay else inv.pipeline[0], inv)
             return
-        if inv.prev_val:
-            fpipe.settled = max(fpipe.settled, inv.slot - 1)
-        if inv.replay:
-            # Recovery replays bypass the settled gate: version monotonicity
-            # makes out-of-order application safe and reads are frozen.
+        if inv.prev_val or inv.replay:
+            # The previous slot's VAL rode along; a recovery replay bypasses
+            # the settled gate (version monotonicity makes out-of-order
+            # application safe and reads are frozen).
             fpipe.settled = max(fpipe.settled, inv.slot - 1)
         if inv.slot == fpipe.settled + 1:
             self._apply_rinv(fpipe, inv, ack_to=msg.src if inv.replay else None)

@@ -90,6 +90,24 @@ class ZeusHandle:
         return self.node.node_id
 
 
+def wire_protocol(node, catalog: Catalog, max_pipeline_depth: int = 32
+                  ) -> Tuple[ObjectStore, Optional[DirectoryTable],
+                             OwnershipManager, CommitManager]:
+    """Build one node's protocol stack on ``node``: its store, its
+    directory shard (on a directory host), and the ownership and commit
+    managers, linked to each other.  ``node`` is a ``Node`` or anything
+    offering what the managers use of one (the schedule explorer's fake)."""
+    store = ObjectStore(node.node_id)
+    directory = (DirectoryTable(node.node_id)
+                 if catalog.hosts_directory(node.node_id) else None)
+    ownership = OwnershipManager(node, store, catalog, directory)
+    commit = CommitManager(node, store, catalog,
+                           max_pipeline_depth=max_pipeline_depth)
+    ownership.commit_mgr = commit
+    commit.ownership = ownership
+    return store, directory, ownership, commit
+
+
 class ZeusCluster:
     """A complete simulated Zeus deployment."""
 
@@ -162,14 +180,8 @@ class ZeusCluster:
 
     def _build_handle(self, nid: int) -> ZeusHandle:
         node = Node(self.sim, nid, self.params, self.network, obs=self.obs)
-        store = ObjectStore(nid)
-        directory = (DirectoryTable(nid)
-                     if self.catalog.hosts_directory(nid) else None)
-        ownership = OwnershipManager(node, store, self.catalog, directory)
-        commit = CommitManager(node, store, self.catalog,
-                               max_pipeline_depth=self._max_pipeline_depth)
-        ownership.commit_mgr = commit
-        commit.ownership = ownership
+        store, directory, ownership, commit = wire_protocol(
+            node, self.catalog, self._max_pipeline_depth)
         api = ZeusAPI(node, store, self.catalog, ownership, commit,
                       rng=self.rng.stream(f"api.{nid}"))
         recovery = RecoveryManager(node, store, self.catalog, directory,

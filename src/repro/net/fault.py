@@ -48,8 +48,6 @@ class FaultInjector:
         self._c_duplicated = registry.counter("faults.duplicated") if registry else None
         self._c_reordered = registry.counter("faults.reordered") if registry else None
         self.dropped = 0
-        self.duplicated = 0
-        self.reordered = 0
 
     @property
     def params(self) -> FaultParams:
@@ -79,12 +77,8 @@ class FaultInjector:
             self.dropped += 1
             if self._c_dropped is not None:
                 self._c_dropped.inc()
-        if duplicates:
-            self.duplicated += 1
-            if self._c_duplicated is not None:
-                self._c_duplicated.inc()
-        if extra > 0:
-            self.reordered += 1
-            if self._c_reordered is not None:
-                self._c_reordered.inc()
+        if duplicates and self._c_duplicated is not None:
+            self._c_duplicated.inc()
+        if extra > 0 and self._c_reordered is not None:
+            self._c_reordered.inc()
         return FaultDecision(drop, duplicates, extra)

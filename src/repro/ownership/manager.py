@@ -88,7 +88,7 @@ class _ReqCtx:
 
     __slots__ = ("req_id", "oid", "req_type", "victim", "future", "acks",
                  "arbiters", "o_ts", "new_replicas", "data", "data_version",
-                 "started_at", "timeout_handle", "done")
+                 "started_at", "timeout_handle")
 
     def __init__(self, req_id: ReqId, oid: ObjectId, req_type: ReqType,
                  victim: Optional[NodeId], future: Future, started_at: float):
@@ -105,7 +105,6 @@ class _ReqCtx:
         self.data_version: Optional[int] = None
         self.started_at = started_at
         self.timeout_handle = None
-        self.done = False
 
 
 class _ReplayCtx:
@@ -158,8 +157,6 @@ class OwnershipManager(LifecycleMixin):
         #: is what arb-replay re-transmits).
         self._pending_arb: Dict[ObjectId, OwnInv] = {}
         self._replays: Dict[ReqId, _ReplayCtx] = {}
-        #: Requests granted by RESP whose value is being fetched.
-        self._fetch_waiting: Dict[ReqId, _ReqCtx] = {}
         #: Recovery barrier (directory nodes): epoch -> nodes recovered.
         self._recovered: Dict[int, Set[NodeId]] = {}
         self._lifted_epoch = 1
@@ -251,7 +248,7 @@ class OwnershipManager(LifecycleMixin):
         """
         tracer = self.tracer
         existing = self._req_by_oid.get(oid)
-        if existing is not None and not existing.done:
+        if existing is not None:
             span = (tracer.open(self.node_id, thread, ctx)
                     if tracer is not None else None)
             outcome = yield existing.future
@@ -291,9 +288,6 @@ class OwnershipManager(LifecycleMixin):
 
     def _complete(self, ctx: _ReqCtx, granted: bool,
                   reason: Optional[NackReason]) -> None:
-        if ctx.done:
-            return
-        ctx.done = True
         if ctx.timeout_handle is not None:
             ctx.timeout_handle.cancel()
             ctx.timeout_handle = None
@@ -311,11 +305,6 @@ class OwnershipManager(LifecycleMixin):
             # later request on BUSY_ARBITRATION).  Roll it back.
             self._send_abort(ctx.req_id, ctx.oid, ctx.o_ts, ctx.arbiters)
             self.counters.inc("timeout_abort")
-            # Abandon decisively: a DATA reply still in flight would
-            # otherwise finish the grant (_on_data) and VAL the arbiters,
-            # racing this abort — whichever lands first at each arbiter
-            # would win, forking the directory.
-            self._fetch_waiting.pop(ctx.req_id, None)
         obj = self.store.get(ctx.oid)
         if ctx.oid in self._provisional:
             self._provisional.discard(ctx.oid)
@@ -341,7 +330,7 @@ class OwnershipManager(LifecycleMixin):
 
     def _on_timeout(self, req_id: ReqId) -> None:
         ctx = self._reqs.get(req_id)
-        if ctx is not None and not ctx.done:
+        if ctx is not None:
             ctx.timeout_handle = None
             self._complete(ctx, False, NackReason.TIMEOUT)
 
@@ -357,7 +346,7 @@ class OwnershipManager(LifecycleMixin):
             self._check_replay_done(replay)
             return
         ctx = self._reqs.get(ack.req_id)
-        if ctx is None or ctx.done:
+        if ctx is None:
             return
         ctx.acks.add(msg.src)
         ctx.o_ts = ack.o_ts
@@ -385,7 +374,7 @@ class OwnershipManager(LifecycleMixin):
         acquisition is granted, dropped if it fails (an unlisted copy never
         sees another invalidation and would serve ever-staler reads)."""
         ctx = self._req_by_oid.get(oid)
-        if (ctx is None or ctx.done
+        if (ctx is None
                 or ctx.req_type not in (ReqType.ACQUIRE_OWNER,
                                         ReqType.ADD_READER)):
             return False
@@ -500,7 +489,7 @@ class OwnershipManager(LifecycleMixin):
         if msg.epoch != self.node.epoch:
             return
         ctx = self._reqs.get(nack.req_id)
-        if ctx is None or ctx.done:
+        if ctx is None:
             return
         if nack.reason == NackReason.ALREADY_GRANTED:
             obj = self.store.get(ctx.oid)
@@ -610,7 +599,7 @@ class OwnershipManager(LifecycleMixin):
                 self.node.send(arb, KIND_INV, inv, size)
         # The driver is itself an arbiter; it stays in Drive state and acks
         # the requester right away.
-        self._send_ack(inv, to=req.requester, to_driver=False)
+        self._send_ack(inv, req.requester)
 
     def _arbiters_for(self, req: OwnReq, replicas: ReplicaSet,
                       live: frozenset):
@@ -646,10 +635,12 @@ class OwnershipManager(LifecycleMixin):
                     arbiters.add(data_source)
         return tuple(sorted(arbiters)), data_source
 
-    def _nack(self, requester: NodeId, req: OwnReq, reason: NackReason,
+    def _nack(self, to: NodeId, req: OwnReq | OwnInv, reason: NackReason,
               arbiters: Tuple[NodeId, ...] = (), o_ts: Optional[Ots] = None) -> None:
+        """Refuse ``req``; a NACK naming ``arbiters`` and ``o_ts`` asks
+        ``to`` to ABORT them (they were already invalidated)."""
         nack = OwnNack(req.req_id, req.oid, reason, arbiters, o_ts)
-        self.node.send(requester, KIND_NACK, nack, OwnNack.size)
+        self.node.send(to, KIND_NACK, nack, OwnNack.size)
 
     # ======================================================================
     # Arbiter role (directory nodes + current owner + designated reader)
@@ -660,11 +651,12 @@ class OwnershipManager(LifecycleMixin):
         if msg.epoch != self.node.epoch:
             return
         oid = inv.oid
+        # An arb-replay is answered to its replaying driver.
+        reply_to = msg.src if inv.replay else inv.requester
         current = self._pending_arb.get(oid)
         if current is not None and current.o_ts == inv.o_ts:
             # Duplicate or arb-replay of what we already hold: just re-ACK.
-            self._send_ack(inv, to=(msg.src if inv.replay else inv.requester),
-                           to_driver=inv.replay)
+            self._send_ack(inv, reply_to)
             return
 
         entry = self.directory.get(oid) if self.directory is not None else None
@@ -683,8 +675,7 @@ class OwnershipManager(LifecycleMixin):
         if (current is not None and entry is not None
                 and entry.o_state == OState.DRIVE
                 and current.o_ts.node_id == self.node_id):
-            nack = OwnNack(current.req_id, oid, NackReason.CONTENTION_LOST)
-            self.node.send(current.requester, KIND_NACK, nack, OwnNack.size)
+            self._nack(current.requester, current, NackReason.CONTENTION_LOST)
             self.counters.inc("drive_lost")
 
         # Owner-busy check: an owner must not give up an object with a
@@ -693,10 +684,8 @@ class OwnershipManager(LifecycleMixin):
                 and obj.o_replicas.owner == self.node_id
                 and inv.req_type != ReqType.REMOVE_READER):
             if self._owner_busy(obj):
-                nack = OwnNack(inv.req_id, oid, NackReason.BUSY_COMMIT,
-                               arbiters=inv.arbiters, o_ts=inv.o_ts)
-                target = msg.src if inv.replay else inv.requester
-                self.node.send(target, KIND_NACK, nack, OwnNack.size)
+                self._nack(reply_to, inv, NackReason.BUSY_COMMIT,
+                           inv.arbiters, inv.o_ts)
                 self.counters.inc("owner_busy_nack")
                 return
 
@@ -710,10 +699,8 @@ class OwnershipManager(LifecycleMixin):
         if (inv.data_source == self.node_id and obj is None
                 and inv.req_type in (ReqType.ACQUIRE_OWNER,
                                      ReqType.ADD_READER)):
-            nack = OwnNack(inv.req_id, oid, NackReason.NO_DATA,
-                           arbiters=inv.arbiters, o_ts=inv.o_ts)
-            target = msg.src if inv.replay else inv.requester
-            self.node.send(target, KIND_NACK, nack, OwnNack.size)
+            self._nack(reply_to, inv, NackReason.NO_DATA,
+                       inv.arbiters, inv.o_ts)
             self.counters.inc("data_source_gone_nack")
             return
 
@@ -725,8 +712,7 @@ class OwnershipManager(LifecycleMixin):
         if obj is not None:
             obj.o_state = OState.INVALID
             obj.o_ts = inv.o_ts
-        self._send_ack(inv, to=(msg.src if inv.replay else inv.requester),
-                       to_driver=inv.replay)
+        self._send_ack(inv, reply_to)
 
     def _owner_busy(self, obj: StoredObject) -> bool:
         if obj.locked_by is not None:
@@ -737,7 +723,7 @@ class OwnershipManager(LifecycleMixin):
             return True
         return False
 
-    def _send_ack(self, inv: OwnInv, to: NodeId, to_driver: bool) -> None:
+    def _send_ack(self, inv: OwnInv, to: NodeId) -> None:
         data = None
         version = None
         if inv.data_source == self.node_id:
@@ -755,7 +741,14 @@ class OwnershipManager(LifecycleMixin):
         cur = self._pending_arb.get(val.oid)
         if cur is None or cur.o_ts != val.o_ts:
             return
-        self._apply_arbitration(cur)
+        self._settle(cur, True)
+
+    def _on_abort(self, msg: Message) -> None:
+        abort: OwnAbort = msg.payload
+        cur = self._pending_arb.get(abort.oid)
+        if cur is None or cur.o_ts != abort.o_ts:
+            return
+        self._settle(cur, False)
 
     # ------------------------------------------------------ durability hooks
     #
@@ -777,10 +770,13 @@ class OwnershipManager(LifecycleMixin):
                       obj.t_data if ok else None,
                       self.catalog.size_of(obj.oid) if ok else 0)
 
-    def _apply_arbitration(self, inv: OwnInv) -> None:
+    def _settle(self, inv: OwnInv, granted: bool) -> None:
+        """End the pending arbitration ``inv`` at this arbiter: install its
+        new view (VAL) or restore the previous one (ABORT)."""
         oid = inv.oid
         self._pending_arb.pop(oid, None)
-        replicas = inv.new_replicas.restricted_to(self.node.live_nodes)
+        view = (inv.new_replicas if granted else inv.prev_replicas
+                ).restricted_to(self.node.live_nodes)
         dur = self.node.durability
 
         entry = self.directory.get(oid) if self.directory is not None else None
@@ -789,26 +785,29 @@ class OwnershipManager(LifecycleMixin):
             # A rejoining directory host can receive the INV before the
             # state-transfer snapshot covers this object; materialize the
             # entry now so the settled arbitration is not lost.
-            entry = self.directory.create(oid, replicas, inv.o_ts)
+            entry = self.directory.create(oid, view, inv.o_ts)
         if entry is not None:
-            entry.replicas = replicas
-            entry.o_ts = inv.o_ts
+            entry.replicas = view
             entry.o_state = OState.VALID
+            # An ABORT leaves o_ts bumped: the aborted version number is
+            # burned so a retry can never collide with the aborted request.
+            if granted:
+                entry.o_ts = inv.o_ts
             if dur is not None:
-                dur.log_own(oid, entry.o_ts, entry.replicas)
+                dur.log_own(oid, entry.o_ts, view)
             loc = self.node.obs.locality
-            if loc is not None and inv.req_type == ReqType.ACQUIRE_OWNER:
+            if (granted and loc is not None
+                    and inv.req_type == ReqType.ACQUIRE_OWNER):
                 # Settled ownership handover: feed the migration ledger.
                 # Every directory host reports it; the recorder dedups on
                 # the (monotonic per-object) o_ts version.
-                loc.on_handover(oid, inv.prev_replicas.owner, replicas.owner,
+                loc.on_handover(oid, inv.prev_replicas.owner, view.owner,
                                 inv.o_ts.obj_ver, self.sim.now)
         self._sync_absent_dir_hosts(inv)
 
         obj = self.store.get(oid)
-        if obj is None:
-            return
-        if self.node_id != replicas.owner and self.node_id not in replicas.readers:
+        if (granted and obj is not None and self.node_id != view.owner
+                and self.node_id not in view.readers):
             # The settled view excludes us, so our copy is garbage: an
             # unlisted replica never receives another invalidation, and
             # re-blessing it Valid here would let it serve ever-staler
@@ -820,8 +819,7 @@ class OwnershipManager(LifecycleMixin):
             # become listed again, so it is demoted to *provisional*
             # instead: kept if that acquisition is granted, dropped when
             # it fails (see claim_provisional).
-            ctx = self._req_by_oid.get(oid)
-            if ctx is None or ctx.done:
+            if oid not in self._req_by_oid:
                 self.store.drop(oid)
                 self.counters.inc("replica_dropped")
                 return
@@ -837,42 +835,18 @@ class OwnershipManager(LifecycleMixin):
             if dur is not None:
                 self._log_store(dur, obj)
             return
-        obj.o_state = OState.VALID
-        obj.o_ts = inv.o_ts
-        obj.o_replicas = replicas if replicas.owner == self.node_id else None
-        if dur is not None:
-            self._log_store(dur, obj)
-
-    def _on_abort(self, msg: Message) -> None:
-        abort: OwnAbort = msg.payload
-        cur = self._pending_arb.get(abort.oid)
-        if cur is None or cur.o_ts != abort.o_ts:
-            return
-        self._pending_arb.pop(abort.oid, None)
-        prev = cur.prev_replicas.restricted_to(self.node.live_nodes)
-        dur = self.node.durability
-        entry = self.directory.get(abort.oid) if self.directory is not None else None
-        if (entry is None and self.directory is not None
-                and self.node_id in self.catalog.directory_nodes_for(abort.oid)):
-            entry = self.directory.create(abort.oid, prev, cur.o_ts)
-        if entry is not None:
-            entry.replicas = prev
-            entry.o_state = OState.VALID
-            # o_ts stays bumped: the aborted version number is burned so a
-            # retry can never collide with the aborted request.
-            if dur is not None:
-                dur.log_own(abort.oid, entry.o_ts, entry.replicas)
-        self._sync_absent_dir_hosts(cur)
-        obj = self.store.get(abort.oid)
-        if obj is not None and obj.o_state == OState.INVALID:
+        if obj is not None and (granted or obj.o_state == OState.INVALID):
             obj.o_state = OState.VALID
-            # Adopt the authoritative pre-arbitration view: a node whose
-            # own demotion VAL was superseded by the (now aborted) larger
-            # request must not resurrect a stale self-as-owner view.
-            obj.o_replicas = prev if prev.owner == self.node_id else None
+            if granted:
+                obj.o_ts = inv.o_ts
+            # An ABORT adopts the authoritative pre-arbitration view: a node
+            # whose own demotion VAL was superseded by the (now aborted)
+            # larger request must not resurrect a stale self-as-owner view.
+            obj.o_replicas = view if view.owner == self.node_id else None
             if dur is not None:
                 self._log_store(dur, obj)
-        self.counters.inc("arb_aborted")
+        if not granted:
+            self.counters.inc("arb_aborted")
 
     # ----------------------------------------------------- directory repair
 
@@ -938,7 +912,6 @@ class OwnershipManager(LifecycleMixin):
         self._provisional.clear()
         self._pending_arb.clear()
         self._replays.clear()
-        self._fetch_waiting.clear()
         self._recovered.clear()
         self._lifecycle.clear()
         # Barrier re-arms: the rejoiner must hear LIFTED for the admit
@@ -1048,7 +1021,7 @@ class OwnershipManager(LifecycleMixin):
         if msg.epoch != self.node.epoch:
             return
         ctx = self._reqs.get(resp.req_id)
-        if ctx is None or ctx.done:
+        if ctx is None:
             # The request is gone (watchdog fired, or an arb-replay after
             # an epoch bump re-offered an acquisition we abandoned).  The
             # arbiters are all invalidated waiting on our VAL; nobody else
@@ -1065,7 +1038,6 @@ class OwnershipManager(LifecycleMixin):
         if (resp.data_source is not None
                 and ctx.req_type in (ReqType.ACQUIRE_OWNER, ReqType.ADD_READER)
                 and not self.store.has(ctx.oid)):
-            self._fetch_waiting[resp.req_id] = ctx
             self.node.send(resp.data_source, KIND_FETCH,
                            OwnFetch(resp.req_id, ctx.oid), OwnFetch.size)
             return
@@ -1089,9 +1061,9 @@ class OwnershipManager(LifecycleMixin):
 
     def _on_data(self, msg: Message) -> None:
         payload: OwnData = msg.payload
-        ctx = self._fetch_waiting.pop(payload.req_id, None)
+        ctx = self._reqs.get(payload.req_id)
         if ctx is None:
-            return
+            return  # the request finished while its value was in flight
         # An empty DATA (the source lost its copy) leaves data_version
         # None, and _apply_and_validate rolls the grant back.
         ctx.data = payload.data

@@ -2,8 +2,8 @@
 
 The paper model-checks its protocols in TLA+ (Section 8); this does the
 same to the code that runs.  Each node hosts the real store, directory,
-``OwnershipManager`` and ``CommitManager``, wired as
-``ZeusCluster._build_handle`` wires them, on a fake of what they use of a
+``OwnershipManager`` and ``CommitManager``, wired by the same
+``wire_protocol`` as a cluster node, on a fake of what they use of a
 node.  :func:`check_protocol` enumerates through ``bfs_check`` every
 interleaving of deliveries, armed timers, client calls, one crash and the
 view change after it; ``check_invariants`` must hold in every state and
@@ -24,17 +24,14 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Dict, List, Tuple
 
-from ..commit.manager import CommitManager
 from ..harness.rig import counter_catalog
+from ..harness.zeus_cluster import wire_protocol
 from ..net.message import Message
 from ..obs import Observability
-from ..ownership.manager import OwnershipManager
 from ..sim.kernel import EventHandle
 from ..sim.params import SimParams
 from ..sim.process import Process
-from ..store.directory import DirectoryTable
 from ..store.meta import OState, TState
-from ..store.object_store import ObjectStore
 from .checker import CheckResult, bfs_check
 from .invariants import (InvariantViolation, check_invariants,
                          quiescence_problems)
@@ -119,15 +116,10 @@ class _Node:
         self.live_nodes = frozenset(range(scenario.nodes))
         self.handlers, self.view_listeners = {}, []
         self.soon, self.timers, self.outbox = [], {}, []
-        # ZeusCluster._build_handle, then ZeusCluster.load.
-        self.store = ObjectStore(node_id)
-        self.directory = (DirectoryTable(node_id)
-                          if catalog.hosts_directory(node_id) else None)
-        self.ownership = OwnershipManager(self, self.store, catalog,
-                                          self.directory)
-        self.commit = CommitManager(self, self.store, catalog)
-        self.ownership.commit_mgr = self.commit
-        self.commit.ownership = self.ownership
+        # Wired as ZeusCluster._build_handle wires a node, then loaded as
+        # ZeusCluster.load loads it.
+        self.store, self.directory, self.ownership, self.commit = (
+            wire_protocol(self, catalog))
         replicas = catalog.initial_replicas(OID)
         if self.directory is not None:
             self.directory.create(OID, replicas)

@@ -68,8 +68,10 @@ class HandoverWorkload:
         self.enb_oids = [self.catalog.create_object("enb_ctx", s,
                                                     owner=self.station_node[s])
                          for s in range(self.stations)]
-        self.gateway_oids = [self.catalog.create_object("gateway", n, owner=n)
-                             for n in range(num_nodes)]
+        # A gateway object per node.  No transaction touches one yet, but
+        # creating them here keeps every later object id where it was.
+        for n in range(num_nodes):
+            self.catalog.create_object("gateway", n, owner=n)
 
         self.user_station: List[int] = []
         self.user_mobile: List[bool] = []

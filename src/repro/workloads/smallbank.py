@@ -73,7 +73,6 @@ class SmallbankWorkload:
         self.by_node: List[List[int]] = [[] for _ in range(num_nodes)]
         for acct, node in enumerate(self.home):
             self.by_node[node].append(acct)
-        self._hot_count = max(1, int(self.accounts * self.hot_frac))
         #: Accounts per node's shard, and the hot ones among them.
         self._per_node = max(1, self.accounts // num_nodes)
         self._hot_per_node = max(1, int(self._per_node * hot_frac))

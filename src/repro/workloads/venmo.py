@@ -34,7 +34,6 @@ class VenmoGraph:
         self.cluster_size = cluster_size
         self.inter_cluster_frac = inter_cluster_frac
         self.rng = random.Random(seed)
-        self.num_clusters = (users + cluster_size - 1) // cluster_size
         #: cluster id per user
         self.cluster_of = [u // cluster_size for u in range(users)]
 

@@ -1,8 +1,12 @@
 """Reliable ownership protocol: grants, contention, trims, recovery."""
 
 
-from repro.ownership.messages import NackReason, ReqType
-from repro.store.meta import OState, ReplicaSet, TState
+from repro.harness.rig import Rig, counter_catalog
+from repro.net.message import Message
+from repro.ownership.messages import (KIND_DATA, KIND_FETCH, KIND_NACK,
+                                      KIND_RESP, KIND_VAL, NackReason, OwnData,
+                                      OwnNack, OwnResp, ReqType)
+from repro.store.meta import OState, Ots, ReplicaSet, TState
 from tests.conftest import make_cluster, run_app
 
 
@@ -320,3 +324,34 @@ def test_dead_nodes_stripped_from_replica_sets():
             continue
         for oid, entry in h.directory.items():
             assert 3 not in entry.replicas.all_nodes()
+
+
+def test_data_for_a_finished_request_is_ignored():
+    """A DATA reply that lands after its request finished (here: denied by
+    a losing driver's NACK while the value was being fetched) applies no
+    grant and VALs no arbiter: the request is gone, and an arbiter VALed
+    now would settle an arbitration the requester no longer holds."""
+    cluster = Rig(counter_catalog(5, 1, owner_of=lambda i: 1), seed=1).cluster
+    requester = 4  # owner 1, readers 2 and 3: node 4 holds no copy
+    node = cluster.nodes[requester]
+    ownership = cluster.handles[requester].ownership
+    acquiring = ownership.acquire(0)
+    next(acquiring)  # the REQ is out; the request is live
+    (req_id,) = ownership._reqs
+    sent = []
+    node.send = lambda dst, kind, *rest, **kw: sent.append(kind)
+
+    def deliver(src, kind, payload):
+        msg = Message(src, requester, kind, payload, 0)
+        msg.epoch = node.epoch
+        node._handlers[kind][0](msg)
+
+    deliver(0, KIND_RESP, OwnResp(req_id, 0, Ots(1, 0),
+                                  ReplicaSet(requester, (2, 3)), (0, 1, 2), 1))
+    assert sent == [KIND_FETCH]
+    deliver(0, KIND_NACK, OwnNack(req_id, 0, NackReason.CONTENTION_LOST))
+    assert req_id not in ownership._reqs
+    del sent[:]
+    deliver(1, KIND_DATA, OwnData(req_id, 0, 7, 3))
+    assert KIND_VAL not in sent
+    assert cluster.handles[requester].store.get(0) is None

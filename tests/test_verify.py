@@ -119,9 +119,9 @@ def test_reachable_counts_do_not_depend_on_the_hash_seed():
 #: explored state and moves REACHABLE without a protocol change.
 MANAGER_ATTRIBUTES = {
     OwnershipManager: [
-        "_fetch_waiting", "_latency", "_lifecycle", "_lifted_epoch",
-        "_next_req_id", "_pending_arb", "_provisional", "_recovered",
-        "_replays", "_req_by_oid", "_reqs", "catalog", "commit_mgr",
+        "_latency", "_lifecycle", "_lifted_epoch", "_next_req_id",
+        "_pending_arb", "_provisional", "_recovered", "_replays",
+        "_req_by_oid", "_reqs", "catalog", "commit_mgr",
         "counters", "degree_overrides", "directory", "node", "node_id",
         "params", "sim", "store", "tracer", "trim_preferred"],
     CommitManager: [
@@ -152,7 +152,7 @@ def test_seeded_ownership_bug_is_caught_with_a_shortest_trace(monkeypatch):
     def on_val(self, msg):
         pending = self._pending_arb.get(msg.payload.oid)
         if pending is not None:
-            self._apply_arbitration(pending)
+            self._settle(pending, True)
 
     monkeypatch.setattr(OwnershipManager, "_on_val", on_val)
     assert check_protocol(SCENARIOS["ownership"]).ok
